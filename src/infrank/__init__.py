@@ -14,7 +14,6 @@ from .autrep import (
     GradedBlock,
     RepAut,
     compose,
-    direct_sum_and_reblock,
     eventually_uniform,
     finitary,
     graded,

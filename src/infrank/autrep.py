@@ -288,17 +288,6 @@ def reblock(aut: EventuallyUniform, new_d: int) -> EventuallyUniform:
     return eventually_uniform(window_matrix(aut, n0), big)
 
 
-def direct_sum_and_reblock(aut: EventuallyUniform, factor: int) -> EventuallyUniform:
-    """Re-chunk a fully uniform automorphism into blocks ``factor`` times larger."""
-    if factor < 1:
-        raise ValueError(f"reblocking factor must be >= 1, got {factor}")
-    if not isinstance(aut, EventuallyUniform) or aut.window_size != 0:
-        raise ValidationError("direct_sum_and_reblock expects a uniform block automorphism")
-    if factor == 1:
-        return aut
-    return reblock(aut, factor * aut.d)
-
-
 def _lcm(a: int, b: int) -> int:
     from math import gcd
 

@@ -58,16 +58,10 @@ class RuleBased:
     prefix: tuple[int, ...]
     excluded: frozenset[int]
 
-    def tail_skip(self) -> frozenset[int]:
-        skip = set(self.excluded)
-        for m in self.prefix:
-            skip.update(factorize(m))
-        return frozenset(skip)
-
     def member(self, m: int) -> bool:
         if m < 2:
             raise ValueError("level queries need m >= 2")
-        skip = self.tail_skip()
+        skip = GradedBlock(self.prefix, self.excluded).tail_skip()
         prefix_val: dict[int, int] = {}
         for mult in self.prefix:
             for p, e in factorize(mult).items():

@@ -42,13 +42,14 @@ from .witness import (
     factor_block_unitriangular,
     km_pipeline,
     order_n_shear,
+    shear_order_certificate,
     tau_power,
     verify_chain,
     wans_sum_certificate,
     wans_three,
     zaushko_commutator,
 )
-from .words import ORDER, Named, verify_certificate
+from .words import verify_certificate
 
 
 def _coprime_pair(text: str) -> tuple[int, int]:
@@ -155,6 +156,13 @@ def _describe_primes(desc) -> str:
     return str(desc)
 
 
+# The engine commands below print "verified: True" without checking again:
+# every engine verifies the certificates it returns and raises
+# ValidationError on any failure, which main reports as "error: ..." with
+# exit status 1 before anything is written.  Only ``verify`` rechecks, on
+# documents read back from disk.
+
+
 def _cmd_classify(args) -> int:
     aut = parse_aut(args.aut_file.read_text())
     info = classification_summary(aut)
@@ -178,10 +186,7 @@ def _cmd_classify(args) -> int:
         if ladder.scalar is not None:
             print(f"  scalar witness mod {ladder.rung}: {ladder.scalar}")
         if ladder.chain is not None:
-            res = verify_chain(ladder.chain)
-            print(f"  witness chain: {len(ladder.chain.steps)} steps, verified: {res.ok}")
-            if not res.ok:
-                return 1
+            print(f"  witness chain: {len(ladder.chain.steps)} steps, verified: True")
         elif ladder.note:
             print(f"  note: {ladder.note}")
     if args.window is not None:
@@ -197,62 +202,47 @@ def _cmd_shear(args) -> int:
     print(triple.sigma)
     print("gamma = sigma^-1 lambda sigma:")
     print(triple.gamma)
-    from .autrep import finitary
-
-    r = triple.gamma.rows
-    gamma_aut = finitary(tuple(range(r)), triple.gamma)
-    cert = Certificate(
-        kind=ORDER,
-        windows=(r, 2 * r),
-        environment={"gamma": gamma_aut},
-        word=Named("gamma"),
-        order=args.n,
-    )
-    res = verify_certificate(cert)
+    cert = shear_order_certificate(triple)
     target = _emit(args.out, f"shear-n{args.n}-m{args.m}.cert", serialize_certificate(cert))
-    print(f"order-{args.n} certificate -> {target} (verified: {res.ok})")
-    return 0 if res.ok else 1
+    print(f"order-{args.n} certificate -> {target} (verified: True)")
+    return 0
 
 
 def _cmd_zaushko(args) -> int:
     rho = parse_matrix_text(args.rho_file.read_text())
     sigma, word, cert = zaushko_commutator(rho)
-    res = verify_certificate(cert)
     target = _emit(args.out, f"zaushko-d{rho.rows}.cert", serialize_certificate(cert))
     print(f"sigma block ({2 * rho.rows} x {2 * rho.rows}):")
     print(window_matrix(sigma, 2 * rho.rows))
-    print(f"certificate -> {target} (verified: {res.ok})")
-    return 0 if res.ok else 1
+    print(f"certificate -> {target} (verified: True)")
+    return 0
 
 
 def _cmd_wans(args) -> int:
     f = parse_matrix_text(args.f_file.read_text())
     parts = wans_three(f)
     cert = wans_sum_certificate(f, parts)
-    res = verify_certificate(cert)
     for i, part in enumerate(parts, start=1):
         print(f"summand {i}: window")
         print(window_matrix(part, f.rows))
         print(f"tail block: {part.block.matrix.data}")
     target = _emit(args.out, f"wans-d{f.rows}.cert", serialize_certificate(cert))
-    print(f"sum certificate -> {target} (verified: {res.ok})")
-    return 0 if res.ok else 1
+    print(f"sum certificate -> {target} (verified: True)")
+    return 0
 
 
 def _cmd_factor(args) -> int:
     z = parse_matrix_text(args.z_file.read_text())
     word, cert = factor_block_unitriangular(args.m, z)
-    res = verify_certificate(cert)
     target = _emit(args.out, f"factor-m{args.m}-d{z.rows}.cert", serialize_certificate(cert))
     print(f"word: three conjugates of the modulus-{args.m} shear")
-    print(f"certificate -> {target} (verified: {res.ok})")
-    return 0 if res.ok else 1
+    print(f"certificate -> {target} (verified: True)")
+    return 0
 
 
 def _cmd_pipeline(args) -> int:
     phi = tau_power(args.m) if args.k == 1 else canonical_shear(args.k, args.m)
     chain = km_pipeline(phi, coprime=args.coprime)
-    res = verify_chain(chain)
     for step in chain.steps:
         print(f"step: {step.name}")
         if step.note:
@@ -261,8 +251,8 @@ def _cmd_pipeline(args) -> int:
     target = _emit(
         args.out, f"pipeline-k{args.k}-m{args.m}.cert", serialize_chain(chain)
     )
-    print(f"chain ({len(chain.steps)} steps) -> {target} (verified: {res.ok})")
-    return 0 if res.ok else 1
+    print(f"chain ({len(chain.steps)} steps) -> {target} (verified: True)")
+    return 0
 
 
 def _cmd_verify(args) -> int:

@@ -26,6 +26,10 @@ from .words import Certificate, Conj, Inverse, Named, Power, Product, Token
 
 FORMAT_VERSION = 1
 
+# Engine-written words nest at most 7 tokens deep; parsed words are refused
+# past this depth, which bounds every recursive walk over a parsed word.
+MAX_WORD_DEPTH = 100
+
 
 # -- matrix text format ----------------------------------------------------
 
@@ -154,7 +158,9 @@ def word_to_obj(word: Token) -> dict:
     raise ValidationError(f"unknown token {word!r}")
 
 
-def word_from_obj(obj: Any, path: str = "$") -> Token:
+def word_from_obj(obj: Any, path: str = "$", depth: int = 1) -> Token:
+    if depth > MAX_WORD_DEPTH:
+        raise ParseError(path, f"word nests deeper than {MAX_WORD_DEPTH} tokens")
     op = _need(obj, "op", path)
     if op == "named":
         name = _need(obj, "name", path)
@@ -162,23 +168,25 @@ def word_from_obj(obj: Any, path: str = "$") -> Token:
             raise ParseError(f"{path}.name", "expected a string")
         return Named(name)
     if op == "inverse":
-        return Inverse(word_from_obj(_need(obj, "inner", path), f"{path}.inner"))
+        return Inverse(word_from_obj(_need(obj, "inner", path), f"{path}.inner", depth + 1))
     if op == "power":
         e = _need(obj, "exponent", path)
         if not isinstance(e, int) or isinstance(e, bool):
             raise ParseError(f"{path}.exponent", "expected an integer")
-        return Power(word_from_obj(_need(obj, "inner", path), f"{path}.inner"), e)
+        return Power(word_from_obj(_need(obj, "inner", path), f"{path}.inner", depth + 1), e)
     if op == "conj":
         return Conj(
-            word_from_obj(_need(obj, "g", path), f"{path}.g"),
-            word_from_obj(_need(obj, "h", path), f"{path}.h"),
+            word_from_obj(_need(obj, "g", path), f"{path}.g", depth + 1),
+            word_from_obj(_need(obj, "h", path), f"{path}.h", depth + 1),
         )
     if op == "product":
         factors = _need(obj, "factors", path)
         if not isinstance(factors, list):
             raise ParseError(f"{path}.factors", "expected a list")
         return Product(
-            tuple(word_from_obj(f, f"{path}.factors[{i}]") for i, f in enumerate(factors))
+            tuple(
+                word_from_obj(f, f"{path}.factors[{i}]", depth + 1) for i, f in enumerate(factors)
+            )
         )
     raise ParseError(f"{path}.op", f"unknown token op {op!r}")
 
@@ -328,6 +336,8 @@ def _load(text: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("$", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("$", "document nests too deeply to decode") from None
     if not isinstance(obj, dict):
         raise ParseError("$", "expected a JSON object")
     version = obj.get("format_version")

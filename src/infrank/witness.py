@@ -14,6 +14,11 @@ an explicit unimodular pair family:
    lambda steers (lambda psi)^n into a clean shear by m*n on a tracked
    coordinate pair;
 3. a Bezout combination of the two results with exponents a n1 + b n2 = 1.
+
+Every engine verifies each certificate it returns exactly once and raises
+``ValidationError`` if one fails, so callers can trust what they receive.
+``verify_chain`` and ``verify_certificate`` are for documents read back
+from disk.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .autrep import (
     compose,
     compose_all,
     eventually_uniform,
+    finitary,
     invert,
     reblock,
     uniform,
@@ -35,7 +41,7 @@ from .autrep import (
 )
 from .errors import DimensionError, ShapeError, ValidationError
 from .intmat import IntMatrix, complete_to_basis, is_unimodular_set, solve_columns
-from .numth import euler_phi, factorize, gcd_list, xgcd
+from .numth import euler_phi, gcd_list, xgcd
 from .words import (
     ACTION_ON_VECTOR,
     ORDER,
@@ -51,6 +57,11 @@ from .words import (
     VerifyResult,
     verify_certificate,
 )
+
+
+def _require(res: VerifyResult) -> None:
+    if not res.ok:
+        raise ValidationError("certificate failed its own check: " + "; ".join(res.report))
 
 
 # -- elementary shears ----------------------------------------------------
@@ -153,14 +164,21 @@ def order_n_shear(n: int, m: int) -> ShearTriple:
     return triple
 
 
-def _check_shear_triple(t: ShearTriple) -> None:
+def shear_order_certificate(t: ShearTriple) -> Certificate:
+    """ORDER certificate: gamma, finitary on coordinates 0..r-1, has order n."""
     r = t.gamma.rows
-    eye = IntMatrix.identity(r)
-    if t.gamma.power(t.n) != eye:
-        raise ValidationError(f"gamma^{t.n} is not the identity")
-    for p in factorize(t.n):
-        if t.gamma.power(t.n // p) == eye:
-            raise ValidationError(f"gamma has order dividing {t.n // p}")
+    return Certificate(
+        kind=ORDER,
+        windows=(r, 2 * r),
+        environment={"gamma": finitary(tuple(range(r)), t.gamma)},
+        word=Named("gamma"),
+        order=t.n,
+    )
+
+
+def _check_shear_triple(t: ShearTriple) -> None:
+    _require(verify_certificate(shear_order_certificate(t)))
+    r = t.gamma.rows
     e1 = tuple(1 if i == 0 else 0 for i in range(r))
     want = tuple(e1[i] + t.m * t.shear[i] for i in range(r))
     if t.gamma.apply(e1) != want:
@@ -215,7 +233,7 @@ def zaushko_commutator(rho_x: IntMatrix) -> tuple[EventuallyUniform, Token, Cert
         word=word,
         target_aut=sigma,
     )
-    _require(cert)
+    _require(verify_certificate(cert))
     return sigma, word, cert
 
 
@@ -292,7 +310,7 @@ def wans_sum_certificate(
         target_matrix=f,
         summand_words=tuple(Named(f"sigma{i + 1}") for i in range(len(parts))),
     )
-    _require(cert)
+    _require(verify_certificate(cert))
     return cert
 
 
@@ -337,7 +355,7 @@ def factor_block_unitriangular(m: int, z: IntMatrix) -> tuple[Token, Certificate
         word=word,
         target_aut=beta,
     )
-    _require(cert)
+    _require(verify_certificate(cert))
     return word, cert
 
 
@@ -411,7 +429,7 @@ def bezout_combine(m: int, n1: int, n2: int) -> tuple[Token, Certificate]:
         word=word,
         target_aut=tau_power(m),
     )
-    _require(cert)
+    _require(verify_certificate(cert))
     return word, cert
 
 
@@ -467,7 +485,8 @@ def km_pipeline(phi: RepAut, coprime: tuple[int, int] = (2, 3)) -> WitnessChain:
 
     phi must be a uniform pair automorphism with x -> k x + m u per pair,
     gcd(k, m) = 1 and m >= 2 (``canonical_shear`` builds one).  Raises
-    ``ShapeError`` otherwise.
+    ``ShapeError`` otherwise.  The finished chain is verified once, and a
+    failing certificate raises ``ValidationError``.
     """
     shape = shear_shape(phi)
     if shape is None:
@@ -477,14 +496,11 @@ def km_pipeline(phi: RepAut, coprime: tuple[int, int] = (2, 3)) -> WitnessChain:
     if n1 < 2 or n2 < 2 or gcd(n1, n2) != 1:
         raise ValueError(f"({n1}, {n2}) is not a coprime pair of numbers >= 2")
     if phi.block.matrix == IntMatrix.from_rows([[1, m], [0, 1]]):
-        return _pipeline_clean(phi, m, n1, n2)
-    return _pipeline_general(phi, k, m, n1, n2)
-
-
-def _require(cert: Certificate) -> None:
-    res = verify_certificate(cert)
-    if not res.ok:
-        raise ValidationError("certificate failed its own check: " + "; ".join(res.report))
+        chain = _pipeline_clean(phi, m, n1, n2)
+    else:
+        chain = _pipeline_general(phi, k, m, n1, n2)
+    _require(verify_chain(chain))
+    return chain
 
 
 def _pipeline_clean(phi: RepAut, m: int, n1: int, n2: int) -> WitnessChain:
@@ -498,7 +514,6 @@ def _pipeline_clean(phi: RepAut, m: int, n1: int, n2: int) -> WitnessChain:
         vector=(0, 1),
         target_vector=(m, 1),
     )
-    _require(cert1)
     steps = [
         ChainStep(
             "euler-gcd-reduction",
@@ -516,7 +531,6 @@ def _pipeline_clean(phi: RepAut, m: int, n1: int, n2: int) -> WitnessChain:
             word=word_n,
             target_aut=tau_power(m * n),
         )
-        _require(cert_n)
         steps.append(
             ChainStep(
                 f"order-{n}-shear-conjugation",
@@ -534,7 +548,6 @@ def _pipeline_clean(phi: RepAut, m: int, n1: int, n2: int) -> WitnessChain:
         word=word3,
         target_aut=tau_power(m),
     )
-    _require(cert3)
     steps.append(
         ChainStep(
             "bezout-combination",
@@ -604,8 +617,6 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
         vector=tuple(_unit(s_chunk, 1)),
         target_vector=tuple(x_col),
     )
-    _require(cert1a)
-    _require(cert1b)
     steps = [
         ChainStep(
             "euler-gcd-reduction",
@@ -662,10 +673,7 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
         word_n = Product(
             tuple(Conj(word_psi, Power(Named(lam_name), j)) for j in range(1, n + 1))
         )
-        step_aut = compose(lam, psi2)
-        phi1 = step_aut
-        for _ in range(n - 1):
-            phi1 = compose(phi1, step_aut)
+        phi1 = _aut_power(compose(lam, psi2), n)
         cert2a = Certificate(
             kind=ORDER,
             windows=(s2,),
@@ -698,8 +706,6 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
             vector=tuple(_unit(s2, p)),
             target_vector=tuple(_unit(s2, p)),
         )
-        for cert in (cert2a, cert2b, cert2c, cert2d):
-            _require(cert)
         steps.append(
             ChainStep(
                 f"order-{n}-shear-conjugation",
@@ -735,8 +741,6 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
         vector=tuple(_unit(w_big, p)),
         target_vector=tuple(_unit(w_big, p)),
     )
-    _require(cert3a)
-    _require(cert3b)
     steps.append(
         ChainStep(
             "bezout-combination",

@@ -6,7 +6,6 @@ from infrank.autrep import (
     EventuallyUniform,
     Finitary,
     compose,
-    direct_sum_and_reblock,
     eventually_uniform,
     finitary,
     graded,
@@ -183,22 +182,6 @@ def test_invert_examples():
     gi = invert(g)
     assert gi.negated
     assert window_matrix(g, 4) * window_matrix(gi, 4) == IntMatrix.identity(4)
-
-
-def test_direct_sum_and_reblock():
-    tau = tau_power(1)
-    big = direct_sum_and_reblock(tau, 2)
-    assert big.d == 4
-    assert big.block.matrix == IntMatrix.block_diag([tau.block.matrix] * 2)
-    assert direct_sum_and_reblock(tau, 1) is tau
-    for n in (4, 8, 12):
-        assert window_matrix(big, n) == window_matrix(tau, n)
-    with pytest.raises(ValueError):
-        direct_sum_and_reblock(tau, 0)
-    with pytest.raises(ValidationError):
-        direct_sum_and_reblock(
-            eventually_uniform(IntMatrix.from_rows([[0, 1], [1, 0]]), IntMatrix.identity(2)), 2
-        )
 
 
 def test_reblock_with_window():

@@ -1,8 +1,12 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
+from infrank import words
 from infrank.cli import main
+from infrank.errors import ValidationError
 from infrank.intmat import IntMatrix
 from infrank.serialize import (
     format_matrix_text,
@@ -11,7 +15,15 @@ from infrank.serialize import (
     serialize_aut,
     serialize_certificate,
 )
-from infrank.witness import tau_power, zaushko_commutator
+from infrank.witness import (
+    canonical_shear,
+    km_pipeline,
+    order_n_shear,
+    shear_order_certificate,
+    tau_power,
+    zaushko_commutator,
+)
+from infrank.words import VerifyResult
 from infrank.autrep import graded
 
 
@@ -163,3 +175,105 @@ def test_selftest_cli(capsys):
     code, out, _ = run(["selftest"], capsys)
     assert code == 0
     assert "checks passed" in out
+
+
+def _patch_verify(monkeypatch, make):
+    """Replace verify_certificate in every infrank module that imported it."""
+    orig = words.verify_certificate
+    replacement = make(orig)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "infrank" and getattr(mod, "verify_certificate", None) is orig:
+            monkeypatch.setattr(mod, "verify_certificate", replacement)
+
+
+def _record_verifications(monkeypatch) -> list[str]:
+    seen: list[str] = []
+
+    def make(orig):
+        def recording(cert):
+            seen.append(serialize_certificate(cert))
+            return orig(cert)
+
+        return recording
+
+    _patch_verify(monkeypatch, make)
+    return seen
+
+
+def test_pipeline_verifies_each_certificate_once(tmp_path, capsys, monkeypatch):
+    seen = _record_verifications(monkeypatch)
+    out_file = tmp_path / "chain.cert"
+    code, out, _ = run(["pipeline", "--k", "3", "--m", "2", "--out", str(out_file)], capsys)
+    assert code == 0
+    assert "(verified: True)" in out
+    calls = Counter(seen)
+    chain = parse_chain(out_file.read_text())
+    written = [serialize_certificate(c) for step in chain.steps for c in step.certificates]
+    # besides the chain, only the order certificates of the two order-n shears are checked
+    shears = [serialize_certificate(shear_order_certificate(order_n_shear(n, 2))) for n in (2, 3)]
+    assert calls == Counter(written) + Counter(shears)
+
+
+def test_zaushko_verifies_its_certificate_once(tmp_path, capsys, monkeypatch):
+    rho = tmp_path / "rho.txt"
+    rho.write_text(format_matrix_text(IntMatrix.from_rows([[0, 1], [1, 0]])))
+    seen = _record_verifications(monkeypatch)
+    out_file = tmp_path / "z.cert"
+    code, out, _ = run(["zaushko", str(rho), "--out", str(out_file)], capsys)
+    assert code == 0
+    assert "(verified: True)" in out
+    assert seen == [out_file.read_text()]
+
+
+def _fail_verification(monkeypatch) -> None:
+    def make(orig):
+        return lambda cert: VerifyResult(False, ("window 2: MISMATCH forced by the test",))
+
+    _patch_verify(monkeypatch, make)
+
+
+def test_failed_verification_raises_in_pipeline(monkeypatch):
+    _fail_verification(monkeypatch)
+    with pytest.raises(ValidationError, match="MISMATCH forced"):
+        km_pipeline(tau_power(3))
+    with pytest.raises(ValidationError, match="MISMATCH forced"):
+        km_pipeline(canonical_shear(3, 2))
+
+
+def test_failed_verification_is_cli_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _fail_verification(monkeypatch)
+    code, out, err = run(["pipeline", "--k", "3", "--m", "2"], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "verified" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
+def _nested_inverse_document(depth: int) -> str:
+    atom = {"block": [[1, 1], [0, 1]], "variant": "uniform", "window": []}
+    word = '{"name":"a","op":"named"}'
+    for _ in range(depth):
+        word = '{"inner":' + word + ',"op":"inverse"}'
+    head = json.dumps(
+        {"claim": "window-identity", "env": {"a": atom}, "format_version": 1,
+         "kind": "certificate", "target_aut": atom, "windows": [2]}
+    )
+    return head[:-1] + ',"word":' + word + "}\n"
+
+
+def test_verify_deeply_nested_word_is_error(tmp_path, capsys):
+    cert_file = tmp_path / "deep.cert"
+    cert_file.write_text(_nested_inverse_document(3000))
+    code, out, err = run(["verify", str(cert_file)], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "verified" not in out
+
+
+def test_verify_shallow_nested_word(tmp_path, capsys):
+    cert_file = tmp_path / "shallow.cert"
+    cert_file.write_text(_nested_inverse_document(8))
+    code, out, _ = run(["verify", str(cert_file)], capsys)
+    assert code == 0
+    assert out.endswith("verified: True\n")

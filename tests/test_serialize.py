@@ -7,6 +7,7 @@ from infrank.classify import AllExcept, FinitePrimes
 from infrank.errors import ParseError, ValidationError
 from infrank.intmat import IntMatrix
 from infrank.serialize import (
+    MAX_WORD_DEPTH,
     format_matrix_text,
     parse_aut,
     parse_certificate,
@@ -19,6 +20,8 @@ from infrank.serialize import (
     serialize_certificate,
     serialize_chain,
     serialize_word,
+    word_from_obj,
+    word_to_obj,
 )
 from infrank.witness import km_pipeline, tau_power, verify_chain, zaushko_commutator
 from infrank.words import Conj, Inverse, Named, Power, Product, verify_certificate
@@ -182,3 +185,26 @@ def test_byte_determinism():
     assert serialize_chain(chain) == serialize_chain(km_pipeline(tau_power(2)))
     g = graded((3, 2), (13, 11))
     assert serialize_aut(g) == serialize_aut(graded((3, 2), (11, 13)))
+
+
+def _inverse_tower(depth: int) -> dict:
+    obj = {"op": "named", "name": "a"}
+    for _ in range(depth - 1):
+        obj = {"op": "inverse", "inner": obj}
+    return obj
+
+
+def test_word_depth_limit():
+    deepest = _inverse_tower(MAX_WORD_DEPTH)
+    assert word_to_obj(word_from_obj(deepest)) == deepest
+    with pytest.raises(ParseError) as exc:
+        word_from_obj(_inverse_tower(MAX_WORD_DEPTH + 1), "$.word")
+    assert exc.value.path == "$.word" + ".inner" * MAX_WORD_DEPTH
+    assert "deeper than" in exc.value.message
+
+
+def test_deep_json_is_parse_error():
+    text = '{"format_version":1,"kind":"aut","x":' + "[" * 5000 + "]" * 5000 + "}"
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert exc.value.path == "$"

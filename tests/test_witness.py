@@ -7,6 +7,7 @@ from infrank.classify import congruence_gcd
 from infrank.errors import DimensionError, ShapeError, ValidationError
 from infrank.intmat import IntMatrix, is_unimodular_set, solve_columns
 from infrank.witness import (
+    ShearTriple,
     WitnessChain,
     bezout_combine,
     canonical_shear,
@@ -15,6 +16,7 @@ from infrank.witness import (
     factor_block_unitriangular,
     km_pipeline,
     order_n_shear,
+    shear_order_certificate,
     shear_shape,
     tau_power,
     verify_chain,
@@ -100,6 +102,20 @@ def test_shear_lambda_stabilizes_sigma_span():
         for j in range(1, r):
             image = t.lam.apply(t.sigma.col(j))
             assert solve_columns(span, image) is not None
+
+
+def test_shear_order_certificate():
+    for n in (2, 3, 4, 5):
+        t = order_n_shear(n, 3)
+        cert = shear_order_certificate(t)
+        r = t.gamma.rows
+        assert cert.windows == (r, 2 * r) and cert.order == n
+        assert verify_certificate(cert).ok
+    t = order_n_shear(4, 3)
+    squared = ShearTriple(4, 3, t.lam, t.sigma, t.gamma * t.gamma, t.shear)
+    res = verify_certificate(shear_order_certificate(squared))
+    assert not res.ok
+    assert "order divides 2" in res.report[0]
 
 
 def test_shear_rejects_bad_args():
