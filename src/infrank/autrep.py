@@ -22,7 +22,10 @@ column convention of :mod:`infrank.intmat`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from itertools import accumulate, islice
+from math import prod
+from operator import mul
+from typing import Iterator, Union
 
 from .errors import AlignmentError, CompositionUnsupportedError, ValidationError
 from .intmat import IntMatrix
@@ -83,6 +86,17 @@ class GradedBlock:
     excluded: frozenset[int]
     negated: bool = False
 
+    def prefix_exponents(self) -> dict[int, int]:
+        """Prime exponents of m_0 m_1 ... m_{k-1} for the k prefix multipliers.
+
+        This is the only place the prefix is factorized.
+        """
+        exps: dict[int, int] = {}
+        for m in self.prefix:
+            for p, e in factorize(m).items():
+                exps[p] = exps.get(p, 0) + e
+        return exps
+
     def tail_skip(self) -> frozenset[int]:
         """Primes the tail enumeration must not use.
 
@@ -90,27 +104,25 @@ class GradedBlock:
         already dividing a prefix multiplier is skipped, so every tail
         prime contributes exponent exactly one over the whole family.
         """
-        skip = set(self.excluded)
-        for m in self.prefix:
-            skip.update(factorize(m))
-        return frozenset(skip)
+        return self.excluded.union(self.prefix_exponents())
 
-    def multiplier(self, n: int) -> int:
-        if n < len(self.prefix):
-            return self.prefix[n]
+    def multipliers(self) -> Iterator[int]:
+        """m_0, m_1, ...: the prefix, then one walk through the primes
+        outside ``tail_skip()``."""
+        yield from self.prefix
         skip = self.tail_skip()
         p = 1
-        for _ in range(n - len(self.prefix) + 1):
+        while True:
             p = next_prime(p)
-            while p in skip:
-                p = next_prime(p)
-        return p
+            if p not in skip:
+                yield p
+
+    def multiplier(self, n: int) -> int:
+        return next(islice(self.multipliers(), n, None))
 
     def increment(self, n: int) -> int:
         """Shear coefficient of pair n: +-(m_0 m_1 ... m_n)."""
-        c = 1
-        for t in range(n + 1):
-            c *= self.multiplier(t)
+        c = prod(islice(self.multipliers(), n + 1))
         return -c if self.negated else c
 
 
@@ -242,8 +254,8 @@ def window_matrix(aut: RepAut, n: int) -> IntMatrix:
     if n % 2:
         raise AlignmentError("graded windows must be even")
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for pair in range(n // 2):
-        rows[2 * pair + 1][2 * pair] = aut.increment(pair)
+    for pair, c in enumerate(accumulate(islice(aut.multipliers(), n // 2), mul)):
+        rows[2 * pair + 1][2 * pair] = -c if aut.negated else c
     return IntMatrix.from_rows(rows)
 
 

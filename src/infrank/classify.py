@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import Optional, Sequence, Union
 
 from . import witness as _witness
@@ -53,22 +53,18 @@ class DivisorsOf:
 
 @dataclass(frozen=True)
 class RuleBased:
-    """Graded level set: m is a level iff m divides some cumulative product."""
+    """Graded level set: m is a level iff m divides some cumulative product
+    of the unsigned ``block``'s multipliers."""
 
-    prefix: tuple[int, ...]
-    excluded: frozenset[int]
+    block: GradedBlock
 
     def member(self, m: int) -> bool:
         if m < 2:
             raise ValueError("level queries need m >= 2")
-        skip = GradedBlock(self.prefix, self.excluded).tail_skip()
-        prefix_val: dict[int, int] = {}
-        for mult in self.prefix:
-            for p, e in factorize(mult).items():
-                prefix_val[p] = prefix_val.get(p, 0) + e
+        prefix_exps = self.block.prefix_exponents()
+        skip = self.block.tail_skip()
         for p, e in factorize(m).items():
-            allowed = prefix_val.get(p, 0) + (0 if p in skip else 1)
-            if e > allowed:
+            if e > prefix_exps.get(p, 0) + (0 if p in skip else 1):
                 return False
         return True
 
@@ -160,11 +156,16 @@ def lambda_levels(aut: RepAut) -> LambdaLevels:
         if g == 1:
             return OnlyTrivial()
         return DivisorsOf(g)
-    return RuleBased(aut.prefix, aut.excluded)
+    return RuleBased(GradedBlock(aut.prefix, aut.excluded))
 
 
 def lambda_member(aut: RepAut, m: int) -> bool:
-    """Is aut in Lambda(m)?  m = 1 is everything, m = 0 the almost-radiations."""
+    """Is aut in Lambda(m)?  m = 1 is everything, m = 0 the almost-radiations.
+
+    Raises ``ValueError`` for m < 0, whatever the class of ``aut``.
+    """
+    if m < 0:
+        raise ValueError(f"level queries need m >= 0, got {m}")
     if m == 1:
         return True
     if m == 0:
@@ -175,7 +176,7 @@ def lambda_member(aut: RepAut, m: int) -> bool:
     if isinstance(levels, OnlyTrivial):
         return False
     if isinstance(levels, DivisorsOf):
-        return m >= 2 and levels.g % m == 0
+        return levels.g % m == 0
     return levels.member(m)
 
 
@@ -198,10 +199,7 @@ def nu_set(aut: RepAut) -> PrimeSetDescriptor:
         return FinitePrimes(frozenset())
     if isinstance(levels, DivisorsOf):
         return FinitePrimes(frozenset(factorize(levels.g)))
-    prefix_primes: set[int] = set()
-    for m in levels.prefix:
-        prefix_primes.update(factorize(m))
-    return UnionWithPrefix(frozenset(prefix_primes), levels.excluded)
+    return UnionWithPrefix(frozenset(levels.block.prefix_exponents()), levels.block.excluded)
 
 
 # -- normal generation ----------------------------------------------------
@@ -265,14 +263,10 @@ def is_normal_generator(aut: RepAut) -> tuple[bool, GeneratorEvidence]:
         smallest = min(factorize(levels.g))
         return False, GeneratorEvidence("lambda-level", level=smallest)
     if isinstance(levels, RuleBased):
-        return False, GeneratorEvidence("lambda-level", level=levels.prefix[0] if levels.prefix else _first_tail(levels))
+        return False, GeneratorEvidence("lambda-level", level=levels.block.multiplier(0))
     # AllLevels for a non-almost-radiation cannot happen for these classes,
     # but keep the dichotomy total:
     return False, GeneratorEvidence("lambda-level", level=2)
-
-
-def _first_tail(levels: RuleBased) -> int:
-    return GradedBlock(levels.prefix, levels.excluded).multiplier(len(levels.prefix))
 
 
 def common_lambda_level(auts: Sequence[RepAut]) -> Union[AllLevels, int, None]:
@@ -302,14 +296,8 @@ def common_lambda_level(auts: Sequence[RepAut]) -> Union[AllLevels, int, None]:
             if m >= 2 and all(r.member(m) for r in rules):
                 return m
         return None
-    bound = 1
-    largest = 2
-    for r in rules:
-        for mult in r.prefix:
-            bound *= mult
-            largest = max(largest, max(factorize(mult)))
-        if r.excluded:
-            largest = max(largest, max(r.excluded))
+    bound = prod(m for r in rules for m in r.block.prefix)
+    largest = max([2, *(p for r in rules for p in r.block.tail_skip())])
     bound = max(bound, 2) * largest
     for m in range(bound, 1, -1):
         if all(r.member(m) for r in rules):

@@ -138,8 +138,8 @@ def _describe_levels(levels) -> str:
         return f"divisors of {levels.g}"
     if isinstance(levels, RuleBased):
         return (
-            f"rule-based: prefix {list(levels.prefix)}, tail primes outside "
-            f"{sorted(levels.excluded)}"
+            f"rule-based: prefix {list(levels.block.prefix)}, tail primes outside "
+            f"{sorted(levels.block.excluded)}"
         )
     return str(levels)
 
@@ -323,13 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except InfrankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (InfrankError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -48,11 +48,11 @@ class CenteredFamilyReport:
 
 
 def _common_prime(descriptors: Sequence[PrimeSetDescriptor]) -> Optional[int]:
-    """A prime in the intersection, or None if the intersection is empty.
+    """The smallest prime in the intersection, or None if it is empty.
 
     Finite members are checked element by element.  A family of purely
-    cofinite members always intersects: the union of their exclusions is
-    finite, so the first prime beyond it is a witness.
+    cofinite members always intersects, since the union of their
+    exclusions is finite, so the walk up through the primes ends.
     """
     finite_sets = [d.primes for d in descriptors if isinstance(d, FinitePrimes)]
     if finite_sets:
@@ -61,13 +61,8 @@ def _common_prime(descriptors: Sequence[PrimeSetDescriptor]) -> Optional[int]:
             if all(d.contains(p) for d in descriptors):
                 return p
         return None
-    blocked: set[int] = set()
     for d in descriptors:
-        if isinstance(d, AllExcept):
-            blocked |= d.excluded
-        elif isinstance(d, UnionWithPrefix):
-            blocked |= d.excluded - d.finite
-        elif not isinstance(d, AllPrimes):
+        if not isinstance(d, (AllPrimes, AllExcept, UnionWithPrefix)):
             raise TypeError(f"unknown descriptor {d!r}")
     p = 1
     while True:

@@ -38,7 +38,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+        return IntMatrix(tuple(tuple(row) for row in rows))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -50,7 +50,7 @@ class IntMatrix:
 
     @staticmethod
     def column(values: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(tuple((int(v),) for v in values))
+        return IntMatrix(tuple((v,) for v in values))
 
     @staticmethod
     def block_diag(blocks: Sequence["IntMatrix"]) -> "IntMatrix":

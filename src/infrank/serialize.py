@@ -331,7 +331,8 @@ def serialize_chain(chain: WitnessChain) -> str:
     return _document("chain", chain_to_obj(chain))
 
 
-def _load(text: str) -> dict:
+def _load(text: str, kind: str | None = None) -> dict:
+    """Decode a document; with ``kind`` given, refuse any other kind tag."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -343,46 +344,55 @@ def _load(text: str) -> dict:
     version = obj.get("format_version")
     if version != FORMAT_VERSION:
         raise ParseError("$.format_version", f"unsupported version {version!r}")
+    if kind is not None and obj.get("kind") != kind:
+        raise ParseError("$.kind", f"expected {kind!r}, found {obj.get('kind')!r}")
     return obj
 
 
-def parse_aut(text: str) -> RepAut:
-    obj = _load(text)
-    if obj.get("kind") != "aut":
-        raise ParseError("$.kind", f"expected 'aut', found {obj.get('kind')!r}")
-    return aut_from_obj(obj)
-
-
-def parse_word(text: str) -> tuple[Token, dict[str, RepAut]]:
-    obj = _load(text)
-    if obj.get("kind") != "word":
-        raise ParseError("$.kind", f"expected 'word', found {obj.get('kind')!r}")
+def _word_doc(obj: dict) -> tuple[Token, dict[str, RepAut]]:
     return word_from_obj(_need(obj, "word", "$"), "$.word"), _env_from_obj(
         obj.get("env", {}), "$.env"
     )
 
 
+_READERS = {
+    "aut": aut_from_obj,
+    "word": _word_doc,
+    "certificate": cert_from_obj,
+    "chain": chain_from_obj,
+}
+
+
+def _parse(text: str, kind: str | None) -> Any:
+    """Read a document with the reader of its kind; ``kind`` None accepts any."""
+    obj = _load(text, kind)
+    found = obj.get("kind")
+    if not isinstance(found, str) or found not in _READERS:
+        raise ParseError("$.kind", f"unknown document kind {found!r}")
+    return _READERS[found](obj)
+
+
+def parse_aut(text: str) -> RepAut:
+    return _parse(text, "aut")
+
+
+def parse_word(text: str) -> tuple[Token, dict[str, RepAut]]:
+    return _parse(text, "word")
+
+
 def parse_certificate(text: str) -> Certificate:
-    obj = _load(text)
-    if obj.get("kind") != "certificate":
-        raise ParseError("$.kind", f"expected 'certificate', found {obj.get('kind')!r}")
-    return cert_from_obj(obj)
+    return _parse(text, "certificate")
 
 
 def parse_chain(text: str) -> WitnessChain:
-    obj = _load(text)
-    if obj.get("kind") != "chain":
-        raise ParseError("$.kind", f"expected 'chain', found {obj.get('kind')!r}")
-    return chain_from_obj(obj)
+    return _parse(text, "chain")
 
 
 def parse_descriptors(text: str):
     """Parse a prime-set descriptor list document (used by ``filters centered``)."""
     from .classify import AllExcept, AllPrimes, FinitePrimes, UnionWithPrefix
 
-    obj = _load(text)
-    if obj.get("kind") != "descriptors":
-        raise ParseError("$.kind", f"expected 'descriptors', found {obj.get('kind')!r}")
+    obj = _load(text, "descriptors")
     items = _need(obj, "items", "$")
     if not isinstance(items, list):
         raise ParseError("$.items", "expected a list")
@@ -410,16 +420,4 @@ def parse_descriptors(text: str):
 
 def parse_document(text: str):
     """Parse any serialized document by its kind tag."""
-    obj = _load(text)
-    kind = obj.get("kind")
-    if kind == "aut":
-        return aut_from_obj(obj)
-    if kind == "word":
-        return word_from_obj(_need(obj, "word", "$"), "$.word"), _env_from_obj(
-            obj.get("env", {}), "$.env"
-        )
-    if kind == "certificate":
-        return cert_from_obj(obj)
-    if kind == "chain":
-        return chain_from_obj(obj)
-    raise ParseError("$.kind", f"unknown document kind {kind!r}")
+    return _parse(text, None)

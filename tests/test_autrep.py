@@ -1,4 +1,7 @@
 import random
+from itertools import accumulate
+from math import isqrt
+from operator import mul
 
 import pytest
 
@@ -73,6 +76,59 @@ def test_graded_tail_rule():
     assert [h.multiplier(i) for i in range(4)] == [3, 2, 5, 7]
     e = graded((), (7,))
     assert [e.multiplier(i) for i in range(5)] == [2, 3, 5, 11, 13]
+
+
+def _trial_prime(c):
+    return c > 1 and all(c % q for q in range(2, isqrt(c) + 1))
+
+
+def _sieve_multipliers(prefix, excluded, count):
+    """The graded rule by trial division: the prefix, then increasing primes
+    outside the exclusions and the prefix's prime divisors."""
+    skip = set(excluded) | {p for m in prefix for p in range(2, m + 1) if m % p == 0 and _trial_prime(p)}
+    out = list(prefix[:count])
+    c = 2
+    while len(out) < count:
+        if c not in skip and _trial_prime(c):
+            out.append(c)
+        c += 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "prefix,excluded",
+    [((), ()), ((2, 3), ()), ((6, 10), (7,)), ((4, 9, 25), (2, 11)), ((12,), (13,))],
+)
+def test_graded_multipliers_match_sieve(prefix, excluded):
+    mults = _sieve_multipliers(prefix, excluded, 120)
+    incs = list(accumulate(mults, mul))
+    g = graded(prefix, excluded)
+    neg = graded(prefix, excluded, negated=True)
+    assert [g.multiplier(i) for i in range(120)] == mults
+    assert [g.increment(i) for i in range(120)] == incs
+    assert [neg.increment(i) for i in range(120)] == [-c for c in incs]
+    for aut, sign in ((g, 1), (neg, -1)):
+        w = window_matrix(aut, 240)
+        assert [w[2 * i + 1, 2 * i] for i in range(120)] == [sign * c for c in incs]
+
+
+def test_graded_window_walks_the_primes_once(monkeypatch):
+    import infrank.autrep as autrep
+
+    calls = 0
+    orig = autrep.next_prime
+
+    def counting(n):
+        nonlocal calls
+        calls += 1
+        return orig(n)
+
+    monkeypatch.setattr(autrep, "next_prime", counting)
+    for g in (graded((), ()), graded((6, 10), (7,)), graded((4, 9, 25), (2, 11))):
+        for n in (2, 60, 200):
+            calls = 0
+            window_matrix(g, n)
+            assert calls <= n // 2 + len(g.tail_skip())
 
 
 def test_window_coherence():

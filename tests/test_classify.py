@@ -1,12 +1,17 @@
 import random
+from itertools import accumulate, islice
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infrank.autrep import (
     compose,
     finitary,
     graded,
     identity_aut,
+    invert,
     uniform,
     window_matrix,
 )
@@ -15,6 +20,7 @@ from infrank.classify import (
     AllPrimes,
     DivisorsOf,
     FinitePrimes,
+    RuleBased,
     UnionWithPrefix,
     common_lambda_level,
     congruence_gcd,
@@ -153,6 +159,37 @@ def test_lambda_levels_graded_rule():
     assert lambda_member(g, 5)
     assert not lambda_member(g, 25)
     assert lambda_member(g, 2 * 3 * 5 * 7)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    prefix=st.lists(st.integers(2, 40), max_size=3),
+    excluded=st.sets(st.sampled_from([2, 3, 5, 7, 11, 13])),
+    m=st.integers(2, 300),
+)
+def test_rule_based_member_is_divisibility(prefix, excluded, m):
+    levels = lambda_levels(graded(prefix, excluded, negated=True))
+    assert isinstance(levels, RuleBased)
+    # every prime <= 300 outside the exclusions is a multiplier within the
+    # first len(prefix) + 62 indices, so later products add no level <= 300
+    g = graded(prefix, excluded)
+    products = list(accumulate(islice(g.multipliers(), len(prefix) + 62), mul))
+    assert levels.member(m) == any(c % m == 0 for c in products)
+
+
+def test_lambda_levels_ignore_sign():
+    for g in (graded((2, 3), ()), graded((6, 10), (7,)), graded((), (3,), negated=True)):
+        assert lambda_levels(g) == lambda_levels(invert(g))
+        assert lambda_levels(g).block.negated is False
+
+
+def test_lambda_member_negative_level_raises():
+    for aut in (finitary((0, 1), IntMatrix.from_rows([[0, 1], [1, 0]])), tau_power(4),
+                graded((2, 3), ())):
+        with pytest.raises(ValueError):
+            lambda_member(aut, -1)
+        with pytest.raises(ValueError):
+            lambda_member(aut, -6)
 
 
 def test_divisor_closure():

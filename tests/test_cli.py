@@ -132,6 +132,18 @@ def test_verify_malformed_is_error_not_false(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_verify_directory_is_error(tmp_path, capsys):
+    code, _, err = run(["verify", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+
+
+def test_out_directory_is_error(tmp_path, capsys):
+    code, _, err = run(["shear", "--n", "2", "--m", "4", "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 def test_filters_demo_cli(capsys):
     code, out, _ = run(
         ["filters", "demo-counterexample", "--primes", "3,5", "--probe", "7"], capsys

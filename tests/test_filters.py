@@ -150,3 +150,8 @@ def test_disjoint_nu_pair_has_no_common_level():
     shear5 = uniform(IntMatrix.from_rows([[1, 5], [0, 1]]))
     avoid5 = graded_construct((), (5,))
     assert common_lambda_level([shear5, avoid5]) is None
+
+
+def test_centered_check_rejects_unknown_descriptor():
+    with pytest.raises(TypeError):
+        centered_check([AllPrimes(), object()], 2)

@@ -222,3 +222,17 @@ def test_matrix_validation():
         IntMatrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValidationError):
         IntMatrix((((1.5,),)))  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntMatrix.from_rows([[1.5]]),
+        lambda: IntMatrix.column([2.7]),
+        lambda: IntMatrix.from_rows([[True]]),
+    ],
+    ids=["float-row", "float-column", "bool-row"],
+)
+def test_builders_refuse_non_integers(build):
+    with pytest.raises(ValidationError):
+        build()
