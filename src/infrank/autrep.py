@@ -181,18 +181,7 @@ def eventually_uniform(window: IntMatrix, block_matrix: IntMatrix) -> Eventually
         raise AlignmentError(
             f"window size {window.rows} is not a multiple of block dimension {blk.d}"
         )
-    # canonical form: absorb trailing window blocks that already repeat the block
-    d = blk.d
-    while window.rows >= d:
-        n0 = window.rows
-        if (
-            window.submatrix(n0 - d, n0, n0 - d, n0) == block_matrix
-            and all(x == 0 for row in window.data[: n0 - d] for x in row[n0 - d :])
-            and all(x == 0 for row in window.data[n0 - d :] for x in row[: n0 - d])
-        ):
-            window = window.submatrix(0, n0 - d, 0, n0 - d)
-        else:
-            break
+    window = _absorb_trailing_blocks(window, blk.matrix)
     if window.rows:
         if not window.is_unimodular():
             raise ValidationError("window matrix is not unimodular")
@@ -200,6 +189,36 @@ def eventually_uniform(window: IntMatrix, block_matrix: IntMatrix) -> Eventually
     else:
         w_inv = window
     return EventuallyUniform(window, w_inv, blk)
+
+
+def _absorb_trailing_blocks(window: IntMatrix, block: IntMatrix) -> IntMatrix:
+    """Canonical form: drop trailing window blocks that already repeat the block."""
+    d = block.rows
+    while window.rows >= d:
+        n0 = window.rows
+        if (
+            window.submatrix(n0 - d, n0, n0 - d, n0) == block
+            and all(x == 0 for row in window.data[: n0 - d] for x in row[n0 - d :])
+            and all(x == 0 for row in window.data[n0 - d :] for x in row[: n0 - d])
+        ):
+            window = window.submatrix(0, n0 - d, 0, n0 - d)
+        else:
+            break
+    return window
+
+
+def _eventually_uniform_with_inverses(
+    window: IntMatrix, window_inverse: IntMatrix, block: BlockSpec
+) -> EventuallyUniform:
+    """``eventually_uniform`` for a window and block whose inverses are known.
+
+    A trailing block of the window that equals the block and is decoupled
+    from the rest inverts to the same block of the inverse, so both are cut
+    back to the same size and no determinant or inverse is recomputed.
+    """
+    window = _absorb_trailing_blocks(window, block.matrix)
+    n0 = window.rows
+    return EventuallyUniform(window, window_inverse.top_left(n0), block)
 
 
 def graded(prefix, excluded, negated: bool = False) -> GradedBlock:
@@ -244,7 +263,7 @@ def window_matrix(aut: RepAut, n: int) -> IntMatrix:
         for a, i in enumerate(aut.support):
             for b, j in enumerate(aut.support):
                 rows[i][j] = aut.matrix.data[a][b]
-        return IntMatrix.from_rows(rows)
+        return IntMatrix._trusted(tuple(map(tuple, rows)))
     if isinstance(aut, EventuallyUniform):
         n0, d = aut.window_size, aut.d
         if n < n0 or (n - n0) % d:
@@ -256,7 +275,7 @@ def window_matrix(aut: RepAut, n: int) -> IntMatrix:
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for pair, c in enumerate(accumulate(islice(aut.multipliers(), n // 2), mul)):
         rows[2 * pair + 1][2 * pair] = -c if aut.negated else c
-    return IntMatrix.from_rows(rows)
+    return IntMatrix._trusted(tuple(map(tuple, rows)))
 
 
 def aligned_window(aut: RepAut, at_least: int = 1) -> int:
@@ -287,7 +306,19 @@ def invert(aut: RepAut) -> RepAut:
 def _finitary_as_uniform(aut: Finitary, d: int) -> EventuallyUniform:
     n0 = aligned_window(aut, d)
     n0 += (-n0) % d
-    return eventually_uniform(window_matrix(aut, n0), IntMatrix.identity(d))
+    eye = IntMatrix.identity(d)
+    return _eventually_uniform_with_inverses(
+        window_matrix(aut, n0), window_matrix(invert(aut), n0), BlockSpec(eye, eye)
+    )
+
+
+def _repeated_block(aut: EventuallyUniform, d: int) -> BlockSpec:
+    """The block of ``aut`` repeated to size d, with its inverse repeated alongside."""
+    reps = d // aut.d
+    return BlockSpec(
+        IntMatrix.block_diag([aut.block.matrix] * reps),
+        IntMatrix.block_diag([aut.block.inverse] * reps),
+    )
 
 
 def reblock(aut: EventuallyUniform, new_d: int) -> EventuallyUniform:
@@ -296,8 +327,9 @@ def reblock(aut: EventuallyUniform, new_d: int) -> EventuallyUniform:
         raise AlignmentError(f"new block size {new_d} not a multiple of {aut.d}")
     n0 = aut.window_size
     n0 += (-n0) % new_d
-    big = IntMatrix.block_diag([aut.block.matrix] * (new_d // aut.d))
-    return eventually_uniform(window_matrix(aut, n0), big)
+    return _eventually_uniform_with_inverses(
+        window_matrix(aut, n0), window_matrix(invert(aut), n0), _repeated_block(aut, new_d)
+    )
 
 
 def _lcm(a: int, b: int) -> int:
@@ -358,10 +390,12 @@ def compose(a: RepAut, b: RepAut) -> RepAut:
     d = _lcm(a.d, b.d)
     n0 = max(a.window_size, b.window_size, d)
     n0 += (-n0) % d
+    # (ab)^-1 = b^-1 a^-1, so the inverses come from the factors' witnesses
     window = window_matrix(a, n0) * window_matrix(b, n0)
-    block_a = IntMatrix.block_diag([a.block.matrix] * (d // a.d))
-    block_b = IntMatrix.block_diag([b.block.matrix] * (d // b.d))
-    out = eventually_uniform(window, block_a * block_b)
+    window_inverse = window_matrix(invert(b), n0) * window_matrix(invert(a), n0)
+    block_a, block_b = _repeated_block(a, d), _repeated_block(b, d)
+    block = BlockSpec(block_a.matrix * block_b.matrix, block_b.inverse * block_a.inverse)
+    out = _eventually_uniform_with_inverses(window, window_inverse, block)
     return identity_aut() if is_identity(out) else out
 
 

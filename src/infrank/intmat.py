@@ -34,6 +34,18 @@ class IntMatrix:
                     if not isinstance(x, int) or isinstance(x, bool):
                         raise ValidationError(f"non-integer entry {x!r}")
 
+    @classmethod
+    def _trusted(cls, data: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap rows already known to be rectangular ``int`` tuples.
+
+        For results computed from valid matrices (products, sums, windows,
+        Smith transforms), whose entries need no second check.  Outside
+        input goes through ``IntMatrix(...)``, ``from_rows`` or ``column``.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "data", data)
+        return m
+
     # -- construction -------------------------------------------------
 
     @staticmethod
@@ -42,11 +54,13 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix._trusted(
+            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        )
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(tuple((0,) * cols for _ in range(rows)))
+        return IntMatrix._trusted(tuple((0,) * cols for _ in range(rows)))
 
     @staticmethod
     def column(values: Sequence[int]) -> "IntMatrix":
@@ -63,7 +77,7 @@ class IntMatrix:
                 out[r + i][c : c + b.cols] = list(b.data[i])
             r += b.rows
             c += b.cols
-        return IntMatrix.from_rows(out)
+        return IntMatrix._trusted(tuple(map(tuple, out)))
 
     # -- shape ---------------------------------------------------------
 
@@ -86,7 +100,7 @@ class IntMatrix:
         return tuple(row[j] for row in self.data)
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "IntMatrix":
-        return IntMatrix(tuple(row[c0:c1] for row in self.data[r0:r1]))
+        return IntMatrix._trusted(tuple(row[c0:c1] for row in self.data[r0:r1]))
 
     def top_left(self, n: int) -> "IntMatrix":
         return self.submatrix(0, n, 0, n)
@@ -94,30 +108,30 @@ class IntMatrix:
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise DimensionError("hstack needs equal row counts")
-        return IntMatrix(tuple(a + b for a, b in zip(self.data, other.data)))
+        return IntMatrix._trusted(tuple(a + b for a, b in zip(self.data, other.data)))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.data))) if self.data else self
+        return IntMatrix._trusted(tuple(zip(*self.data))) if self.data else self
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
+        return IntMatrix._trusted(
             tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data))
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
+        return IntMatrix._trusted(
             tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data))
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in row) for row in self.data))
+        return IntMatrix._trusted(tuple(tuple(-a for a in row) for row in self.data))
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(c * a for a in row) for row in self.data))
+        return IntMatrix._trusted(tuple(tuple(c * a for a in row) for row in self.data))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -145,7 +159,7 @@ class IntMatrix:
                             if b:
                                 acc[c] += a * b
             out.append(tuple(acc))
-        return IntMatrix(tuple(out))
+        return IntMatrix._trusted(tuple(out))
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -158,14 +172,19 @@ class IntMatrix:
             raise DimensionError("power needs a square matrix")
         if e < 0:
             return self.inverse().power(-e)
-        result = IntMatrix.identity(self.rows)
+        if e == 0:
+            return IntMatrix.identity(self.rows)
+        # square-and-multiply with neither a product by the identity nor a
+        # final unused squaring: bit_length - 1 + popcount - 1 products
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def _same_shape(self, other: "IntMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -338,7 +357,7 @@ def snf(m: IntMatrix) -> SnfResult:
             for row in v:
                 row[i] = -row[i]
 
-    return SnfResult(IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v))
+    return SnfResult(*(IntMatrix._trusted(tuple(map(tuple, x))) for x in (u, a, v)))
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:

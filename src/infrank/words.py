@@ -14,8 +14,10 @@ function of the certificate contents.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .autrep import RepAut, aligned_window, window_matrix
 from .autrep import invert as invert_aut
@@ -57,17 +59,42 @@ Token = Union[Named, Inverse, Power, Conj, Product]
 Environment = Mapping[str, RepAut]
 
 
+# (frozenset(env.items()), n) -> {(token, inverted): window matrix}, set only
+# inside ``_shared_evaluations``
+_SHARED: ContextVar[Optional[dict]] = ContextVar("infrank_shared_evaluations", default=None)
+
+
+@contextmanager
+def _shared_evaluations() -> Iterator[None]:
+    """Let every ``evaluate_word`` call inside the block share one memo.
+
+    Keys are values, not object ids: an equal sub-word on an equal
+    environment and window is evaluated once, also across certificates of
+    a parsed chain, whose tokens are distinct objects.  The memo is dropped
+    when the block exits.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def evaluate_word(word: Token, env: Environment, n: int) -> IntMatrix:
     """The n x n matrix of ``word``, multiplying factors left to right.
 
     Inverses are taken structurally (every atom carries its inverse
-    witness), and repeated subtrees are evaluated once per call.
+    witness), and equal subtrees are evaluated once per call, or once per
+    ``_shared_evaluations`` block.
     """
-    return _eval(word, env, n, False, {})
+    shared = _SHARED.get()
+    if shared is None:
+        return _eval(word, env, n, False, {})
+    return _eval(word, env, n, False, shared.setdefault((frozenset(env.items()), n), {}))
 
 
 def _eval(word: Token, env: Environment, n: int, inv: bool, memo: dict) -> IntMatrix:
-    key = (id(word), inv)
+    key = (word, inv)
     hit = memo.get(key)
     if hit is not None:
         return hit
@@ -92,8 +119,9 @@ def _eval(word: Token, env: Environment, n: int, inv: bool, memo: dict) -> IntMa
         g = _eval(word.g, env, n, inv, memo)
         out = h * g * h_inv
     elif isinstance(word, Product):
-        out = IntMatrix.identity(n)
-        factors = reversed(word.factors) if inv else word.factors
+        factors = reversed(word.factors) if inv else iter(word.factors)
+        first = next(factors, None)
+        out = IntMatrix.identity(n) if first is None else _eval(first, env, n, inv, memo)
         for f in factors:
             out = out * _eval(f, env, n, inv, memo)
     else:

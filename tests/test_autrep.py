@@ -4,6 +4,8 @@ from math import isqrt
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infrank.autrep import (
     EventuallyUniform,
@@ -23,7 +25,7 @@ from infrank.errors import AlignmentError, CompositionUnsupportedError, Validati
 from infrank.intmat import IntMatrix
 from infrank.witness import tau_power
 
-from test_intmat import random_unimodular
+from test_intmat import assert_passes_validation, random_unimodular
 
 
 def test_tau_window():
@@ -60,6 +62,10 @@ def test_window_alignment_errors():
 def test_unimodularity_enforced():
     with pytest.raises(ValidationError):
         uniform(IntMatrix.from_rows([[2, 0], [0, 1]]))
+    with pytest.raises(ValidationError):
+        eventually_uniform(IntMatrix.identity(2), IntMatrix.from_rows([[2, 1], [1, 2]]))
+    with pytest.raises(ValidationError):
+        eventually_uniform(IntMatrix.from_rows([[3, 0], [0, 1]]), IntMatrix.identity(2))
     with pytest.raises(ValidationError):
         finitary((0, 1), IntMatrix.from_rows([[1, 0], [0, 2]]))
     with pytest.raises(ValidationError):
@@ -254,3 +260,56 @@ def test_finitary_pruning():
     assert f.support == (5,)
     assert f.matrix == IntMatrix.from_rows([[-1]])
     assert is_identity(finitary((1, 2), IntMatrix.identity(2)))
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of elementary row operations, with one optional sign flip."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    if n and draw(st.booleans()):
+        rows[0] = [-x for x in rows[0]]
+    index = st.integers(0, max(n - 1, 0))
+    for i, j, c in draw(st.lists(st.tuples(index, index, st.integers(-3, 3)), max_size=6)):
+        if i != j:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix.from_rows(rows)
+
+
+@st.composite
+def finitary_or_uniform(draw):
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 3))
+        support = draw(st.lists(st.integers(0, 7), min_size=size, max_size=size, unique=True))
+        return finitary(support, draw(unimodular(size)))
+    d = draw(st.integers(1, 3))
+    return eventually_uniform(draw(unimodular(d * draw(st.integers(0, 2)))), draw(unimodular(d)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(finitary_or_uniform(), finitary_or_uniform())
+def test_compose_carries_inverses(a, b):
+    c = compose(a, b)
+    for n in (12, 24):  # aligned for every block size 1..3, past every window and support
+        assert window_matrix(c, n) == window_matrix(a, n) * window_matrix(b, n)
+    if isinstance(c, EventuallyUniform):
+        assert c == eventually_uniform(c.window, c.block.matrix)
+        if c.window_size:
+            assert c.window_inverse == c.window.inverse()
+        assert c.block.inverse == c.block.matrix.inverse()
+    elif c.support:
+        assert c.inverse == c.matrix.inverse()
+    assert is_identity(compose(c, invert(c)))
+
+
+def test_windows_pass_validation():
+    rng = random.Random(22)
+    auts = [
+        graded((2, 3), (5,)),
+        graded((4,), (), negated=True),
+        finitary((1, 4), random_unimodular(rng, 2)),
+        eventually_uniform(random_unimodular(rng, 2), random_unimodular(rng, 2)),
+        reblock(uniform(random_unimodular(rng, 2)), 4),
+    ]
+    for aut in auts:
+        for n in (8, 16):
+            assert_passes_validation(window_matrix(aut, n))

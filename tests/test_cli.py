@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +190,20 @@ def test_selftest_cli(capsys):
     code, out, _ = run(["selftest"], capsys)
     assert code == 0
     assert "checks passed" in out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(words.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "infrank", "selftest"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("17/17 checks passed\n")
 
 
 def _patch_verify(monkeypatch, make):

@@ -220,6 +220,8 @@ def test_power_and_negative_power():
 def test_matrix_validation():
     with pytest.raises(DimensionError):
         IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(DimensionError):
+        IntMatrix(((1, 2), (3,)))
     with pytest.raises(ValidationError):
         IntMatrix((((1.5,),)))  # type: ignore[arg-type]
 
@@ -230,9 +232,67 @@ def test_matrix_validation():
         lambda: IntMatrix.from_rows([[1.5]]),
         lambda: IntMatrix.column([2.7]),
         lambda: IntMatrix.from_rows([[True]]),
+        lambda: IntMatrix.column([False]),
+        lambda: IntMatrix(((2, True),)),
     ],
-    ids=["float-row", "float-column", "bool-row"],
+    ids=["float-row", "float-column", "bool-row", "bool-column", "bool-literal"],
 )
 def test_builders_refuse_non_integers(build):
     with pytest.raises(ValidationError):
         build()
+
+
+def assert_passes_validation(r: IntMatrix) -> None:
+    """r, built without the entry check, passes it and compares equal."""
+    assert IntMatrix(r.data) == r
+    assert all(type(x) is int for x in r.entries())
+
+
+def test_internal_results_pass_validation():
+    rng = random.Random(21)
+    for _ in range(30):
+        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = random_matrix(rng, n, k), random_matrix(rng, k, n)
+        c = random_matrix(rng, n, k)
+        results = [
+            a * b,
+            a + c,
+            a - c,
+            -a,
+            a.scale(rng.randint(-5, 5)),
+            a.transpose(),
+            a.hstack(c),
+            a.submatrix(0, n, 0, 1),
+            IntMatrix.identity(n),
+            IntMatrix.zeros(n, k),
+            IntMatrix.block_diag([a, b, c]),
+            random_unimodular(rng, n).power(rng.randint(-6, 9)),
+        ]
+        res = snf(a)
+        results += [res.u, res.d, res.v]
+        for r in results:
+            assert_passes_validation(r)
+
+
+class ProductCounter:
+    def __init__(self, monkeypatch):
+        self.count = 0
+        orig = IntMatrix.__mul__
+
+        def counting(a, b):
+            self.count += 1
+            return orig(a, b)
+
+        monkeypatch.setattr(IntMatrix, "__mul__", counting)
+
+
+def test_power_product_count(monkeypatch):
+    m = IntMatrix.from_rows([[1, 1], [0, 1]])
+    products = ProductCounter(monkeypatch)
+    for e in (0, 1):
+        assert m.power(e) == IntMatrix.from_rows([[1, e], [0, 1]])
+        assert products.count == 0
+    for e in range(2, 41):
+        products.count = 0
+        assert m.power(e) == IntMatrix.from_rows([[1, e], [0, 1]])
+        assert products.count == e.bit_length() - 1 + bin(e).count("1") - 1

@@ -4,7 +4,7 @@ import pytest
 
 from infrank.autrep import finitary, graded, uniform
 from infrank.classify import AllExcept, FinitePrimes
-from infrank.errors import ParseError, ValidationError
+from infrank.errors import DimensionError, ParseError, ValidationError
 from infrank.intmat import IntMatrix
 from infrank.serialize import (
     MAX_WORD_DEPTH,
@@ -41,6 +41,10 @@ def test_matrix_text_errors():
         parse_matrix_text("2 2\n1 2\n")
     with pytest.raises(ParseError):
         parse_matrix_text("1 2\n1 x\n")
+    with pytest.raises(ParseError):
+        parse_matrix_text("1 1\n1.5\n")
+    with pytest.raises(ParseError):
+        parse_matrix_text("2 2\n1 2\n3\n")
 
 
 def test_aut_round_trip_tau():
@@ -64,6 +68,18 @@ def test_parse_rejects_non_unimodular():
         '"window":[],"block":[[2,0],[0,1]]}'
     )
     with pytest.raises(ValidationError):
+        parse_aut(doc)
+
+
+@pytest.mark.parametrize(
+    "block, error",
+    [("[[1.5,0],[0,1]]", ParseError), ("[[true,0],[0,1]]", ParseError),
+     ("[[1,0],[0]]", DimensionError)],
+    ids=["float", "bool", "ragged"],
+)
+def test_parse_refuses_non_integer_blocks(block, error):
+    doc = '{"format_version":1,"kind":"aut","variant":"uniform","window":[],"block":%s}' % block
+    with pytest.raises(error):
         parse_aut(doc)
 
 

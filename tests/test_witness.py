@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from infrank.classify import congruence_gcd
 from infrank.errors import DimensionError, ShapeError, ValidationError
 from infrank.intmat import IntMatrix, is_unimodular_set, solve_columns
 from infrank.witness import (
+    ChainStep,
     ShearTriple,
     WitnessChain,
     bezout_combine,
@@ -24,9 +26,18 @@ from infrank.witness import (
     wans_three,
     zaushko_commutator,
 )
-from infrank.words import Conj, evaluate_word, verify_certificate
+from infrank.serialize import parse_chain, serialize_chain
+from infrank.words import (
+    WINDOW_IDENTITY,
+    Certificate,
+    Conj,
+    Named,
+    Product,
+    evaluate_word,
+    verify_certificate,
+)
 
-from test_intmat import random_matrix, random_unimodular
+from test_intmat import ProductCounter, random_matrix, random_unimodular
 
 
 # -- tau powers --------------------------------------------------------------
@@ -457,3 +468,69 @@ def test_pipeline_tracked_pair_unimodular():
     assert [x for x in diff if x] == [chain.level]
     cols = IntMatrix.from_rows([[vec[i], diff[i] // chain.level] for i in range(len(vec))])
     assert is_unimodular_set(cols)
+
+
+def _solo_reports(chain):
+    ok, lines = True, []
+    for step in chain.steps:
+        for cert in step.certificates:
+            res = verify_certificate(cert)
+            ok = ok and res.ok
+            lines.extend(f"{step.name}: {line}" for line in res.report)
+    return ok, tuple(lines)
+
+
+def test_verify_chain_matches_solo_checks():
+    chain = km_pipeline(canonical_shear(3, 4))
+    for c in (chain, parse_chain(serialize_chain(chain))):
+        res = verify_chain(c)
+        assert (res.ok, res.report) == _solo_reports(c) == (True, res.report)
+
+
+def test_verify_chain_memo_keys_on_the_environment():
+    # one word object, two environments that differ in the atom "b"
+    word = Product((Named("a"), Named("b")))
+    a, b = tau_power(1), tau_power(2)
+    certs = [
+        Certificate(kind=WINDOW_IDENTITY, windows=(2, 4), environment={"a": a, "b": b_atom},
+                    word=word, target_aut=tau_power(3))
+        for b_atom in (b, tau_power(5))
+    ]
+    chain = WitnessChain((ChainStep("shared-word", word, tuple(certs)),), tau_power(3), 3, "")
+    assert [verify_certificate(c).ok for c in certs] == [True, False]
+    res = verify_chain(chain)
+    assert not res.ok
+    assert res.report == _solo_reports(chain)[1]
+    assert res.report[2] == "shared-word: window 2: MISMATCH at entry (0,1): got 6, expected 3"
+
+
+def test_verify_chain_tampered_action_mismatch():
+    text = serialize_chain(km_pipeline(canonical_shear(5, 4)))
+    obj = json.loads(text)
+    vec = obj["steps"][-1]["certificates"][0]["target_vector"]
+    vec[next(i for i, x in enumerate(vec) if x)] += 1
+    tampered = parse_chain(json.dumps(obj))
+    res = verify_chain(tampered)
+    assert not res.ok
+    assert res.report == _solo_reports(tampered)[1]
+    assert [line for line in res.report if "MISMATCH" in line] == [
+        "bezout-combination: window 72: MISMATCH at coordinate 1: got 1, expected 2",
+        "bezout-combination: window 144: MISMATCH at coordinate 1: got 1, expected 2",
+    ]
+
+
+def test_verify_chain_keeps_no_cache(monkeypatch):
+    chain = parse_chain(serialize_chain(km_pipeline(canonical_shear(3, 2))))
+    step = chain.steps[-1]
+    products = ProductCounter(monkeypatch)
+    counts = []
+    for _ in range(2):
+        products.count = 0
+        assert verify_chain(chain).ok
+        counts.append(products.count)
+        products.count = 0
+        cert = step.certificates[0]
+        evaluate_word(step.word, cert.environment, cert.windows[0])
+        counts.append(products.count)
+    assert counts[0] == counts[2] > 0
+    assert counts[1] == counts[3] > 0

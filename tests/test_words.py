@@ -20,7 +20,7 @@ from infrank.words import (
     verify_certificate,
 )
 
-from test_intmat import random_unimodular
+from test_intmat import ProductCounter, random_unimodular
 
 
 TAU = tau_power(1)
@@ -195,3 +195,18 @@ def test_window_matrices_unimodular():
     w = Product((Conj(Named("a"), Named("g")), Power(Named("a"), 2)))
     for n in (4, 8):
         assert evaluate_word(w, env, n).det() in (1, -1)
+
+
+def test_product_of_k_atoms_makes_k_minus_1_products(monkeypatch):
+    rng = random.Random(23)
+    env = {f"a{i}": uniform(random_unimodular(rng, 2)) for i in range(6)}
+    products = ProductCounter(monkeypatch)
+    for k in range(1, 7):
+        word = Product(tuple(Named(f"a{i}") for i in range(k)))
+        for inverted in (word, Inverse(word)):
+            products.count = 0
+            evaluate_word(inverted, env, 4)
+            assert products.count == k - 1
+    products.count = 0
+    assert evaluate_word(Product(()), env, 4) == IntMatrix.identity(4)
+    assert products.count == 0
