@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
-from math import prod
+from math import lcm, prod
 from operator import mul
 from typing import Iterator, Union
 
 from .errors import AlignmentError, CompositionUnsupportedError, ValidationError
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _unimodular_inverse
 from .numth import factorize, is_prime, next_prime
 
 
@@ -49,9 +49,10 @@ def block_spec(matrix: IntMatrix) -> BlockSpec:
         raise ValidationError("block matrix must be square")
     if matrix.rows == 0:
         raise ValidationError("block dimension must be positive")
-    if not matrix.is_unimodular():
+    inverse = _unimodular_inverse(matrix)
+    if inverse is None:
         raise ValidationError("block matrix is not unimodular")
-    return BlockSpec(matrix, matrix.inverse())
+    return BlockSpec(matrix, inverse)
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,7 @@ def finitary(support, matrix: IntMatrix) -> Finitary:
         sup = tuple(sorted(sup))
     if matrix.rows != len(sup) or matrix.cols != len(sup):
         raise ValidationError("support size and matrix size disagree")
-    if sup and not matrix.is_unimodular():
-        raise ValidationError("finitary matrix is not unimodular")
+    # pruning splits off an identity summand, which leaves det(matrix) as it is
     keep = [
         a
         for a in range(len(sup))
@@ -160,8 +160,10 @@ def finitary(support, matrix: IntMatrix) -> Finitary:
     if len(keep) != len(sup):
         sup = tuple(sup[a] for a in keep)
         matrix = IntMatrix.from_rows([[matrix.data[a][b] for b in keep] for a in keep])
-    inv = matrix.inverse() if sup else matrix
-    return Finitary(sup, matrix, inv)
+    inverse = _unimodular_inverse(matrix)
+    if inverse is None:
+        raise ValidationError("finitary matrix is not unimodular")
+    return Finitary(sup, matrix, inverse)
 
 
 def identity_aut() -> Finitary:
@@ -182,13 +184,10 @@ def eventually_uniform(window: IntMatrix, block_matrix: IntMatrix) -> Eventually
             f"window size {window.rows} is not a multiple of block dimension {blk.d}"
         )
     window = _absorb_trailing_blocks(window, blk.matrix)
-    if window.rows:
-        if not window.is_unimodular():
-            raise ValidationError("window matrix is not unimodular")
-        w_inv = window.inverse()
-    else:
-        w_inv = window
-    return EventuallyUniform(window, w_inv, blk)
+    window_inverse = _unimodular_inverse(window)
+    if window_inverse is None:
+        raise ValidationError("window matrix is not unimodular")
+    return EventuallyUniform(window, window_inverse, blk)
 
 
 def _absorb_trailing_blocks(window: IntMatrix, block: IntMatrix) -> IntMatrix:
@@ -332,12 +331,6 @@ def reblock(aut: EventuallyUniform, new_d: int) -> EventuallyUniform:
     )
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
-
-
 def compose(a: RepAut, b: RepAut) -> RepAut:
     """Symbolic product: window(compose(a, b), n) == window(a, n) * window(b, n).
 
@@ -387,7 +380,7 @@ def compose(a: RepAut, b: RepAut) -> RepAut:
         a = _finitary_as_uniform(a, b.d if isinstance(b, EventuallyUniform) else 1)
     if isinstance(b, Finitary):
         b = _finitary_as_uniform(b, a.d)
-    d = _lcm(a.d, b.d)
+    d = lcm(a.d, b.d)
     n0 = max(a.window_size, b.window_size, d)
     n0 += (-n0) % d
     # (ab)^-1 = b^-1 a^-1, so the inverses come from the factors' witnesses

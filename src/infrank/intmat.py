@@ -219,14 +219,14 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
     def is_unimodular(self) -> bool:
-        return self.is_square and self.det() in (1, -1)
+        return _unimodular_inverse(self) is not None
 
     def inverse(self) -> "IntMatrix":
-        """Exact inverse of a unimodular matrix, via its Smith transforms."""
-        res = snf(self)
-        if not self.is_square or res.d != IntMatrix.identity(self.rows):
+        """Exact inverse of a unimodular matrix, by row reduction of ``[A | I]``."""
+        inv = _unimodular_inverse(self)
+        if inv is None:
             raise ValidationError("matrix is not unimodular; no integer inverse")
-        return res.v * res.u
+        return inv
 
     def entries(self) -> Iterable[int]:
         for row in self.data:
@@ -239,6 +239,60 @@ class IntMatrix:
         return "\n".join(
             " ".join(str(x).rjust(w) for x, w in zip(row, widths)) for row in self.data
         )
+
+
+def _unimodular_inverse(m: IntMatrix) -> Optional[IntMatrix]:
+    """The integer inverse of m, or None unless m is square and unimodular.
+
+    Row operations on ``[A | I]`` only, so the right half U always satisfies
+    ``U * A`` = the left half.  Column t is first reduced by Euclid's
+    algorithm over the rows not yet used as pivots, leaving one nonzero entry
+    there; earlier columns are already cleared, so the pivots are the
+    diagonal of a triangular matrix whose determinant is +-det(A).  A pivot
+    other than +-1, or a column with no nonzero entry left, therefore proves
+    A is not unimodular.  A +-1 pivot clears its column in every other row
+    exactly (Gauss-Jordan), and at the end the left half is I and U = A^-1.
+    """
+    if not m.is_square:
+        return None
+    n = m.rows
+    rows = [list(row) + [0] * n for row in m.data]
+    for i in range(n):
+        rows[i][n + i] = 1
+    for t in range(n):
+        live = [i for i in range(t, n) if rows[i][t]]
+        if not live:
+            return None
+        while len(live) > 1:
+            p = min(live, key=lambda i: abs(rows[i][t]))
+            prow = rows[p]
+            pv = prow[t]
+            nz = [(c, v) for c, v in enumerate(prow[t:], t) if v]
+            rest = []
+            for i in live:
+                if i != p:
+                    row = rows[i]
+                    q = row[t] // pv
+                    for c, v in nz:
+                        row[c] -= q * v
+                    if row[t]:
+                        rest.append(i)
+            rest.append(p)
+            live = rest
+        p = live[0]
+        if rows[p][t] not in (1, -1):
+            return None
+        if rows[p][t] == -1:
+            rows[p] = [-v for v in rows[p]]
+        rows[t], rows[p] = rows[p], rows[t]
+        nz = [(c, v) for c, v in enumerate(rows[t][t:], t) if v]
+        for i in range(n):
+            row = rows[i]
+            q = row[t]
+            if q and i != t:
+                for c, v in nz:
+                    row[c] -= q * v
+    return IntMatrix._trusted(tuple(tuple(row[n:]) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -396,7 +450,7 @@ def complete_to_basis(m: IntMatrix) -> IntMatrix:
     u_inv = res.u.inverse()
     completion = u_inv.submatrix(0, n, k, n)
     out = m.hstack(completion)
-    if out.det() not in (1, -1):
+    if not out.is_unimodular():
         raise NotCompletableError("completion failed determinant check")
     return out
 

@@ -40,7 +40,7 @@ from .autrep import (
     window_matrix,
 )
 from .errors import DimensionError, ShapeError, ValidationError
-from .intmat import IntMatrix, complete_to_basis, is_unimodular_set, solve_columns
+from .intmat import IntMatrix, complete_to_basis, is_unimodular_set, snf, solve_columns
 from .numth import euler_phi, gcd_list, xgcd
 from .words import (
     ACTION_ON_VECTOR,
@@ -271,11 +271,9 @@ def wans_three(f: IntMatrix) -> tuple[EventuallyUniform, EventuallyUniform, Even
     eye = IntMatrix.identity(d)
     p_hat = IntMatrix.block_diag([_P] * half)
     direct = f + eye - p_hat
-    if direct.det() in (1, -1):
+    if direct.is_unimodular():
         windows = (p_hat, eye.scale(-1), direct)
     else:
-        from .intmat import snf
-
         res = snf(f)
         diag = res.diagonal()
         e_blocks = []
@@ -761,9 +759,18 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
 
 
 def _aut_power(aut: RepAut, e: int) -> RepAut:
+    """aut^e by ``IntMatrix.power``'s schedule: no compose with the identity
+    and no final unused squaring, so bit_length - 1 + popcount - 1 composes."""
     if e < 0:
         return _aut_power(invert(aut), -e)
-    out: RepAut = compose_all()
-    for _ in range(e):
-        out = compose(out, aut)
-    return out
+    if e == 0:
+        return compose_all()
+    result = None
+    base = aut
+    while True:
+        if e & 1:
+            result = base if result is None else compose(result, base)
+        e >>= 1
+        if not e:
+            return result
+        base = compose(base, base)

@@ -148,14 +148,15 @@ def word_names(word: Token) -> set[str]:
 def min_window(word: Token, env: Environment, at_least: int = 1) -> int:
     """A window size valid for every atom of the word."""
     n = at_least
-    for name in word_names(word):
+    names = word_names(word)
+    for name in names:
         if name not in env:
             raise WordError(f"unresolved name {name!r}")
         n = max(n, aligned_window(env[name], n))
     changed = True
     while changed:
         changed = False
-        for name in word_names(word):
+        for name in names:
             m = aligned_window(env[name], n)
             if m > n:
                 n = m

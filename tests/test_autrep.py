@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from infrank.autrep import (
     EventuallyUniform,
     Finitary,
+    block_spec,
     compose,
     eventually_uniform,
     finitary,
@@ -60,14 +61,26 @@ def test_window_alignment_errors():
 
 
 def test_unimodularity_enforced():
-    with pytest.raises(ValidationError):
+    block, window, fin = (
+        f"^{kind} matrix is not unimodular$" for kind in ("block", "window", "finitary")
+    )
+    with pytest.raises(ValidationError, match=block):
         uniform(IntMatrix.from_rows([[2, 0], [0, 1]]))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=block):
+        block_spec(IntMatrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(ValidationError, match=block):
         eventually_uniform(IntMatrix.identity(2), IntMatrix.from_rows([[2, 1], [1, 2]]))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=window):
         eventually_uniform(IntMatrix.from_rows([[3, 0], [0, 1]]), IntMatrix.identity(2))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=window):
+        eventually_uniform(
+            IntMatrix.from_rows([[1, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+            IntMatrix.identity(2),
+        )
+    with pytest.raises(ValidationError, match=fin):
         finitary((0, 1), IntMatrix.from_rows([[1, 0], [0, 2]]))
+    with pytest.raises(ValidationError, match=fin):
+        finitary((4, 0, 2), IntMatrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 1]]))
     with pytest.raises(ValidationError):
         graded((1,), ())
     with pytest.raises(ValidationError):

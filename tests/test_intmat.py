@@ -3,6 +3,8 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infrank.errors import DimensionError, NotCompletableError, ValidationError
 from infrank.intmat import (
@@ -186,6 +188,88 @@ def test_inverse_exact():
 def test_inverse_rejects_non_unimodular():
     with pytest.raises(ValidationError):
         IntMatrix.from_rows([[2, 0], [0, 1]]).inverse()
+
+
+BIG = 2**120
+
+
+@st.composite
+def big_unimodular(draw, n):
+    """A permuted, sign-flipped product of elementary matrices, one of whose
+    multipliers has more than 100 bits."""
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    ops = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-BIG, BIG)),
+            max_size=10,
+        )
+    )
+    if n > 1:
+        ops.append((0, n - 1, draw(st.sampled_from((-1, 1))) * draw(st.integers(2**101, BIG))))
+    for i, j, q in ops:
+        if i != j:
+            rows[i] = [a + q * b for a, b in zip(rows[i], rows[j])]
+    order = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    return IntMatrix.from_rows([[s * x for x in rows[i]] for i, s in zip(order, signs)])
+
+
+@st.composite
+def unimodular_windows(draw):
+    """Dense blocks of dimension 1-8, or block-diagonal windows of up to 72."""
+    head = draw(big_unimodular(draw(st.integers(1, 8))))
+    if draw(st.booleans()):
+        return head
+    block = draw(big_unimodular(draw(st.integers(1, 8))))
+    reps = draw(st.integers(1, (72 - head.rows) // block.rows))
+    return IntMatrix.block_diag([head] + [block] * reps)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(unimodular_windows())
+def test_inverse_by_row_reduction(m):
+    eye = IntMatrix.identity(m.rows)
+    inv = m.inverse()
+    assert m.is_unimodular()
+    assert m * inv == inv * m == eye
+    res = snf(m)
+    assert inv == res.v * res.u
+    assert_passes_validation(inv)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2, 3], [4, 5, 7]],
+        [[1, 2], [2, 4]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+        [[3, 1], [1, 1]],
+        [[1, 1], [1, -1]],
+        [[2, 1], [4, 3]],
+        [[0, 0], [0, 1]],
+        [[1, 5, 0], [0, 1, 0], [7, 35, 2]],
+        [[2**130 + 1, 2**130], [2**130, 2**130 - 2]],
+    ],
+    ids=[
+        "non-square",
+        "singular",
+        "det-0",
+        "det-2",
+        "det-minus-2",
+        "even-first-column",
+        "zero-row",
+        "late-pivot-2",
+        "big-entries",
+    ],
+)
+def test_not_unimodular_has_no_inverse(rows):
+    m = IntMatrix.from_rows(rows)
+    assert any(m.entries())
+    assert not m.is_unimodular()
+    if m.is_square:
+        assert m.det() not in (1, -1)
+    with pytest.raises(ValidationError, match="^matrix is not unimodular; no integer inverse$"):
+        m.inverse()
 
 
 def test_det_multiplicative():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from infrank import intmat
 from infrank.autrep import finitary, graded, uniform
 from infrank.classify import AllExcept, FinitePrimes
 from infrank.errors import DimensionError, ParseError, ValidationError
@@ -23,7 +24,13 @@ from infrank.serialize import (
     word_from_obj,
     word_to_obj,
 )
-from infrank.witness import km_pipeline, tau_power, verify_chain, zaushko_commutator
+from infrank.witness import (
+    canonical_shear,
+    km_pipeline,
+    tau_power,
+    verify_chain,
+    zaushko_commutator,
+)
 from infrank.words import Conj, Inverse, Named, Power, Product, verify_certificate
 
 from test_intmat import random_unimodular
@@ -150,6 +157,26 @@ def test_chain_round_trip():
     assert chain2 == chain
     assert serialize_chain(chain2) == text
     assert verify_chain(chain2).ok
+
+
+def test_parse_chain_needs_no_snf_or_det(monkeypatch):
+    """Parsed atoms get their inverses from row reduction alone."""
+    text = serialize_chain(km_pipeline(canonical_shear(5, 4), (2, 3)))
+    calls = {"snf": 0, "det": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(intmat, "snf", counted("snf", intmat.snf))
+    monkeypatch.setattr(IntMatrix, "det", counted("det", IntMatrix.det))
+    chain = parse_chain(text)
+    assert calls == {"snf": 0, "det": 0}
+    assert serialize_chain(chain) == text
+    assert verify_chain(chain).ok
 
 
 def test_parse_document_dispatch():

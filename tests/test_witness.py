@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from infrank.autrep import window_matrix
+from infrank import witness
+from infrank.autrep import compose, identity_aut, uniform, window_matrix
 from infrank.classify import congruence_gcd
 from infrank.errors import DimensionError, ShapeError, ValidationError
 from infrank.intmat import IntMatrix, is_unimodular_set, solve_columns
@@ -259,6 +260,25 @@ def test_wans_tails_fixed():
 def test_wans_rejects_odd_dimension():
     with pytest.raises(DimensionError):
         wans_three(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def test_aut_power_compose_count(monkeypatch):
+    aut = uniform(IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, -1]]))
+    count = 0
+
+    def counting(a, b):
+        nonlocal count
+        count += 1
+        return compose(a, b)
+
+    monkeypatch.setattr(witness, "compose", counting)
+    linear = identity_aut()
+    for e in range(21):
+        count = 0
+        assert witness._aut_power(aut, e) == linear
+        assert count == (e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0)
+        assert compose(witness._aut_power(aut, -e), linear) == identity_aut()
+        linear = compose(linear, aut)
 
 
 # -- three-conjugate factorization ---------------------------------------------
