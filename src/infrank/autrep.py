@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from math import lcm, prod
 from operator import mul
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
-from .errors import AlignmentError, CompositionUnsupportedError, ValidationError
+from .errors import AlignmentError, CompositionUnsupportedError, DimensionError, ValidationError
 from .intmat import IntMatrix, _unimodular_inverse
 from .numth import factorize, is_prime, next_prime
 
@@ -245,12 +245,8 @@ def is_identity(aut: RepAut) -> bool:
 # -- window evaluation ---------------------------------------------------
 
 
-def window_matrix(aut: RepAut, n: int) -> IntMatrix:
-    """The n x n matrix of ``aut`` restricted to the first n coordinates.
-
-    All three classes map coordinates below an aligned n into coordinates
-    below n, so the restriction is well defined and unimodular.
-    """
+def _check_window(aut: RepAut, n: int) -> None:
+    """Raise ``AlignmentError`` unless n is a valid window size for ``aut``."""
     if n < 0:
         raise AlignmentError("window size must be nonnegative")
     if isinstance(aut, Finitary):
@@ -258,23 +254,69 @@ def window_matrix(aut: RepAut, n: int) -> IntMatrix:
             raise AlignmentError(
                 f"window {n} does not cover finitary support up to {aut.max_support}"
             )
+    elif isinstance(aut, EventuallyUniform):
+        n0, d = aut.window_size, aut.d
+        if n < n0 or (n - n0) % d:
+            raise AlignmentError(f"window {n} misaligned for window {n0} + blocks of {d}")
+    elif n % 2:
+        raise AlignmentError("graded windows must be even")
+
+
+def window_matrix(aut: RepAut, n: int) -> IntMatrix:
+    """The n x n matrix of ``aut`` restricted to the first n coordinates.
+
+    All three classes map coordinates below an aligned n into coordinates
+    below n, so the restriction is well defined and unimodular.
+    """
+    _check_window(aut, n)
+    if isinstance(aut, Finitary):
         rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for a, i in enumerate(aut.support):
             for b, j in enumerate(aut.support):
                 rows[i][j] = aut.matrix.data[a][b]
         return IntMatrix._trusted(tuple(map(tuple, rows)))
     if isinstance(aut, EventuallyUniform):
-        n0, d = aut.window_size, aut.d
-        if n < n0 or (n - n0) % d:
-            raise AlignmentError(f"window {n} misaligned for window {n0} + blocks of {d}")
-        tail = (n - n0) // d
+        tail = (n - aut.window_size) // aut.d
         return IntMatrix.block_diag([aut.window] + [aut.block.matrix] * tail)
-    if n % 2:
-        raise AlignmentError("graded windows must be even")
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for pair, c in enumerate(accumulate(islice(aut.multipliers(), n // 2), mul)):
         rows[2 * pair + 1][2 * pair] = -c if aut.negated else c
     return IntMatrix._trusted(tuple(map(tuple, rows)))
+
+
+def window_apply(aut: RepAut, n: int, vector: Sequence[int]) -> list[int]:
+    """``window_matrix(aut, n).apply(vector)`` without forming the matrix.
+
+    Each class acts on its own terms: a finitary atom on its support, an
+    eventually uniform one by its head window and then block by block
+    (all-zero chunks are skipped), a graded one pair by pair up to the last
+    nonzero x-coordinate.
+    """
+    _check_window(aut, n)
+    if len(vector) != n:
+        raise DimensionError("vector length does not match column count")
+    out = list(vector)
+    if isinstance(aut, Finitary):
+        _apply_block(aut.matrix, aut.support, vector, out)
+    elif isinstance(aut, EventuallyUniform):
+        n0, d = aut.window_size, aut.d
+        _apply_block(aut.window, range(n0), vector, out)
+        for s in range(n0, n, d):
+            _apply_block(aut.block.matrix, range(s, s + d), vector, out)
+    else:
+        xs = range(0, n, 2)
+        last = next((i for i in reversed(xs) if vector[i]), -1)
+        for pair, c in enumerate(accumulate(islice(aut.multipliers(), last // 2 + 1), mul)):
+            out[2 * pair + 1] += (-c if aut.negated else c) * vector[2 * pair]
+    return out
+
+
+def _apply_block(m: IntMatrix, coords: Sequence[int], vector: Sequence[int], out: list[int]) -> None:
+    """Write m applied to ``vector`` restricted to ``coords`` into ``out`` there."""
+    nz = [(b, vector[j]) for b, j in enumerate(coords) if vector[j]]
+    if nz:
+        for i, row in zip(coords, m.data):
+            out[i] = sum(row[b] * x for b, x in nz)
 
 
 def aligned_window(aut: RepAut, at_least: int = 1) -> int:
@@ -342,7 +384,7 @@ def compose(a: RepAut, b: RepAut) -> RepAut:
     should evaluate windows instead.
     """
     if is_identity(a):
-        return b
+        return identity_aut() if is_identity(b) else b
     if is_identity(b):
         return a
     if isinstance(a, Finitary) and isinstance(b, Finitary):

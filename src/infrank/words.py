@@ -14,12 +14,10 @@ function of the certificate contents.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
-from .autrep import RepAut, aligned_window, window_matrix
+from .autrep import RepAut, _check_window, aligned_window, window_apply, window_matrix
 from .autrep import invert as invert_aut
 from .errors import DimensionError, ValidationError, WordError
 from .intmat import IntMatrix
@@ -59,38 +57,13 @@ Token = Union[Named, Inverse, Power, Conj, Product]
 Environment = Mapping[str, RepAut]
 
 
-# (frozenset(env.items()), n) -> {(token, inverted): window matrix}, set only
-# inside ``_shared_evaluations``
-_SHARED: ContextVar[Optional[dict]] = ContextVar("infrank_shared_evaluations", default=None)
-
-
-@contextmanager
-def _shared_evaluations() -> Iterator[None]:
-    """Let every ``evaluate_word`` call inside the block share one memo.
-
-    Keys are values, not object ids: an equal sub-word on an equal
-    environment and window is evaluated once, also across certificates of
-    a parsed chain, whose tokens are distinct objects.  The memo is dropped
-    when the block exits.
-    """
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
 def evaluate_word(word: Token, env: Environment, n: int) -> IntMatrix:
     """The n x n matrix of ``word``, multiplying factors left to right.
 
     Inverses are taken structurally (every atom carries its inverse
-    witness), and equal subtrees are evaluated once per call, or once per
-    ``_shared_evaluations`` block.
+    witness), and equal subtrees are evaluated once per call.
     """
-    shared = _SHARED.get()
-    if shared is None:
-        return _eval(word, env, n, False, {})
-    return _eval(word, env, n, False, shared.setdefault((frozenset(env.items()), n), {}))
+    return _eval(word, env, n, False, {})
 
 
 def _eval(word: Token, env: Environment, n: int, inv: bool, memo: dict) -> IntMatrix:
@@ -128,6 +101,96 @@ def _eval(word: Token, env: Environment, n: int, inv: bool, memo: dict) -> IntMa
         raise WordError(f"unknown token {word!r}")
     memo[key] = out
     return out
+
+
+def push_word(word: Token, env: Environment, n: int, vector: Sequence[int]) -> tuple[int, ...]:
+    """``evaluate_word(word, env, n).apply(vector)``, vector zero-padded to n.
+
+    The vector is pushed through the token tree, rightmost factor first, one
+    atom at a time; ``Conj(g, h)`` acts as h(g(h^-1 v)).  Each application
+    costs at most n^2 against n^3 for a dense product, so a ``Power`` whose
+    pushes would pass n applications is evaluated densely once and applied
+    instead, and a word whose pushes pass n per token goes the dense way
+    whole.  Every name is resolved and window-checked first, in
+    ``evaluate_word``'s order, so both paths refuse a word with one error.
+    """
+    tokens: set[int] = set()
+    _check_names(word, env, n, False, tokens)
+    v = _pad(vector, n)
+    counts: dict[int, int] = {}
+    if _pushes(word, n, counts) > n * len(tokens):
+        return evaluate_word(word, env, n).apply(v)
+    memo: dict = {}
+
+    def push(w: Token, inv: bool, v: list[int]) -> list[int]:
+        if isinstance(w, Named):
+            aut = env[w.name]
+            return window_apply(invert_aut(aut) if inv else aut, n, v)
+        if isinstance(w, Inverse):
+            return push(w.inner, not inv, v)
+        if isinstance(w, Power):
+            inner_inv = inv != (w.exponent < 0)
+            if _dense_power(w, n, counts):
+                # one dense power per call, however often the push passes it
+                return list(_eval(w.inner, env, n, inner_inv, memo).power(abs(w.exponent)).apply(v))
+            for _ in range(abs(w.exponent)):
+                v = push(w.inner, inner_inv, v)
+            return v
+        if isinstance(w, Conj):
+            # (h g h^-1)^-1 = h g^-1 h^-1
+            return push(w.h, False, push(w.g, inv, push(w.h, True, v)))
+        for f in w.factors if inv else reversed(w.factors):
+            v = push(f, inv, v)
+        return v
+
+    return tuple(push(word, False, list(v)))
+
+
+def _check_names(word: Token, env: Environment, n: int, inv: bool, seen: set[int]) -> None:
+    """Raise what ``_eval`` raises first on a bad name, window or token;
+    ``seen`` collects the ids of the distinct tokens."""
+    if id(word) in seen:
+        return
+    seen.add(id(word))
+    if isinstance(word, Named):
+        if word.name not in env:
+            raise WordError(f"unresolved name {word.name!r}")
+        _check_window(env[word.name], n)
+    elif isinstance(word, Inverse):
+        _check_names(word.inner, env, n, not inv, seen)
+    elif isinstance(word, Power):
+        _check_names(word.inner, env, n, inv != (word.exponent < 0), seen)
+    elif isinstance(word, Conj):
+        _check_names(word.h, env, n, False, seen)
+        _check_names(word.g, env, n, inv, seen)
+    elif isinstance(word, Product):
+        for f in reversed(word.factors) if inv else word.factors:
+            _check_names(f, env, n, inv, seen)
+    else:
+        raise WordError(f"unknown token {word!r}")
+
+
+def _dense_power(word: Power, n: int, counts: dict[int, int]) -> bool:
+    return abs(word.exponent) * max(1, _pushes(word.inner, n, counts)) > n
+
+
+def _pushes(word: Token, n: int, counts: dict[int, int]) -> int:
+    """Atom applications a push makes; a dense power counts as one."""
+    key = id(word)
+    if key not in counts:
+        if isinstance(word, Named):
+            count = 1
+        elif isinstance(word, Inverse):
+            count = _pushes(word.inner, n, counts)
+        elif isinstance(word, Power):
+            dense = _dense_power(word, n, counts)
+            count = 1 if dense else abs(word.exponent) * _pushes(word.inner, n, counts)
+        elif isinstance(word, Conj):
+            count = 2 * _pushes(word.h, n, counts) + _pushes(word.g, n, counts)
+        else:
+            count = sum(_pushes(f, n, counts) for f in word.factors)
+        counts[key] = count
+    return counts[key]
 
 
 def word_names(word: Token) -> set[str]:
@@ -271,8 +334,7 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
         elif cert.kind == ACTION_ON_VECTOR:
             if cert.vector is None or cert.target_vector is None:
                 raise ValidationError("action certificate needs vector and target_vector")
-            w = evaluate_word(cert.word, cert.environment, n)
-            got_v = w.apply(_pad(cert.vector, n))
+            got_v = push_word(cert.word, cert.environment, n, cert.vector)
             want_v = _pad(cert.target_vector, n)
             if got_v == want_v:
                 lines.append(f"window {n}: action holds")

@@ -161,7 +161,7 @@ def test_lambda_levels_graded_rule():
     assert lambda_member(g, 2 * 3 * 5 * 7)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     prefix=st.lists(st.integers(2, 40), max_size=3),
     excluded=st.sets(st.sampled_from([2, 3, 5, 7, 11, 13])),

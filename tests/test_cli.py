@@ -11,6 +11,7 @@ from infrank import words
 from infrank.cli import main
 from infrank.errors import ValidationError
 from infrank.intmat import IntMatrix
+from infrank.selftest import run_selftest
 from infrank.serialize import (
     format_matrix_text,
     parse_chain,
@@ -190,6 +191,13 @@ def test_selftest_cli(capsys):
     code, out, _ = run(["selftest"], capsys)
     assert code == 0
     assert "checks passed" in out
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_selftest_passes_for_every_seed(seed):
+    results = run_selftest(seed)
+    assert len(results) == 17
+    assert [name for name, _, ok in results if not ok] == []
 
 
 def test_python_dash_m_runs_the_cli():

@@ -29,10 +29,12 @@ from infrank.witness import (
 )
 from infrank.serialize import parse_chain, serialize_chain
 from infrank.words import (
+    ACTION_ON_VECTOR,
     WINDOW_IDENTITY,
     Certificate,
     Conj,
     Named,
+    Power,
     Product,
     evaluate_word,
     verify_certificate,
@@ -554,3 +556,24 @@ def test_verify_chain_keeps_no_cache(monkeypatch):
         counts.append(products.count)
     assert counts[0] == counts[2] > 0
     assert counts[1] == counts[3] > 0
+
+
+def test_action_certificates_make_no_products(monkeypatch):
+    chain = km_pipeline(canonical_shear(3, 4))
+    certs = [
+        cert
+        for c in (chain, parse_chain(serialize_chain(chain)))
+        for step in c.steps
+        for cert in step.certificates
+        if cert.kind == ACTION_ON_VECTOR
+    ]
+    assert len(certs) == 14
+    products = ProductCounter(monkeypatch)
+    for cert in certs:
+        assert verify_certificate(cert).ok
+    assert products.count == 0
+    # a power past the window is evaluated densely, then applied
+    cert = Certificate(kind=ACTION_ON_VECTOR, windows=(4,), environment={"tau": tau_power(1)},
+                       word=Power(Named("tau"), 5), vector=(0, 1), target_vector=(5, 1))
+    assert verify_certificate(cert).ok
+    assert products.count > 0

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from infrank.autrep import finitary, graded, uniform
-from infrank.errors import ValidationError, WordError
+from infrank.autrep import eventually_uniform, finitary, graded, uniform
+from infrank.errors import AlignmentError, InfrankError, ValidationError, WordError
 from infrank.intmat import IntMatrix
 from infrank.witness import order_n_shear, tau_power
 from infrank.words import (
@@ -17,9 +19,11 @@ from infrank.words import (
     Power,
     Product,
     evaluate_word,
+    push_word,
     verify_certificate,
 )
 
+from test_autrep import unimodular
 from test_intmat import ProductCounter, random_unimodular
 
 
@@ -210,3 +214,110 @@ def test_product_of_k_atoms_makes_k_minus_1_products(monkeypatch):
     products.count = 0
     assert evaluate_word(Product(()), env, 4) == IntMatrix.identity(4)
     assert products.count == 0
+
+
+# -- pushing vectors through words -------------------------------------------
+
+
+@st.composite
+def one_atom_per_class(draw):
+    """A finitary atom below coordinate 8, an eventually uniform atom with a
+    head of up to 6 and blocks of 1-3, and a graded shear: windows 12 and 24
+    are aligned for all three."""
+    size = draw(st.integers(1, 3))
+    support = draw(st.lists(st.integers(0, 7), min_size=size, max_size=size, unique=True))
+    d = draw(st.integers(1, 3))
+    return {
+        "f": finitary(support, draw(unimodular(size))),
+        "u": eventually_uniform(draw(unimodular(d * draw(st.integers(0, 2)))), draw(unimodular(d))),
+        "g": graded(
+            draw(st.lists(st.integers(2, 9), max_size=2)),
+            draw(st.sets(st.sampled_from([2, 3, 5]))),
+            draw(st.booleans()),
+        ),
+    }
+
+
+# |e| > 12 passes the push/dense crossover on window 12
+EXPONENTS = st.sampled_from([-14, -3, -2, -1, 0, 1, 2, 3, 13])
+
+
+@st.composite
+def words(draw, depth=3):
+    """Words over the atoms f, u and g nesting up to ``depth`` tokens deep."""
+    kind = draw(st.integers(0, 5)) if depth else 0
+    if kind < 2:
+        return Named(draw(st.sampled_from(["f", "u", "g"])))
+    inner = words(depth - 1)
+    if kind == 2:
+        return Inverse(draw(inner))
+    if kind == 3:
+        return Power(draw(inner), draw(EXPONENTS))
+    if kind == 4:
+        return Conj(draw(inner), draw(inner))
+    return Product(tuple(draw(st.lists(inner, max_size=3))))
+
+
+WORDS = words()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except InfrankError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150)
+@given(one_atom_per_class(), WORDS, st.sampled_from([12, 24]), st.data())
+def test_push_matches_dense(env, word, n, data):
+    v = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    assert push_word(word, env, n, v) == evaluate_word(word, env, n).apply(v)
+
+
+# a bad atom, also where it never acts, placed anywhere in a word w
+BAD_TOKENS = (
+    lambda b: b,
+    lambda b: Power(b, 0),
+    lambda b: Inverse(Power(b, -3)),
+)
+PLACEMENTS = (
+    lambda w, b: Product((w, b)),
+    lambda w, b: Product((Product(()), b, w)),
+    lambda w, b: Conj(w, b),
+    lambda w, b: Conj(b, w),
+    lambda w, b: Inverse(Product((b, w))),
+    lambda w, b: Power(Product((w, b)), 0),
+)
+
+
+@settings(max_examples=150)
+@given(
+    one_atom_per_class(),
+    WORDS,
+    st.sampled_from(BAD_TOKENS),
+    st.sampled_from(PLACEMENTS),
+    st.sampled_from([(12, "missing", WordError), (24, "missing", WordError),
+                     (7, "g", AlignmentError), (13, "g", AlignmentError)]),
+)
+def test_push_refuses_what_dense_refuses(env, w, bad, place, case):
+    n, name, error = case
+    word = place(w, bad(Named(name)))
+    v = (1,) * n
+    dense = _outcome(lambda: evaluate_word(word, env, n).apply(v))
+    assert dense[0] is error
+    assert _outcome(lambda: push_word(word, env, n, v)) == dense
+
+
+def test_push_goes_dense_when_pushes_outgrow_the_word(monkeypatch):
+    products = ProductCounter(monkeypatch)
+    v = (1, -2, 3, 5)
+    for depth, dense in ((2, False), (10, True)):
+        # each level pushes its conjugator twice: 2^(depth + 1) - 1 pushes
+        word = Named("tau")
+        for _ in range(depth):
+            word = Conj(Named("sigma"), word)
+        products.count = 0
+        got = push_word(word, ENV, 4, v)
+        assert (products.count > 0) == dense
+        assert got == evaluate_word(word, ENV, 4).apply(v)
