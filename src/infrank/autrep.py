@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from math import lcm, prod
 from operator import mul
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import AlignmentError, CompositionUnsupportedError, DimensionError, ValidationError
 from .intmat import IntMatrix, _unimodular_inverse
@@ -235,10 +235,7 @@ def is_identity(aut: RepAut) -> bool:
     if isinstance(aut, Finitary):
         return not aut.support
     if isinstance(aut, EventuallyUniform):
-        return (
-            aut.window == IntMatrix.identity(aut.window_size)
-            and aut.block.matrix == IntMatrix.identity(aut.d)
-        )
+        return aut.window.is_identity() and aut.block.matrix.is_identity()
     return False
 
 
@@ -260,6 +257,29 @@ def _check_window(aut: RepAut, n: int) -> None:
             raise AlignmentError(f"window {n} misaligned for window {n0} + blocks of {d}")
     elif n % 2:
         raise AlignmentError("graded windows must be even")
+
+
+def core_window(auts: Sequence[RepAut], n: int) -> Optional[int]:
+    """The window L that window n of every word over ``auts`` repeats, or None.
+
+    Head-free uniform atoms act block by block: on a positive multiple n of
+    L, the lcm of their block sizes, a word over them is n/L copies of its
+    L x L window.  Finitary atoms fix every coordinate from L on, L being
+    their largest support index plus one: on a positive n >= L a word over
+    them is its L x L window and an identity block.  So two such words
+    agree, or a power of one is the identity, on window n exactly when they
+    do on window L, and the first entry where they differ lies in the
+    top-left L x L block.  Any other atoms, or any other n, give None.
+    """
+    if n <= 0:
+        return None
+    if all(isinstance(a, EventuallyUniform) and a.window_size == 0 for a in auts):
+        core = lcm(*(a.d for a in auts))
+        return core if n % core == 0 else None
+    if all(isinstance(a, Finitary) for a in auts):
+        core = max((a.max_support + 1 for a in auts), default=0)
+        return core if n >= core else None
+    return None
 
 
 def window_matrix(aut: RepAut, n: int) -> IntMatrix:
@@ -422,15 +442,19 @@ def compose(a: RepAut, b: RepAut) -> RepAut:
         a = _finitary_as_uniform(a, b.d if isinstance(b, EventuallyUniform) else 1)
     if isinstance(b, Finitary):
         b = _finitary_as_uniform(b, a.d)
-    d = lcm(a.d, b.d)
-    n0 = max(a.window_size, b.window_size, d)
-    n0 += (-n0) % d
     # (ab)^-1 = b^-1 a^-1, so the inverses come from the factors' witnesses
-    window = window_matrix(a, n0) * window_matrix(b, n0)
-    window_inverse = window_matrix(invert(b), n0) * window_matrix(invert(a), n0)
+    d = lcm(a.d, b.d)
     block_a, block_b = _repeated_block(a, d), _repeated_block(b, d)
     block = BlockSpec(block_a.matrix * block_b.matrix, block_b.inverse * block_a.inverse)
-    out = _eventually_uniform_with_inverses(window, window_inverse, block)
+    if a.window_size == b.window_size == 0:
+        # head-free factors act block by block: the product is its block alone
+        out = EventuallyUniform(a.window, a.window_inverse, block)
+    else:
+        n0 = max(a.window_size, b.window_size, d)
+        n0 += (-n0) % d
+        window = window_matrix(a, n0) * window_matrix(b, n0)
+        window_inverse = window_matrix(invert(b), n0) * window_matrix(invert(a), n0)
+        out = _eventually_uniform_with_inverses(window, window_inverse, block)
     return identity_aut() if is_identity(out) else out
 
 

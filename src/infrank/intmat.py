@@ -186,6 +186,14 @@ class IntMatrix:
                 return result
             base = base * base
 
+    def is_identity(self) -> bool:
+        """Whether this is a square identity matrix, read off the entries
+        without building one to compare against."""
+        n = self.rows
+        return self.cols == n and all(
+            row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(self.data)
+        )
+
     def _same_shape(self, other: "IntMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionError("shape mismatch")

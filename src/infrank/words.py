@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
-from .autrep import RepAut, _check_window, aligned_window, window_apply, window_matrix
+from .autrep import RepAut, _check_window, aligned_window, core_window, window_apply, window_matrix
 from .autrep import invert as invert_aut
 from .errors import DimensionError, ValidationError, WordError
 from .intmat import IntMatrix
@@ -295,68 +295,97 @@ def _first_difference(a: IntMatrix, b: IntMatrix) -> str:
 
 
 def verify_certificate(cert: Certificate) -> VerifyResult:
-    """Recheck a certificate; never consults anything outside its fields."""
+    """Recheck a certificate; never consults anything outside its fields.
+
+    An identity or order claim on a window that ``autrep.core_window``
+    reduces is checked once on the core window, and the verdict is reported
+    for every window it stands for.
+    """
+    check = _CHECKS[cert.kind]
+    atoms = _core_atoms(cert)
+    done: dict[int, tuple[bool, str]] = {}
     lines: list[str] = []
     ok = True
     for n in cert.windows:
-        if cert.kind == WINDOW_IDENTITY:
-            got = evaluate_word(cert.word, cert.environment, n)
-            if cert.target_aut is not None:
-                want = window_matrix(cert.target_aut, n)
-            elif cert.target_matrix is not None:
-                want = _extend(cert.target_matrix, n, fill_identity=True)
-            else:
-                raise ValidationError("window-identity certificate lacks a target")
-            if got == want:
-                lines.append(f"window {n}: identity holds")
-            else:
-                ok = False
-                lines.append(f"window {n}: MISMATCH at {_first_difference(got, want)}")
-        elif cert.kind == ORDER:
-            if cert.order is None or cert.order < 1:
-                raise ValidationError("order certificate needs a positive order")
-            w = evaluate_word(cert.word, cert.environment, n)
-            eye = IntMatrix.identity(n)
-            if w.power(cert.order) != eye:
-                ok = False
-                lines.append(f"window {n}: word^{cert.order} is not the identity")
-                continue
-            bad = None
-            for p in factorize(cert.order):
-                if w.power(cert.order // p) == eye:
-                    bad = cert.order // p
-                    break
-            if bad is not None:
-                ok = False
-                lines.append(f"window {n}: order divides {bad}, not exactly {cert.order}")
-            else:
-                lines.append(f"window {n}: order is exactly {cert.order}")
-        elif cert.kind == ACTION_ON_VECTOR:
-            if cert.vector is None or cert.target_vector is None:
-                raise ValidationError("action certificate needs vector and target_vector")
-            got_v = push_word(cert.word, cert.environment, n, cert.vector)
-            want_v = _pad(cert.target_vector, n)
-            if got_v == want_v:
-                lines.append(f"window {n}: action holds")
-            else:
-                k = next(i for i in range(n) if got_v[i] != want_v[i])
-                ok = False
-                lines.append(
-                    f"window {n}: MISMATCH at coordinate {k}: got {got_v[k]}, expected {want_v[k]}"
-                )
-        else:  # WINDOW_SUM
-            if not cert.summand_words or cert.target_matrix is None:
-                raise ValidationError("window-sum certificate needs summands and a target")
-            total = IntMatrix.zeros(n, n)
-            for wtok in cert.summand_words:
-                total = total + evaluate_word(wtok, cert.environment, n)
-            want = _extend(cert.target_matrix, n)
-            if total == want:
-                lines.append(f"window {n}: sum matches target")
-            else:
-                ok = False
-                lines.append(f"window {n}: MISMATCH at {_first_difference(total, want)}")
+        core = None if atoms is None else core_window(atoms, n)
+        m = n if core is None else core
+        if m not in done:
+            done[m] = check(cert, m)
+        holds, detail = done[m]
+        ok = ok and holds
+        lines.append(f"window {n}: {detail}")
     return VerifyResult(ok, tuple(lines))
+
+
+def _core_atoms(cert: Certificate) -> Optional[list[RepAut]]:
+    """The atoms of an identity or order claim, its ``target_aut`` included;
+    None for other claims and for words that name a missing atom."""
+    if cert.kind == ORDER or (cert.kind == WINDOW_IDENTITY and cert.target_aut is not None):
+        try:
+            names = word_names(cert.word)
+        except WordError:
+            return None
+        if names <= cert.environment.keys():
+            atoms = [cert.environment[name] for name in names]
+            return atoms + [cert.target_aut] if cert.kind == WINDOW_IDENTITY else atoms
+    return None
+
+
+def _check_identity(cert: Certificate, n: int) -> tuple[bool, str]:
+    got = evaluate_word(cert.word, cert.environment, n)
+    if cert.target_aut is not None:
+        want = window_matrix(cert.target_aut, n)
+    elif cert.target_matrix is not None:
+        want = _extend(cert.target_matrix, n, fill_identity=True)
+    else:
+        raise ValidationError("window-identity certificate lacks a target")
+    if got == want:
+        return True, "identity holds"
+    return False, f"MISMATCH at {_first_difference(got, want)}"
+
+
+def _check_order(cert: Certificate, n: int) -> tuple[bool, str]:
+    if cert.order is None or cert.order < 1:
+        raise ValidationError("order certificate needs a positive order")
+    k = cert.order
+    w = evaluate_word(cert.word, cert.environment, n)
+    if not w.power(k).is_identity():
+        return False, f"word^{k} is not the identity"
+    for p in factorize(k):
+        if w.power(k // p).is_identity():
+            return False, f"order divides {k // p}, not exactly {k}"
+    return True, f"order is exactly {k}"
+
+
+def _check_action(cert: Certificate, n: int) -> tuple[bool, str]:
+    if cert.vector is None or cert.target_vector is None:
+        raise ValidationError("action certificate needs vector and target_vector")
+    got = push_word(cert.word, cert.environment, n, cert.vector)
+    want = _pad(cert.target_vector, n)
+    if got == want:
+        return True, "action holds"
+    k = next(i for i in range(n) if got[i] != want[i])
+    return False, f"MISMATCH at coordinate {k}: got {got[k]}, expected {want[k]}"
+
+
+def _check_sum(cert: Certificate, n: int) -> tuple[bool, str]:
+    if not cert.summand_words or cert.target_matrix is None:
+        raise ValidationError("window-sum certificate needs summands and a target")
+    total = IntMatrix.zeros(n, n)
+    for word in cert.summand_words:
+        total = total + evaluate_word(word, cert.environment, n)
+    want = _extend(cert.target_matrix, n)
+    if total == want:
+        return True, "sum matches target"
+    return False, f"MISMATCH at {_first_difference(total, want)}"
+
+
+_CHECKS = {
+    WINDOW_IDENTITY: _check_identity,
+    ORDER: _check_order,
+    ACTION_ON_VECTOR: _check_action,
+    WINDOW_SUM: _check_sum,
+}
 
 
 def _extend(m: IntMatrix, n: int, fill_identity: bool = False) -> IntMatrix:

@@ -1,6 +1,6 @@
 import random
 from itertools import accumulate
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 
 import pytest
@@ -12,6 +12,7 @@ from infrank.autrep import (
     Finitary,
     block_spec,
     compose,
+    core_window,
     eventually_uniform,
     finitary,
     graded,
@@ -26,7 +27,7 @@ from infrank.errors import AlignmentError, CompositionUnsupportedError, Validati
 from infrank.intmat import IntMatrix
 from infrank.witness import tau_power
 
-from test_intmat import assert_passes_validation, random_unimodular
+from test_intmat import ProductCounter, assert_passes_validation, random_unimodular
 
 
 def test_tau_window():
@@ -312,6 +313,53 @@ def test_compose_carries_inverses(a, b):
     elif c.support:
         assert c.inverse == c.matrix.inverse()
     assert is_identity(compose(c, invert(c)))
+
+
+def test_compose_of_head_free_atoms_makes_two_products(monkeypatch):
+    rng = random.Random(31)
+    for da, db in ((2, 2), (2, 3), (4, 6), (1, 5)):
+        # negated, so neither factor is the identity
+        a, b = uniform(-random_unimodular(rng, da)), uniform(-random_unimodular(rng, db))
+        products = ProductCounter(monkeypatch)
+        c = compose(a, b)
+        assert products.count == 2
+        d = lcm(da, db)
+        assert c.window_size == 0 and c.d == d
+        assert c.block.matrix == window_matrix(a, d) * window_matrix(b, d)
+        assert c.block.inverse == c.block.matrix.inverse()
+        # what the headed path builds from window d: the same absorbed form
+        assert c == eventually_uniform(window_matrix(c, d), c.block.matrix)
+
+
+U2 = uniform(IntMatrix.from_rows([[1, 1], [0, 1]]))
+U3 = uniform(IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+HEADED = eventually_uniform(IntMatrix.from_rows([[-1]]), IntMatrix.from_rows([[1]]))
+F2 = finitary((0, 1), IntMatrix.from_rows([[0, 1], [1, 0]]))
+F5 = finitary((2, 4), IntMatrix.from_rows([[1, 2], [0, 1]]))
+
+
+@pytest.mark.parametrize(
+    "auts, n, core",
+    [
+        ((U2, U3), 6, 6),
+        ((U2, U3), 12, 6),
+        ((U2, U3, U2), 30, 6),
+        ((U2, U3), 4, None),  # misaligned for U3
+        ((U2,), 0, None),  # window 0 has no reduction
+        ((U2, HEADED), 4, None),  # a head
+        ((U2, F2), 4, None),  # mixed classes
+        ((U2, graded((), ())), 4, None),
+        ((F2,), 2, 2),
+        ((F2, F5), 5, 5),
+        ((F2, F5), 200000, 5),
+        ((F2, F5), 4, None),  # does not cover the support
+        ((identity_aut(),), 3, 0),
+        ((F2,), 0, None),
+        ((), 4, 1),
+    ],
+)
+def test_core_window(auts, n, core):
+    assert core_window(auts, n) == core
 
 
 def test_compose_returns_the_canonical_identity():

@@ -314,3 +314,56 @@ def test_verify_shallow_nested_word(tmp_path, capsys):
     code, out, _ = run(["verify", str(cert_file)], capsys)
     assert code == 0
     assert out.endswith("verified: True\n")
+
+
+SWAP_ATOM = {"matrix": [[0, 1], [1, 0]], "support": [0, 1], "variant": "finitary"}
+SWAP_BLOCK = {"block": [[0, 1], [1, 0]], "variant": "uniform", "window": []}
+
+
+def _certificate_document(claim, windows, atom, word, **extra) -> str:
+    return json.dumps(
+        {"claim": claim, "env": {"a": atom}, "format_version": 1, "kind": "certificate",
+         "windows": windows, "word": word, **extra}
+    )
+
+
+A = {"name": "a", "op": "named"}
+AA = {"factors": [A, A], "op": "product"}
+
+# large windows that need no more than the atoms' own blocks; each used to
+# ask for a dense matrix of the window's size
+HOSTILE_DOCUMENTS = [
+    (
+        _certificate_document("order", [200000], SWAP_ATOM, A, order=2),
+        0,
+        ["window 200000: order is exactly 2", "verified: True"],
+    ),
+    (
+        _certificate_document("order", [200000], SWAP_ATOM, A, order=3),
+        1,
+        ["window 200000: word^3 is not the identity", "verified: False"],
+    ),
+    (
+        _certificate_document("window-identity", [1000000], SWAP_ATOM, AA,
+                              target_aut={"matrix": [], "support": [], "variant": "finitary"}),
+        0,
+        ["window 1000000: identity holds", "verified: True"],
+    ),
+    (
+        _certificate_document("order", [200000, 400000], SWAP_BLOCK, A, order=4),
+        1,
+        ["window 200000: order divides 2, not exactly 4",
+         "window 400000: order divides 2, not exactly 4", "verified: False"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, code, lines",
+    HOSTILE_DOCUMENTS,
+    ids=["finitary-order", "finitary-wrong-order", "finitary-identity", "uniform-order-divides"],
+)
+def test_verify_hostile_documents(tmp_path, capsys, text, code, lines):
+    cert_file = tmp_path / "hostile.cert"
+    cert_file.write_text(text)
+    assert run(["verify", str(cert_file)], capsys) == (code, "\n".join(lines) + "\n", "")

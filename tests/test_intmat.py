@@ -359,12 +359,16 @@ def test_internal_results_pass_validation():
 
 
 class ProductCounter:
+    """Counts ``IntMatrix`` products and keeps the largest dimension formed."""
+
     def __init__(self, monkeypatch):
         self.count = 0
+        self.largest = 0
         orig = IntMatrix.__mul__
 
         def counting(a, b):
             self.count += 1
+            self.largest = max(self.largest, a.rows, b.cols)
             return orig(a, b)
 
         monkeypatch.setattr(IntMatrix, "__mul__", counting)
@@ -380,3 +384,27 @@ def test_power_product_count(monkeypatch):
         products.count = 0
         assert m.power(e) == IntMatrix.from_rows([[1, e], [0, 1]])
         assert products.count == e.bit_length() - 1 + bin(e).count("1") - 1
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[1]],
+        [[-1]],
+        [[0]],
+        [[1, 0], [0, 1]],
+        [[1, 0], [0, -1]],
+        [[1, 1], [0, 1]],
+        [[1, 0], [1, 1]],
+        [[0, 1], [1, 0]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+        [[1, 0, 0], [0, 1, 0]],
+        [[1, 0, 5], [0, 1, 5]],  # one 1 and n - 1 zeros per row, but not square
+        [[1, 0], [0, 1], [0, 0]],
+    ],
+)
+def test_is_identity_reads_the_entries(rows):
+    m = IntMatrix.from_rows(rows)
+    assert m.is_identity() == (m.is_square and m == IntMatrix.identity(m.rows))

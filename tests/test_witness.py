@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -30,6 +31,7 @@ from infrank.witness import (
 from infrank.serialize import parse_chain, serialize_chain
 from infrank.words import (
     ACTION_ON_VECTOR,
+    ORDER,
     WINDOW_IDENTITY,
     Certificate,
     Conj,
@@ -577,3 +579,40 @@ def test_action_certificates_make_no_products(monkeypatch):
                        word=Power(Named("tau"), 5), vector=(0, 1), target_vector=(5, 1))
     assert verify_certificate(cert).ok
     assert products.count > 0
+
+
+def test_chain_certificates_stay_on_their_first_window(monkeypatch):
+    chain = km_pipeline(canonical_shear(3, 4))
+    certs = [
+        cert
+        for c in (chain, parse_chain(serialize_chain(chain)))
+        for step in c.steps
+        for cert in step.certificates
+    ]
+    assert {cert.kind for cert in certs} == {WINDOW_IDENTITY, ORDER, ACTION_ON_VECTOR}
+    for cert in certs:
+        products = ProductCounter(monkeypatch)
+        assert verify_certificate(cert).ok
+        assert products.largest <= cert.windows[0]
+
+
+# sha256 and length of serialize_chain(km_pipeline(canonical_shear(k, m), pair)),
+# recorded before identity and order claims were checked on the core window
+CHAIN_DIGESTS = [
+    (3, 4, (2, 3), 87827, "9fe9fbd1d429a9124267f631d8a1689dddf3b91c28b003a1a3ebae196dbfe03e"),
+    (-3, 4, (2, 3), 88034, "62eff19ba8cb31f495256d67e36ee44fff5a20a55bbdab238327a4876f4ebc15"),
+    (2, 5, (2, 3), 226323, "fff63705e04559f16f0d5a3448fdde1da94d89b20592ff16619b5eb3d914b658"),
+    (3, 8, (2, 3), 282586, "d553b426e4e567a66973f876e442c979a7f547c6854bbb04e343432d3465b6a1"),
+    (1, 3, (2, 3), 2164, "23e89583dd62cc73620d08f54f73b2599cee13110053e7ed1bc1f0952167f168"),
+    (3, 4, (2, 5), 178422, "9645c1b23367f7636bb36da104b2d4b87af092f5f985274ffc9008b33c194268"),
+]
+
+
+@pytest.mark.parametrize(
+    "k, m, pair, size, digest",
+    CHAIN_DIGESTS,
+    ids=[f"k{k}-m{m}-pair{a},{b}" for k, m, (a, b), _, _ in CHAIN_DIGESTS],
+)
+def test_chain_bytes_are_unchanged(k, m, pair, size, digest):
+    data = serialize_chain(km_pipeline(canonical_shear(k, m), pair)).encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)

@@ -1,10 +1,20 @@
 import random
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infrank.autrep import eventually_uniform, finitary, graded, uniform
+from infrank import words as words_module
+from infrank.autrep import (
+    BlockSpec,
+    EventuallyUniform,
+    Finitary,
+    eventually_uniform,
+    finitary,
+    graded,
+    uniform,
+)
 from infrank.errors import AlignmentError, InfrankError, ValidationError, WordError
 from infrank.intmat import IntMatrix
 from infrank.witness import order_n_shear, tau_power
@@ -12,6 +22,7 @@ from infrank.words import (
     ACTION_ON_VECTOR,
     ORDER,
     WINDOW_IDENTITY,
+    WINDOW_SUM,
     Certificate,
     Conj,
     Inverse,
@@ -21,6 +32,7 @@ from infrank.words import (
     evaluate_word,
     push_word,
     verify_certificate,
+    word_names,
 )
 
 from test_autrep import unimodular
@@ -243,16 +255,16 @@ EXPONENTS = st.sampled_from([-14, -3, -2, -1, 0, 1, 2, 3, 13])
 
 
 @st.composite
-def words(draw, depth=3):
-    """Words over the atoms f, u and g nesting up to ``depth`` tokens deep."""
+def words(draw, depth=3, names=("f", "u", "g"), exponents=EXPONENTS):
+    """Words over the atoms ``names`` nesting up to ``depth`` tokens deep."""
     kind = draw(st.integers(0, 5)) if depth else 0
     if kind < 2:
-        return Named(draw(st.sampled_from(["f", "u", "g"])))
-    inner = words(depth - 1)
+        return Named(draw(st.sampled_from(names)))
+    inner = words(depth - 1, names, exponents)
     if kind == 2:
         return Inverse(draw(inner))
     if kind == 3:
-        return Power(draw(inner), draw(EXPONENTS))
+        return Power(draw(inner), draw(exponents))
     if kind == 4:
         return Conj(draw(inner), draw(inner))
     return Product(tuple(draw(st.lists(inner, max_size=3))))
@@ -321,3 +333,164 @@ def test_push_goes_dense_when_pushes_outgrow_the_word(monkeypatch):
         got = push_word(word, ENV, 4, v)
         assert (products.count > 0) == dense
         assert got == evaluate_word(word, ENV, 4).apply(v)
+
+
+# -- identity and order claims on the core window ----------------------------
+
+
+def _dense_outcome(cert):
+    """What ``verify_certificate`` gives with no window reduction at all."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words_module, "core_window", lambda atoms, n: None)
+        return _outcome(lambda: verify_certificate(cert))
+
+
+@st.composite
+def signed_permutation(draw, n):
+    rows = [[0] * n for _ in range(n)]
+    for j, i in enumerate(draw(st.permutations(range(n)))):
+        rows[i][j] = draw(st.sampled_from([1, -1]))
+    return IntMatrix.from_rows(rows)
+
+
+def block(n):
+    """A block of finite order, or one of (mostly) infinite order."""
+    return st.one_of(signed_permutation(n), unimodular(n))
+
+
+@st.composite
+def head_free_or_finitary_env(draw):
+    """Three head-free uniform atoms with blocks of 1-4, or three finitary
+    atoms below coordinate 8."""
+    head_free = draw(st.booleans())
+    env = {}
+    for name in ("a", "b", "c"):
+        if head_free:
+            env[name] = uniform(draw(block(draw(st.integers(1, 4)))))
+        else:
+            size = draw(st.integers(1, 3))
+            support = draw(st.lists(st.integers(0, 7), min_size=size, max_size=size, unique=True))
+            env[name] = finitary(support, draw(block(size)))
+    return head_free, env
+
+
+def _finite_order(m, bound=120):
+    p = m
+    for k in range(1, bound + 1):
+        if p.is_identity():
+            return k
+        p = p * m
+    return None
+
+
+def _tampered(target, i, j):
+    """``target`` with entry (i, j) of its block or support matrix bumped;
+    built past validation, as a hand-edited document could not be."""
+    if isinstance(target, EventuallyUniform):
+        m = target.block.matrix
+    else:
+        m = target.matrix
+    rows = [list(r) for r in m.data]
+    rows[i][j] += 1
+    t = IntMatrix.from_rows(rows)
+    if isinstance(target, EventuallyUniform):
+        return EventuallyUniform(target.window, target.window_inverse, BlockSpec(t, t))
+    return Finitary(target.support, t, t)
+
+
+@settings(max_examples=120)
+@given(
+    head_free_or_finitary_env(),
+    words(names=("a", "b", "c"), exponents=st.integers(-3, 3)),
+    st.data(),
+)
+def test_core_window_claims_match_dense(head_free_and_env, word, data):
+    head_free, env = head_free_and_env
+    atoms = [env[name] for name in word_names(word)]
+    if head_free:
+        core = lcm(*(a.d for a in atoms))
+        w = evaluate_word(word, env, core)
+        target, size = uniform(w), core
+    else:
+        core = max((a.max_support + 1 for a in atoms), default=0)
+        w = evaluate_word(word, env, core)
+        target = finitary(range(core), w)
+        size = len(target.support)
+    windows = (core, 2 * core, 3 * core)
+    targets = [target, env["b"]]  # env["b"] is mostly a wrong target of another size
+    if size:
+        i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        targets.append(_tampered(target, i, j))
+    certs = [
+        Certificate(kind=WINDOW_IDENTITY, windows=windows, environment=env, word=word,
+                    target_aut=t)
+        for t in targets
+    ]
+    k = _finite_order(w)
+    orders = (1, 2, 6) if k is None else (k, 2 * k, k + 1)
+    certs += [
+        Certificate(kind=ORDER, windows=windows, environment=env, word=word, order=o)
+        for o in orders
+    ]
+    for cert in certs:
+        with pytest.MonkeyPatch.context() as mp:
+            products = ProductCounter(mp)
+            got = _outcome(lambda: verify_certificate(cert))
+        assert got == _dense_outcome(cert)
+        if core:
+            assert products.largest <= core
+    if core:
+        assert verify_certificate(certs[0]).ok
+        if k is not None:
+            assert verify_certificate(certs[len(targets)]).ok
+
+
+EDGE_ENV = {
+    "u": uniform(IntMatrix.from_rows([[1, 2], [0, 1]])),
+    "v": uniform(IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])),
+    "h": eventually_uniform(
+        IntMatrix.from_rows([[-1, 0], [0, 1]]), IntMatrix.from_rows([[0, 1], [1, 0]])
+    ),
+    "g": graded((2,), ()),
+    "f": finitary((0, 3), IntMatrix.from_rows([[0, 1], [1, 0]])),
+}
+UV = Product((Named("u"), Named("v"), Inverse(Named("u"))))
+
+
+@pytest.mark.parametrize(
+    "kind, windows, word, extra",
+    [
+        (ORDER, (0,), UV, {"order": 3}),
+        (WINDOW_IDENTITY, (0, 6), UV, {"target_aut": EDGE_ENV["v"]}),
+        (ORDER, (6, 8), UV, {"order": 3}),  # misaligned second window
+        (ORDER, (8, 6), UV, {"order": 3}),  # misaligned first window
+        (WINDOW_IDENTITY, (6, 12), Product((Named("u"), Named("nope"))),
+         {"target_aut": EDGE_ENV["u"]}),
+        (ORDER, (6,), Product((Named("nope"), Named("also"))), {"order": 3}),
+        # a target matrix extends by the identity: this one holds on window 6 only
+        (WINDOW_IDENTITY, (6, 12), Named("v"),
+         {"target_matrix": IntMatrix.block_diag([EDGE_ENV["v"].block.matrix] * 2)}),
+        (WINDOW_IDENTITY, (6, 12), Named("v"),
+         {"target_matrix": IntMatrix.from_rows([[0, 1, 0], [0, 0, 2], [1, 0, 0]])}),
+        (WINDOW_IDENTITY, (6, 12), Named("v"), {}),  # no target
+        (WINDOW_IDENTITY, (6, 12), Product((Named("h"), Named("g"))),
+         {"target_aut": EDGE_ENV["h"]}),
+        (ORDER, (6, 12), Product((Named("h"), Named("g"))), {"order": 2}),
+        (ORDER, (4, 8), Named("h"), {"order": 2}),  # headed alone
+        (WINDOW_IDENTITY, (6, 12), Named("u"), {"target_aut": EDGE_ENV["f"]}),  # mixed classes
+        (WINDOW_IDENTITY, (6, 12), Named("u"), {"target_aut": EDGE_ENV["v"]}),  # other blocks
+        (WINDOW_IDENTITY, (2, 4), Named("u"), {"target_aut": EDGE_ENV["v"]}),  # misaligned target
+        (ORDER, (4, 2), Named("f"), {"order": 2}),  # window short of the support
+        # action and sum claims stay dense: this vector reaches past window 2
+        (ACTION_ON_VECTOR, (6, 12), Named("u"),
+         {"vector": (0, 0, 0, 1), "target_vector": (0, 0, 2, 1)}),
+        (WINDOW_SUM, (6, 12), None,
+         {"summand_words": (Named("u"), Inverse(Named("u"))),
+          "target_matrix": IntMatrix.from_rows([[2, 0], [0, 2]])}),
+        (ORDER, (6, 12), UV, {"order": 0}),
+        (ORDER, (6, 12), None, {"order": 3}),
+    ],
+)
+def test_core_window_edges_match_dense(kind, windows, word, extra):
+    cert = Certificate(kind=kind, windows=windows, environment=EDGE_ENV, word=word, **extra)
+    assert _outcome(lambda: verify_certificate(cert)) == _dense_outcome(cert)
