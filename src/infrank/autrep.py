@@ -22,13 +22,13 @@ column convention of :mod:`infrank.intmat`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from itertools import accumulate, compress, islice
 from math import lcm, prod
 from operator import mul
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import AlignmentError, CompositionUnsupportedError, DimensionError, ValidationError
-from .intmat import IntMatrix, _unimodular_inverse
+from .intmat import IntMatrix, _unimodular_inverse, identity_rows
 from .numth import factorize, is_prime, next_prime
 
 
@@ -260,24 +260,31 @@ def _check_window(aut: RepAut, n: int) -> None:
 
 
 def core_window(auts: Sequence[RepAut], n: int) -> Optional[int]:
-    """The window L that window n of every word over ``auts`` repeats, or None.
+    """The window that window n of every word over ``auts`` reduces to, or None.
 
-    Head-free uniform atoms act block by block: on a positive multiple n of
-    L, the lcm of their block sizes, a word over them is n/L copies of its
-    L x L window.  Finitary atoms fix every coordinate from L on, L being
-    their largest support index plus one: on a positive n >= L a word over
-    them is its L x L window and an identity block.  So two such words
-    agree, or a power of one is the identity, on window n exactly when they
-    do on window L, and the first entry where they differ lies in the
-    top-left L x L block.  Any other atoms, or any other n, give None.
+    Eventually uniform atoms: let L be the lcm of their block sizes and H the
+    least multiple of L covering every head.  Every aligned window is then
+    H + kL, and past H each atom acts block by block on L-sized chunks, so a
+    word over them is window H followed by k copies of one L x L block.  The
+    core is H + L, or H itself when n = H; with no head (H = 0) it is L.
+    Finitary atoms fix every coordinate from L on, L being their largest
+    support index plus one: on a positive n >= L a word over them is its
+    L x L window and an identity block, and the core is L.  So two such
+    words agree, or a power of one is the identity, on window n exactly when
+    they do on the core window, and the first entry where they differ lies
+    in its top-left block.  Any other atoms, or any other n, give None.
     """
     if n <= 0:
         return None
-    if all(isinstance(a, EventuallyUniform) and a.window_size == 0 for a in auts):
-        core = lcm(*(a.d for a in auts))
-        return core if n % core == 0 else None
+    if all(isinstance(a, EventuallyUniform) for a in auts):
+        period = lcm(*(a.d for a in auts))
+        top = max((a.window_size for a in auts), default=0)
+        head = top + (-top) % period
+        if n < head or n % period or any(a.window_size % a.d for a in auts):
+            return None
+        return head if n == head else head + period
     if all(isinstance(a, Finitary) for a in auts):
-        core = max((a.max_support + 1 for a in auts), default=0)
+        core = max(a.max_support + 1 for a in auts)
         return core if n >= core else None
     return None
 
@@ -290,7 +297,7 @@ def window_matrix(aut: RepAut, n: int) -> IntMatrix:
     """
     _check_window(aut, n)
     if isinstance(aut, Finitary):
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        rows = identity_rows(n)
         for a, i in enumerate(aut.support):
             for b, j in enumerate(aut.support):
                 rows[i][j] = aut.matrix.data[a][b]
@@ -298,7 +305,7 @@ def window_matrix(aut: RepAut, n: int) -> IntMatrix:
     if isinstance(aut, EventuallyUniform):
         tail = (n - aut.window_size) // aut.d
         return IntMatrix.block_diag([aut.window] + [aut.block.matrix] * tail)
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = identity_rows(n)
     for pair, c in enumerate(accumulate(islice(aut.multipliers(), n // 2), mul)):
         rows[2 * pair + 1][2 * pair] = -c if aut.negated else c
     return IntMatrix._trusted(tuple(map(tuple, rows)))
@@ -308,8 +315,8 @@ def window_apply(aut: RepAut, n: int, vector: Sequence[int]) -> list[int]:
     """``window_matrix(aut, n).apply(vector)`` without forming the matrix.
 
     Each class acts on its own terms: a finitary atom on its support, an
-    eventually uniform one by its head window and then block by block
-    (all-zero chunks are skipped), a graded one pair by pair up to the last
+    eventually uniform one by its head window and then only on the blocks
+    that hold a nonzero coordinate, a graded one pair by pair up to the last
     nonzero x-coordinate.
     """
     _check_window(aut, n)
@@ -321,7 +328,8 @@ def window_apply(aut: RepAut, n: int, vector: Sequence[int]) -> list[int]:
     elif isinstance(aut, EventuallyUniform):
         n0, d = aut.window_size, aut.d
         _apply_block(aut.window, range(n0), vector, out)
-        for s in range(n0, n, d):
+        nonzero = compress(range(n0, n), islice(vector, n0, None))
+        for s in dict.fromkeys(i - (i - n0) % d for i in nonzero):
             _apply_block(aut.block.matrix, range(s, s + d), vector, out)
     else:
         xs = range(0, n, 2)
@@ -413,7 +421,7 @@ def compose(a: RepAut, b: RepAut) -> RepAut:
         size = len(sup)
 
         def embed(f: Finitary) -> IntMatrix:
-            rows = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+            rows = identity_rows(size)
             for x, i in enumerate(f.support):
                 for y, j in enumerate(f.support):
                     rows[pos[i]][pos[j]] = f.matrix.data[x][y]

@@ -18,6 +18,14 @@ from typing import Iterable, Optional, Sequence
 from .errors import DimensionError, NotCompletableError, ValidationError
 
 
+def identity_rows(n: int) -> list[list[int]]:
+    """The n x n identity as mutable rows: zero rows with the diagonal set."""
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix stored as a tuple of row tuples."""
@@ -54,9 +62,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix._trusted(
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        )
+        return IntMatrix._trusted(tuple(map(tuple, identity_rows(n))))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
@@ -136,28 +142,25 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # row accumulation with zero skipping: the window matrices of block
-        # automorphisms are mostly zeros and this keeps products near-linear
+        # each row of the right factor as its nonzero (column, value) pairs,
+        # collected once: the window matrices of block automorphisms are mostly
+        # zeros, so a product costs about the number of nonzero term pairs
+        sparse = [[(c, b) for c, b in enumerate(orow) if b] for orow in other.data]
         cols = other.cols
-        odata = other.data
         out = []
         for row in self.data:
             acc = [0] * cols
-            for j, a in enumerate(row):
+            for a, pairs in zip(row, sparse):
                 if a:
-                    orow = odata[j]
                     if a == 1:
-                        for c, b in enumerate(orow):
-                            if b:
-                                acc[c] += b
+                        for c, b in pairs:
+                            acc[c] += b
                     elif a == -1:
-                        for c, b in enumerate(orow):
-                            if b:
-                                acc[c] -= b
+                        for c, b in pairs:
+                            acc[c] -= b
                     else:
-                        for c, b in enumerate(orow):
-                            if b:
-                                acc[c] += a * b
+                        for c, b in pairs:
+                            acc[c] += a * b
             out.append(tuple(acc))
         return IntMatrix._trusted(tuple(out))
 
@@ -340,8 +343,8 @@ def snf(m: IntMatrix) -> SnfResult:
     """
     rows, cols = m.rows, m.cols
     a = [list(row) for row in m.data]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    u = identity_rows(rows)
+    v = identity_rows(cols)
 
     def swap_rows(i, j):
         if i != j:

@@ -17,7 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
-from .autrep import RepAut, _check_window, aligned_window, core_window, window_apply, window_matrix
+from .autrep import (
+    EventuallyUniform,
+    RepAut,
+    _check_window,
+    aligned_window,
+    core_window,
+    window_apply,
+    window_matrix,
+)
 from .autrep import invert as invert_aut
 from .errors import DimensionError, ValidationError, WordError
 from .intmat import IntMatrix
@@ -299,36 +307,49 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
 
     An identity or order claim on a window that ``autrep.core_window``
     reduces is checked once on the core window, and the verdict is reported
-    for every window it stands for.
+    for every window it stands for.  An action claim on such a window is
+    pushed chunk by chunk on the core window (``_check_action``).
     """
-    check = _CHECKS[cert.kind]
     atoms = _core_atoms(cert)
     done: dict[int, tuple[bool, str]] = {}
+    pushed: dict[tuple[int, ...], tuple[int, ...]] = {}
     lines: list[str] = []
     ok = True
     for n in cert.windows:
         core = None if atoms is None else core_window(atoms, n)
-        m = n if core is None else core
-        if m not in done:
-            done[m] = check(cert, m)
-        holds, detail = done[m]
+        if cert.kind == ACTION_ON_VECTOR:
+            holds, detail = _check_action(cert, n, core, atoms, pushed)
+        else:
+            m = n if core is None else core
+            if m not in done:
+                done[m] = _CHECKS[cert.kind](cert, m)
+            holds, detail = done[m]
         ok = ok and holds
         lines.append(f"window {n}: {detail}")
     return VerifyResult(ok, tuple(lines))
 
 
 def _core_atoms(cert: Certificate) -> Optional[list[RepAut]]:
-    """The atoms of an identity or order claim, its ``target_aut`` included;
-    None for other claims and for words that name a missing atom."""
-    if cert.kind == ORDER or (cert.kind == WINDOW_IDENTITY and cert.target_aut is not None):
-        try:
-            names = word_names(cert.word)
-        except WordError:
-            return None
-        if names <= cert.environment.keys():
-            atoms = [cert.environment[name] for name in names]
-            return atoms + [cert.target_aut] if cert.kind == WINDOW_IDENTITY else atoms
-    return None
+    """The atoms of a claim that ``core_window`` may reduce, the
+    ``target_aut`` of an identity claim included; None for window-sum
+    claims, ``target_matrix`` targets, action claims over a headed atom and
+    words that name a missing atom."""
+    if cert.kind == WINDOW_SUM or (cert.kind == WINDOW_IDENTITY and cert.target_aut is None):
+        return None
+    try:
+        names = word_names(cert.word)
+    except WordError:
+        return None
+    if not names <= cert.environment.keys():
+        return None
+    atoms = [cert.environment[name] for name in names]
+    if cert.kind == WINDOW_IDENTITY:
+        return atoms + [cert.target_aut]
+    if cert.kind == ACTION_ON_VECTOR and any(
+        isinstance(a, EventuallyUniform) and a.window_size for a in atoms
+    ):
+        return None
+    return atoms
 
 
 def _check_identity(cert: Certificate, n: int) -> tuple[bool, str]:
@@ -357,10 +378,38 @@ def _check_order(cert: Certificate, n: int) -> tuple[bool, str]:
     return True, f"order is exactly {k}"
 
 
-def _check_action(cert: Certificate, n: int) -> tuple[bool, str]:
+def _check_action(
+    cert: Certificate,
+    n: int,
+    core: Optional[int],
+    atoms: Optional[list[RepAut]],
+    pushed: dict[tuple[int, ...], tuple[int, ...]],
+) -> tuple[bool, str]:
+    """Push the vector on window n, or on the core window L when there is one.
+
+    Over head-free uniform atoms window n is n/L copies of window L, so each
+    L-chunk of the padded vector is pushed on its own: an all-zero chunk
+    maps to zero, and each distinct other chunk is pushed once per
+    certificate (``pushed`` is shared by its windows).  Over finitary atoms
+    the first L coordinates are pushed and the rest stay.  The assembled
+    image is compared with the target over all n coordinates.
+    """
     if cert.vector is None or cert.target_vector is None:
         raise ValidationError("action certificate needs vector and target_vector")
-    got = push_word(cert.word, cert.environment, n, cert.vector)
+    if core is None:
+        got = push_word(cert.word, cert.environment, n, cert.vector)
+    else:
+        v = _pad(cert.vector, n)
+        reach = n if all(isinstance(a, EventuallyUniform) for a in atoms) else core
+        image: list[int] = []
+        for s in range(0, reach, core or 1):  # core 0: atoms that fix everything
+            chunk = v[s : s + core]
+            if any(chunk):
+                if chunk not in pushed:
+                    pushed[chunk] = push_word(cert.word, cert.environment, core, chunk)
+                chunk = pushed[chunk]
+            image += chunk
+        got = tuple(image) + v[reach:]
     want = _pad(cert.target_vector, n)
     if got == want:
         return True, "action holds"
@@ -380,12 +429,7 @@ def _check_sum(cert: Certificate, n: int) -> tuple[bool, str]:
     return False, f"MISMATCH at {_first_difference(total, want)}"
 
 
-_CHECKS = {
-    WINDOW_IDENTITY: _check_identity,
-    ORDER: _check_order,
-    ACTION_ON_VECTOR: _check_action,
-    WINDOW_SUM: _check_sum,
-}
+_CHECKS = {WINDOW_IDENTITY: _check_identity, ORDER: _check_order, WINDOW_SUM: _check_sum}
 
 
 def _extend(m: IntMatrix, n: int, fill_identity: bool = False) -> IntMatrix:

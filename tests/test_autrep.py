@@ -21,6 +21,7 @@ from infrank.autrep import (
     is_identity,
     reblock,
     uniform,
+    window_apply,
     window_matrix,
 )
 from infrank.errors import AlignmentError, CompositionUnsupportedError, ValidationError
@@ -315,6 +316,39 @@ def test_compose_carries_inverses(a, b):
     assert is_identity(compose(c, invert(c)))
 
 
+SUPPORTS = ("head", "last block", "nowhere", "anywhere")
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 2),
+    st.integers(0, 4),
+    st.booleans(),
+    st.sampled_from(SUPPORTS),
+    st.data(),
+)
+def test_window_apply_matches_window_matrix(d, heads, tail, inverted, support, data):
+    aut = eventually_uniform(data.draw(unimodular(d * heads)), data.draw(unimodular(d)))
+    if inverted:
+        aut = invert(aut)
+    n0 = aut.window_size
+    n = n0 + tail * d
+    entries = st.integers(-(2**70), 2**70)
+    if support == "head":
+        coords = range(n0)
+    elif support == "last block":
+        coords = range(max(n - d, n0), n)
+    elif support == "nowhere":
+        coords = range(0)
+    else:
+        coords = range(n)
+    v = [0] * n
+    for i in coords:
+        v[i] = data.draw(entries)
+    assert window_apply(aut, n, v) == list(window_matrix(aut, n).apply(v))
+
+
 def test_compose_of_head_free_atoms_makes_two_products(monkeypatch):
     rng = random.Random(31)
     for da, db in ((2, 2), (2, 3), (4, 6), (1, 5)):
@@ -334,6 +368,13 @@ def test_compose_of_head_free_atoms_makes_two_products(monkeypatch):
 U2 = uniform(IntMatrix.from_rows([[1, 1], [0, 1]]))
 U3 = uniform(IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
 HEADED = eventually_uniform(IntMatrix.from_rows([[-1]]), IntMatrix.from_rows([[1]]))
+HEADED_PAIR = eventually_uniform(
+    IntMatrix.from_rows([[-1, 0], [0, 1]]), IntMatrix.from_rows([[0, 1], [1, 0]])
+)
+# built past validation: a head of one coordinate before blocks of 2
+HEAD_OFF_BLOCKS = EventuallyUniform(
+    IntMatrix.from_rows([[-1]]), IntMatrix.from_rows([[-1]]), U2.block
+)
 F2 = finitary((0, 1), IntMatrix.from_rows([[0, 1], [1, 0]]))
 F5 = finitary((2, 4), IntMatrix.from_rows([[1, 2], [0, 1]]))
 
@@ -346,7 +387,7 @@ F5 = finitary((2, 4), IntMatrix.from_rows([[1, 2], [0, 1]]))
         ((U2, U3, U2), 30, 6),
         ((U2, U3), 4, None),  # misaligned for U3
         ((U2,), 0, None),  # window 0 has no reduction
-        ((U2, HEADED), 4, None),  # a head
+        ((U2, HEADED), 4, 4),  # head 1 rounded up to the period 2, then one period
         ((U2, F2), 4, None),  # mixed classes
         ((U2, graded((), ())), 4, None),
         ((F2,), 2, 2),
@@ -356,6 +397,17 @@ F5 = finitary((2, 4), IntMatrix.from_rows([[1, 2], [0, 1]]))
         ((identity_aut(),), 3, 0),
         ((F2,), 0, None),
         ((), 4, 1),
+        ((U2, HEADED), 2, 2),  # the head window alone
+        ((U2, HEADED), 3, None),  # misaligned
+        ((U2, HEADED), 200000, 4),
+        ((HEADED,), 1, 1),
+        ((HEADED,), 7, 2),
+        ((U3, HEADED_PAIR), 6, 6),  # head 2 rounded up to the period 6
+        ((U3, HEADED_PAIR), 18, 12),
+        ((U3, HEADED_PAIR), 4, None),  # aligned for the head, short of the period
+        ((HEADED, F2), 4, None),  # a head and a finitary atom
+        ((HEADED, graded((), ())), 4, None),
+        ((HEAD_OFF_BLOCKS,), 4, None),  # a head that is not whole blocks
     ],
 )
 def test_core_window(auts, n, core):

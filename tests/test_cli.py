@@ -318,6 +318,7 @@ def test_verify_shallow_nested_word(tmp_path, capsys):
 
 SWAP_ATOM = {"matrix": [[0, 1], [1, 0]], "support": [0, 1], "variant": "finitary"}
 SWAP_BLOCK = {"block": [[0, 1], [1, 0]], "variant": "uniform", "window": []}
+HEADED_SWAP = {"block": [[0, 1], [1, 0]], "variant": "uniform", "window": [[-1, 0], [0, 1]]}
 
 
 def _certificate_document(claim, windows, atom, word, **extra) -> str:
@@ -355,13 +356,19 @@ HOSTILE_DOCUMENTS = [
         ["window 200000: order divides 2, not exactly 4",
          "window 400000: order divides 2, not exactly 4", "verified: False"],
     ),
+    (
+        _certificate_document("order", [200000], HEADED_SWAP, A, order=2),
+        0,
+        ["window 200000: order is exactly 2", "verified: True"],
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "text, code, lines",
     HOSTILE_DOCUMENTS,
-    ids=["finitary-order", "finitary-wrong-order", "finitary-identity", "uniform-order-divides"],
+    ids=["finitary-order", "finitary-wrong-order", "finitary-identity", "uniform-order-divides",
+         "headed-order"],
 )
 def test_verify_hostile_documents(tmp_path, capsys, text, code, lines):
     cert_file = tmp_path / "hostile.cert"

@@ -408,3 +408,32 @@ def test_power_product_count(monkeypatch):
 def test_is_identity_reads_the_entries(rows):
     m = IntMatrix.from_rows(rows)
     assert m.is_identity() == (m.is_square and m == IntMatrix.identity(m.rows))
+
+
+@st.composite
+def sparse_matrices(draw, rows, cols):
+    """rows x cols with a drawn share of nonzero entries, from 0 to 100 %:
+    +-1, small and over 64 bits."""
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        big = rng.randint(2**64, 2**80) * rng.choice([1, -1])
+        return rng.choice([1, -1, rng.choice([-3, -2, 2, 5]), big])
+
+    return IntMatrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)])
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7), st.data())
+def test_product_matches_triple_loop(r, k, c, data):
+    a = data.draw(sparse_matrices(r, k))
+    # a matrix with no rows has no columns either
+    b = data.draw(sparse_matrices(a.cols, c))
+    want = tuple(
+        tuple(sum(a.data[i][t] * b.data[t][j] for t in range(a.cols)) for j in range(b.cols))
+        for i in range(a.rows)
+    )
+    assert (a * b).data == want

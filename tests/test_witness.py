@@ -1,11 +1,13 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from infrank import witness
-from infrank.autrep import compose, identity_aut, uniform, window_matrix
+from infrank import words as words_module
+from infrank.autrep import compose, core_window, identity_aut, uniform, window_matrix
 from infrank.classify import congruence_gcd
 from infrank.errors import DimensionError, ShapeError, ValidationError
 from infrank.intmat import IntMatrix, is_unimodular_set, solve_columns
@@ -616,3 +618,60 @@ CHAIN_DIGESTS = [
 def test_chain_bytes_are_unchanged(k, m, pair, size, digest):
     data = serialize_chain(km_pipeline(canonical_shear(k, m), pair)).encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+def _chain_action_certificates(k, m):
+    """The action certificates of the built chain, and of the chain parsed back."""
+    chain = km_pipeline(canonical_shear(k, m))
+    return [
+        [cert for step in c.steps for cert in step.certificates if cert.kind == ACTION_ON_VECTOR]
+        for c in (chain, parse_chain(serialize_chain(chain)))
+    ]
+
+
+def _dense_verify(cert):
+    """``verify_certificate`` with no window reduction at all."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words_module, "core_window", lambda atoms, n: None)
+        return verify_certificate(cert)
+
+
+def test_tampered_action_targets_fail_as_dense():
+    """Bumping any one target entry, up to the largest window, fails with the
+    dense verifier's report on the windows the bumped target fits in."""
+    built, parsed = _chain_action_certificates(3, 4)
+    assert built == parsed
+    for cert, again in zip(built, parsed):
+        top = cert.windows[-1]
+        target = cert.target_vector + (0,) * (top - len(cert.target_vector))
+        for i in range(top):
+            bumped = list(target)
+            bumped[i] += 1
+            change = {"windows": tuple(n for n in cert.windows if n > i),
+                      "target_vector": tuple(bumped)}
+            res = _dense_verify(replace(cert, **change))
+            assert not res.ok
+            assert f"MISMATCH at coordinate {i}: got {target[i]}, expected {bumped[i]}" in res.report[0]
+            assert verify_certificate(replace(cert, **change)) == res
+            assert verify_certificate(replace(again, **change)) == res
+
+
+def test_action_pushes_stay_on_the_core_window(monkeypatch):
+    """Every push runs on a window no larger than the core window, and each
+    distinct chunk is pushed once per certificate."""
+    built, parsed = _chain_action_certificates(3, 4)
+    pushes = []
+    push = words_module.push_word
+
+    def recording(word, env, n, vector):
+        pushes.append((n, tuple(vector)))
+        return push(word, env, n, vector)
+
+    monkeypatch.setattr(words_module, "push_word", recording)
+    for cert in built + parsed:
+        pushes.clear()
+        assert verify_certificate(cert).ok
+        cores = {core_window(words_module._core_atoms(cert), n) for n in cert.windows}
+        assert pushes and all(n in cores for n, _ in pushes)
+        assert len(set(pushes)) == len(pushes)
+        assert all(any(v) for _, v in pushes)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import lcm
 
 import pytest
@@ -359,19 +360,36 @@ def block(n):
 
 
 @st.composite
-def head_free_or_finitary_env(draw):
-    """Three head-free uniform atoms with blocks of 1-4, or three finitary
-    atoms below coordinate 8."""
-    head_free = draw(st.booleans())
+def core_env(draw):
+    """Three atoms of one kind: head-free uniform with blocks of 1-4, uniform
+    with blocks of 1-3 after heads of up to two blocks, or finitary below
+    coordinate 8."""
+    kind = draw(st.sampled_from(["head-free", "headed", "finitary"]))
     env = {}
     for name in ("a", "b", "c"):
-        if head_free:
-            env[name] = uniform(draw(block(draw(st.integers(1, 4)))))
-        else:
+        if kind == "finitary":
             size = draw(st.integers(1, 3))
             support = draw(st.lists(st.integers(0, 7), min_size=size, max_size=size, unique=True))
             env[name] = finitary(support, draw(block(size)))
-    return head_free, env
+        elif kind == "headed":
+            d = draw(st.integers(1, 3))
+            env[name] = eventually_uniform(draw(block(d * draw(st.integers(0, 2)))), draw(block(d)))
+        else:
+            env[name] = uniform(draw(block(draw(st.integers(1, 4)))))
+    return kind, env
+
+
+def _core_and_windows(kind, atoms):
+    """The core window of words over ``atoms``, worked out by hand, three
+    windows it stands for, and the head window where there is a head."""
+    if kind == "finitary":
+        core = max((a.max_support + 1 for a in atoms), default=0)
+        return core, (core, 2 * core, 3 * core)
+    period = lcm(*(a.d for a in atoms))
+    top = max((a.window_size for a in atoms), default=0)
+    head = -(-top // period) * period
+    core = head + period
+    return core, (core, head + 2 * period, head + 3 * period) + ((head,) if head else ())
 
 
 def _finite_order(m, bound=120):
@@ -383,44 +401,46 @@ def _finite_order(m, bound=120):
     return None
 
 
-def _tampered(target, i, j):
-    """``target`` with entry (i, j) of its block or support matrix bumped;
-    built past validation, as a hand-edited document could not be."""
+def _tampered(target, head, i, j):
+    """``target`` with entry (i, j) of its head (``head``) or of its block or
+    support matrix bumped; built past validation, as a hand-edited document
+    could not be."""
     if isinstance(target, EventuallyUniform):
-        m = target.block.matrix
+        m = target.window if head else target.block.matrix
     else:
         m = target.matrix
     rows = [list(r) for r in m.data]
     rows[i][j] += 1
     t = IntMatrix.from_rows(rows)
-    if isinstance(target, EventuallyUniform):
-        return EventuallyUniform(target.window, target.window_inverse, BlockSpec(t, t))
-    return Finitary(target.support, t, t)
+    if not isinstance(target, EventuallyUniform):
+        return Finitary(target.support, t, t)
+    if head:
+        return EventuallyUniform(t, t, target.block)
+    return EventuallyUniform(target.window, target.window_inverse, BlockSpec(t, t))
 
 
-@settings(max_examples=120)
-@given(
-    head_free_or_finitary_env(),
-    words(names=("a", "b", "c"), exponents=st.integers(-3, 3)),
-    st.data(),
-)
-def test_core_window_claims_match_dense(head_free_and_env, word, data):
-    head_free, env = head_free_and_env
+WORDS_ABC = words(names=("a", "b", "c"), exponents=st.integers(-3, 3))
+
+
+@settings(max_examples=150)
+@given(core_env(), WORDS_ABC, st.data())
+def test_core_window_claims_match_dense(kind_and_env, word, data):
+    kind, env = kind_and_env
     atoms = [env[name] for name in word_names(word)]
-    if head_free:
-        core = lcm(*(a.d for a in atoms))
-        w = evaluate_word(word, env, core)
-        target, size = uniform(w), core
-    else:
-        core = max((a.max_support + 1 for a in atoms), default=0)
-        w = evaluate_word(word, env, core)
+    core, windows = _core_and_windows(kind, atoms)
+    w = evaluate_word(word, env, core)
+    if kind == "finitary":
         target = finitary(range(core), w)
-        size = len(target.support)
-    windows = (core, 2 * core, 3 * core)
+        tamper = [(False, len(target.support))]
+    else:
+        head = core - lcm(*(a.d for a in atoms))
+        target = eventually_uniform(w.top_left(head), w.submatrix(head, core, head, core))
+        tamper = [(True, target.window_size), (False, target.d)]
     targets = [target, env["b"]]  # env["b"] is mostly a wrong target of another size
-    if size:
-        i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
-        targets.append(_tampered(target, i, j))
+    for in_head, size in tamper:
+        if size:
+            i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+            targets.append(_tampered(target, in_head, i, j))
     certs = [
         Certificate(kind=WINDOW_IDENTITY, windows=windows, environment=env, word=word,
                     target_aut=t)
@@ -437,12 +457,60 @@ def test_core_window_claims_match_dense(head_free_and_env, word, data):
             products = ProductCounter(mp)
             got = _outcome(lambda: verify_certificate(cert))
         assert got == _dense_outcome(cert)
-        if core:
-            assert products.largest <= core
+        # a target of other blocks or a longer head has a larger core
+        target_atoms = [] if cert.target_aut is None else [cert.target_aut]
+        bound = _core_and_windows(kind, atoms + target_atoms)[0]
+        if bound:
+            assert products.largest <= bound
     if core:
-        assert verify_certificate(certs[0]).ok
+        # the head window alone may see a smaller order than the core window
+        assert verify_certificate(replace(certs[0], windows=windows[:3])).ok
         if k is not None:
-            assert verify_certificate(certs[len(targets)]).ok
+            assert verify_certificate(replace(certs[len(targets)], windows=windows[:3])).ok
+
+
+SUPPORTS = ("first chunk", "later chunks", "nowhere", "anywhere")
+
+
+@settings(max_examples=150)
+@given(core_env(), WORDS_ABC, st.sampled_from(SUPPORTS), st.data())
+def test_core_window_action_claims_match_dense(kind_and_env, word, support, data):
+    kind, env = kind_and_env
+    atoms = [env[name] for name in word_names(word)]
+    core, windows = _core_and_windows(kind, atoms)
+    windows = windows[:3]
+    n = windows[-1]
+    v = [0] * n
+    if support == "first chunk":
+        coords = range(core)
+    elif support == "later chunks":
+        coords = range(core, n)
+    elif support == "nowhere":
+        coords = range(0)
+    else:
+        coords = range(n)
+    for i in coords:
+        v[i] = data.draw(st.integers(-3, 3))
+    # the claim is made on the windows the vector fits in, the largest among them
+    windows = tuple(m for m in windows if not any(v[m:]))
+    m = windows[0]
+    vector = tuple(v[:m])
+    image = push_word(word, env, n, v)
+    targets = [image[:m], image]  # the second reaches past window m where image does
+    if m:
+        bumped = list(image[:m])
+        bumped[data.draw(st.integers(0, m - 1))] += data.draw(st.sampled_from([-1, 1]))
+        targets.append(tuple(bumped))
+    for target in targets:
+        cert = Certificate(kind=ACTION_ON_VECTOR, windows=windows, environment=env, word=word,
+                           vector=vector, target_vector=target)
+        with pytest.MonkeyPatch.context() as mp:
+            products = ProductCounter(mp)
+            got = _outcome(lambda: verify_certificate(cert))
+        assert got == _dense_outcome(cert)
+        if kind != "headed" and core:
+            assert products.largest <= core
+    assert verify_certificate(replace(cert, target_vector=image[:m])).ok
 
 
 EDGE_ENV = {
@@ -481,7 +549,7 @@ UV = Product((Named("u"), Named("v"), Inverse(Named("u"))))
         (WINDOW_IDENTITY, (6, 12), Named("u"), {"target_aut": EDGE_ENV["v"]}),  # other blocks
         (WINDOW_IDENTITY, (2, 4), Named("u"), {"target_aut": EDGE_ENV["v"]}),  # misaligned target
         (ORDER, (4, 2), Named("f"), {"order": 2}),  # window short of the support
-        # action and sum claims stay dense: this vector reaches past window 2
+        # this vector reaches past the core window 2 into a second chunk; sums stay dense
         (ACTION_ON_VECTOR, (6, 12), Named("u"),
          {"vector": (0, 0, 0, 1), "target_vector": (0, 0, 2, 1)}),
         (WINDOW_SUM, (6, 12), None,
