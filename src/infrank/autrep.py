@@ -140,14 +140,14 @@ def finitary(support, matrix: IntMatrix) -> Finitary:
         raise ValidationError("support indices must be distinct")
     if any(i < 0 for i in sup):
         raise ValidationError("support indices must be nonnegative")
+    if matrix.rows != len(sup) or matrix.cols != len(sup):
+        raise ValidationError("support size and matrix size disagree")
     if sorted(sup) != list(sup):
         order = sorted(range(len(sup)), key=lambda a: sup[a])
         matrix = IntMatrix.from_rows(
             [[matrix.data[order[a]][order[b]] for b in range(len(sup))] for a in range(len(sup))]
         )
         sup = tuple(sorted(sup))
-    if matrix.rows != len(sup) or matrix.cols != len(sup):
-        raise ValidationError("support size and matrix size disagree")
     # pruning splits off an identity summand, which leaves det(matrix) as it is
     keep = [
         a
@@ -259,34 +259,40 @@ def _check_window(aut: RepAut, n: int) -> None:
         raise AlignmentError("graded windows must be even")
 
 
-def core_window(auts: Sequence[RepAut], n: int) -> Optional[int]:
-    """The window that window n of every word over ``auts`` reduces to, or None.
+def core_window(auts: Sequence[RepAut], n: int) -> Optional[tuple[int, int]]:
+    """The window that window n of every word over ``auts`` reduces to, and
+    the period of the blocks past it, or None.
 
-    Eventually uniform atoms: let L be the lcm of their block sizes and H the
-    least multiple of L covering every head.  Every aligned window is then
-    H + kL, and past H each atom acts block by block on L-sized chunks, so a
-    word over them is window H followed by k copies of one L x L block.  The
-    core is H + L, or H itself when n = H; with no head (H = 0) it is L.
-    Finitary atoms fix every coordinate from L on, L being their largest
-    support index plus one: on a positive n >= L a word over them is its
-    L x L window and an identity block, and the core is L.  So two such
-    words agree, or a power of one is the identity, on window n exactly when
-    they do on the core window, and the first entry where they differ lies
-    in its top-left block.  Any other atoms, or any other n, give None.
+    Every atom here is a head followed by one repeated block: a finitary
+    atom is its first max_support + 1 coordinates followed by the identity,
+    an eventually uniform one its head window followed by blocks of d.  Let
+    L be the lcm of the block sizes and H the least multiple of L covering
+    every head.  Window H + kL of each atom, and so of every word over them,
+    is its window H followed by k copies of one L x L block.  The core is
+    H + L, or H itself when n = H or when no atom repeats a block (period
+    0: the blocks are the identity).  So two such words agree, or a power of
+    one is the identity, on window n exactly when they do on the core
+    window, and the first entry where they differ lies in it.  Graded atoms,
+    heads that are not whole blocks and any other n give None.
     """
     if n <= 0:
         return None
-    if all(isinstance(a, EventuallyUniform) for a in auts):
-        period = lcm(*(a.d for a in auts))
-        top = max((a.window_size for a in auts), default=0)
-        head = top + (-top) % period
-        if n < head or n % period or any(a.window_size % a.d for a in auts):
+    heads, blocks = [], []
+    for a in auts:
+        if isinstance(a, Finitary):
+            heads.append(a.max_support + 1)
+        elif isinstance(a, EventuallyUniform) and a.window_size % a.d == 0:
+            heads.append(a.window_size)
+            blocks.append(a.d)
+        else:
             return None
-        return head if n == head else head + period
-    if all(isinstance(a, Finitary) for a in auts):
-        core = max(a.max_support + 1 for a in auts)
-        return core if n >= core else None
-    return None
+    period = lcm(*blocks) if blocks else 0
+    step = period or 1
+    top = max(heads, default=0)
+    head = top + (-top) % step
+    if n < head or (n - head) % step:
+        return None
+    return (head + period if n > head else head), period
 
 
 def window_matrix(aut: RepAut, n: int) -> IntMatrix:
@@ -343,20 +349,11 @@ def _apply_block(m: IntMatrix, coords: Sequence[int], vector: Sequence[int], out
     """Write m applied to ``vector`` restricted to ``coords`` into ``out`` there."""
     nz = [(b, vector[j]) for b, j in enumerate(coords) if vector[j]]
     if nz:
-        for i, row in zip(coords, m.data):
-            out[i] = sum(row[b] * x for b, x in nz)
-
-
-def aligned_window(aut: RepAut, at_least: int = 1) -> int:
-    """Smallest valid window size >= at_least for this representation."""
-    if isinstance(aut, Finitary):
-        return max(at_least, aut.max_support + 1)
-    if isinstance(aut, EventuallyUniform):
-        n0, d = aut.window_size, aut.d
-        n = max(at_least, n0, d)
-        rem = (n - n0) % d
-        return n + (d - rem if rem else 0)
-    return at_least + (at_least % 2)
+        acc = [0] * len(m.data)
+        for b, x in nz:
+            acc = [s + row[b] * x for s, row in zip(acc, m.data)]
+        for i, s in zip(coords, acc):
+            out[i] = s
 
 
 # -- group operations ----------------------------------------------------
@@ -373,7 +370,7 @@ def invert(aut: RepAut) -> RepAut:
 
 
 def _finitary_as_uniform(aut: Finitary, d: int) -> EventuallyUniform:
-    n0 = aligned_window(aut, d)
+    n0 = max(d, aut.max_support + 1)
     n0 += (-n0) % d
     eye = IntMatrix.identity(d)
     return _eventually_uniform_with_inverses(

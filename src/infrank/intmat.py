@@ -13,9 +13,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from operator import mul
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .errors import DimensionError, NotCompletableError, ValidationError
+
+
+T = TypeVar("T")
+
+
+def square_and_multiply(
+    base: T, e: int, times: Callable[[T, T], T], invert: Callable[[T], T], one: Callable[[], T]
+) -> T:
+    """base^e, with base^-1 = invert(base) and base^0 = one().  For e >= 1
+    there is neither a product by the identity nor a final unused squaring:
+    bit_length - 1 + popcount - 1 calls of ``times``."""
+    if e < 0:
+        base, e = invert(base), -e
+    if e == 0:
+        return one()
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else times(result, base)
+        e >>= 1
+        if not e:
+            return result
+        base = times(base, base)
 
 
 def identity_rows(n: int) -> list[list[int]]:
@@ -173,21 +197,9 @@ class IntMatrix:
     def power(self, e: int) -> "IntMatrix":
         if not self.is_square:
             raise DimensionError("power needs a square matrix")
-        if e < 0:
-            return self.inverse().power(-e)
-        if e == 0:
-            return IntMatrix.identity(self.rows)
-        # square-and-multiply with neither a product by the identity nor a
-        # final unused squaring: bit_length - 1 + popcount - 1 products
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
+        return square_and_multiply(
+            self, e, mul, IntMatrix.inverse, lambda: IntMatrix.identity(self.rows)
+        )
 
     def is_identity(self) -> bool:
         """Whether this is a square identity matrix, read off the entries

@@ -41,6 +41,7 @@ from .autrep import (
 )
 from .errors import DimensionError, ShapeError, ValidationError
 from .intmat import IntMatrix, complete_to_basis, is_unimodular_set, snf, solve_columns
+from .intmat import square_and_multiply
 from .numth import euler_phi, gcd_list, xgcd
 from .words import (
     ACTION_ON_VECTOR,
@@ -752,18 +753,5 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
 
 
 def _aut_power(aut: RepAut, e: int) -> RepAut:
-    """aut^e by ``IntMatrix.power``'s schedule: no compose with the identity
-    and no final unused squaring, so bit_length - 1 + popcount - 1 composes."""
-    if e < 0:
-        return _aut_power(invert(aut), -e)
-    if e == 0:
-        return compose_all()
-    result = None
-    base = aut
-    while True:
-        if e & 1:
-            result = base if result is None else compose(result, base)
-        e >>= 1
-        if not e:
-            return result
-        base = compose(base, base)
+    """aut^e by ``IntMatrix.power``'s schedule."""
+    return square_and_multiply(aut, e, compose, invert, compose_all)

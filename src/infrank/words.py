@@ -15,17 +15,10 @@ function of the certificate contents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, islice
 from typing import Mapping, Optional, Sequence, Union
 
-from .autrep import (
-    EventuallyUniform,
-    RepAut,
-    _check_window,
-    aligned_window,
-    core_window,
-    window_apply,
-    window_matrix,
-)
+from .autrep import RepAut, _check_window, core_window, window_apply, window_matrix
 from .autrep import invert as invert_aut
 from .errors import DimensionError, ValidationError, WordError
 from .intmat import IntMatrix
@@ -122,11 +115,10 @@ def push_word(word: Token, env: Environment, n: int, vector: Sequence[int]) -> t
     whole.  Every name is resolved and window-checked first, in
     ``evaluate_word``'s order, so both paths refuse a word with one error.
     """
-    tokens: set[int] = set()
-    _check_names(word, env, n, False, tokens)
-    v = _pad(vector, n)
     counts: dict[int, int] = {}
-    if _pushes(word, n, counts) > n * len(tokens):
+    pushes = _walk(word, env, n, False, counts)
+    v = _pad(vector, n)
+    if pushes > n * len(counts):
         return evaluate_word(word, env, n).apply(v)
     memo: dict = {}
 
@@ -138,7 +130,7 @@ def push_word(word: Token, env: Environment, n: int, vector: Sequence[int]) -> t
             return push(w.inner, not inv, v)
         if isinstance(w, Power):
             inner_inv = inv != (w.exponent < 0)
-            if _dense_power(w, n, counts):
+            if _dense_power(w, counts[id(w.inner)], n):
                 # one dense power per call, however often the push passes it
                 return list(_eval(w.inner, env, n, inner_inv, memo).power(abs(w.exponent)).apply(v))
             for _ in range(abs(w.exponent)):
@@ -154,51 +146,36 @@ def push_word(word: Token, env: Environment, n: int, vector: Sequence[int]) -> t
     return tuple(push(word, False, list(v)))
 
 
-def _check_names(word: Token, env: Environment, n: int, inv: bool, seen: set[int]) -> None:
-    """Raise what ``_eval`` raises first on a bad name, window or token;
-    ``seen`` collects the ids of the distinct tokens."""
-    if id(word) in seen:
-        return
-    seen.add(id(word))
+def _walk(word: Token, env: Environment, n: int, inv: bool, counts: dict[int, int]) -> int:
+    """Raise what ``_eval`` raises first on a bad name, window or token, and
+    return the atom applications a push makes, a dense power counting as
+    one; ``counts`` keeps that number for each distinct token."""
+    key = id(word)
+    if key in counts:
+        return counts[key]
     if isinstance(word, Named):
         if word.name not in env:
             raise WordError(f"unresolved name {word.name!r}")
         _check_window(env[word.name], n)
+        count = 1
     elif isinstance(word, Inverse):
-        _check_names(word.inner, env, n, not inv, seen)
+        count = _walk(word.inner, env, n, not inv, counts)
     elif isinstance(word, Power):
-        _check_names(word.inner, env, n, inv != (word.exponent < 0), seen)
+        inner = _walk(word.inner, env, n, inv != (word.exponent < 0), counts)
+        count = 1 if _dense_power(word, inner, n) else abs(word.exponent) * inner
     elif isinstance(word, Conj):
-        _check_names(word.h, env, n, False, seen)
-        _check_names(word.g, env, n, inv, seen)
+        count = 2 * _walk(word.h, env, n, False, counts) + _walk(word.g, env, n, inv, counts)
     elif isinstance(word, Product):
-        for f in reversed(word.factors) if inv else word.factors:
-            _check_names(f, env, n, inv, seen)
+        factors = reversed(word.factors) if inv else word.factors
+        count = sum(_walk(f, env, n, inv, counts) for f in factors)
     else:
         raise WordError(f"unknown token {word!r}")
+    counts[key] = count
+    return count
 
 
-def _dense_power(word: Power, n: int, counts: dict[int, int]) -> bool:
-    return abs(word.exponent) * max(1, _pushes(word.inner, n, counts)) > n
-
-
-def _pushes(word: Token, n: int, counts: dict[int, int]) -> int:
-    """Atom applications a push makes; a dense power counts as one."""
-    key = id(word)
-    if key not in counts:
-        if isinstance(word, Named):
-            count = 1
-        elif isinstance(word, Inverse):
-            count = _pushes(word.inner, n, counts)
-        elif isinstance(word, Power):
-            dense = _dense_power(word, n, counts)
-            count = 1 if dense else abs(word.exponent) * _pushes(word.inner, n, counts)
-        elif isinstance(word, Conj):
-            count = 2 * _pushes(word.h, n, counts) + _pushes(word.g, n, counts)
-        else:
-            count = sum(_pushes(f, n, counts) for f in word.factors)
-        counts[key] = count
-    return counts[key]
+def _dense_power(word: Power, inner_pushes: int, n: int) -> bool:
+    return abs(word.exponent) * max(1, inner_pushes) > n
 
 
 def word_names(word: Token) -> set[str]:
@@ -214,25 +191,6 @@ def word_names(word: Token) -> set[str]:
             out |= word_names(f)
         return out
     raise WordError(f"unknown token {word!r}")
-
-
-def min_window(word: Token, env: Environment, at_least: int = 1) -> int:
-    """A window size valid for every atom of the word."""
-    n = at_least
-    names = word_names(word)
-    for name in names:
-        if name not in env:
-            raise WordError(f"unresolved name {name!r}")
-        n = max(n, aligned_window(env[name], n))
-    changed = True
-    while changed:
-        changed = False
-        for name in names:
-            m = aligned_window(env[name], n)
-            if m > n:
-                n = m
-                changed = True
-    return n
 
 
 # -- certificates --------------------------------------------------------
@@ -316,11 +274,11 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     lines: list[str] = []
     ok = True
     for n in cert.windows:
-        core = None if atoms is None else core_window(atoms, n)
+        reduced = None if atoms is None else core_window(atoms, n)
         if cert.kind == ACTION_ON_VECTOR:
-            holds, detail = _check_action(cert, n, core, atoms, pushed)
+            holds, detail = _check_action(cert, n, reduced, pushed)
         else:
-            m = n if core is None else core
+            m = n if reduced is None else reduced[0]
             if m not in done:
                 done[m] = _CHECKS[cert.kind](cert, m)
             holds, detail = done[m]
@@ -332,8 +290,7 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
 def _core_atoms(cert: Certificate) -> Optional[list[RepAut]]:
     """The atoms of a claim that ``core_window`` may reduce, the
     ``target_aut`` of an identity claim included; None for window-sum
-    claims, ``target_matrix`` targets, action claims over a headed atom and
-    words that name a missing atom."""
+    claims, ``target_matrix`` targets and words that name a missing atom."""
     if cert.kind == WINDOW_SUM or (cert.kind == WINDOW_IDENTITY and cert.target_aut is None):
         return None
     try:
@@ -345,10 +302,6 @@ def _core_atoms(cert: Certificate) -> Optional[list[RepAut]]:
     atoms = [cert.environment[name] for name in names]
     if cert.kind == WINDOW_IDENTITY:
         return atoms + [cert.target_aut]
-    if cert.kind == ACTION_ON_VECTOR and any(
-        isinstance(a, EventuallyUniform) and a.window_size for a in atoms
-    ):
-        return None
     return atoms
 
 
@@ -381,35 +334,41 @@ def _check_order(cert: Certificate, n: int) -> tuple[bool, str]:
 def _check_action(
     cert: Certificate,
     n: int,
-    core: Optional[int],
-    atoms: Optional[list[RepAut]],
+    reduced: Optional[tuple[int, int]],
     pushed: dict[tuple[int, ...], tuple[int, ...]],
 ) -> tuple[bool, str]:
-    """Push the vector on window n, or on the core window L when there is one.
+    """Push the vector on window n, or on its core window when ``reduced``
+    gives one with its period.
 
-    Over head-free uniform atoms window n is n/L copies of window L, so each
-    L-chunk of the padded vector is pushed on its own: an all-zero chunk
-    maps to zero, and each distinct other chunk is pushed once per
-    certificate (``pushed`` is shared by its windows).  Over finitary atoms
-    the first L coordinates are pushed and the rest stay.  The assembled
-    image is compared with the target over all n coordinates.
+    Window n is then the core window followed by copies of the core
+    window's last period block (identity blocks for period 0).  So the
+    first core coordinates are pushed on the core window, and each later
+    period chunk that holds a nonzero coordinate is pushed in that last
+    block; every other coordinate stays.  An all-zero vector maps to zero,
+    and each distinct other vector is pushed once per certificate
+    (``pushed`` is shared by its windows).  The assembled image is compared
+    with the target over all n coordinates.
     """
     if cert.vector is None or cert.target_vector is None:
         raise ValidationError("action certificate needs vector and target_vector")
-    if core is None:
+    if reduced is None:
         got = push_word(cert.word, cert.environment, n, cert.vector)
     else:
+        core, period = reduced
         v = _pad(cert.vector, n)
-        reach = n if all(isinstance(a, EventuallyUniform) for a in atoms) else core
-        image: list[int] = []
-        for s in range(0, reach, core or 1):  # core 0: atoms that fix everything
-            chunk = v[s : s + core]
-            if any(chunk):
-                if chunk not in pushed:
-                    pushed[chunk] = push_word(cert.word, cert.environment, core, chunk)
-                chunk = pushed[chunk]
-            image += chunk
-        got = tuple(image) + v[reach:]
+
+        def image(chunk: tuple[int, ...]) -> tuple[int, ...]:
+            if any(chunk) and chunk not in pushed:
+                pushed[chunk] = push_word(cert.word, cert.environment, core, chunk)
+            return pushed.get(chunk, chunk)
+
+        image_list = list(image(v[:core]) + v[core:])
+        if period:
+            lead = (0,) * (core - period)
+            nonzero = compress(range(core, n), islice(v, core, None))
+            for s in dict.fromkeys(i - (i - core) % period for i in nonzero):
+                image_list[s : s + period] = image(lead + v[s : s + period])[-period:]
+        got = tuple(image_list)
     want = _pad(cert.target_vector, n)
     if got == want:
         return True, "action holds"

@@ -388,7 +388,7 @@ F5 = finitary((2, 4), IntMatrix.from_rows([[1, 2], [0, 1]]))
         ((U2, U3), 4, None),  # misaligned for U3
         ((U2,), 0, None),  # window 0 has no reduction
         ((U2, HEADED), 4, 4),  # head 1 rounded up to the period 2, then one period
-        ((U2, F2), 4, None),  # mixed classes
+        ((U2, F2), 4, 4),  # the support 2 as a head of one period, then one period
         ((U2, graded((), ())), 4, None),
         ((F2,), 2, 2),
         ((F2, F5), 5, 5),
@@ -396,7 +396,7 @@ F5 = finitary((2, 4), IntMatrix.from_rows([[1, 2], [0, 1]]))
         ((F2, F5), 4, None),  # does not cover the support
         ((identity_aut(),), 3, 0),
         ((F2,), 0, None),
-        ((), 4, 1),
+        ((), 4, 0),
         ((U2, HEADED), 2, 2),  # the head window alone
         ((U2, HEADED), 3, None),  # misaligned
         ((U2, HEADED), 200000, 4),
@@ -405,13 +405,17 @@ F5 = finitary((2, 4), IntMatrix.from_rows([[1, 2], [0, 1]]))
         ((U3, HEADED_PAIR), 6, 6),  # head 2 rounded up to the period 6
         ((U3, HEADED_PAIR), 18, 12),
         ((U3, HEADED_PAIR), 4, None),  # aligned for the head, short of the period
-        ((HEADED, F2), 4, None),  # a head and a finitary atom
+        ((HEADED, F2), 4, 3),  # a head and a finitary atom: the support 2, then one period
         ((HEADED, graded((), ())), 4, None),
         ((HEAD_OFF_BLOCKS,), 4, None),  # a head that is not whole blocks
+        ((U3, F5), 200001, 9),  # the support 5 rounded up to the period 3, then one period
+        ((U3, F5), 3, None),  # short of the support
     ],
 )
 def test_core_window(auts, n, core):
-    assert core_window(auts, n) == core
+    blocks = [a.d for a in auts if isinstance(a, EventuallyUniform)]
+    period = lcm(*blocks) if blocks else 0  # finitary atoms repeat the identity
+    assert core_window(auts, n) == (None if core is None else (core, period))
 
 
 def test_compose_returns_the_canonical_identity():

@@ -167,12 +167,3 @@ def test_pipeline_negative_k():
     assert chain.level == 2
     assert verify_chain(chain).ok
 
-
-def test_min_window_covers_all_atoms():
-    from infrank.words import Named, Product, evaluate_word, min_window
-
-    env = {"t": tau_power(2), "g": graded((3,), ())}
-    w = Product((Named("t"), Named("g")))
-    n = min_window(w, env, 3)
-    assert n % 2 == 0 and n >= 3
-    evaluate_word(w, env, n)  # aligned, so this must not raise

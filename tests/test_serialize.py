@@ -1,11 +1,15 @@
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from infrank import intmat
-from infrank.autrep import finitary, graded, uniform
+from infrank.autrep import eventually_uniform, finitary, graded, uniform
 from infrank.classify import AllExcept, FinitePrimes
-from infrank.errors import DimensionError, ParseError, ValidationError
+from infrank.cli import main
+from infrank.errors import DimensionError, InfrankError, ParseError, ValidationError
 from infrank.intmat import IntMatrix
 from infrank.serialize import (
     MAX_WORD_DEPTH,
@@ -25,15 +29,35 @@ from infrank.serialize import (
     word_to_obj,
 )
 from infrank.witness import (
+    ChainStep,
+    WitnessChain,
     canonical_shear,
     km_pipeline,
+    order_n_shear,
+    shear_order_certificate,
     tau_power,
     verify_chain,
+    wans_sum_certificate,
+    wans_three,
     zaushko_commutator,
 )
-from infrank.words import Conj, Inverse, Named, Power, Product, verify_certificate
+from infrank.words import (
+    ACTION_ON_VECTOR,
+    ORDER,
+    WINDOW_IDENTITY,
+    WINDOW_SUM,
+    Certificate,
+    Conj,
+    Inverse,
+    Named,
+    Power,
+    Product,
+    verify_certificate,
+)
 
+from test_autrep import unimodular
 from test_intmat import random_unimodular
+from test_words import words
 
 
 def test_matrix_text_round_trip():
@@ -78,16 +102,27 @@ def test_parse_rejects_non_unimodular():
         parse_aut(doc)
 
 
+UNIFORM_DOC = '{"format_version":1,"kind":"aut","variant":"uniform","window":[],"block":%s}'
+FINITARY_DOC = '{"format_version":1,"kind":"aut","variant":"finitary","support":[7,3],"matrix":%s}'
+
+
 @pytest.mark.parametrize(
-    "block, error",
-    [("[[1.5,0],[0,1]]", ParseError), ("[[true,0],[0,1]]", ParseError),
-     ("[[1,0],[0]]", DimensionError)],
-    ids=["float", "bool", "ragged"],
+    "doc, error",
+    [(UNIFORM_DOC % "[[1.5,0],[0,1]]", ParseError), (UNIFORM_DOC % "[[true,0],[0,1]]", ParseError),
+     (UNIFORM_DOC % "[[1,0],[0]]", DimensionError),
+     # an unsorted support is checked against the matrix size before it is sorted
+     (FINITARY_DOC % "[[0]]", ValidationError),
+     (FINITARY_DOC % "[[1,0,0],[0,1,0],[0,0,1]]", ValidationError)],
+    ids=["float", "bool", "ragged", "unsorted-support-short-matrix",
+         "unsorted-support-long-matrix"],
 )
-def test_parse_refuses_non_integer_blocks(block, error):
-    doc = '{"format_version":1,"kind":"aut","variant":"uniform","window":[],"block":%s}' % block
-    with pytest.raises(error):
+def test_parse_refuses_non_integer_blocks(tmp_path, capsys, doc, error):
+    with pytest.raises(error) as exc:
         parse_aut(doc)
+    path = tmp_path / "bad.aut"
+    path.write_text(doc)
+    assert main(["classify", str(path)]) == 1
+    assert tuple(capsys.readouterr()) == ("", f"error: {exc.value}\n")
 
 
 def test_parse_error_positions():
@@ -251,3 +286,139 @@ def test_deep_json_is_parse_error():
     with pytest.raises(ParseError) as exc:
         parse_document(text)
     assert exc.value.path == "$"
+
+
+# -- every document kind: round trips and fuzzed documents ---------------------
+
+
+@st.composite
+def auts(draw):
+    """A finitary atom below coordinate 8, an eventually uniform atom with a
+    head of up to two blocks of 1-3, or a graded shear."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        size = draw(st.integers(0, 3))
+        support = draw(st.lists(st.integers(0, 7), min_size=size, max_size=size, unique=True))
+        return finitary(support, draw(unimodular(size)))
+    if kind == 1:
+        d = draw(st.integers(1, 3))
+        return eventually_uniform(draw(unimodular(d * draw(st.integers(0, 2)))), draw(unimodular(d)))
+    return graded(
+        draw(st.lists(st.integers(2, 9), max_size=3)),
+        draw(st.sets(st.sampled_from([2, 3, 5, 7]))),
+        draw(st.booleans()),
+    )
+
+
+ENVS = st.dictionaries(st.sampled_from(["a", "b", "c"]), auts(), max_size=3)
+WORDS_ABC = words(names=("a", "b", "c"), exponents=st.integers(-3, 3))
+VECTORS = st.lists(st.integers(-5, 5), max_size=4).map(tuple)
+TEXT = st.text(max_size=4)
+
+
+@st.composite
+def certificates(draw):
+    """Any claim kind with any fields: serialization does not check a claim."""
+    return Certificate(
+        kind=draw(st.sampled_from([WINDOW_IDENTITY, ORDER, ACTION_ON_VECTOR, WINDOW_SUM])),
+        windows=tuple(draw(st.lists(st.integers(0, 30), min_size=1, max_size=3))),
+        environment=draw(ENVS),
+        word=draw(st.none() | WORDS_ABC),
+        target_aut=draw(st.none() | auts()),
+        target_matrix=draw(st.none() | st.integers(0, 3).flatmap(unimodular)),
+        vector=draw(st.none() | VECTORS),
+        target_vector=draw(st.none() | VECTORS),
+        order=draw(st.none() | st.integers(-2, 12)),
+        summand_words=tuple(draw(st.lists(WORDS_ABC, max_size=2))),
+    )
+
+
+@st.composite
+def chains(draw):
+    steps = draw(
+        st.lists(
+            st.builds(ChainStep, TEXT, WORDS_ABC, st.lists(certificates(), max_size=2).map(tuple),
+                      TEXT),
+            max_size=2,
+        )
+    )
+    return WitnessChain(tuple(steps), draw(auts()), draw(st.integers(0, 12)), draw(TEXT))
+
+
+DOCUMENT_KINDS = {
+    "aut": (auts(), serialize_aut, parse_aut),
+    "word": (st.tuples(WORDS_ABC, ENVS), lambda pair: serialize_word(*pair), parse_word),
+    "certificate": (certificates(), serialize_certificate, parse_certificate),
+    "chain": (chains(), serialize_chain, parse_chain),
+}
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(sorted(DOCUMENT_KINDS)), st.data())
+def test_parse_serialize_round_trip(kind, data):
+    objects, serialize, parse = DOCUMENT_KINDS[kind]
+    obj = data.draw(objects)
+    text = serialize(obj)
+    assert parse(text) == obj
+    assert parse_document(text) == obj
+    assert serialize(parse(text)) == text
+
+
+def _nodes(obj, path=()):
+    """The path of every node below the root of a decoded JSON document."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _nodes(value, path + (key,))
+
+
+_f = IntMatrix.from_rows([[3, -2], [1, 4]])
+FUZZ_DOCUMENTS = [
+    serialize_aut(finitary((3, 7), IntMatrix.from_rows([[2, 1], [1, 1]]))),
+    serialize_aut(eventually_uniform(IntMatrix.from_rows([[-1]]), IntMatrix.from_rows([[1]]))),
+    serialize_aut(graded((2, 3), (5,))),
+    serialize_word(Product((Conj(Named("a"), Power(Named("b"), -2)), Inverse(Named("a")))),
+                   {"a": tau_power(2), "b": finitary((1,), IntMatrix.from_rows([[-1]]))}),
+    serialize_certificate(shear_order_certificate(order_n_shear(3, 5))),
+    serialize_certificate(wans_sum_certificate(_f, wans_three(_f))),
+    serialize_certificate(Certificate(kind=ORDER, windows=(4, 8), environment={"g": graded((2,), ())},
+                                      word=Product((Named("g"), Inverse(Named("g")))), order=1)),
+    serialize_chain(km_pipeline(canonical_shear(1, 3))),
+]
+DROP = object()
+# a mutation: the index of a node below the root (modulo the node count), and
+# the value it gets, or DROP to drop it from its object or list
+MUTATIONS = st.tuples(
+    st.integers(0, 999),
+    st.one_of(st.just(DROP), st.integers(-3, 3), st.sampled_from([None, True, 1.5, "x", [], {}])),
+)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(FUZZ_DOCUMENTS), st.lists(MUTATIONS, min_size=1, max_size=3))
+# support (3, 7) made (3, 0), then the matrix emptied: unsorted, and of another size
+@example(FUZZ_DOCUMENTS[0], [(11, 0), (2, [])])
+def test_mutated_documents_raise_only_infrank_errors(text, mutations):
+    """Dropped keys and elements, and wrong-typed or small-integer values, are
+    refused or checked, never met with another exception."""
+    doc = json.loads(text)
+    for index, value in mutations:
+        nodes = list(_nodes(doc))
+        if not nodes:
+            break
+        *path, key = nodes[index % len(nodes)]
+        parent = doc
+        for k in path:
+            parent = parent[k]
+        if value is DROP:
+            del parent[key]
+        else:
+            parent[key] = value
+    try:
+        parsed = parse_document(json.dumps(doc))
+        if isinstance(parsed, Certificate):
+            verify_certificate(parsed)
+        elif isinstance(parsed, WitnessChain):
+            verify_chain(parsed)
+    except InfrankError:
+        pass

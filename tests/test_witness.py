@@ -7,7 +7,15 @@ import pytest
 
 from infrank import witness
 from infrank import words as words_module
-from infrank.autrep import compose, core_window, identity_aut, uniform, window_matrix
+from infrank.autrep import (
+    compose,
+    core_window,
+    eventually_uniform,
+    finitary,
+    identity_aut,
+    uniform,
+    window_matrix,
+)
 from infrank.classify import congruence_gcd
 from infrank.errors import DimensionError, ShapeError, ValidationError
 from infrank.intmat import IntMatrix, is_unimodular_set, solve_columns
@@ -37,6 +45,7 @@ from infrank.words import (
     WINDOW_IDENTITY,
     Certificate,
     Conj,
+    Inverse,
     Named,
     Power,
     Product,
@@ -656,10 +665,45 @@ def test_tampered_action_targets_fail_as_dense():
             assert verify_certificate(replace(again, **change)) == res
 
 
+def _reducible_action_certificates():
+    """Two action claims that reduce, with the core window and period of
+    each.  The headed one has a head of 2 before blocks of 2 and a head-free
+    block of 3: head 6 and period 6, so windows 30 and 42 reduce to 12; its
+    vector fills the core window, repeats one later chunk and leaves the
+    last chunk zero.  The mixed one has a finitary atom on coordinates 1
+    and 4 and a block of 3: head 6 and period 3, so windows 30 and 60 reduce
+    to 9; its vector is zero on the core window."""
+    u = uniform(IntMatrix.from_rows([[1, 2, 0], [0, 1, 0], [1, 0, 1]]))
+    headed = {
+        "h": eventually_uniform(
+            IntMatrix.from_rows([[-1, 0], [0, 1]]), IntMatrix.from_rows([[0, 1], [1, 0]])
+        ),
+        "u": u,
+    }
+    mixed = {"f": finitary((1, 4), IntMatrix.from_rows([[2, 1], [1, 1]])), "u": u}
+    chunk = (1, 0, -2, 0, 0, 3)
+    cases = [
+        (headed, Product((Named("h"), Conj(Named("u"), Named("h")), Inverse(Named("u")))),
+         (1, -1, 2, 0, 0, 5, 0, 3, 0, 0, 0, -1) + chunk * 2 + (0,) * 6, (30, 42), (12, 6)),
+        (mixed, Product((Named("f"), Conj(Named("u"), Named("f")))),
+         (0,) * 9 + chunk * 3 + (0,) * 3, (30, 60), (9, 3)),
+    ]
+    return [
+        (Certificate(kind=ACTION_ON_VECTOR, windows=windows, environment=env, word=word,
+                     vector=v, target_vector=evaluate_word(word, env, windows[0]).apply(v)),
+         reduced)
+        for env, word, v, windows, reduced in cases
+    ]
+
+
 def test_action_pushes_stay_on_the_core_window(monkeypatch):
     """Every push runs on a window no larger than the core window, and each
     distinct chunk is pushed once per certificate."""
     built, parsed = _chain_action_certificates(3, 4)
+    reducible = []
+    for cert, reduced in _reducible_action_certificates():
+        assert {core_window(words_module._core_atoms(cert), n) for n in cert.windows} == {reduced}
+        reducible.append(cert)
     pushes = []
     push = words_module.push_word
 
@@ -668,10 +712,10 @@ def test_action_pushes_stay_on_the_core_window(monkeypatch):
         return push(word, env, n, vector)
 
     monkeypatch.setattr(words_module, "push_word", recording)
-    for cert in built + parsed:
+    for cert in built + parsed + reducible:
         pushes.clear()
         assert verify_certificate(cert).ok
-        cores = {core_window(words_module._core_atoms(cert), n) for n in cert.windows}
+        cores = {core_window(words_module._core_atoms(cert), n)[0] for n in cert.windows}
         assert pushes and all(n in cores for n, _ in pushes)
         assert len(set(pushes)) == len(pushes)
         assert all(any(v) for _, v in pushes)

@@ -363,33 +363,36 @@ def block(n):
 def core_env(draw):
     """Three atoms of one kind: head-free uniform with blocks of 1-4, uniform
     with blocks of 1-3 after heads of up to two blocks, or finitary below
-    coordinate 8."""
-    kind = draw(st.sampled_from(["head-free", "headed", "finitary"]))
+    coordinate 8; or a mix of headed uniform and finitary atoms."""
+    kind = draw(st.sampled_from(["head-free", "headed", "finitary", "mixed"]))
     env = {}
     for name in ("a", "b", "c"):
-        if kind == "finitary":
+        atom_kind = draw(st.sampled_from(["headed", "finitary"])) if kind == "mixed" else kind
+        if atom_kind == "finitary":
             size = draw(st.integers(1, 3))
             support = draw(st.lists(st.integers(0, 7), min_size=size, max_size=size, unique=True))
             env[name] = finitary(support, draw(block(size)))
-        elif kind == "headed":
+        elif atom_kind == "headed":
             d = draw(st.integers(1, 3))
             env[name] = eventually_uniform(draw(block(d * draw(st.integers(0, 2)))), draw(block(d)))
         else:
             env[name] = uniform(draw(block(draw(st.integers(1, 4)))))
-    return kind, env
+    return env
 
 
-def _core_and_windows(kind, atoms):
-    """The core window of words over ``atoms``, worked out by hand, three
-    windows it stands for, and the head window where there is a head."""
-    if kind == "finitary":
-        core = max((a.max_support + 1 for a in atoms), default=0)
-        return core, (core, 2 * core, 3 * core)
-    period = lcm(*(a.d for a in atoms))
-    top = max((a.window_size for a in atoms), default=0)
+def _core_and_windows(atoms):
+    """The core window of words over ``atoms``, worked out by hand, its
+    period, three windows it stands for, and the head window where there is
+    a head."""
+    uniform_atoms = [a for a in atoms if isinstance(a, EventuallyUniform)]
+    top = max((a.window_size for a in uniform_atoms), default=0)
+    top = max([top] + [a.max_support + 1 for a in atoms if isinstance(a, Finitary)])
+    if not uniform_atoms:
+        return top, 0, (top, 2 * top, 3 * top)
+    period = lcm(*(a.d for a in uniform_atoms))
     head = -(-top // period) * period
     core = head + period
-    return core, (core, head + 2 * period, head + 3 * period) + ((head,) if head else ())
+    return core, period, (core, head + 2 * period, head + 3 * period) + ((head,) if head else ())
 
 
 def _finite_order(m, bound=120):
@@ -424,16 +427,15 @@ WORDS_ABC = words(names=("a", "b", "c"), exponents=st.integers(-3, 3))
 
 @settings(max_examples=150)
 @given(core_env(), WORDS_ABC, st.data())
-def test_core_window_claims_match_dense(kind_and_env, word, data):
-    kind, env = kind_and_env
+def test_core_window_claims_match_dense(env, word, data):
     atoms = [env[name] for name in word_names(word)]
-    core, windows = _core_and_windows(kind, atoms)
+    core, period, windows = _core_and_windows(atoms)
     w = evaluate_word(word, env, core)
-    if kind == "finitary":
+    if not period:
         target = finitary(range(core), w)
         tamper = [(False, len(target.support))]
     else:
-        head = core - lcm(*(a.d for a in atoms))
+        head = core - period
         target = eventually_uniform(w.top_left(head), w.submatrix(head, core, head, core))
         tamper = [(True, target.window_size), (False, target.d)]
     targets = [target, env["b"]]  # env["b"] is mostly a wrong target of another size
@@ -459,7 +461,7 @@ def test_core_window_claims_match_dense(kind_and_env, word, data):
         assert got == _dense_outcome(cert)
         # a target of other blocks or a longer head has a larger core
         target_atoms = [] if cert.target_aut is None else [cert.target_aut]
-        bound = _core_and_windows(kind, atoms + target_atoms)[0]
+        bound = _core_and_windows(atoms + target_atoms)[0]
         if bound:
             assert products.largest <= bound
     if core:
@@ -474,10 +476,9 @@ SUPPORTS = ("first chunk", "later chunks", "nowhere", "anywhere")
 
 @settings(max_examples=150)
 @given(core_env(), WORDS_ABC, st.sampled_from(SUPPORTS), st.data())
-def test_core_window_action_claims_match_dense(kind_and_env, word, support, data):
-    kind, env = kind_and_env
+def test_core_window_action_claims_match_dense(env, word, support, data):
     atoms = [env[name] for name in word_names(word)]
-    core, windows = _core_and_windows(kind, atoms)
+    core, _, windows = _core_and_windows(atoms)
     windows = windows[:3]
     n = windows[-1]
     v = [0] * n
@@ -508,7 +509,7 @@ def test_core_window_action_claims_match_dense(kind_and_env, word, support, data
             products = ProductCounter(mp)
             got = _outcome(lambda: verify_certificate(cert))
         assert got == _dense_outcome(cert)
-        if kind != "headed" and core:
+        if core:
             assert products.largest <= core
     assert verify_certificate(replace(cert, target_vector=image[:m])).ok
 
