@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, compress, islice
 from math import lcm, prod
 from operator import mul
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import AlignmentError, CompositionUnsupportedError, DimensionError, ValidationError
 from .intmat import IntMatrix, _unimodular_inverse, identity_rows
@@ -206,20 +206,6 @@ def _absorb_trailing_blocks(window: IntMatrix, block: IntMatrix) -> IntMatrix:
     return window
 
 
-def _eventually_uniform_with_inverses(
-    window: IntMatrix, window_inverse: IntMatrix, block: BlockSpec
-) -> EventuallyUniform:
-    """``eventually_uniform`` for a window and block whose inverses are known.
-
-    A trailing block of the window that equals the block and is decoupled
-    from the rest inverts to the same block of the inverse, so both are cut
-    back to the same size and no determinant or inverse is recomputed.
-    """
-    window = _absorb_trailing_blocks(window, block.matrix)
-    n0 = window.rows
-    return EventuallyUniform(window, window_inverse.top_left(n0), block)
-
-
 def graded(prefix, excluded, negated: bool = False) -> GradedBlock:
     pre = tuple(int(m) for m in prefix)
     if any(m < 2 for m in pre):
@@ -259,24 +245,18 @@ def _check_window(aut: RepAut, n: int) -> None:
         raise AlignmentError("graded windows must be even")
 
 
-def core_window(auts: Sequence[RepAut], n: int) -> Optional[tuple[int, int]]:
-    """The window that window n of every word over ``auts`` reduces to, and
-    the period of the blocks past it, or None.
+def head_and_period(auts: Sequence[RepAut]) -> Optional[tuple[int, int]]:
+    """(H, L) for atoms that are each a head followed by one repeated block,
+    or None.
 
-    Every atom here is a head followed by one repeated block: a finitary
-    atom is its first max_support + 1 coordinates followed by the identity,
-    an eventually uniform one its head window followed by blocks of d.  Let
-    L be the lcm of the block sizes and H the least multiple of L covering
-    every head.  Window H + kL of each atom, and so of every word over them,
-    is its window H followed by k copies of one L x L block.  The core is
-    H + L, or H itself when n = H or when no atom repeats a block (period
-    0: the blocks are the identity).  So two such words agree, or a power of
-    one is the identity, on window n exactly when they do on the core
-    window, and the first entry where they differ lies in it.  Graded atoms,
-    heads that are not whole blocks and any other n give None.
+    A finitary atom is its first max_support + 1 coordinates followed by the
+    identity, an eventually uniform one its head window followed by blocks
+    of d.  L is the lcm of the block sizes (0 when no atom repeats a block)
+    and H the least multiple of L covering every head.  Window H + kL of
+    each atom, and so of every product of them, is its window H followed by
+    k copies of one L x L block.  Graded atoms and heads that are not whole
+    blocks give None.
     """
-    if n <= 0:
-        return None
     heads, blocks = [], []
     for a in auts:
         if isinstance(a, Finitary):
@@ -287,10 +267,25 @@ def core_window(auts: Sequence[RepAut], n: int) -> Optional[tuple[int, int]]:
         else:
             return None
     period = lcm(*blocks) if blocks else 0
-    step = period or 1
     top = max(heads, default=0)
-    head = top + (-top) % step
-    if n < head or (n - head) % step:
+    return top + (-top) % (period or 1), period
+
+
+def core_window(auts: Sequence[RepAut], n: int) -> Optional[tuple[int, int]]:
+    """The window that window n of every word over ``auts`` reduces to, and
+    the period of the blocks past it, or None.
+
+    With (H, L) from ``head_and_period``, the core is H + L, or H itself
+    when n = H or L = 0.  So two such words agree, or a power of one is the
+    identity, on window n exactly when they do on the core window, and the
+    first entry where they differ lies in it.  Atoms without a split, and
+    any other n, give None.
+    """
+    split = head_and_period(auts)
+    if split is None or n <= 0:
+        return None
+    head, period = split
+    if n < head or (n - head) % (period or 1):
         return None
     return (head + period if n > head else head), period
 
@@ -334,8 +329,7 @@ def window_apply(aut: RepAut, n: int, vector: Sequence[int]) -> list[int]:
     elif isinstance(aut, EventuallyUniform):
         n0, d = aut.window_size, aut.d
         _apply_block(aut.window, range(n0), vector, out)
-        nonzero = compress(range(n0, n), islice(vector, n0, None))
-        for s in dict.fromkeys(i - (i - n0) % d for i in nonzero):
+        for s in nonzero_blocks(vector, n0, d):
             _apply_block(aut.block.matrix, range(s, s + d), vector, out)
     else:
         xs = range(0, n, 2)
@@ -343,6 +337,13 @@ def window_apply(aut: RepAut, n: int, vector: Sequence[int]) -> list[int]:
         for pair, c in enumerate(accumulate(islice(aut.multipliers(), last // 2 + 1), mul)):
             out[2 * pair + 1] += (-c if aut.negated else c) * vector[2 * pair]
     return out
+
+
+def nonzero_blocks(vector: Sequence[int], start: int, d: int) -> Iterable[int]:
+    """Starts of the d-sized chunks of ``vector`` from ``start`` on that hold
+    a nonzero coordinate, in order."""
+    nonzero = compress(range(start, len(vector)), islice(vector, start, None))
+    return dict.fromkeys(i - (i - start) % d for i in nonzero)
 
 
 def _apply_block(m: IntMatrix, coords: Sequence[int], vector: Sequence[int], out: list[int]) -> None:
@@ -369,42 +370,35 @@ def invert(aut: RepAut) -> RepAut:
     return GradedBlock(aut.prefix, aut.excluded, not aut.negated)
 
 
-def _finitary_as_uniform(aut: Finitary, d: int) -> EventuallyUniform:
-    n0 = max(d, aut.max_support + 1)
-    n0 += (-n0) % d
-    eye = IntMatrix.identity(d)
-    return _eventually_uniform_with_inverses(
-        window_matrix(aut, n0), window_matrix(invert(aut), n0), BlockSpec(eye, eye)
-    )
-
-
-def _repeated_block(aut: EventuallyUniform, d: int) -> BlockSpec:
-    """The block of ``aut`` repeated to size d, with its inverse repeated alongside."""
-    reps = d // aut.d
-    return BlockSpec(
-        IntMatrix.block_diag([aut.block.matrix] * reps),
-        IntMatrix.block_diag([aut.block.inverse] * reps),
-    )
+def _split(w: IntMatrix, w_inv: IntMatrix, head: int) -> EventuallyUniform:
+    """The eventually uniform automorphism whose window head + L is ``w``, with
+    inverse ``w_inv``: the top-left head x head parts give its window, the
+    last L x L parts its block.  Trailing head blocks that repeat the block
+    and are decoupled invert to the same blocks of the inverse, so both are
+    cut back to the same size and nothing is inverted again.
+    """
+    n = w.rows
+    block = BlockSpec(w.submatrix(head, n, head, n), w_inv.submatrix(head, n, head, n))
+    window = _absorb_trailing_blocks(w.top_left(head), block.matrix)
+    return EventuallyUniform(window, w_inv.top_left(window.rows), block)
 
 
 def reblock(aut: EventuallyUniform, new_d: int) -> EventuallyUniform:
     """The same automorphism re-described with blocks of size ``new_d``."""
     if new_d % aut.d:
         raise AlignmentError(f"new block size {new_d} not a multiple of {aut.d}")
-    n0 = aut.window_size
-    n0 += (-n0) % new_d
-    return _eventually_uniform_with_inverses(
-        window_matrix(aut, n0), window_matrix(invert(aut), n0), _repeated_block(aut, new_d)
-    )
+    head = aut.window_size + (-aut.window_size) % new_d
+    n = head + new_d
+    return _split(window_matrix(aut, n), window_matrix(invert(aut), n), head)
 
 
 def compose(a: RepAut, b: RepAut) -> RepAut:
     """Symbolic product: window(compose(a, b), n) == window(a, n) * window(b, n).
 
     Closure rules: finitary pairs stay finitary; anything involving an
-    eventually-uniform representation becomes eventually uniform over a
-    common block size; graded representations close only against their own
-    inverses and the identity.  Unsupported pairs raise
+    eventually-uniform representation becomes eventually uniform, read off
+    window H + L of ``head_and_period``; graded representations close only
+    against their own inverses and the identity.  Unsupported pairs raise
     ``CompositionUnsupportedError`` -- callers needing only finite data
     should evaluate windows instead.
     """
@@ -442,24 +436,15 @@ def compose(a: RepAut, b: RepAut) -> RepAut:
             "graded representations compose symbolically only with the identity "
             "and with their own inverse shape; evaluate windows instead"
         )
-    # at least one EventuallyUniform from here on
-    if isinstance(a, Finitary):
-        a = _finitary_as_uniform(a, b.d if isinstance(b, EventuallyUniform) else 1)
-    if isinstance(b, Finitary):
-        b = _finitary_as_uniform(b, a.d)
-    # (ab)^-1 = b^-1 a^-1, so the inverses come from the factors' witnesses
-    d = lcm(a.d, b.d)
-    block_a, block_b = _repeated_block(a, d), _repeated_block(b, d)
-    block = BlockSpec(block_a.matrix * block_b.matrix, block_b.inverse * block_a.inverse)
-    if a.window_size == b.window_size == 0:
-        # head-free factors act block by block: the product is its block alone
-        out = EventuallyUniform(a.window, a.window_inverse, block)
-    else:
-        n0 = max(a.window_size, b.window_size, d)
-        n0 += (-n0) % d
-        window = window_matrix(a, n0) * window_matrix(b, n0)
-        window_inverse = window_matrix(invert(b), n0) * window_matrix(invert(a), n0)
-        out = _eventually_uniform_with_inverses(window, window_inverse, block)
+    # at least one EventuallyUniform from here on; (ab)^-1 = b^-1 a^-1, so the
+    # inverses come from the factors' witnesses
+    head, period = head_and_period((a, b))
+    n = head + period
+    out = _split(
+        window_matrix(a, n) * window_matrix(b, n),
+        window_matrix(invert(b), n) * window_matrix(invert(a), n),
+        head,
+    )
     return identity_aut() if is_identity(out) else out
 
 

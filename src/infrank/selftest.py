@@ -151,13 +151,7 @@ def _check_commutator_shear(rng: random.Random) -> bool:
 
 def _check_three_sum(rng: random.Random) -> bool:
     for _ in range(10):
-        d = rng.choice([2, 4])
-        f = _random_matrix(rng, d)
-        parts = wans_three(f)
-        if window_matrix(parts[0], d) + window_matrix(parts[1], d) + window_matrix(
-            parts[2], d
-        ) != f:
-            return False
+        wans_three(_random_matrix(rng, rng.choice([2, 4])))  # raises if the windows miss f
     return True
 
 

@@ -74,6 +74,16 @@ def _need(obj: Mapping, key: str, path: str) -> Any:
     return obj[key]
 
 
+_KINDS = {int: "an integer", str: "a string", list: "a list"}
+
+
+def _typed(obj: Any, kind: type, path: str) -> Any:
+    """``obj`` when it is an int (not a bool), a str or a list, as ``kind`` asks."""
+    if not isinstance(obj, kind) or (kind is int and isinstance(obj, bool)):
+        raise ParseError(path, f"expected {_KINDS[kind]}")
+    return obj
+
+
 def _int_list(obj: Any, path: str) -> list[int]:
     if not isinstance(obj, list) or any(not isinstance(x, int) or isinstance(x, bool) for x in obj):
         raise ParseError(path, "expected a list of integers")
@@ -163,16 +173,11 @@ def word_from_obj(obj: Any, path: str = "$", depth: int = 1) -> Token:
         raise ParseError(path, f"word nests deeper than {MAX_WORD_DEPTH} tokens")
     op = _need(obj, "op", path)
     if op == "named":
-        name = _need(obj, "name", path)
-        if not isinstance(name, str):
-            raise ParseError(f"{path}.name", "expected a string")
-        return Named(name)
+        return Named(_typed(_need(obj, "name", path), str, f"{path}.name"))
     if op == "inverse":
         return Inverse(word_from_obj(_need(obj, "inner", path), f"{path}.inner", depth + 1))
     if op == "power":
-        e = _need(obj, "exponent", path)
-        if not isinstance(e, int) or isinstance(e, bool):
-            raise ParseError(f"{path}.exponent", "expected an integer")
+        e = _typed(_need(obj, "exponent", path), int, f"{path}.exponent")
         return Power(word_from_obj(_need(obj, "inner", path), f"{path}.inner", depth + 1), e)
     if op == "conj":
         return Conj(
@@ -180,9 +185,7 @@ def word_from_obj(obj: Any, path: str = "$", depth: int = 1) -> Token:
             word_from_obj(_need(obj, "h", path), f"{path}.h", depth + 1),
         )
     if op == "product":
-        factors = _need(obj, "factors", path)
-        if not isinstance(factors, list):
-            raise ParseError(f"{path}.factors", "expected a list")
+        factors = _typed(_need(obj, "factors", path), list, f"{path}.factors")
         return Product(
             tuple(
                 word_from_obj(f, f"{path}.factors[{i}]", depth + 1) for i, f in enumerate(factors)
@@ -243,14 +246,11 @@ def cert_from_obj(obj: Any, path: str = "$") -> Certificate:
     if "target_vector" in obj:
         kwargs["target_vector"] = tuple(_int_list(obj["target_vector"], f"{path}.target_vector"))
     if "order" in obj:
-        if not isinstance(obj["order"], int) or isinstance(obj["order"], bool):
-            raise ParseError(f"{path}.order", "expected an integer")
-        kwargs["order"] = obj["order"]
+        kwargs["order"] = _typed(obj["order"], int, f"{path}.order")
     if "summands" in obj:
-        if not isinstance(obj["summands"], list):
-            raise ParseError(f"{path}.summands", "expected a list")
+        summands = _typed(obj["summands"], list, f"{path}.summands")
         kwargs["summand_words"] = tuple(
-            word_from_obj(w, f"{path}.summands[{i}]") for i, w in enumerate(obj["summands"])
+            word_from_obj(w, f"{path}.summands[{i}]") for i, w in enumerate(summands)
         )
     try:
         return Certificate(kind=claim, windows=windows, environment=env, **kwargs)
@@ -279,31 +279,27 @@ def chain_to_obj(chain: WitnessChain) -> dict:
 
 
 def chain_from_obj(obj: Any, path: str = "$") -> WitnessChain:
-    level = _need(obj, "level", path)
-    steps_obj = _need(obj, "steps", path)
-    if not isinstance(steps_obj, list):
-        raise ParseError(f"{path}.steps", "expected a list")
+    level = _typed(_need(obj, "level", path), int, f"{path}.level")
+    steps_obj = _typed(_need(obj, "steps", path), list, f"{path}.steps")
     steps = []
     for i, step in enumerate(steps_obj):
         spath = f"{path}.steps[{i}]"
-        certs = _need(step, "certificates", spath)
-        if not isinstance(certs, list):
-            raise ParseError(f"{spath}.certificates", "expected a list")
+        certs = _typed(_need(step, "certificates", spath), list, f"{spath}.certificates")
         steps.append(
             ChainStep(
-                name=_need(step, "name", spath),
+                name=_typed(_need(step, "name", spath), str, f"{spath}.name"),
                 word=word_from_obj(_need(step, "word", spath), f"{spath}.word"),
                 certificates=tuple(
                     cert_from_obj(c, f"{spath}.certificates[{j}]") for j, c in enumerate(certs)
                 ),
-                note=step.get("note", ""),
+                note=_typed(step.get("note", ""), str, f"{spath}.note"),
             )
         )
     return WitnessChain(
         steps=tuple(steps),
         final=aut_from_obj(_need(obj, "final", path), f"{path}.final"),
         level=level,
-        scope_note=_need(obj, "scope_note", path),
+        scope_note=_typed(_need(obj, "scope_note", path), str, f"{path}.scope_note"),
     )
 
 
@@ -393,9 +389,7 @@ def parse_descriptors(text: str):
     from .classify import AllExcept, AllPrimes, FinitePrimes, UnionWithPrefix
 
     obj = _load(text, "descriptors")
-    items = _need(obj, "items", "$")
-    if not isinstance(items, list):
-        raise ParseError("$.items", "expected a list")
+    items = _typed(_need(obj, "items", "$"), list, "$.items")
     out = []
     for i, item in enumerate(items):
         path = f"$.items[{i}]"

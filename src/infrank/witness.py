@@ -35,12 +35,11 @@ from .autrep import (
     eventually_uniform,
     finitary,
     invert,
-    reblock,
     uniform,
     window_matrix,
 )
 from .errors import DimensionError, ShapeError, ValidationError
-from .intmat import IntMatrix, complete_to_basis, is_unimodular_set, snf, solve_columns
+from .intmat import IntMatrix, complete_to_basis, is_unimodular_set, snf
 from .intmat import square_and_multiply
 from .numth import euler_phi, gcd_list, xgcd
 from .words import (
@@ -184,13 +183,10 @@ def _check_shear_triple(t: ShearTriple) -> None:
     want = tuple(e1[i] + t.m * t.shear[i] for i in range(r))
     if t.gamma.apply(e1) != want:
         raise ValidationError("gamma does not shear e_1 as claimed")
-    if t.sigma != IntMatrix.identity(r):
-        # lambda must stabilize sigma<e_i : i > 1>, column by column
-        sub = IntMatrix.from_rows([row[1:] for row in t.sigma.data])
-        for j in range(1, r):
-            image = t.lam.apply(t.sigma.col(j))
-            if solve_columns(sub, image) is None:
-                raise ValidationError("lambda does not stabilize sigma<e_i : i > 1>")
+    # sigma is unimodular, so lambda stabilizes sigma<e_i : i > 1> exactly when
+    # row 0 of sigma^-1 lambda sigma is zero past its first entry
+    if any((t.sigma.inverse() * t.lam * t.sigma).data[0][1:]):
+        raise ValidationError("lambda does not stabilize sigma<e_i : i > 1>")
 
 
 # -- commutator shear (one conjugacy class acting on a complementary moiety) --
@@ -576,7 +572,6 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
     ell = euler_reduce(k, m)
     s_chunk = 2 * (ell + 1)
     env: dict[str, RepAut] = {"phi": phi}
-    phi_s = reblock(phi, s_chunk)
 
     # step 1: conjugates h_s phi h_s^-1 redirect the shear of pair 0 onto the
     # partner slots of pairs 1..ell; their product has x-scalar k^ell = 1 + q m
@@ -588,7 +583,7 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
     factors = [Conj(Named("phi"), Named(name)) for name in reversed(conjugators)]
     word_psi: Token = Product(tuple(factors)) if len(factors) != 1 else factors[0]
     psi = compose_all(
-        *[compose_all(env[name], phi_s, invert(env[name])) for name in reversed(conjugators)]
+        *[compose_all(env[name], phi, invert(env[name])) for name in reversed(conjugators)]
     )
     assert isinstance(psi, EventuallyUniform) and psi.window_size == 0
 
@@ -638,7 +633,6 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
     for n in (n1, n2):
         s2 = 2 * n * s_chunk
         p = s_chunk + 1
-        psi2 = reblock(psi, s2)
         za = z_vec + [0] * (s2 - s_chunk)
         zp = [0] * s_chunk + z_vec + [0] * (s2 - 2 * s_chunk)
         triple = order_n_shear(n, m)
@@ -673,7 +667,7 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
         word_n = Product(
             tuple(Conj(word_psi, Power(Named(lam_name), j)) for j in range(1, n + 1))
         )
-        phi1 = _aut_power(compose(lam, psi2), n)
+        phi1 = _aut_power(compose(lam, psi), n)
         cert2a = Certificate(
             kind=ORDER,
             windows=(s2,),

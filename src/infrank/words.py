@@ -15,10 +15,9 @@ function of the certificate contents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, islice
 from typing import Mapping, Optional, Sequence, Union
 
-from .autrep import RepAut, _check_window, core_window, window_apply, window_matrix
+from .autrep import RepAut, _check_window, core_window, nonzero_blocks, window_apply, window_matrix
 from .autrep import invert as invert_aut
 from .errors import DimensionError, ValidationError, WordError
 from .intmat import IntMatrix
@@ -365,8 +364,7 @@ def _check_action(
         image_list = list(image(v[:core]) + v[core:])
         if period:
             lead = (0,) * (core - period)
-            nonzero = compress(range(core, n), islice(v, core, None))
-            for s in dict.fromkeys(i - (i - core) % period for i in nonzero):
+            for s in nonzero_blocks(v, core, period):
                 image_list[s : s + period] = image(lead + v[s : s + period])[-period:]
         got = tuple(image_list)
     want = _pad(cert.target_vector, n)

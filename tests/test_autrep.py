@@ -16,6 +16,7 @@ from infrank.autrep import (
     eventually_uniform,
     finitary,
     graded,
+    head_and_period,
     identity_aut,
     invert,
     is_identity,
@@ -261,12 +262,19 @@ def test_invert_examples():
     assert window_matrix(g, 4) * window_matrix(gi, 4) == IntMatrix.identity(4)
 
 
-def test_reblock_with_window():
-    rng = random.Random(14)
-    aut = eventually_uniform(random_unimodular(rng, 2), random_unimodular(rng, 2))
-    big = reblock(aut, 6)
-    for n in (6, 12):
+@settings(max_examples=80)
+@given(st.integers(1, 3), st.integers(0, 2), st.integers(1, 3), st.data())
+def test_reblock_with_window(d, heads, times, data):
+    aut = eventually_uniform(data.draw(unimodular(d * heads)), data.draw(unimodular(d)))
+    new_d = times * d
+    big = reblock(aut, new_d)
+    assert big.d == new_d
+    head = big.window_size
+    for n in (head + new_d, head + 3 * new_d):
         assert window_matrix(big, n) == window_matrix(aut, n)
+    assert big.window_inverse == big.window.inverse()
+    assert big.block.inverse == big.block.matrix.inverse()
+    assert big == eventually_uniform(big.window, big.block.matrix)
 
 
 def test_finitary_pruning():
@@ -416,6 +424,33 @@ def test_core_window(auts, n, core):
     blocks = [a.d for a in auts if isinstance(a, EventuallyUniform)]
     period = lcm(*blocks) if blocks else 0  # finitary atoms repeat the identity
     assert core_window(auts, n) == (None if core is None else (core, period))
+
+
+@pytest.mark.parametrize(
+    "a, b, size",
+    [
+        (HEADED_PAIR, U3, 12),  # head 2 rounded up to the period 6, then one period
+        (U3, HEADED_PAIR, 12),
+        (F5, U2, 8),  # the support 5 rounded up to the period 2, then one period
+        (U3, F5, 9),
+        (HEADED, U2, 4),
+        (HEADED_PAIR, F2, 4),
+        # the finitary atom turns the head into one more block, which is absorbed
+        (HEADED_PAIR, finitary((0, 1), IntMatrix.from_rows([[0, -1], [1, 0]])), 4),
+    ],
+    ids=["headed-uniform", "uniform-headed", "finitary-uniform", "uniform-finitary",
+         "head-of-one", "headed-finitary", "head-absorbed"],
+)
+def test_compose_of_headed_atoms_makes_two_products(monkeypatch, a, b, size):
+    head, period = head_and_period((a, b))
+    assert head + period == size
+    products = ProductCounter(monkeypatch)
+    c = compose(a, b)
+    assert (products.count, products.largest) == (2, size)
+    assert c == eventually_uniform(c.window, c.block.matrix)
+    assert c.window_inverse == c.window.inverse()
+    for n in (size, size + period, size + 3 * period):
+        assert window_matrix(c, n) == window_matrix(a, n) * window_matrix(b, n)
 
 
 def test_compose_returns_the_canonical_identity():

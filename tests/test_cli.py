@@ -9,7 +9,7 @@ import pytest
 
 from infrank import words
 from infrank.cli import main
-from infrank.errors import ValidationError
+from infrank.errors import ParseError, ValidationError
 from infrank.intmat import IntMatrix
 from infrank.selftest import run_selftest
 from infrank.serialize import (
@@ -18,6 +18,7 @@ from infrank.serialize import (
     parse_document,
     serialize_aut,
     serialize_certificate,
+    serialize_chain,
 )
 from infrank.witness import (
     canonical_shear,
@@ -374,3 +375,42 @@ def test_verify_hostile_documents(tmp_path, capsys, text, code, lines):
     cert_file = tmp_path / "hostile.cert"
     cert_file.write_text(text)
     assert run(["verify", str(cert_file)], capsys) == (code, "\n".join(lines) + "\n", "")
+
+
+def _set(*keys, value):
+    """An edit of a chain object that sets the field at ``keys`` to ``value``."""
+
+    def edit(obj):
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = value
+
+    return edit
+
+
+# wrong-typed chain fields, each refused at its path
+WRONG_TYPED_CHAINS = [
+    ("level-string", _set("level", value="x"), "$.level"),
+    ("level-bool", _set("level", value=True), "$.level"),
+    ("level-float", _set("level", value=3.0), "$.level"),
+    ("step-name-number", _set("steps", 0, "name", value=7), "$.steps[0].name"),
+    ("step-note-object", _set("steps", 1, "note", value={}), "$.steps[1].note"),
+    ("scope-note-list", _set("scope_note", value=["x"]), "$.scope_note"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, path", [case[1:] for case in WRONG_TYPED_CHAINS], ids=[c[0] for c in WRONG_TYPED_CHAINS]
+)
+def test_verify_wrong_typed_chain_fields(tmp_path, capsys, edit, path):
+    obj = json.loads(serialize_chain(km_pipeline(canonical_shear(1, 3))))
+    edit(obj)
+    text = json.dumps(obj)
+    with pytest.raises(ParseError) as exc:
+        parse_chain(text)
+    assert exc.value.path == path
+    cert_file = tmp_path / "typed.cert"
+    cert_file.write_text(text)
+    code, out, err = run(["verify", str(cert_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: ")

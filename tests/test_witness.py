@@ -131,6 +131,43 @@ def test_shear_lambda_stabilizes_sigma_span():
             assert solve_columns(span, image) is not None
 
 
+def _elementary_conjugate(rng, lam):
+    """lam conjugated by one random elementary matrix I + c e_ij."""
+    r = lam.rows
+    i, j = rng.sample(range(r), 2)
+    c = rng.choice([-2, -1, 1, 2])
+    e, e_inv = ([[int(a == b) for b in range(r)] for a in range(r)] for _ in range(2))
+    e[i][j], e_inv[i][j] = c, -c
+    return IntMatrix.from_rows(e) * lam * IntMatrix.from_rows(e_inv)
+
+
+def test_shear_stabilizer_check_matches_solve_columns():
+    """With gamma kept, only the stabilizer check can refuse a conjugated
+    lambda, and it refuses exactly when some image of sigma e_j (j > 1)
+    leaves the span that ``solve_columns`` searches."""
+    rng = random.Random(41)
+    refused = kept = 0
+    for n in range(3, 7):
+        for m in (2, 3, 5):
+            t = order_n_shear(n, m)
+            span = IntMatrix.from_rows([row[1:] for row in t.sigma.data])
+            for _ in range(30):
+                lam = _elementary_conjugate(rng, t.lam)
+                outside = any(
+                    solve_columns(span, lam.apply(t.sigma.col(j))) is None
+                    for j in range(1, t.sigma.rows)
+                )
+                try:
+                    witness._check_shear_triple(replace(t, lam=lam))
+                except ValidationError as exc:
+                    assert outside and "stabilize" in str(exc)
+                    refused += 1
+                else:
+                    assert not outside
+                    kept += 1
+    assert refused and kept
+
+
 def test_shear_order_certificate():
     for n in (2, 3, 4, 5):
         t = order_n_shear(n, 3)
