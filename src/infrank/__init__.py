@@ -19,7 +19,6 @@ from .autrep import (
     graded,
     identity_aut,
     invert,
-    reblock,
     uniform,
     window_matrix,
 )
@@ -57,7 +56,6 @@ from .intmat import (
     invariant_factors,
     is_unimodular_set,
     snf,
-    solve_columns,
 )
 from .witness import (
     ShearTriple,

@@ -383,15 +383,6 @@ def _split(w: IntMatrix, w_inv: IntMatrix, head: int) -> EventuallyUniform:
     return EventuallyUniform(window, w_inv.top_left(window.rows), block)
 
 
-def reblock(aut: EventuallyUniform, new_d: int) -> EventuallyUniform:
-    """The same automorphism re-described with blocks of size ``new_d``."""
-    if new_d % aut.d:
-        raise AlignmentError(f"new block size {new_d} not a multiple of {aut.d}")
-    head = aut.window_size + (-aut.window_size) % new_d
-    n = head + new_d
-    return _split(window_matrix(aut, n), window_matrix(invert(aut), n), head)
-
-
 def compose(a: RepAut, b: RepAut) -> RepAut:
     """Symbolic product: window(compose(a, b), n) == window(a, n) * window(b, n).
 

@@ -1,8 +1,9 @@
 """Dense exact-integer matrices and Smith-normal-form machinery.
 
 Everything here runs on Python's arbitrary-precision integers; there is no
-floating point and no modular shortcut anywhere.  Matrices are immutable,
-so values can be shared freely between threads.
+floating point.  The one modular computation is the 2-adic inverse of
+``_unimodular_inverse``, and an exact integer product accepts its result.
+Matrices are immutable, so values can be shared freely between threads.
 
 Convention used throughout the library: matrices act on column vectors,
 i.e. column ``j`` of the matrix of an automorphism holds the image of the
@@ -12,14 +13,15 @@ i.e. column ``j`` of the matrix of an automorphism holds the image of the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .errors import DimensionError, NotCompletableError, ValidationError
 
 
 T = TypeVar("T")
+Rows = Sequence[Sequence[int]]
 
 
 def square_and_multiply(
@@ -166,27 +168,8 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        # each row of the right factor as its nonzero (column, value) pairs,
-        # collected once: the window matrices of block automorphisms are mostly
-        # zeros, so a product costs about the number of nonzero term pairs
-        sparse = [[(c, b) for c, b in enumerate(orow) if b] for orow in other.data]
-        cols = other.cols
-        out = []
-        for row in self.data:
-            acc = [0] * cols
-            for a, pairs in zip(row, sparse):
-                if a:
-                    if a == 1:
-                        for c, b in pairs:
-                            acc[c] += b
-                    elif a == -1:
-                        for c, b in pairs:
-                            acc[c] -= b
-                    else:
-                        for c, b in pairs:
-                            acc[c] += a * b
-            out.append(tuple(acc))
-        return IntMatrix._trusted(tuple(out))
+        rows = _product_rows(self.data, other.data, other.cols)
+        return IntMatrix._trusted(tuple(map(tuple, rows)))
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -245,7 +228,8 @@ class IntMatrix:
         return _unimodular_inverse(self) is not None
 
     def inverse(self) -> "IntMatrix":
-        """Exact inverse of a unimodular matrix, by row reduction of ``[A | I]``."""
+        """Exact inverse of a unimodular matrix: 2-adic elimination, accepted
+        by an exact product (``_unimodular_inverse``)."""
         inv = _unimodular_inverse(self)
         if inv is None:
             raise ValidationError("matrix is not unimodular; no integer inverse")
@@ -264,58 +248,102 @@ class IntMatrix:
         )
 
 
+def _product_rows(a: Rows, b: Rows, cols: int) -> Iterator[list[int]]:
+    """The rows of ``a * b`` one by one.  Each row of b is read once as its
+    nonzero (column, value) pairs: window matrices are mostly zeros, so a
+    product costs about the number of nonzero term pairs."""
+    sparse = [[(c, y) for c, y in enumerate(row) if y] for row in b]
+    for row in a:
+        acc = [0] * cols
+        for x, pairs in zip(row, sparse):
+            if x:
+                if x == 1:
+                    for c, y in pairs:
+                        acc[c] += y
+                elif x == -1:
+                    for c, y in pairs:
+                        acc[c] -= y
+                else:
+                    for c, y in pairs:
+                        acc[c] += x * y
+        yield acc
+
+
 def _unimodular_inverse(m: IntMatrix) -> Optional[IntMatrix]:
     """The integer inverse of m, or None unless m is square and unimodular.
 
-    Row operations on ``[A | I]`` only, so the right half U always satisfies
-    ``U * A`` = the left half.  Column t is first reduced by Euclid's
-    algorithm over the rows not yet used as pivots, leaving one nonzero entry
-    there; earlier columns are already cleared, so the pivots are the
-    diagonal of a triangular matrix whose determinant is +-det(A).  A pivot
-    other than +-1, or a column with no nonzero entry left, therefore proves
-    A is not unimodular.  A +-1 pivot clears its column in every other row
-    exactly (Gauss-Jordan), and at the end the left half is I and U = A^-1.
+    2-adic lifting (Dixon 1982) closed by an exact check (Abbott, Bronstein
+    & Mulders 1999): det A = +-1 is odd, so A has one inverse mod 2^k, which
+    ``_inverse_mod_2k`` gives in symmetric residues.  An exact ``A * B == I``,
+    read up to the first wrong row, accepts it; otherwise k doubles from its
+    start, the entry bit length of A plus a margin.  Every entry of a true
+    inverse is a cofactor, at most the Hadamard bound prod ||row_i||: once
+    2^(k-1) exceeds it, a failed check proves A is not unimodular.
     """
     if not m.is_square:
         return None
-    n = m.rows
-    rows = [list(row) + [0] * n for row in m.data]
-    for i in range(n):
-        rows[i][n + i] = 1
+    a, n = m.data, m.rows
+    if n < 2:
+        return m if all(row[0] in (1, -1) for row in a) else None
+    k = max(max(map(abs, row)) for row in a).bit_length() + 2 * n.bit_length() + 8
+    while True:
+        b = _inverse_mod_2k(a, k)
+        if b is None:
+            return None
+        rows = enumerate(_product_rows(a, b, n))
+        if all(r[i] == 1 and r.count(0) == n - 1 for i, r in rows):
+            return IntMatrix._trusted(tuple(map(tuple, b)))
+        if 4 ** (k - 1) > prod(sum(x * x for x in row) for row in a):  # squares of both sides
+            return None
+        k *= 2
+
+
+def _inverse_mod_2k(a: Rows, k: int) -> Optional[list[list[int]]]:
+    """A^-1 mod 2^k in symmetric residues, or None when a column without an
+    odd pivot proves det even, or det mod 2^k (the product of the pivots,
+    signed by the swaps) is not +-1.  Gauss-Jordan on ``[A | I]`` with a +-1
+    pivot where there is one, so that it needs no modular inverse.  Only the
+    pivot row and the multipliers are reduced: every other entry gains one
+    product of two reduced values per column, so none grows past about 2k
+    bits.
+    """
+    n, size = len(a), 1 << k
+    half, mask = size >> 1, size - 1
+    rows = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(a)]
+    det = 1
     for t in range(n):
-        live = [i for i in range(t, n) if rows[i][t]]
-        if not live:
+        p = None
+        for i in range(t, n):
+            v = rows[i][t]
+            if v & 1 and (p is None or v in (1, -1)):
+                p = i
+                if v in (1, -1):
+                    break
+        if p is None:
             return None
-        while len(live) > 1:
-            p = min(live, key=lambda i: abs(rows[i][t]))
-            prow = rows[p]
-            pv = prow[t]
-            nz = [(c, v) for c, v in enumerate(prow[t:], t) if v]
-            rest = []
-            for i in live:
-                if i != p:
-                    row = rows[i]
-                    q = row[t] // pv
-                    for c, v in nz:
-                        row[c] -= q * v
-                    if row[t]:
-                        rest.append(i)
-            rest.append(p)
-            live = rest
-        p = live[0]
-        if rows[p][t] not in (1, -1):
-            return None
-        if rows[p][t] == -1:
-            rows[p] = [-v for v in rows[p]]
-        rows[t], rows[p] = rows[p], rows[t]
-        nz = [(c, v) for c, v in enumerate(rows[t][t:], t) if v]
-        for i in range(n):
-            row = rows[i]
+        if p != t:
+            rows[p], rows[t], det = rows[t], rows[p], -det
+        prow = rows[t]
+        pv = ((prow[t] + half) & mask) - half
+        det = det * pv & mask
+        u = pv if pv in (1, -1) else pow(pv, -1, size)
+        prow[t] = 1
+        nz = []
+        for c in range(t + 1, 2 * n):
+            if prow[c]:
+                prow[c] = v = ((prow[c] * u + half) & mask) - half
+                if v:
+                    nz.append((c, v))
+        for i, row in enumerate(rows):
             q = row[t]
             if q and i != t:
+                q = ((q + half) & mask) - half
+                row[t] = 0
                 for c, v in nz:
                     row[c] -= q * v
-    return IntMatrix._trusted(tuple(tuple(row[n:]) for row in rows))
+    if det != 1 and det != mask:
+        return None
+    return [[((v + half) & mask) - half if v else 0 for v in row[n:]] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -476,27 +504,6 @@ def complete_to_basis(m: IntMatrix) -> IntMatrix:
     if not out.is_unimodular():
         raise NotCompletableError("completion failed determinant check")
     return out
-
-
-def solve_columns(m: IntMatrix, target: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Integer solution x of ``m @ x == target``, or None if there is none."""
-    if len(target) != m.rows:
-        raise DimensionError("target length does not match row count")
-    res = snf(m)
-    w = res.u.apply(target)
-    diag = res.diagonal()
-    y = [0] * m.cols
-    for i in range(m.rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if w[i] != 0:
-                return None
-        else:
-            if w[i] % d:
-                return None
-            if i < m.cols:
-                y[i] = w[i] // d
-    return res.v.apply(y)
 
 
 def gcd_of_entries(m: IntMatrix) -> int:

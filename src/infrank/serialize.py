@@ -19,7 +19,7 @@ from .autrep import (
     finitary,
     graded,
 )
-from .errors import ParseError, ValidationError
+from .errors import DimensionError, ParseError, ValidationError
 from .intmat import IntMatrix
 from .witness import ChainStep, WitnessChain
 from .words import Certificate, Conj, Inverse, Named, Power, Product, Token
@@ -93,7 +93,10 @@ def _int_list(obj: Any, path: str) -> list[int]:
 def _matrix(obj: Any, path: str) -> IntMatrix:
     if not isinstance(obj, list):
         raise ParseError(path, "expected a nested integer array")
-    return IntMatrix.from_rows([_int_list(row, f"{path}[{i}]") for i, row in enumerate(obj)])
+    rows = tuple(tuple(_int_list(row, f"{path}[{i}]")) for i, row in enumerate(obj))
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DimensionError("ragged rows in matrix literal")
+    return IntMatrix._trusted(rows)
 
 
 def _matrix_obj(m: IntMatrix) -> list[list[int]]:
@@ -124,31 +127,38 @@ def aut_to_obj(aut: RepAut) -> dict:
     }
 
 
-def aut_from_obj(obj: Any, path: str = "$") -> RepAut:
+def aut_from_obj(obj: Any, path: str, atoms: dict) -> RepAut:
+    """Read one atom.  ``atoms`` maps the validated fields of each atom read
+    so far to the atom, so that a repeated atom is built and inverted once."""
     variant = _need(obj, "variant", path)
-    try:
-        if variant == "finitary":
-            return finitary(
-                _int_list(_need(obj, "support", path), f"{path}.support"),
-                _matrix(_need(obj, "matrix", path), f"{path}.matrix"),
-            )
-        if variant == "uniform":
-            return eventually_uniform(
-                _matrix(_need(obj, "window", path), f"{path}.window"),
-                _matrix(_need(obj, "block", path), f"{path}.block"),
-            )
-        if variant == "graded":
-            negated = _need(obj, "negated", path)
-            if not isinstance(negated, bool):
-                raise ParseError(f"{path}.negated", "expected a boolean")
-            return graded(
-                _int_list(_need(obj, "prefix", path), f"{path}.prefix"),
-                _int_list(_need(obj, "excluded", path), f"{path}.excluded"),
-                negated,
-            )
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    raise ParseError(f"{path}.variant", f"unknown variant {variant!r}")
+    if variant == "finitary":
+        make, args = finitary, (
+            tuple(_int_list(_need(obj, "support", path), f"{path}.support")),
+            _matrix(_need(obj, "matrix", path), f"{path}.matrix"),
+        )
+    elif variant == "uniform":
+        make, args = eventually_uniform, (
+            _matrix(_need(obj, "window", path), f"{path}.window"),
+            _matrix(_need(obj, "block", path), f"{path}.block"),
+        )
+    elif variant == "graded":
+        negated = _need(obj, "negated", path)
+        if not isinstance(negated, bool):
+            raise ParseError(f"{path}.negated", "expected a boolean")
+        make, args = graded, (
+            tuple(_int_list(_need(obj, "prefix", path), f"{path}.prefix")),
+            tuple(_int_list(_need(obj, "excluded", path), f"{path}.excluded")),
+            negated,
+        )
+    else:
+        raise ParseError(f"{path}.variant", f"unknown variant {variant!r}")
+    key = (variant, *(x.data if isinstance(x, IntMatrix) else x for x in args))
+    if key not in atoms:
+        try:
+            atoms[key] = make(*args)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+    return atoms[key]
 
 
 # -- words -------------------------------------------------------------------
@@ -198,10 +208,10 @@ def _env_to_obj(env: Mapping[str, RepAut]) -> dict:
     return {name: aut_to_obj(aut) for name, aut in env.items()}
 
 
-def _env_from_obj(obj: Any, path: str) -> dict[str, RepAut]:
+def _env_from_obj(obj: Any, path: str, atoms: dict) -> dict[str, RepAut]:
     if not isinstance(obj, dict):
         raise ParseError(path, "expected an object of named automorphisms")
-    return {name: aut_from_obj(body, f"{path}.{name}") for name, body in obj.items()}
+    return {name: aut_from_obj(body, f"{path}.{name}", atoms) for name, body in obj.items()}
 
 
 # -- certificates ------------------------------------------------------------
@@ -230,15 +240,15 @@ def cert_to_obj(cert: Certificate) -> dict:
     return obj
 
 
-def cert_from_obj(obj: Any, path: str = "$") -> Certificate:
+def cert_from_obj(obj: Any, path: str, atoms: dict) -> Certificate:
     claim = _need(obj, "claim", path)
     windows = tuple(_int_list(_need(obj, "windows", path), f"{path}.windows"))
-    env = _env_from_obj(obj.get("env", {}), f"{path}.env")
+    env = _env_from_obj(obj.get("env", {}), f"{path}.env", atoms)
     kwargs: dict[str, Any] = {}
     if "word" in obj:
         kwargs["word"] = word_from_obj(obj["word"], f"{path}.word")
     if "target_aut" in obj:
-        kwargs["target_aut"] = aut_from_obj(obj["target_aut"], f"{path}.target_aut")
+        kwargs["target_aut"] = aut_from_obj(obj["target_aut"], f"{path}.target_aut", atoms)
     if "target_matrix" in obj:
         kwargs["target_matrix"] = _matrix(obj["target_matrix"], f"{path}.target_matrix")
     if "vector" in obj:
@@ -278,7 +288,7 @@ def chain_to_obj(chain: WitnessChain) -> dict:
     }
 
 
-def chain_from_obj(obj: Any, path: str = "$") -> WitnessChain:
+def chain_from_obj(obj: Any, path: str, atoms: dict) -> WitnessChain:
     level = _typed(_need(obj, "level", path), int, f"{path}.level")
     steps_obj = _typed(_need(obj, "steps", path), list, f"{path}.steps")
     steps = []
@@ -290,14 +300,15 @@ def chain_from_obj(obj: Any, path: str = "$") -> WitnessChain:
                 name=_typed(_need(step, "name", spath), str, f"{spath}.name"),
                 word=word_from_obj(_need(step, "word", spath), f"{spath}.word"),
                 certificates=tuple(
-                    cert_from_obj(c, f"{spath}.certificates[{j}]") for j, c in enumerate(certs)
+                    cert_from_obj(c, f"{spath}.certificates[{j}]", atoms)
+                    for j, c in enumerate(certs)
                 ),
                 note=_typed(step.get("note", ""), str, f"{spath}.note"),
             )
         )
     return WitnessChain(
         steps=tuple(steps),
-        final=aut_from_obj(_need(obj, "final", path), f"{path}.final"),
+        final=aut_from_obj(_need(obj, "final", path), f"{path}.final", atoms),
         level=level,
         scope_note=_typed(_need(obj, "scope_note", path), str, f"{path}.scope_note"),
     )
@@ -345,9 +356,9 @@ def _load(text: str, kind: str | None = None) -> dict:
     return obj
 
 
-def _word_doc(obj: dict) -> tuple[Token, dict[str, RepAut]]:
-    return word_from_obj(_need(obj, "word", "$"), "$.word"), _env_from_obj(
-        obj.get("env", {}), "$.env"
+def _word_doc(obj: dict, path: str, atoms: dict) -> tuple[Token, dict[str, RepAut]]:
+    return word_from_obj(_need(obj, "word", path), f"{path}.word"), _env_from_obj(
+        obj.get("env", {}), f"{path}.env", atoms
     )
 
 
@@ -360,12 +371,13 @@ _READERS = {
 
 
 def _parse(text: str, kind: str | None) -> Any:
-    """Read a document with the reader of its kind; ``kind`` None accepts any."""
+    """Read a document with the reader of its kind; ``kind`` None accepts any.
+    Equal atoms become one object, through a table that lives for this call."""
     obj = _load(text, kind)
     found = obj.get("kind")
     if not isinstance(found, str) or found not in _READERS:
         raise ParseError("$.kind", f"unknown document kind {found!r}")
-    return _READERS[found](obj)
+    return _READERS[found](obj, "$", {})
 
 
 def parse_aut(text: str) -> RepAut:

@@ -251,11 +251,24 @@ def _pad(vec: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(vec) + (0,) * (n - len(vec))
 
 
+def _shown(x: int) -> str:
+    """x in decimal or, past the 4,300 digits Python writes by default, its
+    sign, bit length and a SHA-256 prefix of its signed big-endian bytes."""
+    try:
+        return str(x)
+    except ValueError:
+        import hashlib  # on this rare path only: loading it costs every command megabytes of memory
+    bits = x.bit_length()
+    digest = hashlib.sha256(x.to_bytes(bits // 8 + 1, "big", signed=True)).hexdigest()[:12]
+    return f"{'-' if x < 0 else ''}<{bits}-bit integer, sha256 {digest}>"
+
+
 def _first_difference(a: IntMatrix, b: IntMatrix) -> str:
     for i in range(a.rows):
         for j in range(a.cols):
-            if a.data[i][j] != b.data[i][j]:
-                return f"entry ({i},{j}): got {a.data[i][j]}, expected {b.data[i][j]}"
+            x, y = a.data[i][j], b.data[i][j]
+            if x != y:
+                return f"entry ({i},{j}): got {_shown(x)}, expected {_shown(y)}"
     return "no difference"
 
 
@@ -371,7 +384,7 @@ def _check_action(
     if got == want:
         return True, "action holds"
     k = next(i for i in range(n) if got[i] != want[i])
-    return False, f"MISMATCH at coordinate {k}: got {got[k]}, expected {want[k]}"
+    return False, f"MISMATCH at coordinate {k}: got {_shown(got[k])}, expected {_shown(want[k])}"
 
 
 def _check_sum(cert: Certificate, n: int) -> tuple[bool, str]:

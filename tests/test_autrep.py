@@ -20,7 +20,6 @@ from infrank.autrep import (
     identity_aut,
     invert,
     is_identity,
-    reblock,
     uniform,
     window_apply,
     window_matrix,
@@ -29,6 +28,7 @@ from infrank.errors import AlignmentError, CompositionUnsupportedError, Validati
 from infrank.intmat import IntMatrix
 from infrank.witness import tau_power
 
+from oracles import reblock
 from test_intmat import ProductCounter, assert_passes_validation, random_unimodular
 
 

@@ -28,8 +28,8 @@ from infrank.witness import (
     tau_power,
     zaushko_commutator,
 )
-from infrank.words import VerifyResult
-from infrank.autrep import graded
+from infrank.words import WINDOW_IDENTITY, Certificate, Named, Power, VerifyResult
+from infrank.autrep import finitary, graded, identity_aut
 
 
 def run(argv, capsys):
@@ -127,6 +127,47 @@ def test_verify_rejects_tampered(tmp_path, capsys):
     code, out, _ = run(["verify", str(cert_file)], capsys)
     assert code == 1
     assert "MISMATCH" in out
+
+
+def test_verify_huge_entry_mismatch(tmp_path, capsys):
+    """A false identity claim whose first differing entry has about 41,800
+    digits, past what Python writes in decimal, is refused with a MISMATCH
+    line that gives the entry's bit length and digest."""
+    a = finitary((0, 1), IntMatrix.from_rows([[2, 1], [1, 1]]))
+    cert = Certificate(
+        kind=WINDOW_IDENTITY,
+        windows=(2,),
+        environment={"a": a},
+        word=Power(Named("a"), 100000),
+        target_aut=identity_aut(),
+    )
+    cert_file = tmp_path / "huge.cert"
+    cert_file.write_text(serialize_certificate(cert))
+    code, out, err = run(["verify", str(cert_file)], capsys)
+    assert (code, err) == (1, "")
+    assert out == (
+        "window 2: MISMATCH at entry (0,0): got <138848-bit integer, sha256 3f2ff8b20606>, "
+        "expected 1\nverified: False\n"
+    )
+
+
+def test_verify_2001_bit_entry_mismatch_is_decimal(tmp_path, capsys):
+    """An entry Python still writes in decimal is printed in full."""
+    a = IntMatrix.from_rows([[2, 1], [1, 1]])
+    cert = Certificate(
+        kind=WINDOW_IDENTITY,
+        windows=(2,),
+        environment={"a": finitary((0, 1), a)},
+        word=Power(Named("a"), 1441),
+        target_aut=identity_aut(),
+    )
+    cert_file = tmp_path / "big.cert"
+    cert_file.write_text(serialize_certificate(cert))
+    code, out, err = run(["verify", str(cert_file)], capsys)
+    got = a.power(1441).data[0][0]
+    assert got.bit_length() == 2001
+    assert (code, err) == (1, "")
+    assert out == f"window 2: MISMATCH at entry (0,0): got {got}, expected 1\nverified: False\n"
 
 
 def test_verify_malformed_is_error_not_false(tmp_path, capsys):

@@ -3,9 +3,10 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from infrank import intmat
 from infrank.errors import DimensionError, NotCompletableError, ValidationError
 from infrank.intmat import (
     IntMatrix,
@@ -13,8 +14,9 @@ from infrank.intmat import (
     invariant_factors,
     is_unimodular_set,
     snf,
-    solve_columns,
 )
+
+from oracles import row_reduction_inverse, solve_columns
 
 
 def minors_gcd_invariant_factors(m: IntMatrix) -> tuple[int, ...]:
@@ -249,6 +251,11 @@ def test_inverse_by_row_reduction(m):
         [[0, 0], [0, 1]],
         [[1, 5, 0], [0, 1, 0], [7, 35, 2]],
         [[2**130 + 1, 2**130], [2**130, 2**130 - 2]],
+        [[2, 1], [1, 2]],
+        [[1, 2], [2, 1]],
+        # det 2^60 + 1 is 1 modulo the first 2^k (k = 31 + 2 * 2 + 8), so
+        # the lift fails its exact check and k doubles before det refuses it
+        [[2**30, 1], [-1, 2**30]],
     ],
     ids=[
         "non-square",
@@ -260,6 +267,9 @@ def test_inverse_by_row_reduction(m):
         "zero-row",
         "late-pivot-2",
         "big-entries",
+        "det-3",
+        "det-minus-3",
+        "det-2-to-60-plus-1",
     ],
 )
 def test_not_unimodular_has_no_inverse(rows):
@@ -270,6 +280,101 @@ def test_not_unimodular_has_no_inverse(rows):
         assert m.det() not in (1, -1)
     with pytest.raises(ValidationError, match="^matrix is not unimodular; no integer inverse$"):
         m.inverse()
+
+
+class ModCounter:
+    """Records the k of every ``_inverse_mod_2k`` call."""
+
+    def __init__(self, monkeypatch):
+        self.ks = []
+        orig = intmat._inverse_mod_2k
+
+        def counting(a, k):
+            self.ks.append(k)
+            return orig(a, k)
+
+        monkeypatch.setattr(intmat, "_inverse_mod_2k", counting)
+
+
+def test_odd_det_refused_by_det_mod_2k(monkeypatch):
+    """det 3 is not +-1 mod 2^k, so a dense 12 x 12 block of det 3 is refused
+    after one elimination, far below its Hadamard bound.  det 2^60 + 1 is 1
+    modulo the first 2^k (k = 31 + 2 * 2 + 8): that lift fails its exact
+    check, k doubles, and det refuses it then."""
+    m = random_unimodular(random.Random(11), 12, steps=80)
+    det3 = IntMatrix.from_rows([[3 * x for x in m.data[0]], *m.data[1:]])
+    mods = ModCounter(monkeypatch)
+    assert not det3.is_unimodular()
+    assert len(mods.ks) == 1
+    mods.ks.clear()
+    assert not IntMatrix.from_rows([[2**30, 1], [-1, 2**30]]).is_unimodular()
+    assert mods.ks == [43, 86]
+
+
+@pytest.mark.parametrize("n, c", [(24, 2), (20, 3), (9, -5), (3, 2**20)])
+def test_inverse_past_the_first_modulus(monkeypatch, n, c):
+    """I + cN, with N the shift, has an inverse with entries (-c)^(n-1), past
+    2^(k-1) for the first k, so its first lift fails the exact check and k
+    doubles once."""
+    m = IntMatrix.from_rows(
+        [[1 if i == j else c if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+    )
+    mods = ModCounter(monkeypatch)
+    inv = m.inverse()
+    assert len(mods.ks) == 2 and mods.ks[1] == 2 * mods.ks[0]
+    assert inv == row_reduction_inverse(m)
+    assert inv.data[0][n - 1] == (-c) ** (n - 1)
+
+
+@st.composite
+def inverse_inputs(draw):
+    """Unimodular windows with rows and columns shuffled; the same with one
+    row scaled by 0, by an even factor or by an odd one other than +-1; one
+    with a block of det 2^60 + 1 among its blocks; I + cN; and small dense
+    and non-square matrices, unimodular or not."""
+    kinds = ("window", "scaled", "odd-det-block", "shift", "dense", "non-square")
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("dense", "non-square"):
+        r = draw(st.integers(1, 5))
+        c = r if kind == "dense" else draw(st.integers(1, 5).filter(lambda c: c != r))
+        row = st.lists(st.integers(-9, 9), min_size=c, max_size=c)
+        return IntMatrix.from_rows(draw(st.lists(row, min_size=r, max_size=r)))
+    if kind == "shift":
+        n, c = draw(st.integers(2, 30)), draw(st.sampled_from((2, 3, -3, 5)))
+        rows = [[1 if i == j else c if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+    else:
+        m = draw(unimodular_windows())
+        if kind == "odd-det-block":
+            m = IntMatrix.block_diag([IntMatrix.from_rows([[2**30, 1], [-1, 2**30]]), m])
+        rows = [list(row) for row in m.data]
+        if kind == "scaled":
+            f = draw(st.sampled_from((0, 2, -2, 3, -3, 2**64 + 1, -(2**300) - 1)))
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i] = [f * x for x in rows[i]]
+    order = draw(st.permutations(range(len(rows))))
+    cols = draw(st.permutations(range(len(rows))))
+    return IntMatrix.from_rows([[rows[i][j] for j in cols] for i in order])
+
+
+def _window(n, entries):
+    """The n x n identity with the given {(i, j): value} entries set."""
+    return IntMatrix.from_rows(
+        [[entries.get((i, j), int(i == j)) for j in range(n)] for i in range(n)]
+    )
+
+
+@settings(max_examples=150)
+@given(inverse_inputs())
+# a 1 x 1 block of 3
+@example(_window(9, {(4, 4): 3}))
+# blocks of 2 rows and 1 column and of 1 row and 2 columns
+@example(_window(9, {(0, 1): 0, (1, 1): 0, (1, 0): 1, (2, 1): 1}))
+def test_inverse_matches_row_reduction(m):
+    """The 2-adic inverse and the row-reduction oracle give the same matrix,
+    or both None."""
+    inv = intmat._unimodular_inverse(m)
+    assert inv == row_reduction_inverse(m)
+    assert m.is_unimodular() == (inv is not None)
 
 
 def test_det_multiplicative():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from infrank import intmat
+from infrank import intmat, serialize
 from infrank.autrep import eventually_uniform, finitary, graded, uniform
 from infrank.classify import AllExcept, FinitePrimes
 from infrank.cli import main
@@ -195,7 +195,7 @@ def test_chain_round_trip():
 
 
 def test_parse_chain_needs_no_snf_or_det(monkeypatch):
-    """Parsed atoms get their inverses from row reduction alone."""
+    """Parsed atoms get their inverses from the 2-adic elimination alone."""
     text = serialize_chain(km_pipeline(canonical_shear(5, 4), (2, 3)))
     calls = {"snf": 0, "det": 0}
 
@@ -212,6 +212,80 @@ def test_parse_chain_needs_no_snf_or_det(monkeypatch):
     assert calls == {"snf": 0, "det": 0}
     assert serialize_chain(chain) == text
     assert verify_chain(chain).ok
+
+
+def _atom_objs(obj):
+    """Every atom object in a document: env entries, targets and final."""
+    if isinstance(obj, dict):
+        if "variant" in obj:
+            yield obj
+        else:
+            for value in obj.values():
+                yield from _atom_objs(value)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _atom_objs(value)
+
+
+def _parsed_atoms(chain):
+    certs = [c for step in chain.steps for c in step.certificates]
+    return [a for c in certs for a in (*c.environment.values(), c.target_aut) if a is not None] + [
+        chain.final
+    ]
+
+
+def test_parse_builds_each_distinct_atom_once(monkeypatch):
+    """The (5,4) chain repeats its atoms across certificates; one parse calls
+    an atom constructor once per distinct atom, every copy of an atom is one
+    object, and the chain re-serializes to the same bytes."""
+    text = serialize_chain(km_pipeline(canonical_shear(5, 4), (2, 3)))
+    atoms = list(_atom_objs(json.loads(text)))
+    distinct = {json.dumps(a, sort_keys=True) for a in atoms}
+    built = []
+    for name in ("finitary", "eventually_uniform", "graded"):
+        make = getattr(serialize, name)
+        monkeypatch.setattr(
+            serialize, name, lambda *args, make=make: built.append(args) or make(*args)
+        )
+    chain = parse_chain(text)
+    assert len(built) == len(distinct) < len(atoms)
+    assert len({id(a) for a in _parsed_atoms(chain)}) == len(distinct)
+    assert serialize_chain(chain) == text
+    assert verify_chain(chain).ok
+
+
+def test_parses_share_no_atom():
+    text = serialize_chain(km_pipeline(canonical_shear(5, 4), (2, 3)))
+    first, second = parse_chain(text), parse_chain(text)
+    assert first == second
+    assert not {id(a) for a in _parsed_atoms(first)} & {id(a) for a in _parsed_atoms(second)}
+
+
+def test_repeated_bad_atom_fails_at_its_first_path():
+    bad = '{"variant":"uniform","window":[],"block":[[2,0],[0,1]]}'
+    doc = (
+        '{"format_version":1,"kind":"certificate","claim":"window-identity","windows":[2],'
+        f'"env":{{"a":{bad},"b":{bad}}},"word":{{"op":"named","name":"a"}},"target_aut":{bad}}}'
+    )
+    with pytest.raises(ValidationError, match=r"^\$\.env\.a: block matrix is not unimodular$"):
+        parse_certificate(doc)
+
+
+def test_ragged_matrix_error_text():
+    with pytest.raises(DimensionError) as exc:
+        parse_aut(UNIFORM_DOC % "[[1,0],[0]]")
+    assert str(exc.value) == "ragged rows in matrix literal"
+
+
+def test_parsed_matrices_are_validated_once(monkeypatch):
+    """The JSON reader checks every entry, so no parsed matrix of the (5,4)
+    chain is validated again on construction."""
+    text = serialize_chain(km_pipeline(canonical_shear(5, 4), (2, 3)))
+    calls = []
+    orig = IntMatrix.__post_init__
+    monkeypatch.setattr(IntMatrix, "__post_init__", lambda m: calls.append(m) or orig(m))
+    parse_chain(text)
+    assert calls == []
 
 
 def test_parse_document_dispatch():

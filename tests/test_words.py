@@ -563,3 +563,32 @@ UV = Product((Named("u"), Named("v"), Inverse(Named("u"))))
 def test_core_window_edges_match_dense(kind, windows, word, extra):
     cert = Certificate(kind=kind, windows=windows, environment=EDGE_ENV, word=word, **extra)
     assert _outcome(lambda: verify_certificate(cert)) == _dense_outcome(cert)
+
+
+@pytest.mark.parametrize(
+    "x, shown",
+    [
+        (0, "0"),
+        (-7, "-7"),
+        (2**2000, str(2**2000)),  # 603 digits: decimal, as before
+        (10**4300 - 1, "9" * 4300),  # the longest decimal Python writes by default
+        (-(10**4300) + 1, "-" + "9" * 4300),
+        (10**4300, "<14285-bit integer, sha256 6363c3a5ff5e>"),
+        (-(10**4300), "-<14285-bit integer, sha256 97750d6e523a>"),
+    ],
+    ids=["zero", "small", "2000-bit", "4300-digit", "-4300-digit", "4301-digit", "-4301-digit"],
+)
+def test_report_entries_past_the_decimal_limit_are_digested(x, shown):
+    assert words_module._shown(x) == shown
+
+
+def test_action_mismatch_with_huge_coordinate():
+    a = finitary((0, 1), IntMatrix.from_rows([[2, 1], [1, 1]]))
+    cert = Certificate(kind=ACTION_ON_VECTOR, windows=(2,), environment={"a": a},
+                       word=Power(Named("a"), 100000), vector=(1, 0), target_vector=(1, 0))
+    res = verify_certificate(cert)
+    assert not res.ok
+    assert res.report == (
+        "window 2: MISMATCH at coordinate 0: got <138848-bit integer, sha256 3f2ff8b20606>, "
+        "expected 1",
+    )
