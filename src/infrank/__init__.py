@@ -23,12 +23,8 @@ from .autrep import (
     window_matrix,
 )
 from .classify import (
-    AllExcept,
-    AllLevels,
-    AllPrimes,
     DivisorsOf,
     FinitePrimes,
-    OnlyTrivial,
     RuleBased,
     UnionWithPrefix,
     common_lambda_level,

@@ -8,10 +8,11 @@ acts as +-identity on a large summand.  For the representations of
 :mod:`infrank.autrep` all of these are decidable:
 
 * a finitary automorphism is the identity on a large summand, so it lies
-  in Lambda(m) for every m;
+  in Lambda(m) for every m: its level set is the divisors of 0;
 * an eventually-uniform automorphism lies in Lambda(m) exactly when its
-  repeating block is scalar mod m (the finite window sits inside the
-  complement of a large summand and never matters);
+  repeating block is scalar mod m, so its level set is the divisors of the
+  block's scalar defect (the finite window sits inside the complement of a
+  large summand and never matters);
 * a graded automorphism lies in Lambda(m) exactly when m divides one of
   its cumulative multiplier products, since all later pairs shear by
   multiples of that product.
@@ -27,26 +28,17 @@ from typing import Optional, Sequence, Union
 from . import witness as _witness
 from .autrep import EventuallyUniform, Finitary, GradedBlock, RepAut
 from .errors import DimensionError
-from .intmat import IntMatrix, gcd_of_entries, is_unimodular_set
-from .numth import factorize, gcd_list, is_prime
+from .intmat import IntMatrix, is_unimodular_set
+from .numth import factorize, is_prime
 
 
 # -- level descriptors ----------------------------------------------------
 
 
 @dataclass(frozen=True)
-class AllLevels:
-    """Member of Lambda(m) for every m >= 2."""
-
-
-@dataclass(frozen=True)
-class OnlyTrivial:
-    """No m >= 2 admits this automorphism (the normal-generator case)."""
-
-
-@dataclass(frozen=True)
 class DivisorsOf:
-    """Member of Lambda(m) exactly for the divisors m >= 2 of g."""
+    """Member of Lambda(m) exactly for the divisors m >= 2 of g: every level
+    when g == 0, none when g == 1 (the normal-generator case)."""
 
     g: int
 
@@ -69,7 +61,7 @@ class RuleBased:
         return True
 
 
-LambdaLevels = Union[AllLevels, OnlyTrivial, DivisorsOf, RuleBased]
+LambdaLevels = Union[DivisorsOf, RuleBased]
 
 
 @dataclass(frozen=True)
@@ -81,22 +73,9 @@ class FinitePrimes:
 
 
 @dataclass(frozen=True)
-class AllPrimes:
-    def contains(self, p: int) -> bool:
-        return is_prime(p)
-
-
-@dataclass(frozen=True)
-class AllExcept:
-    excluded: frozenset[int]
-
-    def contains(self, p: int) -> bool:
-        return is_prime(p) and p not in self.excluded
-
-
-@dataclass(frozen=True)
 class UnionWithPrefix:
-    """A finite prime set joined with the complement of a finite set."""
+    """A finite prime set joined with the complement of a finite set; every
+    prime when both are empty."""
 
     finite: frozenset[int]
     excluded: frozenset[int]
@@ -105,7 +84,7 @@ class UnionWithPrefix:
         return is_prime(p) and (p in self.finite or p not in self.excluded)
 
 
-PrimeSetDescriptor = Union[FinitePrimes, AllPrimes, AllExcept, UnionWithPrefix]
+PrimeSetDescriptor = Union[FinitePrimes, UnionWithPrefix]
 
 
 # -- core measurements ----------------------------------------------------
@@ -118,11 +97,13 @@ def congruence_gcd(aut: RepAut) -> int:
     """
     if isinstance(aut, Finitary):
         k = len(aut.support)
-        return gcd_of_entries(aut.matrix - IntMatrix.identity(k))
+        return gcd(*(aut.matrix - IntMatrix.identity(k)).entries())
     if isinstance(aut, EventuallyUniform):
         n0 = aut.window_size
-        g = gcd_of_entries(aut.window - IntMatrix.identity(n0))
-        return gcd(g, gcd_of_entries(aut.block.matrix - IntMatrix.identity(aut.d)))
+        return gcd(
+            *(aut.window - IntMatrix.identity(n0)).entries(),
+            *(aut.block.matrix - IntMatrix.identity(aut.d)).entries(),
+        )
     # graded: increments are c_0, c_1, ...; c_0 divides every later one
     return abs(aut.increment(0))
 
@@ -148,14 +129,9 @@ def scalar_defect(b: IntMatrix) -> int:
 
 def lambda_levels(aut: RepAut) -> LambdaLevels:
     if isinstance(aut, Finitary):
-        return AllLevels()
+        return DivisorsOf(0)
     if isinstance(aut, EventuallyUniform):
-        g = scalar_defect(aut.block.matrix)
-        if g == 0:
-            return AllLevels()
-        if g == 1:
-            return OnlyTrivial()
-        return DivisorsOf(g)
+        return DivisorsOf(scalar_defect(aut.block.matrix))
     return RuleBased(GradedBlock(aut.prefix, aut.excluded))
 
 
@@ -171,35 +147,26 @@ def lambda_member(aut: RepAut, m: int) -> bool:
     if m == 0:
         return is_almost_radiation(aut)
     levels = lambda_levels(aut)
-    if isinstance(levels, AllLevels):
-        return True
-    if isinstance(levels, OnlyTrivial):
-        return False
     if isinstance(levels, DivisorsOf):
         return levels.g % m == 0
     return levels.member(m)
 
 
 def is_almost_radiation(aut: RepAut) -> bool:
-    if isinstance(aut, Finitary):
-        return True
-    if isinstance(aut, EventuallyUniform):
-        d = aut.d
-        b = aut.block.matrix
-        return b == IntMatrix.identity(d) or b == IntMatrix.identity(d).scale(-1)
-    return False
+    """A unimodular block that is scalar mod every m is +-I: the level set
+    is the divisors of 0."""
+    levels = lambda_levels(aut)
+    return isinstance(levels, DivisorsOf) and levels.g == 0
 
 
 def nu_set(aut: RepAut) -> PrimeSetDescriptor:
     """The set of primes p with aut in Lambda(p)."""
     levels = lambda_levels(aut)
-    if isinstance(levels, AllLevels):
-        return AllPrimes()
-    if isinstance(levels, OnlyTrivial):
-        return FinitePrimes(frozenset())
-    if isinstance(levels, DivisorsOf):
-        return FinitePrimes(frozenset(factorize(levels.g)))
-    return UnionWithPrefix(frozenset(levels.block.prefix_exponents()), levels.block.excluded)
+    if isinstance(levels, RuleBased):
+        return UnionWithPrefix(frozenset(levels.block.prefix_exponents()), levels.block.excluded)
+    if levels.g == 0:
+        return UnionWithPrefix(frozenset(), frozenset())
+    return FinitePrimes(frozenset(factorize(levels.g)))
 
 
 # -- normal generation ----------------------------------------------------
@@ -254,43 +221,36 @@ def is_normal_generator(aut: RepAut) -> tuple[bool, GeneratorEvidence]:
     if is_almost_radiation(aut):
         return False, GeneratorEvidence("almost-radiation")
     levels = lambda_levels(aut)
-    if isinstance(levels, OnlyTrivial):
+    if isinstance(levels, RuleBased):
+        return False, GeneratorEvidence("lambda-level", level=levels.block.multiplier(0))
+    if levels.g == 1:
         w = _pair_witness(aut)  # only EventuallyUniform reaches this branch
         if w is not None:
             return True, GeneratorEvidence("pair-witness", witness=w)
         return True, GeneratorEvidence("dichotomy-only")
-    if isinstance(levels, DivisorsOf):
-        smallest = min(factorize(levels.g))
-        return False, GeneratorEvidence("lambda-level", level=smallest)
-    if isinstance(levels, RuleBased):
-        return False, GeneratorEvidence("lambda-level", level=levels.block.multiplier(0))
-    # AllLevels for a non-almost-radiation cannot happen for these classes,
-    # but keep the dichotomy total:
-    return False, GeneratorEvidence("lambda-level", level=2)
+    return False, GeneratorEvidence("lambda-level", level=min(factorize(levels.g)))
 
 
-def common_lambda_level(auts: Sequence[RepAut]) -> Union[AllLevels, int, None]:
-    """Largest m >= 2 admitting every input, if one exists.
+def common_lambda_level(auts: Sequence[RepAut]) -> Optional[int]:
+    """Largest m >= 2 admitting every input, if one exists; 0 when every
+    level admits every input.
 
-    Finite level sets combine through gcd, with AllLevels absorbing.  When
-    every constraint is rule-based the level sets are unbounded, so the
-    search is cut off at a documented bound: the product of all finite
-    multipliers in the rules times the largest prime named in their data
-    (at least 2).  Within that bound the answer is exact.
+    The g of the finite level sets combine through gcd, 0 (every level)
+    being its identity.  When every constraint is rule-based the level sets
+    are unbounded, so the search is cut off at a documented bound: the
+    product of all finite multipliers in the rules times the largest prime
+    named in their data (at least 2).  Within that bound the answer is exact.
     """
     if not auts:
         raise ValueError("need at least one automorphism")
     levels = [lambda_levels(a) for a in auts]
-    if any(isinstance(lv, OnlyTrivial) for lv in levels):
-        return None
-    finite = [lv.g for lv in levels if isinstance(lv, DivisorsOf)]
+    g = gcd(*(lv.g for lv in levels if isinstance(lv, DivisorsOf)))
     rules = [lv for lv in levels if isinstance(lv, RuleBased)]
-    if not finite and not rules:
-        return AllLevels()
-    if finite:
-        g = gcd_list(finite)
-        if g < 2:
-            return None
+    if g == 1:
+        return None
+    if not rules:
+        return g
+    if g:
         divisors = sorted(_divisors(g), reverse=True)
         for m in divisors:
             if m >= 2 and all(r.member(m) for r in rules):
@@ -356,24 +316,12 @@ def ladder_report(aut: RepAut) -> LadderReport:
     levels = lambda_levels(aut)
     assert isinstance(levels, DivisorsOf)
     g = levels.g
-    scalar = _scalar_witness(aut.block.matrix, g)
+    scalar = aut.block.matrix.data[0][0] % g  # the block is scalar mod g
     shape = _witness.shear_shape(aut)
     if shape is not None:
         chain = _witness.km_pipeline(aut)
         return LadderReport("rung", rung=g, scalar=scalar, chain=chain)
     return LadderReport("rung", rung=g, scalar=scalar, note=LOWER_BOUND_NOT_CONSTRUCTED)
-
-
-def _scalar_witness(b: IntMatrix, m: int) -> int:
-    """The k in [0, m) with b == k*I mod m; exists whenever m | scalar_defect."""
-    for k in range(m):
-        if all(
-            (b.data[i][j] - (k if i == j else 0)) % m == 0
-            for i in range(b.rows)
-            for j in range(b.cols)
-        ):
-            return k
-    raise ValueError(f"matrix is not scalar mod {m}")
 
 
 def classification_summary(aut: RepAut) -> dict:

@@ -12,17 +12,7 @@ import sys
 from pathlib import Path
 
 from .autrep import window_matrix
-from .classify import (
-    AllExcept,
-    AllLevels,
-    AllPrimes,
-    DivisorsOf,
-    FinitePrimes,
-    OnlyTrivial,
-    RuleBased,
-    UnionWithPrefix,
-    classification_summary,
-)
+from .classify import FinitePrimes, RuleBased, UnionWithPrefix, classification_summary
 from .errors import InfrankError
 from .filters import centered_check, counterexample_demo
 from .selftest import run_selftest
@@ -130,30 +120,20 @@ def _emit(path: Path | None, default_name: str, payload: str) -> Path:
 
 
 def _describe_levels(levels) -> str:
-    if isinstance(levels, AllLevels):
-        return "all levels"
-    if isinstance(levels, OnlyTrivial):
-        return "no level >= 2"
-    if isinstance(levels, DivisorsOf):
-        return f"divisors of {levels.g}"
     if isinstance(levels, RuleBased):
         return (
             f"rule-based: prefix {list(levels.block.prefix)}, tail primes outside "
             f"{sorted(levels.block.excluded)}"
         )
-    return str(levels)
+    return {0: "all levels", 1: "no level >= 2"}.get(levels.g, f"divisors of {levels.g}")
 
 
 def _describe_primes(desc) -> str:
-    if isinstance(desc, AllPrimes):
-        return "all primes"
     if isinstance(desc, FinitePrimes):
         return "{" + ", ".join(map(str, sorted(desc.primes))) + "}"
-    if isinstance(desc, AllExcept):
-        return f"all primes except {sorted(desc.excluded)}"
-    if isinstance(desc, UnionWithPrefix):
-        return f"{sorted(desc.finite)} together with all primes outside {sorted(desc.excluded)}"
-    return str(desc)
+    if desc == UnionWithPrefix(frozenset(), frozenset()):
+        return "all primes"
+    return f"{sorted(desc.finite)} together with all primes outside {sorted(desc.excluded)}"
 
 
 # The engine commands below print "verified: True" without checking again:

@@ -13,14 +13,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .autrep import GradedBlock, RepAut, graded
-from .classify import (
-    AllExcept,
-    AllPrimes,
-    FinitePrimes,
-    PrimeSetDescriptor,
-    UnionWithPrefix,
-    lambda_member,
-)
+from .classify import FinitePrimes, PrimeSetDescriptor, UnionWithPrefix, lambda_member
 from .numth import is_prime, next_prime
 
 
@@ -62,7 +55,7 @@ def _common_prime(descriptors: Sequence[PrimeSetDescriptor]) -> Optional[int]:
                 return p
         return None
     for d in descriptors:
-        if not isinstance(d, (AllPrimes, AllExcept, UnionWithPrefix)):
+        if not isinstance(d, UnionWithPrefix):
             raise TypeError(f"unknown descriptor {d!r}")
     p = 1
     while True:

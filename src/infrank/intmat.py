@@ -13,7 +13,7 @@ i.e. column ``j`` of the matrix of an automorphism holds the image of the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
@@ -504,10 +504,3 @@ def complete_to_basis(m: IntMatrix) -> IntMatrix:
     if not out.is_unimodular():
         raise NotCompletableError("completion failed determinant check")
     return out
-
-
-def gcd_of_entries(m: IntMatrix) -> int:
-    g = 0
-    for x in m.entries():
-        g = gcd(g, x)
-    return g

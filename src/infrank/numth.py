@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -84,10 +84,3 @@ def euler_phi(m: int) -> int:
     for p in factorize(m):
         result -= result // p
     return result
-
-
-def gcd_list(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g

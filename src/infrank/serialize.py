@@ -21,6 +21,7 @@ from .autrep import (
 )
 from .errors import DimensionError, ParseError, ValidationError
 from .intmat import IntMatrix
+from .numth import is_prime
 from .witness import ChainStep, WitnessChain
 from .words import Certificate, Conj, Inverse, Named, Power, Product, Token
 
@@ -396,9 +397,20 @@ def parse_chain(text: str) -> WitnessChain:
     return _parse(text, "chain")
 
 
+def _primes(item: Any, key: str, path: str) -> frozenset[int]:
+    values = _int_list(_need(item, key, path), f"{path}.{key}")
+    for p in values:
+        if not is_prime(p):
+            raise ParseError(f"{path}.{key}", f"{p} is not prime")
+    return frozenset(values)
+
+
 def parse_descriptors(text: str):
-    """Parse a prime-set descriptor list document (used by ``filters centered``)."""
-    from .classify import AllExcept, AllPrimes, FinitePrimes, UnionWithPrefix
+    """Parse a prime-set descriptor list document (used by ``filters centered``).
+
+    "all" and "all-except" are the cofinite sets, with no finite part.
+    """
+    from .classify import FinitePrimes, UnionWithPrefix
 
     obj = _load(text, "descriptors")
     items = _typed(_need(obj, "items", "$"), list, "$.items")
@@ -407,18 +419,13 @@ def parse_descriptors(text: str):
         path = f"$.items[{i}]"
         t = _need(item, "type", path)
         if t == "finite":
-            out.append(FinitePrimes(frozenset(_int_list(_need(item, "primes", path), f"{path}.primes"))))
+            out.append(FinitePrimes(_primes(item, "primes", path)))
         elif t == "all":
-            out.append(AllPrimes())
+            out.append(UnionWithPrefix(frozenset(), frozenset()))
         elif t == "all-except":
-            out.append(AllExcept(frozenset(_int_list(_need(item, "excluded", path), f"{path}.excluded"))))
+            out.append(UnionWithPrefix(frozenset(), _primes(item, "excluded", path)))
         elif t == "union-with-prefix":
-            out.append(
-                UnionWithPrefix(
-                    frozenset(_int_list(_need(item, "finite", path), f"{path}.finite")),
-                    frozenset(_int_list(_need(item, "excluded", path), f"{path}.excluded")),
-                )
-            )
+            out.append(UnionWithPrefix(_primes(item, "finite", path), _primes(item, "excluded", path)))
         else:
             raise ParseError(f"{path}.type", f"unknown descriptor type {t!r}")
     return out

@@ -41,7 +41,7 @@ from .autrep import (
 from .errors import DimensionError, ShapeError, ValidationError
 from .intmat import IntMatrix, complete_to_basis, is_unimodular_set, snf
 from .intmat import square_and_multiply
-from .numth import euler_phi, gcd_list, xgcd
+from .numth import euler_phi, xgcd
 from .words import (
     ACTION_ON_VECTOR,
     ORDER,
@@ -387,8 +387,8 @@ def conjugate_product_reduce(pairs: Sequence[tuple[int, int]]) -> ConjugateProdu
     k = 1
     for k_s, _ in pairs:
         k *= k_s
-    m = abs(gcd_list(coeffs))
-    expected = abs(gcd_list([m_s for _, m_s in pairs]))
+    m = gcd(*coeffs)
+    expected = gcd(*(m_s for _, m_s in pairs))
     if m != expected:
         raise ValidationError(f"coefficient gcd {m} differs from direct gcd {expected}")
     return ConjugateProduct(k, m, tuple(coeffs))

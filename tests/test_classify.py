@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infrank.autrep import (
+    Finitary,
     compose,
     finitary,
     graded,
@@ -16,8 +17,6 @@ from infrank.autrep import (
     window_matrix,
 )
 from infrank.classify import (
-    AllLevels,
-    AllPrimes,
     DivisorsOf,
     FinitePrimes,
     RuleBased,
@@ -37,6 +36,7 @@ from infrank.intmat import IntMatrix, is_unimodular_set
 from infrank.numth import primes_upto
 from infrank.witness import canonical_shear, tau_power, verify_chain
 
+from test_autrep import finitary_or_uniform
 from test_intmat import random_unimodular
 
 
@@ -147,7 +147,7 @@ def test_lambda_levels_uniform6():
 def test_lambda_levels_finitary_all():
     rng = random.Random(33)
     f = finitary((0, 1), random_unimodular(rng, 2))
-    assert lambda_levels(f) == AllLevels()
+    assert lambda_levels(f) == DivisorsOf(0)
     assert all(lambda_member(f, m) for m in range(2, 40))
 
 
@@ -234,6 +234,26 @@ def test_almost_radiation_table():
     assert is_almost_radiation(mixed)
 
 
+def block_is_plus_minus_identity(aut) -> bool:
+    """The almost-radiation test by its definition, kept as an oracle."""
+    if isinstance(aut, Finitary):
+        return True
+    eye = IntMatrix.identity(aut.d)
+    return aut.block.matrix in (eye, eye.scale(-1))
+
+
+@settings(max_examples=150)
+@given(finitary_or_uniform())
+def test_level_set_is_divisors_of_scalar_defect(aut):
+    levels = lambda_levels(aut)
+    assert isinstance(levels, DivisorsOf)
+    assert is_almost_radiation(aut) == block_is_plus_minus_identity(aut) == lambda_member(aut, 0)
+    for m in range(2, 61):
+        assert lambda_member(aut, m) == (levels.g % m == 0)
+        if not isinstance(aut, Finitary):
+            assert lambda_member(aut, m) == brute_scalar_mod(aut.block.matrix, m)
+
+
 # -- normal generator dichotomy ----------------------------------------------
 
 
@@ -297,7 +317,7 @@ def test_nu_set_examples():
     d = nu_set(graded((), (7,)))
     assert d == UnionWithPrefix(frozenset(), frozenset({7}))
     assert d.contains(2) and d.contains(5) and not d.contains(7)
-    assert nu_set(identity_aut()) == AllPrimes()
+    assert nu_set(identity_aut()) == UnionWithPrefix(frozenset(), frozenset())
     assert nu_set(tau_power(1)) == FinitePrimes(frozenset())
 
 
@@ -331,7 +351,7 @@ def test_common_level_none():
 def test_common_level_all_sentinel():
     rng = random.Random(39)
     out = common_lambda_level([finitary((0, 1), random_unimodular(rng, 2))])
-    assert isinstance(out, AllLevels)
+    assert out == 0
 
 
 def test_common_level_with_rule():
@@ -340,6 +360,14 @@ def test_common_level_with_rule():
     # rules only: largest common level within the documented bound
     # (prefix product 6 times largest named prime 3 = 18) is the prime 17
     assert common_lambda_level([graded((2,), ()), graded((3,), ())]) == 17
+
+
+def test_common_level_with_every_level():
+    rng = random.Random(40)
+    f = finitary((0, 1), random_unimodular(rng, 2))
+    # g = 0 takes the rules-only path: bound 6 * 3 = 18, largest level 17
+    assert common_lambda_level([f, graded((2, 3), ())]) == 17
+    assert common_lambda_level([f, u_shear(6)]) == 6
 
 
 def test_common_level_disjoint_supports():

@@ -29,7 +29,7 @@ from infrank.witness import (
     zaushko_commutator,
 )
 from infrank.words import WINDOW_IDENTITY, Certificate, Named, Power, VerifyResult
-from infrank.autrep import finitary, graded, identity_aut
+from infrank.autrep import finitary, graded, identity_aut, uniform
 
 
 def run(argv, capsys):
@@ -64,6 +64,57 @@ def test_classify_graded_no_max(tmp_path, capsys):
     code, out, _ = run(["classify", str(aut_file)], capsys)
     assert code == 0
     assert "no maximal level" in out
+
+
+def _classify_lines(gcd, levels, primes, radiation, generator, evidence, *ladder):
+    return [f"congruence gcd: {gcd}", f"level set: {levels}", f"prime set: {primes}",
+            f"almost-radiation: {radiation}", f"normal generator: {generator}", evidence, *ladder]
+
+
+NO_RUNG = "ladder rung: no maximal level; ladder rung undefined"
+
+# the full classify report of each representation class and level-set shape
+CLASSIFY_TABLE = [
+    ("finitary-minus-one", finitary((0,), IntMatrix.from_rows([[-1]])),
+     _classify_lines(2, "all levels", "all primes", True, False, "  evidence: almost-radiation",
+                     "ladder rung: 0")),
+    ("uniform-minus-identity", uniform(IntMatrix.from_rows([[-1, 0], [0, -1]])),
+     _classify_lines(2, "all levels", "all primes", True, False, "  evidence: almost-radiation",
+                     "ladder rung: 0")),
+    ("generator-block", uniform(IntMatrix.from_rows([[2, 1], [1, 1]])),
+     _classify_lines(1, "no level >= 2", "{}", False, True,
+                     "  witness pair: [-3, -2] -> [-8, -5]", "ladder rung: 1")),
+    ("divisors-of-7", uniform(IntMatrix.from_rows([[1, 0], [7, 1]])),
+     _classify_lines(7, "divisors of 7", "{7}", False, False, "  evidence: member at level 7",
+                     "ladder rung: 7", "  scalar witness mod 7: 1",
+                     "  note: lower bound guaranteed by the one-generator ladder theorem; "
+                     "witness chain not constructed for this block shape")),
+    ("graded-prefix", graded((2, 3), ()),
+     _classify_lines(2, "rule-based: prefix [2, 3], tail primes outside []",
+                     "[2, 3] together with all primes outside []", False, False,
+                     "  evidence: member at level 2", NO_RUNG)),
+    ("graded-excluded", graded((), (7,)),
+     _classify_lines(2, "rule-based: prefix [], tail primes outside [7]",
+                     "[] together with all primes outside [7]", False, False,
+                     "  evidence: member at level 2", NO_RUNG)),
+    ("graded-negated", graded((5,), (2,), negated=True),
+     _classify_lines(5, "rule-based: prefix [5], tail primes outside [2]",
+                     "[5] together with all primes outside [2]", False, False,
+                     "  evidence: member at level 5", NO_RUNG)),
+    # no prefix and no exclusion: every prime, as for a finitary automorphism
+    ("graded-empty", graded((), ()),
+     _classify_lines(2, "rule-based: prefix [], tail primes outside []", "all primes", False,
+                     False, "  evidence: member at level 2", NO_RUNG)),
+]
+
+
+@pytest.mark.parametrize(
+    "aut, lines", [case[1:] for case in CLASSIFY_TABLE], ids=[c[0] for c in CLASSIFY_TABLE]
+)
+def test_classify_report_table(tmp_path, capsys, aut, lines):
+    aut_file = tmp_path / "a.aut"
+    aut_file.write_text(serialize_aut(aut))
+    assert run(["classify", str(aut_file)], capsys) == (0, "\n".join(lines) + "\n", "")
 
 
 def test_shear_writes_certificate(tmp_path, capsys, monkeypatch):
@@ -212,6 +263,24 @@ def test_filters_centered_cli(tmp_path, capsys):
     code, out, _ = run(["filters", "centered", str(desc_file)], capsys)
     assert code == 0
     assert "common prime 3" in out
+
+
+@pytest.mark.parametrize(
+    "item, path",
+    [
+        ({"type": "finite", "primes": [4, 9]}, "$.items[0].primes"),
+        ({"type": "all-except", "excluded": [1]}, "$.items[0].excluded"),
+        ({"type": "union-with-prefix", "finite": [6], "excluded": []}, "$.items[0].finite"),
+    ],
+)
+def test_filters_centered_refuses_non_primes(tmp_path, capsys, item, path):
+    desc = {"format_version": 1, "kind": "descriptors",
+            "items": [item, {"type": "finite", "primes": [4]}]}
+    desc_file = tmp_path / "desc.json"
+    desc_file.write_text(json.dumps(desc))
+    code, out, err = run(["filters", "centered", str(desc_file), "--size", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: ") and err.endswith(" is not prime\n")
 
 
 def test_unknown_subcommand_usage():

@@ -2,9 +2,8 @@ import pytest
 
 from infrank.autrep import finitary, uniform
 from infrank.classify import (
-    AllExcept,
-    AllPrimes,
     FinitePrimes,
+    UnionWithPrefix,
     common_lambda_level,
     is_almost_radiation,
     lambda_member,
@@ -58,18 +57,26 @@ def test_centered_check_failure():
 
 def test_centered_check_cofinite():
     r = centered_check(
-        [AllExcept(frozenset({2})), AllExcept(frozenset({3})), FinitePrimes(frozenset({5, 7}))],
+        [
+            UnionWithPrefix(frozenset(), frozenset({2})),
+            UnionWithPrefix(frozenset(), frozenset({3})),
+            FinitePrimes(frozenset({5, 7})),
+        ],
         3,
     )
     assert r.verdict
     for idx, p in r.witnesses:
-        descs = [AllExcept(frozenset({2})), AllExcept(frozenset({3})), FinitePrimes(frozenset({5, 7}))]
+        descs = [
+            UnionWithPrefix(frozenset(), frozenset({2})),
+            UnionWithPrefix(frozenset(), frozenset({3})),
+            FinitePrimes(frozenset({5, 7})),
+        ]
         assert all(descs[i].contains(p) for i in idx)
 
 
 def test_centered_check_size_bound():
     with pytest.raises(ValueError):
-        centered_check([AllPrimes()], 2)
+        centered_check([UnionWithPrefix(frozenset(), frozenset())], 2)
 
 
 def test_graded_construct_prime_set():
@@ -154,4 +161,4 @@ def test_disjoint_nu_pair_has_no_common_level():
 
 def test_centered_check_rejects_unknown_descriptor():
     with pytest.raises(TypeError):
-        centered_check([AllPrimes(), object()], 2)
+        centered_check([UnionWithPrefix(frozenset(), frozenset()), object()], 2)

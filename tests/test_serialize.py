@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from infrank import intmat, serialize
 from infrank.autrep import eventually_uniform, finitary, graded, uniform
-from infrank.classify import AllExcept, FinitePrimes
+from infrank.classify import FinitePrimes, UnionWithPrefix
 from infrank.cli import main
 from infrank.errors import DimensionError, InfrankError, ParseError, ValidationError
 from infrank.intmat import IntMatrix
@@ -304,10 +304,26 @@ def test_descriptor_file():
     )
     descs = parse_descriptors(text)
     assert descs[0] == FinitePrimes(frozenset({2, 3}))
-    assert descs[2] == AllExcept(frozenset({5}))
+    assert descs[2] == UnionWithPrefix(frozenset(), frozenset({5}))
     assert descs[3].contains(3) and not descs[3].contains(7)
     with pytest.raises(ParseError):
         parse_descriptors('{"format_version":1,"kind":"descriptors","items":[{"type":"x"}]}')
+
+
+@pytest.mark.parametrize(
+    "items, path",
+    [
+        ('{"type":"finite","primes":[4,9]},{"type":"finite","primes":[4]}', "$.items[0].primes"),
+        ('{"type":"finite","primes":[2]},{"type":"all-except","excluded":[0]}',
+         "$.items[1].excluded"),
+        ('{"type":"union-with-prefix","finite":[3,-3],"excluded":[]}', "$.items[0].finite"),
+        ('{"type":"union-with-prefix","finite":[3],"excluded":[15]}', "$.items[0].excluded"),
+    ],
+)
+def test_descriptor_non_prime_is_refused(items, path):
+    with pytest.raises(ParseError) as exc:
+        parse_descriptors('{"format_version":1,"kind":"descriptors","items":[' + items + "]}")
+    assert exc.value.path == path
 
 
 def test_round_trip_random_auts():
