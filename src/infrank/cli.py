@@ -8,6 +8,7 @@ verified.  Identical inputs produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -298,9 +299,14 @@ _COMMANDS = {
 }
 
 
+# One parser per process, built on main's first call.  Reuse is safe:
+# parse_args makes a fresh Namespace, every default is immutable, the type
+# converters are pure, and usage errors go to the sys.stderr of the moment.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (InfrankError, OSError, ValueError) as exc:

@@ -1,9 +1,10 @@
 """Reference implementations the library no longer needs, kept as test
 oracles: the row-reduction inverse that the 2-adic inverse replaced, the
-Smith-form solver of ``M x = target``, and re-chunking of an eventually
-uniform automorphism to a larger block size."""
+Smith-form solver of ``M x = target``, re-chunking of an eventually
+uniform automorphism to a larger block size, and the per-entry integer-list
+check that the parser's one-pass type check replaced."""
 
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from infrank.autrep import EventuallyUniform, _split, invert, window_matrix
 from infrank.errors import AlignmentError, DimensionError
@@ -92,3 +93,10 @@ def reblock(aut: EventuallyUniform, new_d: int) -> EventuallyUniform:
     head = aut.window_size + (-aut.window_size) % new_d
     n = head + new_d
     return _split(window_matrix(aut, n), window_matrix(invert(aut), n), head)
+
+
+def is_int_list(obj: Any) -> bool:
+    """A list whose entries are all ints and none a bool, checked entry by entry."""
+    return isinstance(obj, list) and not any(
+        not isinstance(x, int) or isinstance(x, bool) for x in obj
+    )

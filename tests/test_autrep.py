@@ -28,7 +28,7 @@ from infrank.errors import AlignmentError, CompositionUnsupportedError, Validati
 from infrank.intmat import IntMatrix
 from infrank.witness import tau_power
 
-from oracles import reblock
+from oracles import reblock, row_reduction_inverse
 from test_intmat import ProductCounter, assert_passes_validation, random_unimodular
 
 
@@ -299,12 +299,12 @@ def unimodular(draw, n):
 
 
 @st.composite
-def finitary_or_uniform(draw):
+def finitary_or_uniform(draw, max_dim=3):
     if draw(st.booleans()):
-        size = draw(st.integers(1, 3))
+        size = draw(st.integers(1, max_dim))
         support = draw(st.lists(st.integers(0, 7), min_size=size, max_size=size, unique=True))
         return finitary(support, draw(unimodular(size)))
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, max_dim))
     return eventually_uniform(draw(unimodular(d * draw(st.integers(0, 2)))), draw(unimodular(d)))
 
 
@@ -322,6 +322,17 @@ def test_compose_carries_inverses(a, b):
     elif c.support:
         assert c.inverse == c.matrix.inverse()
     assert is_identity(compose(c, invert(c)))
+
+
+@settings(max_examples=100)
+@given(finitary_or_uniform(max_dim=4))
+def test_invert_round_trips(a):
+    inv = invert(a)
+    assert invert(inv) == a
+    assert compose(a, inv) == identity_aut()
+    head, period = head_and_period([a])
+    for n in (head, head + period, head + 2 * period):
+        assert window_matrix(inv, n) == row_reduction_inverse(window_matrix(a, n))
 
 
 SUPPORTS = ("head", "last block", "nowhere", "anywhere")

@@ -1,13 +1,16 @@
+import argparse
+import io
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from infrank import words
+from infrank import cli, words
 from infrank.cli import main
 from infrank.errors import ParseError, ValidationError
 from infrank.intmat import IntMatrix
@@ -287,6 +290,77 @@ def test_unknown_subcommand_usage():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _call(argv):
+    """(exit status, stdout, stderr) of one in-process ``main`` call, with both
+    streams redirected for that call only."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+DEMO = ["filters", "demo-counterexample", "--primes", "3,5", "--probe", "7"]
+BAD_COPRIME = ["pipeline", "--k", "1", "--m", "3", "--coprime", "2"]
+
+# consecutive main calls in one process; each must print, exit and write as
+# the same call through a freshly built parser does
+REUSE_TABLE = [
+    ("window-not-leaked", [["classify", "f.aut", "--window", "5"], ["classify", "f.aut"]]),
+    ("coprime-not-leaked", [["pipeline", "--k", "1", "--m", "3", "--coprime", "2,5", "--out", "a.cert"],
+                            ["pipeline", "--k", "1", "--m", "3", "--out", "b.cert"]]),
+    ("nested-subcommands", [["filters", "centered", "d.json"], DEMO]),
+    ("usage-error-twice", [BAD_COPRIME, BAD_COPRIME]),
+]
+
+
+@pytest.mark.parametrize("calls", [c for _, c in REUSE_TABLE], ids=[n for n, _ in REUSE_TABLE])
+def test_reused_parser_matches_a_fresh_one(tmp_path, monkeypatch, calls):
+    """Same arguments handed to the command, output, exit status and files."""
+    parsed = []
+    for name, command in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name,
+                            lambda args, command=command: parsed.append(dict(vars(args))) or command(args))
+
+    def run_all(name):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        Path("f.aut").write_text(serialize_aut(finitary((0,), IntMatrix.from_rows([[-1]]))))
+        Path("d.json").write_text(json.dumps({"format_version": 1, "kind": "descriptors", "items": [
+            {"type": "finite", "primes": [2, 3]}, {"type": "finite", "primes": [3, 5]}]}))
+        results = [_call(argv) for argv in calls]
+        return results, {p.name: p.read_bytes() for p in Path().glob("*.cert")}
+
+    reused = run_all("reused")
+    fresh_args = [vars(cli.build_parser().parse_args(argv)) for argv in calls if argv != BAD_COPRIME]
+    assert parsed == fresh_args
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert reused == run_all("fresh")
+    if calls[0] == BAD_COPRIME:
+        for code, out, err in reused[0]:
+            assert (code, out) == (2, "")
+            assert err.startswith("usage: infrank pipeline ")
+            assert err.endswith("error: argument --coprime: expected two integers like 2,3\n")
+
+
+def test_main_builds_no_parser_after_its_first_call(monkeypatch):
+    assert _call(DEMO)[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert [_call(DEMO)[0] for _ in range(20)] == [0] * 20
+    assert built == []
+    cli.build_parser()  # still a fresh parser: the root and its 11 subcommand parsers
+    assert len(built) == 12
 
 
 def test_byte_identical_artifacts(tmp_path, capsys):

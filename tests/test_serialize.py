@@ -55,6 +55,7 @@ from infrank.words import (
     verify_certificate,
 )
 
+from oracles import is_int_list
 from test_autrep import unimodular
 from test_intmat import random_unimodular
 from test_words import words
@@ -512,3 +513,34 @@ def test_mutated_documents_raise_only_infrank_errors(text, mutations):
             verify_chain(parsed)
     except InfrankError:
         pass
+
+
+# the values a JSON document holds where integers are expected, nested lists included
+JSON_ENTRIES = st.recursive(
+    st.integers(-(2**300), 2**300) | st.booleans() | st.floats() | st.text(max_size=2) | st.none(),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(JSON_ENTRIES, max_size=4) | JSON_ENTRIES, max_size=4))
+def test_int_check_agrees_with_the_entry_check(rows):
+    """``_int_list`` accepts exactly the lists the per-entry check accepts, and
+    ``_matrix`` refuses at the path of the first row that check refuses."""
+    for row in rows:
+        if is_int_list(row):
+            assert serialize._int_list(row, "$.v") == tuple(row)
+        else:
+            with pytest.raises(ParseError) as exc:
+                serialize._int_list(row, "$.v")
+            assert (exc.value.path, exc.value.message) == ("$.v", "expected a list of integers")
+    bad = next((i for i, row in enumerate(rows) if not is_int_list(row)), None)
+    try:
+        serialize._matrix(rows, "$.m")
+    except ParseError as exc:
+        assert (exc.path, exc.message) == (f"$.m[{bad}]", "expected a list of integers")
+    except DimensionError:
+        assert bad is None
+    else:
+        assert bad is None
