@@ -325,12 +325,12 @@ def window_apply(aut: RepAut, n: int, vector: Sequence[int]) -> list[int]:
         raise DimensionError("vector length does not match column count")
     out = list(vector)
     if isinstance(aut, Finitary):
-        _apply_block(aut.matrix, aut.support, vector, out)
+        _apply_block(aut.matrix, aut.support, list(map(vector.__getitem__, aut.support)), out)
     elif isinstance(aut, EventuallyUniform):
         n0, d = aut.window_size, aut.d
-        _apply_block(aut.window, range(n0), vector, out)
+        _apply_block(aut.window, range(n0), vector[:n0], out)
         for s in nonzero_blocks(vector, n0, d):
-            _apply_block(aut.block.matrix, range(s, s + d), vector, out)
+            _apply_block(aut.block.matrix, range(s, s + d), vector[s : s + d], out)
     else:
         xs = range(0, n, 2)
         last = next((i for i in reversed(xs) if vector[i]), -1)
@@ -346,9 +346,11 @@ def nonzero_blocks(vector: Sequence[int], start: int, d: int) -> Iterable[int]:
     return dict.fromkeys(i - (i - start) % d for i in nonzero)
 
 
-def _apply_block(m: IntMatrix, coords: Sequence[int], vector: Sequence[int], out: list[int]) -> None:
-    """Write m applied to ``vector`` restricted to ``coords`` into ``out`` there."""
-    nz = [(b, vector[j]) for b, j in enumerate(coords) if vector[j]]
+def _apply_block(m: IntMatrix, coords: Sequence[int], local: Sequence[int], out: list[int]) -> None:
+    """Write m applied to ``local``, the vector's entries at ``coords``, into
+    ``out`` there.  Only the nonzero entries, found by ``compress``, add
+    their column of m."""
+    nz = list(compress(enumerate(local), local))
     if nz:
         acc = [0] * len(m.data)
         for b, x in nz:

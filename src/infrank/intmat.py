@@ -13,8 +13,9 @@ i.e. column ``j`` of the matrix of an automorphism holds the image of the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from math import prod
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .errors import DimensionError, NotCompletableError, ValidationError
@@ -22,6 +23,8 @@ from .errors import DimensionError, NotCompletableError, ValidationError
 
 T = TypeVar("T")
 Rows = Sequence[Sequence[int]]
+# each row's nonzero entries as (column, value) pairs, in column order
+Pairs = list[list[tuple[int, int]]]
 
 
 def square_and_multiply(
@@ -168,7 +171,7 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        rows = _product_rows(self.data, other.data, other.cols)
+        rows = _product_rows(self.data, _row_pairs(other.data, other.cols), other.cols)
         return IntMatrix._trusted(tuple(map(tuple, rows)))
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
@@ -242,30 +245,36 @@ class IntMatrix:
     def __str__(self) -> str:
         if not self.data:
             return "[]"
-        widths = [max(len(str(row[j])) for row in self.data) for j in range(self.cols)]
-        return "\n".join(
-            " ".join(str(x).rjust(w) for x, w in zip(row, widths)) for row in self.data
-        )
+        texts = [list(map(str, row)) for row in self.data]
+        widths = [max(map(len, column)) for column in zip(*texts)]
+        return "\n".join(" ".join(map(str.rjust, row, widths)) for row in texts)
 
 
-def _product_rows(a: Rows, b: Rows, cols: int) -> Iterator[list[int]]:
-    """The rows of ``a * b`` one by one.  Each row of b is read once as its
-    nonzero (column, value) pairs: window matrices are mostly zeros, so a
-    product costs about the number of nonzero term pairs."""
-    sparse = [[(c, y) for c, y in enumerate(row) if y] for row in b]
+def _row_pairs(b: Rows, cols: int) -> Pairs:
+    """Each row of b as its nonzero (column, value) pairs; ``compress``
+    skips the zeros without an interpreted step."""
+    span = range(cols)
+    return [[(c, row[c]) for c in compress(span, row)] for row in b]
+
+
+def _product_rows(a: Rows, pairs: Pairs, cols: int) -> Iterator[list[int]]:
+    """The rows of ``a * b`` one by one, b given by ``_row_pairs``: Gustavson's
+    row-by-row product (ACM TOMS 1978).  Each row of a is read only at its
+    nonzero entries, each adding its row of b's pairs, so past one C-level
+    pass over each row a product costs one multiply-add per nonzero term
+    pair."""
     for row in a:
         acc = [0] * cols
-        for x, pairs in zip(row, sparse):
-            if x:
-                if x == 1:
-                    for c, y in pairs:
-                        acc[c] += y
-                elif x == -1:
-                    for c, y in pairs:
-                        acc[c] -= y
-                else:
-                    for c, y in pairs:
-                        acc[c] += x * y
+        for x, row_pairs in compress(zip(row, pairs), row):
+            if x == 1:
+                for c, y in row_pairs:
+                    acc[c] += y
+            elif x == -1:
+                for c, y in row_pairs:
+                    acc[c] -= y
+            else:
+                for c, y in row_pairs:
+                    acc[c] += x * y
         yield acc
 
 
@@ -274,7 +283,8 @@ def _unimodular_inverse(m: IntMatrix) -> Optional[IntMatrix]:
 
     2-adic lifting (Dixon 1982) closed by an exact check (Abbott, Bronstein
     & Mulders 1999): det A = +-1 is odd, so A has one inverse mod 2^k, which
-    ``_inverse_mod_2k`` gives in symmetric residues.  An exact ``A * B == I``,
+    ``_inverse_mod_2k`` gives in symmetric residues, with the nonzero pairs
+    of its rows that the check multiplies by.  An exact ``A * B == I``,
     read up to the first wrong row, accepts it; otherwise k doubles from its
     start, the entry bit length of A plus a margin.  Every entry of a true
     inverse is a cofactor, at most the Hadamard bound prod ||row_i||: once
@@ -285,12 +295,13 @@ def _unimodular_inverse(m: IntMatrix) -> Optional[IntMatrix]:
     a, n = m.data, m.rows
     if n < 2:
         return m if all(row[0] in (1, -1) for row in a) else None
-    k = max(max(map(abs, row)) for row in a).bit_length() + 2 * n.bit_length() + 8
+    k = max(map(abs, chain.from_iterable(a))).bit_length() + 2 * n.bit_length() + 8
     while True:
-        b = _inverse_mod_2k(a, k)
-        if b is None:
+        inv = _inverse_mod_2k(a, k)
+        if inv is None:
             return None
-        rows = enumerate(_product_rows(a, b, n))
+        b, pairs = inv
+        rows = enumerate(_product_rows(a, pairs, n))
         if all(r[i] == 1 and r.count(0) == n - 1 for i, r in rows):
             return IntMatrix._trusted(tuple(map(tuple, b)))
         if 4 ** (k - 1) > prod(sum(x * x for x in row) for row in a):  # squares of both sides
@@ -298,52 +309,75 @@ def _unimodular_inverse(m: IntMatrix) -> Optional[IntMatrix]:
         k *= 2
 
 
-def _inverse_mod_2k(a: Rows, k: int) -> Optional[list[list[int]]]:
-    """A^-1 mod 2^k in symmetric residues, or None when a column without an
-    odd pivot proves det even, or det mod 2^k (the product of the pivots,
-    signed by the swaps) is not +-1.  Gauss-Jordan on ``[A | I]`` with a +-1
-    pivot where there is one, so that it needs no modular inverse.  Only the
-    pivot row and the multipliers are reduced: every other entry gains one
-    product of two reduced values per column, so none grows past about 2k
-    bits.
+def _inverse_mod_2k(a: Rows, k: int) -> Optional[tuple[list[list[int]], Pairs]]:
+    """A^-1 mod 2^k in symmetric residues, as rows and as ``_row_pairs``, or
+    None when a column without an odd pivot proves det even, or det mod 2^k
+    (+- the product of the pivots) is not +-1.
+
+    Gauss-Jordan on ``[A | I]`` with a +-1 pivot where there is one, so that
+    it needs no modular inverse.  Only the pivot row and the multipliers are
+    reduced: every other entry gains one product of two reduced values per
+    column, so none grows past about 2k bits.  Only nonzero entries are
+    visited: for column t, one C-level pass gathers the rows with a nonzero
+    entry there, which hold both the pivot candidates and the rows to clear,
+    and the pivot row and the read-out walk their nonzero entries alone.
+    A pivot row takes position t only once column t is cleared, so rows
+    0..t-1 are the pivot rows of columns 0..t-1 and the pivot of column t
+    is drawn from rows t onward.
     """
     n, size = len(a), 1 << k
     half, mask = size >> 1, size - 1
-    rows = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(a)]
+    span, width = range(n), range(2 * n)
+    zeros = [0] * n
+    rows = [[*row, *zeros] for row in a]
+    for i, row in enumerate(rows, n):
+        row[i] = 1
     det = 1
-    for t in range(n):
+    for t, at_t in enumerate(map(itemgetter, span)):
+        live = list(compress(span, map(at_t, rows)))
         p = None
-        for i in range(t, n):
-            v = rows[i][t]
-            if v & 1 and (p is None or v in (1, -1)):
-                p = i
-                if v in (1, -1):
-                    break
+        for i in live:
+            if i >= t:
+                v = rows[i][t]
+                if v & 1:
+                    if v == 1 or v == -1:
+                        p = i
+                        break
+                    if p is None:
+                        p = i
         if p is None:
             return None
-        if p != t:
-            rows[p], rows[t], det = rows[t], rows[p], -det
-        prow = rows[t]
+        prow = rows[p]
         pv = ((prow[t] + half) & mask) - half
         det = det * pv & mask
         u = pv if pv in (1, -1) else pow(pv, -1, size)
-        prow[t] = 1
+        prow[t] = 0  # kept out of the multipliers; set to 1 once the column is clear
         nz = []
-        for c in range(t + 1, 2 * n):
-            if prow[c]:
-                prow[c] = v = ((prow[c] * u + half) & mask) - half
-                if v:
-                    nz.append((c, v))
-        for i, row in enumerate(rows):
-            q = row[t]
-            if q and i != t:
-                q = ((q + half) & mask) - half
+        for c in compress(width, prow):
+            prow[c] = v = ((prow[c] * u + half) & mask) - half
+            if v:
+                nz.append((c, v))
+        for i in live:
+            if i != p:
+                row = rows[i]
+                q = ((row[t] + half) & mask) - half
                 row[t] = 0
                 for c, v in nz:
                     row[c] -= q * v
+        prow[t] = 1
+        rows[p], rows[t] = rows[t], prow
     if det != 1 and det != mask:
         return None
-    return [[((v + half) & mask) - half if v else 0 for v in row[n:]] for row in rows]
+    pairs = []
+    for row in rows:
+        del row[:n]
+        row_pairs = []
+        for c in compress(span, row):
+            row[c] = v = ((row[c] + half) & mask) - half
+            if v:
+                row_pairs.append((c, v))
+        pairs.append(row_pairs)
+    return rows, pairs
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
-"""Small exact number-theory helpers (trial division scale)."""
+"""Small exact number-theory helpers."""
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt, prod
+
+from .errors import ValidationError
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -20,19 +22,43 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+# The 13 primes up to 41: trial divisors and Miller-Rabin bases.
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to all 13 bases (Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017): below it, strong
+# Miller-Rabin to those bases decides primality exactly.
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
+    """Exact primality for n < ``PRIME_TEST_BOUND``; larger n are refused.
+
+    Below 43^2 = 1849 a number is prime exactly when no prime in
+    ``SMALL_PRIMES`` other than itself divides it, so the sieve
+    ``primes_upto(1848)``, which strikes the multiples of exactly those
+    primes, answers.  Past that, a common factor with them means composite;
+    otherwise strong Miller-Rabin to the same 13 bases decides, as no
+    composite below the bound passes it.
+    """
+    if n >= PRIME_TEST_BOUND:
+        raise ValidationError(f"primality of {n} is not decided at or above {PRIME_TEST_BOUND}")
+    if n < 1849:
+        return n in _PRIMES_BELOW_1849
+    if gcd(n, _PRIMORIAL) != 1:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    r = isqrt(n)
-    while f <= r:
-        if n % f == 0:
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -46,6 +72,10 @@ def primes_upto(n: int) -> list[int]:
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [i for i in range(2, n + 1) if sieve[i]]
+
+
+_PRIMES_BELOW_1849 = frozenset(primes_upto(1848))
+_PRIMORIAL = prod(SMALL_PRIMES)
 
 
 def next_prime(n: int) -> int:

@@ -9,6 +9,7 @@ annotates structural errors with the path of the offending node.
 from __future__ import annotations
 
 import json
+from itertools import compress
 from typing import Any, Mapping
 
 from .autrep import (
@@ -36,10 +37,21 @@ MAX_WORD_DEPTH = 100
 
 
 def format_matrix_text(m: IntMatrix) -> str:
-    """First line "rows cols", then one line of integers per row."""
-    lines = [f"{m.rows} {m.cols}"]
-    lines += [" ".join(str(x) for x in row) for row in m.data]
-    return "\n".join(lines) + "\n"
+    """First line "rows cols", then one line of integers per row.
+
+    Each row is cut from one string of ``"0 "`` pieces: only its nonzero
+    entries, found by ``compress``, are converted to text.
+    """
+    cols = m.cols
+    span, zeros, end = range(cols), "0 " * cols, 2 * cols - 1
+    parts = [f"{m.rows} {cols}\n"]
+    for row in m.data:
+        at = 0
+        for c in compress(span, row):
+            parts += zeros[at : 2 * c], str(row[c])
+            at = 2 * c + 1
+        parts += zeros[at:end], "\n"
+    return "".join(parts)
 
 
 def parse_matrix_text(text: str) -> IntMatrix:

@@ -107,11 +107,13 @@ def push_word(word: Token, env: Environment, n: int, vector: Sequence[int]) -> t
     """``evaluate_word(word, env, n).apply(vector)``, vector zero-padded to n.
 
     The vector is pushed through the token tree, rightmost factor first, one
-    atom at a time; ``Conj(g, h)`` acts as h(g(h^-1 v)).  Each application
-    costs at most n^2 against n^3 for a dense product, so a ``Power`` whose
-    pushes would pass n applications is evaluated densely once and applied
-    instead, and a word whose pushes pass n per token goes the dense way
-    whole.  Every name is resolved and window-checked first, in
+    atom at a time; ``Conj(g, h)`` acts as h(g(h^-1 v)).  An application
+    reads the atom only in the columns of the vector's nonzero coordinates
+    (``window_apply``), never more than the n^2 entries of the window, and a
+    product costs one multiply-add per nonzero term pair, up to n^3.  So a
+    ``Power`` whose pushes would pass n applications is evaluated by
+    products once and applied instead, and a word whose pushes pass n per
+    token goes that way whole.  Every name is resolved and window-checked first, in
     ``evaluate_word``'s order, so both paths refuse a word with one error.
     """
     counts: dict[int, int] = {}

@@ -1,10 +1,13 @@
 """Reference implementations the library no longer needs, kept as test
 oracles: the row-reduction inverse that the 2-adic inverse replaced, the
 Smith-form solver of ``M x = target``, re-chunking of an eventually
-uniform automorphism to a larger block size, and the per-entry integer-list
-check that the parser's one-pass type check replaced."""
+uniform automorphism to a larger block size, the per-entry integer-list
+check that the parser's one-pass type check replaced, the trial division
+that Miller-Rabin replaced, and the entry-by-entry product, 2-adic elimination, matrix text and ``str`` that
+the kernels visiting only nonzero entries replaced."""
 
-from typing import Any, Optional, Sequence
+from math import isqrt
+from typing import Any, Iterator, Optional, Sequence
 
 from infrank.autrep import EventuallyUniform, _split, invert, window_matrix
 from infrank.errors import AlignmentError, DimensionError
@@ -100,3 +103,98 @@ def is_int_list(obj: Any) -> bool:
     return isinstance(obj, list) and not any(
         not isinstance(x, int) or isinstance(x, bool) for x in obj
     )
+
+
+def product_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], cols: int) -> Iterator[list[int]]:
+    """The rows of ``a * b`` one by one, every entry of a and b visited."""
+    sparse = [[(c, y) for c, y in enumerate(row) if y] for row in b]
+    for row in a:
+        acc = [0] * cols
+        for x, pairs in zip(row, sparse):
+            if x:
+                if x == 1:
+                    for c, y in pairs:
+                        acc[c] += y
+                elif x == -1:
+                    for c, y in pairs:
+                        acc[c] -= y
+                else:
+                    for c, y in pairs:
+                        acc[c] += x * y
+        yield acc
+
+
+def inverse_mod_2k(a: Sequence[Sequence[int]], k: int) -> Optional[list[list[int]]]:
+    """A^-1 mod 2^k in symmetric residues, or None when det is even or not
+    +-1 mod 2^k: Gauss-Jordan on ``[A | I]`` that scans every row for the
+    pivot and the rows to clear, and every column of the pivot row."""
+    n, size = len(a), 1 << k
+    half, mask = size >> 1, size - 1
+    rows = [[*row, *[0] * i, 1, *[0] * (n - 1 - i)] for i, row in enumerate(a)]
+    det = 1
+    for t in range(n):
+        p = None
+        for i in range(t, n):
+            v = rows[i][t]
+            if v & 1 and (p is None or v in (1, -1)):
+                p = i
+                if v in (1, -1):
+                    break
+        if p is None:
+            return None
+        if p != t:
+            rows[p], rows[t], det = rows[t], rows[p], -det
+        prow = rows[t]
+        pv = ((prow[t] + half) & mask) - half
+        det = det * pv & mask
+        u = pv if pv in (1, -1) else pow(pv, -1, size)
+        prow[t] = 1
+        nz = []
+        for c in range(t + 1, 2 * n):
+            if prow[c]:
+                prow[c] = v = ((prow[c] * u + half) & mask) - half
+                if v:
+                    nz.append((c, v))
+        for i, row in enumerate(rows):
+            q = row[t]
+            if q and i != t:
+                q = ((q + half) & mask) - half
+                row[t] = 0
+                for c, v in nz:
+                    row[c] -= q * v
+    if det != 1 and det != mask:
+        return None
+    return [[((v + half) & mask) - half if v else 0 for v in row[n:]] for row in rows]
+
+
+def format_matrix_text(m: IntMatrix) -> str:
+    """The matrix text format with ``str`` called on every entry."""
+    lines = [f"{m.rows} {m.cols}"]
+    lines += [" ".join(str(x) for x in row) for row in m.data]
+    return "\n".join(lines) + "\n"
+
+
+def matrix_str(m: IntMatrix) -> str:
+    """``str(m)`` with every entry converted twice, once for the column
+    widths and once to be padded."""
+    if not m.data:
+        return "[]"
+    widths = [max(len(str(row[j])) for row in m.data) for j in range(m.cols)]
+    return "\n".join(" ".join(str(x).rjust(w) for x, w in zip(row, widths)) for row in m.data)
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """Primality by trial division up to the square root."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    r = isqrt(n)
+    while f <= r:
+        if n % f == 0:
+            return False
+        f += 2
+    return True

@@ -32,7 +32,9 @@ from infrank.witness import (
     zaushko_commutator,
 )
 from infrank.words import WINDOW_IDENTITY, Certificate, Named, Power, VerifyResult
-from infrank.autrep import finitary, graded, identity_aut, uniform
+from infrank.autrep import finitary, graded, identity_aut, uniform, window_matrix
+
+import oracles
 
 
 def run(argv, capsys):
@@ -67,6 +69,53 @@ def test_classify_graded_no_max(tmp_path, capsys):
     code, out, _ = run(["classify", str(aut_file)], capsys)
     assert code == 0
     assert "no maximal level" in out
+
+
+def test_classify_window_past_the_text_limit_is_an_error(tmp_path, capsys):
+    """Window 3000 of a graded block holds an entry past the 4,300 digits
+    Python writes: the report is printed, then one error line, exit 1."""
+    aut_file = tmp_path / "g.aut"
+    aut_file.write_text(serialize_aut(graded((2, 3), (11,))))
+    code, out, err = run(["classify", str(aut_file), "--window", "3000"], capsys)
+    assert code == 1
+    assert out.endswith(NO_RUNG + "\n")
+    assert err.startswith("error: Exceeds the limit (4300 digits) for integer string conversion")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+HUGE_EXCLUDED = (
+    '{"excluded":[%d],"format_version":1,"kind":"aut","negated":false,"prefix":[2],'
+    '"variant":"graded"}'
+)
+
+
+def test_classify_with_a_huge_excluded_prime_is_quick(tmp_path):
+    """An excluded prime of 19 digits is tested by Miller-Rabin, not by
+    trial division that would run for minutes."""
+    aut_file = tmp_path / "g.aut"
+    aut_file.write_text(HUGE_EXCLUDED % 1000000000000000003)
+    src = str(Path(words.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "infrank", "classify", str(aut_file)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "prime set: [2] together with all primes outside [1000000000000000003]\n" in proc.stdout
+
+
+def test_classify_refuses_an_exclusion_past_the_primality_bound(tmp_path, capsys):
+    aut_file = tmp_path / "g.aut"
+    aut_file.write_text(HUGE_EXCLUDED % 3317044064679887385961981)
+    code, out, err = run(["classify", str(aut_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: $: primality of 3317044064679887385961981 is not decided at or above "
+        "3317044064679887385961981\n"
+    )
 
 
 def _classify_lines(gcd, levels, primes, radiation, generator, evidence, *ladder):
@@ -129,6 +178,32 @@ def test_shear_writes_certificate(tmp_path, capsys, monkeypatch):
     from infrank.words import verify_certificate
 
     assert verify_certificate(cert).ok
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 5), (6, 7)])
+def test_shear_prints_matrices_as_before(tmp_path, capsys, monkeypatch, n, m):
+    """The three matrices read as the two-pass ``str`` wrote them."""
+    monkeypatch.chdir(tmp_path)
+    t = order_n_shear(n, m)
+    code, out, _ = run(["shear", "--n", str(n), "--m", str(m)], capsys)
+    assert code == 0
+    shown = [oracles.matrix_str(x) for x in (t.lam, t.sigma, t.gamma)]
+    assert out.startswith(
+        "lambda:\n{}\nsigma:\n{}\ngamma = sigma^-1 lambda sigma:\n{}\n".format(*shown)
+    )
+
+
+@pytest.mark.parametrize("rho", [[[-1]], [[0, 1], [1, 0]], [[2, 1], [1, 1]]])
+def test_zaushko_prints_sigma_as_before(tmp_path, capsys, rho):
+    rho_file = tmp_path / "rho.txt"
+    rho_file.write_text(format_matrix_text(IntMatrix.from_rows(rho)))
+    sigma, _, _ = zaushko_commutator(IntMatrix.from_rows(rho))
+    d = 2 * len(rho)
+    code, out, _ = run(["zaushko", str(rho_file), "--out", str(tmp_path / "z.cert")], capsys)
+    assert code == 0
+    assert out.startswith(
+        f"sigma block ({d} x {d}):\n{oracles.matrix_str(window_matrix(sigma, d))}\n"
+    )
 
 
 def test_zaushko_cli(tmp_path, capsys):

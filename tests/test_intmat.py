@@ -16,6 +16,7 @@ from infrank.intmat import (
     snf,
 )
 
+import oracles
 from oracles import row_reduction_inverse, solve_columns
 
 
@@ -542,3 +543,106 @@ def test_product_matches_triple_loop(r, k, c, data):
         for i in range(a.rows)
     )
     assert (a * b).data == want
+
+
+@st.composite
+def kernel_rows(draw, rows, cols):
+    """rows x cols entries of one drawn kind: sparse (one entry in ten
+    nonzero), dense, +-1-heavy, or half of them 400-bit."""
+    kind = draw(st.sampled_from(["sparse", "dense", "unit", "400-bit"]))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry():
+        if kind == "sparse":
+            return rng.choice([1, -1, 7, -(2**70)]) if rng.random() < 0.1 else 0
+        if kind == "dense":
+            return rng.choice([1, -1]) * rng.randint(1, 50)
+        if kind == "unit":
+            return rng.choice([1, -1, 1, -1, 0, 2])
+        return rng.choice([0, rng.randint(-(2**400), 2**400)])
+
+    return [tuple(entry() for _ in range(cols)) for _ in range(rows)]
+
+
+def _pairs_product(a, b, cols):
+    return list(intmat._product_rows(a, intmat._row_pairs(b, cols), cols))
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9), st.data())
+def test_product_kernel_matches_the_entry_walk(r, k, c, data):
+    """The row-by-row kernel over b's nonzero pairs gives the rows the
+    entry-by-entry walk gives."""
+    a = data.draw(kernel_rows(r, k))
+    b = data.draw(kernel_rows(k, c))
+    assert _pairs_product(a, b, c) == list(oracles.product_rows(a, b, c))
+
+
+@st.composite
+def inverse_kernel_inputs(draw):
+    """Square matrices of every ``kernel_rows`` kind and every square
+    ``inverse_inputs`` matrix, with a modulus exponent from 1 to 90 bits or
+    the one ``_unimodular_inverse`` starts from."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 9))
+        a = draw(kernel_rows(n, n))
+    else:
+        a = list(draw(inverse_inputs().filter(lambda m: m.is_square)).data)
+    start = max(abs(x) for row in a for x in row).bit_length() + 2 * len(a).bit_length() + 8
+    return a, draw(st.one_of(st.integers(1, 90), st.just(start)))
+
+
+@settings(max_examples=300)
+@given(inverse_kernel_inputs())
+def test_inverse_kernel_matches_the_dense_elimination(case):
+    """The 2-adic inverse that visits only nonzero entries gives the rows of
+    the one that scans them all, or None where it does, and its pairs are
+    the nonzero entries of those rows."""
+    a, k = case
+    got, want = intmat._inverse_mod_2k(a, k), oracles.inverse_mod_2k(a, k)
+    if want is None:
+        assert got is None
+    else:
+        rows, pairs = got
+        assert rows == want
+        assert pairs == intmat._row_pairs(rows, len(a))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0), (1, 1)])
+def test_kernels_on_edge_shapes(shape):
+    """0 x 0, n x 0 and 1 x 1: products, text and str as before."""
+    r, c = shape
+    for value in (0, 1, -1, 5, 2**400):
+        rows = [tuple(value for _ in range(c)) for _ in range(r)]
+        m = IntMatrix.from_rows(rows)
+        # an n x 0 matrix times the 0 x n shape that has no rows
+        assert _pairs_product(rows, m.transpose().data, r) == list(
+            oracles.product_rows(rows, m.transpose().data, r)
+        )
+        assert str(m) == oracles.matrix_str(m)
+    if r == c:
+        a = [(1,)] * r
+        assert intmat._inverse_mod_2k(a, 8) == ([[1]] * r, [[(0, 1)]] * r)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 7), st.integers(0, 7), st.data())
+def test_str_converts_each_entry_once(r, c, data):
+    """``str`` is the two-pass text of before, with one ``str`` per entry."""
+    m = IntMatrix.from_rows(data.draw(kernel_rows(r, c)) if r else [])
+    assert str(m) == oracles.matrix_str(m)
+
+
+def test_str_text_is_pinned():
+    assert str(IntMatrix.from_rows([[1, -20, 0], [300, 0, 7]])) == "  1 -20 0\n300   0 7"
+    assert str(IntMatrix.from_rows([[], []])) == "\n"
+    assert str(IntMatrix.from_rows([])) == "[]"
+
+
+def test_str_of_an_entry_past_4300_digits_raises_as_before():
+    m = IntMatrix.from_rows([[1, 0], [0, 10**4400]])
+    with pytest.raises(ValueError) as new:
+        str(m)
+    with pytest.raises(ValueError) as old:
+        oracles.matrix_str(m)
+    assert str(new.value) == str(old.value)

@@ -1,0 +1,65 @@
+import pytest
+
+from infrank.errors import ValidationError
+from infrank.numth import PRIME_TEST_BOUND, SMALL_PRIMES, is_prime, next_prime, primes_upto
+
+from oracles import trial_division_is_prime
+
+
+def test_is_prime_agrees_with_the_sieve():
+    primes = set(primes_upto(10**5))
+    assert [n for n in range(-3, 10**5 + 1) if is_prime(n)] == sorted(primes)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to the nine primes up to 23
+        318665857834031151167461,  # strong pseudoprime to the twelve primes up to 37
+        43 * 43,
+        41 * 43,
+        (2**61 - 1) * 3,
+        1000003 * 1000033,
+        PRIME_TEST_BOUND - 2,
+    ],
+)
+def test_composites_past_the_table_are_refused(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1847, 1861, 2**31 - 1, 2**61 - 1, 1000000000000000003, 2**79 - 67, 3317044064679887385961813],
+)
+def test_primes_past_the_table(n):
+    """The last is the largest prime below the bound."""
+    assert is_prime(n)
+
+
+def test_is_prime_agrees_with_trial_division_past_the_table():
+    window = range(10**8, 10**8 + 3000)
+    assert [n for n in window if is_prime(n)] == [n for n in window if trial_division_is_prime(n)]
+
+
+def test_bound_is_the_first_strong_pseudoprime_to_the_bases_and_refused():
+    n = PRIME_TEST_BOUND
+    assert len(SMALL_PRIMES) == 13 and max(SMALL_PRIMES) == 41
+    # it passes every base, so the test cannot tell it from a prime
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in SMALL_PRIMES:
+        x = pow(a, d, n)
+        assert x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+    for m in (n, n + 1, 2 * n, 10**40):
+        with pytest.raises(ValidationError, match=f"not decided at or above {n}$"):
+            is_prime(m)
+
+
+def test_next_prime_walks_the_primes():
+    p, walk = 1, []
+    while p < 3000:
+        p = next_prime(p)
+        walk.append(p)
+    assert walk == primes_upto(walk[-1])

@@ -55,15 +55,45 @@ from infrank.words import (
     verify_certificate,
 )
 
+import oracles
 from oracles import is_int_list
 from test_autrep import unimodular
-from test_intmat import random_unimodular
+from test_intmat import kernel_rows, random_unimodular
 from test_words import words
 
 
 def test_matrix_text_round_trip():
     m = IntMatrix.from_rows([[1, -2, 30], [4, 5, -6]])
     assert parse_matrix_text(format_matrix_text(m)) == m
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 9), st.integers(0, 9), st.data())
+def test_matrix_text_matches_the_entry_walk(r, c, data):
+    """Rows cut from one string of zeros read as the entry-by-entry text,
+    on sparse, dense, +-1-heavy and 400-bit matrices, n x 0 included."""
+    m = IntMatrix.from_rows(data.draw(kernel_rows(r, c)) if r else [])
+    text = format_matrix_text(m)
+    assert text == oracles.format_matrix_text(m)
+    if c:  # the parser skips the empty lines of an n x 0 matrix
+        assert parse_matrix_text(text) == m
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[], [], []], [[0]], [[7]], [[-1]], [[0, 0, 5]], [[5, 0, 0]]])
+def test_matrix_text_edge_shapes(rows):
+    m = IntMatrix.from_rows(rows)
+    assert format_matrix_text(m) == oracles.format_matrix_text(m)
+
+
+def test_matrix_text_past_4300_digits_raises_as_before():
+    """The first entry past Python's 4,300-digit text limit raises the same
+    ValueError from both formatters."""
+    m = IntMatrix.from_rows([[0, 1, 0], [0, 0, -(10**4400)], [10**5000, 0, 0]])
+    with pytest.raises(ValueError) as new:
+        format_matrix_text(m)
+    with pytest.raises(ValueError) as old:
+        oracles.format_matrix_text(m)
+    assert str(new.value) == str(old.value)
 
 
 def test_matrix_text_errors():
