@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import chain, count
 from math import gcd, isqrt, prod
 
 from .errors import ValidationError
@@ -87,21 +88,21 @@ def next_prime(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}, by trial division
+    that stops once what is left of n is prime: ``is_prime`` tests it first
+    and after each prime divided out, while it is below ``PRIME_TEST_BOUND``."""
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
     out: dict[int, int] = {}
-    for p in (2, 3):
+    changed = True
+    # 2, 3, then every 6k - 1 and 6k + 1: all primes, and few other numbers
+    for p in chain((2, 3), (f + d for f in count(5, 6) for d in (0, 2))):
+        if p * p > n or (changed and n < PRIME_TEST_BOUND and is_prime(n)):
+            break
+        changed = n % p == 0
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

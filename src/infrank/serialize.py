@@ -62,6 +62,10 @@ def parse_matrix_text(text: str) -> IntMatrix:
         rows, cols = (int(x) for x in lines[0].split())
     except ValueError:
         raise ParseError("line 1", "expected 'rows cols'") from None
+    if cols == 0:
+        # the rows of an n x 0 matrix are empty lines, dropped above; restore
+        # no more of them than the text has line breaks after the header
+        lines += [""] * min(rows, text.count("\n") - 1)
     if len(lines) != rows + 1:
         raise ParseError("line 1", f"expected {rows} data rows, found {len(lines) - 1}")
     data = []

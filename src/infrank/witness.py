@@ -15,7 +15,11 @@ an explicit unimodular pair family:
    coordinate pair;
 3. a Bezout combination of the two results with exponents a n1 + b n2 = 1.
 
-Every engine verifies each certificate it returns exactly once and raises
+Engines state every claim through ``_claim``, which sets windows (n, 2n)
+and stores the caller's environment as it is, so all the claims of one chain
+share one environment; ``_pair_shear`` states the two action claims of a
+shear on a tracked coordinate pair.  Every engine verifies each certificate
+it returns exactly once, through ``_checked``, which raises
 ``ValidationError`` if one fails, so callers can trust what they receive.
 ``verify_chain`` and ``verify_certificate`` are for documents read back
 from disk.
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .autrep import (
     EventuallyUniform,
@@ -39,7 +43,7 @@ from .autrep import (
     window_matrix,
 )
 from .errors import DimensionError, ShapeError, ValidationError
-from .intmat import IntMatrix, complete_to_basis, is_unimodular_set, snf
+from .intmat import IntMatrix, complete_to_basis, snf
 from .intmat import square_and_multiply
 from .numth import euler_phi, xgcd
 from .words import (
@@ -62,6 +66,31 @@ from .words import (
 def _require(res: VerifyResult) -> None:
     if not res.ok:
         raise ValidationError("certificate failed its own check: " + "; ".join(res.report))
+
+
+def _checked(cert: Certificate) -> Certificate:
+    """cert, once it has verified; ``ValidationError`` otherwise."""
+    res = verify_certificate(cert)
+    _require(res)
+    return cert
+
+
+def _claim(env: Mapping[str, RepAut], word: Optional[Token], n: int, **fields) -> Certificate:
+    """A claim about word over env, on windows n and 2n; env is kept, not copied."""
+    return Certificate(windows=(n, 2 * n), environment=env, word=word, **fields)
+
+
+def _pair_shear(
+    env: Mapping[str, RepAut], word: Token, n: int, x: int, p: int, c: int
+) -> tuple[Certificate, ...]:
+    """Action claims, on windows n and 2n, that word maps e_x to e_x + c e_p
+    and fixes e_p: the shear by c on the tracked pair (x, p)."""
+    e_x, e_p = _unit(n, x), _unit(n, p)
+    shifted = [a + c * b for a, b in zip(e_x, e_p)]
+    return tuple(
+        _claim(env, word, n, kind=ACTION_ON_VECTOR, vector=tuple(v), target_vector=tuple(t))
+        for v, t in ((e_x, shifted), (e_p, e_p))
+    )
 
 
 # -- elementary shears ----------------------------------------------------
@@ -167,17 +196,12 @@ def order_n_shear(n: int, m: int) -> ShearTriple:
 def shear_order_certificate(t: ShearTriple) -> Certificate:
     """ORDER certificate: gamma, finitary on coordinates 0..r-1, has order n."""
     r = t.gamma.rows
-    return Certificate(
-        kind=ORDER,
-        windows=(r, 2 * r),
-        environment={"gamma": finitary(tuple(range(r)), t.gamma)},
-        word=Named("gamma"),
-        order=t.n,
-    )
+    env = {"gamma": finitary(tuple(range(r)), t.gamma)}
+    return _claim(env, Named("gamma"), r, kind=ORDER, order=t.n)
 
 
 def _check_shear_triple(t: ShearTriple) -> None:
-    _require(verify_certificate(shear_order_certificate(t)))
+    _checked(shear_order_certificate(t))
     r = t.gamma.rows
     e1 = tuple(1 if i == 0 else 0 for i in range(r))
     want = tuple(e1[i] + t.m * t.shear[i] for i in range(r))
@@ -223,14 +247,7 @@ def zaushko_commutator(rho_x: IntMatrix) -> tuple[EventuallyUniform, Token, Cert
         )
     )
     env = {"rho": rho, "tau": tau, "pi": pi}
-    cert = Certificate(
-        kind=WINDOW_IDENTITY,
-        windows=(2 * d, 4 * d),
-        environment=env,
-        word=word,
-        target_aut=sigma,
-    )
-    _require(verify_certificate(cert))
+    cert = _checked(_claim(env, word, 2 * d, kind=WINDOW_IDENTITY, target_aut=sigma))
     return sigma, word, cert
 
 
@@ -296,17 +313,11 @@ def wans_sum_certificate(
     f: IntMatrix, parts: Sequence[EventuallyUniform]
 ) -> Certificate:
     """Certificate that the three windows add up to f extended by zero."""
-    d = f.rows
     env = {f"sigma{i + 1}": aut for i, aut in enumerate(parts)}
-    cert = Certificate(
-        kind=WINDOW_SUM,
-        windows=(d, 2 * d),
-        environment=env,
-        target_matrix=f,
-        summand_words=tuple(Named(f"sigma{i + 1}") for i in range(len(parts))),
+    summands = tuple(map(Named, env))
+    return _checked(
+        _claim(env, None, f.rows, kind=WINDOW_SUM, target_matrix=f, summand_words=summands)
     )
-    _require(verify_certificate(cert))
-    return cert
 
 
 # -- block-unitriangular factorization -------------------------------------
@@ -343,15 +354,7 @@ def factor_block_unitriangular(m: int, z: IntMatrix) -> tuple[Token, Certificate
         factors.append(Conj(Named("tau_m"), Named(name)))
     word = Product(tuple(factors))
     beta = eventually_uniform(_block2(eye, zero, z.scale(m), eye), IntMatrix.identity(2))
-    cert = Certificate(
-        kind=WINDOW_IDENTITY,
-        windows=(2 * d, 4 * d),
-        environment=env,
-        word=word,
-        target_aut=beta,
-    )
-    _require(verify_certificate(cert))
-    return word, cert
+    return word, _checked(_claim(env, word, 2 * d, kind=WINDOW_IDENTITY, target_aut=beta))
 
 
 # -- scalar bookkeeping -----------------------------------------------------
@@ -417,15 +420,7 @@ def bezout_combine(m: int, n1: int, n2: int) -> tuple[Token, Certificate]:
         raise ValueError(f"{n1} and {n2} are not coprime")
     word = Product((Power(Named("tau_mn1"), a), Power(Named("tau_mn2"), b)))
     env = {"tau_mn1": tau_power(m * n1), "tau_mn2": tau_power(m * n2)}
-    cert = Certificate(
-        kind=WINDOW_IDENTITY,
-        windows=(4, 8),
-        environment=env,
-        word=word,
-        target_aut=tau_power(m),
-    )
-    _require(verify_certificate(cert))
-    return word, cert
+    return word, _checked(_claim(env, word, 4, kind=WINDOW_IDENTITY, target_aut=tau_power(m)))
 
 
 # -- the composite pipeline -------------------------------------------------
@@ -502,14 +497,7 @@ def km_pipeline(phi: RepAut, coprime: tuple[int, int] = (2, 3)) -> WitnessChain:
 def _pipeline_clean(phi: RepAut, m: int, n1: int, n2: int) -> WitnessChain:
     env = {"phi": phi}
     reduce_data = conjugate_product_reduce([(1, m)])
-    cert1 = Certificate(
-        kind=ACTION_ON_VECTOR,
-        windows=(2, 4),
-        environment=env,
-        word=Named("phi"),
-        vector=(0, 1),
-        target_vector=(m, 1),
-    )
+    cert1 = _claim(env, Named("phi"), 2, kind=ACTION_ON_VECTOR, vector=(0, 1), target_vector=(m, 1))
     steps = [
         ChainStep(
             "euler-gcd-reduction",
@@ -520,13 +508,7 @@ def _pipeline_clean(phi: RepAut, m: int, n1: int, n2: int) -> WitnessChain:
     ]
     for n in (n1, n2):
         word_n = Power(Named("phi"), n)
-        cert_n = Certificate(
-            kind=WINDOW_IDENTITY,
-            windows=(4, 8),
-            environment=env,
-            word=word_n,
-            target_aut=tau_power(m * n),
-        )
+        cert_n = _claim(env, word_n, 4, kind=WINDOW_IDENTITY, target_aut=tau_power(m * n))
         steps.append(
             ChainStep(
                 f"order-{n}-shear-conjugation",
@@ -537,13 +519,7 @@ def _pipeline_clean(phi: RepAut, m: int, n1: int, n2: int) -> WitnessChain:
         )
     _, a, b = xgcd(n1, n2)
     word3 = Product((Power(Power(Named("phi"), n1), a), Power(Power(Named("phi"), n2), b)))
-    cert3 = Certificate(
-        kind=WINDOW_IDENTITY,
-        windows=(4, 8),
-        environment=env,
-        word=word3,
-        target_aut=tau_power(m),
-    )
+    cert3 = _claim(env, word3, 4, kind=WINDOW_IDENTITY, target_aut=tau_power(m))
     steps.append(
         ChainStep(
             "bezout-combination",
@@ -571,45 +547,37 @@ def _unit(size: int, i: int) -> list[int]:
 def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessChain:
     ell = euler_reduce(k, m)
     s_chunk = 2 * (ell + 1)
+    # the tracked pair: the x-slots of the first two chunks
+    x0, p = 1, s_chunk + 1
     env: dict[str, RepAut] = {"phi": phi}
 
     # step 1: conjugates h_s phi h_s^-1 redirect the shear of pair 0 onto the
     # partner slots of pairs 1..ell; their product has x-scalar k^ell = 1 + q m
-    conjugators = []
-    for s in range(1, ell + 1):
-        name = f"h{s}"
-        env[name] = uniform(_perm_swap(s_chunk, 0, 2 * s))
-        conjugators.append(name)
-    factors = [Conj(Named("phi"), Named(name)) for name in reversed(conjugators)]
+    hs = {f"h{s}": uniform(_perm_swap(s_chunk, 0, 2 * s)) for s in range(ell, 0, -1)}
+    env.update(hs)
+    factors = [Conj(Named("phi"), Named(name)) for name in hs]
     word_psi: Token = Product(tuple(factors)) if len(factors) != 1 else factors[0]
-    psi = compose_all(
-        *[compose_all(env[name], phi, invert(env[name])) for name in reversed(conjugators)]
-    )
+    psi = compose_all(*[compose_all(h, phi, invert(h)) for h in hs.values()])
     assert isinstance(psi, EventuallyUniform) and psi.window_size == 0
 
-    x_col = list(psi.block.matrix.col(1))
+    x_col = list(psi.block.matrix.col(x0))
     k_ell = k**ell
-    if x_col[1] != k_ell or any(c % m for i, c in enumerate(x_col) if i != 1):
+    if x_col[x0] != k_ell or any(c % m for i, c in enumerate(x_col) if i != x0):
         raise ValidationError("conjugate product lost the expected x-action")
     z_vec = [c // m for c in x_col]
-    z_vec[1] = (k_ell - 1) // m
-    pair_cols = IntMatrix.from_rows([[_unit(s_chunk, 1)[i], z_vec[i]] for i in range(s_chunk)])
-    if not is_unimodular_set(pair_cols):
+    z_vec[x0] = (k_ell - 1) // m
+    # [e_x0 | z] is unimodular exactly when gcd(z_i : i != x0) = 1, as its
+    # 2 x 2 minors are those z_i, up to sign, and zeros
+    if gcd(*(z for i, z in enumerate(z_vec) if i != x0)) != 1:
         raise ValidationError("tracked pair {x, z} is not unimodular")
     reduce_data = conjugate_product_reduce([(k, m)] * ell)
-    cert1a = Certificate(
-        kind=WINDOW_IDENTITY,
-        windows=(s_chunk, 2 * s_chunk),
-        environment=env,
-        word=word_psi,
-        target_aut=psi,
-    )
-    cert1b = Certificate(
+    cert1a = _claim(env, word_psi, s_chunk, kind=WINDOW_IDENTITY, target_aut=psi)
+    cert1b = _claim(
+        env,
+        word_psi,
+        s_chunk,
         kind=ACTION_ON_VECTOR,
-        windows=(s_chunk, 2 * s_chunk),
-        environment=env,
-        word=word_psi,
-        vector=tuple(_unit(s_chunk, 1)),
+        vector=tuple(_unit(s_chunk, x0)),
         target_vector=tuple(x_col),
     )
     steps = [
@@ -625,27 +593,21 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
     ]
 
     # steps 2: for each n, an order-n lambda built from two embedded copies of
-    # the order-n shear steers (lambda psi)^n into x0 -> x0 + m n p, p fixed,
-    # where x0 and p are the tracked x-slots of the first two chunks
-    tracked: dict[int, RepAut] = {}
-    words2: dict[int, Token] = {}
-    x0 = 1
+    # the order-n shear steers (lambda psi)^n into x0 -> x0 + m n p, p fixed
+    tracked: list[tuple[Token, RepAut]] = []
     for n in (n1, n2):
         s2 = 2 * n * s_chunk
-        p = s_chunk + 1
         za = z_vec + [0] * (s2 - s_chunk)
         zp = [0] * s_chunk + z_vec + [0] * (s2 - 2 * s_chunk)
         triple = order_n_shear(n, m)
         r = triple.gamma.rows
         pool = iter(range(2 * s_chunk, s2))
         cols: list[list[int]] = []
-        for copy, (base, steer) in enumerate(
-            (
-                (x0, [e_p - z for e_p, z in zip(_unit(s2, p), za)]),
-                (p, [-z for z in zp]),
-            )
+        for base, z_base, steer in (
+            (x0, za, [e_p - z for e_p, z in zip(_unit(s2, p), za)]),
+            (p, zp, [-z for z in zp]),
         ):
-            first = [m * z for z in (za if copy == 0 else zp)]
+            first = [m * z for z in z_base]
             first[base] += 1
             cols.append(first)
             if n == 2:
@@ -664,82 +626,32 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
         lam = uniform(g_mat * core * g_mat.inverse())
         lam_name = f"lam{n}"
         env[lam_name] = lam
-        word_n = Product(
-            tuple(Conj(word_psi, Power(Named(lam_name), j)) for j in range(1, n + 1))
-        )
+        word_n = Product(tuple(Conj(word_psi, Power(Named(lam_name), j)) for j in range(1, n + 1)))
         phi1 = _aut_power(compose(lam, psi), n)
         cert2a = Certificate(
-            kind=ORDER,
-            windows=(s2,),
-            environment=env,
-            word=Named(lam_name),
-            order=n,
+            kind=ORDER, windows=(s2,), environment=env, word=Named(lam_name), order=n
         )
-        cert2b = Certificate(
-            kind=WINDOW_IDENTITY,
-            windows=(s2, 2 * s2),
-            environment=env,
-            word=word_n,
-            target_aut=phi1,
-        )
-        target_x = _unit(s2, x0)
-        target_x[p] += m * n
-        cert2c = Certificate(
-            kind=ACTION_ON_VECTOR,
-            windows=(s2, 2 * s2),
-            environment=env,
-            word=word_n,
-            vector=tuple(_unit(s2, x0)),
-            target_vector=tuple(target_x),
-        )
-        cert2d = Certificate(
-            kind=ACTION_ON_VECTOR,
-            windows=(s2, 2 * s2),
-            environment=env,
-            word=word_n,
-            vector=tuple(_unit(s2, p)),
-            target_vector=tuple(_unit(s2, p)),
-        )
+        cert2b = _claim(env, word_n, s2, kind=WINDOW_IDENTITY, target_aut=phi1)
         steps.append(
             ChainStep(
                 f"order-{n}-shear-conjugation",
                 word_n,
-                (cert2a, cert2b, cert2c, cert2d),
+                (cert2a, cert2b, *_pair_shear(env, word_n, s2, x0, p, m * n)),
                 note=f"tracked pair: coordinates {x0} and {p}; blocks of size {s2}",
             )
         )
-        tracked[n] = phi1
-        words2[n] = word_n
+        tracked.append((word_n, phi1))
 
     # step 3: Bezout combination of the two tracked shears
     _, a, b = xgcd(n1, n2)
-    word3 = Product((Power(words2[n1], a), Power(words2[n2], b)))
-    combo = compose(_aut_power(tracked[n1], a), _aut_power(tracked[n2], b))
-    w_big = 2 * n1 * n2 * s_chunk
-    p = s_chunk + 1
-    target_x = _unit(w_big, x0)
-    target_x[p] += m
-    cert3a = Certificate(
-        kind=ACTION_ON_VECTOR,
-        windows=(w_big, 2 * w_big),
-        environment=env,
-        word=word3,
-        vector=tuple(_unit(w_big, x0)),
-        target_vector=tuple(target_x),
-    )
-    cert3b = Certificate(
-        kind=ACTION_ON_VECTOR,
-        windows=(w_big, 2 * w_big),
-        environment=env,
-        word=word3,
-        vector=tuple(_unit(w_big, p)),
-        target_vector=tuple(_unit(w_big, p)),
-    )
+    (word_1, phi_1), (word_2, phi_2) = tracked
+    word3 = Product((Power(word_1, a), Power(word_2, b)))
+    combo = compose(_aut_power(phi_1, a), _aut_power(phi_2, b))
     steps.append(
         ChainStep(
             "bezout-combination",
             word3,
-            (cert3a, cert3b),
+            _pair_shear(env, word3, 2 * n1 * n2 * s_chunk, x0, p, m),
             note=f"{a}*{n1} + {b}*{n2} = 1; shear by m = {m} on the tracked pair",
         )
     )

@@ -43,6 +43,20 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
+def run_child(args, timeout):
+    """``python *args`` in a child process that imports this infrank, killed
+    after ``timeout`` seconds."""
+    src = str(Path(words.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 def test_classify_tau(tmp_path, capsys):
     aut_file = tmp_path / "tau.aut"
     aut_file.write_text(serialize_aut(tau_power(1)))
@@ -94,17 +108,26 @@ def test_classify_with_a_huge_excluded_prime_is_quick(tmp_path):
     trial division that would run for minutes."""
     aut_file = tmp_path / "g.aut"
     aut_file.write_text(HUGE_EXCLUDED % 1000000000000000003)
-    src = str(Path(words.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "infrank", "classify", str(aut_file)],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
+    proc = run_child(["-m", "infrank", "classify", str(aut_file)], timeout=30)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "prime set: [2] together with all primes outside [1000000000000000003]\n" in proc.stdout
+
+
+def test_classify_with_a_huge_prime_congruence_gcd_is_quick(tmp_path):
+    """The congruence gcd 10^18 + 3 is prime: factorizing it for the prime
+    set stops at its primality test instead of trial division up to 10^9."""
+    aut_file = tmp_path / "u.aut"
+    aut_file.write_text(
+        '{"block":[[1,1000000000000000003],[0,1]],"format_version":1,"kind":"aut",'
+        '"variant":"uniform","window":[]}'
+    )
+    proc = run_child(["-m", "infrank", "classify", str(aut_file)], timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(
+        "congruence gcd: 1000000000000000003\n"
+        "level set: divisors of 1000000000000000003\n"
+        "prime set: {1000000000000000003}\n"
+    )
 
 
 def test_classify_refuses_an_exclusion_past_the_primality_bound(tmp_path, capsys):
@@ -461,15 +484,7 @@ def test_selftest_passes_for_every_seed(seed):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(words.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "infrank", "selftest"],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = run_child(["-m", "infrank", "selftest"], timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("17/17 checks passed\n")
 
@@ -511,12 +526,24 @@ def test_pipeline_verifies_each_certificate_once(tmp_path, capsys, monkeypatch):
     assert calls == Counter(written) + Counter(shears)
 
 
-def test_zaushko_verifies_its_certificate_once(tmp_path, capsys, monkeypatch):
-    rho = tmp_path / "rho.txt"
-    rho.write_text(format_matrix_text(IntMatrix.from_rows([[0, 1], [1, 0]])))
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["zaushko", "{matrix}"], [[0, 1], [1, 0]]),
+        (["shear", "--n", "3", "--m", "5"], None),
+        (["wans", "{matrix}"], [[5, 0], [0, 7]]),
+        (["factor", "{matrix}", "--m", "2"], [[2, 1], [0, 1]]),
+    ],
+    ids=["zaushko", "shear", "wans", "factor"],
+)
+def test_engine_verifies_its_certificate_once(tmp_path, capsys, monkeypatch, argv, rows):
+    matrix = tmp_path / "input.txt"
+    if rows is not None:
+        matrix.write_text(format_matrix_text(IntMatrix.from_rows(rows)))
     seen = _record_verifications(monkeypatch)
-    out_file = tmp_path / "z.cert"
-    code, out, _ = run(["zaushko", str(rho), "--out", str(out_file)], capsys)
+    out_file = tmp_path / "out.cert"
+    argv = [arg.format(matrix=matrix) for arg in argv] + ["--out", str(out_file)]
+    code, out, _ = run(argv, capsys)
     assert code == 0
     assert "(verified: True)" in out
     assert seen == [out_file.read_text()]

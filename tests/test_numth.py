@@ -1,9 +1,19 @@
+from math import prod
+
 import pytest
 
 from infrank.errors import ValidationError
-from infrank.numth import PRIME_TEST_BOUND, SMALL_PRIMES, is_prime, next_prime, primes_upto
+from infrank.numth import (
+    PRIME_TEST_BOUND,
+    SMALL_PRIMES,
+    factorize,
+    is_prime,
+    next_prime,
+    primes_upto,
+)
 
 from oracles import trial_division_is_prime
+from test_cli import run_child
 
 
 def test_is_prime_agrees_with_the_sieve():
@@ -63,3 +73,21 @@ def test_next_prime_walks_the_primes():
         p = next_prime(p)
         walk.append(p)
     assert walk == primes_upto(walk[-1])
+
+
+def test_factorize_agrees_with_trial_division():
+    for n in [*range(1, 3000), 1849 * 1849, 43 * 10007**2, 2**40 * 1000003, 999983 * 1000003]:
+        f = factorize(n)
+        assert all(trial_division_is_prime(p) for p in f)
+        assert prod(p**e for p, e in f.items()) == n
+
+
+def test_factorize_settles_a_large_prime_cofactor_at_once():
+    """Trial division up to the square root of 10^18 + 3 would run for
+    minutes; is_prime settles it before that, and again once 2 is divided out."""
+    code = (
+        "from infrank.numth import factorize; "
+        "print(factorize(10**18 + 3), factorize(2 * (10**18 + 3)))"
+    )
+    proc = run_child(["-c", code], timeout=30)
+    assert proc.stdout == "{1000000000000000003: 1} {2: 1, 1000000000000000003: 1}\n"

@@ -2,8 +2,11 @@ import hashlib
 import json
 import random
 from dataclasses import replace
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from infrank import witness
 from infrank import words as words_module
@@ -38,7 +41,7 @@ from infrank.witness import (
     wans_three,
     zaushko_commutator,
 )
-from infrank.serialize import parse_chain, serialize_chain
+from infrank.serialize import parse_chain, serialize_certificate, serialize_chain
 from infrank.words import (
     ACTION_ON_VECTOR,
     ORDER,
@@ -543,6 +546,14 @@ def test_pipeline_tracked_pair_unimodular():
     assert is_unimodular_set(cols)
 
 
+@given(st.lists(st.integers(-6, 6), min_size=4, max_size=8))
+def test_tracked_pair_minors_agree_with_the_smith_form(z):
+    """[e_1 | z] is unimodular exactly when gcd(z_i : i != 1) = 1, the test
+    the pipeline makes on its tracked pair in place of a Smith form."""
+    cols = IntMatrix.from_rows([[int(i == 1), zi] for i, zi in enumerate(z)])
+    assert is_unimodular_set(cols) == (gcd(*(zi for i, zi in enumerate(z) if i != 1)) == 1)
+
+
 def _solo_reports(chain):
     ok, lines = True, []
     for step in chain.steps:
@@ -665,6 +676,52 @@ CHAIN_DIGESTS = [
 def test_chain_bytes_are_unchanged(k, m, pair, size, digest):
     data = serialize_chain(km_pipeline(canonical_shear(k, m), pair)).encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+def _wans(rows):
+    f = IntMatrix.from_rows(rows)
+    return wans_sum_certificate(f, wans_three(f))
+
+
+# sha256 and length of serialize_certificate of each single-certificate engine,
+# recorded before the engines stated their claims through witness._claim
+ENGINE_DIGESTS = [
+    ("shear-2-4", lambda: shear_order_certificate(order_n_shear(2, 4)),
+     200, "49e6699c4054760773e002e2a554dee7aefee9b43cb18ce8acf9e570082e0dbb"),
+    ("shear-3-5", lambda: shear_order_certificate(order_n_shear(3, 5)),
+     236, "2983d11518b6794b3b89d8f1b3b887197388c81e9abf61ce1c0a482b0af93ce4"),
+    ("zaushko-d1", lambda: zaushko_commutator(IntMatrix.from_rows([[-1]]))[2],
+     599, "255376de342599c850a849bccbf1c85b5714f69f291e37eda38a510980eb1915"),
+    ("zaushko-swap", lambda: zaushko_commutator(IntMatrix.from_rows([[0, 1], [1, 0]]))[2],
+     712, "12e9814b7e4bd93c293e03c29905aa22a2760a6b04650c31f4b67df21ce770c9"),
+    ("wans-snf", lambda: _wans([[5, 0], [0, 7]]),
+     478, "4d65a3e21eb177ba3b0ef66f42b28f3479b8926e1c78fcbcbb12591ec377f8fa"),
+    ("wans-direct", lambda: _wans([[1, 0], [0, 0]]),
+     434, "1f91827bba1b98e9ea828266b1e434ad4f9f05dedf845aef271a4313be941cce"),
+    ("factor", lambda: factor_block_unitriangular(2, IntMatrix.from_rows([[2, 1], [0, 1]]))[1],
+     981, "eedbf074b9577f781ad85d2d1a411011d16cd3c9ed9f24bc5e90a400f614c06d"),
+    ("bezout", lambda: bezout_combine(5, 3, 5)[1],
+     468, "c7a37a508f2d10f50830823565b4a2e6eaf891907bec02f6542a56d4280a011b"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, size, digest",
+    [case[1:] for case in ENGINE_DIGESTS],
+    ids=[case[0] for case in ENGINE_DIGESTS],
+)
+def test_engine_certificate_bytes_are_unchanged(build, size, digest):
+    data = serialize_certificate(build()).encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+def test_wans_digest_cases_cover_both_branches():
+    """[[5, 0], [0, 7]] is split through its Smith form; [[1, 0], [0, 0]] is
+    taken directly, as f + I - P_hat is unimodular."""
+    p_hat = witness._P
+    for rows, direct in (([[5, 0], [0, 7]], False), ([[1, 0], [0, 0]], True)):
+        f = IntMatrix.from_rows(rows)
+        assert (f + IntMatrix.identity(2) - p_hat).is_unimodular() is direct
 
 
 def _chain_action_certificates(k, m):
