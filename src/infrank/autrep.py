@@ -14,9 +14,16 @@ Three representation classes are supported:
                        through the increasing primes outside an exclusion
                        set (each tail prime used once).
 
-Every representation carries its inverse witness from construction, so
-"automorphism" is enforced rather than assumed.  Window matrices follow the
-column convention of :mod:`infrank.intmat`.
+Every atom carries its inverse witness from construction, so
+"automorphism" is enforced rather than assumed.  The one exception is a
+claimed value (``claimed=True``): the ``target_aut`` of a parsed identity
+claim, or a parsed chain's ``final``.  It is only compared by its windows,
+so it is built with no inverse (its inverse fields are None);
+``window_matrix``, ``head_and_period`` and ``core_window`` read it, and
+``invert`` and ``compose`` refuse it.  The verifier proves it unimodular
+instead: a verified identity on a window that holds a whole block, or the
+chain links.  Window matrices follow the column convention of
+:mod:`infrank.intmat`.
 """
 
 from __future__ import annotations
@@ -34,32 +41,40 @@ from .numth import factorize, is_prime, next_prime
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """A unimodular block together with its inverse."""
+    """A unimodular block together with its inverse (None in a claimed value)."""
 
     matrix: IntMatrix
-    inverse: IntMatrix
+    inverse: Optional[IntMatrix] = field(compare=False)
 
     @property
     def d(self) -> int:
         return self.matrix.rows
 
 
-def block_spec(matrix: IntMatrix) -> BlockSpec:
+def block_spec(matrix: IntMatrix, claimed: bool = False) -> BlockSpec:
     if not matrix.is_square:
         raise ValidationError("block matrix must be square")
     if matrix.rows == 0:
         raise ValidationError("block dimension must be positive")
+    return BlockSpec(matrix, _witness(matrix, "block", claimed))
+
+
+def _witness(matrix: IntMatrix, what: str, claimed: bool) -> Optional[IntMatrix]:
+    """The inverse of matrix, None for a claimed value; ``ValidationError``
+    if an atom's matrix is not unimodular."""
+    if claimed:
+        return None
     inverse = _unimodular_inverse(matrix)
     if inverse is None:
-        raise ValidationError("block matrix is not unimodular")
-    return BlockSpec(matrix, inverse)
+        raise ValidationError(f"{what} matrix is not unimodular")
+    return inverse
 
 
 @dataclass(frozen=True)
 class Finitary:
     support: tuple[int, ...]
     matrix: IntMatrix
-    inverse: IntMatrix = field(compare=False)
+    inverse: Optional[IntMatrix] = field(compare=False)
 
     @property
     def max_support(self) -> int:
@@ -69,7 +84,7 @@ class Finitary:
 @dataclass(frozen=True)
 class EventuallyUniform:
     window: IntMatrix
-    window_inverse: IntMatrix = field(compare=False)
+    window_inverse: Optional[IntMatrix] = field(compare=False)
     block: BlockSpec = field(compare=True)
 
     @property
@@ -133,7 +148,7 @@ RepAut = Union[Finitary, EventuallyUniform, GradedBlock]
 # -- constructors -------------------------------------------------------
 
 
-def finitary(support, matrix: IntMatrix) -> Finitary:
+def finitary(support, matrix: IntMatrix, claimed: bool = False) -> Finitary:
     """Finitary automorphism; coordinates where it acts trivially are pruned."""
     sup = tuple(support)
     if len(set(sup)) != len(sup):
@@ -160,10 +175,7 @@ def finitary(support, matrix: IntMatrix) -> Finitary:
     if len(keep) != len(sup):
         sup = tuple(sup[a] for a in keep)
         matrix = IntMatrix.from_rows([[matrix.data[a][b] for b in keep] for a in keep])
-    inverse = _unimodular_inverse(matrix)
-    if inverse is None:
-        raise ValidationError("finitary matrix is not unimodular")
-    return Finitary(sup, matrix, inverse)
+    return Finitary(sup, matrix, _witness(matrix, "finitary", claimed))
 
 
 def identity_aut() -> Finitary:
@@ -175,8 +187,10 @@ def uniform(block_matrix: IntMatrix) -> EventuallyUniform:
     return eventually_uniform(IntMatrix.from_rows([]), block_matrix)
 
 
-def eventually_uniform(window: IntMatrix, block_matrix: IntMatrix) -> EventuallyUniform:
-    blk = block_spec(block_matrix)
+def eventually_uniform(
+    window: IntMatrix, block_matrix: IntMatrix, claimed: bool = False
+) -> EventuallyUniform:
+    blk = block_spec(block_matrix, claimed)
     if not window.is_square:
         raise ValidationError("window must be square")
     if window.rows % blk.d:
@@ -184,10 +198,7 @@ def eventually_uniform(window: IntMatrix, block_matrix: IntMatrix) -> Eventually
             f"window size {window.rows} is not a multiple of block dimension {blk.d}"
         )
     window = _absorb_trailing_blocks(window, blk.matrix)
-    window_inverse = _unimodular_inverse(window)
-    if window_inverse is None:
-        raise ValidationError("window matrix is not unimodular")
-    return EventuallyUniform(window, window_inverse, blk)
+    return EventuallyUniform(window, _witness(window, "window", claimed), blk)
 
 
 def _absorb_trailing_blocks(window: IntMatrix, block: IntMatrix) -> IntMatrix:
@@ -215,6 +226,31 @@ def graded(prefix, excluded, negated: bool = False) -> GradedBlock:
         if not is_prime(p):
             raise ValidationError(f"exclusion set entry {p} is not prime")
     return GradedBlock(pre, exc, negated)
+
+
+def is_claimed(aut: RepAut) -> bool:
+    """Whether aut is a claimed value, built with no inverse witness."""
+    if isinstance(aut, Finitary):
+        return aut.inverse is None
+    return isinstance(aut, EventuallyUniform) and aut.window_inverse is None
+
+
+def witnessed(aut: RepAut) -> RepAut:
+    """aut as an atom: a claimed value rebuilt with its inverse witness,
+    ``ValidationError`` if it is not unimodular; an atom as it is."""
+    if not is_claimed(aut):
+        return aut
+    if isinstance(aut, Finitary):
+        return finitary(aut.support, aut.matrix)
+    return eventually_uniform(aut.window, aut.block.matrix)
+
+
+def _refuse_claimed(*auts: RepAut) -> None:
+    if any(map(is_claimed, auts)):
+        raise CompositionUnsupportedError(
+            "a claimed value carries no inverse witness and is only compared by "
+            "its windows; rebuild it with witnessed() to invert or compose it"
+        )
 
 
 def is_identity(aut: RepAut) -> bool:
@@ -363,6 +399,7 @@ def _apply_block(m: IntMatrix, coords: Sequence[int], local: Sequence[int], out:
 
 
 def invert(aut: RepAut) -> RepAut:
+    _refuse_claimed(aut)
     if isinstance(aut, Finitary):
         return Finitary(aut.support, aut.inverse, aut.matrix)
     if isinstance(aut, EventuallyUniform):
@@ -393,8 +430,9 @@ def compose(a: RepAut, b: RepAut) -> RepAut:
     window H + L of ``head_and_period``; graded representations close only
     against their own inverses and the identity.  Unsupported pairs raise
     ``CompositionUnsupportedError`` -- callers needing only finite data
-    should evaluate windows instead.
+    should evaluate windows instead, as they must for a claimed value.
     """
+    _refuse_claimed(a, b)
     if is_identity(a):
         return identity_aut() if is_identity(b) else b
     if is_identity(b):

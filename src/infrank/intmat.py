@@ -145,9 +145,6 @@ class IntMatrix:
             raise DimensionError("hstack needs equal row counts")
         return IntMatrix._trusted(tuple(a + b for a, b in zip(self.data, other.data)))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._trusted(tuple(zip(*self.data))) if self.data else self
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":

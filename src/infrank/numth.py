@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import chain, count
+from itertools import count
 from math import gcd, isqrt, prod
 
 from .errors import ValidationError
@@ -75,7 +75,8 @@ def primes_upto(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-_PRIMES_BELOW_1849 = frozenset(primes_upto(1848))
+_TRIAL_PRIMES = tuple(primes_upto(1848))
+_PRIMES_BELOW_1849 = frozenset(_TRIAL_PRIMES)
 _PRIMORIAL = prod(SMALL_PRIMES)
 
 
@@ -87,25 +88,78 @@ def next_prime(n: int) -> int:
     return c
 
 
+# Trial division stops at the primes below 1849; Pollard's rho in Brent's
+# variant (Pollard, BIT 1975; Brent, BIT 1980) splits what is left, within
+# this many iterations of x -> x^2 + c per factorization.
+RHO_BUDGET = 1 << 18
+_RHO_BATCH = 128
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}, by trial division
-    that stops once what is left of n is prime: ``is_prime`` tests it first
-    and after each prime divided out, while it is below ``PRIME_TEST_BOUND``."""
+    """Prime factorization of n >= 1 as {prime: exponent}, in ascending order.
+
+    Trial division by the primes below 1849 removes the small factors.  What
+    is left is split by ``_rho``, each split checked by division, until
+    ``is_prime`` settles every factor.  ``ValidationError`` when that takes
+    more than ``RHO_BUDGET`` iterations, or a factor is at or above
+    ``PRIME_TEST_BOUND`` and does not split.
+    """
     if n < 1:
         raise ValueError(f"factorize expects n >= 1, got {n}")
     out: dict[int, int] = {}
-    changed = True
-    # 2, 3, then every 6k - 1 and 6k + 1: all primes, and few other numbers
-    for p in chain((2, 3), (f + d for f in count(5, 6) for d in (0, 2))):
-        if p * p > n or (changed and n < PRIME_TEST_BOUND and is_prime(n)):
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
             break
-        changed = n % p == 0
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    budget, rest = RHO_BUDGET, [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if m < PRIME_TEST_BOUND and is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d, budget = _rho(m, budget)
+        if not 1 < d < m or m % d:
+            raise ValidationError(f"rho split {m} wrongly by {d}")
+        rest += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _rho(n: int, budget: int) -> tuple[int, int]:
+    """A factor 1 < d < n of n, which has no prime factor below 1849, by
+    Brent's cycle search on x -> x^2 + c mod n for c = 1, 2, ..., with the
+    differences multiplied in batches of ``_RHO_BATCH`` before each gcd; and
+    the iterations left of ``budget``.  ``ValidationError`` once the budget
+    is spent, as it is for a prime n."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if budget < 2 * r:
+                raise ValidationError(
+                    f"{n} does not split within {RHO_BUDGET} rho iterations"
+                )
+            budget -= 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            # the batch overshot: step back through it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g, budget
 
 
 def euler_phi(m: int) -> int:

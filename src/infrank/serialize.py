@@ -19,6 +19,7 @@ from .autrep import (
     eventually_uniform,
     finitary,
     graded,
+    is_claimed,
 )
 from .errors import DimensionError, ParseError, ValidationError
 from .intmat import IntMatrix
@@ -146,9 +147,13 @@ def aut_to_obj(aut: RepAut) -> dict:
     }
 
 
-def aut_from_obj(obj: Any, path: str, atoms: dict) -> RepAut:
-    """Read one atom.  ``atoms`` maps the validated fields of each atom read
-    so far to the atom, so that a repeated atom is built and inverted once."""
+def aut_from_obj(obj: Any, path: str, atoms: dict, claimed: bool = False) -> RepAut:
+    """Read one atom or, with ``claimed``, one claimed value (a ``target_aut``
+    or a chain's ``final``), built with no inverse witness.  ``atoms`` maps
+    the validated fields of each value read so far to the value, so that a
+    repeated atom is built and inverted once.  A claimed value reuses an
+    equal atom; an atom read after an equal claimed value is built with its
+    inverse and takes its place."""
     variant = _need(obj, "variant", path)
     if variant == "finitary":
         make, args = finitary, (
@@ -164,6 +169,7 @@ def aut_from_obj(obj: Any, path: str, atoms: dict) -> RepAut:
         negated = _need(obj, "negated", path)
         if not isinstance(negated, bool):
             raise ParseError(f"{path}.negated", "expected a boolean")
+        claimed = False  # a graded value is an automorphism as built
         make, args = graded, (
             _int_list(_need(obj, "prefix", path), f"{path}.prefix"),
             _int_list(_need(obj, "excluded", path), f"{path}.excluded"),
@@ -172,12 +178,13 @@ def aut_from_obj(obj: Any, path: str, atoms: dict) -> RepAut:
     else:
         raise ParseError(f"{path}.variant", f"unknown variant {variant!r}")
     key = (variant, *(x.data if isinstance(x, IntMatrix) else x for x in args))
-    if key not in atoms:
+    hit = atoms.get(key)
+    if hit is None or (is_claimed(hit) and not claimed):
         try:
-            atoms[key] = make(*args)
+            hit = atoms[key] = make(*args, claimed=True) if claimed else make(*args)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
-    return atoms[key]
+    return hit
 
 
 # -- words -------------------------------------------------------------------
@@ -267,7 +274,7 @@ def cert_from_obj(obj: Any, path: str, atoms: dict) -> Certificate:
     if "word" in obj:
         kwargs["word"] = word_from_obj(obj["word"], f"{path}.word")
     if "target_aut" in obj:
-        kwargs["target_aut"] = aut_from_obj(obj["target_aut"], f"{path}.target_aut", atoms)
+        kwargs["target_aut"] = aut_from_obj(obj["target_aut"], f"{path}.target_aut", atoms, True)
     if "target_matrix" in obj:
         kwargs["target_matrix"] = _matrix(obj["target_matrix"], f"{path}.target_matrix")
     if "vector" in obj:
@@ -327,7 +334,7 @@ def chain_from_obj(obj: Any, path: str, atoms: dict) -> WitnessChain:
         )
     return WitnessChain(
         steps=tuple(steps),
-        final=aut_from_obj(_need(obj, "final", path), f"{path}.final", atoms),
+        final=aut_from_obj(_need(obj, "final", path), f"{path}.final", atoms, True),
         level=level,
         scope_note=_typed(_need(obj, "scope_note", path), str, f"{path}.scope_note"),
     )

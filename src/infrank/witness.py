@@ -22,13 +22,16 @@ shear on a tracked coordinate pair.  Every engine verifies each certificate
 it returns exactly once, through ``_checked``, which raises
 ``ValidationError`` if one fails, so callers can trust what they receive.
 ``verify_chain`` and ``verify_certificate`` are for documents read back
-from disk.
+from disk; ``verify_chain`` also checks the links that tie a chain's
+certificates to its ``final`` and ``level``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .autrep import (
@@ -38,6 +41,7 @@ from .autrep import (
     compose_all,
     eventually_uniform,
     finitary,
+    head_and_period,
     invert,
     uniform,
     window_matrix,
@@ -59,6 +63,7 @@ from .words import (
     Product,
     Token,
     VerifyResult,
+    holds_on_every_window,
     verify_certificate,
 )
 
@@ -440,7 +445,8 @@ class WitnessChain:
 
     ``level`` is the modulus m with Gamma(m) <= nc(phi) established at
     window scale; ``final`` is the last derived element.  Every step's
-    certificates re-verify from the serialized chain alone.
+    certificates, and the links between them and the claim, re-verify from
+    the serialized chain alone.
     """
 
     steps: tuple[ChainStep, ...]
@@ -460,7 +466,9 @@ SCOPE_NOTE_GENERAL = (
 
 
 def verify_chain(chain: WitnessChain) -> VerifyResult:
-    """Check every certificate of the chain, each on its own."""
+    """Check every certificate of the chain, each on its own, and then, once
+    they all hold, the links that make them prove the chain's claim
+    (``_broken_link``); a broken link adds one report line."""
     ok = True
     lines: list[str] = []
     for step in chain.steps:
@@ -468,7 +476,114 @@ def verify_chain(chain: WitnessChain) -> VerifyResult:
             res = verify_certificate(cert)
             ok = ok and res.ok
             lines.extend(f"{step.name}: {line}" for line in res.report)
+    broken = _broken_link(chain) if ok else None
+    if broken is not None:
+        ok = False
+        lines.append(f"broken link: {broken}")
     return VerifyResult(ok, tuple(lines))
+
+
+def _broken_link(chain: WitnessChain) -> Optional[str]:
+    """The first link of a chain with verified certificates that fails, or None.
+
+    The links are those ``_pipeline_clean`` and ``_pipeline_general`` build:
+    four steps (reduction, two conjugations, Bezout combination) whose
+    certificates share one environment and whose words lie in the normal
+    closure of its atom phi; the last step's word is w1^a w2^b over the two
+    conjugation steps' words; ``final`` is the last step's target (clean
+    scope) or phi1^a phi2^b over the conjugation steps' targets (general
+    scope, ``_is_power_product``), each target of an identity claim that
+    holds on every window; and ``level`` is the modulus of ``final``'s
+    shear (clean) or the tracked-pair coefficient of the last step's action
+    claims (general).  So ``final`` is an element of nc(phi) that shears by
+    ``level``.
+    """
+    if chain.scope_note not in (SCOPE_NOTE_CLEAN, SCOPE_NOTE_GENERAL):
+        return "the scope note names neither pipeline scope"
+    if len(chain.steps) != 4:
+        return f"the chain has {len(chain.steps)} steps, not the pipeline's 4"
+    certs = [cert for step in chain.steps for cert in step.certificates]
+    if any(cert.environment != certs[0].environment for cert in certs):
+        return "the certificates are not stated over one environment"
+    outside = next((s for s in chain.steps if not _in_normal_closure(s.word, "phi")), None)
+    if outside is not None:
+        return f"the word of {outside.name} is not in the normal closure of phi"
+    _, conj1, conj2, last = chain.steps
+    factors = last.word.factors if isinstance(last.word, Product) else ()
+    exponents = [f.exponent for f in factors if isinstance(f, Power)]
+    if len(exponents) != 2 or last.word != Product(
+        tuple(map(Power, (conj1.word, conj2.word), exponents))
+    ):
+        return f"the word of {last.name} is not w1^a w2^b over the conjugation steps' words"
+    if chain.scope_note == SCOPE_NOTE_CLEAN:
+        if chain.final != _step_target(last):
+            return f"final is not the target of {last.name}"
+        shape = shear_shape(chain.final)
+        m = None if shape is None else shape[1]
+    else:
+        phis = _step_target(conj1), _step_target(conj2)
+        if None in phis or not _is_power_product(chain.final, *phis, *exponents):
+            return "final is not phi1^a phi2^b over the conjugation steps' targets"
+        m = _tracked_coefficient(last)
+    if m != chain.level:
+        return f"level {chain.level} is not the modulus the chain derives ({m})"
+    return None
+
+
+def _step_target(step: ChainStep) -> Optional[RepAut]:
+    """The target of the step's identity claim about its own word that holds
+    on every window, or None."""
+    return next(
+        (
+            cert.target_aut
+            for cert in step.certificates
+            if cert.word == step.word and holds_on_every_window(cert)
+        ),
+        None,
+    )
+
+
+def _in_normal_closure(word: Token, name: str) -> bool:
+    """Whether the word lies in the normal closure of the atom ``name`` by
+    its form: built from that atom by conjugation (by anything), products,
+    powers and inverses."""
+    if isinstance(word, Named):
+        return word.name == name
+    if isinstance(word, (Inverse, Power)):
+        return _in_normal_closure(word.inner, name)
+    if isinstance(word, Conj):
+        return _in_normal_closure(word.g, name)
+    return isinstance(word, Product) and all(_in_normal_closure(f, name) for f in word.factors)
+
+
+def _is_power_product(final: RepAut, phi1: RepAut, phi2: RepAut, a: int, b: int) -> bool:
+    """Whether final = phi1^a phi2^b, by window products on the core window
+    H + L of phi1 and phi2, which final must not widen, with each negative
+    power moved to the other side so that nothing is inverted.  That window
+    stands for every window, and phi1 and phi2 are verified targets, so
+    unimodular: moving a power is exact."""
+    split = head_and_period((phi1, phi2))
+    if split is None or head_and_period((final, phi1, phi2)) != split:
+        return False
+    n = sum(split)
+    f, w1, w2 = (window_matrix(x, n) for x in (final, phi1, phi2))
+    left = ([w1.power(-a)] if a < 0 else []) + [f] + ([w2.power(-b)] if b < 0 else [])
+    right = ([w1.power(a)] if a > 0 else []) + ([w2.power(b)] if b > 0 else [])
+    return reduce(mul, left) == (reduce(mul, right) if right else IntMatrix.identity(n))
+
+
+def _tracked_coefficient(step: ChainStep) -> Optional[int]:
+    """c when the step's claims are exactly ``_pair_shear``'s on its word:
+    e_x to e_x + c e_p and e_p fixed, for a tracked pair x != p; else None."""
+    certs = step.certificates
+    if len(certs) != 2 or not all(cert.vector and cert.target_vector for cert in certs):
+        return None
+    n = certs[0].windows[0]
+    x, p = (next((i for i, v in enumerate(cert.vector) if v), n) for cert in certs)
+    if x == p or max(x, p) >= n or p >= len(certs[0].target_vector):
+        return None
+    c = certs[0].target_vector[p]
+    return c if _pair_shear(certs[0].environment, step.word, n, x, p, c) == certs else None
 
 
 def km_pipeline(phi: RepAut, coprime: tuple[int, int] = (2, 3)) -> WitnessChain:

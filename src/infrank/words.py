@@ -15,9 +15,20 @@ function of the certificate contents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .autrep import RepAut, _check_window, core_window, nonzero_blocks, window_apply, window_matrix
+from .autrep import (
+    Finitary,
+    RepAut,
+    _check_window,
+    core_window,
+    head_and_period,
+    is_claimed,
+    nonzero_blocks,
+    window_apply,
+    window_matrix,
+    witnessed,
+)
 from .autrep import invert as invert_aut
 from .errors import DimensionError, ValidationError, WordError
 from .intmat import IntMatrix
@@ -280,7 +291,8 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     An identity or order claim on a window that ``autrep.core_window``
     reduces is checked once on the core window, and the verdict is reported
     for every window it stands for.  An action claim on such a window is
-    pushed chunk by chunk on the core window (``_check_action``).
+    pushed chunk by chunk on the core window (``_check_action``).  A claimed
+    ``target_aut`` must also be shown unimodular (``_claimed_target``).
     """
     atoms = _core_atoms(cert)
     done: dict[int, tuple[bool, str]] = {}
@@ -298,7 +310,44 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
             holds, detail = done[m]
         ok = ok and holds
         lines.append(f"window {n}: {detail}")
+    if ok and cert.kind == WINDOW_IDENTITY and is_claimed(cert.target_aut):
+        broken = _claimed_target(cert.target_aut, done)
+        if broken is not None:
+            ok = False
+            lines.append(f"target: {broken}")
     return VerifyResult(ok, tuple(lines))
+
+
+def _claimed_target(target: RepAut, checked: Iterable[int]) -> Optional[str]:
+    """None once a claimed target that held on the ``checked`` windows is
+    shown unimodular, else why it is not.
+
+    Each checked window equals the word's, a product of windows of atoms
+    with inverse witnesses, so its determinant is +-1.  A finitary target's
+    is det(matrix), and an eventually uniform target's is det(window) *
+    det(block)^j on a window holding j >= 1 blocks, so then both factors are
+    +-1 too.  When every checked window is the target's head alone, the
+    checked inverse decides.
+    """
+    if isinstance(target, Finitary) or any(n > target.window_size for n in checked):
+        return None
+    try:
+        witnessed(target)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def holds_on_every_window(cert: Certificate) -> bool:
+    """Whether an identity claim, once verified, holds on every window, as an
+    identity of automorphisms: one of its windows reduces to the core window
+    H + L of its atoms and target (H when L = 0), which stands for them all."""
+    atoms = _core_atoms(cert) if cert.kind == WINDOW_IDENTITY else None
+    split = None if atoms is None else head_and_period(atoms)
+    if split is None:
+        return False
+    core = (sum(split), split[1])
+    return any(core_window(atoms, n) == core for n in cert.windows)
 
 
 def _core_atoms(cert: Certificate) -> Optional[list[RepAut]]:

@@ -3,8 +3,9 @@ oracles: the row-reduction inverse that the 2-adic inverse replaced, the
 Smith-form solver of ``M x = target``, re-chunking of an eventually
 uniform automorphism to a larger block size, the per-entry integer-list
 check that the parser's one-pass type check replaced, the trial division
-that Miller-Rabin replaced, and the entry-by-entry product, 2-adic elimination, matrix text and ``str`` that
-the kernels visiting only nonzero entries replaced."""
+that Miller-Rabin replaced, the entry-by-entry product, 2-adic elimination,
+matrix text and ``str`` that the kernels visiting only nonzero entries
+replaced, and the transpose no library code needs."""
 
 from math import isqrt
 from typing import Any, Iterator, Optional, Sequence
@@ -172,6 +173,11 @@ def format_matrix_text(m: IntMatrix) -> str:
     lines = [f"{m.rows} {m.cols}"]
     lines += [" ".join(str(x) for x in row) for row in m.data]
     return "\n".join(lines) + "\n"
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    """The transpose; a matrix with no rows is its own."""
+    return IntMatrix._trusted(tuple(zip(*m.data))) if m.data else m
 
 
 def matrix_str(m: IntMatrix) -> str:

@@ -700,3 +700,118 @@ def test_verify_wrong_typed_chain_fields(tmp_path, capsys, edit, path):
     code, out, err = run(["verify", str(cert_file)], capsys)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {path}: ")
+
+
+def _tampered_twin(text):
+    """The chain with one claim of its last step changed, as a certificate
+    check catches: the first nonzero target coordinate bumped, or the
+    upper-right entry of the target block."""
+    obj = json.loads(text)
+    cert = obj["steps"][-1]["certificates"][0]
+    if "target_vector" in cert:
+        vec = cert["target_vector"]
+        vec[next(i for i, x in enumerate(vec) if x)] += 1
+    else:
+        cert["target_aut"]["block"][0][-1] += 1
+    return json.dumps(obj)
+
+
+# exit status, length and sha256 of `infrank verify` stdout on each chain of
+# test_witness.CHAIN_DIGESTS and on its tampered twin, recorded before chains
+# checked their links and read targets and final without an inverse
+VERIFY_DIGESTS = [
+    (3, 4, (2, 3), (0, 1109, "bfc9031d6c8a4b9504df20873586c3e7fcf171ad3b547f36ab19e765cd3e83b7"),
+     (1, 1172, "30bbeff7bd54214ae11b58fa73ba0219d5e7ef026347055eee1262a17068af51")),
+    (-3, 4, (2, 3), (0, 1109, "bfc9031d6c8a4b9504df20873586c3e7fcf171ad3b547f36ab19e765cd3e83b7"),
+     (1, 1172, "30bbeff7bd54214ae11b58fa73ba0219d5e7ef026347055eee1262a17068af51")),
+    (2, 5, (2, 3), (0, 1116, "05b918b35983ee2ee5005c5061723abdbc62ecb63a48aecc5d2e01ad7fc3bcbe"),
+     (1, 1179, "f70c77efe692749b1a965963303831ce09b74ae0aaf539d59c7f6f3c7f4bf0fc")),
+    (3, 8, (2, 3), (0, 1116, "05b918b35983ee2ee5005c5061723abdbc62ecb63a48aecc5d2e01ad7fc3bcbe"),
+     (1, 1179, "f70c77efe692749b1a965963303831ce09b74ae0aaf539d59c7f6f3c7f4bf0fc")),
+    (1, 3, (2, 3), (0, 401, "8e2fd3ea87efa32f288d42dbe5bc26552657d678ec9ee6b60323a19f7cf0b6df"),
+     (1, 458, "cc8636217ec782a7d55fbacdc060ce17ecf97fbe5eb4c12a11bfa046fa70f2c0")),
+    (3, 4, (2, 5), (0, 1114, "a6a3c82bfd48472b3244884991a238767881f027b5e2b3f6d094f56d29fec355"),
+     (1, 1177, "effd42b82251ae438cb1df828a944729b17b521b145bb439e629298289b8ef22")),
+]
+
+
+@pytest.mark.parametrize(
+    "k, m, pair, genuine, tampered",
+    VERIFY_DIGESTS,
+    ids=[f"k{k}-m{m}-pair{a},{b}" for k, m, (a, b), _, _ in VERIFY_DIGESTS],
+)
+def test_verify_output_on_written_chains_is_unchanged(tmp_path, capsys, k, m, pair, genuine,
+                                                      tampered):
+    import hashlib
+
+    text = serialize_chain(km_pipeline(canonical_shear(k, m), pair))
+    cert_file = tmp_path / "chain.cert"
+    for doc, want in ((text, genuine), (_tampered_twin(text), tampered)):
+        cert_file.write_text(doc)
+        code, out, err = run(["verify", str(cert_file)], capsys)
+        assert (code, len(out), hashlib.sha256(out.encode()).hexdigest(), err) == (*want, "")
+
+
+def _singular_row(rows):
+    rows[0] = [2 * x for x in rows[0]]
+
+
+def test_verify_reports_a_singular_target_or_final(tmp_path, capsys):
+    """A target or final that is not unimodular is read as a claimed value,
+    so ``verify`` reports it (a MISMATCH, or a broken link for the final)
+    with ``verified: False`` and exit 1, where reading it used to fail with
+    a ``ValidationError``."""
+    _, _, cert = zaushko_commutator(IntMatrix.from_rows([[0, 1], [1, 0]]))
+    obj = json.loads(serialize_certificate(cert))
+    _singular_row(obj["target_aut"]["block"])
+    chain = json.loads(serialize_chain(km_pipeline(canonical_shear(1, 3))))
+    _singular_row(chain["final"]["block"])
+    cases = [
+        (obj, "window 8: MISMATCH at entry (0,0): got 1, expected 2"),
+        (chain, "broken link: final is not the target of bezout-combination"),
+    ]
+    for doc, line in cases:
+        cert_file = tmp_path / "singular.cert"
+        cert_file.write_text(json.dumps(doc))
+        code, out, err = run(["verify", str(cert_file)], capsys)
+        assert (code, err) == (1, "")
+        assert out.endswith(f"{line}\nverified: False\n")
+
+
+def test_verify_refuses_a_chain_with_another_level(tmp_path, capsys):
+    """The (1,3) chain with level 7 used to print ``verified: True``."""
+    obj = json.loads(serialize_chain(km_pipeline(tau_power(3))))
+    obj["level"] = 7
+    cert_file = tmp_path / "level.cert"
+    cert_file.write_text(json.dumps(obj))
+    code, out, err = run(["verify", str(cert_file)], capsys)
+    assert (code, err) == (1, "")
+    assert out.endswith(
+        "broken link: level 7 is not the modulus the chain derives (3)\nverified: False\n"
+    )
+
+
+def _uniform_shear_document(c):
+    return (
+        '{"block":[[1,%d],[0,1]],"format_version":1,"kind":"aut","variant":"uniform",'
+        '"window":[]}' % c
+    )
+
+
+def test_classify_with_a_semiprime_congruence_gcd_is_quick(tmp_path):
+    """The congruence gcd (10^9 + 7)(10^9 + 9) is split by rho, not by trial
+    division up to 10^9 + 7."""
+    aut_file = tmp_path / "u.aut"
+    aut_file.write_text(_uniform_shear_document(1000000016000000063))
+    proc = run_child(["-m", "infrank", "classify", str(aut_file)], timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "prime set: {1000000007, 1000000009}\n" in proc.stdout
+
+
+def test_classify_refuses_a_semiprime_past_the_rho_budget(tmp_path):
+    n = 100000000000000000039 * 100000000000000000129
+    aut_file = tmp_path / "u.aut"
+    aut_file.write_text(_uniform_shear_document(n))
+    proc = run_child(["-m", "infrank", "classify", str(aut_file)], timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {n} does not split within 262144 rho iterations\n"

@@ -1,10 +1,13 @@
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infrank.errors import ValidationError
 from infrank.numth import (
     PRIME_TEST_BOUND,
+    RHO_BUDGET,
     SMALL_PRIMES,
     factorize,
     is_prime,
@@ -91,3 +94,43 @@ def test_factorize_settles_a_large_prime_cofactor_at_once():
     )
     proc = run_child(["-c", code], timeout=30)
     assert proc.stdout == "{1000000000000000003: 1} {2: 1, 1000000000000000003: 1}\n"
+
+
+# primes from below the trial bound to past what trial division could reach
+SPREAD_PRIMES = [2, 3, 1847, 1861, 65537, 999983, 1000003, 10**9 + 7, 10**9 + 9,
+                 2**61 - 1, 10**18 + 3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(SPREAD_PRIMES), min_size=1, max_size=4))
+def test_factorize_splits_products_of_spread_primes(primes):
+    """Trial division to 1848 and rho splits past it give every prime with
+    its multiplicity, in ascending order, whenever the product is below
+    ``PRIME_TEST_BOUND`` or its large factors are."""
+    n = prod(primes)
+    want = {p: primes.count(p) for p in sorted(set(primes))}
+    big = [p for p in primes if p > 1848]
+    if prod(big) < PRIME_TEST_BOUND or len(big) == 1:
+        assert list(factorize(n).items()) == list(want.items())
+    else:
+        try:
+            assert list(factorize(n).items()) == list(want.items())
+        except ValidationError as exc:
+            assert "rho iterations" in str(exc)
+
+
+def test_factorize_splits_a_semiprime_of_two_ten_digit_primes():
+    assert factorize((10**9 + 7) * (10**9 + 9)) == {10**9 + 7: 1, 10**9 + 9: 1}
+    assert factorize(1861**2 * (10**9 + 7)) == {1861: 2, 10**9 + 7: 1}
+
+
+def test_factorize_refuses_past_its_rho_budget():
+    """Two primes near 10^20 need about 10^10 rho steps; the budget of
+    ``RHO_BUDGET`` runs out first.  A prime at or above ``PRIME_TEST_BOUND``
+    cannot be settled and does not split either."""
+    p, q = 100000000000000000039, 100000000000000000129
+    assert is_prime(p) and is_prime(q)
+    with pytest.raises(ValidationError, match=f"^{p * q} does not split within {RHO_BUDGET} rho"):
+        factorize(p * q)
+    with pytest.raises(ValidationError, match="does not split within"):
+        factorize(2**89 - 1)

@@ -6,10 +6,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from infrank import intmat, serialize
-from infrank.autrep import eventually_uniform, finitary, graded, uniform
+from infrank.autrep import (
+    compose,
+    eventually_uniform,
+    finitary,
+    graded,
+    invert,
+    is_claimed,
+    uniform,
+    witnessed,
+)
 from infrank.classify import FinitePrimes, UnionWithPrefix
 from infrank.cli import main
-from infrank.errors import DimensionError, InfrankError, ParseError, ValidationError
+from infrank.errors import (
+    CompositionUnsupportedError,
+    DimensionError,
+    InfrankError,
+    ParseError,
+    ValidationError,
+)
 from infrank.intmat import IntMatrix
 from infrank.serialize import (
     MAX_WORD_DEPTH,
@@ -245,17 +260,18 @@ def test_parse_chain_needs_no_snf_or_det(monkeypatch):
     assert verify_chain(chain).ok
 
 
-def _atom_objs(obj):
-    """Every atom object in a document: env entries, targets and final."""
+def _atom_objs(obj, claimed=False):
+    """Every atom object in a document, env entries, targets and final, with
+    whether it is a claimed value (a target or final)."""
     if isinstance(obj, dict):
         if "variant" in obj:
-            yield obj
+            yield obj, claimed
         else:
-            for value in obj.values():
-                yield from _atom_objs(value)
+            for key, value in obj.items():
+                yield from _atom_objs(value, claimed or key in ("target_aut", "final"))
     elif isinstance(obj, list):
         for value in obj:
-            yield from _atom_objs(value)
+            yield from _atom_objs(value, claimed)
 
 
 def _parsed_atoms(chain):
@@ -267,22 +283,54 @@ def _parsed_atoms(chain):
 
 def test_parse_builds_each_distinct_atom_once(monkeypatch):
     """The (5,4) chain repeats its atoms across certificates; one parse calls
-    an atom constructor once per distinct atom, every copy of an atom is one
-    object, and the chain re-serializes to the same bytes."""
+    an atom constructor once per distinct env atom, and once with
+    ``claimed=True`` per distinct target or final (none equals an env atom),
+    every copy of an atom is one object, and the chain re-serializes to the
+    same bytes."""
     text = serialize_chain(km_pipeline(canonical_shear(5, 4), (2, 3)))
     atoms = list(_atom_objs(json.loads(text)))
-    distinct = {json.dumps(a, sort_keys=True) for a in atoms}
+    distinct = {(json.dumps(a, sort_keys=True), claimed) for a, claimed in atoms}
+    assert len({a for a, _ in distinct}) == len(distinct)
     built = []
     for name in ("finitary", "eventually_uniform", "graded"):
         make = getattr(serialize, name)
         monkeypatch.setattr(
-            serialize, name, lambda *args, make=make: built.append(args) or make(*args)
+            serialize,
+            name,
+            lambda *args, make=make, **kw: built.append(kw.get("claimed", False))
+            or make(*args, **kw),
         )
     chain = parse_chain(text)
-    assert len(built) == len(distinct) < len(atoms)
+    assert sorted(built) == sorted(claimed for _, claimed in distinct)
+    assert len(built) < len(atoms)
     assert len({id(a) for a in _parsed_atoms(chain)}) == len(distinct)
     assert serialize_chain(chain) == text
     assert verify_chain(chain).ok
+
+
+def test_claimed_values_carry_no_inverse_and_intern_with_atoms():
+    """A target or final is read with no inverse witness, unless an equal env
+    atom was read before it; an env atom read after an equal claimed value
+    is still built with its inverse, and later equal values reuse it."""
+    x, y = tau_power(2), tau_power(3)
+    certs = tuple(
+        Certificate(kind=WINDOW_IDENTITY, windows=(2,), environment={"a": atom}, word=Named("a"),
+                    target_aut=y)
+        for atom in (x, y)
+    )
+    step = ChainStep("s", Named("a"), certs)
+    chain = parse_chain(serialize_chain(WitnessChain((step,), y, 3, "")))
+    first, second = chain.steps[0].certificates
+    assert first.target_aut == y and is_claimed(first.target_aut)
+    assert first.target_aut.block.inverse is None and first.target_aut.window_inverse is None
+    assert not is_claimed(second.environment["a"])
+    assert second.target_aut is second.environment["a"] is chain.final
+    assert not is_claimed(first.environment["a"])
+    with pytest.raises(CompositionUnsupportedError):
+        invert(first.target_aut)
+    with pytest.raises(CompositionUnsupportedError):
+        compose(first.target_aut, x)
+    assert invert(witnessed(first.target_aut)) == invert(y)
 
 
 def test_parses_share_no_atom():

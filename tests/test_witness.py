@@ -5,7 +5,7 @@ from dataclasses import replace
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infrank import witness
@@ -814,3 +814,157 @@ def test_action_pushes_stay_on_the_core_window(monkeypatch):
         assert pushes and all(n in cores for n, _ in pushes)
         assert len(set(pushes)) == len(pushes)
         assert all(any(v) for _, v in pushes)
+
+
+# -- chain links ------------------------------------------------------------
+
+CLEAN_TEXT = serialize_chain(km_pipeline(canonical_shear(1, 3)))
+GENERAL_TEXT = serialize_chain(km_pipeline(canonical_shear(3, 4)))
+# genuine chains the foreign steps come from
+CLEAN_OTHER = json.loads(serialize_chain(km_pipeline(canonical_shear(1, 5))))
+GENERAL_OTHER = json.loads(serialize_chain(km_pipeline(canonical_shear(5, 4))))
+SHEAR5 = {"block": [[1, 5], [0, 1]], "variant": "uniform", "window": []}
+
+
+def _edit(**fields):
+    return lambda obj: obj.update(fields)
+
+
+def _swap_steps(i, j):
+    def edit(obj):
+        steps = obj["steps"]
+        steps[i], steps[j] = steps[j], steps[i]
+
+    return edit
+
+
+def _foreign_step(i, other):
+    def edit(obj):
+        obj["steps"][i] = other["steps"][i]
+
+    return edit
+
+
+def _claim_on_window_0(obj):
+    """Claim tau^5 for the Bezout word on window 0 alone, where it holds."""
+    cert = obj["steps"][-1]["certificates"][0]
+    cert["windows"], cert["target_aut"] = [0], SHEAR5
+    obj.update(final=SHEAR5, level=5)
+
+
+def _words_over_another_atom(obj):
+    """The (1,5) chain with its words over a new atom t = tau^5 and phi =
+    tau^3 in every environment: each certificate holds, and the chain would
+    claim level 5 for tau^3."""
+    other = json.loads(json.dumps(CLEAN_OTHER).replace('"name": "phi"', '"name": "t"'))
+    phi = json.loads(CLEAN_TEXT)["steps"][0]["certificates"][0]["env"]["phi"]
+    for step in other["steps"]:
+        for cert in step["certificates"]:
+            cert["env"] = {"phi": phi, "t": cert["env"]["phi"]}
+    obj.clear()
+    obj.update(other)
+
+
+def _scale_final_row(obj):
+    block = obj["final"]["block"]
+    block[0] = [2 * x for x in block[0]]
+
+
+FINAL_NOT_TARGET = "broken link: final is not the target of bezout-combination"
+FINAL_NOT_PRODUCT = "broken link: final is not phi1^a phi2^b over the conjugation steps' targets"
+NOT_ONE_ENV = "broken link: the certificates are not stated over one environment"
+NOT_BEZOUT = "broken link: the word of {} is not w1^a w2^b over the conjugation steps' words"
+
+# chains whose certificates all verify but whose links do not, with the one
+# report line each adds
+BROKEN_CHAINS = [
+    ("clean-swapped-final", CLEAN_TEXT, _edit(final=SHEAR5, level=5), FINAL_NOT_TARGET),
+    ("clean-singular-final", CLEAN_TEXT,
+     _edit(final={"block": [[2, 0], [0, 1]], "variant": "uniform", "window": []}),
+     FINAL_NOT_TARGET),
+    ("clean-level", CLEAN_TEXT, _edit(level=7),
+     "broken link: level 7 is not the modulus the chain derives (3)"),
+    ("clean-foreign-step", CLEAN_TEXT, _foreign_step(2, CLEAN_OTHER), NOT_ONE_ENV),
+    ("clean-reordered-steps", CLEAN_TEXT, _swap_steps(1, 2),
+     NOT_BEZOUT.format("bezout-combination")),
+    ("clean-last-step-moved", CLEAN_TEXT, _swap_steps(0, 3),
+     NOT_BEZOUT.format("euler-gcd-reduction")),
+    ("clean-target-on-window-0", CLEAN_TEXT, _claim_on_window_0, FINAL_NOT_TARGET),
+    ("clean-words-over-another-atom", CLEAN_TEXT, _words_over_another_atom,
+     "broken link: the word of euler-gcd-reduction is not in the normal closure of phi"),
+    ("clean-scope", CLEAN_TEXT, _edit(scope_note="x"),
+     "broken link: the scope note names neither pipeline scope"),
+    ("general-swapped-final", GENERAL_TEXT, _edit(final=SHEAR5, level=5), FINAL_NOT_PRODUCT),
+    ("general-shear-final", GENERAL_TEXT,
+     _edit(final={"block": [[1, 4], [0, 1]], "variant": "uniform", "window": []}),
+     FINAL_NOT_PRODUCT),
+    ("general-singular-final", GENERAL_TEXT, _scale_final_row, FINAL_NOT_PRODUCT),
+    ("general-level", GENERAL_TEXT, _edit(level=2),
+     "broken link: level 2 is not the modulus the chain derives (4)"),
+    ("general-foreign-step", GENERAL_TEXT, _foreign_step(1, GENERAL_OTHER), NOT_ONE_ENV),
+    ("general-reordered-steps", GENERAL_TEXT, _swap_steps(1, 2),
+     NOT_BEZOUT.format("bezout-combination")),
+    ("general-scope-swapped", GENERAL_TEXT, _edit(scope_note=witness.SCOPE_NOTE_CLEAN),
+     FINAL_NOT_TARGET),
+    ("general-step-dropped", GENERAL_TEXT, lambda obj: obj["steps"].pop(0),
+     "broken link: the chain has 3 steps, not the pipeline's 4"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, edit, line", [case[1:] for case in BROKEN_CHAINS], ids=[c[0] for c in BROKEN_CHAINS]
+)
+def test_chains_with_a_broken_link_are_refused(text, edit, line):
+    """Every certificate still verifies on its own, so the report is the solo
+    one plus one line that names the broken link."""
+    obj = json.loads(text)
+    edit(obj)
+    chain = parse_chain(json.dumps(obj))
+    solo_ok, solo_lines = _solo_reports(chain)
+    assert solo_ok
+    assert verify_chain(chain) == words_module.VerifyResult(False, solo_lines + (line,))
+
+
+def test_foreign_steps_come_from_verified_chains():
+    for text, other in ((CLEAN_TEXT, CLEAN_OTHER), (GENERAL_TEXT, GENERAL_OTHER)):
+        assert verify_chain(parse_chain(json.dumps(other))).ok
+        assert [json.loads(text)["steps"][i] != other["steps"][i] for i in range(4)] == [True] * 4
+
+
+def test_links_read_no_inverse(monkeypatch):
+    """The general final link multiplies windows and inverts nothing."""
+    chain = parse_chain(GENERAL_TEXT)
+    monkeypatch.setattr(IntMatrix, "inverse", None)
+    monkeypatch.setattr(witness, "invert", None)
+    assert witness._broken_link(chain) is None
+
+
+def _claimed_slots(obj):
+    """The final and every target of a chain object, as the dicts to edit."""
+    steps = obj["steps"]
+    return [obj["final"]] + [c["target_aut"] for s in steps for c in s["certificates"]
+                             if "target_aut" in c]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_non_unimodular_claimed_values_never_verify(data):
+    """A target or the final of a written chain replaced by a matrix of the
+    same shape that is not unimodular fails to verify: a small block by any
+    such matrix, any block by one row scaled by 0 or |k| >= 2."""
+    text = data.draw(st.sampled_from([CLEAN_TEXT, GENERAL_TEXT]), label="chain")
+    obj = json.loads(text)
+    slots = _claimed_slots(obj)
+    slot = slots[data.draw(st.integers(0, len(slots) - 1), label="slot")]
+    block = slot["block"]
+    d = len(block)
+    if d <= 4 and data.draw(st.booleans(), label="any matrix"):
+        entries = st.lists(st.integers(-6, 6), min_size=d, max_size=d)
+        rows = data.draw(st.lists(entries, min_size=d, max_size=d).filter(
+            lambda rows: IntMatrix.from_rows(rows).det() not in (1, -1)))
+        block[:] = rows
+    else:
+        i = data.draw(st.integers(0, d - 1), label="row")
+        k = data.draw(st.sampled_from([0, 2, -2, 3]), label="scale")
+        block[i] = [k * x for x in block[i]]
+    assert not verify_chain(parse_chain(json.dumps(obj))).ok

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from math import lcm
@@ -18,6 +19,7 @@ from infrank.autrep import (
 )
 from infrank.errors import AlignmentError, InfrankError, ValidationError, WordError
 from infrank.intmat import IntMatrix
+from infrank.serialize import parse_certificate, serialize_certificate
 from infrank.witness import order_n_shear, tau_power
 from infrank.words import (
     ACTION_ON_VECTOR,
@@ -31,6 +33,7 @@ from infrank.words import (
     Power,
     Product,
     evaluate_word,
+    holds_on_every_window,
     push_word,
     verify_certificate,
     word_names,
@@ -592,3 +595,61 @@ def test_action_mismatch_with_huge_coordinate():
         "window 2: MISMATCH at coordinate 0: got <138848-bit integer, sha256 3f2ff8b20606>, "
         "expected 1",
     )
+
+
+def _identity_document(env, word, windows, target_rows):
+    """An identity claim whose target has the window and block ``target_rows``,
+    read back as a claimed value with no inverse witness."""
+    window, block = target_rows
+    cert = Certificate(kind=WINDOW_IDENTITY, windows=windows, environment=env, word=word,
+                       target_aut=env["a"])
+    obj = json.loads(serialize_certificate(cert))
+    obj["target_aut"] = {"variant": "uniform", "window": [list(r) for r in window.data],
+                         "block": [list(r) for r in block.data]}
+    return parse_certificate(json.dumps(obj))
+
+
+SINGULAR_2 = st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=2), min_size=2,
+                      max_size=2).filter(lambda r: abs(r[0][0] * r[1][1] - r[0][1] * r[1][0]) != 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unimodular(2), unimodular(2), unimodular(2), SINGULAR_2, st.booleans(), st.booleans())
+def test_claimed_targets_are_shown_unimodular(window, block, other, singular, graded_atom,
+                                              reach_block):
+    """An identity claim with a claimed target verifies only if the target is
+    unimodular.  A checked window past the target's head shows it; when every
+    checked window is the head alone (window 2 here, with a graded atom in
+    the word or without), the target's block is never compared, and the
+    checked inverse refuses a singular one."""
+    env = {"a": eventually_uniform(window, block), "g": graded((2,), ())}
+    word = Product((Named("g"), Inverse(Named("g")), Named("a"))) if graded_atom else Named("a")
+    windows = (2, 4) if reach_block else (2,)
+    bad = IntMatrix.from_rows(singular)
+    res = verify_certificate(_identity_document(env, word, windows, (window, bad)))
+    assert not res.ok
+    if not reach_block:
+        assert res.report[-1] == "target: block matrix is not unimodular"
+    else:
+        assert "MISMATCH" in res.report[-1]
+    # a unimodular block passes on the head alone, even one the atom lacks
+    assert verify_certificate(_identity_document(env, word, (2,), (window, other))).ok
+    assert verify_certificate(_identity_document(env, word, windows, (window, block))).ok
+
+
+def test_identity_claims_hold_on_every_window_from_their_core():
+    """A uniform atom with a head of 2 and blocks of 2: window 2 is the head
+    alone, 4 and 6 reduce to the core window 4; a graded atom has no core."""
+    a = eventually_uniform(
+        IntMatrix.from_rows([[-1, 0], [0, 1]]), IntMatrix.from_rows([[0, 1], [1, 0]])
+    )
+    env = {"a": a, "g": graded((2,), ())}
+
+    def claim(windows, word=Named("a"), target=a):
+        return Certificate(kind=WINDOW_IDENTITY, windows=windows, environment=env, word=word,
+                           target_aut=target)
+
+    assert [holds_on_every_window(claim(w)) for w in ((2,), (4,), (2, 6), (0,))] == [
+        False, True, True, False]
+    assert not holds_on_every_window(claim((4,), Product((Named("g"), Named("a")))))
+    assert not holds_on_every_window(replace(claim((4,)), kind=ORDER, order=2))
