@@ -105,11 +105,15 @@ class GradedBlock:
     def prefix_exponents(self) -> dict[int, int]:
         """Prime exponents of m_0 m_1 ... m_{k-1} for the k prefix multipliers.
 
-        This is the only place the prefix is factorized.
+        This is the only place the prefix is factorized, each distinct
+        multiplier once.
         """
         exps: dict[int, int] = {}
+        factored: dict[int, dict[int, int]] = {}
         for m in self.prefix:
-            for p, e in factorize(m).items():
+            if m not in factored:
+                factored[m] = factorize(m)
+            for p, e in factored[m].items():
                 exps[p] = exps.get(p, 0) + e
         return exps
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import witness as _witness
 from .autrep import EventuallyUniform, Finitary, GradedBlock, RepAut
@@ -50,15 +50,17 @@ class RuleBased:
 
     block: GradedBlock
 
+    def exponent_cap(self) -> Callable[[int], int]:
+        """p -> the largest e with p^e a level: p's exponent in the prefix,
+        plus one when the tail walks p."""
+        exps, skip = self.block.prefix_exponents(), self.block.tail_skip()
+        return lambda p: exps.get(p, 0) + (p not in skip)
+
     def member(self, m: int) -> bool:
         if m < 2:
             raise ValueError("level queries need m >= 2")
-        prefix_exps = self.block.prefix_exponents()
-        skip = self.block.tail_skip()
-        for p, e in factorize(m).items():
-            if e > prefix_exps.get(p, 0) + (0 if p in skip else 1):
-                return False
-        return True
+        cap = self.exponent_cap()
+        return all(e <= cap(p) for p, e in factorize(m).items())
 
 
 LambdaLevels = Union[DivisorsOf, RuleBased]
@@ -251,11 +253,11 @@ def common_lambda_level(auts: Sequence[RepAut]) -> Optional[int]:
     if not rules:
         return g
     if g:
-        divisors = sorted(_divisors(g), reverse=True)
-        for m in divisors:
-            if m >= 2 and all(r.member(m) for r in rules):
-                return m
-        return None
+        # levels are closed under divisors prime by prime, so the largest
+        # common one divides g with each exponent capped by every rule
+        caps = [r.exponent_cap() for r in rules]
+        m = prod(p ** min(e, *(cap(p) for cap in caps)) for p, e in factorize(g).items())
+        return m if m > 1 else None
     bound = prod(m for r in rules for m in r.block.prefix)
     largest = max([2, *(p for r in rules for p in r.block.tail_skip())])
     bound = max(bound, 2) * largest
@@ -263,17 +265,6 @@ def common_lambda_level(auts: Sequence[RepAut]) -> Optional[int]:
         if all(r.member(m) for r in rules):
             return m
     return None
-
-
-def _divisors(g: int) -> list[int]:
-    out = []
-    f = 1
-    while f * f <= g:
-        if g % f == 0:
-            out.append(f)
-            out.append(g // f)
-        f += 1
-    return sorted(set(out))
 
 
 # -- ladder report ---------------------------------------------------------

@@ -15,6 +15,8 @@ function of the certificate contents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, partial, reduce
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .autrep import (
@@ -74,120 +76,109 @@ def evaluate_word(word: Token, env: Environment, n: int) -> IntMatrix:
     Inverses are taken structurally (every atom carries its inverse
     witness), and equal subtrees are evaluated once per call.
     """
-    return _eval(word, env, n, False, {})
-
-
-def _eval(word: Token, env: Environment, n: int, inv: bool, memo: dict) -> IntMatrix:
-    key = (word, inv)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(word, Named):
-        try:
-            aut = env[word.name]
-        except KeyError:
-            raise WordError(f"unresolved name {word.name!r}") from None
-        out = window_matrix(invert_aut(aut) if inv else aut, n)
-    elif isinstance(word, Inverse):
-        out = _eval(word.inner, env, n, not inv, memo)
-    elif isinstance(word, Power):
-        e = word.exponent
-        if e < 0:
-            out = _eval(word.inner, env, n, not inv, memo).power(-e)
-        else:
-            out = _eval(word.inner, env, n, inv, memo).power(e)
-    elif isinstance(word, Conj):
-        # (h g h^-1)^-1 = h g^-1 h^-1
-        h = _eval(word.h, env, n, False, memo)
-        h_inv = _eval(word.h, env, n, True, memo)
-        g = _eval(word.g, env, n, inv, memo)
-        out = h * g * h_inv
-    elif isinstance(word, Product):
-        factors = reversed(word.factors) if inv else iter(word.factors)
-        first = next(factors, None)
-        out = IntMatrix.identity(n) if first is None else _eval(first, env, n, inv, memo)
-        for f in factors:
-            out = out * _eval(f, env, n, inv, memo)
-    else:
-        raise WordError(f"unknown token {word!r}")
-    memo[key] = out
-    return out
+    return _Dense(env, n).walk(word)
 
 
 def push_word(word: Token, env: Environment, n: int, vector: Sequence[int]) -> tuple[int, ...]:
     """``evaluate_word(word, env, n).apply(vector)``, vector zero-padded to n.
 
-    The vector is pushed through the token tree, rightmost factor first, one
-    atom at a time; ``Conj(g, h)`` acts as h(g(h^-1 v)).  An application
-    reads the atom only in the columns of the vector's nonzero coordinates
-    (``window_apply``), never more than the n^2 entries of the window, and a
-    product costs one multiply-add per nonzero term pair, up to n^3.  So a
-    ``Power`` whose pushes would pass n applications is evaluated by
-    products once and applied instead, and a word whose pushes pass n per
-    token goes that way whole.  Every name is resolved and window-checked first, in
-    ``evaluate_word``'s order, so both paths refuse a word with one error.
+    The vector is pushed through the word one atom at a time, rightmost
+    factor first, each application costing up to n^2 (``window_apply``) where
+    a window product costs up to n^3.  So a ``Power``, or the whole word,
+    whose applications pass n (per distinct walked subtree) goes by products.
     """
-    counts: dict[int, int] = {}
-    pushes = _walk(word, env, n, False, counts)
+    pushes = _Pushes(env, n)
+    push, count = pushes.walk(word)
     v = _pad(vector, n)
-    if pushes > n * len(counts):
+    if count > n * len(pushes.memo):
         return evaluate_word(word, env, n).apply(v)
-    memo: dict = {}
+    return tuple(push(v))
 
-    def push(w: Token, inv: bool, v: list[int]) -> list[int]:
-        if isinstance(w, Named):
-            aut = env[w.name]
-            return window_apply(invert_aut(aut) if inv else aut, n, v)
-        if isinstance(w, Inverse):
-            return push(w.inner, not inv, v)
-        if isinstance(w, Power):
-            inner_inv = inv != (w.exponent < 0)
-            if _dense_power(w, counts[id(w.inner)], n):
-                # one dense power per call, however often the push passes it
-                return list(_eval(w.inner, env, n, inner_inv, memo).power(abs(w.exponent)).apply(v))
-            for _ in range(abs(w.exponent)):
-                v = push(w.inner, inner_inv, v)
-            return v
-        if isinstance(w, Conj):
+
+class _Walk:
+    """One walk over a word on window n, reading each distinct (token,
+    inverted) pair once.  A name is looked up, inverted, then read (which
+    checks the window), in ``evaluate_word``'s order: a product's factors
+    left to right (right to left inverted), a conjugate's h, h^-1, then g.
+    So both readings, ``_Dense`` and ``_Pushes``, raise one first error.
+    """
+
+    by_value = True  # equal subtrees are read once, at the cost of hashing each
+
+    def __init__(self, env: Environment, n: int):
+        self.env, self.n, self.memo = env, n, {}
+
+    def walk(self, word: Token, inv: bool = False):
+        key = (word if self.by_value else id(word), inv)
+        if (hit := self.memo.get(key)) is not None:
+            return hit
+        if isinstance(word, Named):
+            try:
+                aut = self.env[word.name]
+            except KeyError:
+                raise WordError(f"unresolved name {word.name!r}") from None
+            out = self.atom(invert_aut(aut) if inv else aut)
+        elif isinstance(word, Inverse):
+            out = self.walk(word.inner, not inv)
+        elif isinstance(word, Power):
+            inner = (word.inner, inv != (word.exponent < 0))
+            out = self.power(self.walk(*inner), abs(word.exponent), inner)
+        elif isinstance(word, Conj):
             # (h g h^-1)^-1 = h g^-1 h^-1
-            return push(w.h, False, push(w.g, inv, push(w.h, True, v)))
-        for f in w.factors if inv else reversed(w.factors):
-            v = push(f, inv, v)
-        return v
-
-    return tuple(push(word, False, list(v)))
-
-
-def _walk(word: Token, env: Environment, n: int, inv: bool, counts: dict[int, int]) -> int:
-    """Raise what ``_eval`` raises first on a bad name, window or token, and
-    return the atom applications a push makes, a dense power counting as
-    one; ``counts`` keeps that number for each distinct token."""
-    key = id(word)
-    if key in counts:
-        return counts[key]
-    if isinstance(word, Named):
-        if word.name not in env:
-            raise WordError(f"unresolved name {word.name!r}")
-        _check_window(env[word.name], n)
-        count = 1
-    elif isinstance(word, Inverse):
-        count = _walk(word.inner, env, n, not inv, counts)
-    elif isinstance(word, Power):
-        inner = _walk(word.inner, env, n, inv != (word.exponent < 0), counts)
-        count = 1 if _dense_power(word, inner, n) else abs(word.exponent) * inner
-    elif isinstance(word, Conj):
-        count = 2 * _walk(word.h, env, n, False, counts) + _walk(word.g, env, n, inv, counts)
-    elif isinstance(word, Product):
-        factors = reversed(word.factors) if inv else word.factors
-        count = sum(_walk(f, env, n, inv, counts) for f in factors)
-    else:
-        raise WordError(f"unknown token {word!r}")
-    counts[key] = count
-    return count
+            h, h_inv = self.walk(word.h), self.walk(word.h, True)
+            out = self.product([h, self.walk(word.g, inv), h_inv])
+        elif isinstance(word, Product):
+            factors = reversed(word.factors) if inv else word.factors
+            out = self.product([self.walk(f, inv) for f in factors])
+        else:
+            raise WordError(f"unknown token {word!r}")
+        self.memo[key] = out
+        return out
 
 
-def _dense_power(word: Power, inner_pushes: int, n: int) -> bool:
-    return abs(word.exponent) * max(1, inner_pushes) > n
+class _Dense(_Walk):
+    """A word read as its n x n window matrix."""
+
+    def atom(self, aut: RepAut) -> IntMatrix:
+        return window_matrix(aut, self.n)
+
+    def product(self, factors: list[IntMatrix]) -> IntMatrix:
+        return reduce(mul, factors) if factors else IntMatrix.identity(self.n)
+
+    def power(self, inner: IntMatrix, e: int, token: tuple[Token, bool]) -> IntMatrix:
+        return inner.power(e)
+
+
+class _Pushes(_Walk):
+    """A word read as a function pushing a vector through it, with the
+    atom applications it makes; a power that would make more than n makes
+    one, of its window matrix evaluated by products on first use."""
+
+    by_value = False  # a push reruns at every occurrence anyway: key tokens by identity
+
+    def __init__(self, env: Environment, n: int):
+        super().__init__(env, n)
+        self.dense = _Dense(env, n)
+
+    def atom(self, aut: RepAut) -> tuple:
+        _check_window(aut, self.n)
+        return partial(window_apply, aut, self.n), 1
+
+    def product(self, factors: list[tuple]) -> tuple:
+        pushes = [push for push, _ in reversed(factors)]
+
+        def push(v: Sequence[int]) -> Sequence[int]:
+            for f in pushes:  # a loop, so a push nests only as deep as the word
+                v = f(v)
+            return v
+
+        return push, sum(count for _, count in factors)
+
+    def power(self, inner: tuple, e: int, token: tuple[Token, bool]) -> tuple:
+        if e * max(1, inner[1]) <= self.n:
+            return self.product([inner] * e)
+        matrix = cache(lambda: self.dense.walk(*token).power(e))
+        return (lambda v: matrix().apply(v)), 1
 
 
 def word_names(word: Token) -> set[str]:
@@ -198,10 +189,7 @@ def word_names(word: Token) -> set[str]:
     if isinstance(word, Conj):
         return word_names(word.g) | word_names(word.h)
     if isinstance(word, Product):
-        out: set[str] = set()
-        for f in word.factors:
-            out |= word_names(f)
-        return out
+        return set().union(*map(word_names, word.factors))
     raise WordError(f"unknown token {word!r}")
 
 
@@ -363,9 +351,7 @@ def _core_atoms(cert: Certificate) -> Optional[list[RepAut]]:
     if not names <= cert.environment.keys():
         return None
     atoms = [cert.environment[name] for name in names]
-    if cert.kind == WINDOW_IDENTITY:
-        return atoms + [cert.target_aut]
-    return atoms
+    return atoms + [cert.target_aut] if cert.kind == WINDOW_IDENTITY else atoms
 
 
 def _check_identity(cert: Certificate, n: int) -> tuple[bool, str]:
@@ -465,9 +451,5 @@ def _extend(m: IntMatrix, n: int, fill_identity: bool = False) -> IntMatrix:
     if m.rows == n:
         return m
     rows = [list(r) + [0] * (n - m.rows) for r in m.data]
-    for i in range(m.rows, n):
-        tail = [0] * n
-        if fill_identity:
-            tail[i] = 1
-        rows.append(tail)
+    rows += ([int(fill_identity and i == j) for j in range(n)] for i in range(m.rows, n))
     return IntMatrix.from_rows(rows)

@@ -5,12 +5,14 @@ uniform automorphism to a larger block size, the per-entry integer-list
 check that the parser's one-pass type check replaced, the trial division
 that Miller-Rabin replaced, the entry-by-entry product, 2-adic elimination,
 matrix text and ``str`` that the kernels visiting only nonzero entries
-replaced, and the transpose no library code needs."""
+replaced, the transpose no library code needs, and the divisor scan that
+capping each prime of g replaced in ``classify.common_lambda_level``."""
 
 from math import isqrt
 from typing import Any, Iterator, Optional, Sequence
 
 from infrank.autrep import EventuallyUniform, _split, invert, window_matrix
+from infrank.classify import RuleBased
 from infrank.errors import AlignmentError, DimensionError
 from infrank.intmat import IntMatrix, snf
 
@@ -204,3 +206,14 @@ def trial_division_is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def divisor_scan_level(g: int, rules: Sequence[RuleBased]) -> Optional[int]:
+    """The largest divisor m >= 2 of g that every rule admits, or None, by
+    trying the divisors of g (trial division to its square root) from the
+    largest down."""
+    small = [f for f in range(1, isqrt(g) + 1) if g % f == 0]
+    for m in sorted({*small, *(g // f for f in small)}, reverse=True):
+        if m >= 2 and all(r.member(m) for r in rules):
+            return m
+    return None

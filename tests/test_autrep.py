@@ -153,6 +153,23 @@ def test_graded_window_walks_the_primes_once(monkeypatch):
             assert calls <= n // 2 + len(g.tail_skip())
 
 
+def test_prefix_exponents_factorize_each_distinct_multiplier_once(monkeypatch):
+    import infrank.autrep as autrep
+
+    factorized = []
+    orig = autrep.factorize
+
+    def recording(n):
+        factorized.append(n)
+        return orig(n)
+
+    monkeypatch.setattr(autrep, "factorize", recording)
+    exps = graded((10, 6, 10, 9, 6, 10), ()).prefix_exponents()
+    # keys in order of first appearance along the prefix, as a walk over every copy gives
+    assert list(exps.items()) == [(2, 5), (5, 3), (3, 4)]
+    assert factorized == [10, 6, 9]
+
+
 def test_window_coherence():
     rng = random.Random(10)
     samples = [

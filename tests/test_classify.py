@@ -36,7 +36,9 @@ from infrank.intmat import IntMatrix, is_unimodular_set
 from infrank.numth import primes_upto
 from infrank.witness import canonical_shear, tau_power, verify_chain
 
+from oracles import divisor_scan_level
 from test_autrep import finitary_or_uniform
+from test_cli import run_child
 from test_intmat import random_unimodular
 
 
@@ -374,6 +376,35 @@ def test_common_level_disjoint_supports():
     # nu sets {5} and all-primes-except-{5} are disjoint; no common level
     assert common_lambda_level([u_shear(5), graded((), (5,))]) is None
     assert common_lambda_level([u_shear(15), graded((), (3, 5))]) is None
+
+
+GRADED_RULES = st.builds(
+    graded,
+    st.lists(st.integers(2, 40), max_size=3),
+    st.sets(st.sampled_from([2, 3, 5, 7, 11, 13])),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 10**4), st.lists(GRADED_RULES, min_size=1, max_size=2))
+def test_common_level_with_rules_matches_the_divisor_scan(g, blocks):
+    rules = [lambda_levels(b) for b in blocks]
+    assert common_lambda_level([u_shear(g), *blocks]) == divisor_scan_level(g, rules)
+
+
+def test_common_level_of_a_semiprime_gcd_is_quick():
+    """g = (10^9 + 7)(10^9 + 9) is factorized once, not walked for its
+    divisors by trial division up to 10^9."""
+    proc = run_child(
+        ["-c", "from infrank.autrep import graded, uniform\n"
+               "from infrank.classify import common_lambda_level\n"
+               "from infrank.intmat import IntMatrix\n"
+               "shear = uniform(IntMatrix.from_rows([[1, 1000000016000000063], [0, 1]]))\n"
+               "print(common_lambda_level([shear, graded((2,), ())]))"],
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1000000016000000063\n", "")
 
 
 # -- ladder -----------------------------------------------------------------

@@ -808,6 +808,34 @@ def test_classify_with_a_semiprime_congruence_gcd_is_quick(tmp_path):
     assert "prime set: {1000000007, 1000000009}\n" in proc.stdout
 
 
+def test_classify_factorizes_a_repeated_prefix_multiplier_once(tmp_path):
+    """A prefix repeating (10^9 + 7)(10^9 + 9) 40 times costs one rho split,
+    not one per copy."""
+    s = 1000000016000000063
+    aut_file = tmp_path / "g.aut"
+    aut_file.write_text(serialize_aut(graded((s,) * 40, ())))
+    proc = run_child(["-m", "infrank", "classify", str(aut_file)], timeout=5)
+    prefix = ", ".join([str(s)] * 40)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        f"congruence gcd: {s}\n"
+        f"level set: rule-based: prefix [{prefix}], tail primes outside []\n"
+        "prime set: [1000000007, 1000000009] together with all primes outside []\n"
+        "almost-radiation: False\n"
+        "normal generator: False\n"
+        f"  evidence: member at level {s}\n"
+        "ladder rung: no maximal level; ladder rung undefined\n"
+    )
+
+
+def test_verify_refuses_a_document_without_a_certificate(tmp_path, capsys):
+    aut_file = tmp_path / "tau.aut"
+    aut_file.write_text(serialize_aut(tau_power(1)))
+    assert run(["verify", str(aut_file)], capsys) == (
+        1, "", "document contains no certificate to verify\n"
+    )
+
+
 def test_classify_refuses_a_semiprime_past_the_rho_budget(tmp_path):
     n = 100000000000000000039 * 100000000000000000129
     aut_file = tmp_path / "u.aut"

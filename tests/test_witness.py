@@ -870,10 +870,23 @@ def _scale_final_row(obj):
     block[0] = [2 * x for x in block[0]]
 
 
+def _headed_final(obj):
+    """final with an identity head window of one block, which widens the core
+    window of phi1 and phi2."""
+    d = len(obj["final"]["block"])
+    obj["final"]["window"] = [[int(i == j) for j in range(d)] for i in range(d)]
+
+
+def _claims_on_one_coordinate(obj):
+    claims = obj["steps"][-1]["certificates"]
+    claims[1] = claims[0]
+
+
 FINAL_NOT_TARGET = "broken link: final is not the target of bezout-combination"
 FINAL_NOT_PRODUCT = "broken link: final is not phi1^a phi2^b over the conjugation steps' targets"
 NOT_ONE_ENV = "broken link: the certificates are not stated over one environment"
 NOT_BEZOUT = "broken link: the word of {} is not w1^a w2^b over the conjugation steps' words"
+NO_TRACKED_PAIR = "broken link: level 4 is not the modulus the chain derives (None)"
 
 # chains whose certificates all verify but whose links do not, with the one
 # report line each adds
@@ -899,6 +912,14 @@ BROKEN_CHAINS = [
      _edit(final={"block": [[1, 4], [0, 1]], "variant": "uniform", "window": []}),
      FINAL_NOT_PRODUCT),
     ("general-singular-final", GENERAL_TEXT, _scale_final_row, FINAL_NOT_PRODUCT),
+    ("general-finitary-final", GENERAL_TEXT,
+     _edit(final={"matrix": [[0, 1], [1, 0]], "support": [0, 1], "variant": "finitary"}),
+     FINAL_NOT_PRODUCT),
+    ("general-headed-final", GENERAL_TEXT, _headed_final, FINAL_NOT_PRODUCT),
+    ("general-claim-dropped", GENERAL_TEXT, lambda obj: obj["steps"][-1]["certificates"].pop(),
+     NO_TRACKED_PAIR),
+    ("general-claims-on-one-coordinate", GENERAL_TEXT, _claims_on_one_coordinate,
+     NO_TRACKED_PAIR),
     ("general-level", GENERAL_TEXT, _edit(level=2),
      "broken link: level 2 is not the modulus the chain derives (4)"),
     ("general-foreign-step", GENERAL_TEXT, _foreign_step(1, GENERAL_OTHER), NOT_ONE_ENV),

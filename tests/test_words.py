@@ -339,6 +339,17 @@ def test_push_goes_dense_when_pushes_outgrow_the_word(monkeypatch):
         assert got == evaluate_word(word, ENV, 4).apply(v)
 
 
+@pytest.mark.parametrize(
+    "word", [Product((Named("tau"),) * 3000), Power(Named("tau"), 3000)], ids=["product", "power"]
+)
+def test_long_words_push_in_loops(word, monkeypatch):
+    """3,000 applications of tau on window 3,000 stay pushes, applied in a
+    loop: a push nests no deeper than the word, so no RecursionError."""
+    products = ProductCounter(monkeypatch)
+    assert push_word(word, ENV, 3000, (0, 1)) == (3000, 1) + (0,) * 2998
+    assert products.count == 0
+
+
 # -- identity and order claims on the core window ----------------------------
 
 
