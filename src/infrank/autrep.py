@@ -29,6 +29,7 @@ chain links.  Window matrices follow the column convention of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, compress, islice
 from math import lcm, prod
 from operator import mul
@@ -103,19 +104,8 @@ class GradedBlock:
     negated: bool = False
 
     def prefix_exponents(self) -> dict[int, int]:
-        """Prime exponents of m_0 m_1 ... m_{k-1} for the k prefix multipliers.
-
-        This is the only place the prefix is factorized, each distinct
-        multiplier once.
-        """
-        exps: dict[int, int] = {}
-        factored: dict[int, dict[int, int]] = {}
-        for m in self.prefix:
-            if m not in factored:
-                factored[m] = factorize(m)
-            for p, e in factored[m].items():
-                exps[p] = exps.get(p, 0) + e
-        return exps
+        """Prime exponents of m_0 m_1 ... m_{k-1} for the k prefix multipliers."""
+        return dict(self._factored[0])
 
     def tail_skip(self) -> frozenset[int]:
         """Primes the tail enumeration must not use.
@@ -124,7 +114,20 @@ class GradedBlock:
         already dividing a prefix multiplier is skipped, so every tail
         prime contributes exponent exactly one over the whole family.
         """
-        return self.excluded.union(self.prefix_exponents())
+        return self._factored[1]
+
+    @cached_property
+    def _factored(self) -> tuple[dict[int, int], frozenset[int]]:
+        """``prefix_exponents()`` and ``tail_skip()``, from the one place the
+        prefix is factorized, each distinct multiplier once per block."""
+        exps: dict[int, int] = {}
+        factored: dict[int, dict[int, int]] = {}
+        for m in self.prefix:
+            if m not in factored:
+                factored[m] = factorize(m)
+            for p, e in factored[m].items():
+                exps[p] = exps.get(p, 0) + e
+        return exps, self.excluded.union(exps)
 
     def multipliers(self) -> Iterator[int]:
         """m_0, m_1, ...: the prefix, then one walk through the primes

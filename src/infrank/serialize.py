@@ -147,9 +147,9 @@ def aut_to_obj(aut: RepAut) -> dict:
     }
 
 
-def aut_from_obj(obj: Any, path: str, atoms: dict, claimed: bool = False) -> RepAut:
+def aut_from_obj(obj: Any, path: str, table: dict, claimed: bool = False) -> RepAut:
     """Read one atom or, with ``claimed``, one claimed value (a ``target_aut``
-    or a chain's ``final``), built with no inverse witness.  ``atoms`` maps
+    or a chain's ``final``), built with no inverse witness.  ``table`` maps
     the validated fields of each value read so far to the value, so that a
     repeated atom is built and inverted once.  A claimed value reuses an
     equal atom; an atom read after an equal claimed value is built with its
@@ -178,10 +178,10 @@ def aut_from_obj(obj: Any, path: str, atoms: dict, claimed: bool = False) -> Rep
     else:
         raise ParseError(f"{path}.variant", f"unknown variant {variant!r}")
     key = (variant, *(x.data if isinstance(x, IntMatrix) else x for x in args))
-    hit = atoms.get(key)
+    hit = table.get(key)
     if hit is None or (is_claimed(hit) and not claimed):
         try:
-            hit = atoms[key] = make(*args, claimed=True) if claimed else make(*args)
+            hit = table[key] = make(*args, claimed=True) if claimed else make(*args)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
     return hit
@@ -204,40 +204,48 @@ def word_to_obj(word: Token) -> dict:
     raise ValidationError(f"unknown token {word!r}")
 
 
-def word_from_obj(obj: Any, path: str = "$", depth: int = 1) -> Token:
+def word_from_obj(obj: Any, path: str = "$", depth: int = 1, table: dict | None = None) -> Token:
+    """Read a word, interning each token in ``table`` (the parse's, or a new
+    one) by its op, its name or exponent and its interned children's
+    identities: equal subtrees become one object, and no key hashes a subtree."""
     if depth > MAX_WORD_DEPTH:
         raise ParseError(path, f"word nests deeper than {MAX_WORD_DEPTH} tokens")
+    table = {} if table is None else table
+
+    def read(sub: Any, at: str) -> Token:
+        return word_from_obj(sub, at, depth + 1, table)
+
     op = _need(obj, "op", path)
     if op == "named":
-        return Named(_typed(_need(obj, "name", path), str, f"{path}.name"))
-    if op == "inverse":
-        return Inverse(word_from_obj(_need(obj, "inner", path), f"{path}.inner", depth + 1))
-    if op == "power":
+        name = _typed(_need(obj, "name", path), str, f"{path}.name")
+        key, token = (op, name), Named(name)
+    elif op == "inverse":
+        inner = read(_need(obj, "inner", path), f"{path}.inner")
+        key, token = (op, id(inner)), Inverse(inner)
+    elif op == "power":
         e = _typed(_need(obj, "exponent", path), int, f"{path}.exponent")
-        return Power(word_from_obj(_need(obj, "inner", path), f"{path}.inner", depth + 1), e)
-    if op == "conj":
-        return Conj(
-            word_from_obj(_need(obj, "g", path), f"{path}.g", depth + 1),
-            word_from_obj(_need(obj, "h", path), f"{path}.h", depth + 1),
-        )
-    if op == "product":
-        factors = _typed(_need(obj, "factors", path), list, f"{path}.factors")
-        return Product(
-            tuple(
-                word_from_obj(f, f"{path}.factors[{i}]", depth + 1) for i, f in enumerate(factors)
-            )
-        )
-    raise ParseError(f"{path}.op", f"unknown token op {op!r}")
+        inner = read(_need(obj, "inner", path), f"{path}.inner")
+        key, token = (op, id(inner), e), Power(inner, e)
+    elif op == "conj":
+        g, h = (read(_need(obj, part, path), f"{path}.{part}") for part in ("g", "h"))
+        key, token = (op, id(g), id(h)), Conj(g, h)
+    elif op == "product":
+        objs = _typed(_need(obj, "factors", path), list, f"{path}.factors")
+        factors = tuple(read(f, f"{path}.factors[{i}]") for i, f in enumerate(objs))
+        key, token = (op, *map(id, factors)), Product(factors)
+    else:
+        raise ParseError(f"{path}.op", f"unknown token op {op!r}")
+    return table.setdefault(key, token)
 
 
 def _env_to_obj(env: Mapping[str, RepAut]) -> dict:
     return {name: aut_to_obj(aut) for name, aut in env.items()}
 
 
-def _env_from_obj(obj: Any, path: str, atoms: dict) -> dict[str, RepAut]:
+def _env_from_obj(obj: Any, path: str, table: dict) -> dict[str, RepAut]:
     if not isinstance(obj, dict):
         raise ParseError(path, "expected an object of named automorphisms")
-    return {name: aut_from_obj(body, f"{path}.{name}", atoms) for name, body in obj.items()}
+    return {name: aut_from_obj(body, f"{path}.{name}", table) for name, body in obj.items()}
 
 
 # -- certificates ------------------------------------------------------------
@@ -266,15 +274,15 @@ def cert_to_obj(cert: Certificate) -> dict:
     return obj
 
 
-def cert_from_obj(obj: Any, path: str, atoms: dict) -> Certificate:
+def cert_from_obj(obj: Any, path: str, table: dict) -> Certificate:
     claim = _need(obj, "claim", path)
     windows = _int_list(_need(obj, "windows", path), f"{path}.windows")
-    env = _env_from_obj(obj.get("env", {}), f"{path}.env", atoms)
+    env = _env_from_obj(obj.get("env", {}), f"{path}.env", table)
     kwargs: dict[str, Any] = {}
     if "word" in obj:
-        kwargs["word"] = word_from_obj(obj["word"], f"{path}.word")
+        kwargs["word"] = word_from_obj(obj["word"], f"{path}.word", table=table)
     if "target_aut" in obj:
-        kwargs["target_aut"] = aut_from_obj(obj["target_aut"], f"{path}.target_aut", atoms, True)
+        kwargs["target_aut"] = aut_from_obj(obj["target_aut"], f"{path}.target_aut", table, True)
     if "target_matrix" in obj:
         kwargs["target_matrix"] = _matrix(obj["target_matrix"], f"{path}.target_matrix")
     if "vector" in obj:
@@ -286,7 +294,7 @@ def cert_from_obj(obj: Any, path: str, atoms: dict) -> Certificate:
     if "summands" in obj:
         summands = _typed(obj["summands"], list, f"{path}.summands")
         kwargs["summand_words"] = tuple(
-            word_from_obj(w, f"{path}.summands[{i}]") for i, w in enumerate(summands)
+            word_from_obj(w, f"{path}.summands[{i}]", table=table) for i, w in enumerate(summands)
         )
     try:
         return Certificate(kind=claim, windows=windows, environment=env, **kwargs)
@@ -314,7 +322,7 @@ def chain_to_obj(chain: WitnessChain) -> dict:
     }
 
 
-def chain_from_obj(obj: Any, path: str, atoms: dict) -> WitnessChain:
+def chain_from_obj(obj: Any, path: str, table: dict) -> WitnessChain:
     level = _typed(_need(obj, "level", path), int, f"{path}.level")
     steps_obj = _typed(_need(obj, "steps", path), list, f"{path}.steps")
     steps = []
@@ -324,9 +332,9 @@ def chain_from_obj(obj: Any, path: str, atoms: dict) -> WitnessChain:
         steps.append(
             ChainStep(
                 name=_typed(_need(step, "name", spath), str, f"{spath}.name"),
-                word=word_from_obj(_need(step, "word", spath), f"{spath}.word"),
+                word=word_from_obj(_need(step, "word", spath), f"{spath}.word", table=table),
                 certificates=tuple(
-                    cert_from_obj(c, f"{spath}.certificates[{j}]", atoms)
+                    cert_from_obj(c, f"{spath}.certificates[{j}]", table)
                     for j, c in enumerate(certs)
                 ),
                 note=_typed(step.get("note", ""), str, f"{spath}.note"),
@@ -334,7 +342,7 @@ def chain_from_obj(obj: Any, path: str, atoms: dict) -> WitnessChain:
         )
     return WitnessChain(
         steps=tuple(steps),
-        final=aut_from_obj(_need(obj, "final", path), f"{path}.final", atoms, True),
+        final=aut_from_obj(_need(obj, "final", path), f"{path}.final", table, True),
         level=level,
         scope_note=_typed(_need(obj, "scope_note", path), str, f"{path}.scope_note"),
     )
@@ -382,9 +390,9 @@ def _load(text: str, kind: str | None = None) -> dict:
     return obj
 
 
-def _word_doc(obj: dict, path: str, atoms: dict) -> tuple[Token, dict[str, RepAut]]:
-    return word_from_obj(_need(obj, "word", path), f"{path}.word"), _env_from_obj(
-        obj.get("env", {}), f"{path}.env", atoms
+def _word_doc(obj: dict, path: str, table: dict) -> tuple[Token, dict[str, RepAut]]:
+    return word_from_obj(_need(obj, "word", path), f"{path}.word", table=table), _env_from_obj(
+        obj.get("env", {}), f"{path}.env", table
     )
 
 
@@ -398,7 +406,8 @@ _READERS = {
 
 def _parse(text: str, kind: str | None) -> Any:
     """Read a document with the reader of its kind; ``kind`` None accepts any.
-    Equal atoms become one object, through a table that lives for this call."""
+    Equal atoms, and equal word subtrees, become one object each, through a
+    table that lives for this call."""
     obj = _load(text, kind)
     found = obj.get("kind")
     if not isinstance(found, str) or found not in _READERS:

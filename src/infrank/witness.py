@@ -15,15 +15,15 @@ an explicit unimodular pair family:
    coordinate pair;
 3. a Bezout combination of the two results with exponents a n1 + b n2 = 1.
 
-Engines state every claim through ``_claim``, which sets windows (n, 2n)
-and stores the caller's environment as it is, so all the claims of one chain
-share one environment; ``_pair_shear`` states the two action claims of a
-shear on a tracked coordinate pair.  Every engine verifies each certificate
-it returns exactly once, through ``_checked``, which raises
-``ValidationError`` if one fails, so callers can trust what they receive.
-``verify_chain`` and ``verify_certificate`` are for documents read back
-from disk; ``verify_chain`` also checks the links that tie a chain's
-certificates to its ``final`` and ``level``.
+Engines state every claim through ``_claim``, which sets windows (n, 2n),
+except the general pipeline's one-window ``ORDER`` claim on lambda;
+``_pair_shear`` states the two action claims of a shear on a tracked
+coordinate pair.  Every engine verifies each certificate it returns
+exactly once, through ``_checked``, which raises ``ValidationError`` if
+one fails, so callers can trust what they receive.  ``verify_chain`` and
+``verify_certificate`` are for documents read back from disk;
+``verify_chain`` also checks the links that tie a chain's certificates to
+its ``final`` and ``level``.
 """
 
 from __future__ import annotations
@@ -75,13 +75,12 @@ def _require(res: VerifyResult) -> None:
 
 def _checked(cert: Certificate) -> Certificate:
     """cert, once it has verified; ``ValidationError`` otherwise."""
-    res = verify_certificate(cert)
-    _require(res)
+    _require(verify_certificate(cert))
     return cert
 
 
 def _claim(env: Mapping[str, RepAut], word: Optional[Token], n: int, **fields) -> Certificate:
-    """A claim about word over env, on windows n and 2n; env is kept, not copied."""
+    """A claim about word over env, on windows n and 2n."""
     return Certificate(windows=(n, 2 * n), environment=env, word=word, **fields)
 
 
@@ -241,16 +240,8 @@ def zaushko_commutator(rho_x: IntMatrix) -> tuple[EventuallyUniform, Token, Cert
     tau = uniform(_block2(eye, zero, eye, eye))
     pi = uniform(_block2(zero, eye, eye, zero))
     sigma = uniform(_block2(eye, eye - rho_x, zero, eye))
-    word = Product(
-        (
-            Named("pi"),
-            Inverse(Named("rho")),
-            Inverse(Named("tau")),
-            Named("rho"),
-            Named("tau"),
-            Named("pi"),
-        )
-    )
+    pi_, rho_, tau_ = map(Named, ("pi", "rho", "tau"))
+    word = Product((pi_, Inverse(rho_), Inverse(tau_), rho_, tau_, pi_))
     env = {"rho": rho, "tau": tau, "pi": pi}
     cert = _checked(_claim(env, word, 2 * d, kind=WINDOW_IDENTITY, target_aut=sigma))
     return sigma, word, cert
@@ -348,7 +339,7 @@ def factor_block_unitriangular(m: int, z: IntMatrix) -> tuple[Token, Certificate
     env: dict[str, RepAut] = {
         "tau_m": uniform(_block2(eye, zero, eye.scale(m), eye)),
     }
-    factors = []
+    tau_m, factors = Named("tau_m"), []
     for i, part in enumerate(parts, start=1):
         name = f"sigma{i}"
         tail = IntMatrix.block_diag([part.block.matrix] * half)
@@ -356,7 +347,7 @@ def factor_block_unitriangular(m: int, z: IntMatrix) -> tuple[Token, Certificate
             _block2(eye, zero, zero, window_matrix(part, d)),
             _block2(eye, zero, zero, tail),
         )
-        factors.append(Conj(Named("tau_m"), Named(name)))
+        factors.append(Conj(tau_m, Named(name)))
     word = Product(tuple(factors))
     beta = eventually_uniform(_block2(eye, zero, z.scale(m), eye), IntMatrix.identity(2))
     return word, _checked(_claim(env, word, 2 * d, kind=WINDOW_IDENTITY, target_aut=beta))
@@ -610,19 +601,19 @@ def km_pipeline(phi: RepAut, coprime: tuple[int, int] = (2, 3)) -> WitnessChain:
 
 
 def _pipeline_clean(phi: RepAut, m: int, n1: int, n2: int) -> WitnessChain:
-    env = {"phi": phi}
+    env, word_phi = {"phi": phi}, Named("phi")
     reduce_data = conjugate_product_reduce([(1, m)])
-    cert1 = _claim(env, Named("phi"), 2, kind=ACTION_ON_VECTOR, vector=(0, 1), target_vector=(m, 1))
+    cert1 = _claim(env, word_phi, 2, kind=ACTION_ON_VECTOR, vector=(0, 1), target_vector=(m, 1))
     steps = [
         ChainStep(
             "euler-gcd-reduction",
-            Named("phi"),
+            word_phi,
             (cert1,),
             note=f"k = 1: single factor, coefficients {list(reduce_data.coefficients)}",
         )
     ]
     for n in (n1, n2):
-        word_n = Power(Named("phi"), n)
+        word_n = Power(word_phi, n)
         cert_n = _claim(env, word_n, 4, kind=WINDOW_IDENTITY, target_aut=tau_power(m * n))
         steps.append(
             ChainStep(
@@ -633,7 +624,7 @@ def _pipeline_clean(phi: RepAut, m: int, n1: int, n2: int) -> WitnessChain:
             )
         )
     _, a, b = xgcd(n1, n2)
-    word3 = Product((Power(Power(Named("phi"), n1), a), Power(Power(Named("phi"), n2), b)))
+    word3 = Product((Power(Power(word_phi, n1), a), Power(Power(word_phi, n2), b)))
     cert3 = _claim(env, word3, 4, kind=WINDOW_IDENTITY, target_aut=tau_power(m))
     steps.append(
         ChainStep(
@@ -664,14 +655,10 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
     s_chunk = 2 * (ell + 1)
     # the tracked pair: the x-slots of the first two chunks
     x0, p = 1, s_chunk + 1
-    env: dict[str, RepAut] = {"phi": phi}
 
     # step 1: conjugates h_s phi h_s^-1 redirect the shear of pair 0 onto the
     # partner slots of pairs 1..ell; their product has x-scalar k^ell = 1 + q m
     hs = {f"h{s}": uniform(_perm_swap(s_chunk, 0, 2 * s)) for s in range(ell, 0, -1)}
-    env.update(hs)
-    factors = [Conj(Named("phi"), Named(name)) for name in hs]
-    word_psi: Token = Product(tuple(factors)) if len(factors) != 1 else factors[0]
     psi = compose_all(*[compose_all(h, phi, invert(h)) for h in hs.values()])
     assert isinstance(psi, EventuallyUniform) and psi.window_size == 0
 
@@ -686,30 +673,11 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
     if gcd(*(z for i, z in enumerate(z_vec) if i != x0)) != 1:
         raise ValidationError("tracked pair {x, z} is not unimodular")
     reduce_data = conjugate_product_reduce([(k, m)] * ell)
-    cert1a = _claim(env, word_psi, s_chunk, kind=WINDOW_IDENTITY, target_aut=psi)
-    cert1b = _claim(
-        env,
-        word_psi,
-        s_chunk,
-        kind=ACTION_ON_VECTOR,
-        vector=tuple(_unit(s_chunk, x0)),
-        target_vector=tuple(x_col),
-    )
-    steps = [
-        ChainStep(
-            "euler-gcd-reduction",
-            word_psi,
-            (cert1a, cert1b),
-            note=(
-                f"ell = {ell}, x-scalar k^ell = {k_ell}, shear coefficients "
-                f"{list(reduce_data.coefficients)} with gcd {reduce_data.m}"
-            ),
-        )
-    ]
 
     # steps 2: for each n, an order-n lambda built from two embedded copies of
-    # the order-n shear steers (lambda psi)^n into x0 -> x0 + m n p, p fixed
-    tracked: list[tuple[Token, RepAut]] = []
+    # the order-n shear steers phi_n = (lambda psi)^n into x0 -> x0 + m n p, p fixed
+    env: dict[str, RepAut] = {"phi": phi, **hs}
+    phis = []
     for n in (n1, n2):
         s2 = 2 * n * s_chunk
         za = z_vec + [0] * (s2 - s_chunk)
@@ -738,15 +706,39 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
                     cols.append(_unit(s2, next(pool)))
         g_mat = complete_to_basis(IntMatrix.from_rows(list(zip(*cols))))
         core = IntMatrix.block_diag([triple.gamma, triple.gamma, IntMatrix.identity(s2 - 2 * r)])
-        lam = uniform(g_mat * core * g_mat.inverse())
-        lam_name = f"lam{n}"
-        env[lam_name] = lam
-        word_n = Product(tuple(Conj(word_psi, Power(Named(lam_name), j)) for j in range(1, n + 1)))
-        phi1 = _aut_power(compose(lam, psi), n)
-        cert2a = Certificate(
-            kind=ORDER, windows=(s2,), environment=env, word=Named(lam_name), order=n
+        lam = env[f"lam{n}"] = uniform(g_mat * core * g_mat.inverse())
+        phis.append(_aut_power(compose(lam, psi), n))
+
+    # the environment is complete: each step's claims are stated over it
+    word_phi = Named("phi")
+    factors = [Conj(word_phi, Named(name)) for name in hs]
+    word_psi: Token = Product(tuple(factors)) if len(factors) != 1 else factors[0]
+    cert1a = _claim(env, word_psi, s_chunk, kind=WINDOW_IDENTITY, target_aut=psi)
+    cert1b = _claim(
+        env,
+        word_psi,
+        s_chunk,
+        kind=ACTION_ON_VECTOR,
+        vector=tuple(_unit(s_chunk, x0)),
+        target_vector=tuple(x_col),
+    )
+    steps = [
+        ChainStep(
+            "euler-gcd-reduction",
+            word_psi,
+            (cert1a, cert1b),
+            note=(
+                f"ell = {ell}, x-scalar k^ell = {k_ell}, shear coefficients "
+                f"{list(reduce_data.coefficients)} with gcd {reduce_data.m}"
+            ),
         )
-        cert2b = _claim(env, word_n, s2, kind=WINDOW_IDENTITY, target_aut=phi1)
+    ]
+    for n, phi_n in zip((n1, n2), phis):
+        s2 = 2 * n * s_chunk
+        word_lam = Named(f"lam{n}")
+        word_n = Product(tuple(Conj(word_psi, Power(word_lam, j)) for j in range(1, n + 1)))
+        cert2a = Certificate(kind=ORDER, windows=(s2,), environment=env, word=word_lam, order=n)
+        cert2b = _claim(env, word_n, s2, kind=WINDOW_IDENTITY, target_aut=phi_n)
         steps.append(
             ChainStep(
                 f"order-{n}-shear-conjugation",
@@ -755,13 +747,11 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
                 note=f"tracked pair: coordinates {x0} and {p}; blocks of size {s2}",
             )
         )
-        tracked.append((word_n, phi1))
 
     # step 3: Bezout combination of the two tracked shears
     _, a, b = xgcd(n1, n2)
-    (word_1, phi_1), (word_2, phi_2) = tracked
-    word3 = Product((Power(word_1, a), Power(word_2, b)))
-    combo = compose(_aut_power(phi_1, a), _aut_power(phi_2, b))
+    word3 = Product((Power(steps[1].word, a), Power(steps[2].word, b)))
+    combo = compose(_aut_power(phis[0], a), _aut_power(phis[1], b))
     steps.append(
         ChainStep(
             "bezout-combination",

@@ -74,7 +74,7 @@ def evaluate_word(word: Token, env: Environment, n: int) -> IntMatrix:
     """The n x n matrix of ``word``, multiplying factors left to right.
 
     Inverses are taken structurally (every atom carries its inverse
-    witness), and equal subtrees are evaluated once per call.
+    witness), and each subtree object is evaluated once per call (``_Walk``).
     """
     return _Dense(env, n).walk(word)
 
@@ -96,20 +96,20 @@ def push_word(word: Token, env: Environment, n: int, vector: Sequence[int]) -> t
 
 
 class _Walk:
-    """One walk over a word on window n, reading each distinct (token,
-    inverted) pair once.  A name is looked up, inverted, then read (which
-    checks the window), in ``evaluate_word``'s order: a product's factors
-    left to right (right to left inverted), a conjugate's h, h^-1, then g.
-    So both readings, ``_Dense`` and ``_Pushes``, raise one first error.
+    """One walk over a word on window n, reading each (token, inverted) pair
+    once, keyed by the token's identity: a parse and the engines make equal
+    subtrees one object, so ``memo`` counts distinct subtrees for both
+    readings, ``_Dense`` and ``_Pushes``.  A name is looked up, inverted,
+    then read (which checks the window), in ``evaluate_word``'s order: a
+    product's factors left to right (right to left inverted), a conjugate's
+    h, h^-1, then g.  So both readings raise one first error.
     """
-
-    by_value = True  # equal subtrees are read once, at the cost of hashing each
 
     def __init__(self, env: Environment, n: int):
         self.env, self.n, self.memo = env, n, {}
 
     def walk(self, word: Token, inv: bool = False):
-        key = (word if self.by_value else id(word), inv)
+        key = (id(word), inv)
         if (hit := self.memo.get(key)) is not None:
             return hit
         if isinstance(word, Named):
@@ -153,8 +153,6 @@ class _Pushes(_Walk):
     """A word read as a function pushing a vector through it, with the
     atom applications it makes; a power that would make more than n makes
     one, of its window matrix evaluated by products on first use."""
-
-    by_value = False  # a push reruns at every occurrence anyway: key tokens by identity
 
     def __init__(self, env: Environment, n: int):
         super().__init__(env, n)

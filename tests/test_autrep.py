@@ -170,6 +170,25 @@ def test_prefix_exponents_factorize_each_distinct_multiplier_once(monkeypatch):
     assert factorized == [10, 6, 9]
 
 
+def test_a_block_factorizes_its_prefix_once(monkeypatch):
+    import infrank.autrep as autrep
+    from infrank.classify import RuleBased
+
+    factorized = []
+    orig = autrep.factorize
+    monkeypatch.setattr(autrep, "factorize", lambda n: factorized.append(n) or orig(n))
+    s = (10**9 + 7) * (10**9 + 9)
+    g = graded((s,) * 40, ())
+    assert {g.multiplier(45) for _ in range(10)} == {13}
+    assert g.increment(40) == s**40 * 2
+    assert RuleBased(g).exponent_cap()(10**9 + 7) == 40
+    exps = g.prefix_exponents()
+    exps.clear()
+    assert g.prefix_exponents() == {10**9 + 7: 40, 10**9 + 9: 40}
+    assert g.tail_skip() == {10**9 + 7, 10**9 + 9}
+    assert factorized == [s]
+
+
 def test_window_coherence():
     rng = random.Random(10)
     samples = [

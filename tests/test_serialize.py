@@ -450,6 +450,57 @@ def test_word_depth_limit():
     assert "deeper than" in exc.value.message
 
 
+def _word_doc(word: dict) -> str:
+    return json.dumps({"format_version": 1, "kind": "word", "word": word, "env": {}})
+
+
+def _chain_doc(edit) -> str:
+    doc = json.loads(serialize_chain(km_pipeline(canonical_shear(1, 3))))
+    edit(doc)
+    return json.dumps(doc)
+
+
+_A, _B = {"op": "named", "name": "a"}, {"op": "named", "name": "b"}
+_DEEP = _inverse_tower(MAX_WORD_DEPTH - 1)
+# documents whose words repeat a subtree, and the path and message of the
+# error each parse raises, recorded before a parse shared equal subtrees
+SHARED_SUBTREE_ERRORS = [
+    (
+        _word_doc({"op": "product", "factors": [_DEEP, {"op": "inverse", "inner": _DEEP}]}),
+        "$.word.factors[1]" + ".inner" * (MAX_WORD_DEPTH - 1),
+        f"word nests deeper than {MAX_WORD_DEPTH} tokens",
+    ),
+    (
+        _word_doc({"op": "product", "factors": [
+            {"op": "conj", "g": _A, "h": _B}, {"op": "conj", "g": _A, "h": {"op": "bogus"}}]}),
+        "$.word.factors[1].h.op",
+        "unknown token op 'bogus'",
+    ),
+    (
+        _word_doc({"op": "conj", "g": _A, "h": {"op": "power", "inner": _A, "exponent": True}}),
+        "$.word.h.exponent",
+        "expected an integer",
+    ),
+    (
+        _chain_doc(lambda doc: doc["steps"][3]["word"]["factors"][1]["inner"].update(op="bogus")),
+        "$.steps[3].word.factors[1].inner.op",
+        "unknown token op 'bogus'",
+    ),
+    (
+        _chain_doc(lambda doc: doc["steps"][3]["certificates"][0]["word"]["factors"][0].pop("inner")),
+        "$.steps[3].certificates[0].word.factors[0].inner",
+        "missing field",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, path, message", SHARED_SUBTREE_ERRORS)
+def test_word_errors_keep_their_paths_where_subtrees_repeat(text, path, message):
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert (exc.value.path, exc.value.message) == (path, message)
+
+
 def test_deep_json_is_parse_error():
     text = '{"format_version":1,"kind":"aut","x":' + "[" * 5000 + "]" * 5000 + "}"
     with pytest.raises(ParseError) as exc:

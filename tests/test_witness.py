@@ -678,6 +678,31 @@ def test_chain_bytes_are_unchanged(k, m, pair, size, digest):
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
+# matrix products and atom window reads of km_pipeline(canonical_shear(k, m)),
+# which builds and verifies, and of verify_chain on the chain parsed back,
+# recorded before the walk keyed words by identity alone
+WALK_COUNTS = [
+    (5, 4, (75, 26), (40, 24)),
+    (3, 4, (75, 26), (40, 24)),
+    (7, 6, (75, 26), (40, 24)),
+    (1, 5, (7, 7), (7, 7)),
+]
+
+
+@pytest.mark.parametrize("k, m, built, parsed", WALK_COUNTS)
+def test_chain_walks_read_each_subtree_once(monkeypatch, k, m, built, parsed):
+    products = ProductCounter(monkeypatch)
+    reads = []
+    read = words_module.window_matrix
+    monkeypatch.setattr(words_module, "window_matrix", lambda a, n: reads.append(n) or read(a, n))
+    chain = km_pipeline(canonical_shear(k, m))
+    assert (products.count, len(reads)) == built
+    back = parse_chain(serialize_chain(chain))
+    products.count, reads[:] = 0, []
+    assert verify_chain(back).ok
+    assert (products.count, len(reads)) == parsed
+
+
 def _wans(rows):
     f = IntMatrix.from_rows(rows)
     return wans_sum_certificate(f, wans_three(f))

@@ -1,5 +1,6 @@
 import json
 import random
+from copy import deepcopy
 from dataclasses import replace
 from math import lcm
 
@@ -19,7 +20,7 @@ from infrank.autrep import (
 )
 from infrank.errors import AlignmentError, InfrankError, ValidationError, WordError
 from infrank.intmat import IntMatrix
-from infrank.serialize import parse_certificate, serialize_certificate
+from infrank.serialize import parse_certificate, parse_word, serialize_certificate, serialize_word
 from infrank.witness import order_n_shear, tau_power
 from infrank.words import (
     ACTION_ON_VECTOR,
@@ -348,6 +349,46 @@ def test_long_words_push_in_loops(word, monkeypatch):
     products = ProductCounter(monkeypatch)
     assert push_word(word, ENV, 3000, (0, 1)) == (3000, 1) + (0,) * 2998
     assert products.count == 0
+
+
+# -- parsed words share equal subtrees ---------------------------------------
+
+
+def _subtrees(word):
+    yield word
+    if isinstance(word, (Inverse, Power)):
+        yield from _subtrees(word.inner)
+    elif isinstance(word, Conj):
+        yield from _subtrees(word.g)
+        yield from _subtrees(word.h)
+    elif isinstance(word, Product):
+        for f in word.factors:
+            yield from _subtrees(f)
+
+
+@st.composite
+def words_with_repeats(draw):
+    """A word holding each of two drawn words twice, the second time as an
+    equal but distinct object."""
+    a, b = draw(WORDS), draw(WORDS)
+    return Product((a, Conj(deepcopy(a), b), Inverse(Power(deepcopy(b), draw(EXPONENTS)))))
+
+
+@settings(max_examples=150)
+@given(one_atom_per_class(), words_with_repeats(), st.sampled_from([12, 24]), st.data())
+def test_a_parse_shares_equal_subtrees(env, word, n, data):
+    """Value-equal subtrees of a parsed word are one object, the word writes
+    back to the same bytes, and it evaluates and pushes as the unshared word."""
+    text = serialize_word(word, env)
+    parsed, _ = parse_word(text)
+    assert serialize_word(parsed, env) == text
+    one_per_value = {}
+    for t in _subtrees(parsed):
+        assert one_per_value.setdefault(t, t) is t
+    assert len(set(map(id, _subtrees(parsed)))) < len(set(map(id, _subtrees(word))))
+    v = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    for read in (lambda w: evaluate_word(w, env, n), lambda w: push_word(w, env, n, v)):
+        assert _outcome(lambda: read(parsed)) == _outcome(lambda: read(word))
 
 
 # -- identity and order claims on the core window ----------------------------
