@@ -19,10 +19,11 @@ Every atom carries its inverse witness from construction, so
 claimed value (``claimed=True``): the ``target_aut`` of a parsed identity
 claim, or a parsed chain's ``final``.  It is only compared by its windows,
 so it is built with no inverse (its inverse fields are None);
-``window_matrix``, ``head_and_period`` and ``core_window`` read it, and
+``window_pairs``, ``head_and_period`` and ``core_window`` read it, and
 ``invert`` and ``compose`` refuse it.  The verifier proves it unimodular
 instead: a verified identity on a window that holds a whole block, or the
-chain links.  Window matrices follow the column convention of
+chain links.  Windows are built as row pairs (``window_pairs``), straight
+from each class's structure, and follow the column convention of
 :mod:`infrank.intmat`.
 """
 
@@ -33,10 +34,18 @@ from functools import cached_property
 from itertools import accumulate, compress, islice
 from math import lcm, prod
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import AlignmentError, CompositionUnsupportedError, DimensionError, ValidationError
-from .intmat import IntMatrix, _unimodular_inverse, identity_rows
+from .intmat import (
+    IntMatrix,
+    Pairs,
+    _unimodular_inverse,
+    identity_pairs,
+    identity_rows,
+    pairs_product,
+    row_pairs,
+)
 from .numth import factorize, is_prime, next_prime
 
 
@@ -149,7 +158,7 @@ class GradedBlock:
         return -c if self.negated else c
 
 
-RepAut = Union[Finitary, EventuallyUniform, GradedBlock]
+RepAut = Finitary | EventuallyUniform | GradedBlock
 
 
 # -- constructors -------------------------------------------------------
@@ -333,26 +342,37 @@ def core_window(auts: Sequence[RepAut], n: int) -> Optional[tuple[int, int]]:
     return (head + period if n > head else head), period
 
 
-def window_matrix(aut: RepAut, n: int) -> IntMatrix:
-    """The n x n matrix of ``aut`` restricted to the first n coordinates.
+def window_pairs(aut: RepAut, n: int) -> Pairs:
+    """The row pairs (``intmat.Pairs``) of ``aut`` restricted to the first
+    n coordinates, read off its structure: a finitary atom's support rows
+    among identity rows, an eventually uniform one's head rows followed by
+    its block rows shifted along the diagonal, and a graded one's pairs,
+    each an identity row and a row with one subdiagonal entry.
 
     All three classes map coordinates below an aligned n into coordinates
     below n, so the restriction is well defined and unimodular.
     """
     _check_window(aut, n)
     if isinstance(aut, Finitary):
-        rows = identity_rows(n)
-        for a, i in enumerate(aut.support):
-            for b, j in enumerate(aut.support):
-                rows[i][j] = aut.matrix.data[a][b]
-        return IntMatrix._trusted(tuple(map(tuple, rows)))
+        rows = list(identity_pairs(n))
+        for i, local in zip(aut.support, row_pairs(aut.matrix.data)):
+            rows[i] = tuple((aut.support[b], v) for b, v in local)
+        return tuple(rows)
     if isinstance(aut, EventuallyUniform):
-        tail = (n - aut.window_size) // aut.d
-        return IntMatrix.block_diag([aut.window] + [aut.block.matrix] * tail)
-    rows = identity_rows(n)
-    for pair, c in enumerate(accumulate(islice(aut.multipliers(), n // 2), mul)):
-        rows[2 * pair + 1][2 * pair] = -c if aut.negated else c
-    return IntMatrix._trusted(tuple(map(tuple, rows)))
+        rows = list(row_pairs(aut.window.data))
+        for s in range(aut.window_size, n, aut.d):
+            rows += [tuple(compress(enumerate(row, s), row)) for row in aut.block.matrix.data]
+        return tuple(rows)
+    rows = []
+    for x, c in enumerate(accumulate(islice(aut.multipliers(), n // 2), mul)):
+        rows += ((2 * x, 1),), ((2 * x, -c if aut.negated else c), (2 * x + 1, 1))
+    return tuple(rows)
+
+
+def window_matrix(aut: RepAut, n: int) -> IntMatrix:
+    """The n x n matrix of ``aut`` restricted to the first n coordinates:
+    ``window_pairs`` made dense."""
+    return IntMatrix.from_pairs(window_pairs(aut, n), n)
 
 
 def window_apply(aut: RepAut, n: int, vector: Sequence[int]) -> list[int]:
@@ -478,11 +498,11 @@ def compose(a: RepAut, b: RepAut) -> RepAut:
     # inverses come from the factors' witnesses
     head, period = head_and_period((a, b))
     n = head + period
-    out = _split(
-        window_matrix(a, n) * window_matrix(b, n),
-        window_matrix(invert(b), n) * window_matrix(invert(a), n),
-        head,
-    )
+
+    def window(x: RepAut, y: RepAut) -> IntMatrix:
+        return IntMatrix.from_pairs(pairs_product(window_pairs(x, n), window_pairs(y, n)), n)
+
+    out = _split(window(a, b), window(invert(b), invert(a)), head)
     return identity_aut() if is_identity(out) else out
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from . import witness as _witness
 from .autrep import EventuallyUniform, Finitary, GradedBlock, RepAut
@@ -63,7 +63,7 @@ class RuleBased:
         return all(e <= cap(p) for p, e in factorize(m).items())
 
 
-LambdaLevels = Union[DivisorsOf, RuleBased]
+LambdaLevels = DivisorsOf | RuleBased
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class UnionWithPrefix:
         return is_prime(p) and (p in self.finite or p not in self.excluded)
 
 
-PrimeSetDescriptor = Union[FinitePrimes, UnionWithPrefix]
+PrimeSetDescriptor = FinitePrimes | UnionWithPrefix
 
 
 # -- core measurements ----------------------------------------------------

@@ -12,7 +12,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .autrep import window_matrix
+from .autrep import window_matrix, window_pairs
 from .classify import FinitePrimes, RuleBased, UnionWithPrefix, classification_summary
 from .errors import InfrankError
 from .filters import centered_check, counterexample_demo
@@ -171,7 +171,7 @@ def _cmd_classify(args) -> int:
         elif ladder.note:
             print(f"  note: {ladder.note}")
     if args.window is not None:
-        print(format_matrix_text(window_matrix(aut, args.window)), end="")
+        print(format_matrix_text(window_pairs(aut, args.window), args.window), end="")
     return 0
 
 

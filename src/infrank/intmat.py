@@ -5,6 +5,12 @@ floating point.  The one modular computation is the 2-adic inverse of
 ``_unimodular_inverse``, and an exact integer product accepts its result.
 Matrices are immutable, so values can be shared freely between threads.
 
+Products are taken on row pairs (``Pairs``): each row's nonzero entries as
+``(column, value)`` pairs.  ``pairs_product`` is the one product kernel;
+``IntMatrix.__mul__`` and ``power`` go through it, and a window of a
+sparse automorphism is checked in that form without ever being made dense.
+Row pairs are tuples, so a row shared between results stays immutable.
+
 Convention used throughout the library: matrices act on column vectors,
 i.e. column ``j`` of the matrix of an automorphism holds the image of the
 ``j``-th basis vector.
@@ -12,11 +18,12 @@ i.e. column ``j`` of the matrix of an automorphism holds the image of the
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain, compress
-from math import prod
-from operator import itemgetter, mul
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from math import inf, prod
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .errors import DimensionError, NotCompletableError, ValidationError
 
@@ -24,7 +31,7 @@ from .errors import DimensionError, NotCompletableError, ValidationError
 T = TypeVar("T")
 Rows = Sequence[Sequence[int]]
 # each row's nonzero entries as (column, value) pairs, in column order
-Pairs = list[list[tuple[int, int]]]
+Pairs = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def square_and_multiply(
@@ -165,11 +172,22 @@ class IntMatrix:
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix._trusted(tuple(tuple(c * a for a in row) for row in self.data))
 
+    @staticmethod
+    def from_pairs(pairs: Pairs, cols: int) -> "IntMatrix":
+        """The dense matrix with the given row pairs and ``cols`` columns."""
+        out = []
+        for entries in pairs:
+            row = [0] * cols
+            for c, v in entries:
+                row[c] = v
+            out.append(tuple(row))
+        return IntMatrix._trusted(tuple(out))
+
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        rows = _product_rows(self.data, _row_pairs(other.data, other.cols), other.cols)
-        return IntMatrix._trusted(tuple(map(tuple, rows)))
+        rows = pairs_product(row_pairs(self.data), row_pairs(other.data))
+        return IntMatrix.from_pairs(rows, other.cols)
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -180,9 +198,8 @@ class IntMatrix:
     def power(self, e: int) -> "IntMatrix":
         if not self.is_square:
             raise DimensionError("power needs a square matrix")
-        return square_and_multiply(
-            self, e, mul, IntMatrix.inverse, lambda: IntMatrix.identity(self.rows)
-        )
+        base = self.inverse() if e < 0 else self
+        return IntMatrix.from_pairs(pairs_power(row_pairs(base.data), abs(e)), self.cols)
 
     def is_identity(self) -> bool:
         """Whether this is a square identity matrix, read off the entries
@@ -247,32 +264,86 @@ class IntMatrix:
         return "\n".join(" ".join(map(str.rjust, row, widths)) for row in texts)
 
 
-def _row_pairs(b: Rows, cols: int) -> Pairs:
-    """Each row of b as its nonzero (column, value) pairs; ``compress``
-    skips the zeros without an interpreted step."""
-    span = range(cols)
-    return [[(c, row[c]) for c in compress(span, row)] for row in b]
+def row_pairs(rows: Rows) -> Pairs:
+    """Each row as its nonzero (column, value) pairs; ``compress`` skips the
+    zeros without an interpreted step."""
+    return tuple(tuple(compress(enumerate(row), row)) for row in rows)
 
 
-def _product_rows(a: Rows, pairs: Pairs, cols: int) -> Iterator[list[int]]:
-    """The rows of ``a * b`` one by one, b given by ``_row_pairs``: Gustavson's
-    row-by-row product (ACM TOMS 1978).  Each row of a is read only at its
-    nonzero entries, each adding its row of b's pairs, so past one C-level
-    pass over each row a product costs one multiply-add per nonzero term
-    pair."""
+def identity_pairs(n: int) -> Pairs:
+    return tuple(((i, 1),) for i in range(n))
+
+
+def pairs_product(a: Pairs, b: Pairs) -> Pairs:
+    """``a * b`` on row pairs: Gustavson's row-by-row product (ACM TOMS
+    1978).  Each row of the result adds the rows of b that the row of a
+    names, scaled by its entries, so a product costs one multiply-add per
+    nonzero term pair.
+
+    A row of a with one entry gives b's row scaled, and b's row itself for
+    the entry 1.  Other rows add into an accumulator: a list as wide as b,
+    read back by ``compress``, for a row whose terms are expected to fill
+    an eighth of that width or more, else a dict of the columns met,
+    sorted once.  Entries that cancel are dropped either way.
+    """
+    width = 1 + max((r[-1][0] for r in b if r), default=-1)
+    terms = sum(map(len, b))
+    # a row of a with this many entries is expected to add width / 8 terms
+    dense_from = width * len(b) / (8 * terms) if terms else inf
+    out = []
     for row in a:
-        acc = [0] * cols
-        for x, row_pairs in compress(zip(row, pairs), row):
+        if len(row) == 1:
+            (k, x), = row
             if x == 1:
-                for c, y in row_pairs:
+                out.append(b[k])
+            elif x == -1:
+                out.append(tuple((c, -y) for c, y in b[k]))
+            else:
+                out.append(tuple((c, x * y) for c, y in b[k]))
+            continue
+        acc = [0] * width if len(row) >= dense_from else defaultdict(int)
+        for k, x in row:
+            if x == 1:
+                for c, y in b[k]:
                     acc[c] += y
             elif x == -1:
-                for c, y in row_pairs:
+                for c, y in b[k]:
                     acc[c] -= y
             else:
-                for c, y in row_pairs:
+                for c, y in b[k]:
                     acc[c] += x * y
-        yield acc
+        if type(acc) is list:
+            out.append(tuple(compress(enumerate(acc), acc)))
+        else:
+            items = sorted(acc.items())
+            out.append(tuple(p for p in items if p[1]) if 0 in acc.values() else tuple(items))
+    return tuple(out)
+
+
+def pairs_power(p: Pairs, e: int) -> Pairs:
+    """p^e for e >= 0, by ``square_and_multiply`` on ``pairs_product``."""
+    return square_and_multiply(p, e, pairs_product, None, lambda: identity_pairs(len(p)))
+
+
+def pairs_sum(a: Pairs, b: Pairs) -> Pairs:
+    """a + b on row pairs, row by row; a row of either that is empty gives
+    the other's row as it is."""
+    out = []
+    for ra, rb in zip(a, b):
+        if not ra or not rb:
+            out.append(ra or rb)
+            continue
+        acc = dict(ra)
+        get = acc.get
+        for c, y in rb:
+            acc[c] = get(c, 0) + y
+        out.append(tuple(p for p in sorted(acc.items()) if p[1]))
+    return tuple(out)
+
+
+def apply_pairs(p: Pairs, vector: Sequence[int]) -> tuple[int, ...]:
+    """The matrix with row pairs p times a column vector."""
+    return tuple(sum(y * vector[c] for c, y in row) for row in p)
 
 
 def _unimodular_inverse(m: IntMatrix) -> Optional[IntMatrix]:
@@ -280,12 +351,12 @@ def _unimodular_inverse(m: IntMatrix) -> Optional[IntMatrix]:
 
     2-adic lifting (Dixon 1982) closed by an exact check (Abbott, Bronstein
     & Mulders 1999): det A = +-1 is odd, so A has one inverse mod 2^k, which
-    ``_inverse_mod_2k`` gives in symmetric residues, with the nonzero pairs
-    of its rows that the check multiplies by.  An exact ``A * B == I``,
-    read up to the first wrong row, accepts it; otherwise k doubles from its
-    start, the entry bit length of A plus a margin.  Every entry of a true
-    inverse is a cofactor, at most the Hadamard bound prod ||row_i||: once
-    2^(k-1) exceeds it, a failed check proves A is not unimodular.
+    ``_inverse_mod_2k`` gives in symmetric residues, with the row pairs that
+    the check multiplies by.  An exact ``A * B == I`` accepts it; otherwise
+    k doubles from its start, the entry bit length of A plus a margin.
+    Every entry of a true inverse is a cofactor, at most the Hadamard bound
+    prod ||row_i||: once 2^(k-1) exceeds it, a failed check proves A is not
+    unimodular.
     """
     if not m.is_square:
         return None
@@ -293,13 +364,13 @@ def _unimodular_inverse(m: IntMatrix) -> Optional[IntMatrix]:
     if n < 2:
         return m if all(row[0] in (1, -1) for row in a) else None
     k = max(map(abs, chain.from_iterable(a))).bit_length() + 2 * n.bit_length() + 8
+    a_pairs, eye = row_pairs(a), identity_pairs(n)
     while True:
         inv = _inverse_mod_2k(a, k)
         if inv is None:
             return None
         b, pairs = inv
-        rows = enumerate(_product_rows(a, pairs, n))
-        if all(r[i] == 1 and r.count(0) == n - 1 for i, r in rows):
+        if pairs_product(a_pairs, pairs) == eye:
             return IntMatrix._trusted(tuple(map(tuple, b)))
         if 4 ** (k - 1) > prod(sum(x * x for x in row) for row in a):  # squares of both sides
             return None
@@ -307,7 +378,7 @@ def _unimodular_inverse(m: IntMatrix) -> Optional[IntMatrix]:
 
 
 def _inverse_mod_2k(a: Rows, k: int) -> Optional[tuple[list[list[int]], Pairs]]:
-    """A^-1 mod 2^k in symmetric residues, as rows and as ``_row_pairs``, or
+    """A^-1 mod 2^k in symmetric residues, as rows and as ``row_pairs``, or
     None when a column without an odd pivot proves det even, or det mod 2^k
     (+- the product of the pivots) is not +-1.
 
@@ -368,13 +439,13 @@ def _inverse_mod_2k(a: Rows, k: int) -> Optional[tuple[list[list[int]], Pairs]]:
     pairs = []
     for row in rows:
         del row[:n]
-        row_pairs = []
+        nonzero = []
         for c in compress(span, row):
             row[c] = v = ((row[c] + half) & mask) - half
             if v:
-                row_pairs.append((c, v))
-        pairs.append(row_pairs)
-    return rows, pairs
+                nonzero.append((c, v))
+        pairs.append(tuple(nonzero))
+    return rows, tuple(pairs)
 
 
 @dataclass(frozen=True)

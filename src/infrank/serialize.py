@@ -9,7 +9,6 @@ annotates structural errors with the path of the offending node.
 from __future__ import annotations
 
 import json
-from itertools import compress
 from typing import Any, Mapping
 
 from .autrep import (
@@ -22,7 +21,7 @@ from .autrep import (
     is_claimed,
 )
 from .errors import DimensionError, ParseError, ValidationError
-from .intmat import IntMatrix
+from .intmat import IntMatrix, Pairs
 from .numth import is_prime
 from .witness import ChainStep, WitnessChain
 from .words import Certificate, Conj, Inverse, Named, Power, Product, Token
@@ -37,19 +36,20 @@ MAX_WORD_DEPTH = 100
 # -- matrix text format ----------------------------------------------------
 
 
-def format_matrix_text(m: IntMatrix) -> str:
-    """First line "rows cols", then one line of integers per row.
+def format_matrix_text(rows: Pairs, cols: int) -> str:
+    """The matrix with row pairs ``rows`` (``intmat.Pairs``) and ``cols``
+    columns as text: first line "rows cols", then one line of integers per
+    row.
 
     Each row is cut from one string of ``"0 "`` pieces: only its nonzero
-    entries, found by ``compress``, are converted to text.
+    entries are converted to text.
     """
-    cols = m.cols
-    span, zeros, end = range(cols), "0 " * cols, 2 * cols - 1
-    parts = [f"{m.rows} {cols}\n"]
-    for row in m.data:
+    zeros, end = "0 " * cols, 2 * cols - 1
+    parts = [f"{len(rows)} {cols}\n"]
+    for row in rows:
         at = 0
-        for c in compress(span, row):
-            parts += zeros[at : 2 * c], str(row[c])
+        for c, v in row:
+            parts += zeros[at : 2 * c], str(v)
             at = 2 * c + 1
         parts += zeros[at:end], "\n"
     return "".join(parts)

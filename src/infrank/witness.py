@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd
-from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .autrep import (
@@ -45,10 +44,11 @@ from .autrep import (
     invert,
     uniform,
     window_matrix,
+    window_pairs,
 )
 from .errors import DimensionError, ShapeError, ValidationError
 from .intmat import IntMatrix, complete_to_basis, snf
-from .intmat import square_and_multiply
+from .intmat import identity_pairs, pairs_power, pairs_product, square_and_multiply
 from .numth import euler_phi, xgcd
 from .words import (
     ACTION_ON_VECTOR,
@@ -557,10 +557,15 @@ def _is_power_product(final: RepAut, phi1: RepAut, phi2: RepAut, a: int, b: int)
     if split is None or head_and_period((final, phi1, phi2)) != split:
         return False
     n = sum(split)
-    f, w1, w2 = (window_matrix(x, n) for x in (final, phi1, phi2))
-    left = ([w1.power(-a)] if a < 0 else []) + [f] + ([w2.power(-b)] if b < 0 else [])
-    right = ([w1.power(a)] if a > 0 else []) + ([w2.power(b)] if b > 0 else [])
-    return reduce(mul, left) == (reduce(mul, right) if right else IntMatrix.identity(n))
+    f, w1, w2 = (window_pairs(x, n) for x in (final, phi1, phi2))
+    left, right = [f], []
+    if a:
+        (left if a < 0 else right).insert(0, pairs_power(w1, abs(a)))
+    if b:
+        (left if b < 0 else right).append(pairs_power(w2, abs(b)))
+    return reduce(pairs_product, left) == (
+        reduce(pairs_product, right) if right else identity_pairs(n)
+    )
 
 
 def _tracked_coefficient(step: ChainStep) -> Optional[int]:

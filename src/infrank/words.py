@@ -14,10 +14,10 @@ function of the certificate contents.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, partial, reduce
-from operator import mul
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .autrep import (
     Finitary,
@@ -28,12 +28,21 @@ from .autrep import (
     is_claimed,
     nonzero_blocks,
     window_apply,
-    window_matrix,
+    window_pairs,
     witnessed,
 )
 from .autrep import invert as invert_aut
 from .errors import DimensionError, ValidationError, WordError
-from .intmat import IntMatrix
+from .intmat import (
+    IntMatrix,
+    Pairs,
+    apply_pairs,
+    identity_pairs,
+    pairs_power,
+    pairs_product,
+    pairs_sum,
+    row_pairs,
+)
 from .numth import factorize
 
 
@@ -66,7 +75,7 @@ class Product:
     factors: tuple["Token", ...]
 
 
-Token = Union[Named, Inverse, Power, Conj, Product]
+Token = Named | Inverse | Power | Conj | Product
 Environment = Mapping[str, RepAut]
 
 
@@ -74,9 +83,10 @@ def evaluate_word(word: Token, env: Environment, n: int) -> IntMatrix:
     """The n x n matrix of ``word``, multiplying factors left to right.
 
     Inverses are taken structurally (every atom carries its inverse
-    witness), and each subtree object is evaluated once per call (``_Walk``).
+    witness), and each subtree object is evaluated once per call (``_Walk``),
+    on row pairs; the result is made dense once, at the end.
     """
-    return _Dense(env, n).walk(word)
+    return IntMatrix.from_pairs(_Rows(env, n).walk(word), n)
 
 
 def push_word(word: Token, env: Environment, n: int, vector: Sequence[int]) -> tuple[int, ...]:
@@ -85,13 +95,14 @@ def push_word(word: Token, env: Environment, n: int, vector: Sequence[int]) -> t
     The vector is pushed through the word one atom at a time, rightmost
     factor first, each application costing up to n^2 (``window_apply``) where
     a window product costs up to n^3.  So a ``Power``, or the whole word,
-    whose applications pass n (per distinct walked subtree) goes by products.
+    whose applications pass n (per distinct walked subtree) goes by products
+    on row pairs, and the rows are applied.
     """
     pushes = _Pushes(env, n)
     push, count = pushes.walk(word)
     v = _pad(vector, n)
     if count > n * len(pushes.memo):
-        return evaluate_word(word, env, n).apply(v)
+        return apply_pairs(pushes.rows.walk(word), v)
     return tuple(push(v))
 
 
@@ -99,7 +110,7 @@ class _Walk:
     """One walk over a word on window n, reading each (token, inverted) pair
     once, keyed by the token's identity: a parse and the engines make equal
     subtrees one object, so ``memo`` counts distinct subtrees for both
-    readings, ``_Dense`` and ``_Pushes``.  A name is looked up, inverted,
+    readings, ``_Rows`` and ``_Pushes``.  A name is looked up, inverted,
     then read (which checks the window), in ``evaluate_word``'s order: a
     product's factors left to right (right to left inverted), a conjugate's
     h, h^-1, then g.  So both readings raise one first error.
@@ -136,27 +147,27 @@ class _Walk:
         return out
 
 
-class _Dense(_Walk):
-    """A word read as its n x n window matrix."""
+class _Rows(_Walk):
+    """A word read as the row pairs of its n x n window (``intmat.Pairs``)."""
 
-    def atom(self, aut: RepAut) -> IntMatrix:
-        return window_matrix(aut, self.n)
+    def atom(self, aut: RepAut) -> Pairs:
+        return window_pairs(aut, self.n)
 
-    def product(self, factors: list[IntMatrix]) -> IntMatrix:
-        return reduce(mul, factors) if factors else IntMatrix.identity(self.n)
+    def product(self, factors: list[Pairs]) -> Pairs:
+        return reduce(pairs_product, factors) if factors else identity_pairs(self.n)
 
-    def power(self, inner: IntMatrix, e: int, token: tuple[Token, bool]) -> IntMatrix:
-        return inner.power(e)
+    def power(self, inner: Pairs, e: int, token: tuple[Token, bool]) -> Pairs:
+        return pairs_power(inner, e)
 
 
 class _Pushes(_Walk):
     """A word read as a function pushing a vector through it, with the
     atom applications it makes; a power that would make more than n makes
-    one, of its window matrix evaluated by products on first use."""
+    one, of its window's rows evaluated by products on first use."""
 
     def __init__(self, env: Environment, n: int):
         super().__init__(env, n)
-        self.dense = _Dense(env, n)
+        self.rows = _Rows(env, n)
 
     def atom(self, aut: RepAut) -> tuple:
         _check_window(aut, self.n)
@@ -175,8 +186,8 @@ class _Pushes(_Walk):
     def power(self, inner: tuple, e: int, token: tuple[Token, bool]) -> tuple:
         if e * max(1, inner[1]) <= self.n:
             return self.product([inner] * e)
-        matrix = cache(lambda: self.dense.walk(*token).power(e))
-        return (lambda v: matrix().apply(v)), 1
+        window = cache(lambda: pairs_power(self.rows.walk(*token), e))
+        return (lambda v: apply_pairs(window(), v)), 1
 
 
 def word_names(word: Token) -> set[str]:
@@ -262,13 +273,14 @@ def _shown(x: int) -> str:
     return f"{'-' if x < 0 else ''}<{bits}-bit integer, sha256 {digest}>"
 
 
-def _first_difference(a: IntMatrix, b: IntMatrix) -> str:
-    for i in range(a.rows):
-        for j in range(a.cols):
-            x, y = a.data[i][j], b.data[i][j]
-            if x != y:
-                return f"entry ({i},{j}): got {_shown(x)}, expected {_shown(y)}"
-    return "no difference"
+def _first_difference(got: Pairs, want: Pairs) -> str:
+    """The first entry, in row-major order, where two unequal windows of
+    one size differ: the first unequal row, at the least column where the
+    two rows' entries differ."""
+    i = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
+    a, b = dict(got[i]), dict(want[i])
+    j = min(c for c in a.keys() | b.keys() if a.get(c, 0) != b.get(c, 0))
+    return f"entry ({i},{j}): got {_shown(a.get(j, 0))}, expected {_shown(b.get(j, 0))}"
 
 
 def verify_certificate(cert: Certificate) -> VerifyResult:
@@ -276,9 +288,11 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
 
     An identity or order claim on a window that ``autrep.core_window``
     reduces is checked once on the core window, and the verdict is reported
-    for every window it stands for.  An action claim on such a window is
-    pushed chunk by chunk on the core window (``_check_action``).  A claimed
-    ``target_aut`` must also be shown unimodular (``_claimed_target``).
+    for every window it stands for.  Identity, order and sum claims compare
+    row pairs (``_Rows``), so no window is made dense.  An action claim on
+    such a window is pushed chunk by chunk on the core window
+    (``_check_action``).  A claimed ``target_aut`` must also be shown
+    unimodular (``_claimed_target``).
     """
     atoms = _core_atoms(cert)
     done: dict[int, tuple[bool, str]] = {}
@@ -353,9 +367,9 @@ def _core_atoms(cert: Certificate) -> Optional[list[RepAut]]:
 
 
 def _check_identity(cert: Certificate, n: int) -> tuple[bool, str]:
-    got = evaluate_word(cert.word, cert.environment, n)
+    got = _Rows(cert.environment, n).walk(cert.word)
     if cert.target_aut is not None:
-        want = window_matrix(cert.target_aut, n)
+        want = window_pairs(cert.target_aut, n)
     elif cert.target_matrix is not None:
         want = _extend(cert.target_matrix, n, fill_identity=True)
     else:
@@ -369,11 +383,11 @@ def _check_order(cert: Certificate, n: int) -> tuple[bool, str]:
     if cert.order is None or cert.order < 1:
         raise ValidationError("order certificate needs a positive order")
     k = cert.order
-    w = evaluate_word(cert.word, cert.environment, n)
-    if not w.power(k).is_identity():
+    w, eye = _Rows(cert.environment, n).walk(cert.word), identity_pairs(n)
+    if pairs_power(w, k) != eye:
         return False, f"word^{k} is not the identity"
     for p in factorize(k):
-        if w.power(k // p).is_identity():
+        if pairs_power(w, k // p) == eye:
             return False, f"order divides {k // p}, not exactly {k}"
     return True, f"order is exactly {k}"
 
@@ -425,9 +439,7 @@ def _check_action(
 def _check_sum(cert: Certificate, n: int) -> tuple[bool, str]:
     if not cert.summand_words or cert.target_matrix is None:
         raise ValidationError("window-sum certificate needs summands and a target")
-    total = IntMatrix.zeros(n, n)
-    for word in cert.summand_words:
-        total = total + evaluate_word(word, cert.environment, n)
+    total = reduce(pairs_sum, map(_Rows(cert.environment, n).walk, cert.summand_words))
     want = _extend(cert.target_matrix, n)
     if total == want:
         return True, "sum matches target"
@@ -437,8 +449,9 @@ def _check_sum(cert: Certificate, n: int) -> tuple[bool, str]:
 _CHECKS = {WINDOW_IDENTITY: _check_identity, ORDER: _check_order, WINDOW_SUM: _check_sum}
 
 
-def _extend(m: IntMatrix, n: int, fill_identity: bool = False) -> IntMatrix:
-    """Extend a square matrix to size n, padding with zeros or the identity.
+def _extend(m: IntMatrix, n: int, fill_identity: bool = False) -> Pairs:
+    """The row pairs of a square matrix extended to size n, padded with
+    zeros or the identity.
 
     Sum targets extend by zero (the endomorphism vanishes past its data);
     identity targets extend by the identity (the automorphism fixes later
@@ -446,8 +459,7 @@ def _extend(m: IntMatrix, n: int, fill_identity: bool = False) -> IntMatrix:
     """
     if m.rows > n:
         raise DimensionError(f"target of size {m.rows} exceeds window {n}")
-    if m.rows == n:
-        return m
-    rows = [list(r) + [0] * (n - m.rows) for r in m.data]
-    rows += ([int(fill_identity and i == j) for j in range(n)] for i in range(m.rows, n))
-    return IntMatrix.from_rows(rows)
+    if not m.is_square:
+        raise DimensionError(f"target of {m.rows}x{m.cols} is not square")
+    tail = (((i, 1),) if fill_identity else () for i in range(m.rows, n))
+    return row_pairs(m.data) + tuple(tail)

@@ -5,16 +5,26 @@ uniform automorphism to a larger block size, the per-entry integer-list
 check that the parser's one-pass type check replaced, the trial division
 that Miller-Rabin replaced, the entry-by-entry product, 2-adic elimination,
 matrix text and ``str`` that the kernels visiting only nonzero entries
-replaced, the transpose no library code needs, and the divisor scan that
-capping each prime of g replaced in ``classify.common_lambda_level``."""
+replaced, the transpose no library code needs, the divisor scan that
+capping each prime of g replaced in ``classify.common_lambda_level``, and
+the dense windows, dense word evaluation and row-major mismatch scan that
+the row-pair walk replaced."""
 
 from math import isqrt
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
-from infrank.autrep import EventuallyUniform, _split, invert, window_matrix
+from infrank.autrep import (
+    EventuallyUniform,
+    Finitary,
+    _check_window,
+    _split,
+    invert,
+    window_matrix,
+)
 from infrank.classify import RuleBased
 from infrank.errors import AlignmentError, DimensionError
 from infrank.intmat import IntMatrix, snf
+from infrank.words import Conj, Inverse, Named, Power, Product, _shown
 
 
 def row_reduction_inverse(m: IntMatrix) -> Optional[IntMatrix]:
@@ -125,6 +135,74 @@ def product_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], cols: i
                     for c, y in pairs:
                         acc[c] += x * y
         yield acc
+
+
+def dense_window(aut, n: int) -> IntMatrix:
+    """The n x n window of aut written entry by entry into identity rows:
+    a finitary atom's support entries, an eventually uniform atom's head and
+    blocks along the diagonal, a graded atom's subdiagonal increments, each
+    product of multipliers taken afresh."""
+    _check_window(aut, n)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    if isinstance(aut, Finitary):
+        for a, i in enumerate(aut.support):
+            for b, j in enumerate(aut.support):
+                rows[i][j] = aut.matrix.data[a][b]
+    elif isinstance(aut, EventuallyUniform):
+        at = 0
+        for blk in [aut.window] + [aut.block.matrix] * ((n - aut.window_size) // aut.d):
+            for a in range(blk.rows):
+                for b in range(blk.cols):
+                    rows[at + a][at + b] = blk.data[a][b]
+            at += blk.rows
+    else:
+        for pair in range(n // 2):
+            c = 1
+            for i in range(pair + 1):
+                c *= aut.multiplier(i)
+            rows[2 * pair + 1][2 * pair] = -c if aut.negated else c
+    return IntMatrix.from_rows(rows)
+
+
+def evaluate_word(word, env: Mapping, n: int) -> IntMatrix:
+    """The n x n window of a word over env: dense windows of the atoms (of
+    the inverted atom where the word inverts it), multiplied left to right
+    by ``product_rows``, a power as repeated products, nothing remembered."""
+    one = IntMatrix.identity(n)
+
+    def times(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+        return IntMatrix.from_rows(product_rows(x.data, y.data, n))
+
+    def walk(w, inv: bool) -> IntMatrix:
+        if isinstance(w, Named):
+            aut = env[w.name]
+            return dense_window(invert(aut) if inv else aut, n)
+        if isinstance(w, Inverse):
+            return walk(w.inner, not inv)
+        if isinstance(w, Power):
+            inner, out = walk(w.inner, inv != (w.exponent < 0)), one
+            for _ in range(abs(w.exponent)):
+                out = times(out, inner)
+            return out
+        if isinstance(w, Conj):
+            return times(times(walk(w.h, False), walk(w.g, inv)), walk(w.h, True))
+        out = one
+        for f in reversed(w.factors) if inv else w.factors:
+            out = times(out, walk(f, inv))
+        return out
+
+    return walk(word, False)
+
+
+def first_difference(a: IntMatrix, b: IntMatrix) -> str:
+    """The first entry, scanning rows then columns, where two matrices of
+    one shape differ, as a MISMATCH line names it."""
+    for i in range(a.rows):
+        for j in range(a.cols):
+            x, y = a.data[i][j], b.data[i][j]
+            if x != y:
+                return f"entry ({i},{j}): got {_shown(x)}, expected {_shown(y)}"
+    return "no difference"
 
 
 def inverse_mod_2k(a: Sequence[Sequence[int]], k: int) -> Optional[list[list[int]]]:

@@ -16,7 +16,6 @@ from infrank.errors import ParseError, ValidationError
 from infrank.intmat import IntMatrix
 from infrank.selftest import run_selftest
 from infrank.serialize import (
-    format_matrix_text,
     parse_chain,
     parse_document,
     serialize_aut,
@@ -31,10 +30,19 @@ from infrank.witness import (
     tau_power,
     zaushko_commutator,
 )
-from infrank.words import WINDOW_IDENTITY, Certificate, Named, Power, VerifyResult
+from infrank.words import (
+    WINDOW_IDENTITY,
+    Certificate,
+    Inverse,
+    Named,
+    Power,
+    Product,
+    VerifyResult,
+)
 from infrank.autrep import finitary, graded, identity_aut, uniform, window_matrix
 
 import oracles
+from test_serialize import matrix_text
 
 
 def run(argv, capsys):
@@ -219,7 +227,7 @@ def test_shear_prints_matrices_as_before(tmp_path, capsys, monkeypatch, n, m):
 @pytest.mark.parametrize("rho", [[[-1]], [[0, 1], [1, 0]], [[2, 1], [1, 1]]])
 def test_zaushko_prints_sigma_as_before(tmp_path, capsys, rho):
     rho_file = tmp_path / "rho.txt"
-    rho_file.write_text(format_matrix_text(IntMatrix.from_rows(rho)))
+    rho_file.write_text(matrix_text(IntMatrix.from_rows(rho)))
     sigma, _, _ = zaushko_commutator(IntMatrix.from_rows(rho))
     d = 2 * len(rho)
     code, out, _ = run(["zaushko", str(rho_file), "--out", str(tmp_path / "z.cert")], capsys)
@@ -231,7 +239,7 @@ def test_zaushko_prints_sigma_as_before(tmp_path, capsys, rho):
 
 def test_zaushko_cli(tmp_path, capsys):
     rho = tmp_path / "rho.txt"
-    rho.write_text(format_matrix_text(IntMatrix.from_rows([[-1]])))
+    rho.write_text(matrix_text(IntMatrix.from_rows([[-1]])))
     out_file = tmp_path / "z.cert"
     code, out, _ = run(["zaushko", str(rho), "--out", str(out_file)], capsys)
     assert code == 0
@@ -240,7 +248,7 @@ def test_zaushko_cli(tmp_path, capsys):
 
 def test_wans_cli(tmp_path, capsys):
     f = tmp_path / "f.txt"
-    f.write_text(format_matrix_text(IntMatrix.from_rows([[5, 0], [0, 7]])))
+    f.write_text(matrix_text(IntMatrix.from_rows([[5, 0], [0, 7]])))
     out_file = tmp_path / "w.cert"
     code, out, _ = run(["wans", str(f), "--out", str(out_file)], capsys)
     assert code == 0
@@ -249,7 +257,7 @@ def test_wans_cli(tmp_path, capsys):
 
 def test_factor_cli(tmp_path, capsys):
     z = tmp_path / "z.txt"
-    z.write_text(format_matrix_text(IntMatrix.from_rows([[2, 1], [0, 1]])))
+    z.write_text(matrix_text(IntMatrix.from_rows([[2, 1], [0, 1]])))
     out_file = tmp_path / "f.cert"
     code, _, _ = run(["factor", str(z), "--m", "2", "--out", str(out_file)], capsys)
     assert code == 0
@@ -539,7 +547,7 @@ def test_pipeline_verifies_each_certificate_once(tmp_path, capsys, monkeypatch):
 def test_engine_verifies_its_certificate_once(tmp_path, capsys, monkeypatch, argv, rows):
     matrix = tmp_path / "input.txt"
     if rows is not None:
-        matrix.write_text(format_matrix_text(IntMatrix.from_rows(rows)))
+        matrix.write_text(matrix_text(IntMatrix.from_rows(rows)))
     seen = _record_verifications(monkeypatch)
     out_file = tmp_path / "out.cert"
     argv = [arg.format(matrix=matrix) for arg in argv] + ["--out", str(out_file)]
@@ -843,3 +851,37 @@ def test_classify_refuses_a_semiprime_past_the_rho_budget(tmp_path):
     proc = run_child(["-m", "infrank", "classify", str(aut_file)], timeout=10)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: {n} does not split within 262144 rho iterations\n"
+
+
+# runs ``infrank`` with the arguments given, in an address space of 1 GiB
+LIMITED_MAIN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from infrank.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+def test_long_graded_windows_stay_cheap(tmp_path):
+    """A graded identity claim on windows (4000, 8000) and a printed graded
+    window of 2000 fit in 1 GiB and a minute: a dense 8000 x 8000 window
+    would need about 0.5 GB of pointers alone."""
+    g = graded((2, 3), (11,))
+    aut_file, cert_file = tmp_path / "g.aut", tmp_path / "long.cert"
+    aut_file.write_text(serialize_aut(g))
+    word = Product((Named("g"), Inverse(Named("g"))))
+    cert_file.write_text(serialize_certificate(Certificate(
+        kind=WINDOW_IDENTITY, windows=(4000, 8000), environment={"g": g}, word=word,
+        target_aut=identity_aut(),
+    )))
+    proc = run_child(["-c", LIMITED_MAIN, "verify", str(cert_file)], timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "window 4000: identity holds\nwindow 8000: identity holds\nverified: True\n"
+    )
+    argv = ["-c", LIMITED_MAIN, "classify", str(aut_file), "--window", "2000"]
+    proc = run_child(argv, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[-2001] == "2000 2000"
+    assert lines[-1].split()[-2:] == [str(g.increment(999)), "1"]

@@ -1,8 +1,14 @@
 """Edge cases: degenerate shapes, huge entries, negated graded blocks."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import infrank
 
 from infrank.autrep import (
     compose,
@@ -144,10 +150,10 @@ def test_cli_missing_file(capsys):
 
 
 def test_cli_wans_odd_dimension(tmp_path, capsys):
-    from infrank.serialize import format_matrix_text
+    from test_serialize import matrix_text
 
     f = tmp_path / "f.txt"
-    f.write_text(format_matrix_text(IntMatrix.identity(3)))
+    f.write_text(matrix_text(IntMatrix.identity(3)))
     code = main(["wans", str(f)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
@@ -167,3 +173,27 @@ def test_pipeline_negative_k():
     assert chain.level == 2
     assert verify_chain(chain).ok
 
+
+
+def test_reimports_keep_one_copy_of_the_program_alive():
+    """Dropping every ``infrank`` module and importing the CLI again, five
+    times, leaves one ``Finitary`` class alive: no cache outside the program
+    (``typing``'s, for a ``Union`` alias) keeps an earlier import's classes."""
+    script = (
+        "import gc, importlib, sys\n"
+        "for _ in range(5):\n"
+        "    for name in [m for m in sys.modules if m.split('.')[0] == 'infrank']:\n"
+        "        del sys.modules[name]\n"
+        "    importlib.import_module('infrank.cli')\n"
+        "gc.collect()\n"
+        "print(sum(isinstance(o, type) and o.__name__ == 'Finitary' for o in gc.get_objects()))\n"
+    )
+    src = str(Path(infrank.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")

@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 from math import gcd
 
@@ -465,19 +466,26 @@ def test_internal_results_pass_validation():
 
 
 class ProductCounter:
-    """Counts ``IntMatrix`` products and keeps the largest dimension formed."""
+    """Counts matrix products, the calls of ``intmat.pairs_product`` that
+    ``IntMatrix.__mul__``, ``power`` and the word walk make, and keeps the
+    largest dimension formed.  The inverse's acceptance check ``A * B == I``
+    is part of an inverse, not a product, and is not counted."""
 
     def __init__(self, monkeypatch):
         self.count = 0
         self.largest = 0
-        orig = IntMatrix.__mul__
+        orig = intmat.pairs_product
+        check = intmat._unimodular_inverse.__code__
 
         def counting(a, b):
-            self.count += 1
-            self.largest = max(self.largest, a.rows, b.cols)
+            if sys._getframe(1).f_code is not check:
+                self.count += 1
+                self.largest = max(self.largest, len(a), len(b))
             return orig(a, b)
 
-        monkeypatch.setattr(IntMatrix, "__mul__", counting)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("infrank") and getattr(module, "pairs_product", None) is orig:
+                monkeypatch.setattr(module, "pairs_product", counting)
 
 
 def test_power_product_count(monkeypatch):
@@ -565,7 +573,27 @@ def kernel_rows(draw, rows, cols):
 
 
 def _pairs_product(a, b, cols):
-    return list(intmat._product_rows(a, intmat._row_pairs(b, cols), cols))
+    """The product kernel on a and b made dense, after checking that each of
+    its rows holds exactly the nonzero entries, in column order."""
+    rows = intmat.pairs_product(intmat.row_pairs(a), intmat.row_pairs(b))
+    dense = [list(row) for row in IntMatrix.from_pairs(rows, cols).data]
+    assert rows == intmat.row_pairs(dense)
+    return dense
+
+
+@st.composite
+def wide_sparse_rows(draw, rows, cols):
+    """rows x cols with up to three entries per row, each +-1 or 2, in the
+    first two columns or the last: wide and sparse, so the kernel gathers
+    most rows in its dict, and entries that meet often cancel."""
+    spots = sorted({0, 1, cols - 1} & set(range(cols)))
+    out = []
+    for _ in range(rows):
+        row = [0] * cols
+        for c in draw(st.lists(st.sampled_from(spots), max_size=3)) if spots else ():
+            row[c] += draw(st.sampled_from([1, -1, 2]))
+        out.append(tuple(row))
+    return out
 
 
 @settings(max_examples=300)
@@ -575,6 +603,16 @@ def test_product_kernel_matches_the_entry_walk(r, k, c, data):
     entry-by-entry walk gives."""
     a = data.draw(kernel_rows(r, k))
     b = data.draw(kernel_rows(k, c))
+    assert _pairs_product(a, b, c) == list(oracles.product_rows(a, b, c))
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 9), st.integers(0, 40), st.integers(0, 40), st.data())
+def test_product_kernel_on_wide_sparse_rows(r, k, c, data):
+    """Rows that cancel in the dict accumulator drop their zero entries, as
+    rows read back from a dense accumulator do."""
+    a = data.draw(wide_sparse_rows(r, k))
+    b = data.draw(wide_sparse_rows(k, c))
     assert _pairs_product(a, b, c) == list(oracles.product_rows(a, b, c))
 
 
@@ -605,7 +643,7 @@ def test_inverse_kernel_matches_the_dense_elimination(case):
     else:
         rows, pairs = got
         assert rows == want
-        assert pairs == intmat._row_pairs(rows, len(a))
+        assert pairs == intmat.row_pairs(rows)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (1, 1)])
@@ -621,7 +659,7 @@ def test_kernels_on_edge_shapes(shape):
         assert str(m) == oracles.matrix_str(m)
     if r == c:
         a = [(1,)] * r
-        assert intmat._inverse_mod_2k(a, 8) == ([[1]] * r, [[(0, 1)]] * r)
+        assert intmat._inverse_mod_2k(a, 8) == ([[1]] * r, (((0, 1),),) * r)
 
 
 @settings(max_examples=200)

@@ -14,6 +14,7 @@ from infrank.autrep import (
     invert,
     is_claimed,
     uniform,
+    window_pairs,
     witnessed,
 )
 from infrank.classify import FinitePrimes, UnionWithPrefix
@@ -25,7 +26,7 @@ from infrank.errors import (
     ParseError,
     ValidationError,
 )
-from infrank.intmat import IntMatrix
+from infrank.intmat import IntMatrix, row_pairs
 from infrank.serialize import (
     MAX_WORD_DEPTH,
     format_matrix_text,
@@ -74,12 +75,17 @@ import oracles
 from oracles import is_int_list
 from test_autrep import unimodular
 from test_intmat import kernel_rows, random_unimodular
-from test_words import words
+from test_words import one_atom_per_class, words
+
+
+def matrix_text(m: IntMatrix) -> str:
+    """``format_matrix_text`` of a dense matrix, through its row pairs."""
+    return format_matrix_text(row_pairs(m.data), m.cols)
 
 
 def test_matrix_text_round_trip():
     m = IntMatrix.from_rows([[1, -2, 30], [4, 5, -6]])
-    assert parse_matrix_text(format_matrix_text(m)) == m
+    assert parse_matrix_text(matrix_text(m)) == m
 
 
 @settings(max_examples=300)
@@ -88,7 +94,7 @@ def test_matrix_text_matches_the_entry_walk(r, c, data):
     """Rows cut from one string of zeros read as the entry-by-entry text,
     on sparse, dense, +-1-heavy and 400-bit matrices, n x 0 included."""
     m = IntMatrix.from_rows(data.draw(kernel_rows(r, c)) if r else [])
-    text = format_matrix_text(m)
+    text = matrix_text(m)
     assert text == oracles.format_matrix_text(m)
     assert parse_matrix_text(text) == m
 
@@ -96,8 +102,29 @@ def test_matrix_text_matches_the_entry_walk(r, c, data):
 @pytest.mark.parametrize("rows", [[], [[]], [[], [], []], [[0]], [[7]], [[-1]], [[0, 0, 5]], [[5, 0, 0]]])
 def test_matrix_text_edge_shapes(rows):
     m = IntMatrix.from_rows(rows)
-    assert format_matrix_text(m) == oracles.format_matrix_text(m)
-    assert parse_matrix_text(format_matrix_text(m)) == m
+    assert matrix_text(m) == oracles.format_matrix_text(m)
+    assert parse_matrix_text(matrix_text(m)) == m
+
+
+@settings(max_examples=150)
+@given(one_atom_per_class(), st.sampled_from(["f", "u", "g"]), st.sampled_from([0, 8, 12, 24]))
+def test_window_text_from_rows_matches_the_dense_text(env, name, n):
+    """A window written from its row pairs reads as the entry-by-entry text
+    of the dense window, window 0 included where the atom allows it."""
+    aut = env[name]
+    try:
+        want = oracles.format_matrix_text(oracles.dense_window(aut, n))
+    except InfrankError as exc:
+        with pytest.raises(type(exc)):
+            window_pairs(aut, n)
+        return
+    assert format_matrix_text(window_pairs(aut, n), n) == want
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_matrix_text_of_empty_rows_matches_the_dense_text(rows):
+    m = IntMatrix.from_rows([[]] * rows)
+    assert format_matrix_text(((),) * rows, 0) == oracles.format_matrix_text(m)
 
 
 def test_matrix_text_past_4300_digits_raises_as_before():
@@ -105,7 +132,7 @@ def test_matrix_text_past_4300_digits_raises_as_before():
     ValueError from both formatters."""
     m = IntMatrix.from_rows([[0, 1, 0], [0, 0, -(10**4400)], [10**5000, 0, 0]])
     with pytest.raises(ValueError) as new:
-        format_matrix_text(m)
+        matrix_text(m)
     with pytest.raises(ValueError) as old:
         oracles.format_matrix_text(m)
     assert str(new.value) == str(old.value)

@@ -693,8 +693,8 @@ WALK_COUNTS = [
 def test_chain_walks_read_each_subtree_once(monkeypatch, k, m, built, parsed):
     products = ProductCounter(monkeypatch)
     reads = []
-    read = words_module.window_matrix
-    monkeypatch.setattr(words_module, "window_matrix", lambda a, n: reads.append(n) or read(a, n))
+    read = words_module.window_pairs
+    monkeypatch.setattr(words_module, "window_pairs", lambda a, n: reads.append(n) or read(a, n))
     chain = km_pipeline(canonical_shear(k, m))
     assert (products.count, len(reads)) == built
     back = parse_chain(serialize_chain(chain))

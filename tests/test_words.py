@@ -18,7 +18,7 @@ from infrank.autrep import (
     graded,
     uniform,
 )
-from infrank.errors import AlignmentError, InfrankError, ValidationError, WordError
+from infrank.errors import AlignmentError, DimensionError, InfrankError, ValidationError, WordError
 from infrank.intmat import IntMatrix
 from infrank.serialize import parse_certificate, parse_word, serialize_certificate, serialize_word
 from infrank.witness import order_n_shear, tau_power
@@ -40,6 +40,7 @@ from infrank.words import (
     word_names,
 )
 
+import oracles
 from test_autrep import unimodular
 from test_intmat import ProductCounter, random_unimodular
 
@@ -290,6 +291,47 @@ def _outcome(fn):
 def test_push_matches_dense(env, word, n, data):
     v = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
     assert push_word(word, env, n, v) == evaluate_word(word, env, n).apply(v)
+
+
+# -- the row-pair walk against the dense reference ---------------------------
+
+
+@settings(max_examples=150)
+@given(one_atom_per_class(), WORDS, st.sampled_from([12, 24]))
+def test_row_walk_matches_the_dense_evaluation(env, word, n):
+    """Row pairs walked, multiplied and made dense once give the window
+    that dense atom windows multiplied entry by entry give."""
+    assert evaluate_word(word, env, n) == oracles.evaluate_word(word, env, n)
+
+
+def _changed(m: IntMatrix, changes) -> IntMatrix:
+    rows = [list(row) for row in m.data]
+    for i, j, delta in changes:
+        rows[i][j] += delta
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=100)
+@given(one_atom_per_class(), WORDS, WORDS, st.sampled_from([12, 24]), st.data())
+def test_mismatch_lines_match_the_dense_scan(env, word, other, n, data):
+    """With one target entry changed, or a few, also in one row, identity
+    and sum claims report the entry that the row-major scan of the dense
+    windows finds first."""
+    i = data.draw(st.integers(0, n - 1))
+    entries = st.tuples(st.integers(i, n - 1), st.integers(0, n - 1), st.sampled_from([-3, 2**80]))
+    changes = [(i, *data.draw(st.tuples(st.integers(0, n - 1), st.sampled_from([1, -2]))))]
+    changes += data.draw(st.lists(entries, max_size=2))
+    got = oracles.evaluate_word(word, env, n)
+    total = got + oracles.evaluate_word(other, env, n)
+    for dense, fields in (
+        (got, {"kind": WINDOW_IDENTITY, "word": word}),
+        (total, {"kind": WINDOW_SUM, "summand_words": (word, other)}),
+    ):
+        target = _changed(dense, changes)
+        cert = Certificate(windows=(n,), environment=env, target_matrix=target, **fields)
+        line = f"window {n}: MISMATCH at {oracles.first_difference(dense, target)}"
+        assert verify_certificate(cert).report == (line,)
+        assert verify_certificate(replace(cert, target_matrix=dense)).ok
 
 
 # a bad atom, also where it never acts, placed anywhere in a word w
@@ -705,3 +747,16 @@ def test_identity_claims_hold_on_every_window_from_their_core():
         False, True, True, False]
     assert not holds_on_every_window(claim((4,), Product((Named("g"), Named("a")))))
     assert not holds_on_every_window(replace(claim((4,)), kind=ORDER, order=2))
+
+
+@pytest.mark.parametrize("kind", [WINDOW_IDENTITY, WINDOW_SUM])
+@pytest.mark.parametrize("n", [2, 4])
+def test_a_target_matrix_that_is_not_square_is_refused(kind, n):
+    """A 2 x 3 target is refused on the window it fills and on a larger
+    one alike, rather than compared with a square window."""
+    target = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
+    word = Product((Named("tau"), Inverse(Named("tau"))))
+    fields = {"word": word} if kind == WINDOW_IDENTITY else {"summand_words": (word,)}
+    cert = Certificate(kind=kind, windows=(n,), environment=ENV, target_matrix=target, **fields)
+    with pytest.raises(DimensionError, match="target of 2x3 is not square"):
+        verify_certificate(cert)
