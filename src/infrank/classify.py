@@ -196,11 +196,11 @@ _SEARCH_BOX = range(-3, 4)
 
 
 def _pair_witness(aut: EventuallyUniform) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Search one or two adjacent blocks for w with {w, Bw} unimodular."""
+    """Search one block, and two adjacent ones when d == 2, for w with {w, Bw} unimodular."""
     b = aut.block.matrix
     d = aut.d
     candidates = [IntMatrix.block_diag([b])]
-    if d <= 2:
+    if d == 2:
         candidates.append(IntMatrix.block_diag([b, b]))
     for mat in candidates:
         dim = mat.rows
@@ -209,24 +209,21 @@ def _pair_witness(aut: EventuallyUniform) -> Optional[tuple[tuple[int, ...], tup
                 continue
             image = mat.apply(coeffs)
             cols = IntMatrix.from_rows([[coeffs[i], image[i]] for i in range(dim)])
-            try:
-                if is_unimodular_set(cols):
-                    return tuple(coeffs), image
-            except DimensionError:
-                continue
+            if is_unimodular_set(cols):
+                return tuple(coeffs), image
     return None
 
 
 def is_normal_generator(aut: RepAut) -> tuple[bool, GeneratorEvidence]:
     """Dichotomy: aut normally generates the whole group iff no level m >= 2
     admits it and it is not an almost-radiation."""
-    if is_almost_radiation(aut):
-        return False, GeneratorEvidence("almost-radiation")
     levels = lambda_levels(aut)
     if isinstance(levels, RuleBased):
         return False, GeneratorEvidence("lambda-level", level=levels.block.multiplier(0))
+    if levels.g == 0:
+        return False, GeneratorEvidence("almost-radiation")
     if levels.g == 1:
-        w = _pair_witness(aut)  # only EventuallyUniform reaches this branch
+        w = _pair_witness(aut)  # eventually uniform, d >= 2 (a 1 x 1 block is +-1)
         if w is not None:
             return True, GeneratorEvidence("pair-witness", witness=w)
         return True, GeneratorEvidence("dichotomy-only")
@@ -297,16 +294,16 @@ class LadderReport:
 
 
 def ladder_report(aut: RepAut) -> LadderReport:
-    if isinstance(aut, GradedBlock):
-        return LadderReport("no-maximal-level", note=NO_MAXIMAL_LEVEL)
-    generator, _ = is_normal_generator(aut)
-    if generator:
-        return LadderReport("generator", rung=1)
-    if is_almost_radiation(aut):
-        return LadderReport("almost-radiation", rung=0)
+    """The rung is the g of the level set; the pair-witness search of
+    ``is_normal_generator`` gathers evidence only and never runs here."""
     levels = lambda_levels(aut)
-    assert isinstance(levels, DivisorsOf)
+    if isinstance(levels, RuleBased):
+        return LadderReport("no-maximal-level", note=NO_MAXIMAL_LEVEL)
     g = levels.g
+    if g == 1:
+        return LadderReport("generator", rung=1)
+    if g == 0:
+        return LadderReport("almost-radiation", rung=0)
     scalar = aut.block.matrix.data[0][0] % g  # the block is scalar mod g
     shape = _witness.shear_shape(aut)
     if shape is not None:

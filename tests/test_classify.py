@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import accumulate, islice
 from operator import mul
 
@@ -17,10 +18,13 @@ from infrank.autrep import (
     window_matrix,
 )
 from infrank.classify import (
+    NO_MAXIMAL_LEVEL,
     DivisorsOf,
     FinitePrimes,
+    LadderReport,
     RuleBased,
     UnionWithPrefix,
+    classification_summary,
     common_lambda_level,
     congruence_gcd,
     is_almost_radiation,
@@ -34,11 +38,13 @@ from infrank.classify import (
 from infrank.errors import DimensionError
 from infrank.intmat import IntMatrix, is_unimodular_set
 from infrank.numth import primes_upto
+from infrank.serialize import serialize_aut
 from infrank.witness import canonical_shear, tau_power, verify_chain
 
 from oracles import divisor_scan_level
+from test_acceptance import build_corpus
 from test_autrep import finitary_or_uniform
-from test_cli import run_child
+from test_cli import run, run_child
 from test_intmat import random_unimodular
 
 
@@ -450,6 +456,37 @@ def test_canonical_twisted_shear_is_generator():
     assert ladder_report(aut).kind == "generator"
 
 
+def test_one_pair_search_per_classified_generator(monkeypatch):
+    """The ladder reads its rung from the level set, so only the verdict's
+    evidence searches for a pair witness."""
+    import infrank.classify as classify_module
+
+    calls = []
+    search = classify_module._pair_witness
+    monkeypatch.setattr(classify_module, "_pair_witness", lambda a: calls.append(a) or search(a))
+    aut = canonical_shear(3, 4)
+    info = classification_summary(aut)
+    assert info["normal_generator"] and info["ladder"].kind == "generator"
+    assert len(calls) == 1
+    assert ladder_report(aut) == LadderReport("generator", rung=1)
+    assert len(calls) == 1
+
+
+def test_ladder_kind_follows_the_level_set_over_the_corpus():
+    kinds = Counter()
+    for aut in build_corpus(random.Random(2029)):
+        rep = ladder_report(aut)
+        kinds[rep.kind] += 1
+        levels = lambda_levels(aut)
+        if isinstance(levels, RuleBased):
+            assert rep == LadderReport("no-maximal-level", note=NO_MAXIMAL_LEVEL)
+            continue
+        assert (rep.kind == "generator") == is_normal_generator(aut)[0]
+        assert (rep.kind == "almost-radiation") == is_almost_radiation(aut)
+        assert rep.rung == levels.g
+    assert all(kinds[k] for k in ("generator", "almost-radiation", "rung", "no-maximal-level"))
+
+
 def test_ladder_shear_with_twist():
     # shear-shaped block with x -> x + 4u but a twisted partner column;
     # scalar defect 2, so the rung is 2 while the chain reaches level 4
@@ -459,3 +496,27 @@ def test_ladder_shear_with_twist():
     assert rep.kind == "rung" and rep.rung == 2
     assert rep.chain is not None and rep.chain.level == 4
     assert verify_chain(rep.chain).ok
+
+
+# -- classify output over the criterion-5 corpus --------------------------------
+
+# sha256 of the exit status, stdout and stderr of `infrank classify` on every
+# document of the criterion-5 corpus, and with `--window 6` on every 50th,
+# recorded before the ladder read its rung from the level set
+CLASSIFY_DIGEST = "059056f9d528aa00683243d6ec6a33e68dcab35b9798d392de6afb4a80de452d"
+
+
+def test_classify_output_over_the_corpus_is_unchanged(tmp_path, capsys):
+    import hashlib
+
+    doc = tmp_path / "corpus.aut"
+    digest = hashlib.sha256()
+    for i, aut in enumerate(build_corpus(random.Random(2029))):
+        doc.write_text(serialize_aut(aut))
+        argvs = [["classify", str(doc)]]
+        if i % 50 == 0:
+            argvs.append(["classify", str(doc), "--window", "6"])
+        for argv in argvs:
+            code, out, err = run(argv, capsys)
+            digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest() == CLASSIFY_DIGEST
