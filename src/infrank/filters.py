@@ -68,6 +68,8 @@ def centered_check(
     descriptors: Sequence[PrimeSetDescriptor], subfamily_size: int
 ) -> CenteredFamilyReport:
     """Check every subfamily of size <= subfamily_size for a common prime."""
+    if subfamily_size < 1:
+        raise ValueError("subfamily size must be at least 1")
     if subfamily_size > len(descriptors):
         raise ValueError("subfamily size exceeds the family")
     witnesses = []

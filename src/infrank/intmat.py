@@ -105,10 +105,6 @@ class IntMatrix:
         return IntMatrix._trusted(tuple((0,) * cols for _ in range(rows)))
 
     @staticmethod
-    def column(values: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(tuple((v,) for v in values))
-
-    @staticmethod
     def block_diag(blocks: Sequence["IntMatrix"]) -> "IntMatrix":
         n = sum(b.rows for b in blocks)
         m = sum(b.cols for b in blocks)
@@ -134,9 +130,6 @@ class IntMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        return self.data[ij[0]][ij[1]]
 
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
@@ -165,9 +158,6 @@ class IntMatrix:
         return IntMatrix._trusted(
             tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data))
         )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix._trusted(tuple(tuple(-a for a in row) for row in self.data))
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix._trusted(tuple(tuple(c * a for a in row) for row in self.data))

@@ -487,7 +487,7 @@ def _broken_link(chain: WitnessChain) -> Optional[str]:
     holds on every window; and ``level`` is the modulus of ``final``'s
     shear (clean) or the tracked-pair coefficient of the last step's action
     claims (general).  So ``final`` is an element of nc(phi) that shears by
-    ``level``.
+    ``level``.  Last, the steps carry the pipeline's names, each n read from its word.
     """
     if chain.scope_note not in (SCOPE_NOTE_CLEAN, SCOPE_NOTE_GENERAL):
         return "the scope note names neither pipeline scope"
@@ -506,7 +506,8 @@ def _broken_link(chain: WitnessChain) -> Optional[str]:
         tuple(map(Power, (conj1.word, conj2.word), exponents))
     ):
         return f"the word of {last.name} is not w1^a w2^b over the conjugation steps' words"
-    if chain.scope_note == SCOPE_NOTE_CLEAN:
+    clean = chain.scope_note == SCOPE_NOTE_CLEAN
+    if clean:
         if chain.final != _step_target(last):
             return f"final is not the target of {last.name}"
         shape = shear_shape(chain.final)
@@ -518,6 +519,12 @@ def _broken_link(chain: WitnessChain) -> Optional[str]:
         m = _tracked_coefficient(last)
     if m != chain.level:
         return f"level {chain.level} is not the modulus the chain derives ({m})"
+    orders = [w.exponent if clean else len(w.factors) for w in (conj1.word, conj2.word)
+              if isinstance(w, Power if clean else Product)]
+    names = ["euler-gcd-reduction", *(f"order-{n}-shear-conjugation" for n in orders),
+             "bezout-combination"]
+    if [step.name for step in chain.steps] != names:
+        return f"the steps are not named {', '.join(names)}"
     return None
 
 

@@ -24,7 +24,7 @@ from infrank.autrep import (
 from infrank.classify import RuleBased
 from infrank.errors import AlignmentError, DimensionError
 from infrank.intmat import IntMatrix, snf
-from infrank.words import Conj, Inverse, Named, Power, Product, _shown
+from infrank.words import Conj, Inverse, Named, Power, _shown
 
 
 def row_reduction_inverse(m: IntMatrix) -> Optional[IntMatrix]:

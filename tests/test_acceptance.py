@@ -14,7 +14,6 @@ from infrank.autrep import (
     finitary,
     graded,
     invert,
-    uniform,
     window_matrix,
 )
 from infrank.classify import (
@@ -60,7 +59,7 @@ from infrank.words import (
     verify_certificate,
 )
 
-from test_intmat import random_matrix, random_unimodular
+from helpers import build_corpus, random_matrix, random_unimodular
 
 
 def report(number: int, label: str, started: float, budget: float) -> None:
@@ -181,51 +180,6 @@ def test_criterion_4_three_conjugate_factorization():
 
 
 # -- criterion 5: classification dichotomy ---------------------------------------
-
-
-def build_corpus(rng: random.Random):
-    """500 seeded representations across the three classes.
-
-    Random blocks keep their scalar defect within the sampled level range
-    (<= 60) and leave shear-shaped blocks to the explicit anchors, whose
-    Euler exponents keep the ladder's witness chains small.
-    """
-    from infrank.witness import shear_shape
-
-    corpus = []
-    # explicit anchors, including every shear shape the ladder criterion uses
-    corpus += [tau_power(m) for m in (1, 2, 3, 4, 6)]
-    corpus += [uniform(IntMatrix.from_rows([[9, 4], [2, 1]]))]  # twisted, defect 2
-    corpus += [finitary((0,), IntMatrix.from_rows([[-1]])), finitary((), IntMatrix.from_rows([]))]
-    corpus += [uniform(IntMatrix.identity(2).scale(-1))]
-    corpus += [graded((2, 3), ()), graded((), (7,)), graded((5,), (2,), negated=True)]
-
-    def usable(b):
-        if not (0 < scalar_defect(b) <= 60 or scalar_defect(b) == 0):
-            return False
-        return shear_shape(uniform(b)) is None
-
-    while len(corpus) < 200:
-        b = random_unimodular(rng, rng.randint(1, 4))
-        if usable(b):
-            corpus.append(uniform(b))
-    while len(corpus) < 280:
-        d = rng.randint(1, 3)
-        b = random_unimodular(rng, d)
-        if not usable(b):
-            continue
-        n0 = d * rng.randint(1, 2)
-        aut = eventually_uniform(random_unimodular(rng, n0), b)
-        if shear_shape(aut) is None:
-            corpus.append(aut)
-    while len(corpus) < 380:
-        support = tuple(sorted(rng.sample(range(10), rng.randint(1, 3))))
-        corpus.append(finitary(support, random_unimodular(rng, len(support))))
-    while len(corpus) < 500:
-        prefix = tuple(rng.choice([2, 3, 5, 7]) for _ in range(rng.randint(0, 3)))
-        excluded = tuple(rng.sample([11, 13], rng.randint(0, 2)))
-        corpus.append(graded(prefix or (rng.choice([2, 3]),), excluded, rng.random() < 0.3))
-    return corpus
 
 
 def test_criterion_5_classification_dichotomy():

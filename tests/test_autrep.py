@@ -29,7 +29,13 @@ from infrank.intmat import IntMatrix
 from infrank.witness import tau_power
 
 from oracles import reblock, row_reduction_inverse
-from test_intmat import ProductCounter, assert_passes_validation, random_unimodular
+from helpers import (
+    ProductCounter,
+    assert_passes_validation,
+    finitary_or_uniform,
+    random_unimodular,
+    unimodular,
+)
 
 
 def test_tau_window():
@@ -131,7 +137,7 @@ def test_graded_multipliers_match_sieve(prefix, excluded):
     assert [neg.increment(i) for i in range(120)] == [-c for c in incs]
     for aut, sign in ((g, 1), (neg, -1)):
         w = window_matrix(aut, 240)
-        assert [w[2 * i + 1, 2 * i] for i in range(120)] == [sign * c for c in incs]
+        assert [w.data[2 * i + 1][2 * i] for i in range(120)] == [sign * c for c in incs]
 
 
 def test_graded_window_walks_the_primes_once(monkeypatch):
@@ -321,29 +327,6 @@ def test_finitary_pruning():
     assert is_identity(finitary((1, 2), IntMatrix.identity(2)))
 
 
-@st.composite
-def unimodular(draw, n):
-    """A product of elementary row operations, with one optional sign flip."""
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if n and draw(st.booleans()):
-        rows[0] = [-x for x in rows[0]]
-    index = st.integers(0, max(n - 1, 0))
-    for i, j, c in draw(st.lists(st.tuples(index, index, st.integers(-3, 3)), max_size=6)):
-        if i != j:
-            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-    return IntMatrix.from_rows(rows)
-
-
-@st.composite
-def finitary_or_uniform(draw, max_dim=3):
-    if draw(st.booleans()):
-        size = draw(st.integers(1, max_dim))
-        support = draw(st.lists(st.integers(0, 7), min_size=size, max_size=size, unique=True))
-        return finitary(support, draw(unimodular(size)))
-    d = draw(st.integers(1, max_dim))
-    return eventually_uniform(draw(unimodular(d * draw(st.integers(0, 2)))), draw(unimodular(d)))
-
-
 @settings(max_examples=80)
 @given(finitary_or_uniform(), finitary_or_uniform())
 def test_compose_carries_inverses(a, b):
@@ -408,7 +391,7 @@ def test_compose_of_head_free_atoms_makes_two_products(monkeypatch):
     rng = random.Random(31)
     for da, db in ((2, 2), (2, 3), (4, 6), (1, 5)):
         # negated, so neither factor is the identity
-        a, b = uniform(-random_unimodular(rng, da)), uniform(-random_unimodular(rng, db))
+        a, b = (uniform(random_unimodular(rng, d).scale(-1)) for d in (da, db))
         products = ProductCounter(monkeypatch)
         c = compose(a, b)
         assert products.count == 2

@@ -42,10 +42,7 @@ from infrank.serialize import serialize_aut
 from infrank.witness import canonical_shear, tau_power, verify_chain
 
 from oracles import divisor_scan_level
-from test_acceptance import build_corpus
-from test_autrep import finitary_or_uniform
-from test_cli import run, run_child
-from test_intmat import random_unimodular
+from helpers import build_corpus, finitary_or_uniform, random_unimodular, run, run_child
 
 
 def u_shear(m):
@@ -124,15 +121,6 @@ def test_scalar_defect_examples():
     assert [p for p in primes_upto(50) if brute_scalar_mod(b1, p)] == []
     assert scalar_defect(b1) == 1
     assert scalar_defect(IntMatrix.identity(3).scale(-1)) == 0
-
-
-def test_scalar_defect_oracle_random():
-    rng = random.Random(32)
-    for _ in range(60):
-        b = random_unimodular(rng, rng.randint(1, 4))
-        g = scalar_defect(b)
-        for p in primes_upto(50):
-            assert brute_scalar_mod(b, p) == (g % p == 0)
 
 
 def test_scalar_defect_needs_square():

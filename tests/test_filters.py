@@ -75,8 +75,9 @@ def test_centered_check_cofinite():
 
 
 def test_centered_check_size_bound():
-    with pytest.raises(ValueError):
-        centered_check([UnionWithPrefix(frozenset(), frozenset())], 2)
+    for size in (2, 0, -1):
+        with pytest.raises(ValueError):
+            centered_check([UnionWithPrefix(frozenset(), frozenset())], size)
 
 
 def test_graded_construct_prime_set():

@@ -16,7 +16,7 @@ from infrank.numth import (
 )
 
 from oracles import trial_division_is_prime
-from test_cli import run_child
+from helpers import run_child
 
 
 def test_is_prime_agrees_with_the_sieve():

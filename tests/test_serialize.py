@@ -26,7 +26,7 @@ from infrank.errors import (
     ParseError,
     ValidationError,
 )
-from infrank.intmat import IntMatrix, row_pairs
+from infrank.intmat import IntMatrix
 from infrank.serialize import (
     MAX_WORD_DEPTH,
     format_matrix_text,
@@ -73,14 +73,14 @@ from infrank.words import (
 
 import oracles
 from oracles import is_int_list
-from test_autrep import unimodular
-from test_intmat import kernel_rows, random_unimodular
-from test_words import one_atom_per_class, words
-
-
-def matrix_text(m: IntMatrix) -> str:
-    """``format_matrix_text`` of a dense matrix, through its row pairs."""
-    return format_matrix_text(row_pairs(m.data), m.cols)
+from helpers import (
+    kernel_rows,
+    matrix_text,
+    one_atom_per_class,
+    random_unimodular,
+    unimodular,
+    words,
+)
 
 
 def test_matrix_text_round_trip():

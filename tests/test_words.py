@@ -41,8 +41,14 @@ from infrank.words import (
 )
 
 import oracles
-from test_autrep import unimodular
-from test_intmat import ProductCounter, random_unimodular
+from helpers import (
+    EXPONENTS,
+    ProductCounter,
+    one_atom_per_class,
+    random_unimodular,
+    unimodular,
+    words,
+)
 
 
 TAU = tau_power(1)
@@ -235,45 +241,6 @@ def test_product_of_k_atoms_makes_k_minus_1_products(monkeypatch):
 
 
 # -- pushing vectors through words -------------------------------------------
-
-
-@st.composite
-def one_atom_per_class(draw):
-    """A finitary atom below coordinate 8, an eventually uniform atom with a
-    head of up to 6 and blocks of 1-3, and a graded shear: windows 12 and 24
-    are aligned for all three."""
-    size = draw(st.integers(1, 3))
-    support = draw(st.lists(st.integers(0, 7), min_size=size, max_size=size, unique=True))
-    d = draw(st.integers(1, 3))
-    return {
-        "f": finitary(support, draw(unimodular(size))),
-        "u": eventually_uniform(draw(unimodular(d * draw(st.integers(0, 2)))), draw(unimodular(d))),
-        "g": graded(
-            draw(st.lists(st.integers(2, 9), max_size=2)),
-            draw(st.sets(st.sampled_from([2, 3, 5]))),
-            draw(st.booleans()),
-        ),
-    }
-
-
-# |e| > 12 passes the push/dense crossover on window 12
-EXPONENTS = st.sampled_from([-14, -3, -2, -1, 0, 1, 2, 3, 13])
-
-
-@st.composite
-def words(draw, depth=3, names=("f", "u", "g"), exponents=EXPONENTS):
-    """Words over the atoms ``names`` nesting up to ``depth`` tokens deep."""
-    kind = draw(st.integers(0, 5)) if depth else 0
-    if kind < 2:
-        return Named(draw(st.sampled_from(names)))
-    inner = words(depth - 1, names, exponents)
-    if kind == 2:
-        return Inverse(draw(inner))
-    if kind == 3:
-        return Power(draw(inner), draw(exponents))
-    if kind == 4:
-        return Conj(draw(inner), draw(inner))
-    return Product(tuple(draw(st.lists(inner, max_size=3))))
 
 
 WORDS = words()
