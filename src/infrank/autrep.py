@@ -17,7 +17,8 @@ Three representation classes are supported:
 Every atom carries its inverse witness from construction, so
 "automorphism" is enforced rather than assumed.  The one exception is a
 claimed value (``claimed=True``): the ``target_aut`` of a parsed identity
-claim, or a parsed chain's ``final``.  It is only compared by its windows,
+claim, a parsed chain's ``final``, or the ``final`` that the general
+pipeline builds from one window product.  It is only compared by its windows,
 so it is built with no inverse (its inverse fields are None);
 ``window_pairs``, ``head_and_period`` and ``core_window`` read it, and
 ``invert`` and ``compose`` refuse it.  The verifier proves it unimodular

@@ -26,7 +26,7 @@ from math import gcd, prod
 from typing import Callable, Optional, Sequence
 
 from . import witness as _witness
-from .autrep import EventuallyUniform, Finitary, GradedBlock, RepAut
+from .autrep import EventuallyUniform, Finitary, GradedBlock, RepAut, uniform
 from .errors import DimensionError
 from .intmat import IntMatrix, is_unimodular_set
 from .numth import factorize, is_prime
@@ -282,7 +282,9 @@ class LadderReport:
     kind = generator        : rung 1, the normal closure is everything;
     kind = almost-radiation : rung 0;
     kind = rung             : rung m = the maximal level, with a constructive
-                              witness chain when the block has shear shape;
+                              witness chain of level m when the automorphism
+                              or a conjugate has shear shape of modulus m
+                              (``_shear_of_modulus``);
     kind = no-maximal-level : graded level sets are unbounded, so no rung.
     """
 
@@ -305,11 +307,34 @@ def ladder_report(aut: RepAut) -> LadderReport:
     if g == 0:
         return LadderReport("almost-radiation", rung=0)
     scalar = aut.block.matrix.data[0][0] % g  # the block is scalar mod g
-    shape = _witness.shear_shape(aut)
-    if shape is not None:
-        chain = _witness.km_pipeline(aut)
-        return LadderReport("rung", rung=g, scalar=scalar, chain=chain)
+    phi = _shear_of_modulus(aut, g, scalar)
+    if phi is not None:
+        return LadderReport("rung", rung=g, scalar=scalar, chain=_witness.km_pipeline(phi))
     return LadderReport("rung", rung=g, scalar=scalar, note=LOWER_BOUND_NOT_CONSTRUCTED)
+
+
+def _shear_of_modulus(aut: EventuallyUniform, g: int, lam: int) -> Optional[EventuallyUniform]:
+    """A shear-shaped automorphism with x column (g, k) and aut's normal
+    closure, or None; ``km_pipeline``'s chain for it has level g, the rung.
+
+    That is aut itself when its x column is (g, k).  Another shear-shaped aut
+    has block B = lam I + g C; for the first small v with det(v, C v) = +-1,
+    the basis (C v, v) conjugates aut to one mapping v to g C v + lam v, of x
+    column (g, lam).  A conjugate has the same normal closure, so its chain
+    witnesses Gamma(g) <= nc(aut).
+    """
+    shape = _witness.shear_shape(aut)
+    if shape is None or shape[1] == g:
+        return None if shape is None else aut
+    b = aut.block.matrix
+    c = [[(x - lam * (i == j)) // g for j, x in enumerate(row)] for i, row in enumerate(b.data)]
+    small = itertools.product(range(-4, 5), repeat=2)  # candidates v, the smallest first
+    for a, d in sorted(small, key=lambda v: max(map(abs, v))):
+        cv = (c[0][0] * a + c[0][1] * d, c[1][0] * a + c[1][1] * d)
+        if abs(a * cv[1] - d * cv[0]) == 1:
+            p = IntMatrix.from_rows([[cv[0], a], [cv[1], d]])
+            return uniform(p.inverse() * b * p)
+    return None
 
 
 def classification_summary(aut: RepAut) -> dict:

@@ -8,6 +8,7 @@ annotates structural errors with the path of the offending node.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any, Mapping
 
@@ -111,12 +112,19 @@ def _int_list(obj: Any, path: str) -> tuple[int, ...]:
 
 
 def _matrix(obj: Any, path: str) -> IntMatrix:
+    """``obj`` as a matrix if it is a list of equally long lists of ints,
+    checked by passes at C speed over all rows, all entries and the row
+    lengths; the path of the first bad row is made only on failure."""
     if not isinstance(obj, list):
         raise ParseError(path, "expected a nested integer array")
-    rows = tuple(_int_list(row, f"{path}[{i}]") for i, row in enumerate(obj))
-    if any(len(row) != len(rows[0]) for row in rows):
+    if not {list}.issuperset(map(type, obj)) or not {int}.issuperset(
+        map(type, itertools.chain.from_iterable(obj))
+    ):
+        for i, row in enumerate(obj):
+            _int_list(row, f"{path}[{i}]")
+    if len(set(map(len, obj))) > 1:
         raise DimensionError("ragged rows in matrix literal")
-    return IntMatrix._trusted(rows)
+    return IntMatrix._trusted(tuple(map(tuple, obj)))
 
 
 def _matrix_obj(m: IntMatrix) -> list[list[int]]:
@@ -252,11 +260,12 @@ def _env_from_obj(obj: Any, path: str, table: dict) -> dict[str, RepAut]:
 
 
 def cert_to_obj(cert: Certificate) -> dict:
-    obj: dict[str, Any] = {
-        "claim": cert.kind,
-        "windows": list(cert.windows),
-        "env": _env_to_obj(cert.environment),
-    }
+    return {"claim": cert.kind, "env": _env_to_obj(cert.environment), **_claim_fields(cert)}
+
+
+def _claim_fields(cert: Certificate) -> dict:
+    """The fields of a certificate past its claim kind and environment."""
+    obj: dict[str, Any] = {"windows": list(cert.windows)}
     if cert.word is not None:
         obj["word"] = word_to_obj(cert.word)
     if cert.target_aut is not None:
@@ -305,23 +314,6 @@ def cert_from_obj(obj: Any, path: str, table: dict) -> Certificate:
 # -- chains ------------------------------------------------------------------
 
 
-def chain_to_obj(chain: WitnessChain) -> dict:
-    return {
-        "level": chain.level,
-        "scope_note": chain.scope_note,
-        "final": aut_to_obj(chain.final),
-        "steps": [
-            {
-                "name": step.name,
-                "note": step.note,
-                "word": word_to_obj(step.word),
-                "certificates": [cert_to_obj(c) for c in step.certificates],
-            }
-            for step in chain.steps
-        ],
-    }
-
-
 def chain_from_obj(obj: Any, path: str, table: dict) -> WitnessChain:
     level = _typed(_need(obj, "level", path), int, f"{path}.level")
     steps_obj = _typed(_need(obj, "steps", path), list, f"{path}.steps")
@@ -351,9 +343,11 @@ def chain_from_obj(obj: Any, path: str, table: dict) -> WitnessChain:
 # -- top-level documents -----------------------------------------------------
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _document(kind: str, body: dict) -> str:
-    doc = {"format_version": FORMAT_VERSION, "kind": kind, **body}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return _encode({"format_version": FORMAT_VERSION, "kind": kind, **body}) + "\n"
 
 
 def serialize_aut(aut: RepAut) -> str:
@@ -369,7 +363,26 @@ def serialize_certificate(cert: Certificate) -> str:
 
 
 def serialize_chain(chain: WitnessChain) -> str:
-    return _document("chain", chain_to_obj(chain))
+    """The chain's canonical document, with each distinct environment (by
+    its names and atom identities) encoded once and its text spliced into
+    every certificate that states it: sorted keys put ``claim`` then ``env``
+    first in a certificate, ``certificates`` first in a step and ``steps``
+    last in the chain."""
+    envs: dict[tuple, str] = {}
+
+    def cert_text(cert: Certificate) -> str:
+        key = tuple((name, id(aut)) for name, aut in cert.environment.items())
+        if key not in envs:
+            envs[key] = _encode(_env_to_obj(cert.environment))
+        return f'{{"claim":{_encode(cert.kind)},"env":{envs[key]},{_encode(_claim_fields(cert))[1:]}'
+
+    steps = ",".join(
+        f'{{"certificates":[{",".join(map(cert_text, step.certificates))}],'
+        + _encode({"name": step.name, "note": step.note, "word": word_to_obj(step.word)})[1:]
+        for step in chain.steps
+    )
+    head = {"level": chain.level, "scope_note": chain.scope_note, "final": aut_to_obj(chain.final)}
+    return _document("chain", head)[:-2] + f',"steps":[{steps}]}}\n'
 
 
 def _load(text: str, kind: str | None = None) -> dict:

@@ -457,14 +457,17 @@ SCOPE_NOTE_GENERAL = (
 
 
 def verify_chain(chain: WitnessChain) -> VerifyResult:
-    """Check every certificate of the chain, each on its own, and then, once
-    they all hold, the links that make them prove the chain's claim
-    (``_broken_link``); a broken link adds one report line."""
+    """Check every certificate of the chain, each once, and then, once they
+    all hold, the links that make them prove the chain's claim
+    (``_broken_link``); a broken link adds one report line.  The
+    certificates of one step share their window walks (``verify_certificate``),
+    so an action claim reads the rows an identity claim walked for its word."""
     ok = True
     lines: list[str] = []
     for step in chain.steps:
+        walks: dict = {}
         for cert in step.certificates:
-            res = verify_certificate(cert)
+            res = verify_certificate(cert, walks)
             ok = ok and res.ok
             lines.extend(f"{step.name}: {line}" for line in res.report)
     broken = _broken_link(chain) if ok else None
@@ -595,7 +598,10 @@ def km_pipeline(phi: RepAut, coprime: tuple[int, int] = (2, 3)) -> WitnessChain:
     phi must be a uniform pair automorphism with x -> k x + m u per pair,
     gcd(k, m) = 1 and m >= 2 (``canonical_shear`` builds one).  Raises
     ``ShapeError`` otherwise.  The finished chain is verified once, and a
-    failing certificate raises ``ValidationError``.
+    failing certificate raises ``ValidationError``.  In the general scope
+    (k != 1) the chain's ``final`` is a claimed value (``autrep``), built
+    from one window product with no inverse, so ``compose`` and ``invert``
+    refuse it.
     """
     shape = shear_shape(phi)
     if shape is None:
@@ -763,7 +769,6 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
     # step 3: Bezout combination of the two tracked shears
     _, a, b = xgcd(n1, n2)
     word3 = Product((Power(steps[1].word, a), Power(steps[2].word, b)))
-    combo = compose(_aut_power(phis[0], a), _aut_power(phis[1], b))
     steps.append(
         ChainStep(
             "bezout-combination",
@@ -772,7 +777,21 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
             note=f"{a}*{n1} + {b}*{n2} = 1; shear by m = {m} on the tracked pair",
         )
     )
-    return WitnessChain(tuple(steps), combo, m, SCOPE_NOTE_GENERAL)
+    return WitnessChain(tuple(steps), _power_product(*phis, a, b), m, SCOPE_NOTE_GENERAL)
+
+
+def _power_product(phi1: RepAut, phi2: RepAut, a: int, b: int) -> RepAut:
+    """phi1^a phi2^b as a claimed value (``autrep``): the one forward product
+    of the two powers' windows H + L of ``head_and_period``, split there.
+    No inverse window is made; the chain's links check the value."""
+    head, period = head_and_period((phi1, phi2))
+    n = head + period
+    w1, w2 = (
+        pairs_power(window_pairs(invert(x) if e < 0 else x, n), abs(e))
+        for x, e in ((phi1, a), (phi2, b))
+    )
+    w = IntMatrix.from_pairs(pairs_product(w1, w2), n)
+    return eventually_uniform(w.top_left(head), w.submatrix(head, n, head, n), claimed=True)
 
 
 def _aut_power(aut: RepAut, e: int) -> RepAut:

@@ -283,7 +283,7 @@ def _first_difference(got: Pairs, want: Pairs) -> str:
     return f"entry ({i},{j}): got {_shown(a.get(j, 0))}, expected {_shown(b.get(j, 0))}"
 
 
-def verify_certificate(cert: Certificate) -> VerifyResult:
+def verify_certificate(cert: Certificate, walks: Optional[dict] = None) -> VerifyResult:
     """Recheck a certificate; never consults anything outside its fields.
 
     An identity or order claim on a window that ``autrep.core_window``
@@ -293,6 +293,11 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     such a window is pushed chunk by chunk on the core window
     (``_check_action``).  A claimed ``target_aut`` must also be shown
     unimodular (``_claimed_target``).
+
+    ``walks``, when given, keeps one ``_Rows`` walk per (window,
+    environment by atom identity) (``_walk``); ``verify_chain`` shares it
+    between the certificates of one step, so what their words share is
+    walked once.  Without it, each walk is dropped after its check.
     """
     atoms = _core_atoms(cert)
     done: dict[int, tuple[bool, str]] = {}
@@ -302,11 +307,11 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
     for n in cert.windows:
         reduced = None if atoms is None else core_window(atoms, n)
         if cert.kind == ACTION_ON_VECTOR:
-            holds, detail = _check_action(cert, n, reduced, pushed)
+            holds, detail = _check_action(cert, n, reduced, pushed, walks)
         else:
             m = n if reduced is None else reduced[0]
             if m not in done:
-                done[m] = _CHECKS[cert.kind](cert, m)
+                done[m] = _CHECKS[cert.kind](cert, _walk(walks, cert.environment, m))
             holds, detail = done[m]
         ok = ok and holds
         lines.append(f"window {n}: {detail}")
@@ -316,6 +321,14 @@ def verify_certificate(cert: Certificate) -> VerifyResult:
             ok = False
             lines.append(f"target: {broken}")
     return VerifyResult(ok, tuple(lines))
+
+
+def _walk(walks: Optional[dict], env: Environment, n: int) -> _Rows:
+    """The walk in ``walks`` on window n over env, keyed by n and env's
+    (name, atom identity) pairs, made on first use; a new walk for no ``walks``."""
+    if walks is None:
+        return _Rows(env, n)
+    return walks.setdefault((n, *((name, id(aut)) for name, aut in env.items())), _Rows(env, n))
 
 
 def _claimed_target(target: RepAut, checked: Iterable[int]) -> Optional[str]:
@@ -366,12 +379,12 @@ def _core_atoms(cert: Certificate) -> Optional[list[RepAut]]:
     return atoms + [cert.target_aut] if cert.kind == WINDOW_IDENTITY else atoms
 
 
-def _check_identity(cert: Certificate, n: int) -> tuple[bool, str]:
-    got = _Rows(cert.environment, n).walk(cert.word)
+def _check_identity(cert: Certificate, walk: _Rows) -> tuple[bool, str]:
+    got = walk.walk(cert.word)
     if cert.target_aut is not None:
-        want = window_pairs(cert.target_aut, n)
+        want = window_pairs(cert.target_aut, walk.n)
     elif cert.target_matrix is not None:
-        want = _extend(cert.target_matrix, n, fill_identity=True)
+        want = _extend(cert.target_matrix, walk.n, fill_identity=True)
     else:
         raise ValidationError("window-identity certificate lacks a target")
     if got == want:
@@ -379,11 +392,11 @@ def _check_identity(cert: Certificate, n: int) -> tuple[bool, str]:
     return False, f"MISMATCH at {_first_difference(got, want)}"
 
 
-def _check_order(cert: Certificate, n: int) -> tuple[bool, str]:
+def _check_order(cert: Certificate, walk: _Rows) -> tuple[bool, str]:
     if cert.order is None or cert.order < 1:
         raise ValidationError("order certificate needs a positive order")
     k = cert.order
-    w, eye = _Rows(cert.environment, n).walk(cert.word), identity_pairs(n)
+    w, eye = walk.walk(cert.word), identity_pairs(walk.n)
     if pairs_power(w, k) != eye:
         return False, f"word^{k} is not the identity"
     for p in factorize(k):
@@ -397,6 +410,7 @@ def _check_action(
     n: int,
     reduced: Optional[tuple[int, int]],
     pushed: dict[tuple[int, ...], tuple[int, ...]],
+    walks: Optional[dict],
 ) -> tuple[bool, str]:
     """Push the vector on window n, or on its core window when ``reduced``
     gives one with its period.
@@ -407,20 +421,28 @@ def _check_action(
     period chunk that holds a nonzero coordinate is pushed in that last
     block; every other coordinate stays.  An all-zero vector maps to zero,
     and each distinct other vector is pushed once per certificate
-    (``pushed`` is shared by its windows).  The assembled image is compared
-    with the target over all n coordinates.
+    (``pushed`` is shared by its windows).  A push on a window where a walk
+    in ``walks`` already holds the word's rows applies them instead.  The
+    assembled image is compared with the target over all n coordinates.
     """
     if cert.vector is None or cert.target_vector is None:
         raise ValidationError("action certificate needs vector and target_vector")
+
+    def push(m: int, v: Sequence[int]) -> tuple[int, ...]:
+        rows = _walk(walks, cert.environment, m).memo.get((id(cert.word), False))
+        if rows is None:
+            return push_word(cert.word, cert.environment, m, v)
+        return apply_pairs(rows, _pad(v, m))
+
     if reduced is None:
-        got = push_word(cert.word, cert.environment, n, cert.vector)
+        got = push(n, cert.vector)
     else:
         core, period = reduced
         v = _pad(cert.vector, n)
 
         def image(chunk: tuple[int, ...]) -> tuple[int, ...]:
             if any(chunk) and chunk not in pushed:
-                pushed[chunk] = push_word(cert.word, cert.environment, core, chunk)
+                pushed[chunk] = push(core, chunk)
             return pushed.get(chunk, chunk)
 
         image_list = list(image(v[:core]) + v[core:])
@@ -436,11 +458,11 @@ def _check_action(
     return False, f"MISMATCH at coordinate {k}: got {_shown(got[k])}, expected {_shown(want[k])}"
 
 
-def _check_sum(cert: Certificate, n: int) -> tuple[bool, str]:
+def _check_sum(cert: Certificate, walk: _Rows) -> tuple[bool, str]:
     if not cert.summand_words or cert.target_matrix is None:
         raise ValidationError("window-sum certificate needs summands and a target")
-    total = reduce(pairs_sum, map(_Rows(cert.environment, n).walk, cert.summand_words))
-    want = _extend(cert.target_matrix, n)
+    total = reduce(pairs_sum, map(walk.walk, cert.summand_words))
+    want = _extend(cert.target_matrix, walk.n)
     if total == want:
         return True, "sum matches target"
     return False, f"MISMATCH at {_first_difference(total, want)}"

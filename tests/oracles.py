@@ -6,10 +6,12 @@ check that the parser's one-pass type check replaced, the trial division
 that Miller-Rabin replaced, the entry-by-entry product, 2-adic elimination,
 matrix text and ``str`` that the kernels visiting only nonzero entries
 replaced, the transpose no library code needs, the divisor scan that
-capping each prime of g replaced in ``classify.common_lambda_level``, and
+capping each prime of g replaced in ``classify.common_lambda_level``,
 the dense windows, dense word evaluation and row-major mismatch scan that
-the row-pair walk replaced."""
+the row-pair walk replaced, and the chain encoding in one pass that
+encoding each environment once replaced."""
 
+import json
 from math import isqrt
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
@@ -24,6 +26,7 @@ from infrank.autrep import (
 from infrank.classify import RuleBased
 from infrank.errors import AlignmentError, DimensionError
 from infrank.intmat import IntMatrix, snf
+from infrank.serialize import aut_to_obj, cert_to_obj, word_to_obj
 from infrank.words import Conj, Inverse, Named, Power, _shown
 
 
@@ -295,3 +298,16 @@ def divisor_scan_level(g: int, rules: Sequence[RuleBased]) -> Optional[int]:
         if m >= 2 and all(r.member(m) for r in rules):
             return m
     return None
+
+
+def chain_document(chain) -> str:
+    """The chain's canonical document in one ``json.dumps`` pass, every
+    certificate restating its environment."""
+    steps = [
+        {"name": step.name, "note": step.note, "word": word_to_obj(step.word),
+         "certificates": [cert_to_obj(cert) for cert in step.certificates]}
+        for step in chain.steps
+    ]
+    doc = {"format_version": 1, "kind": "chain", "level": chain.level,
+           "scope_note": chain.scope_note, "final": aut_to_obj(chain.final), "steps": steps}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

@@ -4,7 +4,7 @@ from itertools import accumulate, islice
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from infrank.autrep import (
@@ -18,6 +18,7 @@ from infrank.autrep import (
     window_matrix,
 )
 from infrank.classify import (
+    LOWER_BOUND_NOT_CONSTRUCTED,
     NO_MAXIMAL_LEVEL,
     DivisorsOf,
     FinitePrimes,
@@ -37,7 +38,7 @@ from infrank.classify import (
 )
 from infrank.errors import DimensionError
 from infrank.intmat import IntMatrix, is_unimodular_set
-from infrank.numth import primes_upto
+from infrank.numth import primes_upto, xgcd
 from infrank.serialize import serialize_aut
 from infrank.witness import canonical_shear, tau_power, verify_chain
 
@@ -477,13 +478,43 @@ def test_ladder_kind_follows_the_level_set_over_the_corpus():
 
 def test_ladder_shear_with_twist():
     # shear-shaped block with x -> x + 4u but a twisted partner column;
-    # scalar defect 2, so the rung is 2 while the chain reaches level 4
+    # scalar defect 2, so the rung is 2, and the chain is built for the
+    # conjugate by the basis (C e_u, e_u) of B = I + 2C, whose x column is (2, 1)
     b = IntMatrix.from_rows([[9, 4], [2, 1]])
     assert b.det() == 1
     rep = ladder_report(uniform(b))
     assert rep.kind == "rung" and rep.rung == 2
-    assert rep.chain is not None and rep.chain.level == 4
+    assert rep.chain is not None and rep.chain.level == 2
     assert verify_chain(rep.chain).ok
+    phi = rep.chain.steps[0].certificates[0].environment["phi"]
+    assert phi == uniform(IntMatrix.from_rows([[9, 2], [4, 1]]))
+
+
+def test_ladder_shear_without_a_conjugate_of_the_rung():
+    # x column (18, 217) but rung 6: B = I + 6C with det(v, Cv) = 2a^2 + 36ab - 3b^2,
+    # which is not +-1 on any v searched, so no chain is attached
+    b = IntMatrix.from_rows([[1, 18], [12, 217]])
+    rep = ladder_report(uniform(b))
+    assert rep == LadderReport("rung", rung=6, scalar=1, note=LOWER_BOUND_NOT_CONSTRUCTED)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(2, 8),
+    k=st.integers(-9, 9),
+    shift=st.integers(-3, 3),
+    det=st.sampled_from([1, -1]),
+)
+def test_ladder_chain_witnesses_its_rung(m, k, shift, det):
+    """Over uniform 2 x 2 blocks with x column (m, k), gcd(k, m) = 1, and any
+    partner column: an attached chain verifies and has the rung as level."""
+    g, s, t = xgcd(k, m)
+    assume(g == 1)
+    block = IntMatrix.from_rows([[det * (s + shift * m), m], [det * (shift * k - t), k]])
+    rep = ladder_report(uniform(block))
+    if rep.chain is not None:
+        assert verify_chain(rep.chain).ok
+        assert rep.chain.level == rep.rung
 
 
 # -- classify output over the criterion-5 corpus --------------------------------

@@ -481,9 +481,9 @@ def _record_verifications(monkeypatch) -> list[str]:
     seen: list[str] = []
 
     def make(orig):
-        def recording(cert):
+        def recording(cert, *walks):
             seen.append(serialize_certificate(cert))
-            return orig(cert)
+            return orig(cert, *walks)
 
         return recording
 
@@ -530,7 +530,7 @@ def test_engine_verifies_its_certificate_once(tmp_path, capsys, monkeypatch, arg
 
 def _fail_verification(monkeypatch) -> None:
     def make(orig):
-        return lambda cert: VerifyResult(False, ("window 2: MISMATCH forced by the test",))
+        return lambda cert, *walks: VerifyResult(False, ("window 2: MISMATCH forced by the test",))
 
     _patch_verify(monkeypatch, make)
 

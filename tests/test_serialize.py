@@ -335,6 +335,41 @@ def test_parse_builds_each_distinct_atom_once(monkeypatch):
     assert verify_chain(chain).ok
 
 
+def test_chain_encoding_splices_each_environment_exactly():
+    """Certificates over different environments, over one environment dict,
+    over equal atoms that are distinct objects and over none: the chain's
+    text is the one-pass encoding, in which every certificate restates its own."""
+    x, y = tau_power(2), tau_power(3)
+    envs = ({"a": x}, {"a": y}, {"a": x, "b": y}, {"a": tau_power(2)}, {})
+    certs = tuple(
+        Certificate(kind=WINDOW_IDENTITY, windows=(2,), environment=env, word=Named("a"),
+                    target_aut=x)
+        for env in envs
+    )
+    summed = Certificate(kind=WINDOW_SUM, windows=(2,), environment=envs[2],
+                         summand_words=(Named("a"), Named("b")), target_matrix=IntMatrix.identity(2))
+    steps = (ChainStep("s", Named("a"), certs, note="n"), ChainStep("t", Named("b"), (summed, *certs)))
+    chain = WitnessChain(steps, y, 3, "scope")
+    text = serialize_chain(chain)
+    assert text == oracles.chain_document(chain)
+    assert serialize_chain(parse_chain(text)) == text
+
+
+@pytest.mark.parametrize(
+    "block, text",
+    [("[[1,0],[true,1]]", "$.block[1]: expected a list of integers"),
+     ("[[1,0],[0,1.0]]", "$.block[1]: expected a list of integers"),
+     ("[[1,0],3]", "$.block[1]: expected a list of integers")],
+    ids=["bool-entry", "float-entry", "non-list-row"],
+)
+def test_matrix_entry_error_texts(block, text):
+    """The one-pass matrix check still names the first bad row
+    (``test_ragged_matrix_error_text`` pins the ragged row's text)."""
+    with pytest.raises(ParseError) as exc:
+        parse_aut(UNIFORM_DOC % block)
+    assert str(exc.value) == text
+
+
 def test_claimed_values_carry_no_inverse_and_intern_with_atoms():
     """A target or final is read with no inverse witness, unless an equal env
     atom was read before it; an env atom read after an equal claimed value

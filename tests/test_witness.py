@@ -16,11 +16,13 @@ from infrank.autrep import (
     eventually_uniform,
     finitary,
     identity_aut,
+    invert,
+    is_claimed,
     uniform,
     window_matrix,
 )
 from infrank.classify import congruence_gcd
-from infrank.errors import DimensionError, ShapeError, ValidationError
+from infrank.errors import CompositionUnsupportedError, DimensionError, ShapeError, ValidationError
 from infrank.intmat import IntMatrix, is_unimodular_set
 from infrank.witness import (
     ChainStep,
@@ -56,7 +58,7 @@ from infrank.words import (
     verify_certificate,
 )
 
-from oracles import solve_columns
+from oracles import chain_document, solve_columns
 from helpers import ProductCounter, random_matrix
 
 
@@ -590,17 +592,25 @@ CHAIN_DIGESTS = [
     ids=[f"k{k}-m{m}-pair{a},{b}" for k, m, (a, b), _, _ in CHAIN_DIGESTS],
 )
 def test_chain_bytes_are_unchanged(k, m, pair, size, digest):
-    data = serialize_chain(km_pipeline(canonical_shear(k, m), pair)).encode()
+    """The chain's bytes, which are also the one-pass encoding of the chain
+    as built and as parsed back: ``serialize_chain`` splices each
+    environment's text in exactly."""
+    chain = km_pipeline(canonical_shear(k, m), pair)
+    text = serialize_chain(chain)
+    data = text.encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+    back = parse_chain(text)
+    assert chain_document(chain) == chain_document(back) == serialize_chain(back) == text
 
 
 # matrix products and atom window reads of km_pipeline(canonical_shear(k, m)),
 # which builds and verifies, and of verify_chain on the chain parsed back,
-# recorded before the walk keyed words by identity alone
+# recorded when the certificates of a step came to share their walks and the
+# general final came from one product ((75, 26) and (40, 24) before)
 WALK_COUNTS = [
-    (5, 4, (75, 26), (40, 24)),
-    (3, 4, (75, 26), (40, 24)),
-    (7, 6, (75, 26), (40, 24)),
+    (5, 4, (74, 24), (40, 22)),
+    (3, 4, (74, 24), (40, 22)),
+    (7, 6, (74, 24), (40, 22)),
     (1, 5, (7, 7), (7, 7)),
 ]
 
@@ -945,3 +955,80 @@ def test_non_unimodular_claimed_values_never_verify(data):
         k = data.draw(st.sampled_from([0, 2, -2, 3]), label="scale")
         block[i] = [k * x for x in block[i]]
     assert not verify_chain(parse_chain(json.dumps(obj))).ok
+
+
+def _verify_each(chain):
+    """``verify_chain`` with every certificate verified on its own, sharing no walk."""
+    ok, lines = _solo_reports(chain)
+    broken = witness._broken_link(chain) if ok else None
+    return (ok, lines) if broken is None else (False, (*lines, f"broken link: {broken}"))
+
+
+def _target_mutants(cert):
+    """cert with one entry moved by +-1: any entry of its target vector, or
+    an entry of the first row, the last row or the diagonal of its target's
+    block (the chains' targets have no head window)."""
+    for delta in (1, -1):
+        vec = cert.target_vector or ()
+        for i in range(len(vec)):
+            yield replace(cert, target_vector=vec[:i] + (vec[i] + delta,) + vec[i + 1 :])
+        if cert.target_aut is None:
+            continue
+        rows = [list(row) for row in cert.target_aut.block.matrix.data]
+        d = len(rows)
+        for i, j in {*((0, j) for j in range(d)), *((d - 1, j) for j in range(d)),
+                     *((i, i) for i in range(d))}:
+            rows[i][j] += delta
+            block = IntMatrix.from_rows(rows)
+            rows[i][j] -= delta
+            target = eventually_uniform(cert.target_aut.window, block, claimed=True)
+            yield replace(cert, target_aut=target)
+
+
+@pytest.mark.parametrize("phi", [tau_power(3), canonical_shear(3, 2)], ids=["clean-3", "k3-m2"])
+def test_shared_walks_report_as_each_certificate_alone(phi):
+    """verify_chain, whose steps share walks, reports the lines that verifying
+    each certificate on its own gives, on each step of the parsed chain with
+    one target entry moved by +-1 (``test_verify_chain_matches_solo_checks``
+    covers genuine chains)."""
+    back = parse_chain(serialize_chain(km_pipeline(phi)))
+    mutants = 0
+    for step in back.steps:
+        for c, cert in enumerate(step.certificates):
+            for mutant in _target_mutants(cert):
+                certs = step.certificates[:c] + (mutant,) + step.certificates[c + 1 :]
+                one = replace(back, steps=(replace(step, certificates=certs),))
+                res = verify_chain(one)
+                assert (res.ok, res.report) == _verify_each(one)
+                mutants += 1
+    assert mutants > 0
+
+
+def test_shared_walks_are_keyed_by_environment():
+    """Certificates of one step whose words are one token share a walk only
+    over the same atoms: the action claim over y does not read x's rows."""
+    x, y, word = tau_power(2), tau_power(3), Named("a")
+    certs = (
+        Certificate(kind=WINDOW_IDENTITY, windows=(2,), environment={"a": x}, word=word,
+                    target_aut=x),
+        *(Certificate(kind=ACTION_ON_VECTOR, windows=(2,), environment={"a": atom}, word=word,
+                      vector=(0, 1), target_vector=(3, 1)) for atom in (y, x)),
+    )
+    chain = WitnessChain((ChainStep("s", word, certs),), x, 2, "")
+    res = verify_chain(chain)
+    assert (res.ok, res.report) == _verify_each(chain) == (False, (
+        "s: window 2: identity holds",
+        "s: window 2: action holds",
+        "s: window 2: MISMATCH at coordinate 0: got 2, expected 3",
+    ))
+
+
+def test_built_general_final_is_a_claimed_value():
+    """The general pipeline's final is the one forward product phi1^a phi2^b,
+    read only by its windows: compose and invert refuse it."""
+    chain = km_pipeline(canonical_shear(3, 4))
+    assert is_claimed(chain.final)
+    for use in (lambda f: compose(f, f), invert):
+        with pytest.raises(CompositionUnsupportedError):
+            use(chain.final)
+    assert not is_claimed(km_pipeline(tau_power(4)).final)
