@@ -32,10 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, compress, islice
-from math import lcm, prod
+from itertools import accumulate, chain, compress, islice
+from math import lcm
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import AlignmentError, CompositionUnsupportedError, DimensionError, ValidationError
 from .intmat import (
@@ -47,7 +47,7 @@ from .intmat import (
     pairs_product,
     row_pairs,
 )
-from .numth import factorize, is_prime, next_prime
+from .numth import factorize, is_prime, primes_after
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,8 @@ class GradedBlock:
     prefix: tuple[int, ...]
     excluded: frozenset[int]
     negated: bool = False
+    # |c_0|, |c_1|, ... as far as read (``_increments``), shared with the inverse
+    _table: list = field(default_factory=lambda: [()], compare=False, repr=False)
 
     def prefix_exponents(self) -> dict[int, int]:
         """Prime exponents of m_0 m_1 ... m_{k-1} for the k prefix multipliers."""
@@ -139,23 +141,32 @@ class GradedBlock:
                 exps[p] = exps.get(p, 0) + e
         return exps, self.excluded.union(exps)
 
-    def multipliers(self) -> Iterator[int]:
-        """m_0, m_1, ...: the prefix, then one walk through the primes
-        outside ``tail_skip()``."""
-        yield from self.prefix
-        skip = self.tail_skip()
-        p = 1
-        while True:
-            p = next_prime(p)
-            if p not in skip:
-                yield p
+    def _increments(self, k: int) -> tuple[int, ...]:
+        """|c_0|, |c_1|, ..., at least k of them, from the block's table.  A
+        short table grows by a longer tuple swapped in whole, so a reader on
+        another thread sees the old table or the new one, never a part."""
+        table = self._table[0]
+        j = len(table)
+        if j >= k:
+            return table
+        rest = self.prefix[j:k]
+        if len(rest) < k - j:
+            # then the primes outside ``tail_skip()`` past the last one walked, c_{j-1} / c_{j-2}
+            last = table[-1] // (table[-2] if j > 1 else 1) if j > len(self.prefix) else 1
+            tail = (p for p in primes_after(last) if p not in self.tail_skip())
+            rest = chain(rest, islice(tail, k - j - len(rest)))
+        table += tuple(accumulate(rest, mul, initial=table[-1] if j else 1))[1:]
+        self._table[0] = table
+        return table
 
     def multiplier(self, n: int) -> int:
-        return next(islice(self.multipliers(), n, None))
+        return abs(self.increment(n)) // (abs(self.increment(n - 1)) if n else 1)
 
     def increment(self, n: int) -> int:
-        """Shear coefficient of pair n: +-(m_0 m_1 ... m_n)."""
-        c = prod(islice(self.multipliers(), n + 1))
+        """Shear coefficient of pair n >= 0: +-(m_0 m_1 ... m_n)."""
+        if n < 0:
+            raise ValueError(f"pair index {n} is negative")
+        c = self._increments(n + 1)[n]
         return -c if self.negated else c
 
 
@@ -324,17 +335,17 @@ def head_and_period(auts: Sequence[RepAut]) -> Optional[tuple[int, int]]:
     return top + (-top) % (period or 1), period
 
 
-def core_window(auts: Sequence[RepAut], n: int) -> Optional[tuple[int, int]]:
-    """The window that window n of every word over ``auts`` reduces to, and
-    the period of the blocks past it, or None.
+def core_window(split: Optional[tuple[int, int]], n: int) -> Optional[tuple[int, int]]:
+    """The window that window n of every word over atoms whose
+    ``head_and_period`` is ``split`` reduces to, and the period of the
+    blocks past it, or None.
 
-    With (H, L) from ``head_and_period``, the core is H + L, or H itself
-    when n = H or L = 0.  So two such words agree, or a power of one is the
-    identity, on window n exactly when they do on the core window, and the
-    first entry where they differ lies in it.  Atoms without a split, and
-    any other n, give None.
+    With (H, L) = ``split``, the core is H + L, or H itself when n = H or
+    L = 0.  So two such words agree, or a power of one is the identity, on
+    window n exactly when they do on the core window, and the first entry
+    where they differ lies in it.  Atoms without a split (``split`` None),
+    and any other n, give None.
     """
-    split = head_and_period(auts)
     if split is None or n <= 0:
         return None
     head, period = split
@@ -350,8 +361,12 @@ def window_pairs(aut: RepAut, n: int) -> Pairs:
     its block rows shifted along the diagonal, and a graded one's pairs,
     each an identity row and a row with one subdiagonal entry.
 
-    All three classes map coordinates below an aligned n into coordinates
-    below n, so the restriction is well defined and unimodular.
+    All three classes map the coordinates below an aligned n into
+    coordinates below n, and the others into the others: the matrix is
+    block diagonal at n.  So the restriction is well defined and unimodular,
+    and window n of a product of such atoms is the first n rows of any
+    larger window on which they are all aligned (``words.verify_certificate``
+    cuts windows so).
     """
     _check_window(aut, n)
     if isinstance(aut, Finitary):
@@ -365,7 +380,7 @@ def window_pairs(aut: RepAut, n: int) -> Pairs:
             rows += [tuple(compress(enumerate(row, s), row)) for row in aut.block.matrix.data]
         return tuple(rows)
     rows = []
-    for x, c in enumerate(accumulate(islice(aut.multipliers(), n // 2), mul)):
+    for x, c in enumerate(aut._increments(n // 2)[: n // 2]):
         rows += ((2 * x, 1),), ((2 * x, -c if aut.negated else c), (2 * x + 1, 1))
     return tuple(rows)
 
@@ -398,7 +413,7 @@ def window_apply(aut: RepAut, n: int, vector: Sequence[int]) -> list[int]:
     else:
         xs = range(0, n, 2)
         last = next((i for i in reversed(xs) if vector[i]), -1)
-        for pair, c in enumerate(accumulate(islice(aut.multipliers(), last // 2 + 1), mul)):
+        for pair, c in enumerate(aut._increments(last // 2 + 1)[: last // 2 + 1]):
             out[2 * pair + 1] += (-c if aut.negated else c) * vector[2 * pair]
     return out
 
@@ -434,7 +449,7 @@ def invert(aut: RepAut) -> RepAut:
         return EventuallyUniform(
             aut.window_inverse, aut.window, BlockSpec(aut.block.inverse, aut.block.matrix)
         )
-    return GradedBlock(aut.prefix, aut.excluded, not aut.negated)
+    return GradedBlock(aut.prefix, aut.excluded, not aut.negated, aut._table)
 
 
 def _split(w: IntMatrix, w_inv: IntMatrix, head: int) -> EventuallyUniform:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .autrep import window_matrix, window_pairs
 from .classify import FinitePrimes, RuleBased, UnionWithPrefix, classification_summary
-from .errors import InfrankError
+from .errors import InfrankError, ValidationError
 from .filters import centered_check, counterexample_demo
 from .selftest import run_selftest
 from .serialize import (
@@ -144,7 +144,13 @@ def _describe_primes(desc) -> str:
 # documents read back from disk.
 
 
+# the largest window ``classify --window`` prints, checked before any reading
+MAX_PRINTED_WINDOW = 4096
+
+
 def _cmd_classify(args) -> int:
+    if (args.window or 0) > MAX_PRINTED_WINDOW:
+        raise ValidationError(f"--window {args.window} exceeds the limit {MAX_PRINTED_WINDOW}")
     aut = parse_aut(args.aut_file.read_text())
     info = classification_summary(aut)
     print(f"congruence gcd: {info['congruence_gcd']}")

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .autrep import GradedBlock, RepAut, graded
 from .classify import FinitePrimes, PrimeSetDescriptor, UnionWithPrefix, lambda_member
-from .numth import is_prime, next_prime
+from .numth import is_prime, primes_after
 
 
 def omega_member(aut: RepAut, primes: Sequence[int]) -> bool:
@@ -57,11 +57,7 @@ def _common_prime(descriptors: Sequence[PrimeSetDescriptor]) -> Optional[int]:
     for d in descriptors:
         if not isinstance(d, UnionWithPrefix):
             raise TypeError(f"unknown descriptor {d!r}")
-    p = 1
-    while True:
-        p = next_prime(p)
-        if all(d.contains(p) for d in descriptors):
-            return p
+    return next(p for p in primes_after(1) if all(d.contains(p) for d in descriptors))
 
 
 def centered_check(

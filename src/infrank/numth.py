@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import count
 from math import gcd, isqrt, prod
+from typing import Iterator
 
 from .errors import ValidationError
 
@@ -86,6 +88,16 @@ def next_prime(n: int) -> int:
     while not is_prime(c):
         c += 1
     return c
+
+
+def primes_after(n: int) -> Iterator[int]:
+    """The primes greater than n, ascending: read from ``_TRIAL_PRIMES`` up to
+    1847, then found by ``next_prime``."""
+    yield from _TRIAL_PRIMES[bisect_right(_TRIAL_PRIMES, n) :]
+    p = max(n, _TRIAL_PRIMES[-1])
+    while True:
+        p = next_prime(p)
+        yield p
 
 
 # Trial division stops at the primes below 1849; Pollard's rho in Brent's

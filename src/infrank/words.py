@@ -32,7 +32,7 @@ from .autrep import (
     witnessed,
 )
 from .autrep import invert as invert_aut
-from .errors import DimensionError, ValidationError, WordError
+from .errors import AlignmentError, DimensionError, ValidationError, WordError
 from .intmat import (
     IntMatrix,
     Pairs,
@@ -289,8 +289,12 @@ def verify_certificate(cert: Certificate, walks: Optional[dict] = None) -> Verif
     An identity or order claim on a window that ``autrep.core_window``
     reduces is checked once on the core window, and the verdict is reported
     for every window it stands for.  Identity, order and sum claims compare
-    row pairs (``_Rows``), so no window is made dense.  An action claim on
-    such a window is pushed chunk by chunk on the core window
+    row pairs (``_Rows``), so no window is made dense.  When they check more
+    than one window size m (the core window, or the window itself), and
+    every atom of the claim is aligned on each, the words are walked once,
+    on the largest m, and each smaller m's walk is seeded with their first
+    m rows, which are window m (``autrep.window_pairs``).  An action claim
+    on a reduced window is pushed chunk by chunk on the core window
     (``_check_action``).  A claimed ``target_aut`` must also be shown
     unimodular (``_claimed_target``).
 
@@ -299,19 +303,34 @@ def verify_certificate(cert: Certificate, walks: Optional[dict] = None) -> Verif
     between the certificates of one step, so what their words share is
     walked once.  Without it, each walk is dropped after its check.
     """
-    atoms = _core_atoms(cert)
+    if cert.kind == ORDER and (cert.order is None or cert.order < 1):
+        raise ValidationError("order certificate needs a positive order")
+    if cert.kind == WINDOW_SUM and (not cert.summand_words or cert.target_matrix is None):
+        raise ValidationError("window-sum certificate needs summands and a target")
+    atoms = _claim_atoms(cert)
+    split = head_and_period(atoms) if atoms is not None and _reducible(cert) else None
+    reduced, sizes = {}, set()
+    for n in cert.windows:
+        r = reduced[n] = core_window(split, n)
+        sizes.add(n if r is None else r[0])
+    big = None
+    if cert.kind != ACTION_ON_VECTOR and len(sizes) > 1 and atoms and _aligned(atoms, sizes):
+        big = _walk(walks, cert.environment, max(sizes))
     done: dict[int, tuple[bool, str]] = {}
     pushed: dict[tuple[int, ...], tuple[int, ...]] = {}
     lines: list[str] = []
     ok = True
     for n in cert.windows:
-        reduced = None if atoms is None else core_window(atoms, n)
         if cert.kind == ACTION_ON_VECTOR:
-            holds, detail = _check_action(cert, n, reduced, pushed, walks)
+            holds, detail = _check_action(cert, n, reduced[n], pushed, walks)
         else:
-            m = n if reduced is None else reduced[0]
+            m = n if reduced[n] is None else reduced[n][0]
             if m not in done:
-                done[m] = _CHECKS[cert.kind](cert, _walk(walks, cert.environment, m))
+                walk = _walk(walks, cert.environment, m)
+                if big is not None and big is not walk:
+                    for word in cert.summand_words if cert.kind == WINDOW_SUM else (cert.word,):
+                        walk.memo.setdefault((id(word), False), big.walk(word)[:m])
+                done[m] = _CHECKS[cert.kind](cert, walk)
             holds, detail = done[m]
         ok = ok and holds
         lines.append(f"window {n}: {detail}")
@@ -321,6 +340,17 @@ def verify_certificate(cert: Certificate, walks: Optional[dict] = None) -> Verif
             ok = False
             lines.append(f"target: {broken}")
     return VerifyResult(ok, tuple(lines))
+
+
+def _aligned(atoms: list[RepAut], sizes: Iterable[int]) -> bool:
+    """Whether each atom is aligned on every window size."""
+    try:
+        for aut in atoms:
+            for m in sizes:
+                _check_window(aut, m)
+    except AlignmentError:
+        return False
+    return True
 
 
 def _walk(walks: Optional[dict], env: Environment, n: int) -> _Rows:
@@ -355,28 +385,32 @@ def holds_on_every_window(cert: Certificate) -> bool:
     """Whether an identity claim, once verified, holds on every window, as an
     identity of automorphisms: one of its windows reduces to the core window
     H + L of its atoms and target (H when L = 0), which stands for them all."""
-    atoms = _core_atoms(cert) if cert.kind == WINDOW_IDENTITY else None
+    atoms = _claim_atoms(cert) if cert.kind == WINDOW_IDENTITY and _reducible(cert) else None
     split = None if atoms is None else head_and_period(atoms)
     if split is None:
         return False
     core = (sum(split), split[1])
-    return any(core_window(atoms, n) == core for n in cert.windows)
+    return any(core_window(split, n) == core for n in cert.windows)
 
 
-def _core_atoms(cert: Certificate) -> Optional[list[RepAut]]:
-    """The atoms of a claim that ``core_window`` may reduce, the
-    ``target_aut`` of an identity claim included; None for window-sum
-    claims, ``target_matrix`` targets and words that name a missing atom."""
-    if cert.kind == WINDOW_SUM or (cert.kind == WINDOW_IDENTITY and cert.target_aut is None):
-        return None
+def _claim_atoms(cert: Certificate) -> Optional[list[RepAut]]:
+    """The atoms a claim's words name (its summands' in a window-sum claim),
+    with the ``target_aut`` of an identity claim; None when a word names a
+    missing atom."""
+    tokens = cert.summand_words if cert.kind == WINDOW_SUM else (cert.word,)
     try:
-        names = word_names(cert.word)
+        names = set().union(*map(word_names, tokens))
     except WordError:
         return None
     if not names <= cert.environment.keys():
         return None
-    atoms = [cert.environment[name] for name in names]
-    return atoms + [cert.target_aut] if cert.kind == WINDOW_IDENTITY else atoms
+    target = [cert.target_aut] if cert.kind == WINDOW_IDENTITY and cert.target_aut else []
+    return [cert.environment[name] for name in names] + target
+
+
+def _reducible(cert: Certificate) -> bool:
+    """Whether ``core_window`` may reduce the windows: not for sums or ``target_matrix``."""
+    return cert.kind != WINDOW_SUM and (cert.kind != WINDOW_IDENTITY or cert.target_aut is not None)
 
 
 def _check_identity(cert: Certificate, walk: _Rows) -> tuple[bool, str]:
@@ -393,8 +427,6 @@ def _check_identity(cert: Certificate, walk: _Rows) -> tuple[bool, str]:
 
 
 def _check_order(cert: Certificate, walk: _Rows) -> tuple[bool, str]:
-    if cert.order is None or cert.order < 1:
-        raise ValidationError("order certificate needs a positive order")
     k = cert.order
     w, eye = walk.walk(cert.word), identity_pairs(walk.n)
     if pairs_power(w, k) != eye:
@@ -459,8 +491,6 @@ def _check_action(
 
 
 def _check_sum(cert: Certificate, walk: _Rows) -> tuple[bool, str]:
-    if not cert.summand_words or cert.target_matrix is None:
-        raise ValidationError("window-sum certificate needs summands and a target")
     total = reduce(pairs_sum, map(walk.walk, cert.summand_words))
     want = _extend(cert.target_matrix, walk.n)
     if total == want:

@@ -8,11 +8,15 @@ matrix text and ``str`` that the kernels visiting only nonzero entries
 replaced, the transpose no library code needs, the divisor scan that
 capping each prime of g replaced in ``classify.common_lambda_level``,
 the dense windows, dense word evaluation and row-major mismatch scan that
-the row-pair walk replaced, and the chain encoding in one pass that
-encoding each environment once replaced."""
+the row-pair walk replaced, the chain encoding in one pass that
+encoding each environment once replaced, the graded multipliers by trial
+division that the prime table and each block's increment table replaced,
+and the window-by-window check that one walk per certificate replaced."""
 
 import json
+from functools import reduce
 from math import isqrt
+from operator import add
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from infrank.autrep import (
@@ -24,10 +28,20 @@ from infrank.autrep import (
     window_matrix,
 )
 from infrank.classify import RuleBased
-from infrank.errors import AlignmentError, DimensionError
+from infrank.errors import AlignmentError, DimensionError, ValidationError, WordError
 from infrank.intmat import IntMatrix, snf
 from infrank.serialize import aut_to_obj, cert_to_obj, word_to_obj
-from infrank.words import Conj, Inverse, Named, Power, _shown
+from infrank.words import (
+    ORDER,
+    WINDOW_IDENTITY,
+    WINDOW_SUM,
+    Conj,
+    Inverse,
+    Named,
+    Power,
+    VerifyResult,
+    _shown,
+)
 
 
 def row_reduction_inverse(m: IntMatrix) -> Optional[IntMatrix]:
@@ -144,7 +158,7 @@ def dense_window(aut, n: int) -> IntMatrix:
     """The n x n window of aut written entry by entry into identity rows:
     a finitary atom's support entries, an eventually uniform atom's head and
     blocks along the diagonal, a graded atom's subdiagonal increments, each
-    product of multipliers taken afresh."""
+    product of the ``sieve_multipliers`` taken afresh."""
     _check_window(aut, n)
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     if isinstance(aut, Finitary):
@@ -159,10 +173,11 @@ def dense_window(aut, n: int) -> IntMatrix:
                     rows[at + a][at + b] = blk.data[a][b]
             at += blk.rows
     else:
+        mults = sieve_multipliers(aut.prefix, aut.excluded, n // 2)
         for pair in range(n // 2):
             c = 1
             for i in range(pair + 1):
-                c *= aut.multiplier(i)
+                c *= mults[i]
             rows[2 * pair + 1][2 * pair] = -c if aut.negated else c
     return IntMatrix.from_rows(rows)
 
@@ -178,6 +193,8 @@ def evaluate_word(word, env: Mapping, n: int) -> IntMatrix:
 
     def walk(w, inv: bool) -> IntMatrix:
         if isinstance(w, Named):
+            if w.name not in env:
+                raise WordError(f"unresolved name {w.name!r}")
             aut = env[w.name]
             return dense_window(invert(aut) if inv else aut, n)
         if isinstance(w, Inverse):
@@ -289,6 +306,22 @@ def trial_division_is_prime(n: int) -> bool:
     return True
 
 
+def sieve_multipliers(prefix: Sequence[int], excluded, count: int) -> list[int]:
+    """The first ``count`` multipliers of the graded rule by trial division:
+    the prefix, then increasing primes outside the exclusions and the
+    prefix's prime divisors."""
+    skip = set(excluded) | {
+        p for m in prefix for p in range(2, m + 1) if m % p == 0 and trial_division_is_prime(p)
+    }
+    out = list(prefix[:count])
+    c = 2
+    while len(out) < count:
+        if c not in skip and trial_division_is_prime(c):
+            out.append(c)
+        c += 1
+    return out
+
+
 def divisor_scan_level(g: int, rules: Sequence[RuleBased]) -> Optional[int]:
     """The largest divisor m >= 2 of g that every rule admits, or None, by
     trying the divisors of g (trial division to its square root) from the
@@ -311,3 +344,74 @@ def chain_document(chain) -> str:
     doc = {"format_version": 1, "kind": "chain", "level": chain.level,
            "scope_note": chain.scope_note, "final": aut_to_obj(chain.final), "steps": steps}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def verify_per_window(cert) -> VerifyResult:
+    """What ``verify_certificate`` gives for an identity, order or sum claim,
+    checked one window at a time on the dense windows of ``evaluate_word``:
+    no core window, and nothing shared between windows.  Claimed targets,
+    whose extra ``target:`` line this leaves out, are not covered."""
+    lines, ok = [], True
+    for n in cert.windows:
+        holds, detail = _PER_WINDOW[cert.kind](cert, n)
+        ok = ok and holds
+        lines.append(f"window {n}: {detail}")
+    return VerifyResult(ok, tuple(lines))
+
+
+def _extended(m: IntMatrix, n: int, diagonal: int) -> IntMatrix:
+    """m padded to n x n, with ``diagonal`` on the padded diagonal."""
+    if m.rows > n:
+        raise DimensionError(f"target of size {m.rows} exceeds window {n}")
+    if not m.is_square:
+        raise DimensionError(f"target of {m.rows}x{m.cols} is not square")
+    k = m.rows
+    return IntMatrix.from_rows(
+        [m.data[i][j] if i < k and j < k else diagonal * (i == j) for j in range(n)]
+        for i in range(n)
+    )
+
+
+def _mismatch(got: IntMatrix, want: IntMatrix, holds: str) -> tuple[bool, str]:
+    return (True, holds) if got == want else (False, f"MISMATCH at {first_difference(got, want)}")
+
+
+def _identity_on(cert, n: int) -> tuple[bool, str]:
+    got = evaluate_word(cert.word, cert.environment, n)
+    if cert.target_aut is not None:
+        want = dense_window(cert.target_aut, n)
+    elif cert.target_matrix is not None:
+        want = _extended(cert.target_matrix, n, 1)
+    else:
+        raise ValidationError("window-identity certificate lacks a target")
+    return _mismatch(got, want, "identity holds")
+
+
+def _order_on(cert, n: int) -> tuple[bool, str]:
+    k = cert.order
+    if k is None or k < 1:
+        raise ValidationError("order certificate needs a positive order")
+    w = evaluate_word(cert.word, cert.environment, n)
+
+    def is_identity_power(e: int) -> bool:
+        out = IntMatrix.identity(n)
+        for _ in range(e):
+            out = IntMatrix.from_rows(product_rows(out.data, w.data, n))
+        return out == IntMatrix.identity(n)
+
+    if not is_identity_power(k):
+        return False, f"word^{k} is not the identity"
+    for p in range(2, k + 1):
+        if k % p == 0 and trial_division_is_prime(p) and is_identity_power(k // p):
+            return False, f"order divides {k // p}, not exactly {k}"
+    return True, f"order is exactly {k}"
+
+
+def _sum_on(cert, n: int) -> tuple[bool, str]:
+    if not cert.summand_words or cert.target_matrix is None:
+        raise ValidationError("window-sum certificate needs summands and a target")
+    total = reduce(add, (evaluate_word(w, cert.environment, n) for w in cert.summand_words))
+    return _mismatch(total, _extended(cert.target_matrix, n, 0), "sum matches target")
+
+
+_PER_WINDOW = {WINDOW_IDENTITY: _identity_on, ORDER: _order_on, WINDOW_SUM: _sum_on}

@@ -1,6 +1,8 @@
 import random
+import sys
+import threading
 from itertools import accumulate
-from math import isqrt, lcm
+from math import lcm
 from operator import mul
 
 import pytest
@@ -23,12 +25,13 @@ from infrank.autrep import (
     uniform,
     window_apply,
     window_matrix,
+    window_pairs,
 )
 from infrank.errors import AlignmentError, CompositionUnsupportedError, ValidationError
 from infrank.intmat import IntMatrix
 from infrank.witness import tau_power
 
-from oracles import reblock, row_reduction_inverse
+from oracles import reblock, row_reduction_inverse, sieve_multipliers
 from helpers import (
     ProductCounter,
     assert_passes_validation,
@@ -104,23 +107,10 @@ def test_graded_tail_rule():
     assert [h.multiplier(i) for i in range(4)] == [3, 2, 5, 7]
     e = graded((), (7,))
     assert [e.multiplier(i) for i in range(5)] == [2, 3, 5, 11, 13]
-
-
-def _trial_prime(c):
-    return c > 1 and all(c % q for q in range(2, isqrt(c) + 1))
-
-
-def _sieve_multipliers(prefix, excluded, count):
-    """The graded rule by trial division: the prefix, then increasing primes
-    outside the exclusions and the prefix's prime divisors."""
-    skip = set(excluded) | {p for m in prefix for p in range(2, m + 1) if m % p == 0 and _trial_prime(p)}
-    out = list(prefix[:count])
-    c = 2
-    while len(out) < count:
-        if c not in skip and _trial_prime(c):
-            out.append(c)
-        c += 1
-    return out
+    for aut in (g, invert(g)):  # a grown table is not read from its end
+        for read in (aut.increment, aut.multiplier):
+            with pytest.raises(ValueError, match="^pair index -1 is negative$"):
+                read(-1)
 
 
 @pytest.mark.parametrize(
@@ -128,7 +118,7 @@ def _sieve_multipliers(prefix, excluded, count):
     [((), ()), ((2, 3), ()), ((6, 10), (7,)), ((4, 9, 25), (2, 11)), ((12,), (13,))],
 )
 def test_graded_multipliers_match_sieve(prefix, excluded):
-    mults = _sieve_multipliers(prefix, excluded, 120)
+    mults = sieve_multipliers(prefix, excluded, 120)
     incs = list(accumulate(mults, mul))
     g = graded(prefix, excluded)
     neg = graded(prefix, excluded, negated=True)
@@ -141,22 +131,96 @@ def test_graded_multipliers_match_sieve(prefix, excluded):
 
 
 def test_graded_window_walks_the_primes_once(monkeypatch):
-    import infrank.autrep as autrep
+    """Primes below 1849 come from the table; past it, a block and its
+    inverse walk them once between them."""
+    import infrank.numth as numth
 
     calls = 0
-    orig = autrep.next_prime
+    orig = numth.next_prime
 
     def counting(n):
         nonlocal calls
         calls += 1
         return orig(n)
 
-    monkeypatch.setattr(autrep, "next_prime", counting)
+    monkeypatch.setattr(numth, "next_prime", counting)
     for g in (graded((), ()), graded((6, 10), (7,)), graded((4, 9, 25), (2, 11))):
         for n in (2, 60, 200):
-            calls = 0
             window_matrix(g, n)
-            assert calls <= n // 2 + len(g.tail_skip())
+        assert calls == 0
+        window_matrix(g, 800)
+        assert 0 < calls <= 400 + len(g.tail_skip())
+        calls = 0
+        window_matrix(invert(g), 800)
+        window_matrix(g, 600)
+        assert calls == 0
+
+
+# pairs read: the tail passes 1847, the last prime of ``numth``'s table, near pair 283
+EDGE = 300
+
+
+@pytest.mark.parametrize(
+    "prefix,excluded",
+    [((), ()), ((), (1847,)), ((1847,), (2, 1861)), ((6, 1849), (1847, 1871)), ((3698,), ())],
+)
+@pytest.mark.parametrize("grown", [0, 1, 2, 282, 283, 290])
+def test_increments_match_the_sieve_across_the_table_edge(prefix, excluded, grown):
+    """A block and its inverse read their shared table after it was grown to
+    ``grown`` increments: a window across the table edge, then every
+    increment and multiplier; a fresh block grows it one multiplier at a
+    time.  All agree with the trial-division sieve."""
+    mults = sieve_multipliers(prefix, excluded, EDGE)
+    incs = list(accumulate(mults, mul))
+    g = graded(prefix, excluded)
+    if grown:
+        assert g.increment(grown - 1) == incs[grown - 1]
+    n = 2 * EDGE
+    v = [(-1) ** i * (i % 5) for i in range(n)]
+    for aut, sign in ((invert(g), -1), (g, 1)):
+        image = list(v)
+        for i, c in enumerate(incs):
+            image[2 * i + 1] += sign * c * v[2 * i]
+        assert window_apply(aut, n, v) == image
+        rows = window_pairs(aut, n)
+        assert rows[::2] == tuple(((2 * i, 1),) for i in range(EDGE))
+        assert rows[1::2] == tuple(((2 * i, sign * c), (2 * i + 1, 1)) for i, c in enumerate(incs))
+        assert [aut.increment(i) for i in range(EDGE)] == [sign * c for c in incs]
+        assert [aut.multiplier(i) for i in range(EDGE)] == mults
+    fresh = graded(prefix, excluded)
+    assert [fresh.multiplier(i) for i in range(EDGE)] == mults
+
+
+def test_threads_growing_one_table_read_the_sieve():
+    """Four threads, with a switch interval of a microsecond, grow one
+    block's table at once, through the block and its inverse, each reading
+    in its own order: every read matches the sieve, and the table left is a
+    prefix of the increments."""
+    g = graded((2, 3), (11,))
+    incs = list(accumulate(sieve_multipliers((2, 3), (11,), 400), mul))
+    orders = [range(400), range(399, -1, -1), range(0, 400, 7), [399, *range(400)]]
+    reads = [None] * len(orders)
+    barrier = threading.Barrier(len(orders))
+
+    def read(slot):
+        aut = invert(g) if slot % 2 else g
+        barrier.wait(timeout=30)
+        reads[slot] = [abs(aut.increment(k)) for k in orders[slot]]
+
+    threads = [threading.Thread(target=read, args=(slot,)) for slot in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert reads == [[incs[k] for k in order] for order in orders]
+    table = g._table[0]
+    assert list(table) == incs[: len(table)]
 
 
 def test_prefix_exponents_factorize_each_distinct_multiplier_once(monkeypatch):
@@ -453,7 +517,7 @@ F5 = finitary((2, 4), IntMatrix.from_rows([[1, 2], [0, 1]]))
 def test_core_window(auts, n, core):
     blocks = [a.d for a in auts if isinstance(a, EventuallyUniform)]
     period = lcm(*blocks) if blocks else 0  # finitary atoms repeat the identity
-    assert core_window(auts, n) == (None if core is None else (core, period))
+    assert core_window(head_and_period(auts), n) == (None if core is None else (core, period))
 
 
 @pytest.mark.parametrize(

@@ -82,6 +82,18 @@ def test_classify_window_past_the_text_limit_is_an_error(tmp_path, capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+@pytest.mark.parametrize("aut", [graded((2, 3), (11,)), uniform(IntMatrix.from_rows([[1, 1], [0, 1]]))])
+@pytest.mark.parametrize("n", [cli.MAX_PRINTED_WINDOW + 1, 10**7])
+def test_classify_refuses_a_window_past_the_limit(tmp_path, capsys, aut, n):
+    """A window past ``MAX_PRINTED_WINDOW`` is one error line and exit 1,
+    before the document is read: a missing file gives the same line."""
+    aut_file = tmp_path / "b.aut"
+    aut_file.write_text(serialize_aut(aut))
+    line = f"error: --window {n} exceeds the limit 4096\n"
+    for path in (aut_file, tmp_path / "missing.aut"):
+        assert run(["classify", str(path), "--window", str(n)], capsys) == (1, "", line)
+
+
 HUGE_EXCLUDED = (
     '{"excluded":[%d],"format_version":1,"kind":"aut","negated":false,"prefix":[2],'
     '"variant":"graded"}'

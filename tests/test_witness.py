@@ -15,6 +15,7 @@ from infrank.autrep import (
     core_window,
     eventually_uniform,
     finitary,
+    head_and_period,
     identity_aut,
     invert,
     is_claimed,
@@ -748,7 +749,8 @@ def test_action_pushes_stay_on_the_core_window(monkeypatch):
     built, parsed = _chain_action_certificates(3, 4)
     reducible = []
     for cert, reduced in _reducible_action_certificates():
-        assert {core_window(words_module._core_atoms(cert), n) for n in cert.windows} == {reduced}
+        split = head_and_period(words_module._claim_atoms(cert))
+        assert {core_window(split, n) for n in cert.windows} == {reduced}
         reducible.append(cert)
     pushes = []
     push = words_module.push_word
@@ -761,7 +763,8 @@ def test_action_pushes_stay_on_the_core_window(monkeypatch):
     for cert in built + parsed + reducible:
         pushes.clear()
         assert verify_certificate(cert).ok
-        cores = {core_window(words_module._core_atoms(cert), n)[0] for n in cert.windows}
+        split = head_and_period(words_module._claim_atoms(cert))
+        cores = {core_window(split, n)[0] for n in cert.windows}
         assert pushes and all(n in cores for n, _ in pushes)
         assert len(set(pushes)) == len(pushes)
         assert all(any(v) for _, v in pushes)

@@ -2,7 +2,9 @@ import json
 import random
 from copy import deepcopy
 from dataclasses import replace
+from functools import reduce
 from math import lcm
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from infrank.autrep import (
     eventually_uniform,
     finitary,
     graded,
+    identity_aut,
     uniform,
 )
 from infrank.errors import AlignmentError, DimensionError, InfrankError, ValidationError, WordError
@@ -33,6 +36,7 @@ from infrank.words import (
     Named,
     Power,
     Product,
+    VerifyResult,
     evaluate_word,
     holds_on_every_window,
     push_word,
@@ -238,6 +242,18 @@ def test_product_of_k_atoms_makes_k_minus_1_products(monkeypatch):
     products.count = 0
     assert evaluate_word(Product(()), env, 4) == IntMatrix.identity(4)
     assert products.count == 0
+
+
+def test_a_graded_inverse_pair_on_two_windows_makes_one_product(monkeypatch):
+    """g g^-1 on windows 100 and 200 is walked once, on 200, and window 100
+    is cut from it."""
+    cert = Certificate(kind=WINDOW_IDENTITY, windows=(100, 200),
+                       environment={"g": graded((2, 3), (11,))},
+                       word=Product((Named("g"), Inverse(Named("g")))), target_aut=identity_aut())
+    products = ProductCounter(monkeypatch)
+    assert verify_certificate(cert) == VerifyResult(
+        True, ("window 100: identity holds", "window 200: identity holds"))
+    assert products.count == 1
 
 
 # -- pushing vectors through words -------------------------------------------
@@ -727,3 +743,69 @@ def test_a_target_matrix_that_is_not_square_is_refused(kind, n):
     cert = Certificate(kind=kind, windows=(n,), environment=ENV, target_matrix=target, **fields)
     with pytest.raises(DimensionError, match="target of 2x3 is not square"):
         verify_certificate(cert)
+
+
+# window sizes aligned for all of ``one_atom_per_class``'s atoms, which may
+# share a core, or drawn from sizes aligned for some of the atoms or none
+ALIGNED_WINDOWS = st.lists(st.sampled_from([12, 18, 24]), min_size=2, max_size=3, unique=True)
+CLAIM_WINDOWS = st.one_of(
+    ALIGNED_WINDOWS, st.lists(st.sampled_from([2, 6, 7, 8, 12, 16, 24]), min_size=1, max_size=3)
+)
+CLAIM_NAMES = st.sampled_from([("f", "u", "g"), ("f", "u"), ("g",), ("f", "u", "g", "missing")])
+
+
+def _dense_or_identity(word, env, n):
+    try:
+        return oracles.evaluate_word(word, env, n)
+    except InfrankError:
+        return IntMatrix.identity(n)
+
+
+@st.composite
+def checked_claims(draw):
+    """An identity, order or sum claim over one atom per class, on one to
+    three windows.  Its target is the claimed value on one of them, that
+    value with one entry changed, another atom, a matrix that is not square,
+    or missing; an order is one of -1 to 6, or missing."""
+    env = draw(one_atom_per_class())
+    names = draw(CLAIM_NAMES)
+    word = draw(words(names=names))
+    windows = tuple(draw(CLAIM_WINDOWS))
+    kind = draw(st.sampled_from([WINDOW_IDENTITY, ORDER, WINDOW_SUM]))
+    if kind == ORDER:
+        order = draw(st.sampled_from([None, -1, 0, 1, 2, 3, 4, 6]))
+        return Certificate(kind=ORDER, windows=windows, environment=env, word=word, order=order)
+    s = draw(st.sampled_from([min(windows), *windows]))
+    summands = (word, *draw(st.lists(words(names=names), max_size=2)))
+    if kind == WINDOW_SUM:
+        value = reduce(add, (_dense_or_identity(w, env, s) for w in summands))
+    else:
+        value = _dense_or_identity(word, env, s)
+    target = draw(st.sampled_from(["value", "changed", "atom", "not square", "missing"]))
+    fields = {"target_matrix": value}
+    if target == "changed":
+        i, j = draw(st.integers(0, s - 1)), draw(st.integers(0, s - 1))
+        rows = [list(row) for row in value.data]
+        rows[i][j] += draw(st.sampled_from([-1, 2**70]))
+        fields = {"target_matrix": IntMatrix.from_rows(rows)}
+    elif target == "not square":
+        fields = {"target_matrix": IntMatrix.from_rows([[1, 0]])}
+    elif target == "missing":
+        fields = {}
+    if kind == WINDOW_SUM:
+        return Certificate(kind=WINDOW_SUM, windows=windows, environment=env,
+                           summand_words=summands if target != "missing" else (), **fields)
+    if target == "value" and draw(st.booleans()):
+        fields = {"target_aut": finitary(range(s), value)}
+    elif target == "atom":
+        fields = {"target_aut": draw(st.sampled_from([identity_aut(), *env.values()]))}
+    return Certificate(kind=WINDOW_IDENTITY, windows=windows, environment=env, word=word, **fields)
+
+
+@settings(max_examples=300)
+@given(checked_claims())
+def test_one_walk_per_certificate_matches_the_window_by_window_reference(cert):
+    """Identity, order and sum claims give the verdict and report lines, or
+    the error, of a dense check of each window on its own."""
+    expected = _outcome(lambda: oracles.verify_per_window(cert))
+    assert _outcome(lambda: verify_certificate(cert)) == expected
