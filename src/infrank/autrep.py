@@ -17,10 +17,10 @@ Three representation classes are supported:
 Every atom carries its inverse witness from construction, so
 "automorphism" is enforced rather than assumed.  The one exception is a
 claimed value (``claimed=True``): the ``target_aut`` of a parsed identity
-claim, a parsed chain's ``final``, or the ``final`` that the general
-pipeline builds from one window product.  It is only compared by its windows,
-so it is built with no inverse (its inverse fields are None);
-``window_pairs``, ``head_and_period`` and ``core_window`` read it, and
+claim, a parsed chain's ``final``, or the targets phi_n and the ``final``
+that the general pipeline builds from forward window products.  It is only
+compared by its windows, so it is built with no inverse (its inverse fields
+are None); ``window_pairs``, ``head_and_period`` and ``core_window`` read it, and
 ``invert`` and ``compose`` refuse it.  The verifier proves it unimodular
 instead: a verified identity on a window that holds a whole block, or the
 chain links.  Windows are built as row pairs (``window_pairs``), straight
@@ -45,7 +45,6 @@ from .intmat import (
     identity_pairs,
     identity_rows,
     pairs_product,
-    row_pairs,
 )
 from .numth import factorize, is_prime, primes_after
 
@@ -371,13 +370,14 @@ def window_pairs(aut: RepAut, n: int) -> Pairs:
     _check_window(aut, n)
     if isinstance(aut, Finitary):
         rows = list(identity_pairs(n))
-        for i, local in zip(aut.support, row_pairs(aut.matrix.data)):
-            rows[i] = tuple((aut.support[b], v) for b, v in local)
+        for i, local in zip(aut.support, aut.matrix.pairs):
+            rows[i] = tuple([(aut.support[b], v) for b, v in local])
         return tuple(rows)
     if isinstance(aut, EventuallyUniform):
-        rows = list(row_pairs(aut.window.data))
+        rows = list(aut.window.pairs)
+        block = aut.block.matrix.pairs
         for s in range(aut.window_size, n, aut.d):
-            rows += [tuple(compress(enumerate(row, s), row)) for row in aut.block.matrix.data]
+            rows += [tuple([(c + s, v) for c, v in row]) for row in block] if s else block
         return tuple(rows)
     rows = []
     for x, c in enumerate(aut._increments(n // 2)[: n // 2]):

@@ -134,7 +134,7 @@ def lambda_levels(aut: RepAut) -> LambdaLevels:
         return DivisorsOf(0)
     if isinstance(aut, EventuallyUniform):
         return DivisorsOf(scalar_defect(aut.block.matrix))
-    return RuleBased(GradedBlock(aut.prefix, aut.excluded))
+    return RuleBased(GradedBlock(aut.prefix, aut.excluded, False, aut._table))
 
 
 def lambda_member(aut: RepAut, m: int) -> bool:

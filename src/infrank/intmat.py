@@ -11,6 +11,12 @@ Products are taken on row pairs (``Pairs``): each row's nonzero entries as
 sparse automorphism is checked in that form without ever being made dense.
 Row pairs are tuples, so a row shared between results stays immutable.
 
+A matrix keeps what it makes of itself: its row pairs (``IntMatrix.pairs``)
+and its inverse, or that it has none (``IntMatrix.inverse``), each made on
+first use and kept in the instance, outside the dataclass fields.  Two
+threads that make one at once store equal immutable values, so sharing
+stays safe; nothing is kept past the matrix itself.
+
 Convention used throughout the library: matrices act on column vectors,
 i.e. column ``j`` of the matrix of an automorphism holds the image of the
 ``j``-th basis vector.
@@ -79,8 +85,11 @@ class IntMatrix:
                         raise ValidationError(f"non-integer entry {x!r}")
 
     @classmethod
-    def _trusted(cls, data: tuple[tuple[int, ...], ...]) -> "IntMatrix":
-        """Wrap rows already known to be rectangular ``int`` tuples.
+    def _trusted(
+        cls, data: tuple[tuple[int, ...], ...], pairs: Optional[Pairs] = None
+    ) -> "IntMatrix":
+        """Wrap rows already known to be rectangular ``int`` tuples, with
+        their row pairs when the caller holds them.
 
         For results computed from valid matrices (products, sums, windows,
         Smith transforms), whose entries need no second check.  Outside
@@ -88,6 +97,8 @@ class IntMatrix:
         """
         m = object.__new__(cls)
         object.__setattr__(m, "data", data)
+        if pairs is not None:
+            m.__dict__["_pairs"] = pairs
         return m
 
     # -- construction -------------------------------------------------
@@ -135,6 +146,8 @@ class IntMatrix:
         return tuple(row[j] for row in self.data)
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "IntMatrix":
+        if r0 == c0 == 0 and r1 == self.rows and c1 == self.cols:
+            return self  # the whole matrix, with what it keeps
         return IntMatrix._trusted(tuple(row[c0:c1] for row in self.data[r0:r1]))
 
     def top_left(self, n: int) -> "IntMatrix":
@@ -164,20 +177,28 @@ class IntMatrix:
 
     @staticmethod
     def from_pairs(pairs: Pairs, cols: int) -> "IntMatrix":
-        """The dense matrix with the given row pairs and ``cols`` columns."""
+        """The dense matrix with the given row pairs, which it keeps, and
+        ``cols`` columns."""
         out = []
         for entries in pairs:
             row = [0] * cols
             for c, v in entries:
                 row[c] = v
             out.append(tuple(row))
-        return IntMatrix._trusted(tuple(out))
+        return IntMatrix._trusted(tuple(out), pairs)
+
+    @property
+    def pairs(self) -> Pairs:
+        """The row pairs (``row_pairs``) of this matrix, made on first read."""
+        p = self.__dict__.get("_pairs")
+        if p is None:
+            p = self.__dict__["_pairs"] = row_pairs(self.data)
+        return p
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        rows = pairs_product(row_pairs(self.data), row_pairs(other.data))
-        return IntMatrix.from_pairs(rows, other.cols)
+        return IntMatrix.from_pairs(pairs_product(self.pairs, other.pairs), other.cols)
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -189,7 +210,7 @@ class IntMatrix:
         if not self.is_square:
             raise DimensionError("power needs a square matrix")
         base = self.inverse() if e < 0 else self
-        return IntMatrix.from_pairs(pairs_power(row_pairs(base.data), abs(e)), self.cols)
+        return IntMatrix.from_pairs(pairs_power(base.pairs, abs(e)), self.cols)
 
     def is_identity(self) -> bool:
         """Whether this is a square identity matrix, read off the entries
@@ -232,14 +253,26 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
     def is_unimodular(self) -> bool:
-        return _unimodular_inverse(self) is not None
+        return self._inverse() is not None
 
     def inverse(self) -> "IntMatrix":
         """Exact inverse of a unimodular matrix: 2-adic elimination, accepted
         by an exact product (``_unimodular_inverse``)."""
-        inv = _unimodular_inverse(self)
+        inv = self._inverse()
         if inv is None:
             raise ValidationError("matrix is not unimodular; no integer inverse")
+        return inv
+
+    def _inverse(self) -> Optional["IntMatrix"]:
+        """``_unimodular_inverse`` of this matrix, made on first use and kept,
+        None too.  A 0 x 0 or 1 x 1 matrix that is its own inverse is not
+        kept: a matrix holding itself would be a reference cycle."""
+        d = self.__dict__
+        inv = d.get("_inv", d)
+        if inv is d:
+            inv = _unimodular_inverse(self)
+            if inv is not self:
+                d["_inv"] = inv
         return inv
 
     def entries(self) -> Iterable[int]:
@@ -354,14 +387,14 @@ def _unimodular_inverse(m: IntMatrix) -> Optional[IntMatrix]:
     if n < 2:
         return m if all(row[0] in (1, -1) for row in a) else None
     k = max(map(abs, chain.from_iterable(a))).bit_length() + 2 * n.bit_length() + 8
-    a_pairs, eye = row_pairs(a), identity_pairs(n)
+    a_pairs, eye = m.pairs, identity_pairs(n)
     while True:
         inv = _inverse_mod_2k(a, k)
         if inv is None:
             return None
         b, pairs = inv
         if pairs_product(a_pairs, pairs) == eye:
-            return IntMatrix._trusted(tuple(map(tuple, b)))
+            return IntMatrix._trusted(tuple(map(tuple, b)), pairs)
         if 4 ** (k - 1) > prod(sum(x * x for x in row) for row in a):  # squares of both sides
             return None
         k *= 2

@@ -36,7 +36,6 @@ from typing import Mapping, Optional, Sequence
 from .autrep import (
     EventuallyUniform,
     RepAut,
-    compose,
     compose_all,
     eventually_uniform,
     finitary,
@@ -47,8 +46,8 @@ from .autrep import (
     window_pairs,
 )
 from .errors import DimensionError, ShapeError, ValidationError
-from .intmat import IntMatrix, complete_to_basis, snf
-from .intmat import identity_pairs, pairs_power, pairs_product, square_and_multiply
+from .intmat import IntMatrix, Pairs, complete_to_basis, snf
+from .intmat import identity_pairs, pairs_power, pairs_product
 from .numth import euler_phi, xgcd
 from .words import (
     ACTION_ON_VECTOR,
@@ -599,9 +598,9 @@ def km_pipeline(phi: RepAut, coprime: tuple[int, int] = (2, 3)) -> WitnessChain:
     gcd(k, m) = 1 and m >= 2 (``canonical_shear`` builds one).  Raises
     ``ShapeError`` otherwise.  The finished chain is verified once, and a
     failing certificate raises ``ValidationError``.  In the general scope
-    (k != 1) the chain's ``final`` is a claimed value (``autrep``), built
-    from one window product with no inverse, so ``compose`` and ``invert``
-    refuse it.
+    (k != 1) the targets phi_n of the conjugation steps and the chain's
+    ``final`` are claimed values (``autrep``), built by forward window
+    products with no inverse, so ``compose`` and ``invert`` refuse them.
     """
     shape = shear_shape(phi)
     if shape is None:
@@ -695,7 +694,7 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
     # steps 2: for each n, an order-n lambda built from two embedded copies of
     # the order-n shear steers phi_n = (lambda psi)^n into x0 -> x0 + m n p, p fixed
     env: dict[str, RepAut] = {"phi": phi, **hs}
-    phis = []
+    lams, phis = [], []
     for n in (n1, n2):
         s2 = 2 * n * s_chunk
         za = z_vec + [0] * (s2 - s_chunk)
@@ -725,7 +724,8 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
         g_mat = complete_to_basis(IntMatrix.from_rows(list(zip(*cols))))
         core = IntMatrix.block_diag([triple.gamma, triple.gamma, IntMatrix.identity(s2 - 2 * r)])
         lam = env[f"lam{n}"] = uniform(g_mat * core * g_mat.inverse())
-        phis.append(_aut_power(compose(lam, psi), n))
+        lams.append(lam)
+        phis.append(_power_of_product(lam, psi, n))
 
     # the environment is complete: each step's claims are stated over it
     word_phi = Named("phi")
@@ -777,23 +777,38 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
             note=f"{a}*{n1} + {b}*{n2} = 1; shear by m = {m} on the tracked pair",
         )
     )
-    return WitnessChain(tuple(steps), _power_product(*phis, a, b), m, SCOPE_NOTE_GENERAL)
+    # phi_n^e for e < 0 is (psi^-1 lambda_n^-1)^(-e n), from the atoms' inverse windows
+    bases = [
+        phi_n if e >= 0 else _power_of_product(invert(psi), invert(lam), n)
+        for lam, phi_n, n, e in zip(lams, phis, (n1, n2), (a, b))
+    ]
+    return WitnessChain(
+        tuple(steps), _power_product(*bases, abs(a), abs(b)), m, SCOPE_NOTE_GENERAL
+    )
 
 
-def _power_product(phi1: RepAut, phi2: RepAut, a: int, b: int) -> RepAut:
-    """phi1^a phi2^b as a claimed value (``autrep``): the one forward product
-    of the two powers' windows H + L of ``head_and_period``, split there.
-    No inverse window is made; the chain's links check the value."""
+def _claimed_split(w: Pairs, head: int, n: int) -> EventuallyUniform:
+    """The claimed value (``autrep``) whose window n = H + L of
+    ``head_and_period`` has the row pairs w, split there: window H, then
+    the last L x L block.  No inverse window is made; the chain's links
+    check the value."""
+    m = IntMatrix.from_pairs(w, n)
+    return eventually_uniform(m.top_left(head), m.submatrix(head, n, head, n), claimed=True)
+
+
+def _power_of_product(x: RepAut, y: RepAut, e: int) -> EventuallyUniform:
+    """(x y)^e for e >= 1 as a claimed value: one forward product of the
+    windows H + L of x and y, then one power, split there."""
+    head, period = head_and_period((x, y))
+    n = head + period
+    w = pairs_power(pairs_product(window_pairs(x, n), window_pairs(y, n)), e)
+    return _claimed_split(w, head, n)
+
+
+def _power_product(phi1: RepAut, phi2: RepAut, a: int, b: int) -> EventuallyUniform:
+    """phi1^a phi2^b for a, b >= 0 as a claimed value: the one forward
+    product of the two powers' windows H + L, split there."""
     head, period = head_and_period((phi1, phi2))
     n = head + period
-    w1, w2 = (
-        pairs_power(window_pairs(invert(x) if e < 0 else x, n), abs(e))
-        for x, e in ((phi1, a), (phi2, b))
-    )
-    w = IntMatrix.from_pairs(pairs_product(w1, w2), n)
-    return eventually_uniform(w.top_left(head), w.submatrix(head, n, head, n), claimed=True)
-
-
-def _aut_power(aut: RepAut, e: int) -> RepAut:
-    """aut^e by ``IntMatrix.power``'s schedule."""
-    return square_and_multiply(aut, e, compose, invert, compose_all)
+    w1, w2 = (pairs_power(window_pairs(x, n), e) for x, e in ((phi1, a), (phi2, b)))
+    return _claimed_split(pairs_product(w1, w2), head, n)

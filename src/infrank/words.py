@@ -41,7 +41,6 @@ from .intmat import (
     pairs_power,
     pairs_product,
     pairs_sum,
-    row_pairs,
 )
 from .numth import factorize
 
@@ -514,4 +513,4 @@ def _extend(m: IntMatrix, n: int, fill_identity: bool = False) -> Pairs:
     if not m.is_square:
         raise DimensionError(f"target of {m.rows}x{m.cols} is not square")
     tail = (((i, 1),) if fill_identity else () for i in range(m.rows, n))
-    return row_pairs(m.data) + tuple(tail)
+    return m.pairs + tuple(tail)

@@ -11,7 +11,9 @@ the dense windows, dense word evaluation and row-major mismatch scan that
 the row-pair walk replaced, the chain encoding in one pass that
 encoding each environment once replaced, the graded multipliers by trial
 division that the prime table and each block's increment table replaced,
-and the window-by-window check that one walk per certificate replaced."""
+the window-by-window check that one walk per certificate replaced, and the
+general pipeline's phi_n and ``final`` by ``compose`` and ``invert``, which
+forward window products replaced."""
 
 import json
 from functools import reduce
@@ -24,6 +26,8 @@ from infrank.autrep import (
     Finitary,
     _check_window,
     _split,
+    compose,
+    identity_aut,
     invert,
     window_matrix,
 )
@@ -331,6 +335,26 @@ def divisor_scan_level(g: int, rules: Sequence[RuleBased]) -> Optional[int]:
         if m >= 2 and all(r.member(m) for r in rules):
             return m
     return None
+
+
+def aut_power(aut, e: int):
+    """aut^e by ``compose``, one factor at a time, and ``invert``."""
+    base, out = (invert(aut) if e < 0 else aut), identity_aut()
+    for _ in range(abs(e)):
+        out = compose(out, base)
+    return out
+
+
+def general_chain_values(chain, pair: tuple[int, int]):
+    """phi_n = (lambda_n psi)^n for each n of the pair, and final = phi_1^a
+    phi_2^b, as the general pipeline built them from its atoms with
+    ``compose`` and ``invert``: psi is the atom target of the chain's first
+    identity claim, lambda_n the chain's atom ``lam{n}``."""
+    first = chain.steps[0].certificates[0]
+    psi, env = first.target_aut, first.environment
+    phis = [aut_power(compose(env[f"lam{n}"], psi), n) for n in pair]
+    a, b = (factor.exponent for factor in chain.steps[3].word.factors)
+    return phis, compose(aut_power(phis[0], a), aut_power(phis[1], b))
 
 
 def chain_document(chain) -> str:

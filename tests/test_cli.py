@@ -94,6 +94,27 @@ def test_classify_refuses_a_window_past_the_limit(tmp_path, capsys, aut, n):
         assert run(["classify", str(path), "--window", str(n)], capsys) == (1, "", line)
 
 
+@pytest.mark.parametrize(
+    "aut, n, line",
+    [
+        (graded((2, 3), (11,)), 7, "error: graded windows must be even\n"),
+        (graded((2, 3), (11,)), -2, "error: window size must be nonnegative\n"),
+        (uniform(IntMatrix.from_rows([[1, 1], [0, 1]])), -2,
+         "error: window size must be nonnegative\n"),
+        (uniform(IntMatrix.from_rows([[1, 1], [0, 1]])), 3,
+         "error: window 3 misaligned for window 0 + blocks of 2\n"),
+        (finitary((0, 4), IntMatrix.from_rows([[0, 1], [1, 0]])), 4,
+         "error: window 4 does not cover finitary support up to 4\n"),
+    ],
+)
+def test_classify_refuses_a_misaligned_window_before_the_report(tmp_path, capsys, aut, n, line):
+    """A negative or misaligned window is one error line and exit 1, with
+    nothing of the report printed before it."""
+    aut_file = tmp_path / "w.aut"
+    aut_file.write_text(serialize_aut(aut))
+    assert run(["classify", str(aut_file), "--window", str(n)], capsys) == (1, "", line)
+
+
 HUGE_EXCLUDED = (
     '{"excluded":[%d],"format_version":1,"kind":"aut","negated":false,"prefix":[2],'
     '"variant":"graded"}'

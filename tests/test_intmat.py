@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from itertools import combinations
 from math import gcd
 
@@ -439,10 +441,78 @@ def test_internal_results_pass_validation():
             IntMatrix.block_diag([a, b, c]),
             random_unimodular(rng, n).power(rng.randint(-6, 9)),
         ]
+        u = random_unimodular(rng, n)
+        results += [u.inverse(), IntMatrix.from_pairs((a * b).pairs, n)]
         res = snf(a)
         results += [res.u, res.d, res.v]
         for r in results:
             assert_passes_validation(r)
+            assert r.pairs == intmat.row_pairs(r.data)
+
+
+def test_kept_pairs_and_inverse_leave_eq_hash_and_repr():
+    """What a matrix keeps is no field: reading its pairs or its inverse
+    changes neither ``==``, ``hash`` nor ``repr``, and a second read gives
+    the value the first one kept."""
+    rng = random.Random(24)
+    for n in range(6):
+        m = IntMatrix(random_unimodular(rng, n, steps=20).data)
+        twin = IntMatrix(m.data)
+        before = (repr(m), hash(m))
+        pairs, inverse = m.pairs, m.inverse()
+        assert (repr(m), hash(m)) == before == (repr(twin), hash(twin))
+        assert m == twin and twin == m and {m: 1}[twin] == 1
+        assert m.pairs is pairs and m.inverse() is inverse and m.is_unimodular()
+        assert inverse == row_reduction_inverse(twin)
+        assert vars(m).get("_inv") is not m  # a 0 x 0 or 1 x 1 matrix is its own inverse
+
+
+@pytest.mark.parametrize("first", ["is_unimodular", "inverse"])
+def test_a_singular_matrix_runs_one_elimination(monkeypatch, first):
+    """Whichever of ``is_unimodular`` and ``inverse`` comes first, a
+    singular matrix is eliminated once, and ``inverse`` raises as before."""
+    calls = []
+    orig = intmat._unimodular_inverse
+    monkeypatch.setattr(intmat, "_unimodular_inverse", lambda m: calls.append(m) or orig(m))
+    m = IntMatrix.from_rows([[2, 1, 0], [0, 1, 0], [4, 3, 1]])
+    order = [first] + [name for name in ("is_unimodular", "inverse") if name != first]
+    refusal = "^matrix is not unimodular; no integer inverse$"
+    for name in order * 2:
+        if name == "inverse":
+            with pytest.raises(ValidationError, match=refusal):
+                m.inverse()
+        else:
+            assert m.is_unimodular() is False
+    assert calls == [m]
+
+
+def test_threads_read_one_fresh_matrix_alike():
+    """Eight threads, more than the cores, that read the pairs and the
+    inverse of one fresh 60 x 60 matrix at once, with thread switches forced
+    often, get equal values: the ones a single reader gets."""
+    base = random_unimodular(random.Random(60), 60, steps=400)
+    m = IntMatrix(base.data)
+    gate = threading.Barrier(8)
+    got = [None] * 8
+
+    def read(i):
+        gate.wait(timeout=60)
+        got[i] = (m.pairs, m.inverse())
+
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    alone = IntMatrix(base.data)
+    assert all(g == (alone.pairs, alone.inverse()) for g in got)
+    assert (m.pairs, m.inverse()) == got[0] and m.inverse() * m == IntMatrix.identity(60)
 
 
 def test_power_product_count(monkeypatch):

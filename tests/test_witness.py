@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infrank import witness
+from infrank import autrep as autrep_module
+from infrank import intmat, witness
 from infrank import words as words_module
 from infrank.autrep import (
     compose,
@@ -16,11 +17,11 @@ from infrank.autrep import (
     eventually_uniform,
     finitary,
     head_and_period,
-    identity_aut,
     invert,
     is_claimed,
     uniform,
     window_matrix,
+    window_pairs,
 )
 from infrank.classify import congruence_gcd
 from infrank.errors import CompositionUnsupportedError, DimensionError, ShapeError, ValidationError
@@ -59,6 +60,7 @@ from infrank.words import (
     verify_certificate,
 )
 
+import oracles
 from oracles import chain_document, solve_columns
 from helpers import ProductCounter, random_matrix
 
@@ -274,25 +276,6 @@ def test_wans_tails_fixed():
 def test_wans_rejects_odd_dimension():
     with pytest.raises(DimensionError):
         wans_three(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-
-
-def test_aut_power_compose_count(monkeypatch):
-    aut = uniform(IntMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, -1]]))
-    count = 0
-
-    def counting(a, b):
-        nonlocal count
-        count += 1
-        return compose(a, b)
-
-    monkeypatch.setattr(witness, "compose", counting)
-    linear = identity_aut()
-    for e in range(21):
-        count = 0
-        assert witness._aut_power(aut, e) == linear
-        assert count == (e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0)
-        assert compose(witness._aut_power(aut, -e), linear) == identity_aut()
-        linear = compose(linear, aut)
 
 
 # -- three-conjugate factorization ---------------------------------------------
@@ -606,12 +589,13 @@ def test_chain_bytes_are_unchanged(k, m, pair, size, digest):
 
 # matrix products and atom window reads of km_pipeline(canonical_shear(k, m)),
 # which builds and verifies, and of verify_chain on the chain parsed back,
-# recorded when the certificates of a step came to share their walks and the
-# general final came from one product ((75, 26) and (40, 24) before)
+# recorded when each phi_n of the general scope came from forward products
+# ((74, 24) before; (75, 26) and (40, 24) before the certificates of a step
+# came to share their walks and the general final came from one product)
 WALK_COUNTS = [
-    (5, 4, (74, 24), (40, 22)),
-    (3, 4, (74, 24), (40, 22)),
-    (7, 6, (74, 24), (40, 22)),
+    (5, 4, (71, 24), (40, 22)),
+    (3, 4, (71, 24), (40, 22)),
+    (7, 6, (71, 24), (40, 22)),
     (1, 5, (7, 7), (7, 7)),
 ]
 
@@ -1027,11 +1011,46 @@ def test_shared_walks_are_keyed_by_environment():
 
 
 def test_built_general_final_is_a_claimed_value():
-    """The general pipeline's final is the one forward product phi1^a phi2^b,
-    read only by its windows: compose and invert refuse it."""
+    """The general pipeline's final and the targets phi_n of its conjugation
+    steps are forward products, read only by their windows: compose and
+    invert refuse them."""
     chain = km_pipeline(canonical_shear(3, 4))
-    assert is_claimed(chain.final)
-    for use in (lambda f: compose(f, f), invert):
-        with pytest.raises(CompositionUnsupportedError):
-            use(chain.final)
+    phis = [step.certificates[1].target_aut for step in chain.steps[1:3]]
+    for value in (chain.final, *phis):
+        assert is_claimed(value)
+        for use in (lambda f: compose(f, f), invert):
+            with pytest.raises(CompositionUnsupportedError):
+                use(value)
     assert not is_claimed(km_pipeline(tau_power(4)).final)
+
+
+GENERAL_CHAINS = [(k, m, pair) for k, m, pair, _, _ in CHAIN_DIGESTS if k != 1]
+
+
+@pytest.mark.parametrize(
+    "k, m, pair", GENERAL_CHAINS, ids=[f"k{k}-m{m}-pair{a},{b}" for k, m, (a, b) in GENERAL_CHAINS]
+)
+def test_forward_products_give_the_composed_values(k, m, pair):
+    """Each phi_n = (lambda_n psi)^n and final = phi_1^a phi_2^b, built by
+    forward window products, equal the values ``compose`` and ``invert``
+    gave, as atoms and window by window."""
+    chain = km_pipeline(canonical_shear(k, m), pair)
+    phis, final = oracles.general_chain_values(chain, pair)
+    got = [step.certificates[1].target_aut for step in chain.steps[1:3]] + [chain.final]
+    for new, old in zip(got, phis + [final]):
+        assert new == old
+        d = old.d
+        for n in (d, 2 * d, 3 * d):
+            assert window_pairs(new, n) == window_pairs(old, n)
+
+
+def test_pipeline_build_inverts_each_matrix_once(monkeypatch):
+    """A general build makes 21 integer inverses, counting the two of its
+    input phi: complete_to_basis's check and the conjugation by G share
+    one, and so do the two uses of each sigma."""
+    calls = []
+    orig = intmat._unimodular_inverse
+    for module in (intmat, autrep_module):
+        monkeypatch.setattr(module, "_unimodular_inverse", lambda x: calls.append(x) or orig(x))
+    witness._pipeline_general(canonical_shear(5, 4), 5, 4, 2, 3)
+    assert len(calls) == 21
