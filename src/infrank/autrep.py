@@ -17,11 +17,12 @@ Three representation classes are supported:
 Every atom carries its inverse witness from construction, so
 "automorphism" is enforced rather than assumed.  The one exception is a
 claimed value (``claimed=True``): the ``target_aut`` of a parsed identity
-claim, a parsed chain's ``final``, or the targets phi_n and the ``final``
-that the general pipeline builds from forward window products.  It is only
-compared by its windows, so it is built with no inverse (its inverse fields
-are None); ``window_pairs``, ``head_and_period`` and ``core_window`` read it, and
-``invert`` and ``compose`` refuse it.  The verifier proves it unimodular
+claim, a parsed chain's ``final``, or the targets psi and phi_n and the
+``final`` that the general pipeline walks from the chain's words
+(``words._Rows``).  It is only compared by its windows, so it is built with
+no inverse (its inverse fields are None); ``window_pairs``,
+``head_and_period`` and ``core_window`` read it, and ``invert`` and
+``compose`` refuse it.  The verifier proves it unimodular
 instead: a verified identity on a window that holds a whole block, or the
 chain links.  Windows are built as row pairs (``window_pairs``), straight
 from each class's structure, and follow the column convention of

@@ -12,7 +12,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .autrep import _check_window, window_matrix, window_pairs
+from .autrep import window_matrix, window_pairs
 from .classify import FinitePrimes, RuleBased, UnionWithPrefix, classification_summary
 from .errors import InfrankError, ValidationError
 from .filters import centered_check, counterexample_demo
@@ -153,8 +153,8 @@ def _cmd_classify(args) -> int:
         raise ValidationError(f"--window {args.window} exceeds the limit {MAX_PRINTED_WINDOW}")
     aut = parse_aut(args.aut_file.read_text())
     info = classification_summary(aut)
-    if args.window is not None:
-        _check_window(aut, args.window)  # refused before any of the report is printed
+    # read before any of the report is printed, so a misaligned window is refused first
+    rows = None if args.window is None else window_pairs(aut, args.window)
     print(f"congruence gcd: {info['congruence_gcd']}")
     print(f"level set: {_describe_levels(info['lambda_levels'])}")
     print(f"prime set: {_describe_primes(info['nu_set'])}")
@@ -178,8 +178,8 @@ def _cmd_classify(args) -> int:
             print(f"  witness chain: {len(ladder.chain.steps)} steps, verified: True")
         elif ladder.note:
             print(f"  note: {ladder.note}")
-    if args.window is not None:
-        print(format_matrix_text(window_pairs(aut, args.window), args.window), end="")
+    if rows is not None:
+        print(format_matrix_text(rows, args.window), end="")
     return 0
 
 

@@ -29,35 +29,14 @@ from dataclasses import dataclass
 from itertools import chain, compress
 from math import inf, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, NotCompletableError, ValidationError
 
 
-T = TypeVar("T")
 Rows = Sequence[Sequence[int]]
 # each row's nonzero entries as (column, value) pairs, in column order
 Pairs = tuple[tuple[tuple[int, int], ...], ...]
-
-
-def square_and_multiply(
-    base: T, e: int, times: Callable[[T, T], T], invert: Callable[[T], T], one: Callable[[], T]
-) -> T:
-    """base^e, with base^-1 = invert(base) and base^0 = one().  For e >= 1
-    there is neither a product by the identity nor a final unused squaring:
-    bit_length - 1 + popcount - 1 calls of ``times``."""
-    if e < 0:
-        base, e = invert(base), -e
-    if e == 0:
-        return one()
-    result = None
-    while True:
-        if e & 1:
-            result = base if result is None else times(result, base)
-        e >>= 1
-        if not e:
-            return result
-        base = times(base, base)
 
 
 def identity_rows(n: int) -> list[list[int]]:
@@ -344,8 +323,19 @@ def pairs_product(a: Pairs, b: Pairs) -> Pairs:
 
 
 def pairs_power(p: Pairs, e: int) -> Pairs:
-    """p^e for e >= 0, by ``square_and_multiply`` on ``pairs_product``."""
-    return square_and_multiply(p, e, pairs_product, None, lambda: identity_pairs(len(p)))
+    """p^e for e >= 0, by square and multiply on ``pairs_product``.  For
+    e >= 1 there is neither a product by the identity nor a final unused
+    squaring: bit_length - 1 + popcount - 1 products."""
+    if e == 0:
+        return identity_pairs(len(p))
+    result = None
+    while True:
+        if e & 1:
+            result = p if result is None else pairs_product(result, p)
+        e >>= 1
+        if not e:
+            return result
+        p = pairs_product(p, p)
 
 
 def pairs_sum(a: Pairs, b: Pairs) -> Pairs:

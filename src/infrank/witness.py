@@ -29,25 +29,20 @@ its ``final`` and ``level``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd
 from typing import Mapping, Optional, Sequence
 
 from .autrep import (
     EventuallyUniform,
     RepAut,
-    compose_all,
     eventually_uniform,
     finitary,
     head_and_period,
-    invert,
     uniform,
     window_matrix,
-    window_pairs,
 )
 from .errors import DimensionError, ShapeError, ValidationError
-from .intmat import IntMatrix, Pairs, complete_to_basis, snf
-from .intmat import identity_pairs, pairs_power, pairs_product
+from .intmat import IntMatrix, complete_to_basis, snf
 from .numth import euler_phi, xgcd
 from .words import (
     ACTION_ON_VECTOR,
@@ -62,8 +57,10 @@ from .words import (
     Product,
     Token,
     VerifyResult,
+    _Rows,
     holds_on_every_window,
     verify_certificate,
+    word_names,
 )
 
 
@@ -557,24 +554,23 @@ def _in_normal_closure(word: Token, name: str) -> bool:
 
 
 def _is_power_product(final: RepAut, phi1: RepAut, phi2: RepAut, a: int, b: int) -> bool:
-    """Whether final = phi1^a phi2^b, by window products on the core window
-    H + L of phi1 and phi2, which final must not widen, with each negative
-    power moved to the other side so that nothing is inverted.  That window
-    stands for every window, and phi1 and phi2 are verified targets, so
-    unimodular: moving a power is exact."""
+    """Whether final = phi1^a phi2^b, by two words over them walked on the
+    core window H + L of phi1 and phi2, which final must not widen, with
+    each negative power moved to the other side so that nothing is inverted.
+    That window stands for every window, and phi1 and phi2 are verified
+    targets, so unimodular: moving a power is exact."""
     split = head_and_period((phi1, phi2))
     if split is None or head_and_period((final, phi1, phi2)) != split:
         return False
-    n = sum(split)
-    f, w1, w2 = (window_pairs(x, n) for x in (final, phi1, phi2))
-    left, right = [f], []
+    walk = _Rows({"final": final, "phi1": phi1, "phi2": phi2}, sum(split))
+    left, right = [Named("final")], []
     if a:
-        (left if a < 0 else right).insert(0, pairs_power(w1, abs(a)))
+        (left if a < 0 else right).insert(0, Power(Named("phi1"), abs(a)))
     if b:
-        (left if b < 0 else right).append(pairs_power(w2, abs(b)))
-    return reduce(pairs_product, left) == (
-        reduce(pairs_product, right) if right else identity_pairs(n)
-    )
+        (left if b < 0 else right).append(Power(Named("phi2"), abs(b)))
+    # both words stay alive while walked: the walk keys its memo by identity
+    lhs, rhs = Product(tuple(left)), Product(tuple(right))
+    return walk.walk(lhs) == walk.walk(rhs)
 
 
 def _tracked_coefficient(step: ChainStep) -> Optional[int]:
@@ -598,9 +594,10 @@ def km_pipeline(phi: RepAut, coprime: tuple[int, int] = (2, 3)) -> WitnessChain:
     gcd(k, m) = 1 and m >= 2 (``canonical_shear`` builds one).  Raises
     ``ShapeError`` otherwise.  The finished chain is verified once, and a
     failing certificate raises ``ValidationError``.  In the general scope
-    (k != 1) the targets phi_n of the conjugation steps and the chain's
-    ``final`` are claimed values (``autrep``), built by forward window
-    products with no inverse, so ``compose`` and ``invert`` refuse them.
+    (k != 1) the target psi of the reduction step, the targets phi_n of the
+    conjugation steps and the chain's ``final`` are claimed values
+    (``autrep``), each walked from a word over the atoms (``_walked``) with
+    no inverse, so ``compose`` and ``invert`` refuse them.
     """
     shape = shear_shape(phi)
     if shape is None:
@@ -676,8 +673,12 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
     # step 1: conjugates h_s phi h_s^-1 redirect the shear of pair 0 onto the
     # partner slots of pairs 1..ell; their product has x-scalar k^ell = 1 + q m
     hs = {f"h{s}": uniform(_perm_swap(s_chunk, 0, 2 * s)) for s in range(ell, 0, -1)}
-    psi = compose_all(*[compose_all(h, phi, invert(h)) for h in hs.values()])
-    assert isinstance(psi, EventuallyUniform) and psi.window_size == 0
+    env: dict[str, RepAut] = {"phi": phi, **hs}
+    word_phi = Named("phi")
+    factors = [Conj(word_phi, Named(name)) for name in hs]
+    word_psi: Token = Product(tuple(factors)) if len(factors) != 1 else factors[0]
+    psi = _walked(env, word_psi)
+    assert psi.window_size == 0
 
     x_col = list(psi.block.matrix.col(x0))
     k_ell = k**ell
@@ -693,8 +694,8 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
 
     # steps 2: for each n, an order-n lambda built from two embedded copies of
     # the order-n shear steers phi_n = (lambda psi)^n into x0 -> x0 + m n p, p fixed
-    env: dict[str, RepAut] = {"phi": phi, **hs}
     lams, phis = [], []
+    word_lam_psi = Product((Named("lam"), Named("psi")))
     for n in (n1, n2):
         s2 = 2 * n * s_chunk
         za = z_vec + [0] * (s2 - s_chunk)
@@ -725,12 +726,9 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
         core = IntMatrix.block_diag([triple.gamma, triple.gamma, IntMatrix.identity(s2 - 2 * r)])
         lam = env[f"lam{n}"] = uniform(g_mat * core * g_mat.inverse())
         lams.append(lam)
-        phis.append(_power_of_product(lam, psi, n))
+        phis.append(_walked({"lam": lam, "psi": psi}, Power(word_lam_psi, n)))
 
     # the environment is complete: each step's claims are stated over it
-    word_phi = Named("phi")
-    factors = [Conj(word_phi, Named(name)) for name in hs]
-    word_psi: Token = Product(tuple(factors)) if len(factors) != 1 else factors[0]
     cert1a = _claim(env, word_psi, s_chunk, kind=WINDOW_IDENTITY, target_aut=psi)
     cert1b = _claim(
         env,
@@ -777,38 +775,27 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
             note=f"{a}*{n1} + {b}*{n2} = 1; shear by m = {m} on the tracked pair",
         )
     )
-    # phi_n^e for e < 0 is (psi^-1 lambda_n^-1)^(-e n), from the atoms' inverse windows
-    bases = [
-        phi_n if e >= 0 else _power_of_product(invert(psi), invert(lam), n)
-        for lam, phi_n, n, e in zip(lams, phis, (n1, n2), (a, b))
-    ]
-    return WitnessChain(
-        tuple(steps), _power_product(*bases, abs(a), abs(b)), m, SCOPE_NOTE_GENERAL
-    )
+    # phi_n^e for e < 0 is (psi^-1 lambda_n^-1)^(-e n), with psi^-1 walked
+    # from the inverse of psi's word and lambda_n^-1 from the atom's inverse window
+    bases = []
+    for lam, phi_n, n, e in zip(lams, phis, (n1, n2), (a, b)):
+        if e < 0:
+            psi_inv = _walked(env, Inverse(word_psi))
+            word = Power(Product((Named("psi_inv"), Inverse(Named("lam")))), n)
+            phi_n = _walked({"psi_inv": psi_inv, "lam": lam}, word)
+        bases.append(phi_n)
+    word_final = Product((Power(Named("phi1"), abs(a)), Power(Named("phi2"), abs(b))))
+    final = _walked(dict(zip(("phi1", "phi2"), bases)), word_final)
+    return WitnessChain(tuple(steps), final, m, SCOPE_NOTE_GENERAL)
 
 
-def _claimed_split(w: Pairs, head: int, n: int) -> EventuallyUniform:
-    """The claimed value (``autrep``) whose window n = H + L of
-    ``head_and_period`` has the row pairs w, split there: window H, then
-    the last L x L block.  No inverse window is made; the chain's links
-    check the value."""
-    m = IntMatrix.from_pairs(w, n)
+def _walked(env: Mapping[str, RepAut], word: Token) -> EventuallyUniform:
+    """The claimed value (``autrep``) of word over env: the word walked once
+    (``words._Rows``) on the window H + L of the ``head_and_period`` of the
+    atoms it names, split there into window H and the last L x L block.  No
+    inverse window is made; the chain's links check the value."""
+    head, period = head_and_period([env[name] for name in word_names(word)])
+    n = head + period
+    m = IntMatrix.from_pairs(_Rows(env, n).walk(word), n)
     return eventually_uniform(m.top_left(head), m.submatrix(head, n, head, n), claimed=True)
 
-
-def _power_of_product(x: RepAut, y: RepAut, e: int) -> EventuallyUniform:
-    """(x y)^e for e >= 1 as a claimed value: one forward product of the
-    windows H + L of x and y, then one power, split there."""
-    head, period = head_and_period((x, y))
-    n = head + period
-    w = pairs_power(pairs_product(window_pairs(x, n), window_pairs(y, n)), e)
-    return _claimed_split(w, head, n)
-
-
-def _power_product(phi1: RepAut, phi2: RepAut, a: int, b: int) -> EventuallyUniform:
-    """phi1^a phi2^b for a, b >= 0 as a claimed value: the one forward
-    product of the two powers' windows H + L, split there."""
-    head, period = head_and_period((phi1, phi2))
-    n = head + period
-    w1, w2 = (pairs_power(window_pairs(x, n), e) for x, e in ((phi1, a), (phi2, b)))
-    return _claimed_split(pairs_product(w1, w2), head, n)

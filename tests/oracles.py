@@ -12,8 +12,8 @@ the row-pair walk replaced, the chain encoding in one pass that
 encoding each environment once replaced, the graded multipliers by trial
 division that the prime table and each block's increment table replaced,
 the window-by-window check that one walk per certificate replaced, and the
-general pipeline's phi_n and ``final`` by ``compose`` and ``invert``, which
-forward window products replaced."""
+general pipeline's psi, phi_n and ``final`` by ``compose`` and ``invert``,
+which walked words replaced."""
 
 import json
 from functools import reduce
@@ -27,6 +27,7 @@ from infrank.autrep import (
     _check_window,
     _split,
     compose,
+    compose_all,
     identity_aut,
     invert,
     window_matrix,
@@ -43,6 +44,7 @@ from infrank.words import (
     Inverse,
     Named,
     Power,
+    Product,
     VerifyResult,
     _shown,
 )
@@ -346,15 +348,18 @@ def aut_power(aut, e: int):
 
 
 def general_chain_values(chain, pair: tuple[int, int]):
-    """phi_n = (lambda_n psi)^n for each n of the pair, and final = phi_1^a
-    phi_2^b, as the general pipeline built them from its atoms with
-    ``compose`` and ``invert``: psi is the atom target of the chain's first
-    identity claim, lambda_n the chain's atom ``lam{n}``."""
-    first = chain.steps[0].certificates[0]
-    psi, env = first.target_aut, first.environment
+    """psi, the product of the conjugates h phi h^-1, phi_n = (lambda_n
+    psi)^n for each n of the pair, and final = phi_1^a phi_2^b, as the
+    general pipeline built them from its atoms with ``compose`` and
+    ``invert``: each h is the conjugator of a factor of the chain's first
+    word, lambda_n the chain's atom ``lam{n}``."""
+    word, env = chain.steps[0].word, chain.steps[0].certificates[0].environment
+    factors = word.factors if isinstance(word, Product) else (word,)
+    psi = compose_all(*(compose_all(env[f.h.name], env["phi"], invert(env[f.h.name]))
+                        for f in factors))
     phis = [aut_power(compose(env[f"lam{n}"], psi), n) for n in pair]
     a, b = (factor.exponent for factor in chain.steps[3].word.factors)
-    return phis, compose(aut_power(phis[0], a), aut_power(phis[1], b))
+    return psi, phis, compose(aut_power(phis[0], a), aut_power(phis[1], b))
 
 
 def chain_document(chain) -> str:

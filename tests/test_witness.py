@@ -97,20 +97,6 @@ def test_shear_n3_matches_printed_matrices():
         assert t.gamma == t.sigma.inverse() * t.lam * t.sigma
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-@pytest.mark.parametrize("m", range(2, 11))
-def test_shear_invariants(n, m):
-    t = order_n_shear(n, m)
-    r = 2 * n - 2
-    eye = IntMatrix.identity(r)
-    assert t.gamma.power(n) == eye
-    for j in range(1, n):
-        if n % j == 0:
-            assert t.gamma.power(j) != eye
-    e1 = tuple(1 if i == 0 else 0 for i in range(r))
-    assert t.gamma.apply(e1) == tuple(e1[i] + m * t.shear[i] for i in range(r))
-
-
 def test_shear_lambda_stabilizes_sigma_span():
     for n in (3, 4, 5):
         t = order_n_shear(n, 3)
@@ -567,6 +553,9 @@ CHAIN_DIGESTS = [
     (3, 8, (2, 3), 282586, "d553b426e4e567a66973f876e442c979a7f547c6854bbb04e343432d3465b6a1"),
     (1, 3, (2, 3), 2164, "23e89583dd62cc73620d08f54f73b2599cee13110053e7ed1bc1f0952167f168"),
     (3, 4, (2, 5), 178422, "9645c1b23367f7636bb36da104b2d4b87af092f5f985274ffc9008b33c194268"),
+    # b < 0, recorded before psi, phi_n and final came to be walked from words
+    (3, 4, (3, 2), 85661, "70c3bfece1503f2252bb9a1653e0717dd7dbff93ab812caf90fc0b086508bec5"),
+    (-3, 4, (4, 3), 182871, "f42206b17d6f5a47bc93c976e4d5d6ec012c0aacbdf5bb913c6a35944e60d46c"),
 ]
 
 
@@ -589,13 +578,17 @@ def test_chain_bytes_are_unchanged(k, m, pair, size, digest):
 
 # matrix products and atom window reads of km_pipeline(canonical_shear(k, m)),
 # which builds and verifies, and of verify_chain on the chain parsed back,
-# recorded when each phi_n of the general scope came from forward products
-# ((74, 24) before; (75, 26) and (40, 24) before the certificates of a step
-# came to share their walks and the general final came from one product)
+# recorded when the general scope's psi, phi_n and final came to be walked
+# from words, so that the build and the final link read their windows
+# through the walk too ((71, 24) and (40, 22) before, with 31 and 3 more
+# reads made outside the walk; (74, 24) before
+# each phi_n came from forward products; (75, 26) and (40, 24) before the
+# certificates of a step came to share their walks and the general final
+# came from one product)
 WALK_COUNTS = [
-    (5, 4, (71, 24), (40, 22)),
-    (3, 4, (71, 24), (40, 22)),
-    (7, 6, (71, 24), (40, 22)),
+    (5, 4, (71, 45), (40, 25)),
+    (3, 4, (71, 45), (40, 25)),
+    (7, 6, (71, 45), (40, 25)),
     (1, 5, (7, 7), (7, 7)),
 ]
 
@@ -909,7 +902,8 @@ def test_links_read_no_inverse(monkeypatch):
     """The general final link multiplies windows and inverts nothing."""
     chain = parse_chain(GENERAL_TEXT)
     monkeypatch.setattr(IntMatrix, "inverse", None)
-    monkeypatch.setattr(witness, "invert", None)
+    monkeypatch.setattr(words_module, "invert_aut", None)
+    monkeypatch.setattr(autrep_module, "invert", None)
     assert witness._broken_link(chain) is None
 
 
@@ -1011,12 +1005,12 @@ def test_shared_walks_are_keyed_by_environment():
 
 
 def test_built_general_final_is_a_claimed_value():
-    """The general pipeline's final and the targets phi_n of its conjugation
-    steps are forward products, read only by their windows: compose and
-    invert refuse them."""
+    """The general pipeline's final, the target psi of its reduction step and
+    the targets phi_n of its conjugation steps are walked words, read only
+    by their windows: compose and invert refuse them."""
     chain = km_pipeline(canonical_shear(3, 4))
-    phis = [step.certificates[1].target_aut for step in chain.steps[1:3]]
-    for value in (chain.final, *phis):
+    targets = [step.certificates[i].target_aut for step, i in zip(chain.steps, (0, 1, 1))]
+    for value in (chain.final, *targets):
         assert is_claimed(value)
         for use in (lambda f: compose(f, f), invert):
             with pytest.raises(CompositionUnsupportedError):
@@ -1031,13 +1025,13 @@ GENERAL_CHAINS = [(k, m, pair) for k, m, pair, _, _ in CHAIN_DIGESTS if k != 1]
     "k, m, pair", GENERAL_CHAINS, ids=[f"k{k}-m{m}-pair{a},{b}" for k, m, (a, b) in GENERAL_CHAINS]
 )
 def test_forward_products_give_the_composed_values(k, m, pair):
-    """Each phi_n = (lambda_n psi)^n and final = phi_1^a phi_2^b, built by
-    forward window products, equal the values ``compose`` and ``invert``
-    gave, as atoms and window by window."""
+    """psi, each phi_n = (lambda_n psi)^n and final = phi_1^a phi_2^b, built
+    as walked words, equal the values ``compose`` and ``invert`` gave, as
+    atoms and window by window."""
     chain = km_pipeline(canonical_shear(k, m), pair)
-    phis, final = oracles.general_chain_values(chain, pair)
-    got = [step.certificates[1].target_aut for step in chain.steps[1:3]] + [chain.final]
-    for new, old in zip(got, phis + [final]):
+    psi, phis, final = oracles.general_chain_values(chain, pair)
+    got = [step.certificates[i].target_aut for step, i in zip(chain.steps, (0, 1, 1))]
+    for new, old in zip(got + [chain.final], [psi, *phis, final]):
         assert new == old
         d = old.d
         for n in (d, 2 * d, 3 * d):
@@ -1045,7 +1039,7 @@ def test_forward_products_give_the_composed_values(k, m, pair):
 
 
 def test_pipeline_build_inverts_each_matrix_once(monkeypatch):
-    """A general build makes 21 integer inverses, counting the two of its
+    """A general build makes 18 integer inverses, counting the two of its
     input phi: complete_to_basis's check and the conjugation by G share
     one, and so do the two uses of each sigma."""
     calls = []
@@ -1053,4 +1047,4 @@ def test_pipeline_build_inverts_each_matrix_once(monkeypatch):
     for module in (intmat, autrep_module):
         monkeypatch.setattr(module, "_unimodular_inverse", lambda x: calls.append(x) or orig(x))
     witness._pipeline_general(canonical_shear(5, 4), 5, 4, 2, 3)
-    assert len(calls) == 21
+    assert len(calls) == 18
