@@ -22,11 +22,13 @@ claim, a parsed chain's ``final``, or the targets psi and phi_n and the
 (``words._Rows``).  It is only compared by its windows, so it is built with
 no inverse (its inverse fields are None); ``window_pairs``,
 ``head_and_period`` and ``core_window`` read it, and ``invert`` and
-``compose`` refuse it.  The verifier proves it unimodular
-instead: a verified identity on a window that holds a whole block, or the
-chain links.  Windows are built as row pairs (``window_pairs``), straight
-from each class's structure, and follow the column convention of
-:mod:`infrank.intmat`.
+``compose`` refuse it.  The verifier proves it unimodular instead: a
+verified identity on a window that holds a whole block, or the chain links.
+One rule, ``from_window``, reads a product of atoms back from its window
+H + L, for ``compose`` (an atom, given the inverse's window) and for the
+pipeline's claimed values alike.  Windows are built as row pairs
+(``window_pairs``), straight from each class's structure, and follow the
+column convention of :mod:`infrank.intmat`.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .intmat import (
     Pairs,
     _unimodular_inverse,
     identity_pairs,
-    identity_rows,
     pairs_product,
 )
 from .numth import factorize, is_prime, primes_after
@@ -185,25 +186,24 @@ def finitary(support, matrix: IntMatrix, claimed: bool = False) -> Finitary:
         raise ValidationError("support indices must be nonnegative")
     if matrix.rows != len(sup) or matrix.cols != len(sup):
         raise ValidationError("support size and matrix size disagree")
-    if sorted(sup) != list(sup):
-        order = sorted(range(len(sup)), key=lambda a: sup[a])
-        matrix = IntMatrix.from_rows(
-            [[matrix.data[order[a]][order[b]] for b in range(len(sup))] for a in range(len(sup))]
-        )
-        sup = tuple(sorted(sup))
-    # pruning splits off an identity summand, which leaves det(matrix) as it is
-    keep = [
-        a
-        for a in range(len(sup))
-        if not (
-            all(matrix.data[a][b] == (1 if a == b else 0) for b in range(len(sup)))
-            and all(matrix.data[b][a] == (1 if a == b else 0) for b in range(len(sup)))
-        )
-    ]
-    if len(keep) != len(sup):
-        sup = tuple(sup[a] for a in keep)
-        matrix = IntMatrix.from_rows([[matrix.data[a][b] for b in keep] for a in keep])
+    moved = set(_moved(matrix))
+    keep = [a for a in sorted(range(len(sup)), key=sup.__getitem__) if a in moved]
+    if keep != list(range(len(sup))):
+        sup, matrix = tuple(sup[a] for a in keep), _principal(matrix, keep)
     return Finitary(sup, matrix, _witness(matrix, "finitary", claimed))
+
+
+def _moved(matrix: IntMatrix) -> list[int]:
+    """The indices whose row or column is not the identity's.  Pruning the
+    others splits off an identity summand, of the inverse too."""
+    n, data = matrix.rows, matrix.data
+    return [
+        a for a in range(n) if any(data[a][b] != (a == b) or data[b][a] != (a == b) for b in range(n))
+    ]
+
+
+def _principal(matrix: IntMatrix, keep: Sequence[int]) -> IntMatrix:
+    return IntMatrix.from_rows([[matrix.data[a][b] for b in keep] for a in keep])
 
 
 def identity_aut() -> Finitary:
@@ -231,17 +231,11 @@ def eventually_uniform(
 
 def _absorb_trailing_blocks(window: IntMatrix, block: IntMatrix) -> IntMatrix:
     """Canonical form: drop trailing window blocks that already repeat the block."""
-    d = block.rows
-    while window.rows >= d:
-        n0 = window.rows
-        if (
-            window.submatrix(n0 - d, n0, n0 - d, n0) == block
-            and all(x == 0 for row in window.data[: n0 - d] for x in row[n0 - d :])
-            and all(x == 0 for row in window.data[n0 - d :] for x in row[: n0 - d])
-        ):
-            window = window.submatrix(0, n0 - d, 0, n0 - d)
-        else:
+    rest = window.rows - block.rows
+    while rest >= 0 and window.submatrix(rest, window.rows, rest, window.rows) == block:
+        if window != IntMatrix.block_diag([window.top_left(rest), block]):
             break
+        window, rest = window.top_left(rest), rest - block.rows
     return window
 
 
@@ -453,26 +447,42 @@ def invert(aut: RepAut) -> RepAut:
     return GradedBlock(aut.prefix, aut.excluded, not aut.negated, aut._table)
 
 
-def _split(w: IntMatrix, w_inv: IntMatrix, head: int) -> EventuallyUniform:
-    """The eventually uniform automorphism whose window head + L is ``w``, with
-    inverse ``w_inv``: the top-left head x head parts give its window, the
-    last L x L parts its block.  Trailing head blocks that repeat the block
-    and are decoupled invert to the same blocks of the inverse, so both are
-    cut back to the same size and nothing is inverted again.
+def from_window(rows: Pairs, split: tuple[int, int], inverse: Optional[Pairs] = None) -> RepAut:
+    """The automorphism whose window H + L, for (H, L) = ``split`` of
+    ``head_and_period``, has the row pairs ``rows``: window H followed by
+    copies of the last L x L block, in canonical form, or a finitary atom on
+    ``range(H)`` when L = 0 or it is the identity.  The one place a product
+    of atoms is read back, by ``compose`` and ``witness._walked``.  With
+    ``inverse``, the rows of the inverse's window H + L, it is an atom whose
+    witnesses are the same parts of that window (dropped blocks and pruned
+    coordinates split off a summand), so nothing is inverted again; without
+    it, a claimed value.
     """
-    n = w.rows
-    block = BlockSpec(w.submatrix(head, n, head, n), w_inv.submatrix(head, n, head, n))
-    window = _absorb_trailing_blocks(w.top_left(head), block.matrix)
-    return EventuallyUniform(window, w_inv.top_left(window.rows), block)
+    head, period = split
+    n = head + period
+    w = IntMatrix.from_pairs(rows, n)
+    w_inv = None if inverse is None else IntMatrix.from_pairs(inverse, n)
+
+    def part(m: Optional[IntMatrix], lo: int, hi: int) -> Optional[IntMatrix]:
+        return None if m is None else m.submatrix(lo, hi, lo, hi)
+
+    if period:
+        block = w.submatrix(head, n, head, n)
+        window = _absorb_trailing_blocks(w.top_left(head), block)
+        if window.rows or not block.is_identity():
+            inv = part(w_inv, 0, window.rows)
+            return EventuallyUniform(window, inv, BlockSpec(block, part(w_inv, head, n)))
+    keep = _moved(w)
+    inv = None if w_inv is None else _principal(w_inv, keep)
+    return Finitary(tuple(keep), _principal(w, keep), inv)
 
 
 def compose(a: RepAut, b: RepAut) -> RepAut:
     """Symbolic product: window(compose(a, b), n) == window(a, n) * window(b, n).
 
-    Closure rules: finitary pairs stay finitary; anything involving an
-    eventually-uniform representation becomes eventually uniform, read off
-    window H + L of ``head_and_period``; graded representations close only
-    against their own inverses and the identity.  Unsupported pairs raise
+    Read back by ``from_window`` from the product on window H + L, with the
+    inverse b^-1 a^-1 from the factors' witnesses.  A graded factor composes
+    only with the identity and its own inverse; other pairs raise
     ``CompositionUnsupportedError`` -- callers needing only finite data
     should evaluate windows instead, as they must for a claimed value.
     """
@@ -481,50 +491,17 @@ def compose(a: RepAut, b: RepAut) -> RepAut:
         return identity_aut() if is_identity(b) else b
     if is_identity(b):
         return a
-    if isinstance(a, Finitary) and isinstance(b, Finitary):
-        sup = tuple(sorted(set(a.support) | set(b.support)))
-        pos = {i: k for k, i in enumerate(sup)}
-        size = len(sup)
-
-        def embed(f: Finitary) -> IntMatrix:
-            rows = identity_rows(size)
-            for x, i in enumerate(f.support):
-                for y, j in enumerate(f.support):
-                    rows[pos[i]][pos[j]] = f.matrix.data[x][y]
-            return IntMatrix.from_rows(rows)
-
-        return finitary(sup, embed(a) * embed(b))
-    if isinstance(a, GradedBlock) or isinstance(b, GradedBlock):
-        if (
-            isinstance(a, GradedBlock)
-            and isinstance(b, GradedBlock)
-            and a.prefix == b.prefix
-            and a.excluded == b.excluded
-        ):
-            if a.negated != b.negated:
-                return identity_aut()
-            raise CompositionUnsupportedError(
-                "product of two equal graded shears doubles every increment, which "
-                "leaves the graded multiplier pattern; evaluate windows instead"
-            )
+    split = head_and_period((a, b))
+    if split is None:
+        if invert(a) == b:
+            return identity_aut()
         raise CompositionUnsupportedError(
             "graded representations compose symbolically only with the identity "
-            "and with their own inverse shape; evaluate windows instead"
+            "and with their own inverse; evaluate windows instead"
         )
-    # at least one EventuallyUniform from here on; (ab)^-1 = b^-1 a^-1, so the
-    # inverses come from the factors' witnesses
-    head, period = head_and_period((a, b))
-    n = head + period
+    n = sum(split)
 
-    def window(x: RepAut, y: RepAut) -> IntMatrix:
-        return IntMatrix.from_pairs(pairs_product(window_pairs(x, n), window_pairs(y, n)), n)
+    def window(x: RepAut, y: RepAut) -> Pairs:
+        return pairs_product(window_pairs(x, n), window_pairs(y, n))
 
-    out = _split(window(a, b), window(invert(b), invert(a)), head)
-    return identity_aut() if is_identity(out) else out
-
-
-def compose_all(*auts: RepAut) -> RepAut:
-    out: RepAut = identity_aut()
-    for aut in auts:
-        out = compose(out, aut)
-    return out
+    return from_window(window(a, b), split, window(invert(b), invert(a)))

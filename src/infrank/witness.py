@@ -37,6 +37,7 @@ from .autrep import (
     RepAut,
     eventually_uniform,
     finitary,
+    from_window,
     head_and_period,
     uniform,
     window_matrix,
@@ -568,9 +569,7 @@ def _is_power_product(final: RepAut, phi1: RepAut, phi2: RepAut, a: int, b: int)
         (left if a < 0 else right).insert(0, Power(Named("phi1"), abs(a)))
     if b:
         (left if b < 0 else right).append(Power(Named("phi2"), abs(b)))
-    # both words stay alive while walked: the walk keys its memo by identity
-    lhs, rhs = Product(tuple(left)), Product(tuple(right))
-    return walk.walk(lhs) == walk.walk(rhs)
+    return walk.walk(Product(tuple(left))) == walk.walk(Product(tuple(right)))
 
 
 def _tracked_coefficient(step: ChainStep) -> Optional[int]:
@@ -789,13 +788,10 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
     return WitnessChain(tuple(steps), final, m, SCOPE_NOTE_GENERAL)
 
 
-def _walked(env: Mapping[str, RepAut], word: Token) -> EventuallyUniform:
+def _walked(env: Mapping[str, RepAut], word: Token) -> RepAut:
     """The claimed value (``autrep``) of word over env: the word walked once
     (``words._Rows``) on the window H + L of the ``head_and_period`` of the
-    atoms it names, split there into window H and the last L x L block.  No
-    inverse window is made; the chain's links check the value."""
-    head, period = head_and_period([env[name] for name in word_names(word)])
-    n = head + period
-    m = IntMatrix.from_pairs(_Rows(env, n).walk(word), n)
-    return eventually_uniform(m.top_left(head), m.submatrix(head, n, head, n), claimed=True)
-
+    atoms it names, read back by ``autrep.from_window``.  No inverse window
+    is made; the chain's links check the value."""
+    split = head_and_period([env[name] for name in word_names(word)])
+    return from_window(_Rows(env, sum(split)).walk(word), split)

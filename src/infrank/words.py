@@ -109,18 +109,27 @@ class _Walk:
     """One walk over a word on window n, reading each (token, inverted) pair
     once, keyed by the token's identity: a parse and the engines make equal
     subtrees one object, so ``memo`` counts distinct subtrees for both
-    readings, ``_Rows`` and ``_Pushes``.  A name is looked up, inverted,
-    then read (which checks the window), in ``evaluate_word``'s order: a
-    product's factors left to right (right to left inverted), a conjugate's
-    h, h^-1, then g.  So both readings raise one first error.
+    readings, ``_Rows`` and ``_Pushes``.  The memo keeps each token beside
+    its reading, so a keyed token lives as long as the walk and its id
+    cannot pass to another.  A name is looked up, inverted, then read (which
+    checks the window), in ``evaluate_word``'s order: a product's factors
+    left to right (right to left inverted), a conjugate's h, h^-1, then g.
+    So both readings raise one first error.
     """
 
     def __init__(self, env: Environment, n: int):
         self.env, self.n, self.memo = env, n, {}
 
+    def lookup(self, word: Token, inv: bool = False):
+        """The reading of (word, inv) this walk holds, or None."""
+        return self.memo.get((id(word), inv), (word, None))[1]
+
+    def seed(self, word: Token, out) -> None:
+        """Hold ``out`` as the reading of word, unless one is held already."""
+        self.memo.setdefault((id(word), False), (word, out))
+
     def walk(self, word: Token, inv: bool = False):
-        key = (id(word), inv)
-        if (hit := self.memo.get(key)) is not None:
+        if (hit := self.lookup(word, inv)) is not None:
             return hit
         if isinstance(word, Named):
             try:
@@ -142,7 +151,7 @@ class _Walk:
             out = self.product([self.walk(f, inv) for f in factors])
         else:
             raise WordError(f"unknown token {word!r}")
-        self.memo[key] = out
+        self.memo[id(word), inv] = word, out
         return out
 
 
@@ -328,7 +337,7 @@ def verify_certificate(cert: Certificate, walks: Optional[dict] = None) -> Verif
                 walk = _walk(walks, cert.environment, m)
                 if big is not None and big is not walk:
                     for word in cert.summand_words if cert.kind == WINDOW_SUM else (cert.word,):
-                        walk.memo.setdefault((id(word), False), big.walk(word)[:m])
+                        walk.seed(word, big.walk(word)[:m])
                 done[m] = _CHECKS[cert.kind](cert, walk)
             holds, detail = done[m]
         ok = ok and holds
@@ -460,7 +469,7 @@ def _check_action(
         raise ValidationError("action certificate needs vector and target_vector")
 
     def push(m: int, v: Sequence[int]) -> tuple[int, ...]:
-        rows = _walk(walks, cert.environment, m).memo.get((id(cert.word), False))
+        rows = _walk(walks, cert.environment, m).lookup(cert.word)
         if rows is None:
             return push_word(cert.word, cert.environment, m, v)
         return apply_pairs(rows, _pad(v, m))

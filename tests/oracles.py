@@ -13,7 +13,8 @@ encoding each environment once replaced, the graded multipliers by trial
 division that the prime table and each block's increment table replaced,
 the window-by-window check that one walk per certificate replaced, and the
 general pipeline's psi, phi_n and ``final`` by ``compose`` and ``invert``,
-which walked words replaced."""
+which walked words replaced, with ``compose_all``, a product by ``compose``
+that no library code needs."""
 
 import json
 from functools import reduce
@@ -22,15 +23,13 @@ from operator import add
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from infrank.autrep import (
+    BlockSpec,
     EventuallyUniform,
     Finitary,
     _check_window,
-    _split,
     compose,
-    compose_all,
     identity_aut,
     invert,
-    window_matrix,
 )
 from infrank.classify import RuleBased
 from infrank.errors import AlignmentError, DimensionError, ValidationError, WordError
@@ -131,7 +130,19 @@ def reblock(aut: EventuallyUniform, new_d: int) -> EventuallyUniform:
         raise AlignmentError(f"new block size {new_d} not a multiple of {aut.d}")
     head = aut.window_size + (-aut.window_size) % new_d
     n = head + new_d
-    return _split(window_matrix(aut, n), window_matrix(invert(aut), n), head)
+    w, w_inv = dense_window(aut, n), dense_window(invert(aut), n)
+    block = w.submatrix(head, n, head, n)
+    # window n is block diagonal at head, so a trailing head block that equals
+    # the block and is block diagonal within the head repeats it
+    while head and w.top_left(head) == IntMatrix.block_diag([w.top_left(head - new_d), block]):
+        head -= new_d
+    spec = BlockSpec(block, w_inv.submatrix(n - new_d, n, n - new_d, n))
+    return EventuallyUniform(w.top_left(head), w_inv.top_left(head), spec)
+
+
+def compose_all(*auts):
+    """The product of auts, left to right, by ``compose``."""
+    return reduce(compose, auts, identity_aut())
 
 
 def is_int_list(obj: Any) -> bool:

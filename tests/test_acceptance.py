@@ -60,6 +60,7 @@ from infrank.words import (
 )
 
 from helpers import build_corpus, random_matrix, random_unimodular
+from oracles import compose_all
 
 
 def report(number: int, label: str, started: float, budget: float) -> None:
@@ -160,7 +161,6 @@ def test_criterion_3_three_automorphism_sum():
 def test_criterion_4_three_conjugate_factorization():
     t0 = time.time()
     rng = random.Random(2028)
-    from infrank.autrep import compose_all
     from infrank.classify import congruence_gcd
 
     for trial in range(100):

@@ -17,21 +17,26 @@ from infrank.autrep import (
     core_window,
     eventually_uniform,
     finitary,
+    from_window,
     graded,
     head_and_period,
     identity_aut,
     invert,
+    is_claimed,
     is_identity,
     uniform,
     window_apply,
     window_matrix,
     window_pairs,
+    witnessed,
 )
 from infrank.errors import AlignmentError, CompositionUnsupportedError, ValidationError
 from infrank.intmat import IntMatrix
 from infrank.witness import tau_power
 
-from oracles import reblock, row_reduction_inverse, sieve_multipliers
+from infrank.words import Named, Product
+
+from oracles import dense_window, evaluate_word, reblock, row_reduction_inverse, sieve_multipliers
 from helpers import (
     ProductCounter,
     assert_passes_validation,
@@ -405,6 +410,26 @@ def test_compose_carries_inverses(a, b):
     elif c.support:
         assert c.inverse == c.matrix.inverse()
     assert is_identity(compose(c, invert(c)))
+
+
+@settings(max_examples=80)
+@given(finitary_or_uniform(), finitary_or_uniform())
+def test_one_rule_reads_compose_and_claimed_values(a, b):
+    """``from_window`` of the product's window H + L, given no inverse, is a
+    claimed value; witnessed, it is ``compose(a, b)``, unless a factor is the
+    identity, which ``compose`` returns the other factor for, on its own
+    blocks.  Both agree with the dense product at H + L and H + 2L."""
+    split = head_and_period((a, b))
+    head, period = split
+    word, env = Product((Named("a"), Named("b"))), {"a": a, "b": b}
+    claimed = from_window(evaluate_word(word, env, head + period).pairs, split)
+    assert is_claimed(claimed)
+    c = compose(a, b)
+    if not (is_identity(a) or is_identity(b)):
+        assert witnessed(claimed) == c
+    for n in (head + period, head + 2 * period):
+        want = evaluate_word(word, env, n)
+        assert dense_window(claimed, n) == want and dense_window(c, n) == want
 
 
 @settings(max_examples=100)

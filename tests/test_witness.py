@@ -1035,7 +1035,7 @@ def test_forward_products_give_the_composed_values(k, m, pair):
         assert new == old
         d = old.d
         for n in (d, 2 * d, 3 * d):
-            assert window_pairs(new, n) == window_pairs(old, n)
+            assert oracles.dense_window(new, n) == oracles.dense_window(old, n)
 
 
 def test_pipeline_build_inverts_each_matrix_once(monkeypatch):

@@ -37,6 +37,7 @@ from infrank.words import (
     Power,
     Product,
     VerifyResult,
+    _Rows,
     evaluate_word,
     holds_on_every_window,
     push_word,
@@ -285,6 +286,26 @@ def test_row_walk_matches_the_dense_evaluation(env, word, n):
     """Row pairs walked, multiplied and made dense once give the window
     that dense atom windows multiplied entry by entry give."""
     assert evaluate_word(word, env, n) == oracles.evaluate_word(word, env, n)
+
+
+def test_a_walk_keeps_the_tokens_it_keys():
+    """Two temporary tokens walked in turn on one walk: the first stays
+    alive in the memo, so the second cannot take its id and read its rows."""
+    env = {"a": finitary((0,), IntMatrix.from_rows([[-1]])), "b": SWAP}
+    walk = _Rows(env, 2)
+    assert walk.walk(Named("a")) == (((0, -1),), ((1, 1),))
+    assert walk.walk(Named("b")) == (((1, 1),), ((0, 1),))
+
+
+@settings(max_examples=100)
+@given(one_atom_per_class(), st.lists(WORDS, min_size=2, max_size=6), st.sampled_from([12, 24]))
+def test_one_walk_reads_temporary_words_in_turn(env, drawn, n):
+    """Fresh copies of the words, each dropped once walked, on one walk:
+    every reading matches the dense evaluation of its word."""
+    walk = _Rows(env, n)
+    for word in drawn:
+        got = IntMatrix.from_pairs(walk.walk(deepcopy(word)), n)
+        assert got == oracles.evaluate_word(word, env, n)
 
 
 def _changed(m: IntMatrix, changes) -> IntMatrix:
