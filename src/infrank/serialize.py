@@ -3,7 +3,9 @@ witness chains, plus the plain-text matrix format used by the CLI.
 
 Documents carry a ``format_version`` and a ``kind`` tag; serialization is
 byte-deterministic (sorted keys, fixed set orderings), and parsing
-annotates structural errors with the path of the offending node.
+annotates structural errors with the path of the offending node.  One
+parse reads each run of copies of an environment, and of a top-level word,
+once (``_once``).
 """
 
 from __future__ import annotations
@@ -251,9 +253,66 @@ def _env_to_obj(env: Mapping[str, RepAut]) -> dict:
 
 
 def _env_from_obj(obj: Any, path: str, table: dict) -> dict[str, RepAut]:
+    """Read an environment, or reuse the mapping read for the last one with
+    the same names in the same order if ``obj`` is a copy of it."""
     if not isinstance(obj, dict):
         raise ParseError(path, "expected an object of named automorphisms")
-    return {name: aut_from_obj(body, f"{path}.{name}", table) for name, body in obj.items()}
+    return _once(
+        table,
+        ("env", *obj),
+        obj,
+        lambda: {name: aut_from_obj(body, f"{path}.{name}", table) for name, body in obj.items()},
+    )
+
+
+def _word(obj: Any, path: str, table: dict) -> Token:
+    """Read a top-level word (of a certificate, a step or a word document),
+    or reuse the token read for the last one with the same op if ``obj`` is
+    a copy of it."""
+    op = obj.get("op") if isinstance(obj, dict) else None
+    slot = ("word", op if isinstance(op, str) else None)
+    return _once(table, slot, obj, lambda: word_from_obj(obj, path, table=table))
+
+
+# -- copies ------------------------------------------------------------------
+
+# the key of a parse's table that ``_parse`` sets to whether ``==`` is exact on
+# its document: true when it holds no float and no boolean literal
+_EXACT = "exact"
+
+
+def _once(table: dict, slot: Any, obj: Any, read) -> Any:
+    """``read()``, or the value it gave for the last object read in ``slot``
+    when ``obj`` is a copy of that object, so that a run of copies is read,
+    and validated, once.  A copy is the same JSON value with the same type at
+    every node; ``==`` alone takes ``1.0`` and ``true`` for ``1``, and ``0``
+    for ``false``.  Any other object is read on its own, at its own path."""
+    last = table.get(slot)
+    try:
+        if last is not None and last[0] == obj and (table.get(_EXACT) or _same_types(last[0], obj)):
+            return last[1]
+    except RecursionError:  # nested too deeply to compare: read on its own
+        pass
+    value = read()
+    table[slot] = obj, value
+    return value
+
+
+def _same_types(a: Any, b: Any) -> bool:
+    """Whether ``b``, equal to ``a`` by ``==``, has the type of ``a`` at every
+    node: each list's element types are compared in one pass at C speed, and
+    only lists that hold a container are descended into."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return all(_same_types(v, b[k]) for k, v in a.items())
+    if type(a) is list:
+        types = list(map(type, a))
+        if types != list(map(type, b)):
+            return False
+        if list in types or dict in types:
+            return all(map(_same_types, a, b))
+    return True
 
 
 # -- certificates ------------------------------------------------------------
@@ -289,7 +348,7 @@ def cert_from_obj(obj: Any, path: str, table: dict) -> Certificate:
     env = _env_from_obj(obj.get("env", {}), f"{path}.env", table)
     kwargs: dict[str, Any] = {}
     if "word" in obj:
-        kwargs["word"] = word_from_obj(obj["word"], f"{path}.word", table=table)
+        kwargs["word"] = _word(obj["word"], f"{path}.word", table)
     if "target_aut" in obj:
         kwargs["target_aut"] = aut_from_obj(obj["target_aut"], f"{path}.target_aut", table, True)
     if "target_matrix" in obj:
@@ -303,7 +362,7 @@ def cert_from_obj(obj: Any, path: str, table: dict) -> Certificate:
     if "summands" in obj:
         summands = _typed(obj["summands"], list, f"{path}.summands")
         kwargs["summand_words"] = tuple(
-            word_from_obj(w, f"{path}.summands[{i}]", table=table) for i, w in enumerate(summands)
+            _word(w, f"{path}.summands[{i}]", table) for i, w in enumerate(summands)
         )
     try:
         return Certificate(kind=claim, windows=windows, environment=env, **kwargs)
@@ -324,7 +383,7 @@ def chain_from_obj(obj: Any, path: str, table: dict) -> WitnessChain:
         steps.append(
             ChainStep(
                 name=_typed(_need(step, "name", spath), str, f"{spath}.name"),
-                word=word_from_obj(_need(step, "word", spath), f"{spath}.word", table=table),
+                word=_word(_need(step, "word", spath), f"{spath}.word", table),
                 certificates=tuple(
                     cert_from_obj(c, f"{spath}.certificates[{j}]", table)
                     for j, c in enumerate(certs)
@@ -344,6 +403,19 @@ def chain_from_obj(obj: Any, path: str, table: dict) -> WitnessChain:
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+class _FloatFound(Exception):
+    """Raised by ``_decode_floatless`` at a document's first float."""
+
+
+def _refuse_float(text: str) -> float:
+    raise _FloatFound
+
+
+# ``json.loads`` for a document with no float (a number with a fraction or an
+# exponent), built once: in such a document ``==`` tells 1 from 1.0
+_decode_floatless = json.JSONDecoder(parse_float=_refuse_float).decode
 
 
 def _document(kind: str, body: dict) -> str:
@@ -385,10 +457,16 @@ def serialize_chain(chain: WitnessChain) -> str:
     return _document("chain", head)[:-2] + f',"steps":[{steps}]}}\n'
 
 
-def _load(text: str, kind: str | None = None) -> dict:
-    """Decode a document; with ``kind`` given, refuse any other kind tag."""
+def _load(text: str, kind: str | None = None) -> tuple[dict, bool]:
+    """Decode a document, and tell whether it holds no float; with ``kind``
+    given, refuse any other kind tag.  A document ``_decode_floatless`` does
+    not take (one with a float, bytes, a byte order mark or invalid JSON) is
+    decoded again by ``json.loads``, which reads it or gives its own error."""
     try:
-        obj = json.loads(text)
+        try:
+            obj, floatless = _decode_floatless(text), True
+        except (_FloatFound, ValueError, TypeError):
+            obj, floatless = json.loads(text), False
     except json.JSONDecodeError as exc:
         raise ParseError("$", f"invalid JSON: {exc}") from None
     except RecursionError:
@@ -400,11 +478,11 @@ def _load(text: str, kind: str | None = None) -> dict:
         raise ParseError("$.format_version", f"unsupported version {version!r}")
     if kind is not None and obj.get("kind") != kind:
         raise ParseError("$.kind", f"expected {kind!r}, found {obj.get('kind')!r}")
-    return obj
+    return obj, floatless
 
 
 def _word_doc(obj: dict, path: str, table: dict) -> tuple[Token, dict[str, RepAut]]:
-    return word_from_obj(_need(obj, "word", path), f"{path}.word", table=table), _env_from_obj(
+    return _word(_need(obj, "word", path), f"{path}.word", table), _env_from_obj(
         obj.get("env", {}), f"{path}.env", table
     )
 
@@ -419,13 +497,15 @@ _READERS = {
 
 def _parse(text: str, kind: str | None) -> Any:
     """Read a document with the reader of its kind; ``kind`` None accepts any.
-    Equal atoms, and equal word subtrees, become one object each, through a
+    Equal atoms, and equal word subtrees, become one object each, and a run
+    of copies of an environment or a top-level word is read once, through a
     table that lives for this call."""
-    obj = _load(text, kind)
+    obj, floatless = _load(text, kind)
     found = obj.get("kind")
     if not isinstance(found, str) or found not in _READERS:
         raise ParseError("$.kind", f"unknown document kind {found!r}")
-    return _READERS[found](obj, "$", {})
+    exact = floatless and "true" not in text and "false" not in text
+    return _READERS[found](obj, "$", {_EXACT: exact})
 
 
 def parse_aut(text: str) -> RepAut:
@@ -459,7 +539,7 @@ def parse_descriptors(text: str):
     """
     from .classify import FinitePrimes, UnionWithPrefix
 
-    obj = _load(text, "descriptors")
+    obj, _ = _load(text, "descriptors")
     items = _typed(_need(obj, "items", "$"), list, "$.items")
     out = []
     for i, item in enumerate(items):

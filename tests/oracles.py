@@ -14,7 +14,9 @@ division that the prime table and each block's increment table replaced,
 the window-by-window check that one walk per certificate replaced, and the
 general pipeline's psi, phi_n and ``final`` by ``compose`` and ``invert``,
 which walked words replaced, with ``compose_all``, a product by ``compose``
-that no library code needs."""
+that no library code needs, and the chain reader that read every copy of an
+environment and of a top-level word, which reading each run of copies once
+replaced."""
 
 import json
 from functools import reduce
@@ -32,9 +34,20 @@ from infrank.autrep import (
     invert,
 )
 from infrank.classify import RuleBased
-from infrank.errors import AlignmentError, DimensionError, ValidationError, WordError
+from infrank.errors import AlignmentError, DimensionError, ParseError, ValidationError, WordError
 from infrank.intmat import IntMatrix, snf
-from infrank.serialize import aut_to_obj, cert_to_obj, word_to_obj
+from infrank.serialize import (
+    _int_list,
+    _matrix,
+    _need,
+    _typed,
+    aut_from_obj,
+    aut_to_obj,
+    cert_to_obj,
+    word_from_obj,
+    word_to_obj,
+)
+from infrank.witness import ChainStep, WitnessChain
 from infrank.words import (
     ORDER,
     WINDOW_IDENTITY,
@@ -43,6 +56,7 @@ from infrank.words import (
     Inverse,
     Named,
     Power,
+    Certificate,
     Product,
     VerifyResult,
     _shown,
@@ -384,6 +398,57 @@ def chain_document(chain) -> str:
     doc = {"format_version": 1, "kind": "chain", "level": chain.level,
            "scope_note": chain.scope_note, "final": aut_to_obj(chain.final), "steps": steps}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def read_chain(text: str) -> WitnessChain:
+    """``parse_chain`` of a document whose header is intact, reading every
+    environment and every top-level word where it stands, from one
+    ``json.loads``: no copy reuses what an earlier copy read."""
+    obj, table = json.loads(text), {}
+
+    def env(env_obj: Any, path: str) -> dict:
+        if not isinstance(env_obj, dict):
+            raise ParseError(path, "expected an object of named automorphisms")
+        return {name: aut_from_obj(a, f"{path}.{name}", table) for name, a in env_obj.items()}
+
+    def word(word_obj: Any, path: str):
+        return word_from_obj(word_obj, path, table=table)
+
+    def cert(c: Any, path: str) -> Certificate:
+        claim = _need(c, "claim", path)
+        fields: dict[str, Any] = {"windows": _int_list(_need(c, "windows", path), f"{path}.windows")}
+        fields["environment"] = env(c.get("env", {}), f"{path}.env")
+        if "word" in c:
+            fields["word"] = word(c["word"], f"{path}.word")
+        if "target_aut" in c:
+            fields["target_aut"] = aut_from_obj(c["target_aut"], f"{path}.target_aut", table, True)
+        if "target_matrix" in c:
+            fields["target_matrix"] = _matrix(c["target_matrix"], f"{path}.target_matrix")
+        for key in ("vector", "target_vector"):
+            if key in c:
+                fields[key] = _int_list(c[key], f"{path}.{key}")
+        if "order" in c:
+            fields["order"] = _typed(c["order"], int, f"{path}.order")
+        if "summands" in c:
+            summands = _typed(c["summands"], list, f"{path}.summands")
+            fields["summand_words"] = tuple(
+                word(w, f"{path}.summands[{i}]") for i, w in enumerate(summands))
+        try:
+            return Certificate(kind=claim, **fields)
+        except ValidationError as exc:
+            raise ParseError(path, str(exc)) from None
+
+    level = _typed(_need(obj, "level", "$"), int, "$.level")
+    steps = []
+    for i, step in enumerate(_typed(_need(obj, "steps", "$"), list, "$.steps")):
+        path = f"$.steps[{i}]"
+        certs = _typed(_need(step, "certificates", path), list, f"{path}.certificates")
+        name = _typed(_need(step, "name", path), str, f"{path}.name")
+        step_word = word(_need(step, "word", path), f"{path}.word")
+        read = tuple(cert(c, f"{path}.certificates[{j}]") for j, c in enumerate(certs))
+        steps.append(ChainStep(name, step_word, read, _typed(step.get("note", ""), str, f"{path}.note")))
+    final = aut_from_obj(_need(obj, "final", "$"), "$.final", table, True)
+    return WitnessChain(tuple(steps), final, level, _typed(_need(obj, "scope_note", "$"), str, "$.scope_note"))
 
 
 def verify_per_window(cert) -> VerifyResult:

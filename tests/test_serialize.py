@@ -355,6 +355,215 @@ def test_chain_encoding_splices_each_environment_exactly():
     assert serialize_chain(parse_chain(text)) == text
 
 
+# -- copies: one read per run of copies of an environment or a word -----------
+
+
+_CHAIN_54 = serialize_chain(km_pipeline(canonical_shear(5, 4), (2, 3)))
+
+
+def _graded_chain() -> str:
+    """Two order claims over one graded atom: the text holds ``false``."""
+    g, word = graded((2, 3), ()), Product((Named("g"), Inverse(Named("g"))))
+    certs = tuple(Certificate(kind=ORDER, windows=(n,), environment={"g": g}, word=word, order=1)
+                  for n in (2, 4))
+    return serialize_chain(WitnessChain((ChainStep("s", word, certs),), g, 2, ""))
+
+
+def _edited(text: str, edit) -> str:
+    doc = json.loads(text)
+    edit(doc)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _set_lam2_entry(value):
+    def edit(doc):
+        doc["steps"][-1]["certificates"][-1]["env"]["lam2"]["block"][0][0] = value
+    return edit
+
+
+def _set_exponent(value):
+    def edit(doc):
+        word = doc["steps"][-1]["certificates"][-1]["word"]
+        word["factors"][0]["inner"]["factors"][0]["h"]["exponent"] = value
+    return edit
+
+
+def _set_negated(doc):
+    doc["steps"][0]["certificates"][1]["env"]["g"]["negated"] = 0
+
+
+# A later copy equal to the first by ``==`` but not in type, and the error its
+# parse raises, recorded before a parse read each run of copies once.
+_ENTRY_PATH = "$.steps[3].certificates[1].env.lam2.block[0]"
+_EXPONENT_PATH = "$.steps[3].certificates[1].word.factors[0].inner.factors[0].h.exponent"
+COPY_ERRORS = [
+    (_CHAIN_54, _set_lam2_entry(1.0), _ENTRY_PATH, "expected a list of integers"),
+    (_CHAIN_54, _set_lam2_entry(True), _ENTRY_PATH, "expected a list of integers"),
+    (_CHAIN_54, _set_exponent(True), _EXPONENT_PATH, "expected an integer"),
+    (_CHAIN_54, _set_exponent(1.0), _EXPONENT_PATH, "expected an integer"),
+    (_graded_chain(), _set_negated, "$.steps[0].certificates[1].env.g.negated", "expected a boolean"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, edit, path, message",
+    COPY_ERRORS,
+    ids=["env-float", "env-true", "word-true", "word-float", "graded-zero"],
+)
+def test_a_copy_equal_only_by_eq_is_read_on_its_own(text, edit, path, message):
+    assert parse_chain(_edited(text, lambda doc: None)) == parse_chain(text)
+    with pytest.raises(ParseError) as exc:
+        parse_chain(_edited(text, edit))
+    assert (exc.value.path, exc.value.message) == (path, message)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [('\ufeff{"format_version":1}',
+      "$: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+     ('{"format_version":1.5}', "$.format_version: unsupported version 1.5"),
+     ('{"format_version":1,"kind":"aut","variant":1.5}', "$.variant: unknown variant 1.5"),
+     ('{"format_version":1,"kind":"chain","level":1,"steps":[1e400]}',
+      "$.steps[0]: expected an object, found float")],
+    ids=["bom", "version", "variant", "step"],
+)
+def test_the_decoder_keeps_every_error_text(text, error):
+    """Texts recorded when ``json.loads`` decoded every document."""
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert str(exc.value) == error
+
+
+def test_the_decoder_reads_what_json_loads_read():
+    """Version 1.0, read as 1, and a document given as bytes."""
+    text = '{"format_version":1.0,"kind":"aut","variant":"graded","prefix":[],"excluded":[],"negated":false}'
+    assert parse_document(text) == graded((), ()) == parse_aut(serialize_aut(graded((), ())).encode())
+
+
+def test_one_parse_reads_the_54_chains_environment_once(monkeypatch):
+    """The (5,4) chain restates one environment of 5 atoms in 12
+    certificates: one parse reads it once, every certificate holds the one
+    mapping, ``aut_from_obj`` runs once per distinct atom or claimed value
+    (64 times when every copy was read), and each of the 6 distinct
+    top-level words of its 16 is read once."""
+    doc = json.loads(_CHAIN_54)
+    atoms = list(_atom_objs(doc))
+    assert len(atoms) == 64
+    distinct = {(json.dumps(a, sort_keys=True), claimed) for a, claimed in atoms}
+    words = [c["word"] for step in doc["steps"] for c in (*step["certificates"], step)]
+    assert len(words) == 16
+    paths, word_paths = [], []
+    read, read_word = serialize.aut_from_obj, serialize.word_from_obj
+    monkeypatch.setattr(serialize, "aut_from_obj",
+                        lambda obj, path, *args: paths.append(path) or read(obj, path, *args))
+    monkeypatch.setattr(
+        serialize, "word_from_obj",
+        lambda obj, path="$", depth=1, table=None:
+            (depth == 1 and word_paths.append(path)) or read_word(obj, path, depth, table))
+    chain = parse_chain(_CHAIN_54)
+    certs = [c for step in chain.steps for c in step.certificates]
+    assert len(certs) == 12 and len({id(c.environment) for c in certs}) == 1
+    assert len(paths) == len(distinct) == 9
+    assert len(word_paths) == len({json.dumps(w, sort_keys=True) for w in words}) == 6
+    assert [p for p in paths if ".env." in p] == [
+        f"$.steps[0].certificates[0].env.{name}" for name in ("h1", "h2", "lam2", "lam3", "phi")]
+    assert serialize_chain(chain) == _CHAIN_54
+
+
+def test_copies_too_deep_to_compare_are_read_on_their_own():
+    def deep():
+        obj: list = []
+        for _ in range(100_000):
+            obj = [obj]
+        return obj
+
+    table: dict = {}
+    assert serialize._once(table, "s", deep(), lambda: "first") == "first"
+    assert serialize._once(table, "s", deep(), lambda: "second") == "second"
+    assert serialize._once(table, "s", [[]], lambda: "third") == "third"
+    assert serialize._once(table, "s", [[]], lambda: "fourth") == "third"
+
+
+@st.composite
+def copied_chains(draw):
+    """Chains of small certificates that restate one or two environments and
+    words, as a pipeline's chain restates its own."""
+    envs = draw(st.lists(ENVS, min_size=1, max_size=2))
+    pool = draw(st.lists(WORDS_ABC, min_size=1, max_size=2))
+
+    def cert():
+        return Certificate(kind=WINDOW_IDENTITY, windows=(2,), environment=draw(st.sampled_from(envs)),
+                           word=draw(st.sampled_from(pool)))
+
+    steps = tuple(
+        ChainStep(f"s{i}", draw(st.sampled_from(pool)), tuple(cert() for _ in range(draw(st.integers(1, 3)))))
+        for i in range(draw(st.integers(1, 2)))
+    )
+    return WitnessChain(steps, draw(auts()), 1, "")
+
+
+def _leaves(obj):
+    """Each (container, key) of an int or bool below ``obj``."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        if isinstance(value, int):
+            yield obj, key
+        yield from _leaves(value)
+
+
+def _dicts(obj):
+    """Every object at or below ``obj``."""
+    if isinstance(obj, dict):
+        yield obj
+    for value in obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ():
+        yield from _dicts(value)
+
+
+def _edit_copy(parent: dict, key: str, at: int, edit: str) -> None:
+    """Change one environment or word copy: an entry +-1, an int or bool of
+    another type that ``==`` takes for it, or an atom renamed."""
+    copy = parent[key]
+    if edit == "rename":
+        if key == "env" and copy:
+            old, new = sorted(copy)[at % len(copy)], "abc"[at % 3]
+            copy[new if new != old else old + "x"] = copy.pop(old)
+        named = [node for node in _dicts(copy) if node.get("op") == "named"]
+        if key == "word" and named:
+            named[at % len(named)]["name"] = "abc"[at % 3] + "x" * (at % 2)
+    else:
+        leaves = [(c, k) for c, k in _leaves(copy) if edit == "retype" or type(c[k]) is int]
+        if leaves:
+            c, k = leaves[at % len(leaves)]
+            v = c[k]
+            if edit == "retype":
+                c[k] = int(v) if type(v) is bool else bool(v) if v in (0, 1) and at % 2 else float(v)
+            else:
+                c[k] = v + (1 if edit == "+1" else -1)
+
+
+@settings(max_examples=300)
+@given(copied_chains(), st.integers(0, 99), st.integers(0, 999),
+       st.sampled_from(["+1", "-1", "retype", "rename"]))
+def test_a_changed_copy_reads_as_when_every_copy_was_read(chain, which, at, edit):
+    """One copy of an environment or a word changed: ``parse_chain`` gives
+    what the reader of every copy gives, the same chain or the same error."""
+    doc = json.loads(serialize_chain(chain))
+    copies = [(c, key) for step in doc["steps"] for c in step["certificates"] for key in ("env", "word")]
+    copies += [(step, "word") for step in doc["steps"]]
+    _edit_copy(*copies[which % len(copies)], at, edit)
+    text = json.dumps(doc)
+    try:
+        want = oracles.read_chain(text)
+    except InfrankError as exc:
+        with pytest.raises(type(exc)) as got:
+            parse_chain(text)
+        assert str(got.value) == str(exc)
+    else:
+        got = parse_chain(text)
+        assert got == want
+        assert serialize_chain(got) == serialize_chain(want)
+
+
 @pytest.mark.parametrize(
     "block, text",
     [("[[1,0],[true,1]]", "$.block[1]: expected a list of integers"),
