@@ -59,6 +59,7 @@ from .words import (
     Token,
     VerifyResult,
     _Rows,
+    _walk,
     holds_on_every_window,
     verify_certificate,
     word_names,
@@ -453,18 +454,20 @@ SCOPE_NOTE_GENERAL = (
 )
 
 
-def verify_chain(chain: WitnessChain) -> VerifyResult:
+def verify_chain(chain: WitnessChain, walks: Optional[dict] = None) -> VerifyResult:
     """Check every certificate of the chain, each once, and then, once they
     all hold, the links that make them prove the chain's claim
     (``_broken_link``); a broken link adds one report line.  The
     certificates of one step share their window walks (``verify_certificate``),
-    so an action claim reads the rows an identity claim walked for its word."""
+    so an action claim reads the rows an identity claim walked for its word.
+    ``km_pipeline`` alone passes ``walks``, those of its build, for every
+    step to share; without it, each step walks its words afresh."""
     ok = True
     lines: list[str] = []
     for step in chain.steps:
-        walks: dict = {}
+        step_walks = {} if walks is None else walks
         for cert in step.certificates:
-            res = verify_certificate(cert, walks)
+            res = verify_certificate(cert, step_walks)
             ok = ok and res.ok
             lines.extend(f"{step.name}: {line}" for line in res.report)
     broken = _broken_link(chain) if ok else None
@@ -593,10 +596,14 @@ def km_pipeline(phi: RepAut, coprime: tuple[int, int] = (2, 3)) -> WitnessChain:
     gcd(k, m) = 1 and m >= 2 (``canonical_shear`` builds one).  Raises
     ``ShapeError`` otherwise.  The finished chain is verified once, and a
     failing certificate raises ``ValidationError``.  In the general scope
-    (k != 1) the target psi of the reduction step, the targets phi_n of the
-    conjugation steps and the chain's ``final`` are claimed values
-    (``autrep``), each walked from a word over the atoms (``_walked``) with
-    no inverse, so ``compose`` and ``invert`` refuse them.
+    (k != 1) the target psi of the reduction step and the targets phi_n of
+    the conjugation steps are the values of the steps' own words, and the
+    chain's ``final`` is phi_1^a phi_2^b over them: claimed values
+    (``autrep``) walked with no inverse (``_walked``), so ``compose`` and
+    ``invert`` refuse them.  The check reuses the build's walks, so the
+    identity claims on psi and phi_n hold by construction here; the order
+    and action claims and the links are still checked, and a fresh
+    ``infrank verify`` of the written chain walks every word again.
     """
     shape = shear_shape(phi)
     if shape is None:
@@ -605,11 +612,12 @@ def km_pipeline(phi: RepAut, coprime: tuple[int, int] = (2, 3)) -> WitnessChain:
     n1, n2 = coprime
     if n1 < 2 or n2 < 2 or gcd(n1, n2) != 1:
         raise ValueError(f"({n1}, {n2}) is not a coprime pair of numbers >= 2")
+    walks: dict = {}
     if phi.block.matrix == IntMatrix.from_rows([[1, m], [0, 1]]):
         chain = _pipeline_clean(phi, m, n1, n2)
     else:
-        chain = _pipeline_general(phi, k, m, n1, n2)
-    _require(verify_chain(chain))
+        chain = _pipeline_general(phi, k, m, n1, n2, walks)
+    _require(verify_chain(chain, walks))
     return chain
 
 
@@ -663,7 +671,7 @@ def _unit(size: int, i: int) -> list[int]:
     return v
 
 
-def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessChain:
+def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int, walks: dict) -> WitnessChain:
     ell = euler_reduce(k, m)
     s_chunk = 2 * (ell + 1)
     # the tracked pair: the x-slots of the first two chunks
@@ -676,10 +684,10 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
     word_phi = Named("phi")
     factors = [Conj(word_phi, Named(name)) for name in hs]
     word_psi: Token = Product(tuple(factors)) if len(factors) != 1 else factors[0]
-    psi = _walked(env, word_psi)
+    psi = _walked(env, word_psi, walks)
     assert psi.window_size == 0
 
-    x_col = list(psi.block.matrix.col(x0))
+    x_col = psi.block.matrix.col(x0)
     k_ell = k**ell
     if x_col[x0] != k_ell or any(c % m for i, c in enumerate(x_col) if i != x0):
         raise ValidationError("conjugate product lost the expected x-action")
@@ -690,12 +698,28 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
     if gcd(*(z for i, z in enumerate(z_vec) if i != x0)) != 1:
         raise ValidationError("tracked pair {x, z} is not unimodular")
     reduce_data = conjugate_product_reduce([(k, m)] * ell)
+    e_x0 = tuple(_unit(s_chunk, x0))
+    cert1a = _claim(env, word_psi, s_chunk, kind=WINDOW_IDENTITY, target_aut=psi)
+    cert1b = _claim(env, word_psi, s_chunk, kind=ACTION_ON_VECTOR, vector=e_x0, target_vector=x_col)
+    steps = [
+        ChainStep(
+            "euler-gcd-reduction",
+            word_psi,
+            (cert1a, cert1b),
+            note=(
+                f"ell = {ell}, x-scalar k^ell = {k_ell}, shear coefficients "
+                f"{list(reduce_data.coefficients)} with gcd {reduce_data.m}"
+            ),
+        )
+    ]
 
     # steps 2: for each n, an order-n lambda built from two embedded copies of
-    # the order-n shear steers phi_n = (lambda psi)^n into x0 -> x0 + m n p, p fixed
-    lams, phis = [], []
-    word_lam_psi = Product((Named("lam"), Named("psi")))
-    for n in (n1, n2):
+    # the order-n shear steers phi_n = (lambda psi)^n into x0 -> x0 + m n p, p
+    # fixed; as lambda^n = 1, phi_n is the step's word, and final takes
+    # phi_n^-1 for a negative Bezout exponent, walked from the word's inverse
+    _, a, b = xgcd(n1, n2)
+    bases = []
+    for n, e in zip((n1, n2), (a, b)):
         s2 = 2 * n * s_chunk
         za = z_vec + [0] * (s2 - s_chunk)
         zp = [0] * s_chunk + z_vec + [0] * (s2 - 2 * s_chunk)
@@ -723,35 +747,11 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
                     cols.append(_unit(s2, next(pool)))
         g_mat = complete_to_basis(IntMatrix.from_rows(list(zip(*cols))))
         core = IntMatrix.block_diag([triple.gamma, triple.gamma, IntMatrix.identity(s2 - 2 * r)])
-        lam = env[f"lam{n}"] = uniform(g_mat * core * g_mat.inverse())
-        lams.append(lam)
-        phis.append(_walked({"lam": lam, "psi": psi}, Power(word_lam_psi, n)))
-
-    # the environment is complete: each step's claims are stated over it
-    cert1a = _claim(env, word_psi, s_chunk, kind=WINDOW_IDENTITY, target_aut=psi)
-    cert1b = _claim(
-        env,
-        word_psi,
-        s_chunk,
-        kind=ACTION_ON_VECTOR,
-        vector=tuple(_unit(s_chunk, x0)),
-        target_vector=tuple(x_col),
-    )
-    steps = [
-        ChainStep(
-            "euler-gcd-reduction",
-            word_psi,
-            (cert1a, cert1b),
-            note=(
-                f"ell = {ell}, x-scalar k^ell = {k_ell}, shear coefficients "
-                f"{list(reduce_data.coefficients)} with gcd {reduce_data.m}"
-            ),
-        )
-    ]
-    for n, phi_n in zip((n1, n2), phis):
-        s2 = 2 * n * s_chunk
+        env[f"lam{n}"] = uniform(g_mat * core * g_mat.inverse())
         word_lam = Named(f"lam{n}")
         word_n = Product(tuple(Conj(word_psi, Power(word_lam, j)) for j in range(1, n + 1)))
+        phi_n = _walked(env, word_n, walks)
+        bases.append(_walked(env, Inverse(word_n), walks) if e < 0 else phi_n)
         cert2a = Certificate(kind=ORDER, windows=(s2,), environment=env, word=word_lam, order=n)
         cert2b = _claim(env, word_n, s2, kind=WINDOW_IDENTITY, target_aut=phi_n)
         steps.append(
@@ -764,7 +764,6 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
         )
 
     # step 3: Bezout combination of the two tracked shears
-    _, a, b = xgcd(n1, n2)
     word3 = Product((Power(steps[1].word, a), Power(steps[2].word, b)))
     steps.append(
         ChainStep(
@@ -774,24 +773,16 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int) -> WitnessC
             note=f"{a}*{n1} + {b}*{n2} = 1; shear by m = {m} on the tracked pair",
         )
     )
-    # phi_n^e for e < 0 is (psi^-1 lambda_n^-1)^(-e n), with psi^-1 walked
-    # from the inverse of psi's word and lambda_n^-1 from the atom's inverse window
-    bases = []
-    for lam, phi_n, n, e in zip(lams, phis, (n1, n2), (a, b)):
-        if e < 0:
-            psi_inv = _walked(env, Inverse(word_psi))
-            word = Power(Product((Named("psi_inv"), Inverse(Named("lam")))), n)
-            phi_n = _walked({"psi_inv": psi_inv, "lam": lam}, word)
-        bases.append(phi_n)
     word_final = Product((Power(Named("phi1"), abs(a)), Power(Named("phi2"), abs(b))))
     final = _walked(dict(zip(("phi1", "phi2"), bases)), word_final)
     return WitnessChain(tuple(steps), final, m, SCOPE_NOTE_GENERAL)
 
 
-def _walked(env: Mapping[str, RepAut], word: Token) -> RepAut:
+def _walked(env: Mapping[str, RepAut], word: Token, walks: Optional[dict] = None) -> RepAut:
     """The claimed value (``autrep``) of word over env: the word walked once
     (``words._Rows``) on the window H + L of the ``head_and_period`` of the
-    atoms it names, read back by ``autrep.from_window``.  No inverse window
-    is made; the chain's links check the value."""
+    atoms it names (kept in ``walks``, ``words._walk``), read back by
+    ``autrep.from_window``.  No inverse window is made; the chain's links
+    check the value."""
     split = head_and_period([env[name] for name in word_names(word)])
-    return from_window(_Rows(env, sum(split)).walk(word), split)
+    return from_window(_walk(walks, env, sum(split)).walk(word), split)

@@ -307,7 +307,7 @@ def verify_certificate(cert: Certificate, walks: Optional[dict] = None) -> Verif
     unimodular (``_claimed_target``).
 
     ``walks``, when given, keeps one ``_Rows`` walk per (window,
-    environment by atom identity) (``_walk``); ``verify_chain`` shares it
+    environment mapping) (``_walk``); ``verify_chain`` shares it
     between the certificates of one step, so what their words share is
     walked once.  Without it, each walk is dropped after its check.
     """
@@ -362,11 +362,15 @@ def _aligned(atoms: list[RepAut], sizes: Iterable[int]) -> bool:
 
 
 def _walk(walks: Optional[dict], env: Environment, n: int) -> _Rows:
-    """The walk in ``walks`` on window n over env, keyed by n and env's
-    (name, atom identity) pairs, made on first use; a new walk for no ``walks``."""
+    """The walk in ``walks`` on window n over env, keyed by n and env's id
+    (the walk keeps env), made on first use; a new walk for no ``walks``.
+    env may gain names while its walks live, but must not rebind one."""
     if walks is None:
         return _Rows(env, n)
-    return walks.setdefault((n, *((name, id(aut)) for name, aut in env.items())), _Rows(env, n))
+    walk = walks.get((n, id(env)))
+    if walk is None:
+        walk = walks[n, id(env)] = _Rows(env, n)
+    return walk
 
 
 def _claimed_target(target: RepAut, checked: Iterable[int]) -> Optional[str]:

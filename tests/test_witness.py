@@ -556,6 +556,9 @@ CHAIN_DIGESTS = [
     # b < 0, recorded before psi, phi_n and final came to be walked from words
     (3, 4, (3, 2), 85661, "70c3bfece1503f2252bb9a1653e0717dd7dbff93ab812caf90fc0b086508bec5"),
     (-3, 4, (4, 3), 182871, "f42206b17d6f5a47bc93c976e4d5d6ec012c0aacbdf5bb913c6a35944e60d46c"),
+    # ell = phi(11) = 10, the longest psi pinned, recorded before psi and
+    # phi_n came to be walked from the steps' own words
+    (3, 11, (2, 3), 2642922, "c12b475c27a557c81229274d78895940b621c5319cccced9009ec3a98c5b4f67"),
 ]
 
 
@@ -578,18 +581,19 @@ def test_chain_bytes_are_unchanged(k, m, pair, size, digest):
 
 # matrix products and atom window reads of km_pipeline(canonical_shear(k, m)),
 # which builds and verifies, and of verify_chain on the chain parsed back,
-# recorded when the general scope's psi, phi_n and final came to be walked
-# from words, so that the build and the final link read their windows
-# through the walk too ((71, 24) and (40, 22) before, with 31 and 3 more
-# reads made outside the walk; (74, 24) before
-# each phi_n came from forward products; (75, 26) and (40, 24) before the
-# certificates of a step came to share their walks and the general final
-# came from one product)
+# recorded when psi and each phi_n came to be walked from the steps' own
+# words and km_pipeline came to hand the build's walks to its check, which
+# then shares them across steps ((71, 45) before, and (7, 7) for the clean
+# chain; (71, 24) and (40, 22) before the general scope's psi, phi_n and
+# final were walked from words, with 31 and 3 more reads made outside the
+# walk; (74, 24) before each phi_n came from forward products; (75, 26) and
+# (40, 24) before the certificates of a step came to share their walks and
+# the general final came from one product)
 WALK_COUNTS = [
-    (5, 4, (71, 45), (40, 25)),
-    (3, 4, (71, 45), (40, 25)),
-    (7, 6, (71, 45), (40, 25)),
-    (1, 5, (7, 7), (7, 7)),
+    (5, 4, (64, 30), (40, 25)),
+    (3, 4, (64, 30), (40, 25)),
+    (7, 6, (64, 30), (40, 25)),
+    (1, 5, (7, 5), (7, 7)),
 ]
 
 
@@ -605,6 +609,31 @@ def test_chain_walks_read_each_subtree_once(monkeypatch, k, m, built, parsed):
     products.count, reads[:] = 0, []
     assert verify_chain(back).ok
     assert (products.count, len(reads)) == parsed
+
+
+def test_only_the_pipeline_hands_its_walks_to_the_check(monkeypatch):
+    """verify_chain on a built chain, without the build's walks, walks every
+    word again, as it does a parsed chain, and so catches a phi_n target
+    that is off by one in one block entry."""
+    chain = km_pipeline(canonical_shear(5, 4))
+    products = ProductCounter(monkeypatch)
+    reads = []
+    read = words_module.window_pairs
+    monkeypatch.setattr(words_module, "window_pairs", lambda a, n: reads.append(n) or read(a, n))
+    assert verify_chain(chain).ok
+    assert (products.count, len(reads)) == (40, 25)
+    step = chain.steps[1]
+    target = step.certificates[1].target_aut
+    rows = [list(row) for row in target.block.matrix.data]
+    rows[0][0] += 1
+    off = eventually_uniform(target.window, IntMatrix.from_rows(rows), claimed=True)
+    certs = list(step.certificates)
+    certs[1] = replace(certs[1], target_aut=off)
+    steps = list(chain.steps)
+    steps[1] = replace(step, certificates=tuple(certs))
+    res = verify_chain(replace(chain, steps=tuple(steps)))
+    assert not res.ok
+    assert any(line.startswith(f"{step.name}: ") and "MISMATCH" in line for line in res.report)
 
 
 def _wans(rows):
@@ -1046,5 +1075,5 @@ def test_pipeline_build_inverts_each_matrix_once(monkeypatch):
     orig = intmat._unimodular_inverse
     for module in (intmat, autrep_module):
         monkeypatch.setattr(module, "_unimodular_inverse", lambda x: calls.append(x) or orig(x))
-    witness._pipeline_general(canonical_shear(5, 4), 5, 4, 2, 3)
+    witness._pipeline_general(canonical_shear(5, 4), 5, 4, 2, 3, {})
     assert len(calls) == 18
