@@ -461,15 +461,24 @@ def verify_chain(chain: WitnessChain, walks: Optional[dict] = None) -> VerifyRes
     certificates of one step share their window walks (``verify_certificate``),
     so an action claim reads the rows an identity claim walked for its word.
     ``km_pipeline`` alone passes ``walks``, those of its build, for every
-    step to share; without it, each step walks its words afresh."""
+    step to share.  Without it, each step walks its words afresh, from the
+    atoms, on walks that start from the rows of the earlier steps' own
+    words alone, one walk per window and environment seeded with them; so
+    the Bezout step's action claims apply the conjugation steps' rows."""
     ok = True
     lines: list[str] = []
+    held: dict = {}
     for step in chain.steps:
-        step_walks = {} if walks is None else walks
+        step_walks = walks if walks is not None else {k: w.copy() for k, w in held.items()}
         for cert in step.certificates:
             res = verify_certificate(cert, step_walks)
             ok = ok and res.ok
             lines.extend(f"{step.name}: {line}" for line in res.report)
+        if walks is None:
+            for key, walk in step_walks.items():
+                rows = walk.lookup(step.word)
+                if rows is not None:
+                    held.setdefault(key, _Rows(walk.env, walk.n)).seed(step.word, rows)
     broken = _broken_link(chain) if ok else None
     if broken is not None:
         ok = False

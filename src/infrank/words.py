@@ -128,6 +128,12 @@ class _Walk:
         """Hold ``out`` as the reading of word, unless one is held already."""
         self.memo.setdefault((id(word), False), (word, out))
 
+    def copy(self) -> "_Walk":
+        """A walk that starts from what this one holds and adds to itself alone."""
+        walk = type(self)(self.env, self.n)
+        walk.memo.update(self.memo)
+        return walk
+
     def walk(self, word: Token, inv: bool = False):
         if (hit := self.lookup(word, inv)) is not None:
             return hit
@@ -309,7 +315,9 @@ def verify_certificate(cert: Certificate, walks: Optional[dict] = None) -> Verif
     ``walks``, when given, keeps one ``_Rows`` walk per (window,
     environment mapping) (``_walk``); ``verify_chain`` shares it
     between the certificates of one step, so what their words share is
-    walked once.  Without it, each walk is dropped after its check.
+    walked once, and an action claim on a product applies the rows the
+    walks hold for its factors (``_check_action``).  Without it, each walk
+    is dropped after its check.
     """
     if cert.kind == ORDER and (cert.order is None or cert.order < 1):
         raise ValidationError("order certificate needs a positive order")
@@ -330,7 +338,7 @@ def verify_certificate(cert: Certificate, walks: Optional[dict] = None) -> Verif
     ok = True
     for n in cert.windows:
         if cert.kind == ACTION_ON_VECTOR:
-            holds, detail = _check_action(cert, n, reduced[n], pushed, walks)
+            holds, detail = _check_action(cert, n, reduced[n], pushed, walks, atoms)
         else:
             m = n if reduced[n] is None else reduced[n][0]
             if m not in done:
@@ -455,51 +463,95 @@ def _check_action(
     reduced: Optional[tuple[int, int]],
     pushed: dict[tuple[int, ...], tuple[int, ...]],
     walks: Optional[dict],
+    atoms: Optional[list[RepAut]],
 ) -> tuple[bool, str]:
-    """Push the vector on window n, or on its core window when ``reduced``
-    gives one with its period.
+    """Push the vector on window n, or chunk by chunk on its core window
+    when ``reduced`` gives one with its period (``_push_chunks``), each
+    distinct nonzero chunk once per certificate (``pushed`` is shared by
+    its windows).
 
-    Window n is then the core window followed by copies of the core
-    window's last period block (identity blocks for period 0).  So the
-    first core coordinates are pushed on the core window, and each later
-    period chunk that holds a nonzero coordinate is pushed in that last
-    block; every other coordinate stays.  An all-zero vector maps to zero,
-    and each distinct other vector is pushed once per certificate
-    (``pushed`` is shared by its windows).  A push on a window where a walk
-    in ``walks`` already holds the word's rows applies them instead.  The
-    assembled image is compared with the target over all n coordinates.
+    A push applies the word's rows where a walk in ``walks`` holds them.
+    Otherwise, with ``walks`` given, a product whose ``atoms`` all resolve
+    and are aligned on the window goes factor by factor (``_push_factors``),
+    and any other word through ``push_word``, which raises the whole word's
+    first error.  Every row applied is an exact window walked from the
+    atoms, and the image is compared with the target over all n
+    coordinates, so the check stays genuine.
     """
     if cert.vector is None or cert.target_vector is None:
         raise ValidationError("action certificate needs vector and target_vector")
+    env = cert.environment
 
     def push(m: int, v: Sequence[int]) -> tuple[int, ...]:
-        rows = _walk(walks, cert.environment, m).lookup(cert.word)
-        if rows is None:
-            return push_word(cert.word, cert.environment, m, v)
-        return apply_pairs(rows, _pad(v, m))
+        rows = _walk(walks, env, m).lookup(cert.word)
+        if rows is not None:
+            return apply_pairs(rows, _pad(v, m))
+        by_factor = walks is not None and atoms is not None and isinstance(cert.word, Product)
+        if by_factor and _aligned(atoms, (m,)):
+            return _push_factors(cert.word, env, walks, _pad(v, m))
+        return push_word(cert.word, env, m, v)
 
     if reduced is None:
         got = push(n, cert.vector)
     else:
-        core, period = reduced
-        v = _pad(cert.vector, n)
 
         def image(chunk: tuple[int, ...]) -> tuple[int, ...]:
             if any(chunk) and chunk not in pushed:
-                pushed[chunk] = push(core, chunk)
+                pushed[chunk] = push(reduced[0], chunk)
             return pushed.get(chunk, chunk)
 
-        image_list = list(image(v[:core]) + v[core:])
-        if period:
-            lead = (0,) * (core - period)
-            for s in nonzero_blocks(v, core, period):
-                image_list[s : s + period] = image(lead + v[s : s + period])[-period:]
-        got = tuple(image_list)
+        got = _push_chunks(image, *reduced, _pad(cert.vector, n))
     want = _pad(cert.target_vector, n)
     if got == want:
         return True, "action holds"
     k = next(i for i in range(n) if got[i] != want[i])
     return False, f"MISMATCH at coordinate {k}: got {_shown(got[k])}, expected {_shown(want[k])}"
+
+
+def _push_chunks(image, core: int, period: int, v: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of v under a word whose window len(v) is its core window
+    followed by copies of the core window's last period block (identity
+    blocks for period 0), ``autrep.core_window``; image(chunk) pushes a
+    core-sized chunk through the core window.
+
+    So the first core coordinates are pushed on the core window, and each
+    later period chunk that holds a nonzero coordinate is pushed in that
+    last block; every other coordinate stays.
+    """
+    out = list(image(v[:core]) + v[core:])
+    if period:
+        lead = (0,) * (core - period)
+        for s in nonzero_blocks(v, core, period):
+            out[s : s + period] = image(lead + v[s : s + period])[-period:]
+    return tuple(out)
+
+
+def _push_factors(
+    word: Product, env: Environment, walks: dict, v: tuple[int, ...]
+) -> tuple[int, ...]:
+    """v pushed through the factors of word, right to left, on window len(v),
+    where every atom of word is aligned.
+
+    A factor ``Power(t, +-1)`` is read as t, inverted for -1, and any other
+    factor as itself.  When the walk in ``walks`` on the factor's core window
+    (``autrep.core_window``) holds that reading's rows, they are applied
+    chunk by chunk (``_push_chunks``); otherwise the factor goes through
+    ``push_word``.
+    """
+    m = len(v)
+    for f in reversed(word.factors):
+        t, inv = f, False
+        if isinstance(f, Power) and abs(f.exponent) == 1:
+            t, inv = f.inner, f.exponent < 0
+        split = head_and_period([env[name] for name in word_names(t)])
+        core, period = core_window(split, m) or (m, 0)
+        walk = walks.get((core, id(env)))
+        rows = None if walk is None else walk.lookup(t, inv)
+        if rows is None:
+            v = push_word(f, env, m, v)
+        else:
+            v = _push_chunks(partial(apply_pairs, rows), core, period, v)
+    return v
 
 
 def _check_sum(cert: Certificate, walk: _Rows) -> tuple[bool, str]:

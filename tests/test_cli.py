@@ -714,6 +714,47 @@ def test_verify_wrong_typed_chain_fields(tmp_path, capsys, edit, path):
     assert err.startswith(f"error: {path}: ")
 
 
+def _bezout_edited(*keys, value):
+    """The (5,4) chain with the field at ``keys`` of its Bezout step's
+    certificate list set to ``value``."""
+    obj = json.loads(serialize_chain(km_pipeline(canonical_shear(5, 4))))
+    _set(*keys, value=value)(obj["steps"][-1]["certificates"])
+    return json.dumps(obj)
+
+
+def _lam2_renamed():
+    obj = json.loads(serialize_chain(km_pipeline(canonical_shear(5, 4))))
+    env = obj["steps"][-1]["certificates"][-1]["env"]
+    env["lamX"] = env.pop("lam2")
+    return json.dumps(obj)
+
+
+# documents whose first error the Bezout step's push through held rows must
+# leave as the push of the whole word raises it: a name its word uses that
+# the environment lacks; window 36, on which lam2's blocks of 24 alone are
+# misaligned; and window 12, on which lam3's blocks of 36 are misaligned too,
+# but the whole word's walk meets lam2 first; with the hostile deep-inverse
+# document of the benchmark
+ERROR_DOCUMENTS = [
+    ("renamed-atom", _lam2_renamed, "error: unresolved name 'lam2'"),
+    ("misaligned-atom", lambda: _bezout_edited(-1, "windows", value=[36, 72]),
+     "error: window 36 misaligned for window 0 + blocks of 24"),
+    ("misaligned-atoms", lambda: _bezout_edited(-1, "windows", value=[12, 72]),
+     "error: window 12 misaligned for window 0 + blocks of 24"),
+    ("deep-inverse", lambda: _nested_inverse_document(3000),
+     "error: $: document nests too deeply to decode"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, err", [case[1:] for case in ERROR_DOCUMENTS], ids=[c[0] for c in ERROR_DOCUMENTS]
+)
+def test_verify_errors_keep_their_text(tmp_path, capsys, make, err):
+    cert_file = tmp_path / "error.cert"
+    cert_file.write_text(make())
+    assert run(["verify", str(cert_file)], capsys) == (1, "", err + "\n")
+
+
 def _tampered_twin(text):
     """The chain with one claim of its last step changed, as a certificate
     check catches: the first nonzero target coordinate bumped, or the

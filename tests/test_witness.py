@@ -588,12 +588,15 @@ def test_chain_bytes_are_unchanged(k, m, pair, size, digest):
 # final were walked from words, with 31 and 3 more reads made outside the
 # walk; (74, 24) before each phi_n came from forward products; (75, 26) and
 # (40, 24) before the certificates of a step came to share their walks and
-# the general final came from one product)
+# the general final came from one product).  The clean parsed chain reads
+# (5, 6) since each step's walks start from the rows of the earlier steps'
+# words: its Bezout identity claim on window 4 reads Power(phi, n2) off
+# step 3, where it read phi and made the two products of phi^3 ((7, 7) before).
 WALK_COUNTS = [
     (5, 4, (64, 30), (40, 25)),
     (3, 4, (64, 30), (40, 25)),
     (7, 6, (64, 30), (40, 25)),
-    (1, 5, (7, 5), (7, 7)),
+    (1, 5, (7, 5), (5, 6)),
 ]
 
 
@@ -634,6 +637,52 @@ def test_only_the_pipeline_hands_its_walks_to_the_check(monkeypatch):
     res = verify_chain(replace(chain, steps=tuple(steps)))
     assert not res.ok
     assert any(line.startswith(f"{step.name}: ") and "MISMATCH" in line for line in res.report)
+
+
+def _built_with_walks(k, m):
+    walks = {}
+    return witness._pipeline_general(canonical_shear(k, m), k, m, 2, 3, walks), walks
+
+
+def test_bezout_claims_through_the_build_rows_still_check_their_target():
+    """The Bezout step's action claims, pushed through rows the build walked,
+    still compare the image with the target: one bumped coordinate is
+    reported on both windows, as the parsed chain reports it."""
+    chain, walks = _built_with_walks(5, 4)
+    last = chain.steps[-1]
+    vec = list(last.certificates[0].target_vector)
+    vec[7] += 1
+    certs = (replace(last.certificates[0], target_vector=tuple(vec)), *last.certificates[1:])
+    tampered = replace(chain, steps=(*chain.steps[:-1], replace(last, certificates=certs)))
+    res = verify_chain(tampered, walks)
+    assert not res.ok
+    for n in (72, 144):
+        assert f"bezout-combination: window {n}: MISMATCH at coordinate 7: got 4, expected 5" \
+            in res.report
+    assert res == verify_chain(parse_chain(serialize_chain(tampered)))
+
+
+# window_apply calls of verify_chain on the chain as built, with the build's
+# walks, and parsed back: 96 and 156 for both when the Bezout step pushed
+# its whole word atom by atom; now it applies the conjugation steps' rows,
+# all of them as built, and a parsed check pushes w1^-1 alone, which no
+# step walks
+APPLY_COUNTS = [(5, 4, 0, 36), (2, 5, 0, 60)]
+
+
+@pytest.mark.parametrize("k, m, built, parsed", APPLY_COUNTS)
+def test_bezout_claims_apply_the_rows_the_steps_walked(monkeypatch, k, m, built, parsed):
+    calls = []
+    apply = words_module.window_apply
+    monkeypatch.setattr(words_module, "window_apply", lambda *a: calls.append(a) or apply(*a))
+    chain, walks = _built_with_walks(k, m)
+    calls.clear()
+    assert verify_chain(chain, walks).ok
+    assert len(calls) == built
+    back = parse_chain(serialize_chain(chain))
+    calls.clear()
+    assert verify_chain(back).ok
+    assert len(calls) == parsed
 
 
 def _wans(rows):

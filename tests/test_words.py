@@ -615,6 +615,57 @@ def test_core_window_action_claims_match_dense(env, word, support, data):
     assert verify_certificate(replace(cert, target_vector=image[:m])).ok
 
 
+@st.composite
+def held_products(draw):
+    """Three head-free uniform atoms of blocks of 1-4, a product of
+    ``Power(w, +-1)`` over words w of them, and for each factor whether a
+    walk holds its rows."""
+    env = {name: uniform(draw(unimodular(draw(st.integers(1, 4))))) for name in "abc"}
+    inner = words(depth=2, names=("a", "b", "c"), exponents=st.integers(-2, 2))
+    factors = draw(st.lists(st.tuples(inner, st.sampled_from([1, -1]), st.booleans()),
+                            min_size=1, max_size=4))
+    word = Product(tuple(Power(w, e) for w, e, _ in factors))
+    return env, word, [held for _, _, held in factors]
+
+
+@settings(max_examples=150)
+@given(held_products(), st.integers(1, 2), st.data())
+def test_pushes_through_held_rows_match_the_dense_image(drawn, k, data):
+    """A product pushed factor by factor, through rows walks hold for none,
+    some or all of its factors, gives the dense image and the same report
+    lines; with every factor held, no atom is applied."""
+    env, word, held = drawn
+    n = k * lcm(*(aut.d for aut in env.values()))
+    v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    want = oracles.evaluate_word(word, env, n).apply(v)
+    some, every = {}, {}
+    for f, hold in zip(word.factors, held):
+        blocks = [env[name].d for name in word_names(f.inner)]
+        core = lcm(*blocks) if blocks else 0
+        for walks in (some, every) if hold else (every,):
+            walk = walks.setdefault((core, id(env)), _Rows(env, core))
+            walk.walk(f.inner, f.exponent < 0)
+    assert push_word(word, env, n, v) == want
+    for walks in (some, every):
+        assert words_module._push_factors(word, env, walks, v) == want
+    i = data.draw(st.integers(0, n - 1))
+    bumped = want[:i] + (want[i] + 1,) + want[i + 1 :]
+    for target in (want, bumped):
+        cert = Certificate(kind=ACTION_ON_VECTOR, windows=(n, 2 * n), environment=env,
+                           word=word, vector=v, target_vector=target)
+        reports, applied = [], []
+        for walks in (None, some, every):
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                apply = words_module.window_apply
+                mp.setattr(words_module, "window_apply", lambda *a: calls.append(a) or apply(*a))
+                reports.append(verify_certificate(cert, walks))
+            applied.append(len(calls))
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].ok == (target == want)
+        assert applied[2] == 0
+
+
 EDGE_ENV = {
     "u": uniform(IntMatrix.from_rows([[1, 2], [0, 1]])),
     "v": uniform(IntMatrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])),
