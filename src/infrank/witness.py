@@ -59,6 +59,7 @@ from .words import (
     Token,
     VerifyResult,
     _Rows,
+    _copied,
     _walk,
     holds_on_every_window,
     verify_certificate,
@@ -463,27 +464,62 @@ def verify_chain(chain: WitnessChain, walks: Optional[dict] = None) -> VerifyRes
     ``km_pipeline`` alone passes ``walks``, those of its build, for every
     step to share.  Without it, each step walks its words afresh, from the
     atoms, on walks that start from the rows of the earlier steps' own
-    words alone, one walk per window and environment seeded with them; so
-    the Bezout step's action claims apply the conjugation steps' rows."""
+    words, one walk per window and environment seeded with them, each held
+    while a later step's word reads it uninverted (``_read_later``): so
+    the conjugation steps read step 1's rows of psi, and the Bezout step's
+    action claims apply the conjugation steps' rows."""
     ok = True
     lines: list[str] = []
     held: dict = {}
-    for step in chain.steps:
-        step_walks = walks if walks is not None else {k: w.copy() for k, w in held.items()}
+    kept: list[Token] = []
+    read_later = _read_later(chain.steps) if walks is None else ()
+    for i, step in enumerate(chain.steps):
+        step_walks = walks if walks is not None else _copied(held)
         for cert in step.certificates:
             res = verify_certificate(cert, step_walks)
             ok = ok and res.ok
             lines.extend(f"{step.name}: {line}" for line in res.report)
         if walks is None:
-            for key, walk in step_walks.items():
-                rows = walk.lookup(step.word)
-                if rows is not None:
-                    held.setdefault(key, _Rows(walk.env, walk.n)).seed(step.word, rows)
+            kept = [word for word in (*kept, step.word) if id(word) in read_later[i]]
+            held = {}
+            for walk in step_walks.values():
+                for word in kept:
+                    rows = walk.lookup(word)
+                    if rows is not None:
+                        _walk(held, walk.env, walk.n).seed(word, rows)
     broken = _broken_link(chain) if ok else None
     if broken is not None:
         ok = False
         lines.append(f"broken link: {broken}")
     return VerifyResult(ok, tuple(lines))
+
+
+def _read_later(steps: Sequence[ChainStep]) -> list[set[int]]:
+    """For each step, the ids of the tokens that the tree readings of the
+    later steps' words read uninverted (``words._Walk.walk``), each (token,
+    inverted) pair visited once over all the steps."""
+    seen: set[tuple[int, bool]] = set()
+    forward: set[int] = set()
+    out = []
+    for step in reversed(steps):
+        out.append(set(forward))
+        todo = [(step.word, False)]
+        while todo:
+            t, inv = todo.pop()
+            if (id(t), inv) in seen:
+                continue
+            seen.add((id(t), inv))
+            if not inv:
+                forward.add(id(t))
+            if isinstance(t, Inverse):
+                todo.append((t.inner, not inv))
+            elif isinstance(t, Power):
+                todo.append((t.inner, inv != (t.exponent < 0)))
+            elif isinstance(t, Conj):
+                todo += [(t.h, False), (t.h, True), (t.g, inv)]
+            elif isinstance(t, Product):
+                todo += [(f, inv) for f in t.factors]
+    return out[::-1]
 
 
 def _broken_link(chain: WitnessChain) -> Optional[str]:

@@ -14,6 +14,7 @@ function of the certificate contents.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cache, partial, reduce
@@ -32,7 +33,7 @@ from .autrep import (
     witnessed,
 )
 from .autrep import invert as invert_aut
-from .errors import AlignmentError, DimensionError, ValidationError, WordError
+from .errors import AlignmentError, DimensionError, InfrankError, ValidationError, WordError
 from .intmat import (
     IntMatrix,
     Pairs,
@@ -111,10 +112,11 @@ class _Walk:
     subtrees one object, so ``memo`` counts distinct subtrees for both
     readings, ``_Rows`` and ``_Pushes``.  The memo keeps each token beside
     its reading, so a keyed token lives as long as the walk and its id
-    cannot pass to another.  A name is looked up, inverted, then read (which
-    checks the window), in ``evaluate_word``'s order: a product's factors
-    left to right (right to left inverted), a conjugate's h, h^-1, then g.
-    So both readings raise one first error.
+    cannot pass to another.  The tree reading looks a name up, inverts it,
+    then reads it (which checks the window), in ``evaluate_word``'s order: a
+    product's factors left to right (right to left inverted), a conjugate's
+    h, h^-1, then g (``compound``).  So both readings raise one first error,
+    which ``_Rows``' rules keep (``_Rows.compound``).
     """
 
     def __init__(self, env: Environment, n: int):
@@ -127,12 +129,6 @@ class _Walk:
     def seed(self, word: Token, out) -> None:
         """Hold ``out`` as the reading of word, unless one is held already."""
         self.memo.setdefault((id(word), False), (word, out))
-
-    def copy(self) -> "_Walk":
-        """A walk that starts from what this one holds and adds to itself alone."""
-        walk = type(self)(self.env, self.n)
-        walk.memo.update(self.memo)
-        return walk
 
     def walk(self, word: Token, inv: bool = False):
         if (hit := self.lookup(word, inv)) is not None:
@@ -148,21 +144,141 @@ class _Walk:
         elif isinstance(word, Power):
             inner = (word.inner, inv != (word.exponent < 0))
             out = self.power(self.walk(*inner), abs(word.exponent), inner)
-        elif isinstance(word, Conj):
-            # (h g h^-1)^-1 = h g^-1 h^-1
-            h, h_inv = self.walk(word.h), self.walk(word.h, True)
-            out = self.product([h, self.walk(word.g, inv), h_inv])
-        elif isinstance(word, Product):
-            factors = reversed(word.factors) if inv else word.factors
-            out = self.product([self.walk(f, inv) for f in factors])
+        elif isinstance(word, (Conj, Product)):
+            out = self.compound(word, inv)
         else:
             raise WordError(f"unknown token {word!r}")
         self.memo[id(word), inv] = word, out
         return out
 
+    def compound(self, word: Conj | Product, inv: bool):
+        """The tree reading of a conjugate or a product."""
+        if isinstance(word, Conj):
+            # (h g h^-1)^-1 = h g^-1 h^-1
+            h, h_inv = self.walk(word.h), self.walk(word.h, True)
+            return self.product([h, self.walk(word.g, inv), h_inv])
+        factors = reversed(word.factors) if inv else word.factors
+        return self.product([self.walk(f, inv) for f in factors])
+
+
+class _Family:
+    """What the walks over one environment share: each walk by its window,
+    held weakly (a walk holds its family, so a strong hold would make a
+    cycle), and the ``head_and_period`` of each compound token, read once."""
+
+    def __init__(self, env: Environment):
+        self.env, self.walks, self.splits = env, {}, {}
+
+    def walk(self, n: int) -> "_Rows":
+        """The family's walk on window n, made on first use."""
+        ref = self.walks.get(n)
+        walk = None if ref is None else ref()
+        return _Rows(self.env, n, self) if walk is None else walk
+
+    def core(self, word: Token, n: int) -> Optional[tuple[int, int]]:
+        """(core, period) of ``autrep.core_window`` for the atoms word
+        names, when the core is smaller than n; else None."""
+        hit = self.splits.get(id(word))
+        if hit is None:
+            names = word_names(word)
+            if not names <= self.env.keys():  # the env may gain names, never rebind one
+                return None
+            hit = self.splits[id(word)] = word, head_and_period([self.env[x] for x in names])
+        core = core_window(hit[1], n)
+        return core if core is not None and core[0] < n else None
+
 
 class _Rows(_Walk):
-    """A word read as the row pairs of its n x n window (``intmat.Pairs``)."""
+    """A word read as the row pairs of its n x n window (``intmat.Pairs``),
+    by two rules on top of the tree reading, both exact where every atom is
+    aligned: there each atom's window is a direct summand, so restricting to
+    it is a homomorphism (``autrep.window_pairs``).
+
+    - Free reduction: a product or a conjugate is read as its letters
+      (``_letters``), token and exponent, with adjacent letters on one token
+      merged and zero exponents dropped; each letter is its token's reading
+      raised to the exponent, held per walk in ``letters``.
+    - Core windows: a letter on a compound token (a product inside the
+      product) whose atoms' ``head_and_period`` (H, L) has a core window
+      (``autrep.core_window``) smaller than n is read there, by the walk of
+      its family (``_Family``) on that window, and repeated out: its first H
+      rows, then its last L rows shifted by L, 2L, ... (``_repeated``).
+
+    Neither rule may raise where the tree reading does not, nor skip a
+    token the tree reading would read: the tokens of letters that cancel, in
+    either direction, must resolve, be aligned and carry their inverse
+    (``_readable``), and a rule's read that raises is dropped, with every
+    later read of this walk by the tree, which raises the first error.
+    """
+
+    def __init__(self, env: Environment, n: int, family: Optional[_Family] = None):
+        super().__init__(env, n)
+        self.letters, self.cores, self.tree, self._family = None, None, False, None
+        if family is not None:
+            self.join(family)
+
+    @property
+    def family(self) -> _Family:
+        """The walk's family, made on first use for a walk made alone."""
+        return self._family or self.join(_Family(self.env))
+
+    def join(self, family: _Family) -> _Family:
+        family.walks[self.n] = weakref.ref(self)
+        self._family = family
+        return family
+
+    def compound(self, word: Conj | Product, inv: bool) -> Pairs:
+        if self.tree:
+            return super().compound(word, inv)
+        try:
+            tokens, exps, crossed = _letters(word, inv)
+            if all(map(self._readable, crossed)):
+                return self.product([
+                    self.walk(t, e < 0) if e in (1, -1) and type(t) is Named else self._letter(t, e)
+                    for t, e in zip(tokens, exps)
+                ])
+        except InfrankError:
+            self.tree = True
+        return super().compound(word, inv)
+
+    def _letter(self, token: Token, e: int) -> Pairs:
+        """A letter's rows: token's reading (``_subword``) to the |e|."""
+        if e == 1 or e == -1:
+            return self._subword(token, e < 0)
+        if self.letters is None:
+            self.letters = {}
+        hit = self.letters.get((id(token), e))
+        if hit is None:
+            hit = self.letters[id(token), e] = token, pairs_power(self._subword(token, e < 0), abs(e))
+        return hit[1]
+
+    def _subword(self, token: Token, inv: bool) -> Pairs:
+        """token's reading, on its core window where that is smaller than n
+        (``_Family.core``)."""
+        if isinstance(token, Named) or self.lookup(token, inv) is not None:
+            return self.walk(token, inv)
+        core = self.family.core(token, self.n)
+        if core is None:
+            return self.walk(token, inv)
+        if self.cores is None:
+            self.cores = {}
+        walk = self.cores.get(core[0])
+        if walk is None:
+            walk = self.cores[core[0]] = self.family.walk(core[0])
+        rows = _repeated(walk.walk(token, inv), *core, self.n)
+        self.memo[id(token), inv] = token, rows
+        return rows
+
+    def _readable(self, token: Token) -> bool:
+        """Whether the tree reading reads token both ways without an error."""
+        try:
+            names = word_names(token)
+        except WordError:
+            return False
+        if not names <= self.env.keys():
+            return False
+        atoms = [self.env[x] for x in names]
+        return _aligned(atoms, (self.n,)) and not any(map(is_claimed, atoms))
 
     def atom(self, aut: RepAut) -> Pairs:
         return window_pairs(aut, self.n)
@@ -172,6 +288,50 @@ class _Rows(_Walk):
 
     def power(self, inner: Pairs, e: int, token: tuple[Token, bool]) -> Pairs:
         return pairs_power(inner, e)
+
+
+def _letters(word: Token, inv: bool) -> tuple[list[Token], list[int], list[Token]]:
+    """The free-reduced letters of a product or a conjugate, read inverted
+    or not, as their tokens and exponents, and the tokens whose letters
+    cancelled in part or whole.
+
+    A conjugate ``Conj(g, h)`` to the e is h, g^e, h^-1; ``Power`` and
+    ``Inverse`` go into the exponent; an inverted product is its factors
+    reversed, each inverted; any other token (a name, a product inside a
+    product or a conjugate) is a letter.  A letter on the token object of
+    the one before it merges with it, and a zero exponent drops.
+    """
+    out: tuple[list[Token], list[int], list[Token]] = ([], [], [])
+    sign = -1 if inv else 1
+    if type(word) is Conj:
+        _add_letter(word, sign, *out)
+    else:
+        for f in reversed(word.factors) if inv else word.factors:
+            _add_letter(f, sign, *out)
+    return out
+
+
+def _add_letter(t: Token, e: int, tokens: list, exps: list, crossed: list) -> None:
+    kind = type(t)
+    while e and (kind is Inverse or kind is Power):
+        t, e = t.inner, -e if kind is Inverse else e * t.exponent
+        kind = type(t)
+    if not e:
+        crossed.append(t)
+    elif kind is Conj:
+        _add_letter(t.h, 1, tokens, exps, crossed)
+        _add_letter(t.g, e, tokens, exps, crossed)
+        _add_letter(t.h, -1, tokens, exps, crossed)
+    elif tokens and tokens[-1] is t:
+        if (exps[-1] > 0) != (e > 0):
+            crossed.append(t)
+        exps[-1] += e
+        if not exps[-1]:
+            tokens.pop()
+            exps.pop()
+    else:
+        tokens.append(t)
+        exps.append(e)
 
 
 class _Pushes(_Walk):
@@ -371,14 +531,38 @@ def _aligned(atoms: list[RepAut], sizes: Iterable[int]) -> bool:
 
 def _walk(walks: Optional[dict], env: Environment, n: int) -> _Rows:
     """The walk in ``walks`` on window n over env, keyed by n and env's id
-    (the walk keeps env), made on first use; a new walk for no ``walks``.
-    env may gain names while its walks live, but must not rebind one."""
+    (the walk keeps env), made on first use in the family of the walks over
+    env it holds (``_Family``); a new walk for no ``walks``.  env may gain
+    names while its walks live, but must not rebind one."""
     if walks is None:
         return _Rows(env, n)
     walk = walks.get((n, id(env)))
     if walk is None:
-        walk = walks[n, id(env)] = _Rows(env, n)
+        family = next((w.family for w in walks.values() if w.env is env), None)
+        walk = walks[n, id(env)] = _Rows(env, n) if family is None else family.walk(n)
     return walk
+
+
+def _copied(walks: dict) -> dict:
+    """Walks that start from what each of ``walks`` holds and add to
+    themselves alone, in one new family per environment."""
+    out: dict = {}
+    for (n, _), walk in walks.items():
+        _walk(out, walk.env, n).memo.update(walk.memo)
+    return out
+
+
+def _repeated(rows: Pairs, core: int, period: int, n: int) -> Pairs:
+    """Window n of a word from its window ``core``, as ``autrep.core_window``
+    gives it with ``period``: the core's rows, then its last period rows
+    shifted by period, 2 period, ... (identity rows for period 0), the rule
+    ``window_pairs`` applies to an eventually uniform atom."""
+    if not period:
+        return rows + identity_pairs(n)[core:]
+    block = rows[core - period :]
+    shifted = (tuple([(c + s, v) for c, v in row]) for s in range(period, n - core + period, period)
+               for row in block)
+    return rows + tuple(shifted)
 
 
 def _claimed_target(target: RepAut, checked: Iterable[int]) -> Optional[str]:

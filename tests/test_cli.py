@@ -30,6 +30,7 @@ from infrank.witness import (
 from infrank.words import (
     WINDOW_IDENTITY,
     Certificate,
+    Conj,
     Inverse,
     Named,
     Power,
@@ -729,12 +730,22 @@ def _lam2_renamed():
     return json.dumps(obj)
 
 
+A = Named("a")
+
+
+def _identity_document(word, env, n):
+    return serialize_certificate(Certificate(kind=WINDOW_IDENTITY, windows=(n,), environment=env,
+                                             word=word, target_aut=identity_aut()))
+
+
 # documents whose first error the Bezout step's push through held rows must
 # leave as the push of the whole word raises it: a name its word uses that
 # the environment lacks; window 36, on which lam2's blocks of 24 alone are
 # misaligned; and window 12, on which lam3's blocks of 36 are misaligned too,
 # but the whole word's walk meets lam2 first; with the hostile deep-inverse
-# document of the benchmark
+# document of the benchmark; and words whose free reduction must not hide
+# the error the tree walk meets first: a a^-1 with a missing, and with a
+# misaligned on window 3, and a conjugator read before the conjugated
 ERROR_DOCUMENTS = [
     ("renamed-atom", _lam2_renamed, "error: unresolved name 'lam2'"),
     ("misaligned-atom", lambda: _bezout_edited(-1, "windows", value=[36, 72]),
@@ -743,6 +754,14 @@ ERROR_DOCUMENTS = [
      "error: window 12 misaligned for window 0 + blocks of 24"),
     ("deep-inverse", lambda: _nested_inverse_document(3000),
      "error: $: document nests too deeply to decode"),
+    ("cancelling-missing", lambda: _identity_document(Product((A, Inverse(A))), {}, 2),
+     "error: unresolved name 'a'"),
+    ("cancelling-misaligned",
+     lambda: _identity_document(Product((A, Inverse(A))), {"a": tau_power(1)}, 3),
+     "error: window 3 misaligned for window 0 + blocks of 2"),
+    ("conjugator-missing",
+     lambda: _identity_document(Product((Conj(Named("x"), Named("b")), Named("x"))), {}, 2),
+     "error: unresolved name 'b'"),
 ]
 
 

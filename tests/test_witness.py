@@ -592,11 +592,21 @@ def test_chain_bytes_are_unchanged(k, m, pair, size, digest):
 # (5, 6) since each step's walks start from the rows of the earlier steps'
 # words: its Bezout identity claim on window 4 reads Power(phi, n2) off
 # step 3, where it read phi and made the two products of phi^3 ((7, 7) before).
+# The general chains went from (64, 30) built and (40, 25) parsed to
+# (46, 20) and (22, 15) when the walk came to read products free-reduced and
+# each product inside a product on its core window: psi is read on window 6
+# alone, and its windows 24 and 36 repeat those rows, which saves its five
+# products on each and the ten reads of phi, h1, h2 and their inverses there;
+# w2 and w3 are read as lam psi lam psi lam^-2 and lam psi lam psi lam psi
+# lam^-3, two and six products fewer.  The clean chain went from (7, 5) built
+# and (5, 6) parsed to (3, 4) for both: the Bezout word is read as phi^1,
+# with no product, and a parsed check holds phi's rows from step 2 on,
+# since the later steps read phi, so it reads phi once.
 WALK_COUNTS = [
-    (5, 4, (64, 30), (40, 25)),
-    (3, 4, (64, 30), (40, 25)),
-    (7, 6, (64, 30), (40, 25)),
-    (1, 5, (7, 5), (5, 6)),
+    (5, 4, (46, 20), (22, 15)),
+    (3, 4, (46, 20), (22, 15)),
+    (7, 6, (46, 20), (22, 15)),
+    (1, 5, (3, 4), (3, 4)),
 ]
 
 
@@ -616,15 +626,15 @@ def test_chain_walks_read_each_subtree_once(monkeypatch, k, m, built, parsed):
 
 def test_only_the_pipeline_hands_its_walks_to_the_check(monkeypatch):
     """verify_chain on a built chain, without the build's walks, walks every
-    word again, as it does a parsed chain, and so catches a phi_n target
-    that is off by one in one block entry."""
+    word again, as it does a parsed chain (``WALK_COUNTS``, parsed), and so
+    catches a phi_n target that is off by one in one block entry."""
     chain = km_pipeline(canonical_shear(5, 4))
     products = ProductCounter(monkeypatch)
     reads = []
     read = words_module.window_pairs
     monkeypatch.setattr(words_module, "window_pairs", lambda a, n: reads.append(n) or read(a, n))
     assert verify_chain(chain).ok
-    assert (products.count, len(reads)) == (40, 25)
+    assert (products.count, len(reads)) == (22, 15)
     step = chain.steps[1]
     target = step.certificates[1].target_aut
     rows = [list(row) for row in target.block.matrix.data]
@@ -637,6 +647,26 @@ def test_only_the_pipeline_hands_its_walks_to_the_check(monkeypatch):
     res = verify_chain(replace(chain, steps=tuple(steps)))
     assert not res.ok
     assert any(line.startswith(f"{step.name}: ") and "MISMATCH" in line for line in res.report)
+
+
+def test_a_parsed_check_reads_the_atoms_of_psi_on_its_core_window_only(monkeypatch):
+    """phi, h1 and h2, and their inverses, are read on window 6 alone: the
+    conjugation steps repeat step 1's rows of psi out to windows 24 and 36."""
+    back = parse_chain(serialize_chain(km_pipeline(canonical_shear(5, 4))))
+    env = back.steps[0].certificates[0].environment
+    atoms = [env[name] for name in ("phi", "h1", "h2")]
+    atoms += [invert(a) for a in atoms]
+    windows = []
+    read = words_module.window_pairs
+
+    def reading(aut, n):
+        if aut in atoms:
+            windows.append(n)
+        return read(aut, n)
+
+    monkeypatch.setattr(words_module, "window_pairs", reading)
+    assert verify_chain(back).ok
+    assert windows and set(windows) == {6}
 
 
 def _built_with_walks(k, m):

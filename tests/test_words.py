@@ -18,10 +18,18 @@ from infrank.autrep import (
     eventually_uniform,
     finitary,
     graded,
+    head_and_period,
     identity_aut,
     uniform,
 )
-from infrank.errors import AlignmentError, DimensionError, InfrankError, ValidationError, WordError
+from infrank.errors import (
+    AlignmentError,
+    CompositionUnsupportedError,
+    DimensionError,
+    InfrankError,
+    ValidationError,
+    WordError,
+)
 from infrank.intmat import IntMatrix
 from infrank.serialize import parse_certificate, parse_word, serialize_certificate, serialize_word
 from infrank.witness import order_n_shear, tau_power
@@ -49,6 +57,7 @@ import oracles
 from helpers import (
     EXPONENTS,
     ProductCounter,
+    finitary_or_uniform,
     one_atom_per_class,
     random_unimodular,
     unimodular,
@@ -257,6 +266,143 @@ def test_a_graded_inverse_pair_on_two_windows_makes_one_product(monkeypatch):
     assert products.count == 1
 
 
+# -- the walk's reading rules: free reduction and core windows ----------------
+
+
+A = Named("a")
+UNIT_SHEAR = uniform(IntMatrix.from_rows([[1, 1], [0, 1]]))
+CLAIMED_SHEAR = eventually_uniform(IntMatrix.from_rows([]), IntMatrix.from_rows([[1, 1], [0, 1]]),
+                                   claimed=True)
+C = Named("c")
+REFUSED = ("a claimed value carries no inverse witness and is only compared by its windows; "
+           "rebuild it with witnessed() to invert or compose it")
+
+
+class Unknown:
+    """A token of no known kind."""
+
+
+# each word's first error, as the tree walk alone raises it: a name that
+# cancels in a a^-1, the same a misaligned on window 3, and a conjugator
+# read before the conjugated (both missing); a claimed conjugator, whose
+# inverse the tree reads before the missing conjugated; a claimed c in
+# c c^-1; and a missing name before an unknown token in a product inside a
+# product
+FIRST_ERRORS = [
+    ("missing", Product((A, Inverse(A))), {}, 2, WordError, "unresolved name 'a'"),
+    ("misaligned", Product((A, Inverse(A))), {"a": UNIT_SHEAR}, 3, AlignmentError,
+     "window 3 misaligned for window 0 + blocks of 2"),
+    ("conjugator", Product((Conj(Named("x"), Named("b")), Named("x"))), {}, 2, WordError,
+     "unresolved name 'b'"),
+    ("claimed-conjugator", Conj(Named("x"), C), {"c": CLAIMED_SHEAR}, 2,
+     CompositionUnsupportedError, REFUSED),
+    ("claimed-cancelling", Product((C, Inverse(C))), {"c": CLAIMED_SHEAR}, 2,
+     CompositionUnsupportedError, REFUSED),
+    ("unknown", Product((Product((Named("m"), Unknown())), A)), {"a": UNIT_SHEAR}, 2, WordError,
+     "unresolved name 'm'"),
+]
+
+
+@pytest.mark.parametrize(
+    "word, env, n, error, text", [c[1:] for c in FIRST_ERRORS], ids=[c[0] for c in FIRST_ERRORS]
+)
+def test_cancelling_words_keep_their_first_error(word, env, n, error, text):
+    cert = Certificate(kind=WINDOW_IDENTITY, windows=(n,), environment=env, word=word,
+                       target_aut=identity_aut())
+    assert _outcome(lambda: evaluate_word(word, env, n)) == (error, text)
+    assert _outcome(lambda: verify_certificate(cert)) == (error, text)
+    assert _tree_outcome(lambda: evaluate_word(word, env, n)) == (error, text)
+
+
+def test_conjugation_step_words_are_read_free_reduced(monkeypatch):
+    """prod_j Conj(psi, lam^j), j = 1..3, is read as lam psi lam psi lam psi
+    lam^-3: six joins and the two products of one cube, where the tree
+    makes six for the conjugates, two joins and six for lam^2, lam^3 and
+    their inverses."""
+    rng = random.Random(30)
+    env = {"psi": uniform(random_unimodular(rng, 2)), "lam": uniform(random_unimodular(rng, 2))}
+    lam = Named("lam")
+    word = Product(tuple(Conj(Named("psi"), Power(lam, j)) for j in (1, 2, 3)))
+    products = ProductCounter(monkeypatch)
+    got = evaluate_word(word, env, 2)
+    assert products.count == 8
+    assert got == oracles.evaluate_word(word, env, 2)
+
+
+@st.composite
+def cancelling_words(draw, names):
+    """A word whose letters cancel or merge: one drawn token t used twice
+    or more, as t t^-1, as powers of it, as the conjugator of adjacent
+    conjugates, or inverted and not, wrapped as it is, inverted, powered or
+    between two other words."""
+    inner = words(depth=2, names=names, exponents=st.integers(-2, 2))
+    t, u, v = draw(inner), draw(inner), draw(inner)
+    a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    word = draw(st.sampled_from([
+        Product((t, Inverse(t))),
+        Product((Power(t, a), Power(Power(t, b), -1), Power(t, b))),
+        Product((Conj(u, Power(t, a)), Conj(v, Power(t, b)))),
+        Product((u, Power(Inverse(t), a), Power(t, a), v)),
+        Conj(Product((Inverse(t), u)), t),
+        Product((Inverse(Conj(u, t)), Conj(v, t))),
+    ]))
+    wrap = draw(st.sampled_from([
+        lambda w: w, Inverse, lambda w: Power(w, a or 2), lambda w: Product((u, w, t)),
+    ]))
+    return wrap(word)
+
+
+@st.composite
+def mixed_env_and_word(draw):
+    """Atoms of mixed heads and blocks of 1-4, with or without a graded
+    atom, a cancelling word over them, and windows H + L, H + 2L and H + 3L
+    of their ``head_and_period`` (H, H + 1, H + 2 when L = 0), the even
+    ones only, or 2 (H + L), with a graded atom."""
+    env = {name: draw(finitary_or_uniform(max_dim=4)) for name in "abc"}
+    head, period = head_and_period(list(env.values()))
+    windows = [head + k * period for k in (1, 2, 3)] if period else [head, head + 1, head + 2]
+    if draw(st.booleans()):
+        env["g"] = graded(draw(st.lists(st.integers(2, 9), max_size=2)),
+                          draw(st.sets(st.sampled_from([2, 3, 5]))), draw(st.booleans()))
+        windows = [n for n in windows if n % 2 == 0] or [2 * (head + period)]
+    return env, draw(cancelling_words(tuple(env))), windows
+
+
+def _tree_outcome(fn):
+    """What ``fn`` gives when every walk reads by the tree alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Rows, "compound", words_module._Walk.compound)
+        return _outcome(fn)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_env_and_word(), st.data())
+def test_reading_rules_match_the_dense_evaluation(drawn, data):
+    """Free-reduced and core-window readings, on one walk per window and on
+    one family of walks, give the dense window; identity and order claims
+    give the report lines of the tree walk alone."""
+    env, word, windows = drawn
+    walks = {}
+    for n in windows:
+        want = oracles.evaluate_word(word, env, n)
+        assert IntMatrix.from_pairs(_Rows(env, n).walk(word), n) == want
+        assert IntMatrix.from_pairs(words_module._walk(walks, env, n).walk(deepcopy(word)), n) == want
+    dense = oracles.evaluate_word(word, env, windows[0])
+    i, j = data.draw(st.integers(0, max(windows[0] - 1, 0))), data.draw(st.integers(-1, 1))
+    bumped = [list(row) for row in dense.data]
+    if bumped:
+        bumped[i][i] += j
+    claims = [
+        {"kind": WINDOW_IDENTITY, "target_matrix": IntMatrix.from_rows(bumped)},
+        {"kind": WINDOW_IDENTITY, "target_aut": data.draw(st.sampled_from(list(env.values())))},
+        {"kind": ORDER, "order": data.draw(st.sampled_from([1, 2, 3, 4, 6]))},
+    ]
+    for fields in claims:
+        cert = Certificate(windows=tuple(windows), environment=env, word=word, **fields)
+        assert _outcome(lambda: verify_certificate(cert)) == _tree_outcome(
+            lambda: verify_certificate(cert))
+
+
 # -- pushing vectors through words -------------------------------------------
 
 
@@ -300,12 +446,16 @@ def test_a_walk_keeps_the_tokens_it_keys():
 @settings(max_examples=100)
 @given(one_atom_per_class(), st.lists(WORDS, min_size=2, max_size=6), st.sampled_from([12, 24]))
 def test_one_walk_reads_temporary_words_in_turn(env, drawn, n):
-    """Fresh copies of the words, each dropped once walked, on one walk:
-    every reading matches the dense evaluation of its word."""
-    walk = _Rows(env, n)
+    """Fresh copies of the words, each dropped once walked, on one walk, and
+    on the walks of one family on windows 12 and 24, which share their core
+    windows' walks: every reading matches the dense evaluation of its word."""
+    walk, walks = _Rows(env, n), {}
     for word in drawn:
-        got = IntMatrix.from_pairs(walk.walk(deepcopy(word)), n)
-        assert got == oracles.evaluate_word(word, env, n)
+        want = {m: oracles.evaluate_word(word, env, m) for m in (12, 24)}
+        assert IntMatrix.from_pairs(walk.walk(deepcopy(word)), n) == want[n]
+        for m in (12, 24):
+            got = words_module._walk(walks, env, m).walk(deepcopy(word))
+            assert IntMatrix.from_pairs(got, m) == want[m]
 
 
 def _changed(m: IntMatrix, changes) -> IntMatrix:
