@@ -59,7 +59,6 @@ from .words import (
     Token,
     VerifyResult,
     _Rows,
-    _copied,
     _walk,
     holds_on_every_window,
     verify_certificate,
@@ -459,67 +458,27 @@ def verify_chain(chain: WitnessChain, walks: Optional[dict] = None) -> VerifyRes
     """Check every certificate of the chain, each once, and then, once they
     all hold, the links that make them prove the chain's claim
     (``_broken_link``); a broken link adds one report line.  The
-    certificates of one step share their window walks (``verify_certificate``),
-    so an action claim reads the rows an identity claim walked for its word.
-    ``km_pipeline`` alone passes ``walks``, those of its build, for every
-    step to share.  Without it, each step walks its words afresh, from the
-    atoms, on walks that start from the rows of the earlier steps' own
-    words, one walk per window and environment seeded with them, each held
-    while a later step's word reads it uninverted (``_read_later``): so
-    the conjugation steps read step 1's rows of psi, and the Bezout step's
-    action claims apply the conjugation steps' rows."""
+    certificates share one set of window walks (``verify_certificate``):
+    those of the build when ``km_pipeline`` passes them, else walks made
+    here, from the atoms.  So each step reads what the earlier steps
+    walked: the conjugation steps read step 1's rows of psi, and the Bezout
+    step's action claims apply the conjugation steps' rows.  Walks made
+    here are dropped before the links are checked, whose product is the
+    peak of a large check."""
     ok = True
     lines: list[str] = []
-    held: dict = {}
-    kept: list[Token] = []
-    read_later = _read_later(chain.steps) if walks is None else ()
-    for i, step in enumerate(chain.steps):
-        step_walks = walks if walks is not None else _copied(held)
+    walks = {} if walks is None else walks
+    for step in chain.steps:
         for cert in step.certificates:
-            res = verify_certificate(cert, step_walks)
+            res = verify_certificate(cert, walks)
             ok = ok and res.ok
             lines.extend(f"{step.name}: {line}" for line in res.report)
-        if walks is None:
-            kept = [word for word in (*kept, step.word) if id(word) in read_later[i]]
-            held = {}
-            for walk in step_walks.values():
-                for word in kept:
-                    rows = walk.lookup(word)
-                    if rows is not None:
-                        _walk(held, walk.env, walk.n).seed(word, rows)
+    del walks
     broken = _broken_link(chain) if ok else None
     if broken is not None:
         ok = False
         lines.append(f"broken link: {broken}")
     return VerifyResult(ok, tuple(lines))
-
-
-def _read_later(steps: Sequence[ChainStep]) -> list[set[int]]:
-    """For each step, the ids of the tokens that the tree readings of the
-    later steps' words read uninverted (``words._Walk.walk``), each (token,
-    inverted) pair visited once over all the steps."""
-    seen: set[tuple[int, bool]] = set()
-    forward: set[int] = set()
-    out = []
-    for step in reversed(steps):
-        out.append(set(forward))
-        todo = [(step.word, False)]
-        while todo:
-            t, inv = todo.pop()
-            if (id(t), inv) in seen:
-                continue
-            seen.add((id(t), inv))
-            if not inv:
-                forward.add(id(t))
-            if isinstance(t, Inverse):
-                todo.append((t.inner, not inv))
-            elif isinstance(t, Power):
-                todo.append((t.inner, inv != (t.exponent < 0)))
-            elif isinstance(t, Conj):
-                todo += [(t.h, False), (t.h, True), (t.g, inv)]
-            elif isinstance(t, Product):
-                todo += [(f, inv) for f in t.factors]
-    return out[::-1]
 
 
 def _broken_link(chain: WitnessChain) -> Optional[str]:

@@ -17,8 +17,8 @@ from __future__ import annotations
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cache, partial, reduce
-from typing import Iterable, Optional, Sequence
+from functools import partial, reduce
+from typing import Callable, Iterable, Optional, Sequence
 
 from .autrep import (
     Finitary,
@@ -90,47 +90,37 @@ def evaluate_word(word: Token, env: Environment, n: int) -> IntMatrix:
 
 
 def push_word(word: Token, env: Environment, n: int, vector: Sequence[int]) -> tuple[int, ...]:
-    """``evaluate_word(word, env, n).apply(vector)``, vector zero-padded to n.
-
-    The vector is pushed through the word one atom at a time, rightmost
-    factor first, each application costing up to n^2 (``window_apply``) where
-    a window product costs up to n^3.  So a ``Power``, or the whole word,
-    whose applications pass n (per distinct walked subtree) goes by products
-    on row pairs, and the rows are applied.
-    """
-    pushes = _Pushes(env, n)
-    push, count = pushes.walk(word)
-    v = _pad(vector, n)
-    if count > n * len(pushes.memo):
-        return apply_pairs(pushes.rows.walk(word), v)
-    return tuple(push(v))
+    """``evaluate_word(word, env, n).apply(vector)``, vector zero-padded to n,
+    pushed through the word's free-reduced letters (``_Rows.push``)."""
+    return _Rows(env, n).push(word, _pad(vector, n))
 
 
 class _Walk:
-    """One walk over a word on window n, reading each (token, inverted) pair
-    once, keyed by the token's identity: a parse and the engines make equal
-    subtrees one object, so ``memo`` counts distinct subtrees for both
-    readings, ``_Rows`` and ``_Pushes``.  The memo keeps each token beside
-    its reading, so a keyed token lives as long as the walk and its id
-    cannot pass to another.  The tree reading looks a name up, inverts it,
-    then reads it (which checks the window), in ``evaluate_word``'s order: a
-    product's factors left to right (right to left inverted), a conjugate's
-    h, h^-1, then g (``compound``).  So both readings raise one first error,
-    which ``_Rows``' rules keep (``_Rows.compound``).
+    """One tree reading of a word as the row pairs of its window n
+    (``intmat.Pairs``), reading each (token, inverted) pair once, keyed by
+    the token's identity: a parse and the engines make equal subtrees one
+    object, so ``memo`` counts distinct subtrees.  The memo keeps each token
+    beside its rows, so a keyed token lives as long as the walk and its id
+    cannot pass to another.  The reading looks a name up, inverts it, then
+    reads its window (which checks the window), in ``evaluate_word``'s
+    order: a product's factors left to right (right to left inverted), a
+    conjugate's h, h^-1, then g (``compound``).  So it raises one first
+    error, which ``_Rows``' rules and pushes keep (``_Rows.compound``,
+    ``_Rows.push``).
     """
 
     def __init__(self, env: Environment, n: int):
         self.env, self.n, self.memo = env, n, {}
 
-    def lookup(self, word: Token, inv: bool = False):
-        """The reading of (word, inv) this walk holds, or None."""
+    def lookup(self, word: Token, inv: bool = False) -> Optional[Pairs]:
+        """The rows of (word, inv) this walk holds, or None."""
         return self.memo.get((id(word), inv), (word, None))[1]
 
-    def seed(self, word: Token, out) -> None:
-        """Hold ``out`` as the reading of word, unless one is held already."""
-        self.memo.setdefault((id(word), False), (word, out))
+    def seed(self, word: Token, rows: Pairs) -> None:
+        """Hold ``rows`` as the reading of word, unless one is held already."""
+        self.memo.setdefault((id(word), False), (word, rows))
 
-    def walk(self, word: Token, inv: bool = False):
+    def walk(self, word: Token, inv: bool = False) -> Pairs:
         if (hit := self.lookup(word, inv)) is not None:
             return hit
         if isinstance(word, Named):
@@ -138,12 +128,11 @@ class _Walk:
                 aut = self.env[word.name]
             except KeyError:
                 raise WordError(f"unresolved name {word.name!r}") from None
-            out = self.atom(invert_aut(aut) if inv else aut)
+            out = window_pairs(invert_aut(aut) if inv else aut, self.n)
         elif isinstance(word, Inverse):
             out = self.walk(word.inner, not inv)
         elif isinstance(word, Power):
-            inner = (word.inner, inv != (word.exponent < 0))
-            out = self.power(self.walk(*inner), abs(word.exponent), inner)
+            out = pairs_power(self.walk(word.inner, inv != (word.exponent < 0)), abs(word.exponent))
         elif isinstance(word, (Conj, Product)):
             out = self.compound(word, inv)
         else:
@@ -151,7 +140,7 @@ class _Walk:
         self.memo[id(word), inv] = word, out
         return out
 
-    def compound(self, word: Conj | Product, inv: bool):
+    def compound(self, word: Conj | Product, inv: bool) -> Pairs:
         """The tree reading of a conjugate or a product."""
         if isinstance(word, Conj):
             # (h g h^-1)^-1 = h g^-1 h^-1
@@ -160,14 +149,18 @@ class _Walk:
         factors = reversed(word.factors) if inv else word.factors
         return self.product([self.walk(f, inv) for f in factors])
 
+    def product(self, factors: list[Pairs]) -> Pairs:
+        return reduce(pairs_product, factors) if factors else identity_pairs(self.n)
+
 
 class _Family:
     """What the walks over one environment share: each walk by its window,
     held weakly (a walk holds its family, so a strong hold would make a
-    cycle), and the ``head_and_period`` of each compound token, read once."""
+    cycle), and the atoms each token names with their ``head_and_period``,
+    read once per token (``atoms``)."""
 
     def __init__(self, env: Environment):
-        self.env, self.walks, self.splits = env, {}, {}
+        self.env, self.walks, self.tokens = env, {}, {}
 
     def walk(self, n: int) -> "_Rows":
         """The family's walk on window n, made on first use."""
@@ -175,24 +168,35 @@ class _Family:
         walk = None if ref is None else ref()
         return _Rows(self.env, n, self) if walk is None else walk
 
-    def core(self, word: Token, n: int) -> Optional[tuple[int, int]]:
-        """(core, period) of ``autrep.core_window`` for the atoms word
-        names, when the core is smaller than n; else None."""
-        hit = self.splits.get(id(word))
+    def atoms(self, token: Token) -> Optional[tuple[list[RepAut], Optional[tuple[int, int]]]]:
+        """The atoms token names and their ``head_and_period``, read once per
+        token; None for a token of no known kind, or while it names an atom
+        the env lacks (the env may gain names, never rebind one)."""
+        hit = self.tokens.get(id(token))
         if hit is None:
-            names = word_names(word)
-            if not names <= self.env.keys():  # the env may gain names, never rebind one
+            try:
+                names = word_names(token)
+            except WordError:
                 return None
-            hit = self.splits[id(word)] = word, head_and_period([self.env[x] for x in names])
-        core = core_window(hit[1], n)
+            if not names <= self.env.keys():
+                return None
+            atoms = [self.env[x] for x in names]
+            hit = self.tokens[id(token)] = token, atoms, head_and_period(atoms)
+        return hit[1:]
+
+    def core(self, token: Token, n: int) -> Optional[tuple[int, int]]:
+        """(core, period) of ``autrep.core_window`` for the atoms token
+        names, when the core is smaller than n; else None."""
+        read = self.atoms(token)
+        core = None if read is None else core_window(read[1], n)
         return core if core is not None and core[0] < n else None
 
 
 class _Rows(_Walk):
-    """A word read as the row pairs of its n x n window (``intmat.Pairs``),
-    by two rules on top of the tree reading, both exact where every atom is
-    aligned: there each atom's window is a direct summand, so restricting to
-    it is a homomorphism (``autrep.window_pairs``).
+    """A word read as the row pairs of its n x n window, by two rules on top
+    of the tree reading, both exact where every atom is aligned: there each
+    atom's window is a direct summand, so restricting to it is a
+    homomorphism (``autrep.window_pairs``).
 
     - Free reduction: a product or a conjugate is read as its letters
       (``_letters``), token and exponent, with adjacent letters on one token
@@ -209,11 +213,14 @@ class _Rows(_Walk):
     either direction, must resolve, be aligned and carry their inverse
     (``_readable``), and a rule's read that raises is dropped, with every
     later read of this walk by the tree, which raises the first error.
+
+    The same letters push a vector through the word (``push``).
     """
 
     def __init__(self, env: Environment, n: int, family: Optional[_Family] = None):
         super().__init__(env, n)
-        self.letters, self.cores, self.tree, self._family = None, None, False, None
+        self.letters = self.cores = self.pushes = self._family = None
+        self.tree = False
         if family is not None:
             self.join(family)
 
@@ -233,10 +240,7 @@ class _Rows(_Walk):
         try:
             tokens, exps, crossed = _letters(word, inv)
             if all(map(self._readable, crossed)):
-                return self.product([
-                    self.walk(t, e < 0) if e in (1, -1) and type(t) is Named else self._letter(t, e)
-                    for t, e in zip(tokens, exps)
-                ])
+                return self.product(list(map(self._letter, tokens, exps)))
         except InfrankError:
             self.tree = True
         return super().compound(word, inv)
@@ -271,58 +275,125 @@ class _Rows(_Walk):
 
     def _readable(self, token: Token) -> bool:
         """Whether the tree reading reads token both ways without an error."""
-        try:
-            names = word_names(token)
-        except WordError:
+        read = self.family.atoms(token)
+        if read is None:
             return False
-        if not names <= self.env.keys():
-            return False
-        atoms = [self.env[x] for x in names]
-        return _aligned(atoms, (self.n,)) and not any(map(is_claimed, atoms))
+        return _aligned(read[0], (self.n,)) and not any(map(is_claimed, read[0]))
 
-    def atom(self, aut: RepAut) -> Pairs:
-        return window_pairs(aut, self.n)
+    def push(self, word: Token, v: Sequence[int]) -> tuple[int, ...]:
+        """v, of length n, pushed through the word's window: by the rows a
+        walk holds for it, else by its free-reduced letters, right to left
+        (``_push``).  A word the rules would not read is read by the tree,
+        which raises its first error or holds its rows."""
+        if self.lookup(word) is None and not self._readable(word):
+            self.walk(word)
+        return tuple(self._push(word, 1)[0](v))
 
-    def product(self, factors: list[Pairs]) -> Pairs:
-        return reduce(pairs_product, factors) if factors else identity_pairs(self.n)
+    def _push(self, token: Token, e: int) -> tuple:
+        """A push through the letter token^e, and the applications it makes,
+        made once per walk (``pushes``).
 
-    def power(self, inner: Pairs, e: int, token: tuple[Token, bool]) -> Pairs:
-        return pairs_power(inner, e)
+        A letter applies the rows a walk of the family holds for its token
+        (``_held``); else a name applies its atom (``window_apply``), and a
+        compound token pushes through its own letters, where a token whose
+        reading a walk holds is a letter, not read further.  To the |e| > 1
+        that is done |e| times, unless that would make more than n
+        applications: then the letter's rows are read (``_letter``) and
+        applied once, as a window product costs up to n^3 and an
+        application up to n^2.
+        """
+        if self.pushes is None:
+            self.pushes = {}
+        hit = self.pushes.get((id(token), e))
+        if hit is not None:
+            return hit[1]
+        if e != 1 and e != -1:
+            push, count = self._push(token, 1 if e > 0 else -1)
+            if abs(e) * count > self.n:
+                out = partial(apply_pairs, self._letter(token, e)), 1
+            else:
+                out = _in_turn([push] * abs(e)), abs(e) * count
+        elif (held := self._held(token, e < 0)) is not None:
+            out = held, 1
+        elif type(token) is Named:
+            aut = self.env[token.name]
+            out = partial(window_apply, invert_aut(aut) if e < 0 else aut, self.n), 1
+        else:
+            tokens, exps, _ = _letters(token, e < 0, self._held)
+            parts = [self._push(t, x) for t, x in zip(reversed(tokens), reversed(exps))]
+            out = _in_turn([push for push, _ in parts]), sum(count for _, count in parts)
+        self.pushes[id(token), e] = token, out
+        return out
+
+    def _held(self, token: Token, inv: bool) -> Optional[Callable]:
+        """The application of the rows of (token, inv) that this walk holds,
+        or that the family's walk on token's core window holds, chunk by
+        chunk (``_push_chunks``); None when neither holds them."""
+        rows = self.lookup(token, inv)
+        if rows is not None:
+            return partial(apply_pairs, rows)
+        core = self.family.core(token, self.n)
+        ref = None if core is None else self.family.walks.get(core[0])
+        walk = None if ref is None else ref()
+        rows = None if walk is None else walk.lookup(token, inv)
+        if rows is None:
+            return None
+        image = partial(apply_pairs, rows)
+        return lambda v: _push_chunks(image, *core, tuple(v))
 
 
-def _letters(word: Token, inv: bool) -> tuple[list[Token], list[int], list[Token]]:
-    """The free-reduced letters of a product or a conjugate, read inverted
-    or not, as their tokens and exponents, and the tokens whose letters
-    cancelled in part or whole.
+def _in_turn(pushes: list[Callable]) -> Callable:
+    """The pushes applied in turn, in a loop, so a push nests only as deep
+    as the word."""
+
+    def push(v: Sequence[int]) -> Sequence[int]:
+        for f in pushes:
+            v = f(v)
+        return v
+
+    return push
+
+
+def _letters(
+    word: Token, inv: bool, held: Optional[Callable] = None
+) -> tuple[list[Token], list[int], list[Token]]:
+    """The free-reduced letters of a word, read inverted or not, as their
+    tokens and exponents, and the tokens whose letters cancelled in part or
+    whole.
 
     A conjugate ``Conj(g, h)`` to the e is h, g^e, h^-1; ``Power`` and
     ``Inverse`` go into the exponent; an inverted product is its factors
     reversed, each inverted; any other token (a name, a product inside a
-    product or a conjugate) is a letter.  A letter on the token object of
-    the one before it merges with it, and a zero exponent drops.
+    product or a conjugate) is a letter, and so is a token for which
+    ``held(token, e < 0)`` is true.  A letter on the token of the one
+    before it, the same object or a name equal to it, merges with it, and
+    a zero exponent drops.
     """
     out: tuple[list[Token], list[int], list[Token]] = ([], [], [])
     sign = -1 if inv else 1
-    if type(word) is Conj:
-        _add_letter(word, sign, *out)
-    else:
+    if type(word) is Product:
         for f in reversed(word.factors) if inv else word.factors:
-            _add_letter(f, sign, *out)
+            _add_letter(f, sign, *out, held)
+    else:
+        _add_letter(word, sign, *out, held)
     return out
 
 
-def _add_letter(t: Token, e: int, tokens: list, exps: list, crossed: list) -> None:
+def _add_letter(
+    t: Token, e: int, tokens: list, exps: list, crossed: list, held: Optional[Callable]
+) -> None:
     kind = type(t)
-    while e and (kind is Inverse or kind is Power):
+    while e and (kind is Inverse or kind is Power) and not (held and held(t, e < 0)):
         t, e = t.inner, -e if kind is Inverse else e * t.exponent
         kind = type(t)
     if not e:
         crossed.append(t)
-    elif kind is Conj:
-        _add_letter(t.h, 1, tokens, exps, crossed)
-        _add_letter(t.g, e, tokens, exps, crossed)
-        _add_letter(t.h, -1, tokens, exps, crossed)
-    elif tokens and tokens[-1] is t:
+    elif kind is Conj and not (held and held(t, e < 0)):
+        _add_letter(t.h, 1, tokens, exps, crossed, held)
+        _add_letter(t.g, e, tokens, exps, crossed, held)
+        _add_letter(t.h, -1, tokens, exps, crossed, held)
+    elif tokens and (tokens[-1] is t or kind is Named and tokens[-1] == t):
+        # an environment binds each name once, so equal names are one atom
         if (exps[-1] > 0) != (e > 0):
             crossed.append(t)
         exps[-1] += e
@@ -332,36 +403,6 @@ def _add_letter(t: Token, e: int, tokens: list, exps: list, crossed: list) -> No
     else:
         tokens.append(t)
         exps.append(e)
-
-
-class _Pushes(_Walk):
-    """A word read as a function pushing a vector through it, with the
-    atom applications it makes; a power that would make more than n makes
-    one, of its window's rows evaluated by products on first use."""
-
-    def __init__(self, env: Environment, n: int):
-        super().__init__(env, n)
-        self.rows = _Rows(env, n)
-
-    def atom(self, aut: RepAut) -> tuple:
-        _check_window(aut, self.n)
-        return partial(window_apply, aut, self.n), 1
-
-    def product(self, factors: list[tuple]) -> tuple:
-        pushes = [push for push, _ in reversed(factors)]
-
-        def push(v: Sequence[int]) -> Sequence[int]:
-            for f in pushes:  # a loop, so a push nests only as deep as the word
-                v = f(v)
-            return v
-
-        return push, sum(count for _, count in factors)
-
-    def power(self, inner: tuple, e: int, token: tuple[Token, bool]) -> tuple:
-        if e * max(1, inner[1]) <= self.n:
-            return self.product([inner] * e)
-        window = cache(lambda: pairs_power(self.rows.walk(*token), e))
-        return (lambda v: apply_pairs(window(), v)), 1
 
 
 def word_names(word: Token) -> set[str]:
@@ -473,11 +514,11 @@ def verify_certificate(cert: Certificate, walks: Optional[dict] = None) -> Verif
     unimodular (``_claimed_target``).
 
     ``walks``, when given, keeps one ``_Rows`` walk per (window,
-    environment mapping) (``_walk``); ``verify_chain`` shares it
-    between the certificates of one step, so what their words share is
-    walked once, and an action claim on a product applies the rows the
-    walks hold for its factors (``_check_action``).  Without it, each walk
-    is dropped after its check.
+    environment mapping) (``_walk``); ``verify_chain`` shares it between
+    the certificates of a chain, so what their words share is walked once,
+    and an action claim applies the rows the walks hold for its word or its
+    letters (``_check_action``).  Without it, each walk is dropped after its
+    check, and an action claim's pushes share theirs.
     """
     if cert.kind == ORDER and (cert.order is None or cert.order < 1):
         raise ValidationError("order certificate needs a positive order")
@@ -490,7 +531,9 @@ def verify_certificate(cert: Certificate, walks: Optional[dict] = None) -> Verif
         r = reduced[n] = core_window(split, n)
         sizes.add(n if r is None else r[0])
     big = None
-    if cert.kind != ACTION_ON_VECTOR and len(sizes) > 1 and atoms and _aligned(atoms, sizes):
+    if cert.kind == ACTION_ON_VECTOR:
+        walks = {} if walks is None else walks  # one walk per push window for every chunk
+    elif len(sizes) > 1 and atoms and _aligned(atoms, sizes):
         big = _walk(walks, cert.environment, max(sizes))
     done: dict[int, tuple[bool, str]] = {}
     pushed: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -498,7 +541,7 @@ def verify_certificate(cert: Certificate, walks: Optional[dict] = None) -> Verif
     ok = True
     for n in cert.windows:
         if cert.kind == ACTION_ON_VECTOR:
-            holds, detail = _check_action(cert, n, reduced[n], pushed, walks, atoms)
+            holds, detail = _check_action(cert, n, reduced[n], pushed, walks)
         else:
             m = n if reduced[n] is None else reduced[n][0]
             if m not in done:
@@ -541,15 +584,6 @@ def _walk(walks: Optional[dict], env: Environment, n: int) -> _Rows:
         family = next((w.family for w in walks.values() if w.env is env), None)
         walk = walks[n, id(env)] = _Rows(env, n) if family is None else family.walk(n)
     return walk
-
-
-def _copied(walks: dict) -> dict:
-    """Walks that start from what each of ``walks`` holds and add to
-    themselves alone, in one new family per environment."""
-    out: dict = {}
-    for (n, _), walk in walks.items():
-        _walk(out, walk.env, n).memo.update(walk.memo)
-    return out
 
 
 def _repeated(rows: Pairs, core: int, period: int, n: int) -> Pairs:
@@ -646,34 +680,25 @@ def _check_action(
     n: int,
     reduced: Optional[tuple[int, int]],
     pushed: dict[tuple[int, ...], tuple[int, ...]],
-    walks: Optional[dict],
-    atoms: Optional[list[RepAut]],
+    walks: dict,
 ) -> tuple[bool, str]:
     """Push the vector on window n, or chunk by chunk on its core window
     when ``reduced`` gives one with its period (``_push_chunks``), each
     distinct nonzero chunk once per certificate (``pushed`` is shared by
     its windows).
 
-    A push applies the word's rows where a walk in ``walks`` holds them.
-    Otherwise, with ``walks`` given, a product whose ``atoms`` all resolve
-    and are aligned on the window goes factor by factor (``_push_factors``),
-    and any other word through ``push_word``, which raises the whole word's
-    first error.  Every row applied is an exact window walked from the
-    atoms, and the image is compared with the target over all n
-    coordinates, so the check stays genuine.
+    A push (``_Rows.push``) applies the rows the walks in ``walks`` hold for
+    the word or its letters, and otherwise applies the letters' atoms; a word
+    the rules would not read raises the tree reading's first error.  Every
+    row applied is an exact window walked from the atoms, and the image is
+    compared with the target over all n coordinates, so the check stays
+    genuine.
     """
     if cert.vector is None or cert.target_vector is None:
         raise ValidationError("action certificate needs vector and target_vector")
-    env = cert.environment
 
     def push(m: int, v: Sequence[int]) -> tuple[int, ...]:
-        rows = _walk(walks, env, m).lookup(cert.word)
-        if rows is not None:
-            return apply_pairs(rows, _pad(v, m))
-        by_factor = walks is not None and atoms is not None and isinstance(cert.word, Product)
-        if by_factor and _aligned(atoms, (m,)):
-            return _push_factors(cert.word, env, walks, _pad(v, m))
-        return push_word(cert.word, env, m, v)
+        return _walk(walks, cert.environment, m).push(cert.word, _pad(v, m))
 
     if reduced is None:
         got = push(n, cert.vector)
@@ -708,34 +733,6 @@ def _push_chunks(image, core: int, period: int, v: tuple[int, ...]) -> tuple[int
         for s in nonzero_blocks(v, core, period):
             out[s : s + period] = image(lead + v[s : s + period])[-period:]
     return tuple(out)
-
-
-def _push_factors(
-    word: Product, env: Environment, walks: dict, v: tuple[int, ...]
-) -> tuple[int, ...]:
-    """v pushed through the factors of word, right to left, on window len(v),
-    where every atom of word is aligned.
-
-    A factor ``Power(t, +-1)`` is read as t, inverted for -1, and any other
-    factor as itself.  When the walk in ``walks`` on the factor's core window
-    (``autrep.core_window``) holds that reading's rows, they are applied
-    chunk by chunk (``_push_chunks``); otherwise the factor goes through
-    ``push_word``.
-    """
-    m = len(v)
-    for f in reversed(word.factors):
-        t, inv = f, False
-        if isinstance(f, Power) and abs(f.exponent) == 1:
-            t, inv = f.inner, f.exponent < 0
-        split = head_and_period([env[name] for name in word_names(t)])
-        core, period = core_window(split, m) or (m, 0)
-        walk = walks.get((core, id(env)))
-        rows = None if walk is None else walk.lookup(t, inv)
-        if rows is None:
-            v = push_word(f, env, m, v)
-        else:
-            v = _push_chunks(partial(apply_pairs, rows), core, period, v)
-    return v
 
 
 def _check_sum(cert: Certificate, walk: _Rows) -> tuple[bool, str]:

@@ -1,7 +1,10 @@
+import gc
 import hashlib
 import json
 import random
+import weakref
 from dataclasses import replace
+from functools import cache
 from math import gcd
 
 import pytest
@@ -56,6 +59,7 @@ from infrank.words import (
     Named,
     Power,
     Product,
+    VerifyResult,
     evaluate_word,
     verify_certificate,
 )
@@ -649,6 +653,41 @@ def test_only_the_pipeline_hands_its_walks_to_the_check(monkeypatch):
     assert any(line.startswith(f"{step.name}: ") and "MISMATCH" in line for line in res.report)
 
 
+def test_a_parsed_check_drops_its_walks_before_the_link(monkeypatch):
+    """The walks verify_chain makes for a parsed chain are dead when the
+    link's product runs, so they add nothing to the peak of a large check;
+    the walks km_pipeline passes in are its own, and live on."""
+    refs = []
+    walk = words_module._walk
+
+    def recording(walks, env, n):
+        out = walk(walks, env, n)
+        if walks is not None:  # not a certificate checked alone while the chain is built
+            refs.append(weakref.ref(out))
+        return out
+
+    live = []
+    link = witness._broken_link
+
+    def counting(chain):
+        live.append(sum(ref() is not None for ref in refs))
+        return link(chain)
+
+    monkeypatch.setattr(words_module, "_walk", recording)
+    monkeypatch.setattr(witness, "_broken_link", counting)
+    gc.disable()  # the walks must die by their last reference, not by a collection
+    try:
+        chain = km_pipeline(canonical_shear(5, 4))
+        built = len(refs)
+        refs.clear()
+        assert verify_chain(parse_chain(serialize_chain(chain))).ok
+        parsed = len(refs)
+    finally:
+        gc.enable()
+    assert built and parsed
+    assert live == [built, 0]
+
+
 def test_a_parsed_check_reads_the_atoms_of_psi_on_its_core_window_only(monkeypatch):
     """phi, h1 and h2, and their inverses, are read on window 6 alone: the
     conjugation steps repeat step 1's rows of psi out to windows 24 and 36."""
@@ -694,10 +733,16 @@ def test_bezout_claims_through_the_build_rows_still_check_their_target():
 
 # window_apply calls of verify_chain on the chain as built, with the build's
 # walks, and parsed back: 96 and 156 for both when the Bezout step pushed
-# its whole word atom by atom; now it applies the conjugation steps' rows,
-# all of them as built, and a parsed check pushes w1^-1 alone, which no
-# step walks
-APPLY_COUNTS = [(5, 4, 0, 36), (2, 5, 0, 60)]
+# its whole word atom by atom; then it applied the conjugation steps' rows,
+# all of them as built, and a parsed check pushed w1^-1 atom by atom, which
+# no step walks (36 and 60).  A parsed check now pushes w1^-1 through its
+# inverted letters lam^2 psi^-1 lam^-1 psi^-1 lam^-1 and psi^-1 through
+# h1 phi^-1 h1^-1 h2 phi^-1 h2^-1 (one h per pair of ell): it applies the
+# rows of lam that step 2 walked and those of each h and its inverse that
+# step 1 walked, and only phi^-1, which no step walks, atom by atom: ell
+# times per psi^-1, in each of two pushes, 2 * 2 * ell = 8 for ell = 2 and
+# 16 for ell = 4.
+APPLY_COUNTS = [(5, 4, 0, 8), (2, 5, 0, 16)]
 
 
 @pytest.mark.parametrize("k, m, built, parsed", APPLY_COUNTS)
@@ -838,13 +883,13 @@ def test_action_pushes_stay_on_the_core_window(monkeypatch):
         assert {core_window(split, n) for n in cert.windows} == {reduced}
         reducible.append(cert)
     pushes = []
-    push = words_module.push_word
+    push = words_module._Rows.push
 
-    def recording(word, env, n, vector):
-        pushes.append((n, tuple(vector)))
-        return push(word, env, n, vector)
+    def recording(walk, word, vector):
+        pushes.append((walk.n, tuple(vector)))
+        return push(walk, word, vector)
 
-    monkeypatch.setattr(words_module, "push_word", recording)
+    monkeypatch.setattr(words_module._Rows, "push", recording)
     for cert in built + parsed + reducible:
         pushes.clear()
         assert verify_certificate(cert).ok
@@ -1144,6 +1189,44 @@ def test_forward_products_give_the_composed_values(k, m, pair):
         d = old.d
         for n in (d, 2 * d, 3 * d):
             assert oracles.dense_window(new, n) == oracles.dense_window(old, n)
+
+
+@cache
+def _parsed_general_chain(k, m, pair):
+    return parse_chain(serialize_chain(km_pipeline(canonical_shear(k, m), pair)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(GENERAL_CHAINS), st.sampled_from([None, "target", "level"]),
+       st.sampled_from([0, 1]), st.integers(0, 10**6), st.sampled_from([-1, 1]))
+def test_a_parsed_chain_reports_what_its_certificates_report_alone(case, tamper, which, where,
+                                                                   delta):
+    """A parsed general chain, for either sign of each Bezout exponent, as
+    written, with one coordinate of a Bezout target bumped, or with its
+    level changed, reports exactly the lines of each certificate checked
+    alone, on its own walks, then the link line once they all hold."""
+    chain = _parsed_general_chain(*case)
+    if tamper == "target":
+        last = chain.steps[-1]
+        certs = list(last.certificates)
+        target = list(certs[which].target_vector)
+        target[where % len(target)] += delta
+        certs[which] = replace(certs[which], target_vector=tuple(target))
+        chain = replace(chain, steps=(*chain.steps[:-1], replace(last, certificates=tuple(certs))))
+    elif tamper == "level":
+        chain = replace(chain, level=chain.level + delta)
+    lines, ok = [], True
+    for step in chain.steps:
+        for cert in step.certificates:
+            alone = verify_certificate(cert)
+            ok = ok and alone.ok
+            lines += [f"{step.name}: {line}" for line in alone.report]
+    assert ok == (tamper != "target")
+    broken = witness._broken_link(chain) if ok else None
+    assert (broken is not None) == (tamper == "level")
+    if broken is not None:
+        lines.append(f"broken link: {broken}")
+    assert verify_chain(chain) == VerifyResult(tamper is None, tuple(lines))
 
 
 def test_pipeline_build_inverts_each_matrix_once(monkeypatch):

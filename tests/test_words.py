@@ -256,14 +256,16 @@ def test_product_of_k_atoms_makes_k_minus_1_products(monkeypatch):
 
 def test_a_graded_inverse_pair_on_two_windows_makes_one_product(monkeypatch):
     """g g^-1 on windows 100 and 200 is walked once, on 200, and window 100
-    is cut from it."""
+    is cut from it.  The count went from 1 to 0 when letters on equal names
+    came to merge as on one token object: the two ``Named("g")`` objects
+    name one atom, so the word reduces to the identity with no product."""
     cert = Certificate(kind=WINDOW_IDENTITY, windows=(100, 200),
                        environment={"g": graded((2, 3), (11,))},
                        word=Product((Named("g"), Inverse(Named("g")))), target_aut=identity_aut())
     products = ProductCounter(monkeypatch)
     assert verify_certificate(cert) == VerifyResult(
         True, ("window 100: identity holds", "window 200: identity holds"))
-    assert products.count == 1
+    assert products.count == 0
 
 
 # -- the walk's reading rules: free reduction and core windows ----------------
@@ -523,13 +525,28 @@ def test_push_refuses_what_dense_refuses(env, w, bad, place, case):
 
 
 def test_push_goes_dense_when_pushes_outgrow_the_word(monkeypatch):
+    """A power whose pushes would pass n is read as rows and applied once:
+    (tau sigma)^e makes 2|e| applications, so on window 4 it is pushed for
+    |e| = 2 and made by products for |e| = 3.  Nested conjugates are pushed
+    letter by letter, with no product: depth d reads as 2^(d + 1) - 1
+    letters, one application each.  Depth 10 went by products until pushes
+    came to go through the word's letters, as the crossover now counts the
+    applications of one power, not of the whole word."""
     products = ProductCounter(monkeypatch)
+    applied = []
+    apply = words_module.window_apply
+    monkeypatch.setattr(words_module, "window_apply", lambda *a: applied.append(a) or apply(*a))
     v = (1, -2, 3, 5)
-    for depth, dense in ((2, False), (10, True)):
-        # each level pushes its conjugator twice: 2^(depth + 1) - 1 pushes
+    for depth in (2, 10):
         word = Named("tau")
         for _ in range(depth):
             word = Conj(Named("sigma"), word)
+        products.count, applied[:] = 0, []
+        got = push_word(word, ENV, 4, v)
+        assert (products.count, len(applied)) == (0, 2 ** (depth + 1) - 1)
+        assert got == evaluate_word(word, ENV, 4).apply(v)
+    for e, dense in ((2, False), (-2, False), (3, True), (-3, True)):
+        word = Power(Product((Named("tau"), Named("sigma"))), e)
         products.count = 0
         got = push_word(word, ENV, 4, v)
         assert (products.count > 0) == dense
@@ -781,9 +798,10 @@ def held_products(draw):
 @settings(max_examples=150)
 @given(held_products(), st.integers(1, 2), st.data())
 def test_pushes_through_held_rows_match_the_dense_image(drawn, k, data):
-    """A product pushed factor by factor, through rows walks hold for none,
+    """A product pushed through its letters, with rows walks hold for none,
     some or all of its factors, gives the dense image and the same report
-    lines; with every factor held, no atom is applied."""
+    lines; with every factor held, no atom is applied, as a factor whose
+    reading a walk holds is applied before its letters are read."""
     env, word, held = drawn
     n = k * lcm(*(aut.d for aut in env.values()))
     v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
@@ -793,11 +811,10 @@ def test_pushes_through_held_rows_match_the_dense_image(drawn, k, data):
         blocks = [env[name].d for name in word_names(f.inner)]
         core = lcm(*blocks) if blocks else 0
         for walks in (some, every) if hold else (every,):
-            walk = walks.setdefault((core, id(env)), _Rows(env, core))
-            walk.walk(f.inner, f.exponent < 0)
+            words_module._walk(walks, env, core).walk(f.inner, f.exponent < 0)
     assert push_word(word, env, n, v) == want
     for walks in (some, every):
-        assert words_module._push_factors(word, env, walks, v) == want
+        assert words_module._walk(walks, env, n).push(word, v) == want
     i = data.draw(st.integers(0, n - 1))
     bumped = want[:i] + (want[i] + 1,) + want[i + 1 :]
     for target in (want, bumped):
