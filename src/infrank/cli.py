@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -116,7 +118,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(path: Path | None, default_name: str, payload: str) -> Path:
     target = path if path is not None else Path(default_name)
-    target.write_text(payload)
+    # Written over in place and then cut to the payload, not opened with
+    # O_TRUNC: on ext4 (auto_da_alloc) truncating a file with data to zero
+    # starts its writeback on close, and the next truncating open of the
+    # path waits for it.  A temporary file renamed over the target flushes
+    # too, and would turn a symlink or a device into a regular file and drop
+    # the target's mode; unlinking first would delete symlinks and devices.
+    with open(os.open(target, os.O_WRONLY | os.O_CREAT, 0o666), "w") as out:
+        out.write(payload)
+        if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate()
     return target
 
 

@@ -300,7 +300,10 @@ class _Rows(_Walk):
         that is done |e| times, unless that would make more than n
         applications: then the letter's rows are read (``_letter``) and
         applied once, as a window product costs up to n^3 and an
-        application up to n^2.
+        application up to n^2.  So is a compound token whose push would
+        make more than n applications and more than ``_MAX_PUSHES``: a push
+        through conjugates nested d deep in conjugators makes 2^(d + 1) - 1
+        applications, and their rows take O(d) products.
         """
         if self.pushes is None:
             self.pushes = {}
@@ -321,7 +324,11 @@ class _Rows(_Walk):
         else:
             tokens, exps, _ = _letters(token, e < 0, self._held)
             parts = [self._push(t, x) for t, x in zip(reversed(tokens), reversed(exps))]
-            out = _in_turn([push for push, _ in parts]), sum(count for _, count in parts)
+            count = sum(count for _, count in parts)
+            if count > max(self.n, _MAX_PUSHES):
+                out = partial(apply_pairs, self._letter(token, e)), 1
+            else:
+                out = _in_turn([push for push, _ in parts]), count
         self.pushes[id(token), e] = token, out
         return out
 
@@ -340,6 +347,11 @@ class _Rows(_Walk):
             return None
         image = partial(apply_pairs, rows)
         return lambda v: _push_chunks(image, *core, tuple(v))
+
+
+# the applications a push through a compound token makes before its rows
+# are read instead, where the window allows fewer (``_Rows._push``)
+_MAX_PUSHES = 1 << 12
 
 
 def _in_turn(pushes: list[Callable]) -> Callable:
@@ -364,7 +376,9 @@ def _letters(
     A conjugate ``Conj(g, h)`` to the e is h, g^e, h^-1; ``Power`` and
     ``Inverse`` go into the exponent; an inverted product is its factors
     reversed, each inverted; any other token (a name, a product inside a
-    product or a conjugate) is a letter, and so is a token for which
+    product or a conjugate) is a letter, and so are a conjugate read as a
+    conjugator, which read on both sides would make a conjugate nested d
+    deep 2^(d + 1) - 1 letters, and a token for which
     ``held(token, e < 0)`` is true.  A letter on the token of the one
     before it, the same object or a name equal to it, merges with it, and
     a zero exponent drops.
@@ -380,7 +394,8 @@ def _letters(
 
 
 def _add_letter(
-    t: Token, e: int, tokens: list, exps: list, crossed: list, held: Optional[Callable]
+    t: Token, e: int, tokens: list, exps: list, crossed: list, held: Optional[Callable],
+    conjugator: bool = False,
 ) -> None:
     kind = type(t)
     while e and (kind is Inverse or kind is Power) and not (held and held(t, e < 0)):
@@ -388,10 +403,10 @@ def _add_letter(
         kind = type(t)
     if not e:
         crossed.append(t)
-    elif kind is Conj and not (held and held(t, e < 0)):
-        _add_letter(t.h, 1, tokens, exps, crossed, held)
+    elif kind is Conj and not conjugator and not (held and held(t, e < 0)):
+        _add_letter(t.h, 1, tokens, exps, crossed, held, True)
         _add_letter(t.g, e, tokens, exps, crossed, held)
-        _add_letter(t.h, -1, tokens, exps, crossed, held)
+        _add_letter(t.h, -1, tokens, exps, crossed, held, True)
     elif tokens and (tokens[-1] is t or kind is Named and tokens[-1] == t):
         # an environment binds each name once, so equal names are one atom
         if (exps[-1] > 0) != (e > 0):

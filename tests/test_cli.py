@@ -1,7 +1,10 @@
 import argparse
 import io
 import json
+import os
+import stat
 import sys
+import time
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -28,6 +31,7 @@ from infrank.witness import (
     zaushko_commutator,
 )
 from infrank.words import (
+    ACTION_ON_VECTOR,
     WINDOW_IDENTITY,
     Certificate,
     Conj,
@@ -358,7 +362,67 @@ def test_verify_directory_is_error(tmp_path, capsys):
 def test_out_directory_is_error(tmp_path, capsys):
     code, _, err = run(["shear", "--n", "2", "--m", "4", "--out", str(tmp_path)], capsys)
     assert code == 1
-    assert err.startswith("error: ")
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_out_missing_parent_is_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "s.cert"
+    code, _, err = run(["shear", "--n", "2", "--m", "4", "--out", str(target)], capsys)
+    assert code == 1
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    assert not target.parent.exists()
+
+
+SHEAR = ["shear", "--n", "2", "--m", "4", "--out"]
+
+
+def _fresh_shear_bytes(tmp_path, capsys) -> bytes:
+    fresh = tmp_path / "fresh.cert"
+    assert run(SHEAR + [str(fresh)], capsys)[0] == 0
+    return fresh.read_bytes()
+
+
+def test_out_rewrites_a_longer_file_to_exactly_the_new_bytes(tmp_path, capsys):
+    want = _fresh_shear_bytes(tmp_path, capsys)
+    target = tmp_path / "s.cert"
+    target.write_bytes(b"x" * (3 * len(want)))
+    assert run(SHEAR + [str(target)], capsys)[0] == 0
+    assert target.read_bytes() == want
+
+
+def test_out_through_a_symlink_writes_its_target_and_keeps_the_link(tmp_path, capsys):
+    want = _fresh_shear_bytes(tmp_path, capsys)
+    real, link = tmp_path / "real.cert", tmp_path / "link.cert"
+    real.write_text("old contents, longer than nothing\n" * 100)
+    link.symlink_to(real)
+    assert run(SHEAR + [str(link)], capsys)[0] == 0
+    assert link.is_symlink() and link.readlink() == real
+    assert real.read_bytes() == want
+
+
+def test_out_dev_null_exits_0(capsys):
+    code, out, err = run(SHEAR + ["/dev/null"], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("order-2 certificate -> /dev/null (verified: True)\n")
+
+
+def test_out_keeps_the_mode_of_an_existing_file(tmp_path, capsys):
+    target = tmp_path / "s.cert"
+    target.write_text("old")
+    target.chmod(0o640)
+    assert run(SHEAR + [str(target)], capsys)[0] == 0
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert target.read_bytes() == _fresh_shear_bytes(tmp_path, capsys)
+
+
+def test_out_opens_without_truncating(tmp_path, capsys, monkeypatch):
+    """The target is written over in place: a truncating open of a file
+    that holds data makes ext4 flush it, and the next such open waits."""
+    flags = []
+    os_open = cli.os.open
+    monkeypatch.setattr(cli.os, "open", lambda path, flag, *a: flags.append(flag) or os_open(path, flag, *a))
+    assert run(SHEAR + [str(tmp_path / "s.cert")], capsys)[0] == 0
+    assert flags == [os.O_WRONLY | os.O_CREAT]
 
 
 def test_filters_centered_cli(tmp_path, capsys):
@@ -614,6 +678,45 @@ def test_verify_shallow_nested_word(tmp_path, capsys):
     code, out, _ = run(["verify", str(cert_file)], capsys)
     assert code == 0
     assert out.endswith("verified: True\n")
+
+
+def _nested_conjugates(depth: int):
+    """Conj(a, Conj(s, ... Conj(s, a))), conjugates nested depth deep in
+    conjugators."""
+    word = Named("a")
+    for _ in range(depth):
+        word = Conj(Named("s"), word)
+    return Conj(Named("a"), word)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 5, 12, 16, 40])
+def test_verify_nested_conjugates_in_time(tmp_path, capsys, depth):
+    """The tree walk reads conjugates nested in conjugators in O(depth)
+    products; read as letters, each conjugator expanded on both sides, they
+    would be 2^(depth + 1) - 1 letters.  Identity and action claims, true and
+    false, report what the tree walk of the word gives, each in under 1 s."""
+    env = {"a": uniform(IntMatrix.from_rows([[0, 1], [1, 0]])),
+           "s": uniform(IntMatrix.from_rows([[-1, 0], [0, 1]]))}
+    word, n, v = _nested_conjugates(depth), 6, (1, 2, 3, 4, 5, 6)
+    got = IntMatrix.from_pairs(words._Walk(env, n).walk(word), n)
+    image = got.apply(v)
+    wrong = IntMatrix.from_rows([[x + (i == j == 0) for j, x in enumerate(row)] for i, row in enumerate(got.data)])
+    cases = [
+        (dict(kind=WINDOW_IDENTITY, target_matrix=got), "identity holds"),
+        (dict(kind=WINDOW_IDENTITY, target_matrix=wrong), f"MISMATCH at {oracles.first_difference(got, wrong)}"),
+        (dict(kind=ACTION_ON_VECTOR, vector=v, target_vector=image), "action holds"),
+        (dict(kind=ACTION_ON_VECTOR, vector=v, target_vector=(image[0] + 1,) + image[1:]),
+         f"MISMATCH at coordinate 0: got {image[0]}, expected {image[0] + 1}"),
+    ]
+    for fields, line in cases:
+        cert = Certificate(windows=(n,), environment=env, word=word, **fields)
+        cert_file = tmp_path / "nested.cert"
+        cert_file.write_text(serialize_certificate(cert))
+        start = time.perf_counter()
+        code, out, err = run(["verify", str(cert_file)], capsys)
+        assert time.perf_counter() - start < 1
+        holds = line.endswith("holds")
+        assert (code, out, err) == (0 if holds else 1, f"window {n}: {line}\nverified: {holds}\n", "")
 
 
 SWAP_ATOM = {"matrix": [[0, 1], [1, 0]], "support": [0, 1], "variant": "finitary"}

@@ -553,6 +553,29 @@ def test_push_goes_dense_when_pushes_outgrow_the_word(monkeypatch):
         assert got == evaluate_word(word, ENV, 4).apply(v)
 
 
+def test_nested_conjugates_push_by_products_past_the_bound(monkeypatch):
+    """A compound token whose push would make more than n and more than
+    ``_MAX_PUSHES`` = 4,096 applications is read by products: nested
+    conjugates of depth 11 are pushed by 4,095 applications, those of depth
+    12 by their rows, and those of depth 40 by products and a few
+    applications, as the levels above a token read by products double the
+    applications again."""
+    products = ProductCounter(monkeypatch)
+    applied = []
+    apply = words_module.window_apply
+    monkeypatch.setattr(words_module, "window_apply", lambda *a: applied.append(a) or apply(*a))
+    v = (1, -2, 3, 5)
+    word, depths = Named("tau"), {}
+    for depth in range(1, 41):
+        word = Conj(Named("sigma"), word)
+        if depth in (11, 12, 40):
+            products.count, applied[:] = 0, []
+            got = push_word(word, ENV, 4, v)
+            depths[depth] = (products.count > 0, len(applied))
+            assert got == evaluate_word(word, ENV, 4).apply(v)
+    assert depths == {11: (False, 4095), 12: (True, 0), 40: (True, 15)}
+
+
 @pytest.mark.parametrize(
     "word", [Product((Named("tau"),) * 3000), Power(Named("tau"), 3000)], ids=["product", "power"]
 )
