@@ -196,14 +196,14 @@ def _cmd_classify(args) -> int:
 
 def _cmd_shear(args) -> int:
     triple = order_n_shear(args.n, args.m)
+    cert = shear_order_certificate(triple)
+    target = _emit(args.out, f"shear-n{args.n}-m{args.m}.cert", serialize_certificate(cert))
     print("lambda:")
     print(triple.lam)
     print("sigma:")
     print(triple.sigma)
     print("gamma = sigma^-1 lambda sigma:")
     print(triple.gamma)
-    cert = shear_order_certificate(triple)
-    target = _emit(args.out, f"shear-n{args.n}-m{args.m}.cert", serialize_certificate(cert))
     print(f"order-{args.n} certificate -> {target} (verified: True)")
     return 0
 
@@ -222,11 +222,11 @@ def _cmd_wans(args) -> int:
     f = parse_matrix_text(args.f_file.read_text())
     parts = wans_three(f)
     cert = wans_sum_certificate(f, parts)
+    target = _emit(args.out, f"wans-d{f.rows}.cert", serialize_certificate(cert))
     for i, part in enumerate(parts, start=1):
         print(f"summand {i}: window")
         print(window_matrix(part, f.rows))
         print(f"tail block: {part.block.matrix.data}")
-    target = _emit(args.out, f"wans-d{f.rows}.cert", serialize_certificate(cert))
     print(f"sum certificate -> {target} (verified: True)")
     return 0
 
@@ -243,14 +243,12 @@ def _cmd_factor(args) -> int:
 def _cmd_pipeline(args) -> int:
     phi = tau_power(args.m) if args.k == 1 else canonical_shear(args.k, args.m)
     chain = km_pipeline(phi, coprime=args.coprime)
+    target = _emit(args.out, f"pipeline-k{args.k}-m{args.m}.cert", serialize_chain(chain))
     for step in chain.steps:
         print(f"step: {step.name}")
         if step.note:
             print(f"  {step.note}")
     print(f"scope: {chain.scope_note}")
-    target = _emit(
-        args.out, f"pipeline-k{args.k}-m{args.m}.cert", serialize_chain(chain)
-    )
     print(f"chain ({len(chain.steps)} steps) -> {target} (verified: True)")
     return 0
 

@@ -376,6 +376,10 @@ def _unimodular_inverse(m: IntMatrix) -> Optional[IntMatrix]:
     a, n = m.data, m.rows
     if n < 2:
         return m if all(row[0] in (1, -1) for row in a) else None
+    if n == 2:  # the adjugate times det, the one inverse when det = +-1
+        (p, q), (r, s) = a
+        d = p * s - q * r
+        return IntMatrix._trusted(((d * s, -d * q), (-d * r, d * p))) if d in (1, -1) else None
     k = max(map(abs, chain.from_iterable(a))).bit_length() + 2 * n.bit_length() + 8
     a_pairs, eye = m.pairs, identity_pairs(n)
     while True:

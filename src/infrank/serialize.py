@@ -4,8 +4,9 @@ witness chains, plus the plain-text matrix format used by the CLI.
 Documents carry a ``format_version`` and a ``kind`` tag; serialization is
 byte-deterministic (sorted keys, fixed set orderings), and parsing
 annotates structural errors with the path of the offending node.  One
-parse reads each run of copies of an environment, and of a top-level word,
-once (``_once``).
+parse decodes each distinct text of an environment or a top-level word of a
+chain once (``_decode_copies``), and reads each run of copies once
+(``_once``).
 """
 
 from __future__ import annotations
@@ -286,10 +287,13 @@ def _once(table: dict, slot: Any, obj: Any, read) -> Any:
     when ``obj`` is a copy of that object, so that a run of copies is read,
     and validated, once.  A copy is the same JSON value with the same type at
     every node; ``==`` alone takes ``1.0`` and ``true`` for ``1``, and ``0``
-    for ``false``.  Any other object is read on its own, at its own path."""
+    for ``false``; the last object itself is a copy.  Any other object is read
+    on its own, at its own path."""
     last = table.get(slot)
     try:
-        if last is not None and last[0] == obj and (table.get(_EXACT) or _same_types(last[0], obj)):
+        if last is not None and (
+            last[0] is obj or last[0] == obj and (table.get(_EXACT) or _same_types(last[0], obj))
+        ):
             return last[1]
     except RecursionError:  # nested too deeply to compare: read on its own
         pass
@@ -413,9 +417,71 @@ def _refuse_float(text: str) -> float:
     raise _FloatFound
 
 
-# ``json.loads`` for a document with no float (a number with a fraction or an
-# exponent), built once: in such a document ``==`` tells 1 from 1.0
-_decode_floatless = json.JSONDecoder(parse_float=_refuse_float).decode
+# ``json.loads``, built once, for a document with no float (a number with a
+# fraction or an exponent), where ``==`` tells 1 from 1.0; and its C scanner
+_floatless = json.JSONDecoder(parse_float=_refuse_float)
+_decode_floatless, _scan = _floatless.decode, _floatless.scan_once
+
+# The path of a chain document that ``_decode_copies`` walks itself: an
+# object maps keys to the shapes of their values, a one-item list is an array
+# of that shape, and ``...`` marks an environment or a top-level word, which
+# may repeat the text of an earlier one.  Every other value is scanned whole.
+_CHAIN_PATH = {"steps": [{"certificates": [{"env": ..., "word": ...}], "word": ...}]}
+# a chain document as written (sorted keys put "final" first) this long has
+# copies whose decoding outweighs the walk; a walk keeps this many distinct
+# copy texts, so that its comparisons stay linear in the text
+_CHAIN_HEAD, _COPIES_FROM, _COPIES_KEPT = '{"final":', 16384, 8
+
+
+def _decode_copies(text: str) -> dict | None:
+    """``_decode_floatless(text)`` for a long chain document, with each
+    distinct environment or top-level word text decoded once: a copy whose
+    text starts with one decoded before is that object.  This is exact: an
+    object's text is prefix-free, so the scanner would read just those bytes
+    there and build an equal value.  Readers share such objects and must not
+    change them.  None for any other document, and for anything the walk does
+    not expect (whitespace or another character on its path, an empty array
+    or object on it, bad JSON, a float, trailing data)."""
+    if len(text) < _COPIES_FROM or text[: len(_CHAIN_HEAD)] != _CHAIN_HEAD:
+        return None
+    seen: list[tuple[str, Any]] = []
+
+    def walk(at: int, shape: Any) -> tuple[Any, int]:
+        c, kind = text[at], type(shape)
+        if shape is ... and c == "{":
+            for copy, value in seen:
+                if text.startswith(copy, at):
+                    return value, at + len(copy)
+            value, end = _scan(text, at)
+            if len(seen) < _COPIES_KEPT:
+                seen.append((text[at:end], value))
+            return value, end
+        if not (kind is dict and c == "{" or kind is list and c == "["):
+            return _scan(text, at)
+        out, close = ({}, "}") if kind is dict else ([], "]")
+        at += 1
+        while True:
+            if kind is list:
+                value, at = walk(at, shape[0])
+                out.append(value)
+            elif text[at] == '"':
+                key, at = _scan(text, at)
+                if text[at] != ":":
+                    raise ValueError
+                out[key], at = walk(at + 1, shape.get(key))
+            else:
+                raise ValueError
+            c, at = text[at], at + 1
+            if c == close:
+                return out, at
+            if c != ",":
+                raise ValueError
+
+    try:
+        obj, end = walk(0, _CHAIN_PATH)
+    except (ValueError, StopIteration, IndexError, RecursionError, _FloatFound):
+        return None
+    return obj if json.decoder.WHITESPACE.match(text, end).end() == len(text) else None
 
 
 def _document(kind: str, body: dict) -> str:
@@ -459,12 +525,14 @@ def serialize_chain(chain: WitnessChain) -> str:
 
 def _load(text: str, kind: str | None = None) -> tuple[dict, bool]:
     """Decode a document, and tell whether it holds no float; with ``kind``
-    given, refuse any other kind tag.  A document ``_decode_floatless`` does
-    not take (one with a float, bytes, a byte order mark or invalid JSON) is
-    decoded again by ``json.loads``, which reads it or gives its own error."""
+    given, refuse any other kind tag.  A document ``_decode_copies`` does
+    not take goes to ``_decode_floatless``, and one that does not take (one
+    with a float, bytes, a byte order mark or invalid JSON) is decoded again
+    by ``json.loads``, which reads it or gives its own error."""
     try:
         try:
-            obj, floatless = _decode_floatless(text), True
+            obj = _decode_copies(text) or _decode_floatless(text)
+            floatless = True
         except (_FloatFound, ValueError, TypeError):
             obj, floatless = json.loads(text), False
     except json.JSONDecodeError as exc:

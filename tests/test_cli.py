@@ -28,6 +28,7 @@ from infrank.witness import (
     order_n_shear,
     shear_order_certificate,
     tau_power,
+    wans_three,
     zaushko_commutator,
 )
 from infrank.words import (
@@ -234,8 +235,9 @@ def test_shear_prints_matrices_as_before(tmp_path, capsys, monkeypatch, n, m):
     code, out, _ = run(["shear", "--n", str(n), "--m", str(m)], capsys)
     assert code == 0
     shown = [oracles.matrix_str(x) for x in (t.lam, t.sigma, t.gamma)]
-    assert out.startswith(
+    assert out == (
         "lambda:\n{}\nsigma:\n{}\ngamma = sigma^-1 lambda sigma:\n{}\n".format(*shown)
+        + f"order-{n} certificate -> shear-n{n}-m{m}.cert (verified: True)\n"
     )
 
 
@@ -267,7 +269,12 @@ def test_wans_cli(tmp_path, capsys):
     out_file = tmp_path / "w.cert"
     code, out, _ = run(["wans", str(f), "--out", str(out_file)], capsys)
     assert code == 0
-    assert "verified: True" in out
+    shown = "".join(
+        f"summand {i}: window\n{oracles.matrix_str(window_matrix(part, 2))}\n"
+        f"tail block: {part.block.matrix.data}\n"
+        for i, part in enumerate(wans_three(IntMatrix.from_rows([[5, 0], [0, 7]])), start=1)
+    )
+    assert out == shown + f"sum certificate -> {out_file} (verified: True)\n"
 
 
 def test_factor_cli(tmp_path, capsys):
@@ -360,9 +367,29 @@ def test_verify_directory_is_error(tmp_path, capsys):
 
 
 def test_out_directory_is_error(tmp_path, capsys):
-    code, _, err = run(["shear", "--n", "2", "--m", "4", "--out", str(tmp_path)], capsys)
-    assert code == 1
-    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    """``shear`` writes before it prints, so a failed write prints one error
+    line and nothing else."""
+    argv = ["shear", "--n", "2", "--m", "4", "--out", str(tmp_path)]
+    assert run(argv, capsys) == (1, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["zaushko", "{matrix}"], [[0, 1], [1, 0]]),
+        (["wans", "{matrix}"], [[5, 0], [0, 7]]),
+        (["factor", "{matrix}", "--m", "2"], [[2, 1], [0, 1]]),
+        (["pipeline", "--k", "1", "--m", "5"], None),
+    ],
+    ids=["zaushko", "wans", "factor", "pipeline"],
+)
+def test_a_failed_write_prints_only_the_error(tmp_path, capsys, argv, rows):
+    """The other writing commands also write before they print."""
+    matrix = tmp_path / "input.txt"
+    if rows is not None:
+        matrix.write_text(matrix_text(IntMatrix.from_rows(rows)))
+    argv = [arg.format(matrix=matrix) for arg in argv] + ["--out", str(tmp_path)]
+    assert run(argv, capsys) == (1, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
 
 def test_out_missing_parent_is_error(tmp_path, capsys):

@@ -291,16 +291,21 @@ class ModCounter:
 def test_odd_det_refused_by_det_mod_2k(monkeypatch):
     """det 3 is not +-1 mod 2^k, so a dense 12 x 12 block of det 3 is refused
     after one elimination, far below its Hadamard bound.  det 2^60 + 1 is 1
-    modulo the first 2^k (k = 31 + 2 * 2 + 8): that lift fails its exact
-    check, k doubles, and det refuses it then."""
+    modulo the first 2^k of a 4 x 4 block (k = 31 + 2 * 3 + 8): that lift
+    fails its exact check, k doubles, and det refuses it then.  The 2 x 2
+    block alone is refused by its closed-form det, with no lift."""
     m = random_unimodular(random.Random(11), 12, steps=80)
     det3 = IntMatrix.from_rows([[3 * x for x in m.data[0]], *m.data[1:]])
     mods = ModCounter(monkeypatch)
     assert not det3.is_unimodular()
     assert len(mods.ks) == 1
     mods.ks.clear()
-    assert not IntMatrix.from_rows([[2**30, 1], [-1, 2**30]]).is_unimodular()
-    assert mods.ks == [43, 86]
+    odd = IntMatrix.from_rows([[2**30, 1], [-1, 2**30]])
+    assert not IntMatrix.block_diag([odd, IntMatrix.identity(2)]).is_unimodular()
+    assert mods.ks == [45, 90]
+    mods.ks.clear()
+    assert not odd.is_unimodular()
+    assert mods.ks == []
 
 
 @pytest.mark.parametrize("n, c", [(24, 2), (20, 3), (9, -5), (3, 2**20)])
@@ -367,6 +372,35 @@ def test_inverse_matches_row_reduction(m):
     inv = intmat._unimodular_inverse(m)
     assert inv == row_reduction_inverse(m)
     assert m.is_unimodular() == (inv is not None)
+
+
+@st.composite
+def two_by_two(draw):
+    """[[1, 0], [x, 1]] [[1, y], [0, 1]] diag(1, det) [[1, z], [0, 1]] with
+    det in {0, +-1, +-2, 2^60 + 1}, one more row operation and the rows
+    perhaps swapped, or four free entries: entries of up to 400 bits."""
+    if draw(st.booleans()):
+        entries = [draw(st.integers(-(2**400), 2**400)) for _ in range(4)]
+        return IntMatrix.from_rows([entries[:2], entries[2:]])
+    bits = st.integers(-(2**110), 2**110)
+    det = draw(st.sampled_from([0, 1, -1, 2, -2, 2**60 + 1]))
+    x, y, z, w = (draw(bits) for _ in range(4))
+    b = [x, x * z + (x * y + 1) * det]
+    a = [1 + w * x, z + y * det + w * b[1]]
+    return IntMatrix.from_rows([b, a] if draw(st.booleans()) else [a, b])
+
+
+@settings(max_examples=300)
+@given(two_by_two())
+# the identity, and a 2 x 2 that is its own inverse
+@example(IntMatrix.identity(2))
+@example(IntMatrix.from_rows([[0, 1], [1, 0]]))
+def test_2x2_inverse_matches_row_reduction(m):
+    """The closed-form 2 x 2 inverse and the row-reduction oracle give the
+    same matrix, or both None."""
+    inv = intmat._unimodular_inverse(m)
+    assert inv == row_reduction_inverse(m)
+    assert (inv is not None) == (m.det() in (1, -1))
 
 
 def test_det_multiplicative():

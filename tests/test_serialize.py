@@ -470,6 +470,25 @@ def test_one_parse_reads_the_54_chains_environment_once(monkeypatch):
     assert serialize_chain(chain) == _CHAIN_54
 
 
+def test_one_parse_decodes_the_54_chains_environment_text_once(monkeypatch):
+    """The scanner runs on the text of the (5,4) chain's environment once,
+    and on each of its 6 distinct top-level word texts once."""
+    doc = json.loads(_CHAIN_54)
+    env = serialize._encode(doc["steps"][0]["certificates"][0]["env"])
+    words = {serialize._encode(c["word"]) for step in doc["steps"] for c in (*step["certificates"], step)}
+    scanned, scan = [], serialize._scan
+
+    def recording(text, at):
+        value, end = scan(text, at)
+        scanned.append(text[at:end])
+        return value, end
+
+    monkeypatch.setattr(serialize, "_scan", recording)
+    assert parse_chain(_CHAIN_54) == oracles.read_chain(_CHAIN_54)
+    assert scanned.count(env) == 1
+    assert [scanned.count(w) for w in words] == [1] * 6
+
+
 def test_copies_too_deep_to_compare_are_read_on_their_own():
     def deep():
         obj: list = []
@@ -561,6 +580,86 @@ def test_a_changed_copy_reads_as_when_every_copy_was_read(chain, which, at, edit
     else:
         got = parse_chain(text)
         assert got == want
+        assert serialize_chain(got) == serialize_chain(want)
+
+
+def _copy_spans(text: str) -> list[tuple[int, int]]:
+    """Where each environment copy of a written chain stands in its text."""
+    spans = []
+    at = text.find(',"env":')
+    while at >= 0:
+        start = at + len(',"env":')
+        spans.append((start, json.JSONDecoder().raw_decode(text, start)[1]))
+        at = text.find(',"env":', start)
+    return spans
+
+
+def _mutate(text: str, edit: str, which: int, at: int, char: str) -> str:
+    """``text`` with one edit: a byte of one environment copy (or of the
+    whole text) changed, a closing bracket of the other kind, whitespace
+    added, a key written with a ``\\u`` escape, the keys of one copy
+    reordered, an integer of one copy written ``1.0``, a second ``env`` key
+    in one certificate, the text cut short, or trailing data."""
+    spans = _copy_spans(text)
+    start, end = spans[which % len(spans)]
+    copy = text[start:end]
+    if edit == "flip":  # a digit of the copy, any byte of it, or any byte of the text
+        digits = [i for i in range(start, end) if text[i].isdigit()]
+        places = [p for p in (digits, range(start, end), range(len(text))) if p]
+        place = places[at % len(places)]
+        i = place[at % len(place)]
+        return text[:i] + char + text[i + 1 :]
+    if edit == "bracket":  # a closing bracket of the other kind
+        closers = [i for i, c in enumerate(text) if c in "]}"]
+        i = closers[at % len(closers)]
+        return text[:i] + ("}" if text[i] == "]" else "]") + text[i + 1 :]
+    if edit == "whitespace":
+        i = at % (len(text) + 1)
+        return text[:i] + " \n\t\r"[at % 4] + text[i:]
+    if edit == "escape":
+        keys = [m for m in range(len(text) - 2) if text[m] in "{," and text[m + 1] == '"']
+        k = keys[at % len(keys)] + 2
+        return text[:k] + f"\\u{ord(text[k]):04x}" + text[k + 1 :]
+    if edit == "reorder":
+        copy = json.dumps(dict(reversed(json.loads(copy).items())), separators=(",", ":"))
+    elif edit == "float":
+        ones = [m for m in range(len(copy) - 2) if copy[m] in "[," and copy[m + 1 : m + 3] in ("1,", "1]")]
+        if ones:
+            m = ones[at % len(ones)] + 1
+            copy = copy[:m] + "1.0" + copy[m + 1 :]
+    elif edit == "duplicate":
+        copy += ',"env":' + (text[slice(*spans[at % len(spans)])] if at % 3 else "{}")
+    elif edit == "truncate":
+        return text[: at % len(text)]
+    elif edit == "trailing":
+        return text + ["x", " ", "\n\n", "{}", "0"][at % 5]
+    return text[:start] + copy + text[end:]
+
+
+def _outcome(text: str):
+    try:
+        return parse_chain(text)
+    except InfrankError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(copied_chains(), st.sampled_from(["flip", "bracket", "whitespace", "escape", "reorder", "float",
+                                         "duplicate", "truncate", "trailing"]),
+       st.integers(0, 99), st.integers(0, 9999), st.sampled_from('0123456789-x",:[]{} e.'))
+def test_a_mutated_chain_text_decodes_as_json_loads_reads_it(chain, edit, which, at, char):
+    """Any document, walked for its copies or not, reads as ``json.loads``
+    and the reader read it: the same chain, equal to the oracle's, or the
+    same error text."""
+    text = _mutate(serialize_chain(chain), edit, which, at, char)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "_COPIES_FROM", 0)  # every chain walked
+        got = _outcome(text)
+        patch.setattr(serialize, "_COPIES_FROM", len(text) + 1)  # none walked
+        want = _outcome(text)
+    assert got == want
+    if isinstance(want, WitnessChain):
+        assert want == oracles.read_chain(text)
         assert serialize_chain(got) == serialize_chain(want)
 
 
