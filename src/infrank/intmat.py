@@ -72,7 +72,7 @@ class IntMatrix:
 
         For results computed from valid matrices (products, sums, windows,
         Smith transforms), whose entries need no second check.  Outside
-        input goes through ``IntMatrix(...)``, ``from_rows`` or ``column``.
+        input goes through ``IntMatrix(...)`` or ``from_rows``.
         """
         m = object.__new__(cls)
         object.__setattr__(m, "data", data)

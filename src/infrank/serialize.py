@@ -3,16 +3,18 @@ witness chains, plus the plain-text matrix format used by the CLI.
 
 Documents carry a ``format_version`` and a ``kind`` tag; serialization is
 byte-deterministic (sorted keys, fixed set orderings), and parsing
-annotates structural errors with the path of the offending node.  One
-parse decodes each distinct text of an environment or a top-level word of a
-chain once (``_decode_copies``), and reads each run of copies once
-(``_once``).
+annotates structural errors with the path of the offending node.  A
+chain's copies of one environment or top-level word text, at any spacing,
+are decoded once into one object (``_decode_copies``), and a parse reads
+each such object once (``_once``); there is no other copy rule.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
+import sys
 from typing import Any, Mapping
 
 from .autrep import (
@@ -254,13 +256,12 @@ def _env_to_obj(env: Mapping[str, RepAut]) -> dict:
 
 
 def _env_from_obj(obj: Any, path: str, table: dict) -> dict[str, RepAut]:
-    """Read an environment, or reuse the mapping read for the last one with
-    the same names in the same order if ``obj`` is a copy of it."""
+    """Read an environment, or reuse the mapping read for ``obj`` itself."""
     if not isinstance(obj, dict):
         raise ParseError(path, "expected an object of named automorphisms")
     return _once(
         table,
-        ("env", *obj),
+        "env",
         obj,
         lambda: {name: aut_from_obj(body, f"{path}.{name}", table) for name, body in obj.items()},
     )
@@ -268,55 +269,20 @@ def _env_from_obj(obj: Any, path: str, table: dict) -> dict[str, RepAut]:
 
 def _word(obj: Any, path: str, table: dict) -> Token:
     """Read a top-level word (of a certificate, a step or a word document),
-    or reuse the token read for the last one with the same op if ``obj`` is
-    a copy of it."""
-    op = obj.get("op") if isinstance(obj, dict) else None
-    slot = ("word", op if isinstance(op, str) else None)
-    return _once(table, slot, obj, lambda: word_from_obj(obj, path, table=table))
+    or reuse the token read for ``obj`` itself."""
+    return _once(table, "word", obj, lambda: word_from_obj(obj, path, table=table))
 
 
-# -- copies ------------------------------------------------------------------
-
-# the key of a parse's table that ``_parse`` sets to whether ``==`` is exact on
-# its document: true when it holds no float and no boolean literal
-_EXACT = "exact"
-
-
-def _once(table: dict, slot: Any, obj: Any, read) -> Any:
-    """``read()``, or the value it gave for the last object read in ``slot``
-    when ``obj`` is a copy of that object, so that a run of copies is read,
-    and validated, once.  A copy is the same JSON value with the same type at
-    every node; ``==`` alone takes ``1.0`` and ``true`` for ``1``, and ``0``
-    for ``false``; the last object itself is a copy.  Any other object is read
-    on its own, at its own path."""
-    last = table.get(slot)
-    try:
-        if last is not None and (
-            last[0] is obj or last[0] == obj and (table.get(_EXACT) or _same_types(last[0], obj))
-        ):
-            return last[1]
-    except RecursionError:  # nested too deeply to compare: read on its own
-        pass
-    value = read()
-    table[slot] = obj, value
-    return value
-
-
-def _same_types(a: Any, b: Any) -> bool:
-    """Whether ``b``, equal to ``a`` by ``==``, has the type of ``a`` at every
-    node: each list's element types are compared in one pass at C speed, and
-    only lists that hold a container are descended into."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is dict:
-        return all(_same_types(v, b[k]) for k, v in a.items())
-    if type(a) is list:
-        types = list(map(type, a))
-        if types != list(map(type, b)):
-            return False
-        if list in types or dict in types:
-            return all(map(_same_types, a, b))
-    return True
+def _once(table: dict, kind: str, obj: Any, read) -> Any:
+    """``read()``, or the value it gave when this parse read ``obj`` itself
+    as ``kind`` before.  ``_decode_copies`` makes every copy of an
+    environment or a top-level word in a chain one object, so a run of
+    copies is read, and validated, once; a copy that differs in any byte is
+    another object, read on its own, at its own path."""
+    key = kind, id(obj)
+    if key not in table:
+        table[key] = obj, read()  # holding obj keeps its id from being reused
+    return table[key][1]
 
 
 # -- certificates ------------------------------------------------------------
@@ -409,44 +375,39 @@ def chain_from_obj(obj: Any, path: str, table: dict) -> WitnessChain:
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-class _FloatFound(Exception):
-    """Raised by ``_decode_floatless`` at a document's first float."""
-
-
-def _refuse_float(text: str) -> float:
-    raise _FloatFound
-
-
-# ``json.loads``, built once, for a document with no float (a number with a
-# fraction or an exponent), where ``==`` tells 1 from 1.0; and its C scanner
-_floatless = json.JSONDecoder(parse_float=_refuse_float)
-_decode_floatless, _scan = _floatless.decode, _floatless.scan_once
+# json's C scanner, which reads one value at an offset as ``json.loads`` would
+_scan = json.JSONDecoder().scan_once
+# JSON's insignificant whitespace (RFC 8259, section 2): space, tab, LF and
+# CR; a walk tests one character before it matches, as json's own decoder does
+_WS, _space = json.decoder.WHITESPACE_STR, json.decoder.WHITESPACE.match
 
 # The path of a chain document that ``_decode_copies`` walks itself: an
 # object maps keys to the shapes of their values, a one-item list is an array
 # of that shape, and ``...`` marks an environment or a top-level word, which
 # may repeat the text of an earlier one.  Every other value is scanned whole.
 _CHAIN_PATH = {"steps": [{"certificates": [{"env": ..., "word": ...}], "word": ...}]}
-# a chain document as written (sorted keys put "final" first) this long has
-# copies whose decoding outweighs the walk; a walk keeps this many distinct
-# copy texts, so that its comparisons stay linear in the text
-_CHAIN_HEAD, _COPIES_FROM, _COPIES_KEPT = '{"final":', 16384, 8
+# a chain document as written: sorted keys put "final" first
+_CHAIN_HEAD = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"final"[ \t\n\r]*:')
+# the distinct copy texts a walk keeps, so its comparisons stay linear in the text
+_COPIES_KEPT = 8
 
 
 def _decode_copies(text: str) -> dict | None:
-    """``_decode_floatless(text)`` for a long chain document, with each
-    distinct environment or top-level word text decoded once: a copy whose
-    text starts with one decoded before is that object.  This is exact: an
-    object's text is prefix-free, so the scanner would read just those bytes
-    there and build an equal value.  Readers share such objects and must not
-    change them.  None for any other document, and for anything the walk does
-    not expect (whitespace or another character on its path, an empty array
-    or object on it, bad JSON, a float, trailing data)."""
-    if len(text) < _COPIES_FROM or text[: len(_CHAIN_HEAD)] != _CHAIN_HEAD:
+    """``json.loads(text)`` for a chain document whose first key is
+    ``"final"``, with each distinct environment or top-level word text
+    decoded once: a copy whose text starts with one decoded before is that
+    object.  This is exact: an object's text is prefix-free, so the scanner
+    would read just those bytes there and build an equal value.  Readers
+    share such objects and must not change them.  None for any other
+    document, and for anything the walk does not expect (another character
+    on its path, an empty array or object on it, bad JSON, trailing data)."""
+    if not isinstance(text, str) or not _CHAIN_HEAD.match(text):
         return None
     seen: list[tuple[str, Any]] = []
 
     def walk(at: int, shape: Any) -> tuple[Any, int]:
+        if text[at] in _WS:
+            at = _space(text, at).end()
         c, kind = text[at], type(shape)
         if shape is ... and c == "{":
             for copy, value in seen:
@@ -464,13 +425,19 @@ def _decode_copies(text: str) -> dict | None:
             if kind is list:
                 value, at = walk(at, shape[0])
                 out.append(value)
-            elif text[at] == '"':
+            else:
+                if text[at] in _WS:
+                    at = _space(text, at).end()
+                if text[at] != '"':
+                    raise ValueError
                 key, at = _scan(text, at)
+                if text[at] in _WS:
+                    at = _space(text, at).end()
                 if text[at] != ":":
                     raise ValueError
                 out[key], at = walk(at + 1, shape.get(key))
-            else:
-                raise ValueError
+            if text[at] in _WS:
+                at = _space(text, at).end()
             c, at = text[at], at + 1
             if c == close:
                 return out, at
@@ -479,9 +446,9 @@ def _decode_copies(text: str) -> dict | None:
 
     try:
         obj, end = walk(0, _CHAIN_PATH)
-    except (ValueError, StopIteration, IndexError, RecursionError, _FloatFound):
+    except (ValueError, StopIteration, IndexError, RecursionError):
         return None
-    return obj if json.decoder.WHITESPACE.match(text, end).end() == len(text) else None
+    return obj if _space(text, end).end() == len(text) else None
 
 
 def _document(kind: str, body: dict) -> str:
@@ -523,20 +490,18 @@ def serialize_chain(chain: WitnessChain) -> str:
     return _document("chain", head)[:-2] + f',"steps":[{steps}]}}\n'
 
 
-def _load(text: str, kind: str | None = None) -> tuple[dict, bool]:
-    """Decode a document, and tell whether it holds no float; with ``kind``
-    given, refuse any other kind tag.  A document ``_decode_copies`` does
-    not take goes to ``_decode_floatless``, and one that does not take (one
-    with a float, bytes, a byte order mark or invalid JSON) is decoded again
+def _load(text: str, kind: str | None = None) -> dict:
+    """Decode a document, by ``_decode_copies`` or else ``json.loads``; with
+    ``kind`` given, refuse any other kind tag.  A chain the walk does not
+    take (one with a byte order mark or invalid JSON, say) is decoded again
     by ``json.loads``, which reads it or gives its own error."""
     try:
-        try:
-            obj = _decode_copies(text) or _decode_floatless(text)
-            floatless = True
-        except (_FloatFound, ValueError, TypeError):
-            obj, floatless = json.loads(text), False
-    except json.JSONDecodeError as exc:
+        obj = _decode_copies(text) or json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError("$", f"invalid JSON: {exc}") from None
+    except ValueError:  # json's one other error: an integer past int's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError("$", f"invalid JSON: an integer has more than {limit} digits") from None
     except RecursionError:
         raise ParseError("$", "document nests too deeply to decode") from None
     if not isinstance(obj, dict):
@@ -546,7 +511,7 @@ def _load(text: str, kind: str | None = None) -> tuple[dict, bool]:
         raise ParseError("$.format_version", f"unsupported version {version!r}")
     if kind is not None and obj.get("kind") != kind:
         raise ParseError("$.kind", f"expected {kind!r}, found {obj.get('kind')!r}")
-    return obj, floatless
+    return obj
 
 
 def _word_doc(obj: dict, path: str, table: dict) -> tuple[Token, dict[str, RepAut]]:
@@ -565,15 +530,14 @@ _READERS = {
 
 def _parse(text: str, kind: str | None) -> Any:
     """Read a document with the reader of its kind; ``kind`` None accepts any.
-    Equal atoms, and equal word subtrees, become one object each, and a run
-    of copies of an environment or a top-level word is read once, through a
+    Equal atoms, and equal word subtrees, become one object each, and each
+    decoded environment or top-level word object is read once, through a
     table that lives for this call."""
-    obj, floatless = _load(text, kind)
+    obj = _load(text, kind)
     found = obj.get("kind")
     if not isinstance(found, str) or found not in _READERS:
         raise ParseError("$.kind", f"unknown document kind {found!r}")
-    exact = floatless and "true" not in text and "false" not in text
-    return _READERS[found](obj, "$", {_EXACT: exact})
+    return _READERS[found](obj, "$", {})
 
 
 def parse_aut(text: str) -> RepAut:
@@ -607,7 +571,7 @@ def parse_descriptors(text: str):
     """
     from .classify import FinitePrimes, UnionWithPrefix
 
-    obj, _ = _load(text, "descriptors")
+    obj = _load(text, "descriptors")
     items = _typed(_need(obj, "items", "$"), list, "$.items")
     out = []
     for i, item in enumerate(items):

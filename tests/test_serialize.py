@@ -78,6 +78,7 @@ from helpers import (
     matrix_text,
     one_atom_per_class,
     random_unimodular,
+    run,
     unimodular,
     words,
 )
@@ -440,12 +441,21 @@ def test_the_decoder_reads_what_json_loads_read():
     assert parse_document(text) == graded((), ()) == parse_aut(serialize_aut(graded((), ())).encode())
 
 
+def _forms(text: str) -> dict[str, str]:
+    """A chain's text as written, re-dumped by ``json.dumps`` with its
+    default spacing, and re-dumped with ``indent=1``."""
+    doc = json.loads(text)
+    return {"compact": text, "spaced": json.dumps(doc), "indent": json.dumps(doc, indent=1)}
+
+
 def test_one_parse_reads_the_54_chains_environment_once(monkeypatch):
     """The (5,4) chain restates one environment of 5 atoms in 12
-    certificates: one parse reads it once, every certificate holds the one
-    mapping, ``aut_from_obj`` runs once per distinct atom or claimed value
-    (64 times when every copy was read), and each of the 6 distinct
-    top-level words of its 16 is read once."""
+    certificates: one parse of it, compact or spaced, reads it once, every
+    certificate holds the one mapping, and ``aut_from_obj`` runs once per
+    distinct atom or claimed value (64 times when every copy was read).
+    Each of the 6 distinct top-level words of its 16 is read once, except
+    with ``indent=1``, where a step's word and a certificate's word stand at
+    two depths and so are two texts."""
     doc = json.loads(_CHAIN_54)
     atoms = list(_atom_objs(doc))
     assert len(atoms) == 64
@@ -460,47 +470,77 @@ def test_one_parse_reads_the_54_chains_environment_once(monkeypatch):
         serialize, "word_from_obj",
         lambda obj, path="$", depth=1, table=None:
             (depth == 1 and word_paths.append(path)) or read_word(obj, path, depth, table))
-    chain = parse_chain(_CHAIN_54)
-    certs = [c for step in chain.steps for c in step.certificates]
-    assert len(certs) == 12 and len({id(c.environment) for c in certs}) == 1
-    assert len(paths) == len(distinct) == 9
-    assert len(word_paths) == len({json.dumps(w, sort_keys=True) for w in words}) == 6
-    assert [p for p in paths if ".env." in p] == [
-        f"$.steps[0].certificates[0].env.{name}" for name in ("h1", "h2", "lam2", "lam3", "phi")]
-    assert serialize_chain(chain) == _CHAIN_54
+    for form, text in _forms(_CHAIN_54).items():
+        paths.clear()
+        word_paths.clear()
+        chain = parse_chain(text)
+        certs = [c for step in chain.steps for c in step.certificates]
+        assert len(certs) == 12 and len({id(c.environment) for c in certs}) == 1, form
+        assert len(paths) == len(distinct) == 9, form
+        if form != "indent":
+            assert len(word_paths) == len({json.dumps(w, sort_keys=True) for w in words}) == 6, form
+        assert [p for p in paths if ".env." in p] == [
+            f"$.steps[0].certificates[0].env.{name}" for name in ("h1", "h2", "lam2", "lam3", "phi")]
+        assert serialize_chain(chain) == _CHAIN_54
 
 
 def test_one_parse_decodes_the_54_chains_environment_text_once(monkeypatch):
     """The scanner runs on the text of the (5,4) chain's environment once,
-    and on each of its 6 distinct top-level word texts once."""
+    whether the chain is written compact or spaced, and on each of its 6
+    distinct top-level word texts once, except with ``indent=1``, which
+    gives a step's word and a certificate's word two texts."""
     doc = json.loads(_CHAIN_54)
-    env = serialize._encode(doc["steps"][0]["certificates"][0]["env"])
+    env = doc["steps"][0]["certificates"][0]["env"]
     words = {serialize._encode(c["word"]) for step in doc["steps"] for c in (*step["certificates"], step)}
     scanned, scan = [], serialize._scan
 
     def recording(text, at):
         value, end = scan(text, at)
-        scanned.append(text[at:end])
+        scanned.append(value)
         return value, end
 
     monkeypatch.setattr(serialize, "_scan", recording)
-    assert parse_chain(_CHAIN_54) == oracles.read_chain(_CHAIN_54)
-    assert scanned.count(env) == 1
-    assert [scanned.count(w) for w in words] == [1] * 6
+    for form, text in _forms(_CHAIN_54).items():
+        scanned.clear()
+        assert parse_chain(text) == oracles.read_chain(text)
+        assert scanned.count(env) == 1, form
+        if form != "indent":
+            assert [scanned.count(json.loads(w)) for w in words] == [1] * 6, form
 
 
-def test_copies_too_deep_to_compare_are_read_on_their_own():
-    def deep():
-        obj: list = []
-        for _ in range(100_000):
-            obj = [obj]
-        return obj
+def test_the_clean_chain_holds_one_environment_mapping():
+    """The clean (1,5) chain, 2 KB as written, restates one environment in
+    every certificate: one parse holds one mapping for all of them."""
+    text = serialize_chain(km_pipeline(tau_power(5)))
+    assert len(text) < 4096 and len({text[a:b] for a, b in _copy_spans(text)}) == 1
+    certs = [c for step in parse_chain(text).steps for c in step.certificates]
+    assert len(certs) > 1 and len({id(c.environment) for c in certs}) == 1
 
-    table: dict = {}
-    assert serialize._once(table, "s", deep(), lambda: "first") == "first"
-    assert serialize._once(table, "s", deep(), lambda: "second") == "second"
-    assert serialize._once(table, "s", [[]], lambda: "third") == "third"
-    assert serialize._once(table, "s", [[]], lambda: "fourth") == "third"
+
+_LONG = "7" * 5000
+# an integer literal past int's 4,300-digit limit, and the error it gives
+_LONG_ERROR = "$: invalid JSON: an integer has more than 4300 digits"
+
+
+def test_an_integer_past_the_digit_limit_is_a_parse_error(tmp_path, capsys):
+    """In a ``.aut``, read by the library and by the CLI, and in one
+    environment copy of a chain, walked for its copies or not."""
+    aut = serialize_aut(tau_power(2)).replace("[[1,", f"[[{_LONG},", 1)
+    assert _LONG in aut
+    with pytest.raises(ParseError) as exc:
+        parse_aut(aut)
+    assert str(exc.value) == _LONG_ERROR
+    path = tmp_path / "long.aut"
+    path.write_text(aut)
+    assert run(["classify", str(path)], capsys) == (1, "", f"error: {_LONG_ERROR}\n")
+    chain = _edited(_CHAIN_54, _set_lam2_entry(987654321987)).replace("987654321987", _LONG)
+    assert chain.count(_LONG) == 1
+    with pytest.MonkeyPatch.context() as patch:
+        for decode in (serialize._decode_copies, lambda text: None):  # walked, then not
+            patch.setattr(serialize, "_decode_copies", decode)
+            with pytest.raises(ParseError) as exc:
+                parse_chain(chain)
+            assert str(exc.value) == _LONG_ERROR
 
 
 @st.composite
@@ -652,10 +692,9 @@ def test_a_mutated_chain_text_decodes_as_json_loads_reads_it(chain, edit, which,
     and the reader read it: the same chain, equal to the oracle's, or the
     same error text."""
     text = _mutate(serialize_chain(chain), edit, which, at, char)
+    got = _outcome(text)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(serialize, "_COPIES_FROM", 0)  # every chain walked
-        got = _outcome(text)
-        patch.setattr(serialize, "_COPIES_FROM", len(text) + 1)  # none walked
+        patch.setattr(serialize, "_decode_copies", lambda text: None)  # none walked
         want = _outcome(text)
     assert got == want
     if isinstance(want, WitnessChain):
