@@ -33,7 +33,7 @@ from .autrep import (
     witnessed,
 )
 from .autrep import invert as invert_aut
-from .errors import AlignmentError, DimensionError, InfrankError, ValidationError, WordError
+from .errors import AlignmentError, DimensionError, ValidationError, WordError
 from .intmat import (
     IntMatrix,
     Pairs,
@@ -83,8 +83,8 @@ def evaluate_word(word: Token, env: Environment, n: int) -> IntMatrix:
     """The n x n matrix of ``word``, multiplying factors left to right.
 
     Inverses are taken structurally (every atom carries its inverse
-    witness), and each subtree object is evaluated once per call (``_Walk``),
-    on row pairs; the result is made dense once, at the end.
+    witness), and each subtree object is read once per call (``_Rows``), on
+    row pairs; the result is made dense once, at the end.
     """
     return IntMatrix.from_pairs(_Rows(env, n).walk(word), n)
 
@@ -95,22 +95,87 @@ def push_word(word: Token, env: Environment, n: int, vector: Sequence[int]) -> t
     return _Rows(env, n).push(word, _pad(vector, n))
 
 
-class _Walk:
-    """One tree reading of a word as the row pairs of its window n
-    (``intmat.Pairs``), reading each (token, inverted) pair once, keyed by
-    the token's identity: a parse and the engines make equal subtrees one
-    object, so ``memo`` counts distinct subtrees.  The memo keeps each token
-    beside its rows, so a keyed token lives as long as the walk and its id
-    cannot pass to another.  The reading looks a name up, inverts it, then
-    reads its window (which checks the window), in ``evaluate_word``'s
-    order: a product's factors left to right (right to left inverted), a
-    conjugate's h, h^-1, then g (``compound``).  So it raises one first
-    error, which ``_Rows``' rules and pushes keep (``_Rows.compound``,
-    ``_Rows.push``).
+class _Family:
+    """What the walks over one environment share: each walk by its window,
+    held weakly (a walk holds its family, so a strong hold would make a
+    cycle), and the atoms each token names (``atoms``) and their
+    ``head_and_period`` (``core``), each read once per token."""
+
+    def __init__(self, env: Environment):
+        self.env, self.walks, self.tokens, self.splits = env, {}, {}, {}
+
+    def walk(self, n: int) -> "_Rows":
+        """The family's walk on window n, made on first use."""
+        ref = self.walks.get(n)
+        walk = None if ref is None else ref()
+        return _Rows(self.env, n, self) if walk is None else walk
+
+    def atoms(self, token: Token) -> Optional[list[RepAut]]:
+        """The atoms token names; None for a token of no known kind, or
+        while it names an atom the env lacks (the env may gain names, never
+        rebind one)."""
+        hit = self.tokens.get(id(token))
+        if hit is None:
+            try:
+                names = word_names(token)
+            except WordError:
+                return None
+            if not names <= self.env.keys():
+                return None
+            hit = self.tokens[id(token)] = token, [self.env[x] for x in names]
+        return hit[1]
+
+    def core(self, token: Token, n: int) -> Optional[tuple[int, int]]:
+        """(core, period) of ``autrep.core_window`` for the atoms token
+        names, when the core is smaller than n; else None."""
+        split = self.splits.get(id(token))
+        if split is None:
+            atoms = self.atoms(token)  # which keeps token, and so its id
+            if atoms is None:
+                return None
+            split = self.splits[id(token)] = (head_and_period(atoms),)
+        core = core_window(split[0], n)
+        return core if core is not None and core[0] < n else None
+
+
+class _Rows:
+    """A word read as the row pairs of its n x n window (``intmat.Pairs``),
+    each (token, inverted) pair once, keyed by the token's identity: a parse
+    and the engines make equal subtrees one object, so ``memo`` counts
+    distinct subtrees.  The memo keeps each token beside its rows, so a
+    keyed token lives as long as the walk and its id cannot pass to
+    another; it keeps a letter's power under (id, e), |e| >= 2, too.
+
+    A product or a conjugate is read by one of two readings, chosen per
+    word from its atoms (``compound``):
+
+    - By the rules, when the word is readable (``_readable``): every atom
+      it names resolves, is aligned on n and carries its inverse.  There
+      each atom's window is a direct summand, so restricting to it is a
+      homomorphism (``autrep.window_pairs``), and two rules are exact.
+      Free reduction: the word is read as its letters (``_letters``), token
+      and exponent, with adjacent letters on one token merged and zero
+      exponents dropped; each letter is its token's reading raised to the
+      exponent.  Core windows: a letter on a compound token (a product
+      inside the product) whose atoms' ``head_and_period`` (H, L) has a core
+      window (``autrep.core_window``) smaller than n is read there, by the
+      walk of its family (``_Family``) on that window, and repeated out: its
+      first H rows, then its last L rows shifted by L, 2L, ...
+      (``_repeated``).  The core window is aligned for every atom, so no
+      read under the rules raises.
+    - By the tree, otherwise: a name is looked up, inverted, then read on
+      its window (which checks the window); a product's factors left to
+      right (right to left inverted), a conjugate's h, h^-1, then g.  So a
+      word that fails raises its first error, in the tree's order.
+
+    The same letters push a vector through the word (``push``).
     """
 
-    def __init__(self, env: Environment, n: int):
+    def __init__(self, env: Environment, n: int, family: Optional[_Family] = None):
         self.env, self.n, self.memo = env, n, {}
+        self.family = family or _Family(env)
+        self.family.walks[n] = weakref.ref(self)
+        self.cores, self.pushes = {}, {}
 
     def lookup(self, word: Token, inv: bool = False) -> Optional[Pairs]:
         """The rows of (word, inv) this walk holds, or None."""
@@ -141,7 +206,10 @@ class _Walk:
         return out
 
     def compound(self, word: Conj | Product, inv: bool) -> Pairs:
-        """The tree reading of a conjugate or a product."""
+        """A conjugate or a product, read by the rules where it is readable,
+        else by the tree."""
+        if self._readable(word):
+            return self.product(list(map(self._letter, *_letters(word, inv))))
         if isinstance(word, Conj):
             # (h g h^-1)^-1 = h g^-1 h^-1
             h, h_inv = self.walk(word.h), self.walk(word.h, True)
@@ -152,108 +220,13 @@ class _Walk:
     def product(self, factors: list[Pairs]) -> Pairs:
         return reduce(pairs_product, factors) if factors else identity_pairs(self.n)
 
-
-class _Family:
-    """What the walks over one environment share: each walk by its window,
-    held weakly (a walk holds its family, so a strong hold would make a
-    cycle), and the atoms each token names with their ``head_and_period``,
-    read once per token (``atoms``)."""
-
-    def __init__(self, env: Environment):
-        self.env, self.walks, self.tokens = env, {}, {}
-
-    def walk(self, n: int) -> "_Rows":
-        """The family's walk on window n, made on first use."""
-        ref = self.walks.get(n)
-        walk = None if ref is None else ref()
-        return _Rows(self.env, n, self) if walk is None else walk
-
-    def atoms(self, token: Token) -> Optional[tuple[list[RepAut], Optional[tuple[int, int]]]]:
-        """The atoms token names and their ``head_and_period``, read once per
-        token; None for a token of no known kind, or while it names an atom
-        the env lacks (the env may gain names, never rebind one)."""
-        hit = self.tokens.get(id(token))
-        if hit is None:
-            try:
-                names = word_names(token)
-            except WordError:
-                return None
-            if not names <= self.env.keys():
-                return None
-            atoms = [self.env[x] for x in names]
-            hit = self.tokens[id(token)] = token, atoms, head_and_period(atoms)
-        return hit[1:]
-
-    def core(self, token: Token, n: int) -> Optional[tuple[int, int]]:
-        """(core, period) of ``autrep.core_window`` for the atoms token
-        names, when the core is smaller than n; else None."""
-        read = self.atoms(token)
-        core = None if read is None else core_window(read[1], n)
-        return core if core is not None and core[0] < n else None
-
-
-class _Rows(_Walk):
-    """A word read as the row pairs of its n x n window, by two rules on top
-    of the tree reading, both exact where every atom is aligned: there each
-    atom's window is a direct summand, so restricting to it is a
-    homomorphism (``autrep.window_pairs``).
-
-    - Free reduction: a product or a conjugate is read as its letters
-      (``_letters``), token and exponent, with adjacent letters on one token
-      merged and zero exponents dropped; each letter is its token's reading
-      raised to the exponent, held per walk in ``letters``.
-    - Core windows: a letter on a compound token (a product inside the
-      product) whose atoms' ``head_and_period`` (H, L) has a core window
-      (``autrep.core_window``) smaller than n is read there, by the walk of
-      its family (``_Family``) on that window, and repeated out: its first H
-      rows, then its last L rows shifted by L, 2L, ... (``_repeated``).
-
-    Neither rule may raise where the tree reading does not, nor skip a
-    token the tree reading would read: the tokens of letters that cancel, in
-    either direction, must resolve, be aligned and carry their inverse
-    (``_readable``), and a rule's read that raises is dropped, with every
-    later read of this walk by the tree, which raises the first error.
-
-    The same letters push a vector through the word (``push``).
-    """
-
-    def __init__(self, env: Environment, n: int, family: Optional[_Family] = None):
-        super().__init__(env, n)
-        self.letters = self.cores = self.pushes = self._family = None
-        self.tree = False
-        if family is not None:
-            self.join(family)
-
-    @property
-    def family(self) -> _Family:
-        """The walk's family, made on first use for a walk made alone."""
-        return self._family or self.join(_Family(self.env))
-
-    def join(self, family: _Family) -> _Family:
-        family.walks[self.n] = weakref.ref(self)
-        self._family = family
-        return family
-
-    def compound(self, word: Conj | Product, inv: bool) -> Pairs:
-        if self.tree:
-            return super().compound(word, inv)
-        try:
-            tokens, exps, crossed = _letters(word, inv)
-            if all(map(self._readable, crossed)):
-                return self.product(list(map(self._letter, tokens, exps)))
-        except InfrankError:
-            self.tree = True
-        return super().compound(word, inv)
-
     def _letter(self, token: Token, e: int) -> Pairs:
         """A letter's rows: token's reading (``_subword``) to the |e|."""
         if e == 1 or e == -1:
             return self._subword(token, e < 0)
-        if self.letters is None:
-            self.letters = {}
-        hit = self.letters.get((id(token), e))
+        hit = self.memo.get((id(token), e))
         if hit is None:
-            hit = self.letters[id(token), e] = token, pairs_power(self._subword(token, e < 0), abs(e))
+            hit = self.memo[id(token), e] = token, pairs_power(self._subword(token, e < 0), abs(e))
         return hit[1]
 
     def _subword(self, token: Token, inv: bool) -> Pairs:
@@ -264,8 +237,6 @@ class _Rows(_Walk):
         core = self.family.core(token, self.n)
         if core is None:
             return self.walk(token, inv)
-        if self.cores is None:
-            self.cores = {}
         walk = self.cores.get(core[0])
         if walk is None:
             walk = self.cores[core[0]] = self.family.walk(core[0])
@@ -274,11 +245,10 @@ class _Rows(_Walk):
         return rows
 
     def _readable(self, token: Token) -> bool:
-        """Whether the tree reading reads token both ways without an error."""
-        read = self.family.atoms(token)
-        if read is None:
-            return False
-        return _aligned(read[0], (self.n,)) and not any(map(is_claimed, read[0]))
+        """Whether every atom token names resolves, is aligned on n and
+        carries its inverse, so that the rules read it."""
+        atoms = self.family.atoms(token)
+        return atoms is not None and _aligned(atoms, (self.n,)) and not any(map(is_claimed, atoms))
 
     def push(self, word: Token, v: Sequence[int]) -> tuple[int, ...]:
         """v, of length n, pushed through the word's window: by the rows a
@@ -305,8 +275,6 @@ class _Rows(_Walk):
         through conjugates nested d deep in conjugators makes 2^(d + 1) - 1
         applications, and their rows take O(d) products.
         """
-        if self.pushes is None:
-            self.pushes = {}
         hit = self.pushes.get((id(token), e))
         if hit is not None:
             return hit[1]
@@ -322,7 +290,7 @@ class _Rows(_Walk):
             aut = self.env[token.name]
             out = partial(window_apply, invert_aut(aut) if e < 0 else aut, self.n), 1
         else:
-            tokens, exps, _ = _letters(token, e < 0, self._held)
+            tokens, exps = _letters(token, e < 0, self._held)
             parts = [self._push(t, x) for t, x in zip(reversed(tokens), reversed(exps))]
             count = sum(count for _, count in parts)
             if count > max(self.n, _MAX_PUSHES):
@@ -366,12 +334,9 @@ def _in_turn(pushes: list[Callable]) -> Callable:
     return push
 
 
-def _letters(
-    word: Token, inv: bool, held: Optional[Callable] = None
-) -> tuple[list[Token], list[int], list[Token]]:
+def _letters(word: Token, inv: bool, held: Optional[Callable] = None) -> tuple[list[Token], list[int]]:
     """The free-reduced letters of a word, read inverted or not, as their
-    tokens and exponents, and the tokens whose letters cancelled in part or
-    whole.
+    tokens and exponents.
 
     A conjugate ``Conj(g, h)`` to the e is h, g^e, h^-1; ``Power`` and
     ``Inverse`` go into the exponent; an inverted product is its factors
@@ -383,7 +348,7 @@ def _letters(
     before it, the same object or a name equal to it, merges with it, and
     a zero exponent drops.
     """
-    out: tuple[list[Token], list[int], list[Token]] = ([], [], [])
+    out: tuple[list[Token], list[int]] = ([], [])
     sign = -1 if inv else 1
     if type(word) is Product:
         for f in reversed(word.factors) if inv else word.factors:
@@ -394,23 +359,20 @@ def _letters(
 
 
 def _add_letter(
-    t: Token, e: int, tokens: list, exps: list, crossed: list, held: Optional[Callable],
-    conjugator: bool = False,
+    t: Token, e: int, tokens: list, exps: list, held: Optional[Callable], conjugator: bool = False
 ) -> None:
     kind = type(t)
     while e and (kind is Inverse or kind is Power) and not (held and held(t, e < 0)):
         t, e = t.inner, -e if kind is Inverse else e * t.exponent
         kind = type(t)
     if not e:
-        crossed.append(t)
-    elif kind is Conj and not conjugator and not (held and held(t, e < 0)):
-        _add_letter(t.h, 1, tokens, exps, crossed, held, True)
-        _add_letter(t.g, e, tokens, exps, crossed, held)
-        _add_letter(t.h, -1, tokens, exps, crossed, held, True)
+        return
+    if kind is Conj and not conjugator and not (held and held(t, e < 0)):
+        _add_letter(t.h, 1, tokens, exps, held, True)
+        _add_letter(t.g, e, tokens, exps, held)
+        _add_letter(t.h, -1, tokens, exps, held, True)
     elif tokens and (tokens[-1] is t or kind is Named and tokens[-1] == t):
         # an environment binds each name once, so equal names are one atom
-        if (exps[-1] > 0) != (e > 0):
-            crossed.append(t)
         exps[-1] += e
         if not exps[-1]:
             tokens.pop()
@@ -519,7 +481,9 @@ def verify_certificate(cert: Certificate, walks: Optional[dict] = None) -> Verif
     An identity or order claim on a window that ``autrep.core_window``
     reduces is checked once on the core window, and the verdict is reported
     for every window it stands for.  Identity, order and sum claims compare
-    row pairs (``_Rows``), so no window is made dense.  When they check more
+    row pairs (``_Rows``, which reads each word by the rules or by the tree,
+    as its atoms allow, and so raises a failing word's first error in the
+    tree's order), so no window is made dense.  When they check more
     than one window size m (the core window, or the window itself), and
     every atom of the claim is aligned on each, the words are walked once,
     on the largest m, and each smaller m's walk is seeded with their first

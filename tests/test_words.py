@@ -371,9 +371,10 @@ def mixed_env_and_word(draw):
 
 
 def _tree_outcome(fn):
-    """What ``fn`` gives when every walk reads by the tree alone."""
+    """What ``fn`` gives when every walk reads by the tree alone: no word is
+    readable by the rules."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Rows, "compound", words_module._Walk.compound)
+        mp.setattr(_Rows, "_readable", lambda self, token: False)
         return _outcome(fn)
 
 
@@ -403,6 +404,77 @@ def test_reading_rules_match_the_dense_evaluation(drawn, data):
         cert = Certificate(windows=tuple(windows), environment=env, word=word, **fields)
         assert _outcome(lambda: verify_certificate(cert)) == _tree_outcome(
             lambda: verify_certificate(cert))
+
+
+def _claimed(aut):
+    """aut rebuilt as a claimed value, with no inverse witness."""
+    if isinstance(aut, Finitary):
+        return finitary(aut.support, aut.matrix, claimed=True)
+    return eventually_uniform(aut.window, aut.block.matrix, claimed=True)
+
+
+@st.composite
+def defective_env_and_word(draw):
+    """A drawn word, cancelling or not, over its atoms, on one window, with
+    one defect drawn: a name of the word dropped from the env, an atom of
+    it swapped for its claimed value, or the window moved by one, which
+    misaligns it for a graded atom or for blocks of more than one."""
+    if draw(st.booleans()):
+        env, word, windows = draw(mixed_env_and_word())
+        n = draw(st.sampled_from(windows))
+    else:
+        env, word, n = draw(one_atom_per_class()), draw(WORDS), draw(st.sampled_from([12, 24]))
+    names = sorted(word_names(word))
+    swappable = [x for x in names if isinstance(env[x], (Finitary, EventuallyUniform))]
+    defect = draw(st.sampled_from(["window"] + ["dropped"] * bool(names) + ["claimed"] * bool(swappable)))
+    env = dict(env)
+    if defect == "dropped":
+        del env[draw(st.sampled_from(names))]
+    elif defect == "claimed":
+        name = draw(st.sampled_from(swappable))
+        env[name] = _claimed(env[name])
+    else:
+        n = max(n + draw(st.sampled_from([-1, 1])), 0)
+    return env, word, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(defective_env_and_word(), st.data())
+def test_a_defective_word_gives_the_tree_outcome(drawn, data):
+    """Where a word names a missing, claimed or misaligned atom, evaluation,
+    pushes and identity, order and action claims give what the tree reading
+    alone gives: the value, or the first error's type and text."""
+    env, word, n = drawn
+    v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    calls = [lambda: evaluate_word(word, env, n), lambda: push_word(word, env, n, v)]
+    for fields in (
+        {"kind": WINDOW_IDENTITY, "target_aut": identity_aut()},
+        {"kind": ORDER, "order": data.draw(st.sampled_from([1, 2, 6]))},
+        {"kind": ACTION_ON_VECTOR, "vector": v, "target_vector": v},
+    ):
+        cert = Certificate(windows=(n,), environment=env, word=word, **fields)
+        calls.append(lambda cert=cert: verify_certificate(cert))
+    for fn in calls:
+        assert _outcome(fn) == _tree_outcome(fn)
+
+
+def test_an_error_leaves_later_words_to_their_atoms(monkeypatch):
+    """One walk first raises on a product naming a missing atom, then reads
+    the conjugation-step word prod_j Conj(psi, lam^j), j = 1..3, by the
+    rules, with the 8 products of a fresh walk: the error sets no mode for
+    later words.  A walk that turned to the tree for good after its first
+    error made 14."""
+    rng = random.Random(30)
+    env = {"psi": uniform(random_unimodular(rng, 2)), "lam": uniform(random_unimodular(rng, 2))}
+    psi, lam = Named("psi"), Named("lam")
+    walk = _Rows(env, 2)
+    with pytest.raises(WordError, match="unresolved name 'missing'"):
+        walk.walk(Product((psi, Named("missing"))))
+    word = Product(tuple(Conj(psi, Power(lam, j)) for j in (1, 2, 3)))
+    products = ProductCounter(monkeypatch)
+    got = walk.walk(word)
+    assert products.count == 8
+    assert got == _Rows(env, 2).walk(word)
 
 
 # -- pushing vectors through words -------------------------------------------
