@@ -44,7 +44,6 @@ from .errors import AlignmentError, CompositionUnsupportedError, DimensionError,
 from .intmat import (
     IntMatrix,
     Pairs,
-    _unimodular_inverse,
     identity_pairs,
     pairs_product,
 )
@@ -73,10 +72,10 @@ def block_spec(matrix: IntMatrix, claimed: bool = False) -> BlockSpec:
 
 def _witness(matrix: IntMatrix, what: str, claimed: bool) -> Optional[IntMatrix]:
     """The inverse of matrix, None for a claimed value; ``ValidationError``
-    if an atom's matrix is not unimodular."""
+    if an atom's matrix is not unimodular; one the matrix keeps is used."""
     if claimed:
         return None
-    inverse = _unimodular_inverse(matrix)
+    inverse = matrix._inverse()
     if inverse is None:
         raise ValidationError(f"{what} matrix is not unimodular")
     return inverse

@@ -2,8 +2,9 @@
 
 Everything here runs on Python's arbitrary-precision integers; there is no
 floating point.  The one modular computation is the 2-adic inverse of
-``_unimodular_inverse``, and an exact integer product accepts its result.
-Matrices are immutable, so values can be shared freely between threads.
+``_unimodular_inverse``; it, like any inverse handed in, is accepted by one
+exact product (``accept_inverse``).  Matrices are immutable, so values can
+be shared freely between threads.
 
 Products are taken on row pairs (``Pairs``): each row's nonzero entries as
 ``(column, value)`` pairs.  ``pairs_product`` is the one product kernel;
@@ -13,9 +14,9 @@ Row pairs are tuples, so a row shared between results stays immutable.
 
 A matrix keeps what it makes of itself: its row pairs (``IntMatrix.pairs``)
 and its inverse, or that it has none (``IntMatrix.inverse``), each made on
-first use and kept in the instance, outside the dataclass fields.  Two
-threads that make one at once store equal immutable values, so sharing
-stays safe; nothing is kept past the matrix itself.
+first use (or accepted) and kept in the instance, outside the dataclass
+fields.  Two threads that make one at once store equal immutable values, so
+sharing stays safe; nothing is kept past the matrix itself.
 
 Convention used throughout the library: matrices act on column vectors,
 i.e. column ``j`` of the matrix of an automorphism holds the image of the
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress
 from math import inf, prod
 from operator import itemgetter
@@ -243,9 +245,10 @@ class IntMatrix:
         return inv
 
     def _inverse(self) -> Optional["IntMatrix"]:
-        """``_unimodular_inverse`` of this matrix, made on first use and kept,
-        None too.  A 0 x 0 or 1 x 1 matrix that is its own inverse is not
-        kept: a matrix holding itself would be a reference cycle."""
+        """The inverse ``accept_inverse`` kept, or else ``_unimodular_inverse``
+        of this matrix, made on first use and kept, None too.  A 0 x 0 or
+        1 x 1 matrix that is its own inverse is not kept: a matrix holding
+        itself would be a reference cycle."""
         d = self.__dict__
         inv = d.get("_inv", d)
         if inv is d:
@@ -365,7 +368,7 @@ def _unimodular_inverse(m: IntMatrix) -> Optional[IntMatrix]:
     2-adic lifting (Dixon 1982) closed by an exact check (Abbott, Bronstein
     & Mulders 1999): det A = +-1 is odd, so A has one inverse mod 2^k, which
     ``_inverse_mod_2k`` gives in symmetric residues, with the row pairs that
-    the check multiplies by.  An exact ``A * B == I`` accepts it; otherwise
+    the check multiplies by.  ``accept_inverse`` accepts it; otherwise
     k doubles from its start, the entry bit length of A plus a margin.
     Every entry of a true inverse is a cofactor, at most the Hadamard bound
     prod ||row_i||: once 2^(k-1) exceeds it, a failed check proves A is not
@@ -381,17 +384,28 @@ def _unimodular_inverse(m: IntMatrix) -> Optional[IntMatrix]:
         d = p * s - q * r
         return IntMatrix._trusted(((d * s, -d * q), (-d * r, d * p))) if d in (1, -1) else None
     k = max(map(abs, chain.from_iterable(a))).bit_length() + 2 * n.bit_length() + 8
-    a_pairs, eye = m.pairs, identity_pairs(n)
     while True:
         inv = _inverse_mod_2k(a, k)
         if inv is None:
             return None
-        b, pairs = inv
-        if pairs_product(a_pairs, pairs) == eye:
-            return IntMatrix._trusted(tuple(map(tuple, b)), pairs)
+        b = IntMatrix._trusted(tuple(map(tuple, inv[0])), inv[1])
+        if accept_inverse(m, b):
+            return b
         if 4 ** (k - 1) > prod(sum(x * x for x in row) for row in a):  # squares of both sides
             return None
         k *= 2
+
+
+def accept_inverse(a: IntMatrix, b: IntMatrix) -> bool:
+    """The one rule by which b becomes a's inverse: a, b square of one size
+    and a * b = I exactly (then b * a = I too).  Kept in a's ``_inv`` slot
+    unless b is a, a reference cycle; a refused b is never kept."""
+    n = a.rows
+    if not (a.cols == b.rows == b.cols == n) or pairs_product(a.pairs, b.pairs) != identity_pairs(n):
+        return False
+    if b is not a:
+        a.__dict__["_inv"] = b
+    return True
 
 
 def _inverse_mod_2k(a: Rows, k: int) -> Optional[tuple[list[list[int]], Pairs]]:
@@ -465,16 +479,46 @@ def _inverse_mod_2k(a: Rows, k: int) -> Optional[tuple[list[list[int]], Pairs]]:
     return rows, tuple(pairs)
 
 
-@dataclass(frozen=True)
 class SnfResult:
-    """Transforms ``u * input * v == d`` with u, v unimodular and d in Smith form."""
+    """Transforms ``u * input * v == d`` with u, v unimodular and d in Smith
+    form.  u, v and their inverses are replayed from ``snf``'s record of its
+    operations on first read (``_replay``) and kept; results compare by them."""
 
-    u: IntMatrix
-    d: IntMatrix
-    v: IntMatrix
+    def __init__(self, d: IntMatrix, row_ops: list, col_ops: list, flips: list):
+        self.d, self._row_ops, self._col_ops, self._flips = d, row_ops, col_ops, flips
+
+    u = cached_property(lambda self: _replay(self.d.rows, self._row_ops, False))
+    u_inverse = cached_property(lambda self: _replay(self.d.rows, self._row_ops, True, (), True))
+    v = cached_property(lambda self: _replay(self.d.cols, self._col_ops, False, self._flips, True))
+    v_inverse = cached_property(lambda self: _replay(self.d.cols, self._col_ops, True, self._flips))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SnfResult) and (self.u, self.d, self.v) == (other.u, other.d, other.v)
+
+    def __hash__(self) -> int:
+        return hash((self.u, self.d, self.v))
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.d.data[i][i] for i in range(min(self.d.rows, self.d.cols)))
+
+
+def _replay(n: int, ops: list, inverse: bool, flips=(), transpose: bool = False) -> IntMatrix:
+    """I_n with ops done in order, (i, j, None) a swap and (i, j, q) row_i -=
+    q * row_j, or for ``inverse`` row_j += q * row_i; then flips negated.  As
+    u = E_N...E_1, (u^-1)^T = E_1^-T...E_N^-T; v^T and v^-1 read alike."""
+    rows, span = identity_rows(n), range(n)
+    for i, j, q in ops:
+        if q is None:
+            rows[i], rows[j] = rows[j], rows[i]
+            continue
+        if inverse:
+            i, j, q = j, i, -q
+        src, dst = rows[j], rows[i]
+        for c in compress(span, src):
+            dst[c] -= q * src[c]
+    for i in flips:
+        rows[i] = [-x for x in rows[i]]
+    return IntMatrix._trusted(tuple(zip(*rows)) if transpose else tuple(map(tuple, rows)))
 
 
 def _min_abs_pivot(a: list[list[int]], t: int, rows: int, cols: int) -> Optional[tuple[int, int]]:
@@ -493,7 +537,7 @@ def _min_abs_pivot(a: list[list[int]], t: int, rows: int, cols: int) -> Optional
 
 
 def snf(m: IntMatrix) -> SnfResult:
-    """Smith normal form with both transforms.
+    """Smith normal form, with the operations that give both transforms.
 
     Pivots are chosen as the minimal-absolute-value nonzero entry with a
     fixed left-to-right scan, so identical inputs always produce identical
@@ -502,20 +546,17 @@ def snf(m: IntMatrix) -> SnfResult:
     """
     rows, cols = m.rows, m.cols
     a = [list(row) for row in m.data]
-    u = identity_rows(rows)
-    v = identity_rows(cols)
+    row_ops, col_ops = [], []
 
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
+    def to_pivot(t, i, j):
+        # swap row i with row t, then column j with column t
+        if i != t:
+            a[t], a[i] = a[i], a[t]
+            row_ops.append((t, i, None))
+        if j != t:
             for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+                row[t], row[j] = row[j], row[t]
+            col_ops.append((t, j, None))
 
     def row_sub(i, j, q):
         # row_i -= q * row_j
@@ -523,17 +564,14 @@ def snf(m: IntMatrix) -> SnfResult:
             ai, aj = a[i], a[j]
             for c in range(cols):
                 ai[c] -= q * aj[c]
-            ui, uj = u[i], u[j]
-            for c in range(rows):
-                ui[c] -= q * uj[c]
+            row_ops.append((i, j, q))
 
     def col_sub(i, j, q):
         # col_i -= q * col_j
         if q:
             for row in a:
                 row[i] -= q * row[j]
-            for row in v:
-                row[i] -= q * row[j]
+            col_ops.append((i, j, q))
 
     t = 0
     lim = min(rows, cols)
@@ -541,8 +579,7 @@ def snf(m: IntMatrix) -> SnfResult:
         piv = _min_abs_pivot(a, t, rows, cols)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        to_pivot(t, *piv)
         while True:
             for i in range(t + 1, rows):
                 if a[i][t]:
@@ -557,8 +594,7 @@ def snf(m: IntMatrix) -> SnfResult:
                 break
             # a remainder survived; pull the smallest entry back to the pivot
             piv = _min_abs_pivot(a, t, rows, cols)
-            swap_rows(t, piv[0])
-            swap_cols(t, piv[1])
+            to_pivot(t, *piv)
         # pivot now alone in its row and column; enforce divisibility
         p = a[t][t]
         offender = None
@@ -574,14 +610,10 @@ def snf(m: IntMatrix) -> SnfResult:
             continue
         t += 1
 
-    for i in range(lim):
-        if a[i][i] < 0:
-            for row in a:
-                row[i] = -row[i]
-            for row in v:
-                row[i] = -row[i]
-
-    return SnfResult(*(IntMatrix._trusted(tuple(map(tuple, x))) for x in (u, a, v)))
+    flips = [i for i in range(lim) if a[i][i] < 0]  # a is diagonal now
+    for i in flips:
+        a[i][i] = -a[i][i]
+    return SnfResult(IntMatrix._trusted(tuple(map(tuple, a))), row_ops, col_ops, flips)
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
@@ -602,24 +634,19 @@ def is_unimodular_set(m: IntMatrix) -> bool:
 
 
 def complete_to_basis(m: IntMatrix) -> IntMatrix:
-    """Extend a unimodular column set to a full basis.
-
-    Returns an n x n unimodular matrix whose first ``m.cols`` columns equal
-    the columns of ``m``.  The completion columns are read off the inverse
-    of the Smith row transform: with ``u*m*v`` in Smith form with unit
-    diagonal, the columns of ``m*v`` are the first k columns of ``u^-1``,
-    so the trailing columns of ``u^-1`` complete them (and a final
-    column-operation undoes ``v`` on the first block).
-    """
+    """Extend a unimodular column set to a full basis: an n x n matrix g,
+    kept with its inverse, whose first ``m.cols`` columns are m's (m itself
+    when square).  With ``u*m*v = [I; 0]`` from one ``snf``, the columns of
+    ``m*v`` are the first k columns of ``u^-1``, whose trailing columns
+    complete them; then u*g = diag(v^-1, I), and ``accept_inverse`` takes
+    g^-1 = diag(v, I) * u."""
     n, k = m.rows, m.cols
     res = snf(m)
     if k > n or any(d != 1 for d in res.diagonal()):
         raise NotCompletableError("columns do not form a unimodular set")
     if k == n:
         return m
-    u_inv = res.u.inverse()
-    completion = u_inv.submatrix(0, n, k, n)
-    out = m.hstack(completion)
-    if not out.is_unimodular():
-        raise NotCompletableError("completion failed determinant check")
+    out = m.hstack(res.u_inverse.submatrix(0, n, k, n))
+    if not accept_inverse(out, IntMatrix.block_diag([res.v, IntMatrix.identity(n - k)]) * res.u):
+        raise NotCompletableError("completion failed its inverse check")
     return out

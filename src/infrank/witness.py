@@ -43,7 +43,7 @@ from .autrep import (
     window_matrix,
 )
 from .errors import DimensionError, ShapeError, ValidationError
-from .intmat import IntMatrix, complete_to_basis, snf
+from .intmat import IntMatrix, accept_inverse, complete_to_basis, snf
 from .numth import euler_phi, xgcd
 from .words import (
     ACTION_ON_VECTOR,
@@ -289,8 +289,7 @@ def wans_three(f: IntMatrix) -> tuple[EventuallyUniform, EventuallyUniform, Even
             a, b = diag[2 * i], diag[2 * i + 1]
             e_blocks.append(IntMatrix.from_rows([[a, 1], [1, 0]]))
             f_blocks.append(IntMatrix.from_rows([[0, -1], [-1, b]]))
-        u_inv = res.u.inverse()
-        v_inv = res.v.inverse()
+        u_inv, v_inv = res.u_inverse, res.v_inverse
         a_part = u_inv * IntMatrix.block_diag(e_blocks) * v_inv
         b_part = u_inv * IntMatrix.block_diag(f_blocks) * v_inv
         windows = (b_part * p_hat, a_part, b_part * (eye - p_hat))
@@ -663,10 +662,13 @@ def _pipeline_clean(phi: RepAut, m: int, n1: int, n2: int) -> WitnessChain:
 
 
 def _perm_swap(size: int, i: int, j: int) -> IntMatrix:
+    """Swaps coordinates i and j; keeps an equal twin as its inverse, not itself."""
     rows = [[1 if a == b else 0 for b in range(size)] for a in range(size)]
     rows[i][i] = rows[j][j] = 0
     rows[i][j] = rows[j][i] = 1
-    return IntMatrix.from_rows(rows)
+    swap = IntMatrix.from_rows(rows)
+    accept_inverse(swap, IntMatrix.from_rows(rows))
+    return swap
 
 
 def _unit(size: int, i: int) -> list[int]:
@@ -751,7 +753,10 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int, walks: dict
                     cols.append(_unit(s2, next(pool)))
         g_mat = complete_to_basis(IntMatrix.from_rows(list(zip(*cols))))
         core = IntMatrix.block_diag([triple.gamma, triple.gamma, IntMatrix.identity(s2 - 2 * r)])
-        env[f"lam{n}"] = uniform(g_mat * core * g_mat.inverse())
+        lam = g_mat * core * g_mat.inverse()
+        # lam^-1 = lam^(n-1), as gamma has order n; else uniform inverts lam
+        accept_inverse(lam, lam.power(n - 1))
+        env[f"lam{n}"] = uniform(lam)
         word_lam = Named(f"lam{n}")
         word_n = Product(tuple(Conj(word_psi, Power(word_lam, j)) for j in range(1, n + 1)))
         phi_n = _walked(env, word_n, walks)

@@ -382,16 +382,24 @@ def _add_letter(
         exps.append(e)
 
 
-def word_names(word: Token) -> set[str]:
-    if isinstance(word, Named):
-        return {word.name}
-    if isinstance(word, (Inverse, Power)):
-        return word_names(word.inner)
-    if isinstance(word, Conj):
-        return word_names(word.g) | word_names(word.h)
-    if isinstance(word, Product):
-        return set().union(*map(word_names, word.factors))
-    raise WordError(f"unknown token {word!r}")
+def word_names(word: Token) -> frozenset[str]:
+    """The names word's atoms go by, read once per token object and kept in
+    its instance dict, outside the dataclass fields (as ``IntMatrix`` keeps
+    its row pairs); ``WordError`` at the first token of no known kind."""
+    if not isinstance(word, (Named, Inverse, Power, Conj, Product)):
+        raise WordError(f"unknown token {word!r}")
+    names = word.__dict__.get("_names")
+    if names is None:
+        if isinstance(word, Named):
+            names = frozenset((word.name,))
+        elif isinstance(word, (Inverse, Power)):
+            names = word_names(word.inner)
+        elif isinstance(word, Conj):
+            names = word_names(word.g) | word_names(word.h)
+        else:
+            names = frozenset().union(*map(word_names, word.factors))
+        word.__dict__["_names"] = names
+    return names
 
 
 # -- certificates --------------------------------------------------------
@@ -616,7 +624,7 @@ def _claim_atoms(cert: Certificate) -> Optional[list[RepAut]]:
     missing atom."""
     tokens = cert.summand_words if cert.kind == WINDOW_SUM else (cert.word,)
     try:
-        names = set().union(*map(word_names, tokens))
+        names = frozenset().union(*map(word_names, tokens))
     except WordError:
         return None
     if not names <= cert.environment.keys():

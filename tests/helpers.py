@@ -49,14 +49,15 @@ def assert_passes_validation(r: IntMatrix) -> None:
 class ProductCounter:
     """Counts matrix products, the calls of ``intmat.pairs_product`` that
     ``IntMatrix.__mul__``, ``power`` and the word walk make, and keeps the
-    largest dimension formed.  The inverse's acceptance check ``A * B == I``
-    is part of an inverse, not a product, and is not counted."""
+    largest dimension formed.  The one acceptance rule of an inverse,
+    ``A * B == I`` (``intmat.accept_inverse``), is part of an inverse, not a
+    product, and is not counted."""
 
     def __init__(self, monkeypatch):
         self.count = 0
         self.largest = 0
         orig = intmat.pairs_product
-        check = intmat._unimodular_inverse.__code__
+        check = intmat.accept_inverse.__code__
 
         def counting(a, b):
             if sys._getframe(1).f_code is not check:

@@ -16,7 +16,9 @@ general pipeline's psi, phi_n and ``final`` by ``compose`` and ``invert``,
 which walked words replaced, with ``compose_all``, a product by ``compose``
 that no library code needs, and the chain reader that read every copy of an
 environment and of a top-level word, which reading each run of copies once
-replaced."""
+replaced, and the Smith form that updated dense u and v at every step, with
+the basis completion that inverted u and then the completed matrix afresh,
+which replaying one record of the elimination replaced."""
 
 import json
 from functools import reduce
@@ -35,7 +37,7 @@ from infrank.autrep import (
 )
 from infrank.classify import RuleBased
 from infrank.errors import AlignmentError, DimensionError, ParseError, ValidationError, WordError
-from infrank.intmat import IntMatrix, snf
+from infrank.intmat import IntMatrix, _min_abs_pivot, identity_rows, snf
 from infrank.serialize import (
     _int_list,
     _matrix,
@@ -115,6 +117,83 @@ def row_reduction_inverse(m: IntMatrix) -> Optional[IntMatrix]:
                 for c, v in nz:
                     row[c] -= q * v
     return IntMatrix.from_rows(row[n:] for row in rows)
+
+
+def eager_snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """(u, d, v) with ``u * m * v == d`` in Smith form: the elimination of
+    ``intmat.snf``, with the same pivots, applying each operation to dense
+    u and v as it goes."""
+    rows, cols = m.rows, m.cols
+    a = [list(row) for row in m.data]
+    u = identity_rows(rows)
+    v = identity_rows(cols)
+
+    def swap_rows(i, j):
+        if i != j:
+            a[i], a[j] = a[j], a[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in a + v:
+                row[i], row[j] = row[j], row[i]
+
+    def row_sub(i, j, q):
+        if q:
+            for x in (a, u):
+                x[i] = [p - q * r for p, r in zip(x[i], x[j])]
+
+    def col_sub(i, j, q):
+        if q:
+            for row in a + v:
+                row[i] -= q * row[j]
+
+    t, lim = 0, min(rows, cols)
+    while t < lim:
+        piv = _min_abs_pivot(a, t, rows, cols)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            for i in range(t + 1, rows):
+                if a[i][t]:
+                    row_sub(i, t, a[i][t] // a[t][t])
+            for j in range(t + 1, cols):
+                if a[t][j]:
+                    col_sub(j, t, a[t][j] // a[t][t])
+            if not any(a[i][t] for i in range(t + 1, rows)) and not any(a[t][t + 1 :]):
+                break
+            piv = _min_abs_pivot(a, t, rows, cols)
+            swap_rows(t, piv[0])
+            swap_cols(t, piv[1])
+        p = a[t][t]
+        offender = next(
+            (i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1 :])), None
+        )
+        if offender is not None:
+            row_sub(t, offender, -1)
+            continue
+        t += 1
+    for i in range(lim):
+        if a[i][i] < 0:
+            for row in a + v:
+                row[i] = -row[i]
+    return tuple(IntMatrix.from_rows(x) for x in (u, a, v))
+
+
+def eager_complete_to_basis(m: IntMatrix) -> Optional[IntMatrix]:
+    """m's columns completed by the trailing columns of u^-1, with u from
+    ``eager_snf`` inverted by row reduction, and the result accepted by its
+    own inverse; None for a column set that is not unimodular."""
+    n, k = m.rows, m.cols
+    u, d, _ = eager_snf(m)
+    if k > n or any(d.data[i][i] != 1 for i in range(k)):
+        return None
+    if k == n:
+        return m
+    out = m.hstack(row_reduction_inverse(u).submatrix(0, n, k, n))
+    return out if row_reduction_inverse(out) is not None else None
 
 
 def solve_columns(m: IntMatrix, target: Sequence[int]) -> Optional[tuple[int, ...]]:

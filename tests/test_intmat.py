@@ -219,6 +219,87 @@ def unimodular_windows(draw):
     return IntMatrix.block_diag([head] + [block] * reps)
 
 
+@st.composite
+def snf_inputs(draw):
+    """Rectangular matrices of 0-6 rows and columns, small entries and many
+    zeros; in half of them one row is a multiple of another, or one column
+    is zero, so that the rank falls short."""
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**70), 2**70))
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    if r > 1 and c and draw(st.booleans()):
+        i, j, q = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1)), draw(st.integers(-3, 3))
+        if draw(st.booleans()):
+            rows[i] = [q * x for x in rows[j]]
+        else:
+            rows = [row[:j % c] + [0] + row[j % c + 1 :] for row in rows]
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=200)
+@given(snf_inputs())
+def test_snf_replays_the_eager_transforms(m):
+    """u, d and v replayed from the elimination's record equal those of the
+    elimination that updated dense u and v at every step (``eager_snf``),
+    which pins every byte made from them; u m v = d, and the replayed
+    inverses are inverses on both sides."""
+    res = snf(m)
+    assert (res.u, res.d, res.v) == oracles.eager_snf(m)
+    assert res.u * m * res.v == res.d
+    for x, x_inv in ((res.u, res.u_inverse), (res.v, res.v_inverse)):
+        eye = IntMatrix.identity(x.rows)
+        assert x * x_inv == x_inv * x == eye
+
+
+def test_invariant_factors_build_no_transform(monkeypatch):
+    monkeypatch.setattr(intmat, "_replay", None)
+    assert invariant_factors(IntMatrix.from_rows([[2, 4], [6, 8]])) == (2, 4)
+
+
+@st.composite
+def column_sets(draw):
+    """k leading columns of a unimodular n x n matrix, with entries of up to
+    121 bits, or k columns of small entries, most not unimodular."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        return draw(big_unimodular(n)).submatrix(0, n, 0, k)
+    return IntMatrix.from_rows(draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=n, max_size=n)))
+
+
+@settings(max_examples=200)
+@given(column_sets())
+def test_completion_and_its_inverse_match_the_eager_completion(cols):
+    """The completion equals the one whose u^-1 was inverted afresh
+    (``eager_complete_to_basis``), and the inverse it keeps, diag(v, I) * u,
+    equals the 2-adic inverse of the same matrix."""
+    want = oracles.eager_complete_to_basis(cols)
+    if want is None:
+        with pytest.raises(NotCompletableError, match="^columns do not form a unimodular set$"):
+            complete_to_basis(cols)
+        return
+    g = complete_to_basis(cols)
+    assert g == want
+    if g is not cols:
+        assert vars(g)["_inv"] == intmat._unimodular_inverse(IntMatrix(g.data))
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 8).flatmap(big_unimodular), st.data())
+def test_a_bumped_inverse_is_refused_and_never_kept(m, data):
+    """``accept_inverse`` refuses a true inverse with one entry moved, or one
+    of another size, and keeps nothing; it keeps the true one."""
+    inv = row_reduction_inverse(m)
+    rows = [list(row) for row in inv.data]
+    i, j = data.draw(st.integers(0, m.rows - 1)), data.draw(st.integers(0, m.rows - 1))
+    rows[i][j] += data.draw(st.sampled_from([-1, 1, 2, 2**70]))
+    fresh = IntMatrix(m.data)
+    assert not intmat.accept_inverse(fresh, IntMatrix.from_rows(rows))
+    assert not intmat.accept_inverse(fresh, IntMatrix.identity(m.rows + 1))
+    assert "_inv" not in vars(fresh)
+    assert intmat.accept_inverse(fresh, inv) and fresh.inverse() is inv
+
+
 @settings(max_examples=60)
 @given(unimodular_windows())
 def test_inverse_by_row_reduction(m):

@@ -606,10 +606,15 @@ def test_chain_bytes_are_unchanged(k, m, pair, size, digest):
 # and (5, 6) parsed to (3, 4) for both: the Bezout word is read as phi^1,
 # with no product, and a parsed check holds phi's rows from step 2 on,
 # since the later steps read phi, so it reads phi once.
+#
+# A general build makes three products more than (46, 20) since each
+# completion G comes with its inverse diag(v, I) * u (two products) and
+# lam3 with its inverse lam3^2 (one; lam2 is its own inverse); the parsed
+# figures do not move.
 WALK_COUNTS = [
-    (5, 4, (46, 20), (22, 15)),
-    (3, 4, (46, 20), (22, 15)),
-    (7, 6, (46, 20), (22, 15)),
+    (5, 4, (49, 20), (22, 15)),
+    (3, 4, (49, 20), (22, 15)),
+    (7, 6, (49, 20), (22, 15)),
     (1, 5, (3, 4), (3, 4)),
 ]
 
@@ -1230,12 +1235,17 @@ def test_a_parsed_chain_reports_what_its_certificates_report_alone(case, tamper,
 
 
 def test_pipeline_build_inverts_each_matrix_once(monkeypatch):
-    """A general build makes 18 integer inverses, counting the two of its
-    input phi: complete_to_basis's check and the conjugation by G share
-    one, and so do the two uses of each sigma."""
+    """A general build makes 10 integer inverses, none of dimension above 4
+    (18 before the inverses the build knows were handed in): the 2 x 2
+    block of its input phi and phi's empty window; the empty window of each
+    of the two swaps h1 and h2, whose inverse is a second, equal matrix;
+    gamma (the finitary atom of its order certificate) and sigma, shared by
+    its two uses, of the order-2 and of the order-3 shear (2 x 2 and
+    4 x 4); and the empty window of lam2 and of lam3.  Each completion G
+    and each lam_n come with their inverses, diag(v, I) * u and
+    lam_n^(n-1), which the acceptance rule keeps."""
     calls = []
     orig = intmat._unimodular_inverse
-    for module in (intmat, autrep_module):
-        monkeypatch.setattr(module, "_unimodular_inverse", lambda x: calls.append(x) or orig(x))
+    monkeypatch.setattr(intmat, "_unimodular_inverse", lambda x: calls.append(x) or orig(x))
     witness._pipeline_general(canonical_shear(5, 4), 5, 4, 2, 3, {})
-    assert len(calls) == 18
+    assert sorted(c.rows for c in calls) == [0] * 5 + [2] * 3 + [4] * 2

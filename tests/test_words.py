@@ -316,6 +316,32 @@ def test_cancelling_words_keep_their_first_error(word, env, n, error, text):
     assert _tree_outcome(lambda: evaluate_word(word, env, n)) == (error, text)
 
 
+def test_word_names_reads_each_token_once(monkeypatch):
+    """``word_names`` visits each distinct token object once and keeps its
+    names outside the fields, so ``==``, ``hash`` and ``repr`` do not move;
+    an unknown token raises as the tree walk meets it, and a product that
+    holds one keeps nothing."""
+    a = Product((Named("f"), Power(Named("g"), 3)))
+    word = Conj(a, Product((a, Inverse(a))))
+    twin = deepcopy(word)
+    calls = []
+    read = words_module.word_names
+    monkeypatch.setattr(words_module, "word_names", lambda t: calls.append(t) or read(t))
+    assert words_module.word_names(word) == {"f", "g"}
+    # word, a (then f, g^3, g), the conjugator, a again, a^-1 and a again:
+    # 15 visits without the kept names
+    assert len(calls) == 9
+    calls.clear()
+    assert words_module.word_names(word) == {"f", "g"} and len(calls) == 1
+    assert (word == twin, hash(word), repr(word)) == (True, hash(twin), repr(twin))
+    bad = Product((Named("f"), Conj(Unknown(), Named("x")), Unknown()))
+    with pytest.raises(WordError, match="^unknown token"):
+        read(bad)
+    # f was read before the conjugate, whose conjugator x was never reached
+    assert "_names" not in vars(bad) and "_names" not in vars(bad.factors[1].h)
+    assert "_names" in vars(bad.factors[0])
+
+
 def test_conjugation_step_words_are_read_free_reduced(monkeypatch):
     """prod_j Conj(psi, lam^j), j = 1..3, is read as lam psi lam psi lam psi
     lam^-3: six joins and the two products of one cube, where the tree
