@@ -1,10 +1,11 @@
 """Dense exact-integer matrices and Smith-normal-form machinery.
 
 Everything here runs on Python's arbitrary-precision integers; there is no
-floating point.  The one modular computation is the 2-adic inverse of
-``_unimodular_inverse``; it, like any inverse handed in, is accepted by one
-exact product (``accept_inverse``).  Matrices are immutable, so values can
-be shared freely between threads.
+floating point.  ``_unimodular_inverse`` inverts a matrix of up to 4 x 4 by
+its adjugate; the one modular computation is its 2-adic inverse of a larger
+one, which, like any inverse handed in, is accepted by one exact product
+(``accept_inverse``).  Matrices are immutable, so values can be shared
+freely between threads.
 
 Products are taken on row pairs (``Pairs``): each row's nonzero entries as
 ``(column, value)`` pairs.  ``pairs_product`` is the one product kernel;
@@ -237,8 +238,9 @@ class IntMatrix:
         return self._inverse() is not None
 
     def inverse(self) -> "IntMatrix":
-        """Exact inverse of a unimodular matrix: 2-adic elimination, accepted
-        by an exact product (``_unimodular_inverse``)."""
+        """Exact inverse of a unimodular matrix: det times the adjugate up to
+        4 x 4, above that 2-adic elimination accepted by an exact product
+        (``_unimodular_inverse``)."""
         inv = self._inverse()
         if inv is None:
             raise ValidationError("matrix is not unimodular; no integer inverse")
@@ -365,6 +367,7 @@ def apply_pairs(p: Pairs, vector: Sequence[int]) -> tuple[int, ...]:
 def _unimodular_inverse(m: IntMatrix) -> Optional[IntMatrix]:
     """The integer inverse of m, or None unless m is square and unimodular.
 
+    Up to 4 x 4, det(A) * adj(A) (``_adjugate_inverse``).  Above that,
     2-adic lifting (Dixon 1982) closed by an exact check (Abbott, Bronstein
     & Mulders 1999): det A = +-1 is odd, so A has one inverse mod 2^k, which
     ``_inverse_mod_2k`` gives in symmetric residues, with the row pairs that
@@ -379,10 +382,9 @@ def _unimodular_inverse(m: IntMatrix) -> Optional[IntMatrix]:
     a, n = m.data, m.rows
     if n < 2:
         return m if all(row[0] in (1, -1) for row in a) else None
-    if n == 2:  # the adjugate times det, the one inverse when det = +-1
-        (p, q), (r, s) = a
-        d = p * s - q * r
-        return IntMatrix._trusted(((d * s, -d * q), (-d * r, d * p))) if d in (1, -1) else None
+    if n <= 4:
+        inv = _adjugate_inverse(a)
+        return None if inv is None else IntMatrix._trusted(inv)
     k = max(map(abs, chain.from_iterable(a))).bit_length() + 2 * n.bit_length() + 8
     while True:
         inv = _inverse_mod_2k(a, k)
@@ -396,9 +398,60 @@ def _unimodular_inverse(m: IntMatrix) -> Optional[IntMatrix]:
         k *= 2
 
 
+def _adjugate_inverse(a: Rows) -> Optional[tuple[tuple[int, ...], ...]]:
+    """det(A) * adj(A) for a 2 x 2, 3 x 3 or 4 x 4 A of det +-1, else None.
+
+    A * adj(A) = det(A) * I, so when det = +-1 this is A's one inverse,
+    exactly, with no lift and no product to check it by.  det is read off
+    cofactors before the rest of the adjugate is made: the first row's for
+    3 x 3, and for 4 x 4 the six 2 x 2 minors of the top two rows (s0..s5)
+    against the complementary six of the bottom two (c0..c5), the Laplace
+    expansion along the top two rows.  Each cofactor of a 4 x 4 is then one
+    row's three entries against three of those twelve minors.
+    """
+    if len(a) == 2:
+        (p, q), (r, s) = a
+        d = p * s - q * r
+        if d != 1 and d != -1:
+            return None
+        return (d * s, -d * q), (-d * r, d * p)
+    if len(a) == 3:
+        (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = a
+        k0, k1, k2 = y1 * z2 - y2 * z1, y2 * z0 - y0 * z2, y0 * z1 - y1 * z0
+        d = x0 * k0 + x1 * k1 + x2 * k2
+        if d != 1 and d != -1:
+            return None
+        return (
+            (d * k0, d * (x2 * z1 - x1 * z2), d * (x1 * y2 - x2 * y1)),
+            (d * k1, d * (x0 * z2 - x2 * z0), d * (x2 * y0 - x0 * y2)),
+            (d * k2, d * (x1 * z0 - x0 * z1), d * (x0 * y1 - x1 * y0)),
+        )
+    (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3), (w0, w1, w2, w3) = a
+    # the 2 x 2 minors on columns (0,1), (0,2), (0,3), (1,2), (1,3), (2,3):
+    # s of the top two rows, c of the bottom two; s_i and c_(5-i) complement
+    s0, s1, s2 = x0 * y1 - y0 * x1, x0 * y2 - y0 * x2, x0 * y3 - y0 * x3
+    s3, s4, s5 = x1 * y2 - y1 * x2, x1 * y3 - y1 * x3, x2 * y3 - y2 * x3
+    c0, c1, c2 = z0 * w1 - w0 * z1, z0 * w2 - w0 * z2, z0 * w3 - w0 * z3
+    c3, c4, c5 = z1 * w2 - w1 * z2, z1 * w3 - w1 * z3, z2 * w3 - w2 * z3
+    d = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+    if d != 1 and d != -1:
+        return None
+    return (
+        (d * (y1 * c5 - y2 * c4 + y3 * c3), d * (x2 * c4 - x1 * c5 - x3 * c3),
+         d * (w1 * s5 - w2 * s4 + w3 * s3), d * (z2 * s4 - z1 * s5 - z3 * s3)),
+        (d * (y2 * c2 - y0 * c5 - y3 * c1), d * (x0 * c5 - x2 * c2 + x3 * c1),
+         d * (w2 * s2 - w0 * s5 - w3 * s1), d * (z0 * s5 - z2 * s2 + z3 * s1)),
+        (d * (y0 * c4 - y1 * c2 + y3 * c0), d * (x1 * c2 - x0 * c4 - x3 * c0),
+         d * (w0 * s4 - w1 * s2 + w3 * s0), d * (z1 * s2 - z0 * s4 - z3 * s0)),
+        (d * (y1 * c1 - y0 * c3 - y2 * c0), d * (x0 * c3 - x1 * c1 + x2 * c0),
+         d * (w1 * s1 - w0 * s3 - w2 * s0), d * (z0 * s3 - z1 * s1 + z2 * s0)),
+    )
+
+
 def accept_inverse(a: IntMatrix, b: IntMatrix) -> bool:
-    """The one rule by which b becomes a's inverse: a, b square of one size
-    and a * b = I exactly (then b * a = I too).  Kept in a's ``_inv`` slot
+    """The one rule by which a candidate b, lifted or handed in, becomes a's
+    inverse: a, b square of one size and a * b = I exactly (then b * a = I
+    too).  Kept in a's ``_inv`` slot
     unless b is a, a reference cycle; a refused b is never kept."""
     n = a.rows
     if not (a.cols == b.rows == b.cols == n) or pairs_product(a.pairs, b.pairs) != identity_pairs(n):

@@ -388,7 +388,11 @@ _WS, _space = json.decoder.WHITESPACE_STR, json.decoder.WHITESPACE.match
 _CHAIN_PATH = {"steps": [{"certificates": [{"env": ..., "word": ...}], "word": ...}]}
 # a chain document as written: sorted keys put "final" first
 _CHAIN_HEAD = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"final"[ \t\n\r]*:')
-# the distinct copy texts a walk keeps, so its comparisons stay linear in the text
+# A walk keeps the distinct copy texts it decodes under their first
+# _PREFIX_CHARS characters, at most _COPIES_KEPT of them under one prefix:
+# a copy is compared with at most that many, so comparisons stay linear in
+# the text, and copies that differ early are all kept
+_PREFIX_CHARS = 64
 _COPIES_KEPT = 8
 
 
@@ -403,19 +407,20 @@ def _decode_copies(text: str) -> dict | None:
     on its path, an empty array or object on it, bad JSON, trailing data)."""
     if not isinstance(text, str) or not _CHAIN_HEAD.match(text):
         return None
-    seen: list[tuple[str, Any]] = []
+    kept: dict[str, list[tuple[str, Any]]] = {}
 
     def walk(at: int, shape: Any) -> tuple[Any, int]:
         if text[at] in _WS:
             at = _space(text, at).end()
         c, kind = text[at], type(shape)
         if shape is ... and c == "{":
-            for copy, value in seen:
+            same = kept.setdefault(text[at : at + _PREFIX_CHARS], [])
+            for copy, value in same:
                 if text.startswith(copy, at):
                     return value, at + len(copy)
             value, end = _scan(text, at)
-            if len(seen) < _COPIES_KEPT:
-                seen.append((text[at:end], value))
+            if len(same) < _COPIES_KEPT:
+                same.append((text[at:end], value))
             return value, end
         if not (kind is dict and c == "{" or kind is list and c == "["):
             return _scan(text, at)

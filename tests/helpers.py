@@ -1,5 +1,6 @@
 """Helpers the test modules share: random and drawn matrices, automorphisms
-and words, a product counter, the CLI runners and the criterion-5 corpus."""
+and words, a product counter, a lift counter, the CLI runners and the
+criterion-5 corpus."""
 
 import os
 import random
@@ -68,6 +69,22 @@ class ProductCounter:
         for name, module in list(sys.modules.items()):
             if name.startswith("infrank") and getattr(module, "pairs_product", None) is orig:
                 monkeypatch.setattr(module, "pairs_product", counting)
+
+
+class ModCounter:
+    """Records the k and the dimension of every 2-adic lift, the calls of
+    ``intmat._inverse_mod_2k``."""
+
+    def __init__(self, monkeypatch):
+        self.ks, self.dims = [], []
+        orig = intmat._inverse_mod_2k
+
+        def counting(a, k):
+            self.ks.append(k)
+            self.dims.append(len(a))
+            return orig(a, k)
+
+        monkeypatch.setattr(intmat, "_inverse_mod_2k", counting)
 
 
 @st.composite

@@ -13,6 +13,7 @@ from infrank.errors import DimensionError, NotCompletableError, ValidationError
 from infrank.intmat import (
     IntMatrix,
     complete_to_basis,
+    identity_pairs,
     invariant_factors,
     is_unimodular_set,
     snf,
@@ -20,6 +21,7 @@ from infrank.intmat import (
 
 import oracles
 from helpers import (
+    ModCounter,
     ProductCounter,
     assert_passes_validation,
     kernel_rows,
@@ -326,8 +328,7 @@ def test_inverse_by_row_reduction(m):
         [[2**130 + 1, 2**130], [2**130, 2**130 - 2]],
         [[2, 1], [1, 2]],
         [[1, 2], [2, 1]],
-        # det 2^60 + 1 is 1 modulo the first 2^k (k = 31 + 2 * 2 + 8), so
-        # the lift fails its exact check and k doubles before det refuses it
+        # det 2^60 + 1 is 1 modulo 2^k for every k up to 60
         [[2**30, 1], [-1, 2**30]],
     ],
     ids=[
@@ -355,26 +356,13 @@ def test_not_unimodular_has_no_inverse(rows):
         m.inverse()
 
 
-class ModCounter:
-    """Records the k of every ``_inverse_mod_2k`` call."""
-
-    def __init__(self, monkeypatch):
-        self.ks = []
-        orig = intmat._inverse_mod_2k
-
-        def counting(a, k):
-            self.ks.append(k)
-            return orig(a, k)
-
-        monkeypatch.setattr(intmat, "_inverse_mod_2k", counting)
-
-
 def test_odd_det_refused_by_det_mod_2k(monkeypatch):
     """det 3 is not +-1 mod 2^k, so a dense 12 x 12 block of det 3 is refused
     after one elimination, far below its Hadamard bound.  det 2^60 + 1 is 1
-    modulo the first 2^k of a 4 x 4 block (k = 31 + 2 * 3 + 8): that lift
-    fails its exact check, k doubles, and det refuses it then.  The 2 x 2
-    block alone is refused by its closed-form det, with no lift."""
+    modulo the first 2^k of a 5 x 5 block (k = 31 + 2 * 3 + 8): that lift
+    fails its exact check, k doubles, and det refuses it then.  The 4 x 4
+    and the 2 x 2 block are refused by the det of their adjugate, with no
+    lift."""
     m = random_unimodular(random.Random(11), 12, steps=80)
     det3 = IntMatrix.from_rows([[3 * x for x in m.data[0]], *m.data[1:]])
     mods = ModCounter(monkeypatch)
@@ -382,14 +370,15 @@ def test_odd_det_refused_by_det_mod_2k(monkeypatch):
     assert len(mods.ks) == 1
     mods.ks.clear()
     odd = IntMatrix.from_rows([[2**30, 1], [-1, 2**30]])
-    assert not IntMatrix.block_diag([odd, IntMatrix.identity(2)]).is_unimodular()
+    assert not IntMatrix.block_diag([odd, IntMatrix.identity(3)]).is_unimodular()
     assert mods.ks == [45, 90]
     mods.ks.clear()
+    assert not IntMatrix.block_diag([odd, IntMatrix.identity(2)]).is_unimodular()
     assert not odd.is_unimodular()
     assert mods.ks == []
 
 
-@pytest.mark.parametrize("n, c", [(24, 2), (20, 3), (9, -5), (3, 2**20)])
+@pytest.mark.parametrize("n, c", [(24, 2), (20, 3), (9, -5), (5, 2**10)])
 def test_inverse_past_the_first_modulus(monkeypatch, n, c):
     """I + cN, with N the shift, has an inverse with entries (-c)^(n-1), past
     2^(k-1) for the first k, so its first lift fails the exact check and k
@@ -482,6 +471,46 @@ def test_2x2_inverse_matches_row_reduction(m):
     inv = intmat._unimodular_inverse(m)
     assert inv == row_reduction_inverse(m)
     assert (inv is not None) == (m.det() in (1, -1))
+
+
+@st.composite
+def three_and_four(draw):
+    """A 3 x 3 or 4 x 4 L diag(det, 1, ...) U, with L and U unit lower and
+    upper triangular, entries of up to 50 bits and det in {0, +-1, +-2,
+    2^60 + 1}, its rows permuted: entries of about 100 bits, 160 with
+    det 2^60 + 1.  Or free entries of up to 400 bits."""
+    n = draw(st.sampled_from((3, 4)))
+    if draw(st.booleans()):
+        return IntMatrix.from_rows([[draw(st.integers(-(2**400), 2**400)) for _ in range(n)] for _ in range(n)])
+    bits = st.integers(-(2**50), 2**50)
+
+    def unit_triangular(below):
+        return IntMatrix.from_rows(
+            [[draw(bits) if (i > j if below else i < j) else int(i == j) for j in range(n)] for i in range(n)]
+        )
+
+    det = draw(st.sampled_from([0, 1, -1, 2, -2, 2**60 + 1]))
+    middle = IntMatrix.block_diag([IntMatrix(((det,),)), IntMatrix.identity(n - 1)])
+    rows = (unit_triangular(True) * middle * unit_triangular(False)).data
+    return IntMatrix.from_rows([rows[i] for i in draw(st.permutations(range(n)))])
+
+
+@settings(max_examples=300)
+@given(three_and_four())
+# the identity, and a signed permutation
+@example(IntMatrix.identity(3))
+@example(IntMatrix.from_rows([[0, 0, -1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, -1, 0, 0]]))
+def test_3x3_and_4x4_inverse_is_det_times_the_adjugate(m):
+    """The adjugate inverse of a 3 x 3 or 4 x 4 and the row-reduction oracle
+    give the same matrix, or both None, None exactly when det is not +-1;
+    A times it is I, and no 2-adic lift is made."""
+    with pytest.MonkeyPatch.context() as patch:
+        mods = ModCounter(patch)
+        inv = intmat._unimodular_inverse(m)
+    assert inv == row_reduction_inverse(m)
+    assert (inv is None) == (m.det() not in (1, -1))
+    assert inv is None or intmat.pairs_product(m.pairs, inv.pairs) == identity_pairs(m.rows)
+    assert mods.ks == []
 
 
 def test_det_multiplicative():

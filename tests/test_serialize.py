@@ -48,6 +48,7 @@ from infrank.witness import (
     ChainStep,
     WitnessChain,
     canonical_shear,
+    factor_block_unitriangular,
     km_pipeline,
     order_n_shear,
     shear_order_certificate,
@@ -74,6 +75,7 @@ from infrank.words import (
 import oracles
 from oracles import is_int_list
 from helpers import (
+    ModCounter,
     kernel_rows,
     matrix_text,
     one_atom_per_class,
@@ -506,6 +508,50 @@ def test_one_parse_decodes_the_54_chains_environment_text_once(monkeypatch):
         assert scanned.count(env) == 1, form
         if form != "indent":
             assert [scanned.count(json.loads(w)) for w in words] == [1] * 6, form
+
+
+def test_an_indented_parse_scans_each_distinct_copy_text_once(monkeypatch):
+    """With ``indent=1`` the (5,4) chain's copies have more distinct texts
+    than a walk keeps of one prefix (a step's word and a certificate's word
+    stand at two depths): one parse scans each of them once."""
+    text = json.dumps(json.loads(_CHAIN_54), indent=1)
+    decoder = json.JSONDecoder()
+    copies = []
+    for key in ('"env": ', '"word": '):
+        at = text.find(key)
+        while at >= 0:
+            start = at + len(key)
+            copies.append(text[start : decoder.raw_decode(text, start)[1]])
+            at = text.find(key, start)
+    assert len(copies) == 12 + 16 and len(set(copies)) > serialize._COPIES_KEPT
+    scanned, scan = [], serialize._scan
+
+    def recording(text, at):
+        value, end = scan(text, at)
+        scanned.append(text[at:end])
+        return value, end
+
+    monkeypatch.setattr(serialize, "_scan", recording)
+    assert parse_chain(text) == oracles.read_chain(text)
+    assert [scanned.count(copy) for copy in set(copies)] == [1] * len(set(copies))
+
+
+def test_a_parse_lifts_only_the_blocks_above_4x4(monkeypatch):
+    """Each atom is parsed with its exact inverse, by the adjugate up to
+    4 x 4 and by a 2-adic lift above: the ``infrank factor`` certificate of
+    [[2, 1], [0, 1]], which inverts seven 4 x 4 blocks, makes no lift, and
+    the (5,4) chain lifts its four blocks above 4 x 4, h1, h2, lam2 and
+    lam3, once each."""
+    cert = serialize_certificate(factor_block_unitriangular(2, IntMatrix.from_rows([[2, 1], [0, 1]]))[1])
+    calls, inverse = [], intmat._unimodular_inverse
+    monkeypatch.setattr(intmat, "_unimodular_inverse", lambda m: calls.append(m.rows) or inverse(m))
+    mods = ModCounter(monkeypatch)
+    parse_certificate(cert)
+    assert sorted(calls) == [0] + [4] * 7
+    assert mods.ks == []
+    env = parse_chain(_CHAIN_54).steps[0].certificates[0].environment
+    assert sorted(env) == ["h1", "h2", "lam2", "lam3", "phi"] and env["phi"].d == 2
+    assert sorted(mods.dims) == sorted(env[name].d for name in ("h1", "h2", "lam2", "lam3")) == [6, 6, 24, 36]
 
 
 def test_the_clean_chain_holds_one_environment_mapping():

@@ -66,7 +66,7 @@ from infrank.words import (
 
 import oracles
 from oracles import chain_document, solve_columns
-from helpers import ProductCounter, random_matrix
+from helpers import ModCounter, ProductCounter, random_matrix
 
 
 # -- tau powers --------------------------------------------------------------
@@ -1235,17 +1235,19 @@ def test_a_parsed_chain_reports_what_its_certificates_report_alone(case, tamper,
 
 
 def test_pipeline_build_inverts_each_matrix_once(monkeypatch):
-    """A general build makes 10 integer inverses, none of dimension above 4
-    (18 before the inverses the build knows were handed in): the 2 x 2
-    block of its input phi and phi's empty window; the empty window of each
-    of the two swaps h1 and h2, whose inverse is a second, equal matrix;
-    gamma (the finitary atom of its order certificate) and sigma, shared by
-    its two uses, of the order-2 and of the order-3 shear (2 x 2 and
-    4 x 4); and the empty window of lam2 and of lam3.  Each completion G
-    and each lam_n come with their inverses, diag(v, I) * u and
-    lam_n^(n-1), which the acceptance rule keeps."""
+    """A general (5,4) build and its check make 10 integer inverses, none of
+    dimension above 4, so none by a 2-adic lift (18 before the inverses the
+    build knows were handed in): the 2 x 2 block of its input phi and phi's
+    empty window; the empty window of each of the two swaps h1 and h2,
+    whose inverse is a second, equal matrix; gamma (the finitary atom of its
+    order certificate) and sigma, shared by its two uses, of the order-2 and
+    of the order-3 shear (2 x 2 and 4 x 4); and the empty window of lam2 and
+    of lam3.  Each completion G and each lam_n come with their inverses,
+    diag(v, I) * u and lam_n^(n-1), which the acceptance rule keeps."""
     calls = []
     orig = intmat._unimodular_inverse
     monkeypatch.setattr(intmat, "_unimodular_inverse", lambda x: calls.append(x) or orig(x))
-    witness._pipeline_general(canonical_shear(5, 4), 5, 4, 2, 3, {})
+    mods = ModCounter(monkeypatch)
+    km_pipeline(canonical_shear(5, 4))
     assert sorted(c.rows for c in calls) == [0] * 5 + [2] * 3 + [4] * 2
+    assert mods.ks == []
