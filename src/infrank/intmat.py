@@ -291,10 +291,13 @@ def pairs_product(a: Pairs, b: Pairs) -> Pairs:
     the entry 1.  Other rows add into an accumulator: a list as wide as b,
     read back by ``compress``, for a row whose terms are expected to fill
     an eighth of that width or more, else a dict of the columns met,
-    sorted once.  Entries that cancel are dropped either way.
+    sorted once.  Entries that cancel are dropped either way.  A product by
+    the identity is a itself.
     """
-    width = 1 + max((r[-1][0] for r in b if r), default=-1)
     terms = sum(map(len, b))
+    if terms == len(b) and all(row == ((i, 1),) for i, row in enumerate(b)):
+        return a
+    width = 1 + max((r[-1][0] for r in b if r), default=-1)
     # a row of a with this many entries is expected to add width / 8 terms
     dense_from = width * len(b) / (8 * terms) if terms else inf
     out = []

@@ -41,6 +41,7 @@ from .autrep import (
     head_and_period,
     uniform,
     window_matrix,
+    window_pairs,
 )
 from .errors import DimensionError, ShapeError, ValidationError
 from .intmat import IntMatrix, accept_inverse, complete_to_basis, snf
@@ -461,26 +462,29 @@ def verify_chain(chain: WitnessChain, walks: Optional[dict] = None) -> VerifyRes
     those of the build when ``km_pipeline`` passes them, else walks made
     here, from the atoms.  So each step reads what the earlier steps
     walked: the conjugation steps read step 1's rows of psi, and the Bezout
-    step's action claims apply the conjugation steps' rows.  Walks made
-    here are dropped before the links are checked, whose product is the
-    peak of a large check."""
+    step's action claims apply the conjugation steps' rows, or the build's
+    rows of the whole Bezout word where it walked them.  The links read
+    the walks passed in, where the build's walk of the Bezout word gives the
+    general ``final`` link with no product; walks made here are dropped
+    before the links are checked, whose product is the peak of a large
+    check."""
     ok = True
     lines: list[str] = []
-    walks = {} if walks is None else walks
+    shared = {} if walks is None else walks
     for step in chain.steps:
         for cert in step.certificates:
-            res = verify_certificate(cert, walks)
+            res = verify_certificate(cert, shared)
             ok = ok and res.ok
             lines.extend(f"{step.name}: {line}" for line in res.report)
-    del walks
-    broken = _broken_link(chain) if ok else None
+    del shared
+    broken = _broken_link(chain, walks) if ok else None
     if broken is not None:
         ok = False
         lines.append(f"broken link: {broken}")
     return VerifyResult(ok, tuple(lines))
 
 
-def _broken_link(chain: WitnessChain) -> Optional[str]:
+def _broken_link(chain: WitnessChain, walks: Optional[dict] = None) -> Optional[str]:
     """The first link of a chain with verified certificates that fails, or None.
 
     The links are those ``_pipeline_clean`` and ``_pipeline_general`` build:
@@ -489,7 +493,8 @@ def _broken_link(chain: WitnessChain) -> Optional[str]:
     closure of its atom phi; the last step's word is w1^a w2^b over the two
     conjugation steps' words; ``final`` is the last step's target (clean
     scope) or phi1^a phi2^b over the conjugation steps' targets (general
-    scope, ``_is_power_product``), each target of an identity claim that
+    scope, ``_is_power_product``, which reads the rows of w1^a w2^b that
+    ``walks`` hold, ``_held``), each target of an identity claim that
     holds on every window; and ``level`` is the modulus of ``final``'s
     shear (clean) or the tracked-pair coefficient of the last step's action
     claims (general).  So ``final`` is an element of nc(phi) that shears by
@@ -520,7 +525,8 @@ def _broken_link(chain: WitnessChain) -> Optional[str]:
         m = None if shape is None else shape[1]
     else:
         phis = _step_target(conj1), _step_target(conj2)
-        if None in phis or not _is_power_product(chain.final, *phis, *exponents):
+        held = _held(walks, certs[0].environment, last.word)
+        if None in phis or not _is_power_product(chain.final, *phis, *exponents, held):
             return "final is not phi1^a phi2^b over the conjugation steps' targets"
         m = _tracked_coefficient(last)
     if m != chain.level:
@@ -560,12 +566,38 @@ def _in_normal_closure(word: Token, name: str) -> bool:
     return isinstance(word, Product) and all(_in_normal_closure(f, name) for f in word.factors)
 
 
-def _is_power_product(final: RepAut, phi1: RepAut, phi2: RepAut, a: int, b: int) -> bool:
-    """Whether final = phi1^a phi2^b, by two words over them walked on the
-    core window H + L of phi1 and phi2, which final must not widen, with
-    each negative power moved to the other side so that nothing is inverted.
-    That window stands for every window, and phi1 and phi2 are verified
-    targets, so unimodular: moving a power is exact."""
+def _held(walks: Optional[dict], env: Mapping[str, RepAut], word: Token) -> Optional[tuple]:
+    """The atoms word names over env and the rows of word that ``walks``
+    hold on their core window H + L, as ``_walked`` leaves them; None when
+    they hold none, or env lacks a name (whose None atom has no split)."""
+    if not walks:
+        return None
+    atoms = [env.get(name) for name in word_names(word)]
+    split = head_and_period(atoms)
+    walk = None if split is None else walks.get((sum(split), id(env)))
+    rows = None if walk is None else walk.lookup(word)
+    return None if rows is None else (atoms, rows)
+
+
+def _is_power_product(
+    final: RepAut, phi1: RepAut, phi2: RepAut, a: int, b: int, held: Optional[tuple] = None
+) -> bool:
+    """Whether final = phi1^a phi2^b.
+
+    With ``held``, the atoms of the Bezout word w1^a w2^b and its rows on
+    their core window H + L (``_held``), final's window there is compared
+    with those rows, which final must not widen, and nothing is multiplied.
+    That window stands for every window, so final is w1^a w2^b, and the
+    conjugation steps' verified identity claims make each w_n phi_n on
+    every window.  Otherwise, by two words over phi1, phi2 and final walked
+    on the core window H + L of phi1 and phi2, which final must not widen,
+    with each negative power moved to the other side so that nothing is
+    inverted.  That window stands for every window, and phi1 and phi2 are
+    verified targets, so unimodular: moving a power is exact."""
+    if held is not None:
+        atoms, rows = held
+        split = head_and_period(atoms)
+        return head_and_period((final, *atoms)) == split and window_pairs(final, sum(split)) == rows
     split = head_and_period((phi1, phi2))
     if split is None or head_and_period((final, phi1, phi2)) != split:
         return False
@@ -599,14 +631,16 @@ def km_pipeline(phi: RepAut, coprime: tuple[int, int] = (2, 3)) -> WitnessChain:
     gcd(k, m) = 1 and m >= 2 (``canonical_shear`` builds one).  Raises
     ``ShapeError`` otherwise.  The finished chain is verified once, and a
     failing certificate raises ``ValidationError``.  In the general scope
-    (k != 1) the target psi of the reduction step and the targets phi_n of
-    the conjugation steps are the values of the steps' own words, and the
-    chain's ``final`` is phi_1^a phi_2^b over them: claimed values
+    (k != 1) the target psi of the reduction step, the targets phi_n of the
+    conjugation steps and the chain's ``final`` are the values of the steps'
+    own words, ``final`` that of the Bezout step's w1^a w2^b: claimed values
     (``autrep``) walked with no inverse (``_walked``), so ``compose`` and
     ``invert`` refuse them.  The check reuses the build's walks, so the
-    identity claims on psi and phi_n hold by construction here; the order
-    and action claims and the links are still checked, and a fresh
-    ``infrank verify`` of the written chain walks every word again.
+    identity claims on psi and phi_n hold by construction here, and so does
+    the ``final`` link, which reads the walked rows of w1^a w2^b with no
+    product; the order and action claims and the other links are still
+    checked, and a fresh ``infrank verify`` of the written chain walks every
+    word again and multiplies for the ``final`` link.
     """
     shape = shear_shape(phi)
     if shape is None:
@@ -721,11 +755,8 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int, walks: dict
 
     # steps 2: for each n, an order-n lambda built from two embedded copies of
     # the order-n shear steers phi_n = (lambda psi)^n into x0 -> x0 + m n p, p
-    # fixed; as lambda^n = 1, phi_n is the step's word, and final takes
-    # phi_n^-1 for a negative Bezout exponent, walked from the word's inverse
-    _, a, b = xgcd(n1, n2)
-    bases = []
-    for n, e in zip((n1, n2), (a, b)):
+    # fixed; as lambda^n = 1, phi_n is the step's word
+    for n in (n1, n2):
         s2 = 2 * n * s_chunk
         za = z_vec + [0] * (s2 - s_chunk)
         zp = [0] * s_chunk + z_vec + [0] * (s2 - 2 * s_chunk)
@@ -760,7 +791,6 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int, walks: dict
         word_lam = Named(f"lam{n}")
         word_n = Product(tuple(Conj(word_psi, Power(word_lam, j)) for j in range(1, n + 1)))
         phi_n = _walked(env, word_n, walks)
-        bases.append(_walked(env, Inverse(word_n), walks) if e < 0 else phi_n)
         cert2a = Certificate(kind=ORDER, windows=(s2,), environment=env, word=word_lam, order=n)
         cert2b = _claim(env, word_n, s2, kind=WINDOW_IDENTITY, target_aut=phi_n)
         steps.append(
@@ -772,7 +802,9 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int, walks: dict
             )
         )
 
-    # step 3: Bezout combination of the two tracked shears
+    # step 3: Bezout combination of the two tracked shears; final is its word
+    # walked, which reads w_n^-1 for a negative exponent on w_n's core window
+    _, a, b = xgcd(n1, n2)
     word3 = Product((Power(steps[1].word, a), Power(steps[2].word, b)))
     steps.append(
         ChainStep(
@@ -782,9 +814,7 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int, walks: dict
             note=f"{a}*{n1} + {b}*{n2} = 1; shear by m = {m} on the tracked pair",
         )
     )
-    word_final = Product((Power(Named("phi1"), abs(a)), Power(Named("phi2"), abs(b))))
-    final = _walked(dict(zip(("phi1", "phi2"), bases)), word_final)
-    return WitnessChain(tuple(steps), final, m, SCOPE_NOTE_GENERAL)
+    return WitnessChain(tuple(steps), _walked(env, word3, walks), m, SCOPE_NOTE_GENERAL)
 
 
 def _walked(env: Mapping[str, RepAut], word: Token, walks: Optional[dict] = None) -> RepAut:
@@ -792,6 +822,7 @@ def _walked(env: Mapping[str, RepAut], word: Token, walks: Optional[dict] = None
     (``words._Rows``) on the window H + L of the ``head_and_period`` of the
     atoms it names (kept in ``walks``, ``words._walk``), read back by
     ``autrep.from_window``.  No inverse window is made; the chain's links
-    check the value."""
+    check the value, where the walk's rows of word, which stay in ``walks``,
+    are the general ``final`` link's reading (``_held``)."""
     split = head_and_period([env[name] for name in word_names(word)])
     return from_window(_walk(walks, env, sum(split)).walk(word), split)

@@ -769,6 +769,29 @@ def test_product_kernel_on_wide_sparse_rows(r, k, c, data):
 
 
 @st.composite
+def near_identity(draw, n):
+    """An n x n permutation matrix, or the identity with one entry set to 2:
+    b whose rows hold one term each, or one row two, but that is not I."""
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        return [tuple(int(j == perm[i]) for j in range(n)) for i in range(n)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return [tuple(2 if (r, c) == (i, j) else int(r == c) for c in range(n)) for r in range(n)]
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 9), st.integers(1, 9), st.data())
+def test_product_by_the_identity_is_the_other_factor(r, n, data):
+    """a * I is a itself; a permutation b, or the identity with one entry
+    set to 2, gives the rows the entry-by-entry walk gives."""
+    a = data.draw(kernel_rows(r, n))
+    pairs = intmat.row_pairs(a)
+    assert intmat.pairs_product(pairs, identity_pairs(n)) is pairs
+    b = data.draw(near_identity(n))
+    assert _pairs_product(a, b, n) == list(oracles.product_rows(a, b, n))
+
+
+@st.composite
 def inverse_kernel_inputs(draw):
     """Square matrices of every ``kernel_rows`` kind and every square
     ``inverse_inputs`` matrix, with a modulus exponent from 1 to 90 bits or

@@ -611,10 +611,16 @@ def test_chain_bytes_are_unchanged(k, m, pair, size, digest):
 # completion G comes with its inverse diag(v, I) * u (two products) and
 # lam3 with its inverse lam3^2 (one; lam2 is its own inverse); the parsed
 # figures do not move.
+#
+# A general build went from (49, 20) to (48, 15) when final came to be the
+# walked Bezout word, whose rows the check's final link then reads with no
+# product: the build no longer reads phi1 and phi2 to multiply them, and the
+# link no longer reads final, phi1 and phi2 or makes phi1^|a| final.  The
+# parsed figures do not move.
 WALK_COUNTS = [
-    (5, 4, (49, 20), (22, 15)),
-    (3, 4, (49, 20), (22, 15)),
-    (7, 6, (49, 20), (22, 15)),
+    (5, 4, (48, 15), (22, 15)),
+    (3, 4, (48, 15), (22, 15)),
+    (7, 6, (48, 15), (22, 15)),
     (1, 5, (3, 4), (3, 4)),
 ]
 
@@ -674,9 +680,9 @@ def test_a_parsed_check_drops_its_walks_before_the_link(monkeypatch):
     live = []
     link = witness._broken_link
 
-    def counting(chain):
+    def counting(chain, walks):
         live.append(sum(ref() is not None for ref in refs))
-        return link(chain)
+        return link(chain, walks)
 
     monkeypatch.setattr(words_module, "_walk", recording)
     monkeypatch.setattr(witness, "_broken_link", counting)
@@ -691,6 +697,42 @@ def test_a_parsed_check_drops_its_walks_before_the_link(monkeypatch):
         gc.enable()
     assert built and parsed
     assert live == [built, 0]
+
+
+def test_the_in_process_final_link_compares_the_walked_rows():
+    """With the build's walks, the general final link compares final's
+    window with the rows the walks hold for the Bezout word: final with one
+    block entry bumped, still a claimed value, breaks the link there."""
+    walks = {}
+    chain = witness._pipeline_general(canonical_shear(5, 4), 5, 4, 2, 3, walks)
+    assert verify_chain(chain, walks).ok
+    final = chain.final
+    rows = [list(row) for row in final.block.matrix.data]
+    rows[0][0] += 1
+    bumped = eventually_uniform(final.window, IntMatrix.from_rows(rows), claimed=True)
+    res = verify_chain(replace(chain, final=bumped), walks)
+    assert not res.ok
+    assert res.report[-1] == FINAL_NOT_PRODUCT
+
+
+def test_only_a_parsed_check_multiplies_for_the_final_link(monkeypatch):
+    """The link of km_pipeline's own check reads the Bezout word's rows off
+    the build's walks and makes no product; a parsed check's link makes
+    phi1^|a| final, one product for the (5,4) chain, where a = -1."""
+    products = ProductCounter(monkeypatch)
+    counts = []
+    link = witness._broken_link
+
+    def counting(chain, walks):
+        before = products.count
+        out = link(chain, walks)
+        counts.append(products.count - before)
+        return out
+
+    monkeypatch.setattr(witness, "_broken_link", counting)
+    chain = km_pipeline(canonical_shear(5, 4))
+    assert verify_chain(parse_chain(serialize_chain(chain))).ok
+    assert counts == [0, 1]
 
 
 def test_a_parsed_check_reads_the_atoms_of_psi_on_its_core_window_only(monkeypatch):
@@ -1194,6 +1236,28 @@ def test_forward_products_give_the_composed_values(k, m, pair):
         d = old.d
         for n in (d, 2 * d, 3 * d):
             assert oracles.dense_window(new, n) == oracles.dense_window(old, n)
+
+
+@st.composite
+def general_shears(draw):
+    """(k, m) of a general pipeline: m in {3, 4, 6}, k != 1 with |k| <= 7
+    and gcd(k, m) = 1."""
+    m = draw(st.sampled_from([3, 4, 6]))
+    k = draw(st.integers(-7, 7).filter(lambda k: k != 1 and gcd(k, m) == 1))
+    return k, m
+
+
+@settings(max_examples=20, deadline=None)
+@given(general_shears(), st.sampled_from([(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3)]))
+def test_the_walked_bezout_word_is_the_dense_final(shear, pair):
+    """final, the Bezout word walked, is phi_1^a phi_2^b made by ``compose``
+    and ``invert`` on windows d, 2d and 3d, for a < 0 < b and b < 0 < a, and
+    |a| = 2 or |b| = 2."""
+    chain = km_pipeline(canonical_shear(*shear), pair)
+    *_, final = oracles.general_chain_values(chain, pair)
+    d = final.d
+    for n in (d, 2 * d, 3 * d):
+        assert oracles.dense_window(chain.final, n) == oracles.dense_window(final, n)
 
 
 @cache
