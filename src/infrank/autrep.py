@@ -40,7 +40,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .errors import AlignmentError, CompositionUnsupportedError, DimensionError, ValidationError
+from .errors import AlignmentError, CompositionUnsupportedError, ValidationError
 from .intmat import (
     IntMatrix,
     Pairs,
@@ -385,51 +385,11 @@ def window_matrix(aut: RepAut, n: int) -> IntMatrix:
     return IntMatrix.from_pairs(window_pairs(aut, n), n)
 
 
-def window_apply(aut: RepAut, n: int, vector: Sequence[int]) -> list[int]:
-    """``window_matrix(aut, n).apply(vector)`` without forming the matrix.
-
-    Each class acts on its own terms: a finitary atom on its support, an
-    eventually uniform one by its head window and then only on the blocks
-    that hold a nonzero coordinate, a graded one pair by pair up to the last
-    nonzero x-coordinate.
-    """
-    _check_window(aut, n)
-    if len(vector) != n:
-        raise DimensionError("vector length does not match column count")
-    out = list(vector)
-    if isinstance(aut, Finitary):
-        _apply_block(aut.matrix, aut.support, list(map(vector.__getitem__, aut.support)), out)
-    elif isinstance(aut, EventuallyUniform):
-        n0, d = aut.window_size, aut.d
-        _apply_block(aut.window, range(n0), vector[:n0], out)
-        for s in nonzero_blocks(vector, n0, d):
-            _apply_block(aut.block.matrix, range(s, s + d), vector[s : s + d], out)
-    else:
-        xs = range(0, n, 2)
-        last = next((i for i in reversed(xs) if vector[i]), -1)
-        for pair, c in enumerate(aut._increments(last // 2 + 1)[: last // 2 + 1]):
-            out[2 * pair + 1] += (-c if aut.negated else c) * vector[2 * pair]
-    return out
-
-
 def nonzero_blocks(vector: Sequence[int], start: int, d: int) -> Iterable[int]:
     """Starts of the d-sized chunks of ``vector`` from ``start`` on that hold
     a nonzero coordinate, in order."""
     nonzero = compress(range(start, len(vector)), islice(vector, start, None))
     return dict.fromkeys(i - (i - start) % d for i in nonzero)
-
-
-def _apply_block(m: IntMatrix, coords: Sequence[int], local: Sequence[int], out: list[int]) -> None:
-    """Write m applied to ``local``, the vector's entries at ``coords``, into
-    ``out`` there.  Only the nonzero entries, found by ``compress``, add
-    their column of m."""
-    nz = list(compress(enumerate(local), local))
-    if nz:
-        acc = [0] * len(m.data)
-        for b, x in nz:
-            acc = [s + row[b] * x for s, row in zip(acc, m.data)]
-        for i, s in zip(coords, acc):
-            out[i] = s
 
 
 # -- group operations ----------------------------------------------------

@@ -44,7 +44,7 @@ from .autrep import (
     window_pairs,
 )
 from .errors import DimensionError, ShapeError, ValidationError
-from .intmat import IntMatrix, accept_inverse, complete_to_basis, snf
+from .intmat import IntMatrix, Pairs, accept_inverse, complete_to_basis, snf
 from .numth import euler_phi, xgcd
 from .words import (
     ACTION_ON_VECTOR,
@@ -59,11 +59,10 @@ from .words import (
     Product,
     Token,
     VerifyResult,
-    _Rows,
     _walk,
     holds_on_every_window,
+    named_atoms,
     verify_certificate,
-    word_names,
 )
 
 
@@ -458,25 +457,21 @@ def verify_chain(chain: WitnessChain, walks: Optional[dict] = None) -> VerifyRes
     """Check every certificate of the chain, each once, and then, once they
     all hold, the links that make them prove the chain's claim
     (``_broken_link``); a broken link adds one report line.  The
-    certificates share one set of window walks (``verify_certificate``):
-    those of the build when ``km_pipeline`` passes them, else walks made
-    here, from the atoms.  So each step reads what the earlier steps
-    walked: the conjugation steps read step 1's rows of psi, and the Bezout
-    step's action claims apply the conjugation steps' rows, or the build's
-    rows of the whole Bezout word where it walked them.  The links read
-    the walks passed in, where the build's walk of the Bezout word gives the
-    general ``final`` link with no product; walks made here are dropped
-    before the links are checked, whose product is the peak of a large
-    check."""
+    certificates and the links share one set of window walks
+    (``verify_certificate``): those of the build when ``km_pipeline`` passes
+    them, else walks made here, from the atoms.  So each step reads what the
+    earlier steps walked: the conjugation steps read step 1's rows of psi,
+    the Bezout step's action claims build w1^a w2^b from the conjugation
+    steps' rows (or find the build's rows of it), and the general ``final``
+    link compares ``final`` with those rows."""
     ok = True
     lines: list[str] = []
-    shared = {} if walks is None else walks
+    walks = {} if walks is None else walks
     for step in chain.steps:
         for cert in step.certificates:
-            res = verify_certificate(cert, shared)
+            res = verify_certificate(cert, walks)
             ok = ok and res.ok
             lines.extend(f"{step.name}: {line}" for line in res.report)
-    del shared
     broken = _broken_link(chain, walks) if ok else None
     if broken is not None:
         ok = False
@@ -493,9 +488,10 @@ def _broken_link(chain: WitnessChain, walks: Optional[dict] = None) -> Optional[
     closure of its atom phi; the last step's word is w1^a w2^b over the two
     conjugation steps' words; ``final`` is the last step's target (clean
     scope) or phi1^a phi2^b over the conjugation steps' targets (general
-    scope, ``_is_power_product``, which reads the rows of w1^a w2^b that
-    ``walks`` hold, ``_held``), each target of an identity claim that
-    holds on every window; and ``level`` is the modulus of ``final``'s
+    scope: ``final``'s window is the rows of w1^a w2^b walked in ``walks``,
+    which the certificates' check has filled, ``_is_power_product``), each
+    target of an identity claim that holds on every window; and ``level`` is
+    the modulus of ``final``'s
     shear (clean) or the tracked-pair coefficient of the last step's action
     claims (general).  So ``final`` is an element of nc(phi) that shears by
     ``level``.  Last, the steps carry the pipeline's names, each n read from its word.
@@ -525,8 +521,8 @@ def _broken_link(chain: WitnessChain, walks: Optional[dict] = None) -> Optional[
         m = None if shape is None else shape[1]
     else:
         phis = _step_target(conj1), _step_target(conj2)
-        held = _held(walks, certs[0].environment, last.word)
-        if None in phis or not _is_power_product(chain.final, *phis, *exponents, held):
+        read = None if None in phis else _word_window(walks, certs[0].environment, last.word)
+        if read is None or not _is_power_product(chain.final, *read):
             return "final is not phi1^a phi2^b over the conjugation steps' targets"
         m = _tracked_coefficient(last)
     if m != chain.level:
@@ -566,48 +562,15 @@ def _in_normal_closure(word: Token, name: str) -> bool:
     return isinstance(word, Product) and all(_in_normal_closure(f, name) for f in word.factors)
 
 
-def _held(walks: Optional[dict], env: Mapping[str, RepAut], word: Token) -> Optional[tuple]:
-    """The atoms word names over env and the rows of word that ``walks``
-    hold on their core window H + L, as ``_walked`` leaves them; None when
-    they hold none, or env lacks a name (whose None atom has no split)."""
-    if not walks:
-        return None
-    atoms = [env.get(name) for name in word_names(word)]
+def _is_power_product(final: RepAut, atoms: list[RepAut], rows: Pairs) -> bool:
+    """Whether final is the word w1^a w2^b whose ``atoms`` and rows on
+    their core window H + L ``_word_window`` gives: final must not widen
+    (H, L), and its window there must be those rows.  That window stands
+    for every window, so final is w1^a w2^b, and the conjugation steps'
+    verified identity claims make each w_n phi_n on every window: so final
+    is phi1^a phi2^b, and nothing is multiplied or inverted here."""
     split = head_and_period(atoms)
-    walk = None if split is None else walks.get((sum(split), id(env)))
-    rows = None if walk is None else walk.lookup(word)
-    return None if rows is None else (atoms, rows)
-
-
-def _is_power_product(
-    final: RepAut, phi1: RepAut, phi2: RepAut, a: int, b: int, held: Optional[tuple] = None
-) -> bool:
-    """Whether final = phi1^a phi2^b.
-
-    With ``held``, the atoms of the Bezout word w1^a w2^b and its rows on
-    their core window H + L (``_held``), final's window there is compared
-    with those rows, which final must not widen, and nothing is multiplied.
-    That window stands for every window, so final is w1^a w2^b, and the
-    conjugation steps' verified identity claims make each w_n phi_n on
-    every window.  Otherwise, by two words over phi1, phi2 and final walked
-    on the core window H + L of phi1 and phi2, which final must not widen,
-    with each negative power moved to the other side so that nothing is
-    inverted.  That window stands for every window, and phi1 and phi2 are
-    verified targets, so unimodular: moving a power is exact."""
-    if held is not None:
-        atoms, rows = held
-        split = head_and_period(atoms)
-        return head_and_period((final, *atoms)) == split and window_pairs(final, sum(split)) == rows
-    split = head_and_period((phi1, phi2))
-    if split is None or head_and_period((final, phi1, phi2)) != split:
-        return False
-    walk = _Rows({"final": final, "phi1": phi1, "phi2": phi2}, sum(split))
-    left, right = [Named("final")], []
-    if a:
-        (left if a < 0 else right).insert(0, Power(Named("phi1"), abs(a)))
-    if b:
-        (left if b < 0 else right).append(Power(Named("phi2"), abs(b)))
-    return walk.walk(Product(tuple(left))) == walk.walk(Product(tuple(right)))
+    return head_and_period((final, *atoms)) == split and window_pairs(final, sum(split)) == rows
 
 
 def _tracked_coefficient(step: ChainStep) -> Optional[int]:
@@ -636,11 +599,10 @@ def km_pipeline(phi: RepAut, coprime: tuple[int, int] = (2, 3)) -> WitnessChain:
     own words, ``final`` that of the Bezout step's w1^a w2^b: claimed values
     (``autrep``) walked with no inverse (``_walked``), so ``compose`` and
     ``invert`` refuse them.  The check reuses the build's walks, so the
-    identity claims on psi and phi_n hold by construction here, and so does
-    the ``final`` link, which reads the walked rows of w1^a w2^b with no
-    product; the order and action claims and the other links are still
-    checked, and a fresh ``infrank verify`` of the written chain walks every
-    word again and multiplies for the ``final`` link.
+    identity claims on psi and phi_n, the Bezout step's action claims and
+    the ``final`` link read rows the build walked; the order claims and the
+    other links are still checked, and a fresh ``infrank verify`` of the
+    written chain walks every word again, by the same rules.
     """
     shape = shear_shape(phi)
     if shape is None:
@@ -817,12 +779,21 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int, walks: dict
     return WitnessChain(tuple(steps), _walked(env, word3, walks), m, SCOPE_NOTE_GENERAL)
 
 
-def _walked(env: Mapping[str, RepAut], word: Token, walks: Optional[dict] = None) -> RepAut:
-    """The claimed value (``autrep``) of word over env: the word walked once
-    (``words._Rows``) on the window H + L of the ``head_and_period`` of the
-    atoms it names (kept in ``walks``, ``words._walk``), read back by
+def _walked(env: Mapping[str, RepAut], word: Token, walks: dict) -> RepAut:
+    """The claimed value (``autrep``) of word over env: its rows on its
+    atoms' core window H + L (``_word_window``), read back by
     ``autrep.from_window``.  No inverse window is made; the chain's links
-    check the value, where the walk's rows of word, which stay in ``walks``,
-    are the general ``final`` link's reading (``_held``)."""
-    split = head_and_period([env[name] for name in word_names(word)])
-    return from_window(_walk(walks, env, sum(split)).walk(word), split)
+    check the value, and the rows stay in ``walks``."""
+    atoms, rows = _word_window(walks, env, word)
+    return from_window(rows, head_and_period(atoms))
+
+
+def _word_window(walks: Optional[dict], env: Mapping[str, RepAut], word: Token) -> Optional[tuple]:
+    """The atoms word names over env (``words.named_atoms``) and word's rows
+    on their ``head_and_period`` window H + L, walked in ``walks``
+    (``words._walk``), so that the build and the check find the value of a
+    word by one rule; None when env lacks a name or the atoms have no
+    (H, L)."""
+    atoms = named_atoms(env, word)
+    split = None if atoms is None else head_and_period(atoms)
+    return None if split is None else (atoms, _walk(walks, env, sum(split)).walk(word))

@@ -17,8 +17,8 @@ from __future__ import annotations
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import partial, reduce
-from typing import Callable, Iterable, Optional, Sequence
+from functools import reduce
+from typing import Iterable, Optional, Sequence
 
 from .autrep import (
     Finitary,
@@ -28,7 +28,6 @@ from .autrep import (
     head_and_period,
     is_claimed,
     nonzero_blocks,
-    window_apply,
     window_pairs,
     witnessed,
 )
@@ -90,9 +89,10 @@ def evaluate_word(word: Token, env: Environment, n: int) -> IntMatrix:
 
 
 def push_word(word: Token, env: Environment, n: int, vector: Sequence[int]) -> tuple[int, ...]:
-    """``evaluate_word(word, env, n).apply(vector)``, vector zero-padded to n,
-    pushed through the word's free-reduced letters (``_Rows.push``)."""
-    return _Rows(env, n).push(word, _pad(vector, n))
+    """``evaluate_word(word, env, n).apply(vector)``, vector zero-padded to n:
+    the word's row pairs (``_Rows``) applied to it."""
+    v = _pad(vector, n)
+    return apply_pairs(_Rows(env, n).walk(word), v)
 
 
 class _Family:
@@ -111,18 +111,15 @@ class _Family:
         return _Rows(self.env, n, self) if walk is None else walk
 
     def atoms(self, token: Token) -> Optional[list[RepAut]]:
-        """The atoms token names; None for a token of no known kind, or
+        """The atoms token names (``named_atoms``), kept once known: None
         while it names an atom the env lacks (the env may gain names, never
         rebind one)."""
         hit = self.tokens.get(id(token))
         if hit is None:
-            try:
-                names = word_names(token)
-            except WordError:
+            atoms = named_atoms(self.env, token)
+            if atoms is None:
                 return None
-            if not names <= self.env.keys():
-                return None
-            hit = self.tokens[id(token)] = token, [self.env[x] for x in names]
+            hit = self.tokens[id(token)] = token, atoms
         return hit[1]
 
     def core(self, token: Token, n: int) -> Optional[tuple[int, int]]:
@@ -167,15 +164,13 @@ class _Rows:
       its window (which checks the window); a product's factors left to
       right (right to left inverted), a conjugate's h, h^-1, then g.  So a
       word that fails raises its first error, in the tree's order.
-
-    The same letters push a vector through the word (``push``).
     """
 
     def __init__(self, env: Environment, n: int, family: Optional[_Family] = None):
         self.env, self.n, self.memo = env, n, {}
         self.family = family or _Family(env)
         self.family.walks[n] = weakref.ref(self)
-        self.cores, self.pushes = {}, {}
+        self.cores = {}
 
     def lookup(self, word: Token, inv: bool = False) -> Optional[Pairs]:
         """The rows of (word, inv) this walk holds, or None."""
@@ -250,127 +245,41 @@ class _Rows:
         atoms = self.family.atoms(token)
         return atoms is not None and _aligned(atoms, (self.n,)) and not any(map(is_claimed, atoms))
 
-    def push(self, word: Token, v: Sequence[int]) -> tuple[int, ...]:
-        """v, of length n, pushed through the word's window: by the rows a
-        walk holds for it, else by its free-reduced letters, right to left
-        (``_push``).  A word the rules would not read is read by the tree,
-        which raises its first error or holds its rows."""
-        if self.lookup(word) is None and not self._readable(word):
-            self.walk(word)
-        return tuple(self._push(word, 1)[0](v))
 
-    def _push(self, token: Token, e: int) -> tuple:
-        """A push through the letter token^e, and the applications it makes,
-        made once per walk (``pushes``).
-
-        A letter applies the rows a walk of the family holds for its token
-        (``_held``); else a name applies its atom (``window_apply``), and a
-        compound token pushes through its own letters, where a token whose
-        reading a walk holds is a letter, not read further.  To the |e| > 1
-        that is done |e| times, unless that would make more than n
-        applications: then the letter's rows are read (``_letter``) and
-        applied once, as a window product costs up to n^3 and an
-        application up to n^2.  So is a compound token whose push would
-        make more than n applications and more than ``_MAX_PUSHES``: a push
-        through conjugates nested d deep in conjugators makes 2^(d + 1) - 1
-        applications, and their rows take O(d) products.
-        """
-        hit = self.pushes.get((id(token), e))
-        if hit is not None:
-            return hit[1]
-        if e != 1 and e != -1:
-            push, count = self._push(token, 1 if e > 0 else -1)
-            if abs(e) * count > self.n:
-                out = partial(apply_pairs, self._letter(token, e)), 1
-            else:
-                out = _in_turn([push] * abs(e)), abs(e) * count
-        elif (held := self._held(token, e < 0)) is not None:
-            out = held, 1
-        elif type(token) is Named:
-            aut = self.env[token.name]
-            out = partial(window_apply, invert_aut(aut) if e < 0 else aut, self.n), 1
-        else:
-            tokens, exps = _letters(token, e < 0, self._held)
-            parts = [self._push(t, x) for t, x in zip(reversed(tokens), reversed(exps))]
-            count = sum(count for _, count in parts)
-            if count > max(self.n, _MAX_PUSHES):
-                out = partial(apply_pairs, self._letter(token, e)), 1
-            else:
-                out = _in_turn([push for push, _ in parts]), count
-        self.pushes[id(token), e] = token, out
-        return out
-
-    def _held(self, token: Token, inv: bool) -> Optional[Callable]:
-        """The application of the rows of (token, inv) that this walk holds,
-        or that the family's walk on token's core window holds, chunk by
-        chunk (``_push_chunks``); None when neither holds them."""
-        rows = self.lookup(token, inv)
-        if rows is not None:
-            return partial(apply_pairs, rows)
-        core = self.family.core(token, self.n)
-        ref = None if core is None else self.family.walks.get(core[0])
-        walk = None if ref is None else ref()
-        rows = None if walk is None else walk.lookup(token, inv)
-        if rows is None:
-            return None
-        image = partial(apply_pairs, rows)
-        return lambda v: _push_chunks(image, *core, tuple(v))
-
-
-# the applications a push through a compound token makes before its rows
-# are read instead, where the window allows fewer (``_Rows._push``)
-_MAX_PUSHES = 1 << 12
-
-
-def _in_turn(pushes: list[Callable]) -> Callable:
-    """The pushes applied in turn, in a loop, so a push nests only as deep
-    as the word."""
-
-    def push(v: Sequence[int]) -> Sequence[int]:
-        for f in pushes:
-            v = f(v)
-        return v
-
-    return push
-
-
-def _letters(word: Token, inv: bool, held: Optional[Callable] = None) -> tuple[list[Token], list[int]]:
+def _letters(word: Token, inv: bool) -> tuple[list[Token], list[int]]:
     """The free-reduced letters of a word, read inverted or not, as their
     tokens and exponents.
 
     A conjugate ``Conj(g, h)`` to the e is h, g^e, h^-1; ``Power`` and
     ``Inverse`` go into the exponent; an inverted product is its factors
     reversed, each inverted; any other token (a name, a product inside a
-    product or a conjugate) is a letter, and so are a conjugate read as a
+    product or a conjugate) is a letter, and so is a conjugate read as a
     conjugator, which read on both sides would make a conjugate nested d
-    deep 2^(d + 1) - 1 letters, and a token for which
-    ``held(token, e < 0)`` is true.  A letter on the token of the one
-    before it, the same object or a name equal to it, merges with it, and
-    a zero exponent drops.
+    deep 2^(d + 1) - 1 letters.  A letter on the token of the one before
+    it, the same object or a name equal to it, merges with it, and a zero
+    exponent drops.
     """
     out: tuple[list[Token], list[int]] = ([], [])
     sign = -1 if inv else 1
     if type(word) is Product:
         for f in reversed(word.factors) if inv else word.factors:
-            _add_letter(f, sign, *out, held)
+            _add_letter(f, sign, *out)
     else:
-        _add_letter(word, sign, *out, held)
+        _add_letter(word, sign, *out)
     return out
 
 
-def _add_letter(
-    t: Token, e: int, tokens: list, exps: list, held: Optional[Callable], conjugator: bool = False
-) -> None:
+def _add_letter(t: Token, e: int, tokens: list, exps: list, conjugator: bool = False) -> None:
     kind = type(t)
-    while e and (kind is Inverse or kind is Power) and not (held and held(t, e < 0)):
+    while e and (kind is Inverse or kind is Power):
         t, e = t.inner, -e if kind is Inverse else e * t.exponent
         kind = type(t)
     if not e:
         return
-    if kind is Conj and not conjugator and not (held and held(t, e < 0)):
-        _add_letter(t.h, 1, tokens, exps, held, True)
-        _add_letter(t.g, e, tokens, exps, held)
-        _add_letter(t.h, -1, tokens, exps, held, True)
+    if kind is Conj and not conjugator:
+        _add_letter(t.h, 1, tokens, exps, True)
+        _add_letter(t.g, e, tokens, exps)
+        _add_letter(t.h, -1, tokens, exps, True)
     elif tokens and (tokens[-1] is t or kind is Named and tokens[-1] == t):
         # an environment binds each name once, so equal names are one atom
         exps[-1] += e
@@ -400,6 +309,16 @@ def word_names(word: Token) -> frozenset[str]:
             names = frozenset().union(*map(word_names, word.factors))
         word.__dict__["_names"] = names
     return names
+
+
+def named_atoms(env: Environment, *words: Token) -> Optional[list[RepAut]]:
+    """The atoms the words name over env; None for a token of no known kind,
+    or when a word names an atom env lacks."""
+    try:
+        names = frozenset().union(*map(word_names, words))
+    except WordError:
+        return None
+    return [env[name] for name in names] if names <= env.keys() else None
 
 
 # -- certificates --------------------------------------------------------
@@ -496,16 +415,15 @@ def verify_certificate(cert: Certificate, walks: Optional[dict] = None) -> Verif
     every atom of the claim is aligned on each, the words are walked once,
     on the largest m, and each smaller m's walk is seeded with their first
     m rows, which are window m (``autrep.window_pairs``).  An action claim
-    on a reduced window is pushed chunk by chunk on the core window
-    (``_check_action``).  A claimed ``target_aut`` must also be shown
-    unimodular (``_claimed_target``).
+    applies the word's rows to its vector, chunk by chunk on the core window
+    of a reduced window (``_check_action``).  A claimed ``target_aut`` must
+    also be shown unimodular (``_claimed_target``).
 
     ``walks``, when given, keeps one ``_Rows`` walk per (window,
     environment mapping) (``_walk``); ``verify_chain`` shares it between
-    the certificates of a chain, so what their words share is walked once,
-    and an action claim applies the rows the walks hold for its word or its
-    letters (``_check_action``).  Without it, each walk is dropped after its
-    check, and an action claim's pushes share theirs.
+    the certificates of a chain, so what their words share is walked once.
+    Without it, each walk is dropped after its check, except that the
+    windows of an action claim share theirs.
     """
     if cert.kind == ORDER and (cert.order is None or cert.order < 1):
         raise ValidationError("order certificate needs a positive order")
@@ -519,7 +437,7 @@ def verify_certificate(cert: Certificate, walks: Optional[dict] = None) -> Verif
         sizes.add(n if r is None else r[0])
     big = None
     if cert.kind == ACTION_ON_VECTOR:
-        walks = {} if walks is None else walks  # one walk per push window for every chunk
+        walks = {} if walks is None else walks  # one walk per core window for every chunk
     elif len(sizes) > 1 and atoms and _aligned(atoms, sizes):
         big = _walk(walks, cert.environment, max(sizes))
     done: dict[int, tuple[bool, str]] = {}
@@ -623,14 +541,10 @@ def _claim_atoms(cert: Certificate) -> Optional[list[RepAut]]:
     with the ``target_aut`` of an identity claim; None when a word names a
     missing atom."""
     tokens = cert.summand_words if cert.kind == WINDOW_SUM else (cert.word,)
-    try:
-        names = frozenset().union(*map(word_names, tokens))
-    except WordError:
+    atoms = named_atoms(cert.environment, *tokens)
+    if atoms is None:
         return None
-    if not names <= cert.environment.keys():
-        return None
-    target = [cert.target_aut] if cert.kind == WINDOW_IDENTITY and cert.target_aut else []
-    return [cert.environment[name] for name in names] + target
+    return atoms + ([cert.target_aut] if cert.kind == WINDOW_IDENTITY and cert.target_aut else [])
 
 
 def _reducible(cert: Certificate) -> bool:
@@ -669,23 +583,22 @@ def _check_action(
     pushed: dict[tuple[int, ...], tuple[int, ...]],
     walks: dict,
 ) -> tuple[bool, str]:
-    """Push the vector on window n, or chunk by chunk on its core window
-    when ``reduced`` gives one with its period (``_push_chunks``), each
-    distinct nonzero chunk once per certificate (``pushed`` is shared by
-    its windows).
+    """Apply the word's rows on window n to the vector, or chunk by chunk
+    on its core window when ``reduced`` gives one with its period
+    (``_push_chunks``), each distinct nonzero chunk once per certificate
+    (``pushed`` is shared by its windows).
 
-    A push (``_Rows.push``) applies the rows the walks in ``walks`` hold for
-    the word or its letters, and otherwise applies the letters' atoms; a word
-    the rules would not read raises the tree reading's first error.  Every
-    row applied is an exact window walked from the atoms, and the image is
-    compared with the target over all n coordinates, so the check stays
-    genuine.
+    The rows are the word's walk in ``walks`` (``_Rows``, which raises a
+    failing word's first error in the tree's order), as every other claim
+    reads them, and the image is compared with the target over all n
+    coordinates.
     """
     if cert.vector is None or cert.target_vector is None:
         raise ValidationError("action certificate needs vector and target_vector")
 
     def push(m: int, v: Sequence[int]) -> tuple[int, ...]:
-        return _walk(walks, cert.environment, m).push(cert.word, _pad(v, m))
+        v = _pad(v, m)
+        return apply_pairs(_walk(walks, cert.environment, m).walk(cert.word), v)
 
     if reduced is None:
         got = push(n, cert.vector)
@@ -707,8 +620,8 @@ def _check_action(
 def _push_chunks(image, core: int, period: int, v: tuple[int, ...]) -> tuple[int, ...]:
     """The image of v under a word whose window len(v) is its core window
     followed by copies of the core window's last period block (identity
-    blocks for period 0), ``autrep.core_window``; image(chunk) pushes a
-    core-sized chunk through the core window.
+    blocks for period 0), ``autrep.core_window``; image(chunk) is the image
+    of a core-sized chunk on the core window.
 
     So the first core coordinates are pushed on the core window, and each
     later period chunk that holds a nonzero coordinate is pushed in that

@@ -25,7 +25,6 @@ from infrank.autrep import (
     is_claimed,
     is_identity,
     uniform,
-    window_apply,
     window_matrix,
     window_pairs,
     witnessed,
@@ -181,12 +180,7 @@ def test_increments_match_the_sieve_across_the_table_edge(prefix, excluded, grow
     if grown:
         assert g.increment(grown - 1) == incs[grown - 1]
     n = 2 * EDGE
-    v = [(-1) ** i * (i % 5) for i in range(n)]
     for aut, sign in ((invert(g), -1), (g, 1)):
-        image = list(v)
-        for i, c in enumerate(incs):
-            image[2 * i + 1] += sign * c * v[2 * i]
-        assert window_apply(aut, n, v) == image
         rows = window_pairs(aut, n)
         assert rows[::2] == tuple(((2 * i, 1),) for i in range(EDGE))
         assert rows[1::2] == tuple(((2 * i, sign * c), (2 * i + 1, 1)) for i, c in enumerate(incs))
@@ -441,39 +435,6 @@ def test_invert_round_trips(a):
     head, period = head_and_period([a])
     for n in (head, head + period, head + 2 * period):
         assert window_matrix(inv, n) == row_reduction_inverse(window_matrix(a, n))
-
-
-SUPPORTS = ("head", "last block", "nowhere", "anywhere")
-
-
-@settings(max_examples=150)
-@given(
-    st.integers(1, 3),
-    st.integers(0, 2),
-    st.integers(0, 4),
-    st.booleans(),
-    st.sampled_from(SUPPORTS),
-    st.data(),
-)
-def test_window_apply_matches_window_matrix(d, heads, tail, inverted, support, data):
-    aut = eventually_uniform(data.draw(unimodular(d * heads)), data.draw(unimodular(d)))
-    if inverted:
-        aut = invert(aut)
-    n0 = aut.window_size
-    n = n0 + tail * d
-    entries = st.integers(-(2**70), 2**70)
-    if support == "head":
-        coords = range(n0)
-    elif support == "last block":
-        coords = range(max(n - d, n0), n)
-    elif support == "nowhere":
-        coords = range(0)
-    else:
-        coords = range(n)
-    v = [0] * n
-    for i in coords:
-        v[i] = data.draw(entries)
-    assert window_apply(aut, n, v) == list(window_matrix(aut, n).apply(v))
 
 
 def test_compose_of_head_free_atoms_makes_two_products(monkeypatch):

@@ -1,8 +1,6 @@
-import gc
 import hashlib
 import json
 import random
-import weakref
 from dataclasses import replace
 from functools import cache
 from math import gcd
@@ -11,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infrank import autrep as autrep_module
 from infrank import intmat, witness
 from infrank import words as words_module
 from infrank.autrep import (
@@ -513,18 +510,15 @@ def test_verify_chain_keeps_no_cache(monkeypatch):
 
 
 def test_action_certificates_make_no_products(monkeypatch):
-    chain = km_pipeline(canonical_shear(3, 4))
-    certs = [
-        cert
-        for c in (chain, parse_chain(serialize_chain(chain)))
-        for step in c.steps
-        for cert in step.certificates
-        if cert.kind == ACTION_ON_VECTOR
-    ]
-    assert len(certs) == 14
+    """In-process, the action claims of a general chain apply the rows the
+    build walked, with no product."""
+    chain, walks = _built_with_walks(3, 4)
+    certs = [cert for step in chain.steps for cert in step.certificates
+             if cert.kind == ACTION_ON_VECTOR]
+    assert len(certs) == 7
     products = ProductCounter(monkeypatch)
     for cert in certs:
-        assert verify_certificate(cert).ok
+        assert verify_certificate(cert, walks).ok
     assert products.count == 0
     # a power past the window is evaluated densely, then applied
     cert = Certificate(kind=ACTION_ON_VECTOR, windows=(4,), environment={"tau": tau_power(1)},
@@ -617,10 +611,16 @@ def test_chain_bytes_are_unchanged(k, m, pair, size, digest):
 # product: the build no longer reads phi1 and phi2 to multiply them, and the
 # link no longer reads final, phi1 and phi2 or makes phi1^|a| final.  The
 # parsed figures do not move.
+#
+# A general parsed check went from (22, 15) to (32, 13) when action claims
+# came to apply the word's walked rows and the parsed final link came to
+# compare final with them: the Bezout step walks w1^a w2^b (ten products),
+# where it pushed its vectors letter by letter, and the link reads neither
+# phi1 nor final, nor multiplies phi1^|a| final.
 WALK_COUNTS = [
-    (5, 4, (48, 15), (22, 15)),
-    (3, 4, (48, 15), (22, 15)),
-    (7, 6, (48, 15), (22, 15)),
+    (5, 4, (48, 15), (32, 13)),
+    (3, 4, (48, 15), (32, 13)),
+    (7, 6, (48, 15), (32, 13)),
     (1, 5, (3, 4), (3, 4)),
 ]
 
@@ -649,7 +649,7 @@ def test_only_the_pipeline_hands_its_walks_to_the_check(monkeypatch):
     read = words_module.window_pairs
     monkeypatch.setattr(words_module, "window_pairs", lambda a, n: reads.append(n) or read(a, n))
     assert verify_chain(chain).ok
-    assert (products.count, len(reads)) == (22, 15)
+    assert (products.count, len(reads)) == (32, 13)
     step = chain.steps[1]
     target = step.certificates[1].target_aut
     rows = [list(row) for row in target.block.matrix.data]
@@ -662,41 +662,6 @@ def test_only_the_pipeline_hands_its_walks_to_the_check(monkeypatch):
     res = verify_chain(replace(chain, steps=tuple(steps)))
     assert not res.ok
     assert any(line.startswith(f"{step.name}: ") and "MISMATCH" in line for line in res.report)
-
-
-def test_a_parsed_check_drops_its_walks_before_the_link(monkeypatch):
-    """The walks verify_chain makes for a parsed chain are dead when the
-    link's product runs, so they add nothing to the peak of a large check;
-    the walks km_pipeline passes in are its own, and live on."""
-    refs = []
-    walk = words_module._walk
-
-    def recording(walks, env, n):
-        out = walk(walks, env, n)
-        if walks is not None:  # not a certificate checked alone while the chain is built
-            refs.append(weakref.ref(out))
-        return out
-
-    live = []
-    link = witness._broken_link
-
-    def counting(chain, walks):
-        live.append(sum(ref() is not None for ref in refs))
-        return link(chain, walks)
-
-    monkeypatch.setattr(words_module, "_walk", recording)
-    monkeypatch.setattr(witness, "_broken_link", counting)
-    gc.disable()  # the walks must die by their last reference, not by a collection
-    try:
-        chain = km_pipeline(canonical_shear(5, 4))
-        built = len(refs)
-        refs.clear()
-        assert verify_chain(parse_chain(serialize_chain(chain))).ok
-        parsed = len(refs)
-    finally:
-        gc.enable()
-    assert built and parsed
-    assert live == [built, 0]
 
 
 def test_the_in_process_final_link_compares_the_walked_rows():
@@ -715,10 +680,10 @@ def test_the_in_process_final_link_compares_the_walked_rows():
     assert res.report[-1] == FINAL_NOT_PRODUCT
 
 
-def test_only_a_parsed_check_multiplies_for_the_final_link(monkeypatch):
-    """The link of km_pipeline's own check reads the Bezout word's rows off
-    the build's walks and makes no product; a parsed check's link makes
-    phi1^|a| final, one product for the (5,4) chain, where a = -1."""
+def test_no_final_link_multiplies(monkeypatch):
+    """The final link reads the rows of the Bezout word that the check's
+    walks hold, and makes no product: in km_pipeline's own check, the
+    build's rows; in a parsed check, those its Bezout claims walked."""
     products = ProductCounter(monkeypatch)
     counts = []
     link = witness._broken_link
@@ -732,7 +697,7 @@ def test_only_a_parsed_check_multiplies_for_the_final_link(monkeypatch):
     monkeypatch.setattr(witness, "_broken_link", counting)
     chain = km_pipeline(canonical_shear(5, 4))
     assert verify_chain(parse_chain(serialize_chain(chain))).ok
-    assert counts == [0, 1]
+    assert counts == [0, 0]
 
 
 def test_a_parsed_check_reads_the_atoms_of_psi_on_its_core_window_only(monkeypatch):
@@ -761,7 +726,7 @@ def _built_with_walks(k, m):
 
 
 def test_bezout_claims_through_the_build_rows_still_check_their_target():
-    """The Bezout step's action claims, pushed through rows the build walked,
+    """The Bezout step's action claims, applying rows the build walked,
     still compare the image with the target: one bumped coordinate is
     reported on both windows, as the parsed chain reports it."""
     chain, walks = _built_with_walks(5, 4)
@@ -776,35 +741,6 @@ def test_bezout_claims_through_the_build_rows_still_check_their_target():
         assert f"bezout-combination: window {n}: MISMATCH at coordinate 7: got 4, expected 5" \
             in res.report
     assert res == verify_chain(parse_chain(serialize_chain(tampered)))
-
-
-# window_apply calls of verify_chain on the chain as built, with the build's
-# walks, and parsed back: 96 and 156 for both when the Bezout step pushed
-# its whole word atom by atom; then it applied the conjugation steps' rows,
-# all of them as built, and a parsed check pushed w1^-1 atom by atom, which
-# no step walks (36 and 60).  A parsed check now pushes w1^-1 through its
-# inverted letters lam^2 psi^-1 lam^-1 psi^-1 lam^-1 and psi^-1 through
-# h1 phi^-1 h1^-1 h2 phi^-1 h2^-1 (one h per pair of ell): it applies the
-# rows of lam that step 2 walked and those of each h and its inverse that
-# step 1 walked, and only phi^-1, which no step walks, atom by atom: ell
-# times per psi^-1, in each of two pushes, 2 * 2 * ell = 8 for ell = 2 and
-# 16 for ell = 4.
-APPLY_COUNTS = [(5, 4, 0, 8), (2, 5, 0, 16)]
-
-
-@pytest.mark.parametrize("k, m, built, parsed", APPLY_COUNTS)
-def test_bezout_claims_apply_the_rows_the_steps_walked(monkeypatch, k, m, built, parsed):
-    calls = []
-    apply = words_module.window_apply
-    monkeypatch.setattr(words_module, "window_apply", lambda *a: calls.append(a) or apply(*a))
-    chain, walks = _built_with_walks(k, m)
-    calls.clear()
-    assert verify_chain(chain, walks).ok
-    assert len(calls) == built
-    back = parse_chain(serialize_chain(chain))
-    calls.clear()
-    assert verify_chain(back).ok
-    assert len(calls) == parsed
 
 
 def _wans(rows):
@@ -921,8 +857,8 @@ def _reducible_action_certificates():
 
 
 def test_action_pushes_stay_on_the_core_window(monkeypatch):
-    """Every push runs on a window no larger than the core window, and each
-    distinct chunk is pushed once per certificate."""
+    """Every image is taken on a window no larger than the core window, and
+    each distinct chunk is mapped once per certificate."""
     built, parsed = _chain_action_certificates(3, 4)
     reducible = []
     for cert, reduced in _reducible_action_certificates():
@@ -930,13 +866,13 @@ def test_action_pushes_stay_on_the_core_window(monkeypatch):
         assert {core_window(split, n) for n in cert.windows} == {reduced}
         reducible.append(cert)
     pushes = []
-    push = words_module._Rows.push
+    apply = words_module.apply_pairs
 
-    def recording(walk, word, vector):
-        pushes.append((walk.n, tuple(vector)))
-        return push(walk, word, vector)
+    def recording(rows, vector):
+        pushes.append((len(rows), tuple(vector)))
+        return apply(rows, vector)
 
-    monkeypatch.setattr(words_module._Rows, "push", recording)
+    monkeypatch.setattr(words_module, "apply_pairs", recording)
     for cert in built + parsed + reducible:
         pushes.clear()
         assert verify_certificate(cert).ok
@@ -1099,11 +1035,12 @@ def test_foreign_steps_come_from_verified_chains():
 
 
 def test_links_read_no_inverse(monkeypatch):
-    """The general final link multiplies windows and inverts nothing."""
+    """The general final link inverts no matrix and no claimed value: the
+    walk of the Bezout word inverts atoms, whose inverse witnesses are
+    swapped in."""
     chain = parse_chain(GENERAL_TEXT)
     monkeypatch.setattr(IntMatrix, "inverse", None)
-    monkeypatch.setattr(words_module, "invert_aut", None)
-    monkeypatch.setattr(autrep_module, "invert", None)
+    monkeypatch.setattr(intmat, "_unimodular_inverse", None)
     assert witness._broken_link(chain) is None
 
 

@@ -622,67 +622,61 @@ def test_push_refuses_what_dense_refuses(env, w, bad, place, case):
     assert _outcome(lambda: push_word(word, env, n, v)) == dense
 
 
-def test_push_goes_dense_when_pushes_outgrow_the_word(monkeypatch):
-    """A power whose pushes would pass n is read as rows and applied once:
-    (tau sigma)^e makes 2|e| applications, so on window 4 it is pushed for
-    |e| = 2 and made by products for |e| = 3.  Nested conjugates are pushed
-    letter by letter, with no product: depth d reads as 2^(d + 1) - 1
-    letters, one application each.  Depth 10 went by products until pushes
-    came to go through the word's letters, as the crossover now counts the
-    applications of one power, not of the whole word."""
-    products = ProductCounter(monkeypatch)
-    applied = []
-    apply = words_module.window_apply
-    monkeypatch.setattr(words_module, "window_apply", lambda *a: applied.append(a) or apply(*a))
+def test_push_goes_dense_when_pushes_outgrow_the_word():
+    """Nested conjugates and powers of a product, short and past the
+    window size, push to the dense image."""
     v = (1, -2, 3, 5)
     for depth in (2, 10):
         word = Named("tau")
         for _ in range(depth):
             word = Conj(Named("sigma"), word)
-        products.count, applied[:] = 0, []
-        got = push_word(word, ENV, 4, v)
-        assert (products.count, len(applied)) == (0, 2 ** (depth + 1) - 1)
-        assert got == evaluate_word(word, ENV, 4).apply(v)
-    for e, dense in ((2, False), (-2, False), (3, True), (-3, True)):
+        assert push_word(word, ENV, 4, v) == evaluate_word(word, ENV, 4).apply(v)
+    for e in (2, -2, 3, -3):
         word = Power(Product((Named("tau"), Named("sigma"))), e)
-        products.count = 0
-        got = push_word(word, ENV, 4, v)
-        assert (products.count > 0) == dense
-        assert got == evaluate_word(word, ENV, 4).apply(v)
+        assert push_word(word, ENV, 4, v) == evaluate_word(word, ENV, 4).apply(v)
 
 
-def test_nested_conjugates_push_by_products_past_the_bound(monkeypatch):
-    """A compound token whose push would make more than n and more than
-    ``_MAX_PUSHES`` = 4,096 applications is read by products: nested
-    conjugates of depth 11 are pushed by 4,095 applications, those of depth
-    12 by their rows, and those of depth 40 by products and a few
-    applications, as the levels above a token read by products double the
-    applications again."""
-    products = ProductCounter(monkeypatch)
-    applied = []
-    apply = words_module.window_apply
-    monkeypatch.setattr(words_module, "window_apply", lambda *a: applied.append(a) or apply(*a))
+def test_nested_conjugates_push_by_products_past_the_bound():
+    """Conjugates nested 11, 12 and 40 deep in conjugators push to the
+    dense image."""
     v = (1, -2, 3, 5)
-    word, depths = Named("tau"), {}
+    word = Named("tau")
     for depth in range(1, 41):
         word = Conj(Named("sigma"), word)
         if depth in (11, 12, 40):
-            products.count, applied[:] = 0, []
-            got = push_word(word, ENV, 4, v)
-            depths[depth] = (products.count > 0, len(applied))
-            assert got == evaluate_word(word, ENV, 4).apply(v)
-    assert depths == {11: (False, 4095), 12: (True, 0), 40: (True, 15)}
+            assert push_word(word, ENV, 4, v) == evaluate_word(word, ENV, 4).apply(v)
+
+
+@pytest.mark.parametrize("depth", [10, 40, 100])
+def test_nested_conjugates_read_in_linear_products(depth, monkeypatch):
+    """A conjugate nested d deep in conjugators, h = Conj(sigma, h), is read
+    in 4d - 2 products on window 4, pushed alone or checked by an action
+    claim on windows 4 and 8: the outermost level multiplies h sigma h^-1
+    (two products), and each of the d - 1 conjugates below it is read once
+    and inverted once (two products each)."""
+    word = Named("tau")
+    for _ in range(depth):
+        word = Conj(Named("sigma"), word)
+    v = (1, -2, 3, 5)
+    want = evaluate_word(word, ENV, 4).apply(v)
+    products = ProductCounter(monkeypatch)
+    image = push_word(word, ENV, 4, v)
+    assert products.count == 4 * depth - 2
+    assert image == want
+    products.count = 0
+    cert = Certificate(kind=ACTION_ON_VECTOR, windows=(4, 8), environment=ENV, word=word,
+                       vector=v, target_vector=image)
+    assert verify_certificate(cert).ok
+    assert products.count == 4 * depth - 2
 
 
 @pytest.mark.parametrize(
     "word", [Product((Named("tau"),) * 3000), Power(Named("tau"), 3000)], ids=["product", "power"]
 )
-def test_long_words_push_in_loops(word, monkeypatch):
-    """3,000 applications of tau on window 3,000 stay pushes, applied in a
-    loop: a push nests no deeper than the word, so no RecursionError."""
-    products = ProductCounter(monkeypatch)
+def test_long_words_push_in_loops(word):
+    """3,000 letters of tau on window 3,000 merge into one power, read by
+    squaring, so the push nests no deeper than the word: no RecursionError."""
     assert push_word(word, ENV, 3000, (0, 1)) == (3000, 1) + (0,) * 2998
-    assert products.count == 0
 
 
 # -- parsed words share equal subtrees ---------------------------------------
@@ -919,10 +913,9 @@ def held_products(draw):
 @settings(max_examples=150)
 @given(held_products(), st.integers(1, 2), st.data())
 def test_pushes_through_held_rows_match_the_dense_image(drawn, k, data):
-    """A product pushed through its letters, with rows walks hold for none,
-    some or all of its factors, gives the dense image and the same report
-    lines; with every factor held, no atom is applied, as a factor whose
-    reading a walk holds is applied before its letters are read."""
+    """A product pushed, and claimed by action claims checked with walks
+    that hold rows for none, some or all of its factors, gives the dense
+    image and the same report lines."""
     env, word, held = drawn
     n = k * lcm(*(aut.d for aut in env.values()))
     v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
@@ -934,24 +927,14 @@ def test_pushes_through_held_rows_match_the_dense_image(drawn, k, data):
         for walks in (some, every) if hold else (every,):
             words_module._walk(walks, env, core).walk(f.inner, f.exponent < 0)
     assert push_word(word, env, n, v) == want
-    for walks in (some, every):
-        assert words_module._walk(walks, env, n).push(word, v) == want
     i = data.draw(st.integers(0, n - 1))
     bumped = want[:i] + (want[i] + 1,) + want[i + 1 :]
     for target in (want, bumped):
         cert = Certificate(kind=ACTION_ON_VECTOR, windows=(n, 2 * n), environment=env,
                            word=word, vector=v, target_vector=target)
-        reports, applied = [], []
-        for walks in (None, some, every):
-            calls = []
-            with pytest.MonkeyPatch.context() as mp:
-                apply = words_module.window_apply
-                mp.setattr(words_module, "window_apply", lambda *a: calls.append(a) or apply(*a))
-                reports.append(verify_certificate(cert, walks))
-            applied.append(len(calls))
+        reports = [verify_certificate(cert, walks) for walks in (None, some, every)]
         assert reports[0] == reports[1] == reports[2]
         assert reports[0].ok == (target == want)
-        assert applied[2] == 0
 
 
 EDGE_ENV = {
