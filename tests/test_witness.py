@@ -614,9 +614,9 @@ def test_chain_bytes_are_unchanged(k, m, pair, size, digest):
 #
 # A general parsed check went from (22, 15) to (32, 13) when action claims
 # came to apply the word's walked rows and the parsed final link came to
-# compare final with them: the Bezout step walks w1^a w2^b (ten products),
-# where it pushed its vectors letter by letter, and the link reads neither
-# phi1 nor final, nor multiplies phi1^|a| final.
+# compare final with them: the Bezout step walks w1^a w2^b where it pushed
+# its vectors letter by letter, and the link reads neither phi1 nor final,
+# nor multiplies phi1^|a| final.
 WALK_COUNTS = [
     (5, 4, (48, 15), (32, 13)),
     (3, 4, (48, 15), (32, 13)),
