@@ -689,20 +689,40 @@ def is_unimodular_set(m: IntMatrix) -> bool:
     return all(d == 1 for d in invariant_factors(m))
 
 
+def _unimodular_snf(m: IntMatrix) -> SnfResult:
+    """``snf(m)``, refused unless m's columns form a unimodular set."""
+    res = snf(m)
+    if m.cols > m.rows or any(d != 1 for d in res.diagonal()):
+        raise NotCompletableError("columns do not form a unimodular set")
+    return res
+
+
 def complete_to_basis(m: IntMatrix) -> IntMatrix:
     """Extend a unimodular column set to a full basis: an n x n matrix g,
     kept with its inverse, whose first ``m.cols`` columns are m's (m itself
     when square).  With ``u*m*v = [I; 0]`` from one ``snf``, the columns of
     ``m*v`` are the first k columns of ``u^-1``, whose trailing columns
     complete them; then u*g = diag(v^-1, I), and ``accept_inverse`` takes
-    g^-1 = diag(v, I) * u."""
+    g^-1 = diag(v, I) * u.  A conjugate by g of diag(b, I) needs neither
+    g nor g^-1 (``conjugate_by_completion``)."""
     n, k = m.rows, m.cols
-    res = snf(m)
-    if k > n or any(d != 1 for d in res.diagonal()):
-        raise NotCompletableError("columns do not form a unimodular set")
+    res = _unimodular_snf(m)
     if k == n:
         return m
     out = m.hstack(res.u_inverse.submatrix(0, n, k, n))
     if not accept_inverse(out, IntMatrix.block_diag([res.v, IntMatrix.identity(n - k)]) * res.u):
         raise NotCompletableError("completion failed its inverse check")
     return out
+
+
+def conjugate_by_completion(m: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """g * diag(b, I) * g^-1 for g = ``complete_to_basis(m)`` and b k x k,
+    k = m.cols, made as a rank-k update of I: diag(b, I) - I is zero past
+    its top-left k x k block, g's first k columns are m, and the first k
+    rows of g^-1 = diag(v, I) * u are v * u[:k], so the conjugate is
+    I + m (b - I) v u[:k].  One ``snf``, with u and v replayed; neither g
+    nor g^-1 is made, and no product has two n x n factors."""
+    res = _unimodular_snf(m)
+    left = pairs_product(m.pairs, (b - IntMatrix.identity(m.cols)).pairs)
+    right = pairs_product(res.v.pairs, res.u.pairs[: m.cols])
+    return IntMatrix.from_pairs(pairs_sum(identity_pairs(m.rows), pairs_product(left, right)), m.rows)

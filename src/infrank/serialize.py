@@ -289,14 +289,16 @@ def _once(table: dict, kind: str, obj: Any, read) -> Any:
 
 
 def cert_to_obj(cert: Certificate) -> dict:
-    return {"claim": cert.kind, "env": _env_to_obj(cert.environment), **_claim_fields(cert)}
+    obj = {"claim": cert.kind, "env": _env_to_obj(cert.environment), **_claim_fields(cert)}
+    if cert.word is not None:
+        obj["word"] = word_to_obj(cert.word)
+    return obj
 
 
 def _claim_fields(cert: Certificate) -> dict:
-    """The fields of a certificate past its claim kind and environment."""
+    """The fields of a certificate past its claim kind and environment,
+    but for its word."""
     obj: dict[str, Any] = {"windows": list(cert.windows)}
-    if cert.word is not None:
-        obj["word"] = word_to_obj(cert.word)
     if cert.target_aut is not None:
         obj["target_aut"] = aut_to_obj(cert.target_aut)
     if cert.target_matrix is not None:
@@ -474,21 +476,29 @@ def serialize_certificate(cert: Certificate) -> str:
 
 def serialize_chain(chain: WitnessChain) -> str:
     """The chain's canonical document, with each distinct environment (by
-    its names and atom identities) encoded once and its text spliced into
-    every certificate that states it: sorted keys put ``claim`` then ``env``
-    first in a certificate, ``certificates`` first in a step and ``steps``
-    last in the chain."""
+    its names and atom identities) and each distinct word object encoded
+    once and their text spliced in: sorted keys put ``claim`` then ``env``
+    first and ``word`` last in a certificate, ``certificates`` first and
+    ``word`` last in a step, and ``steps`` last in the chain."""
     envs: dict[tuple, str] = {}
+    words: dict[int, str] = {}
+
+    def word_text(word: Token) -> str:
+        if id(word) not in words:  # the chain holds word, so its id stays its own
+            words[id(word)] = _encode(word_to_obj(word))
+        return words[id(word)]
 
     def cert_text(cert: Certificate) -> str:
         key = tuple((name, id(aut)) for name, aut in cert.environment.items())
         if key not in envs:
             envs[key] = _encode(_env_to_obj(cert.environment))
-        return f'{{"claim":{_encode(cert.kind)},"env":{envs[key]},{_encode(_claim_fields(cert))[1:]}'
+        fields = _encode(_claim_fields(cert))[1:-1]
+        word = "" if cert.word is None else f',"word":{word_text(cert.word)}'
+        return f'{{"claim":{_encode(cert.kind)},"env":{envs[key]},{fields}{word}}}'
 
     steps = ",".join(
         f'{{"certificates":[{",".join(map(cert_text, step.certificates))}],'
-        + _encode({"name": step.name, "note": step.note, "word": word_to_obj(step.word)})[1:]
+        f'{_encode({"name": step.name, "note": step.note})[1:-1]},"word":{word_text(step.word)}}}'
         for step in chain.steps
     )
     head = {"level": chain.level, "scope_note": chain.scope_note, "final": aut_to_obj(chain.final)}

@@ -44,7 +44,7 @@ from .autrep import (
     window_pairs,
 )
 from .errors import DimensionError, ShapeError, ValidationError
-from .intmat import IntMatrix, Pairs, accept_inverse, complete_to_basis, snf
+from .intmat import IntMatrix, Pairs, accept_inverse, conjugate_by_completion, snf
 from .numth import euler_phi, xgcd
 from .words import (
     ACTION_ON_VECTOR,
@@ -744,9 +744,8 @@ def _pipeline_general(phi: RepAut, k: int, m: int, n1: int, n2: int, walks: dict
                     cols.append(_unit(s2, anchor))
                 else:
                     cols.append(_unit(s2, next(pool)))
-        g_mat = complete_to_basis(IntMatrix.from_rows(list(zip(*cols))))
-        core = IntMatrix.block_diag([triple.gamma, triple.gamma, IntMatrix.identity(s2 - 2 * r)])
-        lam = g_mat * core * g_mat.inverse()
+        core = IntMatrix.block_diag([triple.gamma, triple.gamma])
+        lam = conjugate_by_completion(IntMatrix.from_rows(list(zip(*cols))), core)
         # lam^-1 = lam^(n-1), as gamma has order n; else uniform inverts lam
         accept_inverse(lam, lam.power(n - 1))
         env[f"lam{n}"] = uniform(lam)

@@ -286,6 +286,49 @@ def test_completion_and_its_inverse_match_the_eager_completion(cols):
         assert vars(g)["_inv"] == intmat._unimodular_inverse(IntMatrix(g.data))
 
 
+@st.composite
+def conjugations(draw):
+    """k leading columns of a unimodular n x n matrix, n <= 8 and k = n
+    among them, or k columns of small entries, most not unimodular; and a
+    k x k b, the identity or any integer matrix."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        cols = draw(big_unimodular(n)).submatrix(0, n, 0, k)
+    else:
+        cols = IntMatrix.from_rows(draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k),
+                                                 min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        return cols, IntMatrix.identity(k)
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    row = st.lists(entry, min_size=k, max_size=k)
+    return cols, IntMatrix.from_rows(draw(st.lists(row, min_size=k, max_size=k)))
+
+
+@settings(max_examples=200)
+@given(conjugations())
+@example((IntMatrix.from_rows([[1, 0], [0, 1]]), IntMatrix.from_rows([[0, 1], [1, 0]])))
+@example((IntMatrix.from_rows([[2], [1], [0]]), IntMatrix.identity(1)))
+def test_the_completion_conjugate_is_the_dense_conjugate(case):
+    """The rank-k update equals g * diag(b, I) * g^-1 made densely, for g the
+    completion with u^-1 inverted afresh (``eager_complete_to_basis``) and
+    g^-1 by row reduction; it is I for b = I, and it keeps its row pairs.
+    Columns that are not unimodular are refused as ``complete_to_basis``
+    refuses them."""
+    cols, b = case
+    g = oracles.eager_complete_to_basis(cols)
+    if g is None:
+        with pytest.raises(NotCompletableError, match="^columns do not form a unimodular set$"):
+            intmat.conjugate_by_completion(cols, b)
+        return
+    n = cols.rows
+    got = intmat.conjugate_by_completion(cols, b)
+    assert got == g * IntMatrix.block_diag([b, IntMatrix.identity(n - b.rows)]) * row_reduction_inverse(g)
+    assert got.pairs == intmat.row_pairs(got.data)
+    if b == IntMatrix.identity(b.rows):
+        assert got == IntMatrix.identity(n)
+
+
 @settings(max_examples=150)
 @given(st.integers(1, 8).flatmap(big_unimodular), st.data())
 def test_a_bumped_inverse_is_refused_and_never_kept(m, data):

@@ -1,5 +1,7 @@
+import copy
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -356,6 +358,39 @@ def test_chain_encoding_splices_each_environment_exactly():
     text = serialize_chain(chain)
     assert text == oracles.chain_document(chain)
     assert serialize_chain(parse_chain(text)) == text
+
+
+def _words(chain):
+    words = (w for step in chain.steps for w in (step.word, *(c.word for c in step.certificates)))
+    return [w for w in words if w is not None]
+
+
+def _with_copied_words(chain):
+    """The chain with every step's and certificate's word a deep copy: equal
+    words that are distinct objects."""
+    steps = tuple(
+        replace(step, word=copy.deepcopy(step.word), certificates=tuple(
+            replace(c, word=copy.deepcopy(c.word)) for c in step.certificates))
+        for step in chain.steps
+    )
+    return replace(chain, steps=steps)
+
+
+@pytest.mark.parametrize("k, form", [(1, "built"), (5, "built"), (5, "parsed"), (5, "copied")])
+def test_chain_encoding_splices_each_word_exactly(k, form):
+    """A clean and a general chain as built, the general one parsed back,
+    whose equal words are one object, and the general one with every word
+    copied, whose equal words are distinct objects: each chain's text is
+    the one-pass encoding, in which every step and certificate restates its
+    own word."""
+    chain = km_pipeline(canonical_shear(k, 4))
+    if form == "parsed":
+        chain = parse_chain(serialize_chain(chain))
+        assert len({id(w) for w in _words(chain)}) == len(set(_words(chain)))
+    elif form == "copied":
+        chain = _with_copied_words(chain)
+        assert len({id(w) for w in _words(chain)}) == len(_words(chain)) > len(set(_words(chain)))
+    assert serialize_chain(chain) == oracles.chain_document(chain)
 
 
 # -- copies: one read per run of copies of an environment or a word -----------

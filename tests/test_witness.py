@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from dataclasses import replace
 from functools import cache
 from math import gcd
@@ -568,7 +569,7 @@ CHAIN_DIGESTS = [
 def test_chain_bytes_are_unchanged(k, m, pair, size, digest):
     """The chain's bytes, which are also the one-pass encoding of the chain
     as built and as parsed back: ``serialize_chain`` splices each
-    environment's text in exactly."""
+    environment's text and each word's text in exactly."""
     chain = km_pipeline(canonical_shear(k, m), pair)
     text = serialize_chain(chain)
     data = text.encode()
@@ -617,12 +618,41 @@ def test_chain_bytes_are_unchanged(k, m, pair, size, digest):
 # compare final with them: the Bezout step walks w1^a w2^b where it pushed
 # its vectors letter by letter, and the link reads neither phi1 nor final,
 # nor multiplies phi1^|a| final.
+#
+# The built figures did not move when each lam_n came to be made as a
+# rank-2r update of I (``intmat.conjugate_by_completion``): its three small
+# products replace diag(v, I) * u and the two products of g * core * g^-1.
 WALK_COUNTS = [
     (5, 4, (48, 15), (32, 13)),
     (3, 4, (48, 15), (32, 13)),
     (7, 6, (48, 15), (32, 13)),
     (1, 5, (3, 4), (3, 4)),
 ]
+
+
+def test_a_general_build_completes_no_basis(monkeypatch):
+    """A general (5,4) build makes each lam_n as a rank-2r update of I
+    (``intmat.conjugate_by_completion``): it calls ``complete_to_basis``
+    zero times (2 before), ``IntMatrix.__mul__`` 6 times (12 before: each
+    completion's inverse diag(v, I) * u and lam's two conjugation products
+    are gone) and ``pairs_product``, acceptance products counted, 52 times
+    (54 before: the completions' own acceptance products are gone)."""
+    calls = {"complete_to_basis": 0, "__mul__": 0, "pairs_product": 0}
+
+    def counted(name, f):
+        def g(*args):
+            calls[name] += 1
+            return f(*args)
+        return g
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counted("__mul__", IntMatrix.__mul__))
+    for name in ("complete_to_basis", "pairs_product"):
+        orig = getattr(intmat, name)
+        for module in [m for n, m in list(sys.modules.items()) if n.startswith("infrank")]:
+            if getattr(module, name, None) is orig:
+                monkeypatch.setattr(module, name, counted(name, orig))
+    km_pipeline(canonical_shear(5, 4))
+    assert calls == {"complete_to_basis": 0, "__mul__": 6, "pairs_product": 52}
 
 
 @pytest.mark.parametrize("k, m, built, parsed", WALK_COUNTS)
