@@ -143,27 +143,19 @@ class _Rows:
     keyed token lives as long as the walk and its id cannot pass to
     another; it keeps a letter's power under (id, e), |e| >= 2, too.
 
-    A product or a conjugate is read by one of two readings, chosen per
-    word from its atoms (``compound``):
-
-    - By the rules, when the word is readable (``_readable``): every atom
-      it names resolves, is aligned on n and carries its inverse.  There
-      each atom's window is a direct summand, so restricting to it is a
-      homomorphism (``autrep.window_pairs``), and two rules are exact.
-      Free reduction: the word is read as its letters (``_letters``), token
-      and exponent, with adjacent letters on one token merged and zero
-      exponents dropped; each letter is its token's reading raised to the
-      exponent.  Core windows: a letter on a compound token (a product
-      inside the product) whose atoms' ``head_and_period`` (H, L) has a core
-      window (``autrep.core_window``) smaller than n is read there, by the
-      walk of its family (``_Family``) on that window, and repeated out: its
-      first H rows, then its last L rows shifted by L, 2L, ...
-      (``_repeated``).  The core window is aligned for every atom, so no
-      read under the rules raises.
-    - By the tree, otherwise: a name is looked up, inverted, then read on
-      its window (which checks the window); a product's factors left to
-      right (right to left inverted), a conjugate's h, h^-1, then g.  So a
-      word that fails raises its first error, in the tree's order.
+    A name is read on its window (``autrep.window_pairs``, which checks it).
+    Any other token is checked (``_check``), which raises a defective word's
+    first error in the tree's order, then read by two rules, exact once
+    every atom is aligned on n, as each atom's window is then a direct
+    summand.  Free reduction: the word is its letters (``_letters``), token
+    and exponent, adjacent letters on one token merged and zero exponents
+    dropped, each its token's reading to the exponent.  Core windows: a
+    letter on a compound token (a product inside the product) whose atoms'
+    ``head_and_period`` (H, L) has a core window (``autrep.core_window``)
+    smaller than n is read there, by the walk of its family (``_Family``)
+    on that window, and repeated out: its first H rows, then its last L rows
+    shifted by L, 2L, ... (``_repeated``).  The core window is aligned for
+    every atom, so no read there raises.
     """
 
     def __init__(self, env: Environment, n: int, family: Optional[_Family] = None):
@@ -189,31 +181,46 @@ class _Rows:
             except KeyError:
                 raise WordError(f"unresolved name {word.name!r}") from None
             out = window_pairs(invert_aut(aut) if inv else aut, self.n)
-        elif isinstance(word, Inverse):
-            out = self.walk(word.inner, not inv)
-        elif isinstance(word, Power):
-            out = pairs_power(self.walk(word.inner, inv != (word.exponent < 0)), abs(word.exponent))
-        elif isinstance(word, (Conj, Product)):
-            out = self.compound(word, inv)
         else:
-            raise WordError(f"unknown token {word!r}")
+            self._check(word, inv)
+            letters = list(map(self._letter, *_letters(word, inv)))
+            out = reduce(pairs_product, letters) if letters else identity_pairs(self.n)
         self.memo[id(word), inv] = word, out
         return out
 
-    def compound(self, word: Conj | Product, inv: bool) -> Pairs:
-        """A conjugate or a product, read by the rules where it is readable,
-        else by the tree."""
-        if self._readable(word):
-            return self.product(list(map(self._letter, *_letters(word, inv))))
-        if isinstance(word, Conj):
-            # (h g h^-1)^-1 = h g^-1 h^-1
-            h, h_inv = self.walk(word.h), self.walk(word.h, True)
-            return self.product([h, self.walk(word.g, inv), h_inv])
-        factors = reversed(word.factors) if inv else word.factors
-        return self.product([self.walk(f, inv) for f in factors])
+    def _check(self, word: Token, inv: bool) -> None:
+        """Raise the first error the tree reading of (word, inv) meets, if any:
+        none where every atom word names resolves, is aligned on n and carries
+        its inverse.  Else the tree is walked with no product, each (token,
+        inverted) pair once: a name looked up, inverted, then read on its
+        window; a product's factors in order (reversed when inverted); a
+        conjugate's h, h^-1, then g; a token of no known kind raises there.
+        So an inverted claimed atom is refused even where free reduction
+        would cancel it, and one never inverted is read by the rules.
+        """
+        atoms = self.family.atoms(word)
+        if atoms is not None and _aligned(atoms, (self.n,)) and not any(map(is_claimed, atoms)):
+            return
+        seen = set()
 
-    def product(self, factors: list[Pairs]) -> Pairs:
-        return reduce(pairs_product, factors) if factors else identity_pairs(self.n)
+        def visit(t: Token, inv: bool) -> None:
+            if (id(t), inv) in seen or self.lookup(t, inv) is not None:
+                return
+            seen.add((id(t), inv))
+            if isinstance(t, Named):
+                self.walk(t, inv)
+            elif isinstance(t, (Inverse, Power)):
+                visit(t.inner, not inv if isinstance(t, Inverse) else inv != (t.exponent < 0))
+            elif isinstance(t, Conj):  # (h g h^-1)^-1 = h g^-1 h^-1
+                for x, i in ((t.h, False), (t.h, True), (t.g, inv)):
+                    visit(x, i)
+            elif isinstance(t, Product):
+                for f in reversed(t.factors) if inv else t.factors:
+                    visit(f, inv)
+            else:
+                raise WordError(f"unknown token {t!r}")
+
+        visit(word, inv)
 
     def _letter(self, token: Token, e: int) -> Pairs:
         """A letter's rows: token's reading (``_subword``) to the |e|."""
@@ -238,12 +245,6 @@ class _Rows:
         rows = _repeated(walk.walk(token, inv), *core, self.n)
         self.memo[id(token), inv] = token, rows
         return rows
-
-    def _readable(self, token: Token) -> bool:
-        """Whether every atom token names resolves, is aligned on n and
-        carries its inverse, so that the rules read it."""
-        atoms = self.family.atoms(token)
-        return atoms is not None and _aligned(atoms, (self.n,)) and not any(map(is_claimed, atoms))
 
 
 def _letters(word: Token, inv: bool) -> tuple[list[Token], list[int]]:
@@ -408,10 +409,9 @@ def verify_certificate(cert: Certificate, walks: Optional[dict] = None) -> Verif
     An identity or order claim on a window that ``autrep.core_window``
     reduces is checked once on the core window, and the verdict is reported
     for every window it stands for.  Identity, order and sum claims compare
-    row pairs (``_Rows``, which reads each word by the rules or by the tree,
-    as its atoms allow, and so raises a failing word's first error in the
-    tree's order), so no window is made dense.  When they check more
-    than one window size m (the core window, or the window itself), and
+    row pairs (``_Rows``, whose one reading raises a defective word's first
+    error in the tree's order), so no window is made dense.  When they check
+    more than one window size m (the core window, or the window itself), and
     every atom of the claim is aligned on each, the words are walked once,
     on the largest m, and each smaller m's walk is seeded with their first
     m rows, which are window m (``autrep.window_pairs``).  An action claim
@@ -588,10 +588,10 @@ def _check_action(
     (``_push_chunks``), each distinct nonzero chunk once per certificate
     (``pushed`` is shared by its windows).
 
-    The rows are the word's walk in ``walks`` (``_Rows``, which raises a
-    failing word's first error in the tree's order), as every other claim
-    reads them, and the image is compared with the target over all n
-    coordinates.
+    The rows are the word's walk in ``walks`` (``_Rows``, whose one reading
+    raises a defective word's first error in the tree's order), as every
+    other claim reads them, and the image is compared with the target over
+    all n coordinates.
     """
     if cert.vector is None or cert.target_vector is None:
         raise ValidationError("action certificate needs vector and target_vector")

@@ -11,7 +11,8 @@ the dense windows, dense word evaluation and row-major mismatch scan that
 the row-pair walk replaced, the chain encoding in one pass that
 encoding each environment once replaced, the graded multipliers by trial
 division that the prime table and each block's increment table replaced,
-the window-by-window check that one walk per certificate replaced, and the
+the window-by-window check that one walk per certificate replaced, the
+tree reading of a word on row pairs, which the one reading replaced, and the
 general pipeline's psi, phi_n and ``final`` by ``compose`` and ``invert``,
 which walked words replaced, with ``compose_all``, a product by ``compose``
 that no library code needs, and the chain reader that read every copy of an
@@ -34,10 +35,19 @@ from infrank.autrep import (
     compose,
     identity_aut,
     invert,
+    window_pairs,
 )
 from infrank.classify import RuleBased
 from infrank.errors import AlignmentError, DimensionError, ParseError, ValidationError, WordError
-from infrank.intmat import IntMatrix, _min_abs_pivot, identity_rows, snf
+from infrank.intmat import (
+    IntMatrix,
+    _min_abs_pivot,
+    identity_pairs,
+    identity_rows,
+    pairs_power,
+    pairs_product,
+    snf,
+)
 from infrank.serialize import (
     _int_list,
     _matrix,
@@ -322,6 +332,47 @@ def evaluate_word(word, env: Mapping, n: int) -> IntMatrix:
         return out
 
     return walk(word, False)
+
+
+def tree_rows(word, env: Mapping, n: int, inv: bool = False, memo: Optional[dict] = None):
+    """The row pairs of window n of a word over env (of its inverse with
+    ``inv``), read by its tree: a name looked up, inverted, then read on its
+    window, which checks the window; an inverse with ``inv`` flipped; a power
+    as its inner word's rows raised to |e|, the inner word inverted for e < 0;
+    a product's factors left to right (right to left inverted); a
+    conjugate's h, h^-1, then g.  So a defective word raises its first error
+    in the tree's order.  No letters, free reduction or core windows.
+
+    Each (token, inverted) pair is read once, kept in ``memo`` under
+    (id(token), inverted) beside its token, so conjugates nested d deep in
+    conjugators take O(d) products."""
+    memo = {} if memo is None else memo
+
+    def walk(w, inv: bool):
+        hit = memo.get((id(w), inv))
+        if hit is not None:
+            return hit[1]
+        if isinstance(w, Named):
+            if w.name not in env:
+                raise WordError(f"unresolved name {w.name!r}")
+            aut = env[w.name]
+            out = window_pairs(invert(aut) if inv else aut, n)
+        elif isinstance(w, Inverse):
+            out = walk(w.inner, not inv)
+        elif isinstance(w, Power):
+            out = pairs_power(walk(w.inner, inv != (w.exponent < 0)), abs(w.exponent))
+        elif isinstance(w, Conj):
+            h, h_inv = walk(w.h, False), walk(w.h, True)
+            out = pairs_product(pairs_product(h, walk(w.g, inv)), h_inv)
+        elif isinstance(w, Product):
+            rows = [walk(f, inv) for f in (reversed(w.factors) if inv else w.factors)]
+            out = reduce(pairs_product, rows) if rows else identity_pairs(n)
+        else:
+            raise WordError(f"unknown token {w!r}")
+        memo[id(w), inv] = w, out
+        return out
+
+    return walk(word, inv)
 
 
 def first_difference(a: IntMatrix, b: IntMatrix) -> str:

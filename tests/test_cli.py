@@ -718,16 +718,16 @@ def _nested_conjugates(depth: int):
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 5, 12, 16, 40])
 def test_verify_nested_conjugates_in_time(tmp_path, capsys, depth):
-    """The tree walk reads conjugates nested in conjugators in O(depth)
-    products; read as letters, each conjugator expanded on both sides, they
-    would be 2^(depth + 1) - 1 letters.  Identity and action claims, true and
-    false, report what the tree walk of the word gives, each in under 1 s."""
+    """The walk reads conjugates nested in conjugators in O(depth) products,
+    each conjugator one letter; expanded on both sides, they would be
+    2^(depth + 1) - 1 letters.  At every depth it gives the value of the tree
+    reading (``oracles.tree_rows``), and identity and action claims, true
+    and false, report what that value gives, each in under 1 s."""
     env = {"a": uniform(IntMatrix.from_rows([[0, 1], [1, 0]])),
            "s": uniform(IntMatrix.from_rows([[-1, 0], [0, 1]]))}
     word, n, v = _nested_conjugates(depth), 6, (1, 2, 3, 4, 5, 6)
-    with pytest.MonkeyPatch.context() as mp:  # the tree reading alone
-        mp.setattr(words._Rows, "_readable", lambda self, token: False)
-        got = IntMatrix.from_pairs(words._Rows(env, n).walk(word), n)
+    got = IntMatrix.from_pairs(oracles.tree_rows(word, env, n), n)
+    assert IntMatrix.from_pairs(words._Rows(env, n).walk(word), n) == got
     image = got.apply(v)
     wrong = IntMatrix.from_rows([[x + (i == j == 0) for j, x in enumerate(row)] for i, row in enumerate(got.data)])
     cases = [
@@ -875,8 +875,9 @@ def _identity_document(word, env, n):
 # the environment lacks; window 36, on which lam2's blocks of 24 alone are
 # misaligned; and window 12, on which lam3's blocks of 36 are misaligned too,
 # but the whole word's walk meets lam2 first; with the hostile deep-inverse
-# document of the benchmark; and words whose free reduction must not hide
-# the error the tree walk meets first: a a^-1 with a missing, and with a
+# document of the benchmark; the (5,4) chain on one line with trailing data,
+# refused by json's own error; and words whose free reduction must not hide
+# the error the tree reading meets first: a a^-1 with a missing, and with a
 # misaligned on window 3, and a conjugator read before the conjugated
 ERROR_DOCUMENTS = [
     ("renamed-atom", _lam2_renamed, "error: unresolved name 'lam2'"),
@@ -886,6 +887,9 @@ ERROR_DOCUMENTS = [
      "error: window 12 misaligned for window 0 + blocks of 24"),
     ("deep-inverse", lambda: _nested_inverse_document(3000),
      "error: $: document nests too deeply to decode"),
+    ("trailing-data",
+     lambda: serialize_chain(km_pipeline(canonical_shear(5, 4))).replace("\n", " ") + "x",
+     "error: $: invalid JSON: Extra data: line 1 column 90142 (char 90141)"),
     ("cancelling-missing", lambda: _identity_document(Product((A, Inverse(A))), {}, 2),
      "error: unresolved name 'a'"),
     ("cancelling-misaligned",

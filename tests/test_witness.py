@@ -558,6 +558,9 @@ CHAIN_DIGESTS = [
     # ell = phi(11) = 10, the longest psi pinned, recorded before psi and
     # phi_n came to be walked from the steps' own words
     (3, 11, (2, 3), 2642922, "c12b475c27a557c81229274d78895940b621c5319cccced9009ec3a98c5b4f67"),
+    # the (5,4) chain and the clean (1,5) chain that CI pins
+    (5, 4, (2, 3), 90141, "a64c76525892c57bfbcd55794cb2a8d18cdeace48c412235babe124bf65a899c"),
+    (1, 5, (2, 3), 2166, "72c9c4a25b657e01ce3fa99b68c6ff25148141fd20ed9676dd1d9c929de750df"),
 ]
 
 

@@ -284,12 +284,15 @@ class Unknown:
     """A token of no known kind."""
 
 
-# each word's first error, as the tree walk alone raises it: a name that
-# cancels in a a^-1, the same a misaligned on window 3, and a conjugator
-# read before the conjugated (both missing); a claimed conjugator, whose
-# inverse the tree reads before the missing conjugated; a claimed c in
-# c c^-1; and a missing name before an unknown token in a product inside a
-# product
+# each word's first error, as the tree reading (``oracles.tree_rows``) raises
+# it: a name that cancels in a a^-1, the same a misaligned on window 3, and a
+# conjugator read before the conjugated (both missing); a claimed conjugator,
+# whose inverse the tree reads before the missing conjugated; a claimed c in
+# c c^-1; a missing name before an unknown token in a product inside a
+# product; and the same defects under a power or an inverse, whose tokens the
+# one reading reads as letters: (a a^-1)^2 with a missing and misaligned, an
+# inverted c c^-1, an inverted conjugate, and a conjugate to the 0, which
+# free reduction drops whole, but whose claimed conjugator the tree inverts
 FIRST_ERRORS = [
     ("missing", Product((A, Inverse(A))), {}, 2, WordError, "unresolved name 'a'"),
     ("misaligned", Product((A, Inverse(A))), {"a": UNIT_SHEAR}, 3, AlignmentError,
@@ -302,6 +305,15 @@ FIRST_ERRORS = [
      CompositionUnsupportedError, REFUSED),
     ("unknown", Product((Product((Named("m"), Unknown())), A)), {"a": UNIT_SHEAR}, 2, WordError,
      "unresolved name 'm'"),
+    ("power-missing", Power(Product((A, Inverse(A))), 2), {}, 2, WordError, "unresolved name 'a'"),
+    ("power-misaligned", Power(Product((A, Inverse(A))), 2), {"a": UNIT_SHEAR}, 3, AlignmentError,
+     "window 3 misaligned for window 0 + blocks of 2"),
+    ("inverse-claimed-cancelling", Inverse(Product((C, Inverse(C)))), {"c": CLAIMED_SHEAR}, 2,
+     CompositionUnsupportedError, REFUSED),
+    ("inverted-conjugate", Power(Conj(Named("x"), Named("b")), -1), {}, 2, WordError,
+     "unresolved name 'b'"),
+    ("claimed-conjugator-power-0", Power(Conj(Named("x"), C), 0), {"c": CLAIMED_SHEAR}, 2,
+     CompositionUnsupportedError, REFUSED),
 ]
 
 
@@ -397,10 +409,14 @@ def mixed_env_and_word(draw):
 
 
 def _tree_outcome(fn):
-    """What ``fn`` gives when every walk reads by the tree alone: no word is
-    readable by the rules."""
+    """What ``fn`` gives when every walk reads by the tree: the reference
+    ``oracles.tree_rows`` patched in for ``_Rows.walk``, holding its rows in
+    the walk's memo, where a certificate's check may seed them."""
+    def tree_walk(self, word, inv=False):
+        return oracles.tree_rows(word, self.env, self.n, inv, self.memo)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Rows, "_readable", lambda self, token: False)
+        mp.setattr(_Rows, "walk", tree_walk)
         return _outcome(fn)
 
 
@@ -409,7 +425,7 @@ def _tree_outcome(fn):
 def test_reading_rules_match_the_dense_evaluation(drawn, data):
     """Free-reduced and core-window readings, on one walk per window and on
     one family of walks, give the dense window; identity and order claims
-    give the report lines of the tree walk alone."""
+    give the report lines of the tree reading (``_tree_outcome``)."""
     env, word, windows = drawn
     walks = {}
     for n in windows:
@@ -469,7 +485,8 @@ def defective_env_and_word(draw):
 def test_a_defective_word_gives_the_tree_outcome(drawn, data):
     """Where a word names a missing, claimed or misaligned atom, evaluation,
     pushes and identity, order and action claims give what the tree reading
-    alone gives: the value, or the first error's type and text."""
+    gives (``_tree_outcome``): the value, or the first error's type and
+    text."""
     env, word, n = drawn
     v = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
     calls = [lambda: evaluate_word(word, env, n), lambda: push_word(word, env, n, v)]
@@ -487,9 +504,9 @@ def test_a_defective_word_gives_the_tree_outcome(drawn, data):
 def test_an_error_leaves_later_words_to_their_atoms(monkeypatch):
     """One walk first raises on a product naming a missing atom, then reads
     the conjugation-step word prod_j Conj(psi, lam^j), j = 1..3, by the
-    rules, with the 8 products of a fresh walk: the error sets no mode for
-    later words.  A walk that turned to the tree for good after its first
-    error made 14."""
+    rules, with the 8 products of a fresh walk: an error leaves nothing
+    behind that changes how later words are read.  The tree reading of the
+    word (``oracles.tree_rows``) makes 14."""
     rng = random.Random(30)
     env = {"psi": uniform(random_unimodular(rng, 2)), "lam": uniform(random_unimodular(rng, 2))}
     psi, lam = Named("psi"), Named("lam")
